@@ -248,8 +248,13 @@ class ScaleOutAdvisor(Advisor):
             # Pool shards solved under their own worker-side tracers; graft
             # each exported tree here so the request trace stays one tree
             # (inline shards already nested themselves under this span).
+            # Likewise the templates/matrices a worker built: adopting them
+            # leaves the merge nothing to enumerate.  The worker's optimizer
+            # work is already in worker_optimizer_calls, hence no build_calls.
             for result in results:
                 adopt(result.trace)
+                self.inum.adopt_built(result.built)
+        adopted = sum(len(result.built) for result in results)
         timings["solve"] = time.perf_counter() - solve_started
         extras["shard_workers"] = executor.effective_workers(plan.shard_count)
         extras["shards"] = [
@@ -290,7 +295,9 @@ class ScaleOutAdvisor(Advisor):
         merge_started = time.perf_counter()
         winners = self._union_of_winners(survivors)
         merge_timed_out = False
-        with span("merge", winners=len(winners)) as merge_span:
+        builds_before = self.inum.template_build_calls
+        with span("merge", winners=len(winners),
+                  adopted=adopted) as merge_span:
             if winners:
                 configuration, objective, gap, gap_trace, merge_stats, \
                     merge_timed_out = self._merge(tuned, winners, hard,
@@ -299,8 +306,12 @@ class ScaleOutAdvisor(Advisor):
                 configuration = Configuration(name="scaleout-recommendation")
                 objective = self.inum.workload_cost(tuned, configuration)
                 gap, gap_trace, merge_stats = 0.0, (), {}
+            # Non-zero only when the merge had to enumerate templates itself
+            # (shards that failed, or recovered inline, shipped nothing).
             merge_span.set(indexes=len(configuration),
-                           timed_out=merge_timed_out)
+                           timed_out=merge_timed_out,
+                           template_builds=(self.inum.template_build_calls
+                                            - builds_before))
         timings["merge"] = time.perf_counter() - merge_started
         extras["merge"] = merge_stats
         timings["total"] = time.perf_counter() - started
@@ -342,13 +353,20 @@ class ScaleOutAdvisor(Advisor):
                budget: SolveBudget | None = None):
         """The final merge BIP: global constraints over the winner union."""
         merge_candidates = CandidateSet(self.schema, winners)
-        self.inum.prepare(tuned, merge_candidates)
-        bip = BipBuilder(self.inum).build(tuned, merge_candidates,
-                                          model_name="scaleout-merge-bip")
+        with span("prepare", statements=len(tuned),
+                  candidates=len(merge_candidates)):
+            self.inum.prepare(tuned, merge_candidates)
+        with span("bip_build") as node:
+            bip = BipBuilder(self.inum).build(tuned, merge_candidates,
+                                              model_name="scaleout-merge-bip")
+            node.set(variables=bip.statistics.get("variables", 0.0),
+                     constraints=bip.statistics.get("constraints", 0.0))
         solver = CoPhySolver(backend=self.backend,
                              gap_tolerance=self.gap_tolerance,
                              time_limit_seconds=self.time_limit_seconds)
-        report = solver.solve(bip, hard_constraints=hard, budget=budget)
+        with span("solve") as node:
+            report = solver.solve(bip, hard_constraints=hard, budget=budget)
+            node.set(gap=round(report.gap, 6), timed_out=report.timed_out)
         configuration = Configuration(report.configuration.indexes,
                                       name="scaleout-recommendation")
         stats = {"winners": len(winners),

@@ -39,12 +39,12 @@ DEFAULT_MAX_ORDERS_PER_TABLE = 2
 DEFAULT_MAX_TEMPLATES_PER_QUERY = 64
 
 
-def _cache_event(cache: str, event: str) -> None:
-    """Record one hit/miss of a cache into the active metrics registry."""
+def _cache_event(cache: str, event: str, count: int = 1) -> None:
+    """Record hits/misses of a cache into the active metrics registry."""
     active_registry().counter(
         "repro_cache_events_total",
         "Hits and misses of the tuning-stack caches",
-        ("cache", "event")).inc(cache=cache, event=event)
+        ("cache", "event")).inc(count, cache=cache, event=event)
 
 
 class InumCache:
@@ -227,13 +227,14 @@ class InumCache:
         the cache dicts on the calling thread, in workload order, so the
         cache contents are deterministic regardless of scheduling.
         """
-        shells: list[Query] = []
-        seen: set[str] = set()
-        for statement in workload:
-            shell = self._shell(statement.query)
-            if shell.name not in seen:
-                seen.add(shell.name)
-                shells.append(shell)
+        shells = self._distinct_shells(workload)
+        # Counted here, on the calling thread (pool threads do not inherit
+        # the ambient registry), once per pass rather than once per shell.
+        known = sum(shell.name in self._templates for shell in shells)
+        if known:
+            _cache_event("template", "hit", known)
+        if len(shells) > known:
+            _cache_event("template", "miss", len(shells) - known)
         # Process-sharded builds (the GIL-free path): pending shells are built
         # in worker processes and adopted back in workload order, after which
         # the serial pass below only performs idempotent column scans.
@@ -264,15 +265,25 @@ class InumCache:
             if matrix is not None:
                 self._matrices[shell.name] = matrix
 
-    def pending_shells(self, shells: Iterable[Query]) -> tuple[Query, ...]:
+    def _distinct_shells(self, workload: Workload) -> list[Query]:
+        """The workload's query shells, one per name, in workload order."""
+        shells: dict[str, Query] = {}
+        for statement in workload:
+            shell = self._shell(statement.query)
+            shells.setdefault(shell.name, shell)
+        return list(shells.values())
+
+    def pending_shells(self, queries: Iterable[Query]) -> tuple[Query, ...]:
         """The shells whose templates/matrix this cache has not built yet.
 
         The single definition of "needs building" — the parallel build paths
         (threads above, the process executor in ``repro.scale``) use it to
-        decide what to dispatch.
+        decide what to dispatch, and the shard executor to decide which
+        worker-built entries are worth shipping back.  UPDATE statements are
+        judged by their query shell.
         """
         return tuple(
-            shell for shell in shells
+            shell for shell in map(self._shell, queries)
             if shell.name not in self._templates
             or (self._use_matrix and shell.name not in self._matrices))
 
@@ -323,6 +334,22 @@ class InumCache:
         if build_calls:
             with self._metrics_lock:
                 self._build_calls += build_calls
+
+    def export_built(self, workload: Workload
+                     ) -> tuple[tuple[Query, tuple[TemplatePlan, ...],
+                                      QueryGammaMatrix | None], ...]:
+        """The built entries of a workload's shells, in workload order.
+
+        The reader paired with :meth:`adopt_built`: a worker process that
+        solved on its own cache returns these so the originating cache never
+        enumerates the same templates again.  Shells not built yet are
+        skipped.
+        """
+        return tuple(
+            (self._queries[shell.name], self._templates[shell.name],
+             self._matrices.get(shell.name))
+            for shell in self._distinct_shells(workload)
+            if shell.name in self._templates)
 
     # reprolint: requires-lock (see build: callers serialize)
     def workload_tensor(self, workload: Workload) -> WorkloadGammaTensor:

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.exceptions import OptimizerError
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.template_plan import INFEASIBLE_COST, TemplatePlan
@@ -149,23 +150,38 @@ class QueryGammaMatrix:
                          dtype=np.float64)
         block.fill(INFEASIBLE_COST)
         for offset, index in enumerate(new):
-            self._column_of[index] = base + offset
             slot = self._slot_of[index.table]
             block[:, slot, offset] = [
                 self._gamma_scalar(t, index.table, index) for t in self._templates]
+        # Registered only once costed: a failure above (e.g. no optimizer
+        # bound yet) must not leave columns that the array does not have.
+        self._column_of.update(
+            (index, base + offset) for offset, index in enumerate(new))
         self._matrix = np.concatenate([self._matrix, block], axis=2)
 
     def rebind_optimizer(self, optimizer: WhatIfOptimizer) -> None:
         """Attach a schema-equivalent optimizer after a pickle round trip.
 
-        Matrices built in worker processes arrive with their own optimizer
-        copy; rebinding them to the adopting cache's optimizer keeps one
-        shared scan cache per process.  The slot-min memos are dropped — they
-        are keyed by object identities of the sending process.
+        Matrices built in worker processes arrive without an optimizer (see
+        :meth:`__getstate__`); binding them to the adopting cache's optimizer
+        keeps one shared scan cache per process.
         """
         self._optimizer = optimizer
-        self._slot_min_by_id.clear()
-        self._slot_min_by_key.clear()
+
+    def __getstate__(self) -> dict:
+        # The optimizer (schema + scan caches) is process-local and the
+        # slot-min memos are keyed by object identities of this process:
+        # only the arrays, templates and column map cross the boundary.
+        state = self.__dict__.copy()
+        for key in ("_optimizer", "_slot_min_by_id", "_slot_min_by_key"):
+            del state[key]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._optimizer = None
+        self._slot_min_by_id = {}
+        self._slot_min_by_key = {}
 
     # ------------------------------------------------------------------ reading
     def value(self, position: int, table: str, index: Index | None) -> float:
@@ -242,4 +258,8 @@ class QueryGammaMatrix:
     # ---------------------------------------------------------------- internals
     def _gamma_scalar(self, template: TemplatePlan, table: str,
                       index: Index | None) -> float:
+        if self._optimizer is None:
+            raise OptimizerError(
+                f"gamma matrix of query {self._query.name!r} was unpickled "
+                "and has no optimizer; call rebind_optimizer() first")
         return slot_gamma(self._optimizer, self._query, template, table, index)

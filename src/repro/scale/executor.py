@@ -10,7 +10,9 @@ multi-core machines (the PR 2 open item).  This module moves both across
   :class:`~repro.scale.partition.PartitionPlan` — inline (sharing the
   caller's :class:`~repro.inum.cache.InumCache`) when one worker is
   effective, or in a ``ProcessPoolExecutor`` where each worker rebuilds its
-  own optimizer/INUM/BIP stack from the pickled schema and statements.
+  own optimizer/INUM/BIP stack from the pickled schema and statements and
+  returns the templates/matrices it built (``ShardResult.built``) for the
+  caller's cache to adopt, so no template is enumerated twice.
 * :func:`build_matrices_in_processes` shards ``QueryGammaMatrix``
   construction across worker processes; the built matrices are pickled back
   and adopted into the calling cache (``InumCache.adopt_built``) in workload
@@ -113,6 +115,11 @@ class ShardResult:
     #: nest directly into the caller's tracer).  The advisor grafts it back
     #: with :func:`repro.obs.trace.adopt`.
     trace: dict | None = None
+    #: ``(shell, templates, matrix)`` entries a worker process built for
+    #: shells the caller's cache did not hold at dispatch (empty on the
+    #: inline path, which builds into the caller's cache directly).  The
+    #: advisor feeds them to :meth:`~repro.inum.cache.InumCache.adopt_built`.
+    built: tuple = field(default=(), compare=False, repr=False)
 
 
 class ShardExecutor:
@@ -245,8 +252,8 @@ class ShardExecutor:
                 futures = [
                     (shard, pool.submit(
                         _solve_shard_job,
-                        self._shard_job(shard, schema, caps, use_matrix,
-                                        time_limit, faults,
+                        self._shard_job(shard, schema, inum, caps,
+                                        use_matrix, time_limit, faults,
                                         attempt_no[shard.position])))
                     for shard in remaining]
                 failed_round: list[Shard] = []
@@ -335,9 +342,16 @@ class ShardExecutor:
                     faults_survived=survived[shard.position])
             for shard in shards)
 
-    def _shard_job(self, shard: Shard, schema: Schema, caps, use_matrix: bool,
+    def _shard_job(self, shard: Shard, schema: Schema,
+                   inum: InumCache | None, caps, use_matrix: bool,
                    time_limit: float | None, faults: FaultPlan | None,
                    attempt: int) -> tuple:
+        # Worker-built entries come back only for shells the caller's cache
+        # lacks right now: after gamma-signature compression pre-built the
+        # whole workload, nothing is shipped.
+        ship = frozenset() if inum is None else frozenset(
+            shell.name for shell in inum.pending_shells(
+                statement.query for statement in shard.workload))
         # The ambient trace id rides the job tuple so the worker records its
         # spans under the same trace as the request that dispatched it; the
         # dispatch timestamp is wall-clock (time.time) because perf_counter
@@ -346,7 +360,7 @@ class ShardExecutor:
         return (schema, shard.position, shard.workload.statements,
                 shard.candidates, shard.budget_bytes, self.backend.value,
                 self.gap_tolerance, time_limit, caps, use_matrix, faults,
-                attempt, current_trace_id(), time.time())
+                attempt, current_trace_id(), time.time(), ship)
 
 
 def _retry_metric(site: str) -> None:
@@ -427,13 +441,14 @@ def _solve_shard_job(job: tuple) -> ShardResult:
     """Worker-side shard solve: rebuild the full stack from pickled inputs."""
     (schema, position, statements, indexes, budget_bytes, backend_value,
      gap_tolerance, time_limit_seconds, caps, use_matrix, fault_plan,
-     attempt, trace_id, dispatch_ts) = job
+     attempt, trace_id, dispatch_ts, ship) = job
     queue_wait_ms = max(0.0, (time.time() - dispatch_ts) * 1000.0)
     plan = fault_plan if fault_plan is not None else armed_plan()
     optimizer = WhatIfOptimizer(schema)
+    # build_workers=1: threads inside a pool worker only contend for its GIL.
     inum = InumCache(optimizer, max_orders_per_table=caps[0],
                      max_templates_per_query=caps[1],
-                     use_gamma_matrix=use_matrix)
+                     use_gamma_matrix=use_matrix, build_workers=1)
     workload = Workload(statements, name=f"shard{position}")
     shard = Shard(position=position, workload=workload, candidates=indexes,
                   statement_positions=tuple(range(len(statements))),
@@ -453,10 +468,13 @@ def _solve_shard_job(job: tuple) -> ShardResult:
                                      in_worker=True,
                                      queue_wait_ms=queue_wait_ms)
     # The caller's counters never saw this process's optimizer: report its
-    # work so the advisor's whatif_calls metric covers the shard phase.
+    # work so the advisor's whatif_calls metric covers the shard phase, and
+    # return what it built so the caller never repeats it.
     result = replace(result,
                      worker_optimizer_calls=(optimizer.whatif_calls
-                                             + inum.template_build_calls))
+                                             + inum.template_build_calls),
+                     built=tuple(entry for entry in inum.export_built(workload)
+                                 if entry[0].name in ship))
     if tracer is not None:
         result = replace(result, trace=tracer.export())
     return result
@@ -534,6 +552,6 @@ def _build_matrices_job(job: tuple) -> tuple[list, int]:
     optimizer = WhatIfOptimizer(schema)
     cache = InumCache(optimizer, max_orders_per_table=caps[0],
                       max_templates_per_query=caps[1],
-                      use_gamma_matrix=use_matrix)
+                      use_gamma_matrix=use_matrix, build_workers=1)
     entries = [cache.build_entry(shell, indexes) for shell in shells]
     return entries, cache.template_build_calls

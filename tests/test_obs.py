@@ -247,6 +247,31 @@ class TestSpanTreeShapes:
         assert {child["name"] for child in solve["children"]} \
             == {shard["name"] for shard in shards}
 
+    def test_scaleout_merge_span_is_opened(self, tpch):
+        # Masked fault plan: a shard that recovers inline ships nothing, so
+        # the exact adopted/template_builds counts need a clean pool run.
+        from repro.reliability.faults import FaultPlan
+
+        result = Tuner(fault_plan=FaultPlan()).tune(_request(
+            tpch, statements=12,
+            advisor=AdvisorSpec("scaleout", {"shard_count": 2,
+                                             "shard_workers": 2})))
+        root = result.extras["trace"]["root"]
+        merge = _find_spans(root, lambda node: node["name"] == "merge")[0]
+        # Same child names as the monolithic pipeline (core/advisor.py).
+        assert [child["name"] for child in merge["children"]] \
+            == ["prepare", "bip_build", "solve"]
+        bip_build = merge["children"][1]
+        assert bip_build["attrs"]["variables"] > 0
+        assert "gap" in merge["children"][2]["attrs"]
+        # Every representative's entry came back from a worker, so the
+        # merge enumerated no template itself.
+        compress = _find_spans(root,
+                               lambda node: node["name"] == "compress")[0]
+        assert merge["attrs"]["adopted"] \
+            == compress["attrs"]["representatives"]
+        assert merge["attrs"]["template_builds"] == 0
+
     def test_inline_scaleout_shards_nest_without_grafting(self, tpch):
         # Inline shard retries each leave their own shard[i] span, so mask
         # any env fault plan (the CI chaos lane kills first attempts).
@@ -256,11 +281,16 @@ class TestSpanTreeShapes:
             tpch, statements=12,
             advisor=AdvisorSpec("scaleout", {"shard_count": 2,
                                              "shard_workers": 1})))
+        root = result.extras["trace"]["root"]
         shards = _find_spans(
-            result.extras["trace"]["root"],
-            lambda node: node["name"].startswith("shard["))
+            root, lambda node: node["name"].startswith("shard["))
         assert len(shards) == 2
         assert not any(shard["attrs"].get("in_worker") for shard in shards)
+        # Inline shards built into the shared cache: nothing to adopt, and
+        # still nothing left for the merge to enumerate.
+        merge = _find_spans(root, lambda node: node["name"] == "merge")[0]
+        assert merge["attrs"]["adopted"] == 0
+        assert merge["attrs"]["template_builds"] == 0
 
     def test_tracing_off_yields_no_trace(self, tpch):
         result = Tuner(tracing=False).tune(_request(tpch))

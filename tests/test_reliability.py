@@ -71,6 +71,11 @@ def _scaleout_request(schema, workload, request_id, **options):
         advisor=AdvisorSpec("scaleout", options), request_id=request_id)
 
 
+def _merge_span(result):
+    root = result.extras["trace"]["root"]
+    return next(node for node in root["children"] if node["name"] == "merge")
+
+
 # =========================================================== FaultPlan units
 class TestFaultPlan:
     def test_rule_validation(self):
@@ -422,6 +427,53 @@ class TestTunerFaultTolerance:
         # Unlike retries (timing detail), degradation changes the result:
         # it must never masquerade as the complete recommendation.
         assert degraded.fingerprint() != clean.fingerprint()
+
+    def test_pool_shard_lost_on_every_attempt_is_built_by_the_merge(
+            self, simple_schema, two_component_workload):
+        # Shard 0 fails in the pool and in the inline fallback, so no worker
+        # ever returns its templates: the merge enumerates exactly those
+        # shells on the parent cache and the outcome matches the inline
+        # executor's degraded run.
+        faults = FaultPlan([FaultRule(site="shard_solve", key="0",
+                                      attempts=None)])
+        results = {}
+        for workers in (1, 2):
+            results[workers] = Tuner(fault_plan=faults).tune(
+                _scaleout_request(simple_schema, two_component_workload,
+                                  "degraded-pool", shard_workers=workers,
+                                  retry_policy=FAST_RETRIES))
+        pooled, inline = results[2], results[1]
+        assert pooled.diagnostics.degraded
+        assert pooled.extras["faults"]["failed_shards"] == [0]
+        assert pooled.configuration == inline.configuration
+        assert pooled.objective_estimate == inline.objective_estimate
+        assert (pooled.diagnostics.whatif_calls
+                == inline.diagnostics.whatif_calls)
+        merge = _merge_span(pooled)
+        assert merge["attrs"]["adopted"] == 1  # the surviving items shard
+        assert merge["attrs"]["template_builds"] > 0
+        # Inline, the lost shard's shells are likewise left to the merge.
+        assert (_merge_span(inline)["attrs"]["template_builds"]
+                == merge["attrs"]["template_builds"])
+
+    def test_first_attempt_worker_kill_fingerprints_like_a_clean_pool_run(
+            self, simple_schema, two_component_workload):
+        # The chaos lane's shard rule, armed explicitly: every first attempt
+        # kills its worker (BrokenProcessPool), the retry returns the built
+        # entries, and the merge adopts them exactly as on a clean run.
+        request = _scaleout_request(simple_schema, two_component_workload,
+                                    "kill-parity", shard_workers=2,
+                                    retry_policy=FAST_RETRIES)
+        clean = Tuner(fault_plan=FaultPlan()).tune(request)
+        faults = FaultPlan([FaultRule(site="shard_solve", action="kill",
+                                      attempts=(1,))])
+        recovered = Tuner(fault_plan=faults).tune(request)
+        assert recovered.fingerprint() == clean.fingerprint()
+        assert recovered.diagnostics.faults_survived >= 1
+        assert not recovered.diagnostics.degraded
+        assert (_merge_span(recovered)["attrs"]["adopted"]
+                == _merge_span(clean)["attrs"]["adopted"] == 2)
+        assert _merge_span(recovered)["attrs"]["template_builds"] == 0
 
     def test_solver_site_faults_surface_to_the_caller(self, simple_schema,
                                                       simple_workload):

@@ -13,16 +13,19 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.api import make_advisor
+from repro.api import ScaleSpec, Tuner, TuningRequest, make_advisor
+from repro.api.result import _strip_timings
 from repro.advisors.scaleout import ScaleOutAdvisor
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
-from repro.exceptions import ConstraintError, WorkloadError
+from repro.exceptions import ConstraintError, OptimizerError, WorkloadError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.reliability.faults import FaultPlan
 from repro.scale.compress import compress_workload
 from repro.scale.executor import ShardExecutor, build_matrices_in_processes
 from repro.scale.partition import partition_workload, split_budget
@@ -192,11 +195,121 @@ class TestProcessPaths:
         assert second.extras["shard_workers"] == 2
         assert (sorted(i.name for i in first.configuration)
                 == sorted(i.name for i in second.configuration))
-        assert second.objective_estimate == pytest.approx(
-            first.objective_estimate, rel=1e-9)
-        # Worker-side optimizer work is reported, not silently dropped: the
-        # pooled run must account at least the inline run's shard-phase work.
-        assert second.whatif_calls >= first.whatif_calls > 0
+        # Bit-equal, not approximately: the merge BIP is assembled from the
+        # workers' own arrays.
+        assert second.objective_estimate == first.objective_estimate
+        assert _without_seconds(second.extras["merge"]) \
+            == _without_seconds(first.extras["merge"])
+        # Worker-side optimizer work is reported once: the merge adopts what
+        # the workers built instead of enumerating it again.
+        assert second.whatif_calls == first.whatif_calls > 0
+
+    def test_pool_and_inline_results_differ_only_in_echoed_workers(
+            self, tpch, tuning_workload):
+        """Optimizer-call accounting is identical across worker counts.
+
+        Deliberately not masked against ``REPRO_FAULT_PLAN``: under the chaos
+        lane both runs recover from a killed first attempt and must still
+        agree (retry counters are volatile keys).
+        """
+        budget = StorageBudgetConstraint.from_fraction_of_data(tpch, 0.5)
+        payloads = []
+        for workers in (1, 2):
+            result = Tuner().tune(TuningRequest(
+                workload=tuning_workload, schema=tpch, constraints=[budget],
+                scale=ScaleSpec(shard_count=3, shard_workers=workers),
+                request_id="pool-parity"))
+            payload = _strip_timings(result.to_payload())
+            assert payload["provenance"]["scale"].pop(
+                "shard_workers") == workers
+            assert payload["provenance"]["advisor"]["options"].pop(
+                "shard_workers") == workers
+            payloads.append(payload)
+        assert payloads[0]["diagnostics"]["whatif_calls"] > 0
+        assert payloads[0] == payloads[1]
+
+    def test_adopted_entries_are_bit_identical_to_local_builds(
+            self, tpch, tuning_workload):
+        candidates = CandidateGenerator(tpch).generate(tuning_workload)
+        plan = partition_workload(tuning_workload, candidates, shard_count=3)
+        local = InumCache(WhatIfOptimizer(tpch), build_workers=1)
+        ShardExecutor(workers=1, gap_tolerance=0.0,
+                      fault_plan=FaultPlan()).solve_shards(
+            plan, tpch, inum=local)
+        adopting = InumCache(WhatIfOptimizer(tpch))
+        results = ShardExecutor(workers=2, gap_tolerance=0.0,
+                                fault_plan=FaultPlan()).solve_shards(
+            plan, tpch, inum=adopting)
+        # Nothing reaches the parent cache until the caller adopts it.
+        assert adopting.cached_query_count == 0
+        shells = {_shell(s.query).name: _shell(s.query)
+                  for s in tuning_workload}
+        assert sorted(entry[0].name for result in results
+                      for entry in result.built) == sorted(shells)
+        for result in results:
+            adopting.adopt_built(result.built)
+        assert adopting.template_build_calls == 0
+        assert adopting.optimizer.whatif_calls == 0
+        for shell in shells.values():
+            assert adopting.templates(shell) == local.templates(shell)
+            ours, theirs = adopting.gamma_matrix(shell), local.gamma_matrix(shell)
+            assert ours.registered_indexes == theirs.registered_indexes
+            assert np.array_equal(ours.array, theirs.array)
+        # Adopted matrices are live: they cost new columns through the
+        # adopting cache's optimizer.
+        probe = Configuration(list(candidates)[:15])
+        assert (adopting.workload_cost(tuning_workload, probe)
+                == local.workload_cost(tuning_workload, probe))
+
+    def test_only_pending_shells_are_shipped_back(self, tpch,
+                                                  tuning_workload):
+        candidates = CandidateGenerator(tpch).generate(tuning_workload)
+        plan = partition_workload(tuning_workload, candidates, shard_count=2)
+        cache = InumCache(WhatIfOptimizer(tpch))
+        held = plan.shards[0].workload
+        cache.build_workload(held)
+        results = ShardExecutor(workers=2, gap_tolerance=0.0,
+                                fault_plan=FaultPlan()).solve_shards(
+            plan, tpch, inum=cache)
+        held_names = {_shell(s.query).name for s in held}
+        shipped = {entry[0].name for result in results
+                   for entry in result.built}
+        assert shipped and not (shipped & held_names)
+
+    def test_clean_pool_run_builds_nothing_in_the_parent(self, tpch,
+                                                         tuning_workload):
+        budget = StorageBudgetConstraint.from_fraction_of_data(tpch, 0.5)
+        advisor = make_advisor("scaleout", tpch, shard_count=3,
+                               shard_workers=2, fault_plan=FaultPlan())
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            recommendation = advisor.tune(tuning_workload,
+                                          constraints=[budget])
+        assert advisor.inum.template_build_calls == 0
+        assert recommendation.whatif_calls > 0
+        events = registry.snapshot()["repro_cache_events_total"]
+        # The merge's prepare found every representative's templates.
+        assert events[("template", "hit")] >= recommendation.extras[
+            "compression"]["representatives"]
+        assert ("template", "miss") not in events
+
+    def test_unbound_matrix_raises_typed_error(self, tpch, tuning_workload):
+        inum = InumCache(WhatIfOptimizer(tpch))
+        shell = _shell(tuning_workload.statements[0].query)
+        matrix = inum.gamma_matrix(shell)
+        index = next(iter(CandidateGenerator(tpch).generate(
+            Workload([tuning_workload.statements[0]]))))
+        shipped = pickle.dumps(matrix)
+        # The optimizer (schema + scan caches) stays behind.
+        assert len(shipped) < len(pickle.dumps(inum.optimizer))
+        restored = pickle.loads(shipped)
+        assert np.array_equal(restored.array, matrix.array)
+        with pytest.raises(OptimizerError, match="rebind_optimizer"):
+            restored.ensure_columns((index,))
+        restored.rebind_optimizer(inum.optimizer)
+        restored.ensure_columns((index,))
+        matrix.ensure_columns((index,))
+        assert np.array_equal(restored.array, matrix.array)
 
 
 class TestScaleOutAdvisor:
@@ -309,6 +422,10 @@ class TestWeightedBipBuild:
                           for v, c in extended.cost_expression.terms.items()}
         for variable, coefficient in full.cost_expression.terms.items():
             assert coefficient == pytest.approx(extended_terms[variable.name])
+
+
+def _without_seconds(stats: dict) -> dict:
+    return {key: value for key, value in stats.items() if key != "seconds"}
 
 
 def _shell(query):
