@@ -18,9 +18,6 @@ asserts the qualitative claims (who wins, how the trend moves).
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from pathlib import Path
 
 import pytest
@@ -49,45 +46,6 @@ def storage_budget(schema, fraction: float = 1.0) -> StorageBudgetConstraint:
 def print_report(title: str, text: str) -> None:
     """Print a benchmark report block (visible with ``pytest -s``)."""
     print(f"\n==== {title} ====\n{text}\n")
-
-
-#: Machine-readable benchmark results collected during the session, keyed by
-#: benchmark name.  Written to ``BENCH_inum.json`` at session end so CI can
-#: archive the perf trajectory across PRs.
-_BENCH_RESULTS: dict[str, dict] = {}
-
-
-@pytest.fixture
-def bench_record():
-    """Record one benchmark's metrics into the machine-readable report.
-
-    Usage: ``bench_record("workload_cost_tensor", speedup=7.3, ...)`` —
-    values should be plain numbers/strings (JSON-serializable).
-    """
-    def record(benchmark: str, **metrics) -> None:
-        _BENCH_RESULTS[benchmark] = metrics
-    return record
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write ``BENCH_inum.json`` when any benchmark recorded metrics.
-
-    The target path can be overridden with ``BENCH_REPORT_PATH``; the file
-    is git-ignored and uploaded as a CI artifact by the full-suite lane.
-    """
-    if not _BENCH_RESULTS:
-        return
-    path = os.environ.get("BENCH_REPORT_PATH") or str(
-        Path(__file__).resolve().parent.parent / "BENCH_inum.json")
-    payload = {
-        "schema_version": 1,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "results": dict(sorted(_BENCH_RESULTS.items())),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def pytest_collection_modifyitems(config, items):

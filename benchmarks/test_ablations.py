@@ -172,25 +172,13 @@ def _run_tool_a_inum_ablation():
     return rows, runs
 
 
-def test_ablation_tool_a_inum_costing(benchmark, bench_record):
+def test_ablation_tool_a_inum_costing(benchmark):
     rows, runs = benchmark.pedantic(_run_tool_a_inum_ablation, rounds=1,
                                     iterations=1)
     print_report("Ablation: Tool-A relaxation search, black-box vs INUM costing",
                  format_table(rows))
     black_box = runs["black-box what-if"]
     inum_backed = runs["INUM tensor"]
-    bench_record(
-        "tool_a_inum_ablation",
-        black_box_perf=round(black_box.perf, 4),
-        inum_perf=round(inum_backed.perf, 4),
-        black_box_whatif_calls=black_box.recommendation.whatif_calls,
-        inum_whatif_calls=inum_backed.recommendation.whatif_calls,
-        black_box_seconds=round(black_box.wall_seconds, 4),
-        inum_seconds=round(inum_backed.wall_seconds, 4),
-        call_reduction=round(
-            black_box.recommendation.whatif_calls
-            / max(1, inum_backed.recommendation.whatif_calls), 2),
-    )
     # Ground-truth quality must stay comparable: INUM is an approximation of
     # the same optimizer, not a different cost model.
     assert inum_backed.perf >= black_box.perf - 0.10

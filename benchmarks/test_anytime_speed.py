@@ -6,9 +6,10 @@ Two claims from the anytime-tuning PR are measured here:
   (``solve_tier="heuristic"``) never builds the BIP; on the same
   200-statement workload the scale-out benchmark uses, it must recommend a
   configuration whose *evaluated* workload cost is within
-  ``QUALITY_BOUND`` of the exact BIP's while tuning at least
-  ``TARGET_SPEEDUP``x faster end to end (both runs pay the same INUM
-  preparation, so the speedup is pure solve-stage economics).
+  ``QUALITY_BOUND`` of the exact BIP's.  Both tunes are timed once and
+  reported; the ratio is not asserted (``perfbench/`` workloads
+  ``heuristic_sweep`` and ``cold_tune`` measure the tiers with noise
+  accounting).
 * **Deadlines are honored.**  Against a warm schema context, a
   ``time_budget_ms=250`` cascade request returns a flagged
   (``timed_out=True``), finite-gap result within ``2x`` its budget —
@@ -35,16 +36,11 @@ from repro.workload.generators import (
 from repro.workload.workload import Workload
 
 from benchmarks.conftest import SEED, make_schema, print_report, storage_budget
-from benchmarks.test_scaleout_speed import _best_of
+from benchmarks.test_scaleout_speed import _timed
 
 STATEMENT_COUNT = 200
 TEMPLATED_COUNT = 170
 ADHOC_COUNT = 30
-# Measured ~2.4x in isolation, but both tiers pay the same INUM preparation
-# and full-suite heap pressure inflates that shared term, compressing the
-# end-to-end ratio — so the asserted floor keeps slack below the typical
-# measurement.  The recorded value tracks the real trajectory either way.
-TARGET_SPEEDUP = 1.5
 QUALITY_BOUND = 1.25
 BUDGET_MS = 250.0
 DEADLINE_FACTOR = 2.0
@@ -57,21 +53,20 @@ def _mixed_workload() -> Workload:
                     name=f"W_mixed_{STATEMENT_COUNT}")
 
 
-def test_heuristic_tier_quality_and_speed(bench_record):
+def test_heuristic_tier_quality_and_speed():
     schema = make_schema(0.0)
     workload = _mixed_workload()
     assert len(workload) == STATEMENT_COUNT
     budget = storage_budget(schema, 0.5)
 
-    exact_seconds, exact = _best_of(
-        2, lambda: make_advisor("cophy", schema).tune(
+    exact_seconds, exact = _timed(
+        lambda: make_advisor("cophy", schema).tune(
             workload, constraints=[budget]))
 
-    heuristic_seconds, heuristic = _best_of(
-        2, lambda: make_advisor("cophy", schema).tune(
+    heuristic_seconds, heuristic = _timed(
+        lambda: make_advisor("cophy", schema).tune(
             workload, constraints=[budget],
             budget=SolveBudget(tier="heuristic")))
-    speedup = exact_seconds / heuristic_seconds
 
     assert heuristic.solve_tier == "heuristic"
     assert not heuristic.timed_out  # no deadline: the pass ran to completion
@@ -96,30 +91,15 @@ def test_heuristic_tier_quality_and_speed(bench_record):
         f"evaluated cost {heuristic_cost:,.0f}\n"
         f"  greedy probes: {heuristic.extras['heuristic']['probes']}, "
         f"reported gap {heuristic.gap:.3f}\n"
-        f"speedup:   {speedup:6.2f}x (target >= {TARGET_SPEEDUP:.0f}x)\n"
         f"quality:   {cost_ratio:6.4f}x exact cost "
         f"(bound <= {QUALITY_BOUND})")
-    bench_record(
-        "anytime_heuristic_tier",
-        statements=STATEMENT_COUNT,
-        exact_seconds=round(exact_seconds, 3),
-        heuristic_seconds=round(heuristic_seconds, 3),
-        greedy_probes=heuristic.extras["heuristic"]["probes"],
-        speedup=round(speedup, 2),
-        cost_ratio=round(cost_ratio, 4),
-        target_speedup=TARGET_SPEEDUP,
-        quality_bound=QUALITY_BOUND,
-    )
 
     assert cost_ratio <= QUALITY_BOUND, (
         f"heuristic recommendation costs {cost_ratio:.4f}x the exact one "
         f"(bound {QUALITY_BOUND}x)")
-    assert speedup >= TARGET_SPEEDUP, (
-        f"heuristic tier only {speedup:.2f}x faster than the exact BIP "
-        f"(target {TARGET_SPEEDUP}x)")
 
 
-def test_deadline_honored_on_warm_context(bench_record):
+def test_deadline_honored_on_warm_context():
     schema = make_schema(0.0)
     workload = _mixed_workload()
     budget = storage_budget(schema, 0.5)
@@ -149,15 +129,6 @@ def test_deadline_honored_on_warm_context(bench_record):
         f"gap: {result.diagnostics.gap:.3f}\n"
         f"recommendation: {result.index_count} indexes, "
         f"objective {result.objective_estimate:,.0f}")
-    bench_record(
-        "anytime_deadline_250ms",
-        statements=STATEMENT_COUNT,
-        budget_ms=BUDGET_MS,
-        elapsed_ms=round(elapsed * 1000, 1),
-        deadline_factor=DEADLINE_FACTOR,
-        timed_out=result.diagnostics.timed_out,
-        reported_gap=round(result.diagnostics.gap, 4),
-    )
 
     assert elapsed <= bound_seconds, (
         f"250 ms budget answered in {elapsed * 1000:.0f} ms "

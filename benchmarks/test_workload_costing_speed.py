@@ -1,33 +1,24 @@
 """Microbenchmark: workload-tensor costing vs the per-query gamma-matrix loop.
 
-The tentpole claim of the workload-tensor PR: ``InumCache.workload_cost`` on
-a 50-query x 100-candidate TPC-H workload is at least 5x faster when answered
-through the stacked workload gamma tensor than through the per-query Python
-loop (PR 1's path: one ``QueryGammaMatrix.cost`` call per statement), while
-returning bit-identical costs on every tested configuration.
+Times ``InumCache.workload_cost`` on a 50-query x 100-candidate TPC-H
+workload answered through the stacked workload gamma tensor against the
+per-query Python loop (PR 1's path: one ``QueryGammaMatrix.cost`` call per
+statement) and reports both; the ratio is not asserted (``perfbench/``'s
+``inum.statement_costs_ms`` row is the tracked measurement).  Costs must be
+bit-identical on every tested configuration.
 
 The timed pattern mirrors configuration-enumeration loops (knapsack greedies,
 relaxation searches): every ``workload_cost`` call probes a *fresh, distinct*
 configuration, so neither side benefits from its per-configuration memo — the
 measurement isolates the stacked reduction against the per-query loop.  The
 memoized (repeated-configuration) pattern is reported as well.
-
-A second check builds the same gamma matrices serially and with the parallel
-``build_workers`` pool and asserts the results are identical.  The build is
-pure-Python optimizer work, so threads only help where the interpreter
-releases the GIL — the benchmark asserts non-regression and records the
-measured ratio for the CI trajectory rather than demanding a speedup the
-hardware (or a single-core runner) cannot deliver.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import random
 import time
-
-import numpy as np
 
 from repro.catalog.tpch import tpch_schema
 from repro.indexes.candidate_generation import CandidateGenerator
@@ -41,7 +32,6 @@ from benchmarks.conftest import print_report
 
 QUERY_COUNT = 50
 CANDIDATE_COUNT = 100
-TARGET_SPEEDUP = 5.0
 #: Fresh configurations timed per side (no memo hits on either path).
 COLD_PROBES = 150
 #: Distinct configurations in the repeated (memoized) probe pool.
@@ -71,7 +61,7 @@ def _setup():
     return workload, inum, pool
 
 
-def test_workload_cost_tensor_speedup(bench_record):
+def test_workload_cost_tensor_speedup():
     workload, inum, pool = _setup()
     rng = random.Random(7)
 
@@ -134,78 +124,14 @@ def test_workload_cost_tensor_speedup(bench_record):
         f"cold (fresh configurations):\n"
         f"  per-query loop: {cold_slow * 1e3:8.3f} ms / workload_cost\n"
         f"  tensor:         {cold_fast * 1e3:8.3f} ms / workload_cost\n"
-        f"  speedup:        {cold_speedup:8.1f}x (target >= "
-        f"{TARGET_SPEEDUP:.0f}x)\n"
+        f"  speedup:        {cold_speedup:8.1f}x\n"
         f"warm (memoized probe pool):\n"
         f"  per-query loop: {warm_slow * 1e3:8.3f} ms / workload_cost\n"
         f"  tensor:         {warm_fast * 1e3:8.3f} ms / workload_cost\n"
         f"  speedup:        {warm_speedup:8.1f}x")
-    bench_record(
-        "workload_cost_tensor",
-        queries=QUERY_COUNT,
-        candidates=CANDIDATE_COUNT,
-        cold_per_query_ms=round(cold_slow * 1e3, 4),
-        cold_tensor_ms=round(cold_fast * 1e3, 4),
-        cold_speedup=round(cold_speedup, 2),
-        warm_per_query_ms=round(warm_slow * 1e3, 4),
-        warm_tensor_ms=round(warm_fast * 1e3, 4),
-        warm_speedup=round(warm_speedup, 2),
-        target_speedup=TARGET_SPEEDUP,
-    )
-    assert cold_speedup >= TARGET_SPEEDUP, (
-        f"tensor workload_cost only {cold_speedup:.1f}x faster on fresh "
-        f"configurations (expected >= {TARGET_SPEEDUP}x)")
 
 
 def _timed(fn) -> float:
     started = time.perf_counter()
     fn()
     return time.perf_counter() - started
-
-
-def test_parallel_matrix_build_matches_serial(bench_record):
-    schema = tpch_schema(scale_factor=0.01)
-    workload = generate_homogeneous_workload(QUERY_COUNT, seed=11)
-    pool = list(CandidateGenerator(schema).generate(workload))[:CANDIDATE_COUNT]
-
-    serial = InumCache(WhatIfOptimizer(schema), build_workers=1)
-    serial_seconds = _timed(lambda: serial.prepare(workload, pool))
-    workers = os.cpu_count() or 1
-    parallel = InumCache(WhatIfOptimizer(schema))  # build_workers=os.cpu_count()
-    parallel_seconds = _timed(lambda: parallel.prepare(workload, pool))
-    ratio = serial_seconds / max(parallel_seconds, 1e-9)
-
-    # The two builds must be indistinguishable: same templates, same arrays,
-    # same costs.
-    assert serial.template_build_calls == parallel.template_build_calls
-    for statement in workload:
-        shell = serial._shell(statement.query)
-        assert np.array_equal(serial.gamma_matrix(shell).array,
-                              parallel.gamma_matrix(shell).array)
-    configuration = Configuration(pool)
-    assert (serial.workload_cost(workload, configuration)
-            == parallel.workload_cost(workload, configuration))
-
-    print_report(
-        "Gamma-matrix build: parallel vs serial",
-        f"workload: {QUERY_COUNT} statements, {len(pool)} candidates, "
-        f"{workers} workers\n"
-        f"serial build:   {serial_seconds * 1e3:8.1f} ms\n"
-        f"parallel build: {parallel_seconds * 1e3:8.1f} ms\n"
-        f"ratio:          {ratio:8.2f}x (build is GIL-bound Python; "
-        f"expect ~1x on one core)")
-    bench_record(
-        "gamma_matrix_parallel_build",
-        queries=QUERY_COUNT,
-        candidates=len(pool),
-        workers=workers,
-        serial_ms=round(serial_seconds * 1e3, 2),
-        parallel_ms=round(parallel_seconds * 1e3, 2),
-        speedup=round(ratio, 2),
-    )
-    # Non-regression: threading must never make the build meaningfully
-    # slower than the serial loop (the gain depends on cores and on how
-    # much of the optimizer work releases the GIL).
-    assert parallel_seconds <= serial_seconds * 1.6 + 0.05, (
-        f"parallel build regressed: {parallel_seconds:.3f}s vs "
-        f"{serial_seconds:.3f}s serial")

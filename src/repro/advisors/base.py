@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import abc
-import contextlib
-import threading
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
@@ -18,42 +15,7 @@ from repro.workload.workload import Workload, WorkloadStatement
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (advisors <- inum)
     from repro.inum.cache import InumCache
 
-__all__ = ["Recommendation", "Advisor", "weighted_statement_costs",
-           "registry_construction", "warn_legacy_construction"]
-
-
-# The advisor registry (repro.api.registry) is the canonical construction
-# path since the unified tuning API landed; direct constructor calls are the
-# legacy surface and emit a DeprecationWarning.  The flag lives here (not in
-# repro.api) so the advisor modules need no import of the API layer.
-_construction_state = threading.local()
-
-
-@contextlib.contextmanager
-def registry_construction() -> Iterator[None]:
-    """Mark the current thread as constructing advisors through the registry.
-
-    Construction inside this context (``repro.api.registry`` factories, the
-    ``Tuner`` pipeline) is the supported path and must not trip the legacy
-    deprecation warning below.
-    """
-    depth = getattr(_construction_state, "depth", 0)
-    _construction_state.depth = depth + 1
-    try:
-        yield
-    finally:
-        _construction_state.depth = depth
-
-
-def warn_legacy_construction(cls: type) -> None:
-    """Emit the legacy-construction DeprecationWarning outside the registry."""
-    if getattr(_construction_state, "depth", 0):
-        return
-    warnings.warn(
-        f"Constructing {cls.__name__} directly is deprecated; resolve it "
-        f"through the advisor registry instead (repro.api.make_advisor(...) "
-        f"or Tuner.tune(TuningRequest(...)))",
-        DeprecationWarning, stacklevel=3)
+__all__ = ["Recommendation", "Advisor", "weighted_statement_costs"]
 
 
 def weighted_statement_costs(inum: "InumCache",
@@ -163,15 +125,6 @@ class Advisor(abc.ABC):
         anytime contract: advisors honoring it stop at the deadline and
         return the best-so-far feasible result with ``timed_out=True``.
         """
-
-    def recommend(self, workload: Workload, constraints: Sequence = (),
-                  candidates: CandidateSet | None = None) -> Recommendation:
-        """Deprecated alias of :meth:`tune` (the pre-registry entry point)."""
-        warnings.warn(
-            f"{type(self).__name__}.recommend() is deprecated; call tune() "
-            "or go through repro.api.Tuner.tune(TuningRequest(...))",
-            DeprecationWarning, stacklevel=2)
-        return self.tune(workload, constraints, candidates=candidates)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -26,7 +26,6 @@ from typing import Sequence
 from repro.advisors.base import (
     Advisor,
     Recommendation,
-    warn_legacy_construction,
     weighted_statement_costs,
 )
 from repro.bench.metrics import baseline_configuration
@@ -73,7 +72,6 @@ class DtaAdvisor(Advisor):
                  candidates_per_query: int = 3,
                  seed: int = 29,
                  inum: "InumCache | None" = None):
-        warn_legacy_construction(type(self))
         self.schema = schema
         self.optimizer = optimizer or WhatIfOptimizer(schema)
         self.candidate_generator = candidate_generator or CandidateGenerator(
@@ -92,12 +90,6 @@ class DtaAdvisor(Advisor):
         if self.inum is not None:
             return self.inum.cost(shell, configuration)
         return self.optimizer.cost(shell, configuration)
-
-    def _full_statement_cost(self, query, configuration: Configuration) -> float:
-        """Full statement cost (maintenance included), via INUM when available."""
-        if self.inum is not None:
-            return self.inum.statement_cost(query, configuration)
-        return self.optimizer.statement_cost(query, configuration)
 
     # -------------------------------------------------------------------- public
     # reprolint: requires-lock (mutates the shared INUM cache; caller serializes)
@@ -120,7 +112,7 @@ class DtaAdvisor(Advisor):
         # the workload gamma tensor: one batched reduction per probed
         # configuration instead of a Python loop over the statements.
         eval_workload = None
-        if self.inum is not None and self.inum.uses_gamma_matrix:
+        if self.inum is not None:
             eval_workload = Workload(compressed,
                                      name=f"{workload.name}/compressed")
         configuration = self._knapsack(compressed, per_query_best,
@@ -134,7 +126,7 @@ class DtaAdvisor(Advisor):
         else:
             objective = sum(
                 statement.weight
-                * self._full_statement_cost(statement.query, deployed)
+                * self.optimizer.statement_cost(statement.query, deployed)
                 for statement in compressed)
         timings["total"] = time.perf_counter() - started
         return Recommendation(
@@ -175,7 +167,7 @@ class DtaAdvisor(Advisor):
                     for index in candidates.for_table(table))
             if not per_query:
                 continue
-            if self.inum is not None and self.inum.uses_gamma_matrix:
+            if self.inum is not None:
                 # One batched column registration instead of growing the
                 # query's gamma matrix by one column per scored candidate.
                 self.inum.gamma_matrix(shell).ensure_columns(
@@ -206,8 +198,8 @@ class DtaAdvisor(Advisor):
     def _statement_cost(self, statement: WorkloadStatement,
                         configuration: Configuration) -> float:
         effective = self._baseline.union(configuration)
-        return statement.weight * self._full_statement_cost(statement.query,
-                                                            effective)
+        return statement.weight * self.optimizer.statement_cost(statement.query,
+                                                                effective)
 
     def _weighted_costs(self, statements: Sequence[WorkloadStatement],
                         eval_workload: Workload, configuration: Configuration
@@ -228,10 +220,8 @@ class DtaAdvisor(Advisor):
         the advisor's Achilles heel instead: whatever the sample misses (the
         heterogeneous-workload case) cannot influence the selection.
 
-        When ``eval_workload`` is given (INUM with gamma matrices), every
-        probed configuration is costed with one batched tensor reduction;
-        the per-statement values are bit-identical to the loop, so the
-        greedy's picks are unchanged.
+        When ``eval_workload`` is given (INUM costing), every probed
+        configuration is costed with one batched tensor reduction.
         """
         configuration = Configuration(name="tool-b")
         if eval_workload is not None:

@@ -22,7 +22,7 @@ import itertools
 import time
 from typing import Sequence
 
-from repro.advisors.base import Advisor, Recommendation, warn_legacy_construction
+from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
 from repro.core.constraints import StorageBudgetConstraint, TuningConstraint
 from repro.core.heuristics import ideal_lower_bound
@@ -70,7 +70,6 @@ class IlpAdvisor(Advisor):
                  max_configurations_per_query: int = 256,
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None):
-        warn_legacy_construction(type(self))
         self.schema = schema
         self.optimizer = optimizer or WhatIfOptimizer(schema)
         self.inum = inum or InumCache(self.optimizer)

@@ -28,7 +28,6 @@ from typing import Sequence
 from repro.advisors.base import (
     Advisor,
     Recommendation,
-    warn_legacy_construction,
     weighted_statement_costs,
 )
 from repro.bench.metrics import baseline_configuration
@@ -74,7 +73,6 @@ class RelaxationAdvisor(Advisor):
                  whatif_call_budget: int = 4000,
                  seed: int = 17,
                  inum: "InumCache | None" = None):
-        warn_legacy_construction(type(self))
         self.schema = schema
         self.optimizer = optimizer or WhatIfOptimizer(schema)
         self.candidate_generator = candidate_generator or CandidateGenerator(
@@ -109,7 +107,7 @@ class RelaxationAdvisor(Advisor):
         storage_budget = self._storage_budget(constraints)
         # Optional fast path: cost probes through the workload gamma tensor.
         eval_workload = None
-        if self.inum is not None and self.inum.uses_gamma_matrix:
+        if self.inum is not None:
             eval_workload = Workload(evaluation_sample,
                                      name=f"{workload.name}/evaluated")
 

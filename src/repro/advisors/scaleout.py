@@ -29,7 +29,7 @@ import logging
 import time
 from typing import Sequence
 
-from repro.advisors.base import Advisor, Recommendation, warn_legacy_construction
+from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import (
@@ -107,7 +107,6 @@ class ScaleOutAdvisor(Advisor):
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
                  retry_policy=None, fault_plan=None):
-        warn_legacy_construction(type(self))
         self.schema = schema
         self.optimizer = optimizer or WhatIfOptimizer(schema)
         self.inum = inum or InumCache(self.optimizer)

@@ -20,15 +20,15 @@ would change the reproduced behaviour.
 
 Explicit ``optimizer=`` / ``inum=`` options always win over shared wiring,
 so imperative callers keep full control: ``make_advisor("dta", schema,
-optimizer=opt, inum=InumCache(opt))`` behaves exactly like the legacy
-constructor call, minus the :class:`DeprecationWarning`.
+optimizer=opt, inum=InumCache(opt))`` behaves exactly like the direct
+constructor call.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
 
-from repro.advisors.base import Advisor, Recommendation, registry_construction
+from repro.advisors.base import Advisor, Recommendation
 from repro.advisors.dta import DtaAdvisor
 from repro.advisors.ilp_advisor import IlpAdvisor
 from repro.advisors.relaxation import RelaxationAdvisor
@@ -111,17 +111,16 @@ def make_advisor(name: str, schema: Schema, *,
                  shared_optimizer: WhatIfOptimizer | None = None,
                  shared_inum: InumCache | None = None,
                  **options: Any) -> Advisor:
-    """Construct an advisor through the registry (the supported path).
+    """Construct an advisor through the registry.
 
     ``options`` are forwarded to the underlying constructor, so everything the
-    legacy constructors accepted — including live ``optimizer=`` / ``inum=`` /
-    ``candidate_generator=`` objects — keeps working here.  ``shared_*`` are
+    constructors accept — including live ``optimizer=`` / ``inum=`` /
+    ``candidate_generator=`` objects — works here.  ``shared_*`` are
     the Tuner's ambient per-schema state; imperative callers rarely pass them.
     """
     factory = advisor_factory(name)
-    with registry_construction():
-        return factory(schema, options, shared_optimizer=shared_optimizer,
-                       shared_inum=shared_inum)
+    return factory(schema, options, shared_optimizer=shared_optimizer,
+                   shared_inum=shared_inum)
 
 
 # --------------------------------------------------------------------- wiring

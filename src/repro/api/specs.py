@@ -85,10 +85,8 @@ class CostingSpec:
     and with it every INUM cost.
     """
 
-    use_gamma_matrix: bool = True
     max_orders_per_table: int = DEFAULT_MAX_ORDERS_PER_TABLE
     max_templates_per_query: int = DEFAULT_MAX_TEMPLATES_PER_QUERY
-    build_workers: int | None = None
     build_processes: int | None = None
 
     def to_provenance(self) -> dict[str, Any]:
@@ -141,8 +139,7 @@ class TuningRequest:
             only advisors wired to the shared gamma-matrix cache (CoPhy,
             ILP; not ``"scaleout"``, whose point is to never cost the full
             workload monolithically, and not the black-box baselines, which
-            deliberately avoid INUM).  Explicit ``True`` always evaluates —
-            through the per-statement loop when gamma matrices are disabled.
+            deliberately avoid INUM).  Explicit ``True`` always evaluates.
         request_id: Free-form correlation id echoed into the provenance.
     """
 

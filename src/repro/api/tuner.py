@@ -112,8 +112,6 @@ class SchemaContext:
             self.optimizer,
             max_orders_per_table=costing.max_orders_per_table,
             max_templates_per_query=costing.max_templates_per_query,
-            use_gamma_matrix=costing.use_gamma_matrix,
-            build_workers=costing.build_workers,
             build_processes=costing.build_processes,
         )
         self.candidate_generator = CandidateGenerator(schema)
@@ -570,11 +568,7 @@ def tune_in_context(request: TuningRequest, context: SchemaContext, *,
                 # (dta/relaxation without use_shared_inum) would pay a full
                 # INUM build they deliberately avoided, and scale-out exists
                 # to never cost the full workload monolithically.
-                evaluate = (shares_cache and context.inum.uses_gamma_matrix
-                            and advisor_name != "scaleout")
-            # An explicit True always evaluates: InumCache.statement_costs
-            # answers from the per-statement loop when gamma matrices are
-            # disabled.
+                evaluate = shares_cache and advisor_name != "scaleout"
             statement_costs: tuple[StatementCost, ...] = ()
             if evaluate:
                 evaluate_started = time.perf_counter()

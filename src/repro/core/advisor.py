@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Sequence
 
-from repro.advisors.base import Advisor, Recommendation, warn_legacy_construction
+from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
 from repro.core.bip_builder import BipBuilder, CophyBip
 from repro.core.constraints import (
@@ -85,7 +85,6 @@ class CoPhyAdvisor(Advisor):
                  max_orders_per_table: int = 2,
                  max_templates_per_query: int = 64,
                  inum: InumCache | None = None):
-        warn_legacy_construction(type(self))
         self.schema = schema
         if optimizer is None and inum is not None:
             optimizer = inum.optimizer

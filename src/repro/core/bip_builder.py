@@ -37,7 +37,6 @@ from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.template_plan import TemplatePlan
 from repro.inum.workload_tensor import QueryTensorView, WorkloadGammaTensor
 from repro.lp.budget import SolveBudget
 from repro.lp.constraint import Constraint
@@ -263,9 +262,8 @@ class BipBuilder:
         # column registration for the whole candidate set up front), so the
         # BIP's gamma values come from the same stacked array every
         # ``workload_cost`` reduction reads.
-        tensor = self._workload_tensor(workload)
-        if tensor is not None:
-            tensor.ensure_columns(tuple(candidates))
+        tensor = self._inum.workload_tensor(workload)
+        tensor.ensure_columns(tuple(candidates))
 
         # The per-statement base-update costs (the ``c_q`` terms) do not depend
         # on the chosen configuration; the paper drops them from the BIP, we
@@ -331,9 +329,8 @@ class BipBuilder:
             bip.candidates.add(index)
             bip.z_variables[index] = model.add_binary(f"z[{index.name}]")
 
-        tensor = self._workload_tensor(bip.workload)
-        if tensor is not None:
-            tensor.ensure_columns(added)  # one batched registration
+        tensor = self._inum.workload_tensor(bip.workload)
+        tensor.ensure_columns(added)  # one batched registration
         objective_terms = bip.cost_expression.terms
         objective_constant = bip.cost_expression.constant
         for statement in bip.workload:
@@ -348,12 +345,6 @@ class BipBuilder:
         return bip
 
     # ----------------------------------------------------------------- internals
-    def _workload_tensor(self, workload: Workload) -> WorkloadGammaTensor | None:
-        """The workload's gamma tensor (``None`` on the loop-based path)."""
-        if not self._inum.uses_gamma_matrix:
-            return None
-        return self._inum.workload_tensor(workload)
-
     def _encode_statement(self, query: Query, weight: float,
                           candidates: CandidateSet, model: Model,
                           z_variables: Mapping[Index, Variable],
@@ -362,10 +353,10 @@ class BipBuilder:
                           objective_terms: dict[Variable, float],
                           statistics: dict[str, float],
                           slot_constraints: dict[SlotKey, Constraint],
-                          tensor: WorkloadGammaTensor | None) -> None:
+                          tensor: WorkloadGammaTensor) -> None:
         shell = query.query_shell() if isinstance(query, UpdateQuery) else query
         templates = self._inum.build(shell)
-        view = tensor.view(shell.name) if tensor is not None else None
+        view = tensor.view(shell.name)
         # Relevance filtering and column registration are position-independent:
         # do them once per table, not once per (template, table).
         per_table_accesses: dict[str, list[Index | None]] = {}
@@ -375,14 +366,12 @@ class BipBuilder:
             accesses.extend(index for index in candidates.for_table(table)
                             if self._relevant(index, referenced))
             per_table_accesses[table] = accesses
-            if view is not None:
-                view.ensure_columns(accesses)
+            view.ensure_columns(accesses)
 
         usable_positions: list[int] = []
         per_position_slots: dict[int, dict[str, dict[Index | None, float]]] = {}
-        for position, template in enumerate(templates):
-            slots = self._slot_access_costs(shell, position, template,
-                                            per_table_accesses, view)
+        for position in range(len(templates)):
+            slots = self._slot_access_costs(position, per_table_accesses, view)
             if slots is None:
                 continue
             usable_positions.append(position)
@@ -450,25 +439,20 @@ class BipBuilder:
             objective_terms[variable] = (objective_terms.get(variable, 0.0)
                                          + weight * ucost)
 
-    def _slot_access_costs(self, query: Query, position: int,
-                           template: TemplatePlan,
+    @staticmethod
+    def _slot_access_costs(position: int,
                            per_table_accesses: Mapping[str, list[Index | None]],
-                           view: QueryTensorView | None
+                           view: QueryTensorView
                            ) -> dict[str, dict[Index | None, float]] | None:
         """Finite-gamma access methods per slot, or ``None`` if a slot has none.
 
-        With the tensor view given (columns already registered by the
-        caller), each slot's coefficients are read as one row slice of the
-        stacked array instead of per-variable ``gamma()`` calls.
+        The caller has registered the accesses' columns, so each slot's
+        coefficients are read as one row slice of the stacked array.
         """
         slots: dict[str, dict[Index | None, float]] = {}
         for table, accesses in per_table_accesses.items():
-            if view is not None:
-                gammas = view.slot_costs(position, table, accesses,
-                                         registered=True)
-            else:
-                gammas = [self._inum.gamma(query, template, table, access)
-                          for access in accesses]
+            gammas = view.slot_costs(position, table, accesses,
+                                     registered=True)
             access_costs = {access: gamma
                             for access, gamma in zip(accesses, gammas)
                             if gamma != float("inf")}
@@ -489,12 +473,12 @@ class BipBuilder:
     def _extend_statement(self, query: Query, weight: float, added: list[Index],
                           bip: CophyBip,
                           objective_terms: dict[Variable, float],
-                          tensor: WorkloadGammaTensor | None) -> None:
+                          tensor: WorkloadGammaTensor) -> None:
         shell = query.query_shell() if isinstance(query, UpdateQuery) else query
         templates = self._inum.build(shell)
-        view = tensor.view(shell.name) if tensor is not None else None
+        view = tensor.view(shell.name)
         model = bip.model
-        for position, template in enumerate(templates):
+        for position in range(len(templates)):
             for table in shell.tables:
                 slot = SlotKey(shell.name, position, table)
                 access_variables = bip.x_variables.get(slot)
@@ -505,10 +489,7 @@ class BipBuilder:
                 for index in added:
                     if index.table != table or not self._relevant(index, referenced):
                         continue
-                    if view is not None:
-                        gamma = view.value(position, table, index)
-                    else:
-                        gamma = self._inum.gamma(shell, template, table, index)
+                    gamma = view.value(position, table, index)
                     if gamma == float("inf"):
                         continue
                     x_variable = model.add_binary(

@@ -40,7 +40,6 @@ from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
-from repro.workload.query import UpdateQuery
 from repro.workload.workload import Workload
 
 __all__ = ["HeuristicResult", "greedy_knapsack", "ideal_lower_bound",
@@ -224,26 +223,13 @@ def ideal_lower_bound(inum: InumCache, workload: Workload,
     all_config = Configuration(tuple(candidates), name="ideal-bound")
     weights = np.array([statement.weight for statement in workload],
                        dtype=np.float64)
-    if inum.uses_gamma_matrix:
-        tensor = inum.workload_tensor(workload)
-        shell_all = np.asarray(tensor.shell_costs(all_config), dtype=np.float64)
-        shell_empty = np.asarray(tensor.shell_costs(Configuration(())),
-                                 dtype=np.float64)
-        statement_empty = inum.statement_costs(workload, Configuration(()))
-        base_terms = statement_empty - shell_empty
-        return float(weights @ (shell_all + base_terms))
-    total = 0.0
-    empty = Configuration(())
-    for statement in workload:
-        query = statement.query
-        if isinstance(query, UpdateQuery):
-            shell = query.query_shell()
-            base = (inum.statement_cost(query, empty)
-                    - inum.cost(shell, empty))
-            total += statement.weight * (inum.cost(shell, all_config) + base)
-        else:
-            total += statement.weight * inum.cost(query, all_config)
-    return total
+    tensor = inum.workload_tensor(workload)
+    shell_all = np.asarray(tensor.shell_costs(all_config), dtype=np.float64)
+    shell_empty = np.asarray(tensor.shell_costs(Configuration(())),
+                             dtype=np.float64)
+    statement_empty = inum.statement_costs(workload, Configuration(()))
+    base_terms = statement_empty - shell_empty
+    return float(weights @ (shell_all + base_terms))
 
 
 def _relative_gap(objective: float, bound: float) -> float:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -15,8 +13,8 @@ from repro.catalog.schema import Schema
 from repro.exceptions import OptimizerError
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
-from repro.inum.gamma_matrix import QueryGammaMatrix, slot_gamma
-from repro.inum.template_plan import INFEASIBLE_COST, TemplatePlan
+from repro.inum.gamma_matrix import QueryGammaMatrix
+from repro.inum.template_plan import TemplatePlan
 from repro.inum.workload_tensor import WorkloadGammaTensor
 from repro.obs.metrics import active_registry
 from repro.obs.profile import InstrumentedLock
@@ -54,7 +52,10 @@ class InumCache:
     invocations — one per enumerated combination of interesting orders — and
     afterwards answers ``cost(q, X)`` for arbitrary configurations without
     touching the optimizer, by minimising ``beta_qk + sum_i gamma_qkia`` over
-    the templates ``k`` and the per-slot access-method choices.
+    the templates ``k`` and the per-slot access-method choices.  The costs
+    live in one dense :class:`QueryGammaMatrix` per query (stacked per
+    workload into a :class:`WorkloadGammaTensor`), so every costing call is
+    a handful of array reductions.
 
     Args:
         optimizer: The underlying what-if optimizer (used only at build time
@@ -65,44 +66,28 @@ class InumCache:
             the cap, a representative subset is enumerated instead (the
             all-unordered template, all single-order templates and the
             all-ordered template).
-        use_gamma_matrix: Answer ``cost(q, X)`` through a dense per-query
-            :class:`QueryGammaMatrix` (vectorized reductions) instead of
-            Python-level loops over the optimizer's scan cache.  The two
-            paths return bit-identical costs; the loop path is kept for the
-            speedup microbenchmark and as a debugging reference.
-        build_workers: Thread count for parallel gamma-matrix construction
-            during :meth:`prepare` / :meth:`build_workload` (matrices are
-            independent per query).  ``None`` uses ``os.cpu_count()``;
-            ``1`` forces serial builds.
         build_processes: Process count for sharded gamma-matrix construction.
             Template enumeration and column costing are GIL-bound Python, so
-            threads cannot scale them on multi-core machines; with
-            ``build_processes > 1`` pending matrices are built in worker
+            with ``build_processes > 1`` pending matrices are built in worker
             processes (``repro.scale.executor``) and adopted back into this
-            cache in workload order.  ``None`` / ``1`` keeps the in-process
-            (thread) path.
+            cache in workload order.  ``None`` / ``1`` builds serially
+            in-process.
     """
 
     def __init__(self, optimizer: WhatIfOptimizer,
                  max_orders_per_table: int = DEFAULT_MAX_ORDERS_PER_TABLE,
                  max_templates_per_query: int = DEFAULT_MAX_TEMPLATES_PER_QUERY,
-                 use_gamma_matrix: bool = True,
-                 build_workers: int | None = None,
                  build_processes: int | None = None):
         if max_orders_per_table < 0:
             raise ValueError("max_orders_per_table must be non-negative")
         if max_templates_per_query < 1:
             raise ValueError("max_templates_per_query must be at least 1")
-        if build_workers is not None and build_workers < 1:
-            raise ValueError("build_workers must be at least 1")
         if build_processes is not None and build_processes < 1:
             raise ValueError("build_processes must be at least 1")
         self._optimizer = optimizer
         self._schema: Schema = optimizer.schema
         self._max_orders = max_orders_per_table
         self._max_templates = max_templates_per_query
-        self._use_matrix = use_gamma_matrix
-        self._build_workers = build_workers
         self._build_processes = build_processes
         self._templates: dict[str, tuple[TemplatePlan, ...]] = {}
         self._queries: dict[str, Query] = {}
@@ -115,8 +100,8 @@ class InumCache:
         # method call per (update, index) probe.
         self._ucost_maps: dict[str, dict[Index, float]] = {}
         self._build_calls = 0
-        # Instrumented: contended build-counter updates during parallel
-        # template builds surface in repro_lock_wait_seconds{lock}.
+        # Instrumented: contended build-counter updates surface in
+        # repro_lock_wait_seconds{lock}.
         self._metrics_lock = InstrumentedLock("inum_metrics",
                                               lock=threading.Lock())
 
@@ -143,11 +128,6 @@ class InumCache:
         return self._max_orders, self._max_templates
 
     @property
-    def uses_gamma_matrix(self) -> bool:
-        """Whether costing runs on the vectorized gamma-matrix path."""
-        return self._use_matrix
-
-    @property
     def cached_query_count(self) -> int:
         return len(self._templates)
 
@@ -157,10 +137,9 @@ class InumCache:
     # ----------------------------------------------------------------- building
     # reprolint: requires-lock (see build: callers serialize)
     def build_workload(self, workload: Workload,
-                       build_workers: int | None = None,
                        build_processes: int | None = None) -> None:
         """Pre-process every statement of a workload (in parallel when asked)."""
-        self._build_statements(workload, (), build_workers, build_processes)
+        self._build_statements(workload, (), build_processes)
 
     # reprolint: requires-lock (the cache does not serialize itself; owners
     # hold SchemaContext.lock, worker processes use a process-local cache)
@@ -196,15 +175,13 @@ class InumCache:
     # reprolint: requires-lock (see build: callers serialize)
     def prepare(self, workload: Workload,
                 candidates: Iterable[Index] = (),
-                build_workers: int | None = None,
                 build_processes: int | None = None) -> None:
         """Pre-process a workload and register candidate columns up front.
 
         After this, ``cost`` / ``workload_cost`` / BIP coefficient assembly
         for the given candidate universe run entirely on precomputed arrays
-        without touching the optimizer.  Gamma matrices are built in parallel
-        (``build_workers`` threads — matrices are independent per query — or
-        ``build_processes`` worker processes for GIL-free sharded builds).
+        without touching the optimizer.  Gamma matrices are built serially,
+        or in ``build_processes`` worker processes for GIL-free sharded builds.
 
         ``prepare`` is idempotent and incremental: calling it again with an
         enlarged candidate set extends the existing matrices and the workload
@@ -212,24 +189,15 @@ class InumCache:
         and nothing is rebuilt from scratch.
         """
         indexes = tuple(candidates)
-        self._build_statements(workload, indexes, build_workers, build_processes)
-        if self._use_matrix:
-            self.workload_tensor(workload).ensure_columns(indexes)
+        self._build_statements(workload, indexes, build_processes)
+        self.workload_tensor(workload).ensure_columns(indexes)
 
     def _build_statements(self, workload: Workload, indexes: tuple[Index, ...],
-                          build_workers: int | None,
                           build_processes: int | None = None) -> None:
-        """Build templates/matrices for a workload, one task per distinct shell.
-
-        Workers compute into per-task locals (the only shared mutable state
-        they touch are the optimizer's memo dicts, which are benign to race
-        on: both sides would store the same value); results are committed to
-        the cache dicts on the calling thread, in workload order, so the
-        cache contents are deterministic regardless of scheduling.
-        """
+        """Build templates/matrices for a workload, once per distinct shell,
+        in workload order."""
         shells = self._distinct_shells(workload)
-        # Counted here, on the calling thread (pool threads do not inherit
-        # the ambient registry), once per pass rather than once per shell.
+        # Counted once per pass rather than once per shell.
         known = sum(shell.name in self._templates for shell in shells)
         if known:
             _cache_event("template", "hit", known)
@@ -245,25 +213,11 @@ class InumCache:
 
             build_matrices_in_processes(self, shells, indexes,
                                         workers=processes)
-        # Only shells whose templates/matrix must actually be built justify a
-        # thread pool; for fully cached workloads the tasks are dict hits
-        # plus (at most) idempotent column scans, so they run serially.
-        pending = len(self.pending_shells(shells))
-        workers = build_workers if build_workers is not None else self._build_workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        workers = min(workers, pending) if pending else 1
-        if workers <= 1:
-            results = [self._build_one(shell, indexes) for shell in shells]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                results = list(executor.map(
-                    lambda shell: self._build_one(shell, indexes), shells))
-        for shell, templates, matrix in results:
+        for shell in shells:
+            _, templates, matrix = self._build_one(shell, indexes)
             self._templates[shell.name] = templates
             self._queries[shell.name] = shell
-            if matrix is not None:
-                self._matrices[shell.name] = matrix
+            self._matrices[shell.name] = matrix
 
     def _distinct_shells(self, workload: Workload) -> list[Query]:
         """The workload's query shells, one per name, in workload order."""
@@ -276,20 +230,19 @@ class InumCache:
     def pending_shells(self, queries: Iterable[Query]) -> tuple[Query, ...]:
         """The shells whose templates/matrix this cache has not built yet.
 
-        The single definition of "needs building" — the parallel build paths
-        (threads above, the process executor in ``repro.scale``) use it to
-        decide what to dispatch, and the shard executor to decide which
-        worker-built entries are worth shipping back.  UPDATE statements are
-        judged by their query shell.
+        The single definition of "needs building" — the process executor in
+        ``repro.scale`` uses it to decide what to dispatch, and the shard
+        executor to decide which worker-built entries are worth shipping
+        back.  UPDATE statements are judged by their query shell.
         """
         return tuple(
             shell for shell in map(self._shell, queries)
             if shell.name not in self._templates
-            or (self._use_matrix and shell.name not in self._matrices))
+            or shell.name not in self._matrices)
 
     def build_entry(self, shell: Query, indexes: tuple[Index, ...] = ()
                     ) -> tuple[Query, tuple[TemplatePlan, ...],
-                               QueryGammaMatrix | None]:
+                               QueryGammaMatrix]:
         """Build one shell's templates/matrix *without* committing them.
 
         Worker processes call this to compute entries that the originating
@@ -299,21 +252,21 @@ class InumCache:
 
     def _build_one(self, shell: Query, indexes: tuple[Index, ...]
                    ) -> tuple[Query, tuple[TemplatePlan, ...],
-                              QueryGammaMatrix | None]:
+                              QueryGammaMatrix]:
         """Build (or extend) one shell's templates and gamma matrix."""
         templates = self._templates.get(shell.name)
         if templates is None:
             templates = self._enumerate_templates(shell)
         matrix = self._matrices.get(shell.name)
-        if self._use_matrix and matrix is None:
+        if matrix is None:
             matrix = QueryGammaMatrix(shell, templates, self._optimizer)
-        if matrix is not None and indexes:
+        if indexes:
             matrix.ensure_columns(indexes)
         return shell, templates, matrix
 
     # reprolint: requires-lock (see build: callers serialize)
     def adopt_built(self, entries: Iterable[tuple[Query, tuple[TemplatePlan, ...],
-                                                  QueryGammaMatrix | None]],
+                                                  QueryGammaMatrix]],
                     build_calls: int = 0) -> None:
         """Install externally built templates/matrices (process-sharded builds).
 
@@ -327,8 +280,7 @@ class InumCache:
             if shell.name not in self._templates:
                 self._templates[shell.name] = templates
                 self._queries[shell.name] = shell
-            if (self._use_matrix and matrix is not None
-                    and shell.name not in self._matrices):
+            if shell.name not in self._matrices:
                 matrix.rebind_optimizer(self._optimizer)
                 self._matrices[shell.name] = matrix
         if build_calls:
@@ -337,7 +289,7 @@ class InumCache:
 
     def export_built(self, workload: Workload
                      ) -> tuple[tuple[Query, tuple[TemplatePlan, ...],
-                                      QueryGammaMatrix | None], ...]:
+                                      QueryGammaMatrix], ...]:
         """The built entries of a workload's shells, in workload order.
 
         The reader paired with :meth:`adopt_built`: a worker process that
@@ -347,9 +299,9 @@ class InumCache:
         """
         return tuple(
             (self._queries[shell.name], self._templates[shell.name],
-             self._matrices.get(shell.name))
+             self._matrices[shell.name])
             for shell in self._distinct_shells(workload)
-            if shell.name in self._templates)
+            if shell.name in self._matrices)
 
     # reprolint: requires-lock (see build: callers serialize)
     def workload_tensor(self, workload: Workload) -> WorkloadGammaTensor:
@@ -359,9 +311,6 @@ class InumCache:
         later (by ``prepare``, BIP assembly or costing itself) extend the
         cached tensor in place rather than rebuilding it.
         """
-        if not self._use_matrix:
-            raise OptimizerError(
-                "workload tensors require use_gamma_matrix=True")
         key = id(workload)
         entry = self._tensors.get(key)
         if entry is not None and entry[0] is workload:
@@ -370,7 +319,7 @@ class InumCache:
             _cache_event("tensor", "hit")
             return entry[1]
         _cache_event("tensor", "miss")
-        self._build_statements(workload, (), None)
+        self._build_statements(workload, ())
         entries = []
         for statement in workload:
             shell = self._shell(statement.query)
@@ -388,48 +337,16 @@ class InumCache:
         shell = self._shell(query)
         return self._optimizer.access_scan(shell, table, index).cost
 
-    def gamma(self, query: Query, template: TemplatePlan, table: str,
-              index: Index | None) -> float:
-        """``gamma_qkia``: slot access cost, or infinity when incompatible.
-
-        Reads the dense gamma matrix when enabled, so the value is the exact
-        float every other consumer (``cost``, BIP assembly) sees.
-        """
-        shell = self._shell(query)
-        if self._use_matrix:
-            matrix = self.gamma_matrix(shell)
-            position = matrix.position_of(template)
-            if position is not None:
-                return matrix.value(position, table, index)
-        return slot_gamma(self._optimizer, shell, template, table, index)
-
     def cost(self, query: Query, configuration: Configuration | Iterable[Index]
              ) -> float:
         """INUM-approximated ``cost(q, X)`` for a SELECT statement / query shell."""
         shell = self._shell(query)
         if not isinstance(configuration, Configuration):
             configuration = Configuration(configuration)
-        if self._use_matrix:
-            best = self.gamma_matrix(shell).cost(configuration)
-        else:
-            best = self._cost_loop(shell, configuration)
+        best = self.gamma_matrix(shell).cost(configuration)
         if math.isinf(best):
             raise OptimizerError(
                 f"INUM produced no feasible template for query {shell.name!r}")
-        return best
-
-    def _cost_loop(self, shell: Query, configuration: Configuration) -> float:
-        """The per-call loop path (microbenchmark baseline / debugging aid)."""
-        templates = self.build(shell)
-        best = INFEASIBLE_COST
-        for template in templates:
-            total = template.internal_cost
-            for table in shell.tables:
-                slot_best = self._best_slot_cost(shell, template, table, configuration)
-                total += slot_best
-                if total >= best:
-                    break
-            best = min(best, total)
         return best
 
     def statement_cost(self, query: Query,
@@ -449,21 +366,17 @@ class InumCache:
                       configuration: Configuration | Iterable[Index]) -> float:
         """Weighted INUM cost of a whole workload under a configuration.
 
-        On the gamma-matrix path this is answered from the workload tensor —
-        one stacked reduction (memoized per configuration) instead of a
-        Python loop over per-query costings — and is bit-identical to the
-        per-statement sum.
+        Answered from the workload tensor — one stacked reduction (memoized
+        per configuration) instead of a Python loop over per-query costings —
+        and bit-identical to the per-statement sum.
         """
         if not isinstance(configuration, Configuration):
             configuration = Configuration(configuration)
-        if self._use_matrix:
-            costs = self._tensor_statement_costs(workload, configuration)
-            total = 0.0
-            for statement, cost in zip(workload, costs):
-                total += statement.weight * cost
-            return total
-        return sum(statement.weight * self.statement_cost(statement.query, configuration)
-                   for statement in workload)
+        costs = self._tensor_statement_costs(workload, configuration)
+        total = 0.0
+        for statement, cost in zip(workload, costs):
+            total += statement.weight * cost
+        return total
 
     def statement_costs(self, workload: Workload,
                         configuration: Configuration | Iterable[Index]
@@ -477,12 +390,8 @@ class InumCache:
         """
         if not isinstance(configuration, Configuration):
             configuration = Configuration(configuration)
-        if self._use_matrix:
-            return np.array(
-                self._tensor_statement_costs(workload, configuration),
-                dtype=np.float64)
-        return np.array([self.statement_cost(statement.query, configuration)
-                         for statement in workload], dtype=np.float64)
+        return np.array(self._tensor_statement_costs(workload, configuration),
+                        dtype=np.float64)
 
     def _tensor_statement_costs(self, workload: Workload,
                                 configuration: Configuration) -> list[float]:
@@ -519,15 +428,6 @@ class InumCache:
                 ucosts[index] = cost
             total += cost
         return total
-
-    def _best_slot_cost(self, query: Query, template: TemplatePlan, table: str,
-                        configuration: Configuration) -> float:
-        best = self.gamma(query, template, table, None)
-        for index in configuration.indexes_on(table):
-            candidate = self.gamma(query, template, table, index)
-            if candidate < best:
-                best = candidate
-        return best
 
     # ---------------------------------------------------------------- internals
     @staticmethod
@@ -627,7 +527,7 @@ class InumCache:
     def _build_template(self, query: Query,
                         order_spec: Mapping[str, ColumnRef | None]) -> TemplatePlan:
         """Build one template plan by optimizing with synthetic ordered leaves."""
-        with self._metrics_lock:  # parallel builds share the counter
+        with self._metrics_lock:
             self._build_calls += 1
         scans: dict[str, ScanNode] = {}
         widths: dict[str, float] = {}

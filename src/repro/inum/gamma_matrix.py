@@ -1,10 +1,8 @@
 """Dense per-query cost matrices for vectorized INUM costing.
 
 The INUM cost formula ``cost(q, X) = min_k (beta_qk + sum_i min_a
-gamma_qkia)`` is a pure reduction over per-slot access costs, yet the original
-implementation re-derived every ``gamma_qkia`` through Python-level calls into
-the what-if optimizer's scan cache on *every* ``cost(q, X)`` invocation.  This
-module materializes the costs once per query as a dense numpy array
+gamma_qkia)`` is a pure reduction over per-slot access costs.  This module
+materializes the costs once per query as a dense numpy array
 
     ``matrix[k, i, a]  ==  gamma_qkia``
 
@@ -13,7 +11,8 @@ heap access ``I_0``, further columns are candidate indexes registered lazily —
 so that costing a configuration becomes a handful of ``min`` reductions over
 array slices.  Infeasible (template, slot, access) combinations hold
 ``INFEASIBLE_COST`` (``inf``), which flows through the reductions exactly like
-the scalar comparisons of the loop-based path: the two paths return
+scalar ``min`` comparisons over :func:`slot_gamma` would: the test suite's
+scalar reference (``tests/conftest.py::reference_statement_cost``) returns
 bit-identical costs.
 """
 
@@ -40,8 +39,8 @@ def slot_gamma(optimizer: WhatIfOptimizer, query: Query, template: TemplatePlan,
                table: str, index: Index | None) -> float:
     """Scalar ``gamma_qkia`` — the single definition of slot-access cost.
 
-    Both the dense matrix and the loop-based costing path call this, so the
-    two stay bit-identical by construction.
+    The dense matrix fills every cell from it, and the test suite's scalar
+    reference costing calls it directly.
     """
     if table not in template.order_requirements:
         return 0.0
@@ -68,8 +67,6 @@ class QueryGammaMatrix:
         self._optimizer = optimizer
         self._tables = tuple(query.tables)
         self._slot_of = {table: slot for slot, table in enumerate(self._tables)}
-        self._position_of = {template: position
-                             for position, template in enumerate(self._templates)}
         self._column_of: dict[Index, int] = {}
         # Memoized ``min`` reductions per (slot, index subset); atomic
         # configurations and knapsack-style loops re-cost the same per-table
@@ -127,9 +124,6 @@ class QueryGammaMatrix:
     def column_count(self) -> int:
         """Number of access-method columns (heap column included)."""
         return self._matrix.shape[2]
-
-    def position_of(self, template: TemplatePlan) -> int | None:
-        return self._position_of.get(template)
 
     # ----------------------------------------------------------------- building
     def ensure_columns(self, indexes: Iterable[Index]) -> None:
@@ -222,8 +216,9 @@ class QueryGammaMatrix:
     def cost(self, configuration: Configuration) -> float:
         """``min_k (beta_qk + sum_i min_a gamma_qkia)`` over ``{I_0} ∪ X``.
 
-        Slot minima are accumulated in the same table order as the loop-based
-        path, so the result is bit-identical to it.
+        Slot minima are accumulated in ``query.tables`` order (beta first),
+        which is what keeps the result bit-identical to the scalar reference
+        in the tests.
         """
         if not self._templates:
             return INFEASIBLE_COST

@@ -247,23 +247,15 @@ def structural_statement_key(query: Query, max_cost_error: float = 0.0
 _structural_key = structural_statement_key
 
 
-# reprolint: requires-lock (gamma read-through builds lazily; reached only via
+# reprolint: requires-lock (gamma_matrix builds lazily; reached only via
 # compress_workload under the scale-out advisor's serialization)
 def _gamma_key(query: Query, inum: "InumCache", max_cost_error: float
                ) -> Hashable:
     shell = _shell_of(query)
-    if inum.uses_gamma_matrix:
-        matrix = inum.gamma_matrix(shell)
-        betas = tuple(_quantise(float(b), max_cost_error)
-                      for b in matrix.beta)
-        heap = tuple(_quantise(float(g), max_cost_error)
-                     for g in matrix.array[:, :, 0].ravel())
-    else:
-        templates = inum.templates(shell)
-        betas = tuple(_quantise(t.internal_cost, max_cost_error)
-                      for t in templates)
-        heap = tuple(
-            _quantise(inum.gamma(shell, template, table, None), max_cost_error)
-            for template in templates for table in shell.tables)
+    matrix = inum.gamma_matrix(shell)
+    betas = tuple(_quantise(float(b), max_cost_error)
+                  for b in matrix.beta)
+    heap = tuple(_quantise(float(g), max_cost_error)
+                 for g in matrix.array[:, :, 0].ravel())
     return (_shape_key(shell), betas, heap,
             _update_key(query, max_cost_error, inum))

@@ -1,9 +1,8 @@
 """Process-parallel execution of shard solves and gamma-matrix builds.
 
 The third stage of the scale-out pipeline (PR 3).  Template enumeration,
-gamma-matrix column costing and BIP solving are GIL-bound Python, so the
-thread pool of ``InumCache(build_workers=...)`` cannot scale them on
-multi-core machines (the PR 2 open item).  This module moves both across
+gamma-matrix column costing and BIP solving are GIL-bound Python, so threads
+cannot scale them on multi-core machines.  This module moves both across
 *process* boundaries:
 
 * :class:`ShardExecutor` solves the per-shard BIPs of a
@@ -236,7 +235,6 @@ class ShardExecutor:
         caps = (inum.enumeration_caps if inum is not None
                 else (DEFAULT_MAX_ORDERS_PER_TABLE,
                       DEFAULT_MAX_TEMPLATES_PER_QUERY))
-        use_matrix = inum.uses_gamma_matrix if inum is not None else True
         policy = self.retry_policy
         rng = random.Random(policy.seed) if policy.seed is not None else None
         results: dict[int, ShardResult] = {}
@@ -253,7 +251,7 @@ class ShardExecutor:
                     (shard, pool.submit(
                         _solve_shard_job,
                         self._shard_job(shard, schema, inum, caps,
-                                        use_matrix, time_limit, faults,
+                                        time_limit, faults,
                                         attempt_no[shard.position])))
                     for shard in remaining]
                 failed_round: list[Shard] = []
@@ -343,7 +341,7 @@ class ShardExecutor:
             for shard in shards)
 
     def _shard_job(self, shard: Shard, schema: Schema,
-                   inum: InumCache | None, caps, use_matrix: bool,
+                   inum: InumCache | None, caps,
                    time_limit: float | None, faults: FaultPlan | None,
                    attempt: int) -> tuple:
         # Worker-built entries come back only for shells the caller's cache
@@ -359,7 +357,7 @@ class ShardExecutor:
         # delta into the shard span's queue_wait_ms.
         return (schema, shard.position, shard.workload.statements,
                 shard.candidates, shard.budget_bytes, self.backend.value,
-                self.gap_tolerance, time_limit, caps, use_matrix, faults,
+                self.gap_tolerance, time_limit, caps, faults,
                 attempt, current_trace_id(), time.time(), ship)
 
 
@@ -440,15 +438,13 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
 def _solve_shard_job(job: tuple) -> ShardResult:
     """Worker-side shard solve: rebuild the full stack from pickled inputs."""
     (schema, position, statements, indexes, budget_bytes, backend_value,
-     gap_tolerance, time_limit_seconds, caps, use_matrix, fault_plan,
+     gap_tolerance, time_limit_seconds, caps, fault_plan,
      attempt, trace_id, dispatch_ts, ship) = job
     queue_wait_ms = max(0.0, (time.time() - dispatch_ts) * 1000.0)
     plan = fault_plan if fault_plan is not None else armed_plan()
     optimizer = WhatIfOptimizer(schema)
-    # build_workers=1: threads inside a pool worker only contend for its GIL.
     inum = InumCache(optimizer, max_orders_per_table=caps[0],
-                     max_templates_per_query=caps[1],
-                     use_gamma_matrix=use_matrix, build_workers=1)
+                     max_templates_per_query=caps[1])
     workload = Workload(statements, name=f"shard{position}")
     shard = Shard(position=position, workload=workload, candidates=indexes,
                   statement_positions=tuple(range(len(statements))),
@@ -510,8 +506,7 @@ def build_matrices_in_processes(cache: InumCache, shells: Sequence[Query],
     policy = retry_policy if retry_policy is not None else RetryPolicy()
 
     def build_all(attempt: int) -> list:
-        jobs = [(cache.schema, chunk, indexes, caps, cache.uses_gamma_matrix,
-                 plan, attempt)
+        jobs = [(cache.schema, chunk, indexes, caps, plan, attempt)
                 for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_build_matrices_job, jobs))
@@ -533,7 +528,7 @@ def build_matrices_in_processes(cache: InumCache, shells: Sequence[Query],
                   shells=len(pending), workers=workers, error=repr(exc))
         return 0
     by_name: dict[str, tuple[Query, tuple[TemplatePlan, ...],
-                             QueryGammaMatrix | None]] = {}
+                             QueryGammaMatrix]] = {}
     build_calls = 0
     for entries, calls in results:
         build_calls += calls
@@ -546,12 +541,11 @@ def build_matrices_in_processes(cache: InumCache, shells: Sequence[Query],
 
 def _build_matrices_job(job: tuple) -> tuple[list, int]:
     """Worker-side matrix build for one chunk of query shells."""
-    schema, shells, indexes, caps, use_matrix, fault_plan, attempt = job
+    schema, shells, indexes, caps, fault_plan, attempt = job
     plan = fault_plan if fault_plan is not None else armed_plan()
     maybe_check(plan, "matrix_build", attempt=attempt, in_worker=True)
     optimizer = WhatIfOptimizer(schema)
     cache = InumCache(optimizer, max_orders_per_table=caps[0],
-                      max_templates_per_query=caps[1],
-                      use_gamma_matrix=use_matrix, build_workers=1)
+                      max_templates_per_query=caps[1])
     entries = [cache.build_entry(shell, indexes) for shell in shells]
     return entries, cache.template_build_calls

@@ -10,9 +10,13 @@ from repro.catalog.statistics import ColumnStatistics
 from repro.catalog.table import Table
 from repro.catalog.tpch import tpch_schema
 from repro.indexes.candidate_generation import CandidateGenerator
+from repro.indexes.configuration import Configuration
+from repro.inum.cache import InumCache
+from repro.inum.gamma_matrix import slot_gamma
+from repro.inum.template_plan import INFEASIBLE_COST
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.predicates import ColumnRef, ComparisonOperator, JoinPredicate, SimplePredicate
-from repro.workload.query import Aggregate, AggregateFunction, SelectQuery, UpdateQuery
+from repro.workload.query import Aggregate, AggregateFunction, Query, SelectQuery, UpdateQuery
 from repro.workload.workload import Workload, WorkloadStatement
 
 
@@ -103,6 +107,28 @@ def build_simple_workload() -> Workload:
          WorkloadStatement(update_query, 1.0)],
         name="simple-workload",
     )
+
+
+def reference_statement_cost(inum: InumCache, query: Query,
+                             configuration: Configuration) -> float:
+    """Scalar oracle for ``InumCache.statement_cost``: ``min_k (beta_qk +
+    sum_i min_a gamma_qkia)`` plus the update terms, accumulated in the
+    production order (beta, then slots in ``shell.tables`` order), so the
+    vectorised path must match it with ``==``."""
+    optimizer = inum.optimizer
+    shell = query.query_shell() if isinstance(query, UpdateQuery) else query
+    best = INFEASIBLE_COST
+    for template in inum.templates(shell):
+        total = template.internal_cost
+        for table in shell.tables:
+            total += min(slot_gamma(optimizer, shell, template, table, access)
+                         for access in [None, *configuration.indexes_on(table)])
+        best = min(best, total)
+    if isinstance(query, UpdateQuery):
+        maintenance = sum(optimizer.update_maintenance_cost(index, query)
+                          for index in configuration.indexes_on(query.table))
+        best = best + maintenance + optimizer.base_update_cost(query)
+    return best
 
 
 @pytest.fixture

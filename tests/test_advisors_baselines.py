@@ -161,20 +161,6 @@ class TestDtaAdvisor:
         assert perf_improvement(evaluation_optimizer, simple_workload,
                                 recommendation.configuration) > 0.0
 
-    def test_inum_backed_costing_matches_loop_path_recommendation(
-            self, simple_schema, simple_workload):
-        """The vectorized and loop INUM paths must drive DTA identically."""
-        budget = _budget(simple_schema)
-        fast_opt = WhatIfOptimizer(simple_schema)
-        slow_opt = WhatIfOptimizer(simple_schema)
-        fast = make_advisor("dta", simple_schema, optimizer=fast_opt,
-                          inum=InumCache(fast_opt)).tune(simple_workload, [budget])
-        slow = make_advisor("dta", simple_schema, optimizer=slow_opt,
-                          inum=InumCache(slow_opt, use_gamma_matrix=False)
-                          ).tune(simple_workload, [budget])
-        assert fast.configuration == slow.configuration
-        assert fast.objective_estimate == slow.objective_estimate
-
     def test_workload_compression_kicks_in(self, simple_schema, simple_workload):
         advisor = make_advisor("dta", simple_schema, compression_size=2)
         recommendation = advisor.tune(simple_workload, [_budget(simple_schema)])

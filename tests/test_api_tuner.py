@@ -52,10 +52,9 @@ class TestDeprecationShims:
     @pytest.mark.parametrize("name,cls,kwargs", LEGACY_ADVISORS)
     def test_legacy_construction_warns_and_matches_registry_path(
             self, name, cls, kwargs, simple_schema, simple_workload):
-        """Old-vs-new regression: warn on the legacy path, recommend the same."""
+        """Direct construction and the Tuner pipeline recommend the same."""
         budget = _budget(simple_schema)
-        with pytest.warns(DeprecationWarning, match="registry"):
-            legacy = cls(simple_schema, **kwargs).tune(simple_workload, [budget])
+        legacy = cls(simple_schema, **kwargs).tune(simple_workload, [budget])
         result = Tuner().tune(TuningRequest(
             workload=simple_workload, schema=simple_schema,
             constraints=[budget], advisor=AdvisorSpec(name, kwargs)))
@@ -63,23 +62,6 @@ class TestDeprecationShims:
         assert result.configuration == legacy.configuration
         assert result.objective_estimate == legacy.objective_estimate
         assert result.advisor_name == legacy.advisor_name
-
-    def test_registry_construction_does_not_warn(self, simple_schema,
-                                                 recwarn):
-        make_advisor("dta", simple_schema)
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_recommend_alias_warns_and_delegates(self, simple_schema,
-                                                 simple_workload):
-        advisor = make_advisor("dta", simple_schema)
-        with pytest.warns(DeprecationWarning, match="recommend"):
-            via_alias = advisor.recommend(simple_workload,
-                                          [_budget(simple_schema)])
-        direct = make_advisor("dta", simple_schema).tune(
-            simple_workload, [_budget(simple_schema)])
-        assert isinstance(via_alias, Recommendation)
-        assert via_alias.configuration == direct.configuration
 
 
 class TestRegistry:
@@ -243,15 +225,6 @@ class TestTunerPipeline:
             per_statement_costs=True))
         assert len(forced.statement_costs) == len(simple_workload)
 
-    def test_explicit_per_statement_costs_honoured_on_loop_path(
-            self, simple_schema, simple_workload):
-        """use_gamma_matrix=False answers an explicit True via the loop."""
-        result = Tuner().tune(TuningRequest(
-            workload=simple_workload, schema=simple_schema,
-            costing=CostingSpec(use_gamma_matrix=False),
-            per_statement_costs=True))
-        assert len(result.statement_costs) == len(simple_workload)
-
     def test_per_statement_costs_match_inum(self, simple_schema,
                                             simple_workload):
         tuner = Tuner()
@@ -270,14 +243,15 @@ class TestTunerPipeline:
         tuner = Tuner()
         default = tuner.tune(TuningRequest(workload=simple_workload,
                                            schema=simple_schema))
-        loop = tuner.tune(TuningRequest(
+        capped_spec = CostingSpec(max_templates_per_query=1)
+        capped = tuner.tune(TuningRequest(
             workload=simple_workload, schema=simple_schema,
-            costing=CostingSpec(use_gamma_matrix=False)))
+            costing=capped_spec))
         assert len(tuner.contexts) == 2
-        # The loop-path context cannot evaluate per-statement tensors…
-        assert loop.statement_costs == ()
-        # …but the recommendation is the same (the two paths are bit-identical).
-        assert loop.configuration == default.configuration
+        # Caps change the template set, so the two share no INUM cache.
+        assert (tuner.context_for(simple_schema, capped_spec).inum
+                is not tuner.context_for(simple_schema).inum)
+        assert default.provenance["costing"] != capped.provenance["costing"]
 
     def test_provenance_records_the_resolved_pipeline(self, simple_schema,
                                                       simple_workload):

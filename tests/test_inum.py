@@ -9,11 +9,13 @@ from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
+from repro.inum.gamma_matrix import slot_gamma
 from repro.inum.template_plan import INFEASIBLE_COST, TemplatePlan
 from repro.optimizer.plan import ScanNode
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.predicates import ColumnRef
 from repro.workload.query import UpdateQuery
+from tests.conftest import reference_statement_cost
 
 
 @pytest.fixture
@@ -121,14 +123,15 @@ class TestGamma:
         template = ordered_templates[0]
         incompatible = Index("items", ("i_shipdate",))
         compatible = Index("items", ("i_order",))
-        assert inum.gamma(join_query, template, "items", incompatible) == INFEASIBLE_COST
-        assert inum.gamma(join_query, template, "items", compatible) < INFEASIBLE_COST
+        matrix = inum.gamma_matrix(join_query)
+        position = templates.index(template)
+        assert matrix.value(position, "items", incompatible) == INFEASIBLE_COST
+        assert matrix.value(position, "items", compatible) < INFEASIBLE_COST
 
     def test_gamma_matches_access_cost_when_compatible(self, inum, simple_workload):
         query = simple_workload.statements[0].query
-        template = inum.build(query)[0]
         index = Index("orders", ("o_customer",))
-        gamma = inum.gamma(query, template, "orders", index)
+        gamma = inum.gamma_matrix(query).value(0, "orders", index)
         assert gamma == pytest.approx(inum.access_cost(query, "orders", index))
 
 
@@ -183,31 +186,34 @@ class TestInumCost:
 
     def test_matrix_and_loop_paths_are_bit_identical(self, optimizer, simple_schema,
                                                      simple_workload):
-        """The vectorized gamma-matrix path must reproduce the loop path exactly."""
+        """The vectorized gamma-matrix path must reproduce the scalar loop exactly."""
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         fast = InumCache(optimizer)
-        slow = InumCache(optimizer, use_gamma_matrix=False)
-        assert fast.uses_gamma_matrix and not slow.uses_gamma_matrix
+        slow = InumCache(optimizer)  # only its templates feed the scalar oracle
         for count in (0, 1, 5, len(candidates)):
             configuration = Configuration(list(candidates)[:count])
             for statement in simple_workload:
                 assert (fast.statement_cost(statement.query, configuration)
-                        == slow.statement_cost(statement.query, configuration))
+                        == reference_statement_cost(slow, statement.query,
+                                                    configuration))
             assert (fast.workload_cost(simple_workload, configuration)
-                    == slow.workload_cost(simple_workload, configuration))
+                    == sum(s.weight * reference_statement_cost(slow, s.query,
+                                                               configuration)
+                           for s in simple_workload))
 
     def test_matrix_gamma_matches_loop_gamma(self, optimizer, simple_schema,
                                              simple_workload):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         fast = InumCache(optimizer)
-        slow = InumCache(optimizer, use_gamma_matrix=False)
         for statement in simple_workload:
             shell = fast._shell(statement.query)
-            for f_template, s_template in zip(fast.build(shell), slow.build(shell)):
+            matrix = fast.gamma_matrix(shell)
+            for position, template in enumerate(fast.build(shell)):
                 for table in shell.tables:
                     for index in (None, *candidates.for_table(table)):
-                        assert (fast.gamma(shell, f_template, table, index)
-                                == slow.gamma(shell, s_template, table, index))
+                        assert (matrix.value(position, table, index)
+                                == slot_gamma(optimizer, shell, template,
+                                              table, index))
 
     def test_prepare_registers_query_relevant_candidate_columns(
             self, inum, simple_schema, simple_workload):
@@ -239,12 +245,5 @@ class TestInumCost:
         query = simple_workload.statements[2].query
         configuration = Configuration([Index("items", ("i_order",)),
                                        Index("orders", ("o_date",))])
-        templates = inum.build(query)
-        expected = min(
-            template.internal_cost + sum(
-                min([inum.gamma(query, template, table, None)]
-                    + [inum.gamma(query, template, table, index)
-                       for index in configuration.indexes_on(table)])
-                for table in query.tables)
-            for template in templates)
-        assert inum.cost(query, configuration) == pytest.approx(expected)
+        assert (inum.cost(query, configuration)
+                == reference_statement_cost(inum, query, configuration))

@@ -24,7 +24,11 @@ from repro.indexes.configuration import Configuration
 from repro.inum.cache import InumCache
 from repro.lp.highs_backend import MilpBackend
 from repro.optimizer.whatif import WhatIfOptimizer
-from tests.conftest import build_simple_schema, build_simple_workload
+from tests.conftest import (
+    build_simple_schema,
+    build_simple_workload,
+    reference_statement_cost,
+)
 
 _SCHEMA = build_simple_schema()
 _WORKLOAD = build_simple_workload()
@@ -73,15 +77,8 @@ class TestInumProperties:
         configuration = Configuration(subset)
         for statement in _WORKLOAD.select_statements():
             query = statement.query
-            templates = _INUM.build(query)
-            decomposed = min(
-                template.internal_cost + sum(
-                    min([_INUM.gamma(query, template, table, None)]
-                        + [_INUM.gamma(query, template, table, index)
-                           for index in configuration.indexes_on(table)])
-                    for table in query.tables)
-                for template in templates)
-            assert _INUM.cost(query, configuration) == pytest.approx(decomposed)
+            assert (_INUM.cost(query, configuration)
+                    == reference_statement_cost(_INUM, query, configuration))
 
 
 class TestBipProperties:

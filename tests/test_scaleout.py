@@ -163,7 +163,7 @@ class TestProcessPaths:
 
     def test_process_built_matrices_match_serial(self, tpch, tuning_workload):
         candidates = list(CandidateGenerator(tpch).generate(tuning_workload))[:40]
-        serial = InumCache(WhatIfOptimizer(tpch), build_workers=1)
+        serial = InumCache(WhatIfOptimizer(tpch))
         serial.prepare(tuning_workload, candidates)
         sharded = InumCache(WhatIfOptimizer(tpch), build_processes=2)
         sharded.prepare(tuning_workload, candidates)
@@ -232,7 +232,7 @@ class TestProcessPaths:
             self, tpch, tuning_workload):
         candidates = CandidateGenerator(tpch).generate(tuning_workload)
         plan = partition_workload(tuning_workload, candidates, shard_count=3)
-        local = InumCache(WhatIfOptimizer(tpch), build_workers=1)
+        local = InumCache(WhatIfOptimizer(tpch))
         ShardExecutor(workers=1, gap_tolerance=0.0,
                       fault_plan=FaultPlan()).solve_shards(
             plan, tpch, inum=local)

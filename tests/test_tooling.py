@@ -1,82 +1,16 @@
-"""Tests for repo tooling: the benchmark-trajectory gate and its update flag."""
+"""Tests for repo tooling: the reprolint CLI contract (PR 9):
+``python -m repro.analysis``."""
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = REPO_ROOT / "benchmarks" / "check_bench_regression.py"
-
-
-def _run(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(SCRIPT), *argv],
-                          capture_output=True, text=True)
-
-
-def _write(path: Path, results: dict) -> Path:
-    path.write_text(json.dumps({"results": results}), encoding="utf-8")
-    return path
-
-
-class TestRegressionGate:
-    def test_holding_trajectory_passes(self, tmp_path):
-        fresh = _write(tmp_path / "fresh.json",
-                       {"bench": {"cost_speedup": 10.0, "note_ms": 3.0}})
-        baseline = _write(tmp_path / "base.json",
-                          {"bench": {"cost_speedup": 9.0, "note_ms": 999.0}})
-        done = _run("--fresh", str(fresh), "--baseline", str(baseline))
-        assert done.returncode == 0, done.stdout + done.stderr
-        assert "holds" in done.stdout
-
-    def test_regression_fails(self, tmp_path):
-        fresh = _write(tmp_path / "fresh.json", {"bench": {"cost_speedup": 5.0}})
-        baseline = _write(tmp_path / "base.json",
-                          {"bench": {"cost_speedup": 9.0}})
-        done = _run("--fresh", str(fresh), "--baseline", str(baseline))
-        assert done.returncode == 1
-        assert "FAIL" in done.stdout
-
-    def test_update_baseline_writes_conservative_values(self, tmp_path):
-        fresh = _write(tmp_path / "fresh.json", {
-            "bench": {"cost_speedup": 10.0, "merge_cost_ratio": 1.0,
-                      "raw_ms": 5.0},
-            "new_bench": {"probe_call_reduction": 8.0},
-        })
-        baseline = _write(tmp_path / "base.json",
-                          {"bench": {"cost_speedup": 2.0, "keep_me": 42}})
-        done = _run("--fresh", str(fresh), "--baseline", str(baseline),
-                    "--update-baseline", "--margin", "0.2")
-        assert done.returncode == 0, done.stdout + done.stderr
-        updated = json.loads(baseline.read_text())["results"]
-        # Higher-is-better written 20% below fresh, lower-is-better 20% above.
-        assert updated["bench"]["cost_speedup"] == 8.0
-        assert updated["bench"]["merge_cost_ratio"] == 1.2
-        # Never-seen benchmarks are added; raw (non-ratio) and untracked
-        # baseline keys are left alone.
-        assert updated["new_bench"]["probe_call_reduction"] == 6.4
-        assert "raw_ms" not in updated["bench"]
-        assert updated["bench"]["keep_me"] == 42
-        # The refreshed baseline now gates the same fresh run successfully.
-        done = _run("--fresh", str(fresh), "--baseline", str(baseline))
-        assert done.returncode == 0
-
-    def test_update_baseline_rejects_bad_margin(self, tmp_path):
-        fresh = _write(tmp_path / "fresh.json", {"bench": {"cost_speedup": 1.0}})
-        baseline = _write(tmp_path / "base.json", {})
-        done = _run("--fresh", str(fresh), "--baseline", str(baseline),
-                    "--update-baseline", "--margin", "1.5")
-        assert done.returncode != 0
-
-
-# --------------------------------------------------------------------------
-# reprolint CLI contract (PR 9): python -m repro.analysis
-# --------------------------------------------------------------------------
-
-import os
-import textwrap
 
 _LINT_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 

@@ -254,11 +254,16 @@ class TestRequestCodec:
 
     def test_unknown_spec_fields_are_rejected(self, simple_schema,
                                               simple_workload):
-        payload = encode_request(self._request(simple_schema,
-                                               simple_workload))
-        payload["costing"]["warp_drive"] = True
-        with pytest.raises(WireFormatError, match="warp_drive"):
-            decode_request(payload)
+        """Retired costing knobs fail like any other unknown field."""
+        base = encode_request(self._request(simple_schema, simple_workload))
+        assert set(base["costing"]) == {
+            "max_orders_per_table", "max_templates_per_query",
+            "build_processes"}
+        for key in ("warp_drive", "use_gamma_matrix", "build_workers"):
+            payload = json.loads(json.dumps(base))
+            payload["costing"][key] = True
+            with pytest.raises(WireFormatError, match=key):
+                decode_request(payload)
 
     def test_unknown_fields_are_rejected_at_every_level(self, simple_schema,
                                                         simple_workload):

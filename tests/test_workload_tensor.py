@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.exceptions import OptimizerError
@@ -12,7 +13,9 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.inum.workload_tensor import WorkloadGammaTensor
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.workload.generators import generate_homogeneous_workload
 from repro.workload.workload import Workload, WorkloadStatement
+from tests.conftest import reference_statement_cost
 
 
 @pytest.fixture
@@ -26,12 +29,14 @@ def inum(optimizer) -> InumCache:
 
 
 def per_query_workload_cost(inum: InumCache, workload: Workload,
-                            configuration: Configuration) -> float:
-    """The pre-tensor reference: a Python loop over per-query costings."""
+                            configuration: Configuration,
+                            statement_cost=InumCache.statement_cost) -> float:
+    """The pre-tensor reference: a Python loop over per-query costings
+    (pass ``reference_statement_cost`` for the scalar oracle's)."""
     total = 0.0
     for statement in workload:
-        total += statement.weight * inum.statement_cost(statement.query,
-                                                        configuration)
+        total += statement.weight * statement_cost(inum, statement.query,
+                                                   configuration)
     return total
 
 
@@ -49,6 +54,19 @@ class TestTensorCosts:
             for statement, cost in zip(simple_workload, costs):
                 assert float(cost) == inum.statement_cost(statement.query,
                                                           configuration)
+
+    def test_bit_identical_at_50_statements_100_candidates(self, tpch):
+        workload = generate_homogeneous_workload(50, seed=11)
+        pool = list(CandidateGenerator(tpch).generate(workload))[:100]
+        assert len(pool) == 100
+        inum = InumCache(WhatIfOptimizer(tpch))
+        inum.prepare(workload, pool)
+        rng = random.Random(7)
+        for configuration in (Configuration(), Configuration(pool),
+                              *(Configuration(rng.sample(pool, 60))
+                                for _ in range(10))):
+            assert (inum.workload_cost(workload, configuration)
+                    == per_query_workload_cost(inum, workload, configuration))
 
     def test_single_query_workload(self, inum, simple_workload):
         single = Workload([simple_workload.statements[0]], name="single")
@@ -130,12 +148,11 @@ class TestTensorCosts:
         point = simple_workload.statements[0].query
         inum.gamma_matrix(point).ensure_columns((index,))  # one matrix only
         configuration = Configuration([index])
-        reference = InumCache(WhatIfOptimizer(inum.schema),
-                              use_gamma_matrix=False)
+        reference = InumCache(WhatIfOptimizer(inum.schema))
         costs = inum.statement_costs(simple_workload, configuration)
         for statement, cost in zip(simple_workload, costs):
-            assert float(cost) == reference.statement_cost(statement.query,
-                                                           configuration)
+            assert float(cost) == reference_statement_cost(
+                reference, statement.query, configuration)
 
 
 class TestPrepareIncremental:
@@ -171,56 +188,23 @@ class TestPrepareIncremental:
         assert inum.workload_tensor(simple_workload) is tensor  # extended in place
         assert tensor.shape[3] > columns_before
 
-        reference = InumCache(WhatIfOptimizer(simple_schema),
-                              use_gamma_matrix=False)
+        reference = InumCache(WhatIfOptimizer(simple_schema))
         configuration = Configuration(candidates)
         assert (inum.workload_cost(simple_workload, configuration)
                 == per_query_workload_cost(reference, simple_workload,
-                                           configuration))
+                                           configuration,
+                                           reference_statement_cost))
 
     def test_lazy_registration_without_prepare(self, inum, simple_schema,
                                                simple_workload):
         """Costing a configuration with unseen candidates must self-register."""
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         configuration = Configuration(list(candidates))
-        reference = InumCache(WhatIfOptimizer(simple_schema),
-                              use_gamma_matrix=False)
+        reference = InumCache(WhatIfOptimizer(simple_schema))
         assert (inum.workload_cost(simple_workload, configuration)
                 == per_query_workload_cost(reference, simple_workload,
-                                           configuration))
-
-
-class TestParallelBuild:
-    def test_parallel_build_matches_serial(self, simple_schema, simple_workload):
-        candidates = tuple(CandidateGenerator(simple_schema)
-                           .generate(simple_workload))
-        serial = InumCache(WhatIfOptimizer(simple_schema), build_workers=1)
-        parallel = InumCache(WhatIfOptimizer(simple_schema), build_workers=4)
-        serial.prepare(simple_workload, candidates)
-        parallel.prepare(simple_workload, candidates)
-        assert (serial.cached_query_count == parallel.cached_query_count
-                == len(simple_workload))
-        assert serial.template_build_calls == parallel.template_build_calls
-        for statement in simple_workload:
-            shell = serial._shell(statement.query)
-            serial_templates = serial.build(shell)
-            parallel_templates = parallel.build(shell)
-            assert ([t.signature() for t in serial_templates]
-                    == [t.signature() for t in parallel_templates])
-            assert np.array_equal(serial.gamma_matrix(shell).array,
-                                  parallel.gamma_matrix(shell).array)
-        for count in (0, len(candidates)):
-            configuration = Configuration(candidates[:count])
-            assert (serial.workload_cost(simple_workload, configuration)
-                    == parallel.workload_cost(simple_workload, configuration))
-
-    def test_build_workload_accepts_worker_override(self, inum, simple_workload):
-        inum.build_workload(simple_workload, build_workers=2)
-        assert inum.cached_query_count == len(simple_workload)
-
-    def test_invalid_build_workers_rejected(self, optimizer):
-        with pytest.raises(ValueError):
-            InumCache(optimizer, build_workers=0)
+                                           configuration,
+                                           reference_statement_cost))
 
 
 class TestTensorViews:
