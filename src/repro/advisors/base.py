@@ -45,9 +45,10 @@ class Recommendation:
         objective_estimate: The advisor's own estimate of the weighted
             workload cost under ``X*`` (not the ground-truth what-if cost —
             the evaluation harness recomputes that separately).
-        timings: Per-phase wall-clock seconds.  CoPhy and ILP report the
-            ``inum`` / ``build`` / ``solve`` breakdown of Figures 5 and 10;
-            every advisor reports ``total``.
+        timings: Per-phase wall-clock seconds, each the reading of the
+            stage's span (:func:`repro.obs.trace.stage`).  CoPhy and ILP
+            report the ``inum`` / ``build`` / ``solve`` breakdown of
+            Figures 5 and 10; every advisor reports ``total``.
         candidate_count: Number of candidate indexes the advisor examined
             (the §5.2 observation: 1933 for CoPhy vs. 170 / 45 for the
             commercial tools).

@@ -20,7 +20,6 @@ the DB2 Design Advisor (Zilio et al., VLDB 2004, reference [20]):
 from __future__ import annotations
 
 import random
-import time
 from typing import Sequence
 
 from repro.advisors.base import (
@@ -28,14 +27,14 @@ from repro.advisors.base import (
     Recommendation,
     weighted_statement_costs,
 )
-from repro.bench.metrics import baseline_configuration
 from repro.catalog.schema import Schema
 from repro.core.constraints import StorageBudgetConstraint, TuningConstraint
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
-from repro.indexes.configuration import Configuration
+from repro.indexes.configuration import Configuration, baseline_configuration
 from repro.indexes.index import Index, index_size_bytes
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
+from repro.obs.trace import stage
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.query import UpdateQuery
 from repro.workload.workload import Workload, WorkloadStatement
@@ -99,50 +98,55 @@ class DtaAdvisor(Advisor):
         if budget is not None:
             budget.start()
         timings: dict[str, float] = {}
-        started = time.perf_counter()
-        # Count template builds like CoPhy/ILP do, so cross-advisor optimizer
-        # call comparisons stay apples to apples when INUM costing is used.
-        whatif_before = self.optimizer.whatif_calls + (
-            self.inum.template_build_calls if self.inum is not None else 0)
+        with stage(timings, "total", "search",
+                   statements=len(workload)) as node:
+            # Count template builds like CoPhy/ILP do, so cross-advisor
+            # optimizer call comparisons stay apples to apples when INUM
+            # costing is used.
+            whatif_before = self.optimizer.whatif_calls + (
+                self.inum.template_build_calls if self.inum is not None else 0)
 
-        compressed = self._compress(workload)
-        per_query_best = self._per_query_candidates(compressed, candidates)
-        storage_budget = self._storage_budget(constraints)
-        # With INUM available the greedy's many workload costings run through
-        # the workload gamma tensor: one batched reduction per probed
-        # configuration instead of a Python loop over the statements.
-        eval_workload = None
-        if self.inum is not None:
-            eval_workload = Workload(compressed,
-                                     name=f"{workload.name}/compressed")
-        configuration = self._knapsack(compressed, per_query_best,
-                                       storage_budget, eval_workload,
-                                       budget=budget)
+            compressed = self._compress(workload)
+            per_query_best = self._per_query_candidates(compressed, candidates)
+            storage_budget = self._storage_budget(constraints)
+            # With INUM available the greedy's many workload costings run
+            # through the workload gamma tensor: one batched reduction per
+            # probed configuration instead of a Python loop over the
+            # statements.
+            eval_workload = None
+            if self.inum is not None:
+                eval_workload = Workload(compressed,
+                                         name=f"{workload.name}/compressed")
+            configuration = self._knapsack(compressed, per_query_best,
+                                           storage_budget, eval_workload,
+                                           budget=budget)
 
-        deployed = self._baseline.union(configuration)
-        if eval_workload is not None:
-            objective = sum(self._weighted_costs(compressed, eval_workload,
-                                                 configuration).values())
-        else:
-            objective = sum(
-                statement.weight
-                * self.optimizer.statement_cost(statement.query, deployed)
-                for statement in compressed)
-        timings["total"] = time.perf_counter() - started
-        return Recommendation(
-            configuration=configuration,
-            advisor_name=self.name,
-            objective_estimate=objective,
-            timings=timings,
-            candidate_count=len(per_query_best),
-            whatif_calls=(self.optimizer.whatif_calls
-                          + (self.inum.template_build_calls
-                             if self.inum is not None else 0) - whatif_before),
-            extras={"compressed_statements": len(compressed),
-                    "original_statements": len(workload)},
-            timed_out=budget is not None and budget.expired(),
-            solve_tier=budget.tier if budget is not None else "exact",
-        )
+            deployed = self._baseline.union(configuration)
+            if eval_workload is not None:
+                objective = sum(self._weighted_costs(compressed, eval_workload,
+                                                     configuration).values())
+            else:
+                objective = sum(
+                    statement.weight
+                    * self.optimizer.statement_cost(statement.query, deployed)
+                    for statement in compressed)
+            node.set(candidates=len(per_query_best),
+                     indexes=len(configuration))
+            return Recommendation(
+                configuration=configuration,
+                advisor_name=self.name,
+                objective_estimate=objective,
+                timings=timings,
+                candidate_count=len(per_query_best),
+                whatif_calls=(self.optimizer.whatif_calls
+                              + (self.inum.template_build_calls
+                                 if self.inum is not None else 0)
+                              - whatif_before),
+                extras={"compressed_statements": len(compressed),
+                        "original_statements": len(workload)},
+                timed_out=budget is not None and budget.expired(),
+                solve_tier=budget.tier if budget is not None else "exact",
+            )
 
     # ----------------------------------------------------------------- internals
     def _compress(self, workload: Workload) -> tuple[WorkloadStatement, ...]:

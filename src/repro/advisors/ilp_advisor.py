@@ -19,7 +19,6 @@ same INUM cache for fast cost estimation and uses the same BIP solver backend.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Sequence
 
 from repro.advisors.base import Advisor, Recommendation
@@ -36,6 +35,7 @@ from repro.lp.expression import LinearExpression
 from repro.lp.highs_backend import MilpBackend
 from repro.lp.model import Model
 from repro.lp.solution import SolutionStatus
+from repro.obs.trace import stage
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.query import Query, UpdateQuery
 from repro.workload.workload import Workload
@@ -87,74 +87,75 @@ class IlpAdvisor(Advisor):
         if budget is not None:
             budget.start()
         timings: dict[str, float] = {}
-        started = time.perf_counter()
-        if candidates is None:
-            candidates = self.candidate_generator.generate(workload)
+        with stage(timings, "total"):
+            if candidates is None:
+                candidates = self.candidate_generator.generate(workload)
 
-        whatif_before = self.optimizer.whatif_calls + self.inum.template_build_calls
-        inum_started = time.perf_counter()
-        # Pre-register every candidate in the per-query gamma matrices so the
-        # atomic-configuration enumeration below runs on precomputed arrays.
-        self.inum.prepare(workload, candidates)
-        timings["inum"] = time.perf_counter() - inum_started
+            whatif_before = (self.optimizer.whatif_calls
+                             + self.inum.template_build_calls)
+            # Pre-register every candidate in the per-query gamma matrices so
+            # the atomic-configuration enumeration below runs on precomputed
+            # arrays.
+            with stage(timings, "inum", statements=len(workload),
+                       candidates=len(candidates)):
+                self.inum.prepare(workload, candidates)
 
-        build_started = time.perf_counter()
-        model, z_variables, objective = self._build_model(workload, candidates,
-                                                          budget=budget)
-        storage_budget = self._storage_budget(constraints)
-        if storage_budget is not None:
-            sizes = [candidates.size_of(index) for index in z_variables]
-            expression = LinearExpression.sum_of(list(z_variables.values()), sizes)
-            model.add_constraint(expression <= storage_budget, name="storage_budget")
-        timings["build"] = time.perf_counter() - build_started
+            with stage(timings, "build") as node:
+                model, z_variables, objective = self._build_model(
+                    workload, candidates, budget=budget)
+                storage_budget = self._storage_budget(constraints)
+                if storage_budget is not None:
+                    sizes = [candidates.size_of(index) for index in z_variables]
+                    expression = LinearExpression.sum_of(
+                        list(z_variables.values()), sizes)
+                    model.add_constraint(expression <= storage_budget,
+                                         name="storage_budget")
+                node.set(variables=model.variable_count,
+                         constraints=model.constraint_count)
 
-        solve_started = time.perf_counter()
-        backend = MilpBackend(gap_tolerance=self.gap_tolerance,
-                              time_limit_seconds=self.time_limit_seconds)
-        solution = backend.solve(model, budget=budget)
-        timings["solve"] = time.perf_counter() - solve_started
-        if solution.status is SolutionStatus.INFEASIBLE:
-            raise InfeasibleProblemError("ILP tuning problem is infeasible")
-        if not solution.status.has_solution and budget is not None \
-                and budget.expired():
-            # The deadline starved HiGHS of even one incumbent.  The no-index
-            # configuration is always feasible; cost it for real and report
-            # its gap against the ideal (all-candidates, maintenance-free)
-            # bound so the caller still sees a finite gap.
-            objective = self.inum.workload_cost(workload, Configuration(()))
-            bound = ideal_lower_bound(self.inum, workload, candidates)
-            timings["total"] = time.perf_counter() - started
-            return Recommendation(
-                configuration=Configuration((), name="ilp-recommendation"),
-                advisor_name=self.name,
-                objective_estimate=objective,
-                timings=timings,
-                candidate_count=len(candidates),
-                whatif_calls=(self.optimizer.whatif_calls
-                              + self.inum.template_build_calls - whatif_before),
-                gap=max(0.0, (objective - bound) / max(abs(objective), 1e-9)),
-                extras={"variables": model.variable_count,
-                        "constraints": model.constraint_count},
-                timed_out=True,
-            )
+            with stage(timings, "solve") as node:
+                backend = MilpBackend(gap_tolerance=self.gap_tolerance,
+                                      time_limit_seconds=self.time_limit_seconds)
+                solution = backend.solve(model, budget=budget)
+                node.set(timed_out=solution.timed_out)
 
-        selected = [index for index, variable in z_variables.items()
-                    if solution.value(variable) >= 0.5]
-        timings["total"] = time.perf_counter() - started
-        return Recommendation(
-            configuration=Configuration(selected, name="ilp-recommendation"),
-            advisor_name=self.name,
-            objective_estimate=solution.objective,
-            timings=timings,
-            candidate_count=len(candidates),
-            whatif_calls=(self.optimizer.whatif_calls
-                          + self.inum.template_build_calls - whatif_before),
-            gap=solution.gap,
-            extras={"variables": model.variable_count,
-                    "constraints": model.constraint_count},
-            timed_out=solution.timed_out or (budget is not None
-                                             and budget.expired()),
-        )
+            def answer(configuration: Configuration, objective: float,
+                       gap: float, timed_out: bool) -> Recommendation:
+                return Recommendation(
+                    configuration=configuration, advisor_name=self.name,
+                    objective_estimate=objective, timings=timings,
+                    candidate_count=len(candidates),
+                    whatif_calls=(self.optimizer.whatif_calls
+                                  + self.inum.template_build_calls
+                                  - whatif_before),
+                    gap=gap,
+                    extras={"variables": model.variable_count,
+                            "constraints": model.constraint_count},
+                    timed_out=timed_out)
+
+            if solution.status is SolutionStatus.INFEASIBLE:
+                raise InfeasibleProblemError("ILP tuning problem is infeasible")
+            if not solution.status.has_solution and budget is not None \
+                    and budget.expired():
+                # The deadline starved HiGHS of even one incumbent.  The
+                # no-index configuration is always feasible; cost it for real
+                # and report its gap against the ideal (all-candidates,
+                # maintenance-free) bound so the caller still sees a finite
+                # gap.
+                objective = self.inum.workload_cost(workload, Configuration(()))
+                bound = ideal_lower_bound(self.inum, workload, candidates)
+                return answer(
+                    Configuration((), name="ilp-recommendation"), objective,
+                    max(0.0, (objective - bound) / max(abs(objective), 1e-9)),
+                    timed_out=True)
+
+            selected = [index for index, variable in z_variables.items()
+                        if solution.value(variable) >= 0.5]
+            return answer(
+                Configuration(selected, name="ilp-recommendation"),
+                solution.objective, solution.gap,
+                timed_out=solution.timed_out or (budget is not None
+                                                 and budget.expired()))
 
     # ----------------------------------------------------------------- internals
     def _build_model(self, workload: Workload, candidates: CandidateSet,

@@ -22,7 +22,6 @@ workloads (the effect behind Table 1 / Figure 7 of the paper).
 from __future__ import annotations
 
 import random
-import time
 from typing import Sequence
 
 from repro.advisors.base import (
@@ -30,14 +29,14 @@ from repro.advisors.base import (
     Recommendation,
     weighted_statement_costs,
 )
-from repro.bench.metrics import baseline_configuration
 from repro.catalog.schema import Schema
 from repro.core.constraints import StorageBudgetConstraint, TuningConstraint
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
-from repro.indexes.configuration import Configuration
+from repro.indexes.configuration import Configuration, baseline_configuration
 from repro.indexes.index import Index, index_size_bytes
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
+from repro.obs.trace import stage
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.query import UpdateQuery
 from repro.workload.workload import Workload, WorkloadStatement
@@ -93,47 +92,50 @@ class RelaxationAdvisor(Advisor):
         if budget is not None:
             budget.start()
         timings: dict[str, float] = {}
-        started = time.perf_counter()
-        # Count template builds like CoPhy/ILP/DTA do, so cross-advisor
-        # optimizer-call comparisons stay apples to apples with INUM costing.
-        whatif_before = self.optimizer.whatif_calls + (
-            self.inum.template_build_calls if self.inum is not None else 0)
+        with stage(timings, "total", "search",
+                   statements=len(workload)) as node:
+            # Count template builds like CoPhy/ILP/DTA do, so cross-advisor
+            # optimizer-call comparisons stay apples to apples with INUM
+            # costing.
+            whatif_before = self.optimizer.whatif_calls + (
+                self.inum.template_build_calls if self.inum is not None else 0)
 
-        if candidates is None:
-            candidates = self.candidate_generator.generate(workload)
-        pruned = self._prune_candidates(workload, candidates)
+            if candidates is None:
+                candidates = self.candidate_generator.generate(workload)
+            pruned = self._prune_candidates(workload, candidates)
 
-        evaluation_sample = self._evaluation_sample(workload, pruned)
-        storage_budget = self._storage_budget(constraints)
-        # Optional fast path: cost probes through the workload gamma tensor.
-        eval_workload = None
-        if self.inum is not None:
-            eval_workload = Workload(evaluation_sample,
-                                     name=f"{workload.name}/evaluated")
+            evaluation_sample = self._evaluation_sample(workload, pruned)
+            storage_budget = self._storage_budget(constraints)
+            # Optional fast path: cost probes through the workload gamma tensor.
+            eval_workload = None
+            if self.inum is not None:
+                eval_workload = Workload(evaluation_sample,
+                                         name=f"{workload.name}/evaluated")
 
-        configuration = self._greedy_build(evaluation_sample, pruned,
-                                           storage_budget, eval_workload,
-                                           budget=budget)
-        configuration = self._relax(evaluation_sample, configuration,
-                                    storage_budget, eval_workload,
-                                    budget=budget)
+            configuration = self._greedy_build(evaluation_sample, pruned,
+                                               storage_budget, eval_workload,
+                                               budget=budget)
+            configuration = self._relax(evaluation_sample, configuration,
+                                        storage_budget, eval_workload,
+                                        budget=budget)
 
-        objective = self._workload_cost(evaluation_sample, configuration,
-                                        eval_workload)
-        timings["total"] = time.perf_counter() - started
-        return Recommendation(
-            configuration=configuration,
-            advisor_name=self.name,
-            objective_estimate=objective,
-            timings=timings,
-            candidate_count=len(pruned),
-            whatif_calls=(self.optimizer.whatif_calls
-                          + (self.inum.template_build_calls
-                             if self.inum is not None else 0) - whatif_before),
-            extras={"evaluated_statements": len(evaluation_sample)},
-            timed_out=budget is not None and budget.expired(),
-            solve_tier=budget.tier if budget is not None else "exact",
-        )
+            objective = self._workload_cost(evaluation_sample, configuration,
+                                            eval_workload)
+            node.set(candidates=len(pruned), indexes=len(configuration))
+            return Recommendation(
+                configuration=configuration,
+                advisor_name=self.name,
+                objective_estimate=objective,
+                timings=timings,
+                candidate_count=len(pruned),
+                whatif_calls=(self.optimizer.whatif_calls
+                              + (self.inum.template_build_calls
+                                 if self.inum is not None else 0)
+                              - whatif_before),
+                extras={"evaluated_statements": len(evaluation_sample)},
+                timed_out=budget is not None and budget.expired(),
+                solve_tier=budget.tier if budget is not None else "exact",
+            )
 
     # ----------------------------------------------------------------- internals
     def _prune_candidates(self, workload: Workload,

@@ -26,7 +26,6 @@ the monolithic recommendation up to solver gap tolerance.
 from __future__ import annotations
 
 import logging
-import time
 from typing import Sequence
 
 from repro.advisors.base import Advisor, Recommendation
@@ -46,7 +45,7 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
 from repro.obs.log import log_event
-from repro.obs.trace import adopt, span
+from repro.obs.trace import adopt, span, stage
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.scale.compress import compress_workload
 from repro.scale.executor import ShardExecutor
@@ -138,14 +137,19 @@ class ScaleOutAdvisor(Advisor):
         if budget is not None:
             budget.start()
         timings: dict[str, float] = {}
+        with stage(timings, "total"):
+            return self._tune(workload, hard, candidates, budget, timings)
+
+    def _tune(self, workload: Workload, hard: Sequence[TuningConstraint],
+              candidates: CandidateSet | None, budget: SolveBudget | None,
+              timings: dict[str, float]) -> Recommendation:
+        """The staged pipeline: compress, partition, shard solves, merge."""
         extras: dict = {}
-        started = time.perf_counter()
         whatif_before = self.optimizer.whatif_calls + self.inum.template_build_calls
 
         # 1. Compression: everything downstream sees representatives only.
-        compress_started = time.perf_counter()
-        with span("compress", enabled=self.compress,
-                  statements=len(workload)) as compress_span:
+        with stage(timings, "compress", enabled=self.compress,
+                   statements=len(workload)) as compress_span:
             if self.compress:
                 if self.signature == "gamma":
                     # Gamma signatures read every statement's templates and
@@ -164,7 +168,6 @@ class ScaleOutAdvisor(Advisor):
             else:
                 compressed = None
                 tuned = workload
-        timings["compress"] = time.perf_counter() - compress_started
 
         if candidates is None:
             candidates = self.candidate_generator.generate(tuned)
@@ -182,11 +185,11 @@ class ScaleOutAdvisor(Advisor):
             if blocker is None and (budget.tier == "heuristic"
                                     or budget.expired()):
                 self.inum.prepare(tuned, candidates)
-                heuristic_started = time.perf_counter()
-                heuristic = greedy_knapsack(self.inum, tuned, candidates,
-                                            hard, budget=budget)
-                timings["heuristic"] = time.perf_counter() - heuristic_started
-                timings["total"] = time.perf_counter() - started
+                with stage(timings, "heuristic") as node:
+                    heuristic = greedy_knapsack(self.inum, tuned, candidates,
+                                                hard, budget=budget)
+                    node.set(picked=len(heuristic.configuration),
+                             gap=round(heuristic.gap, 6))
                 extras["heuristic"] = {
                     "objective": heuristic.objective,
                     "lower_bound": heuristic.lower_bound,
@@ -210,15 +213,14 @@ class ScaleOutAdvisor(Advisor):
                 )
 
         # 2. Partitioning along the interaction graph + budget water-filling.
-        partition_started = time.perf_counter()
-        with span("partition", candidates=len(candidates)) as partition_span:
+        with stage(timings, "partition",
+                   candidates=len(candidates)) as partition_span:
             plan = partition_workload(tuned, candidates,
                                       shard_count=self.shard_count)
             storage_budget = self._storage_budget(hard)
             plan = split_budget(plan, candidates, storage_budget,
                                 oversubscription=self.budget_oversubscription)
             partition_span.set(shards=plan.shard_count)
-        timings["partition"] = time.perf_counter() - partition_started
         extras["partition"] = plan.summary()
 
         # 3. Per-shard solves (inline below 2 effective workers, else a
@@ -226,7 +228,6 @@ class ScaleOutAdvisor(Advisor):
         #    scales with the representatives).  An anytime budget is
         #    apportioned into equal wall-clock slices per shard wave, with a
         #    reserved fraction left over for the merge BIP.
-        solve_started = time.perf_counter()
         executor = ShardExecutor(workers=self.shard_workers,
                                  backend=self.backend,
                                  gap_tolerance=self.gap_tolerance,
@@ -238,8 +239,8 @@ class ScaleOutAdvisor(Advisor):
             shard_time_limit = budget.shard_slice_seconds(
                 plan.shard_count,
                 workers=executor.effective_workers(plan.shard_count))
-        with span("solve", shards=plan.shard_count,
-                  workers=executor.effective_workers(plan.shard_count)):
+        with stage(timings, "solve", shards=plan.shard_count,
+                   workers=executor.effective_workers(plan.shard_count)):
             results = executor.solve_shards(plan, self.schema,
                                             inum=self.inum,
                                             shard_time_limit=shard_time_limit,
@@ -254,7 +255,6 @@ class ScaleOutAdvisor(Advisor):
                 adopt(result.trace)
                 self.inum.adopt_built(result.built)
         adopted = sum(len(result.built) for result in results)
-        timings["solve"] = time.perf_counter() - solve_started
         extras["shard_workers"] = executor.effective_workers(plan.shard_count)
         extras["shards"] = [
             {"position": result.position,
@@ -291,12 +291,11 @@ class ScaleOutAdvisor(Advisor):
 
         # 4. Merge BIP over the union of winners under the global constraints
         #    (running on whatever wall clock the budget has left).
-        merge_started = time.perf_counter()
         winners = self._union_of_winners(survivors)
         merge_timed_out = False
         builds_before = self.inum.template_build_calls
-        with span("merge", winners=len(winners),
-                  adopted=adopted) as merge_span:
+        with stage(timings, "merge", winners=len(winners),
+                   adopted=adopted) as merge_span:
             if winners:
                 configuration, objective, gap, gap_trace, merge_stats, \
                     merge_timed_out = self._merge(tuned, winners, hard,
@@ -311,9 +310,7 @@ class ScaleOutAdvisor(Advisor):
                            timed_out=merge_timed_out,
                            template_builds=(self.inum.template_build_calls
                                             - builds_before))
-        timings["merge"] = time.perf_counter() - merge_started
         extras["merge"] = merge_stats
-        timings["total"] = time.perf_counter() - started
 
         # Process-pool shard solves run on worker-side optimizers whose work
         # the local counters never see; the results report it explicitly.

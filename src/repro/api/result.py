@@ -192,16 +192,13 @@ class TuningResult:
     def from_recommendation(cls, recommendation: Recommendation,
                             provenance: Mapping[str, Any],
                             statement_costs: Sequence[StatementCost] = (),
-                            facade_timings: Mapping[str, float] | None = None,
-                            trace: Mapping[str, Any] | None = None,
-                            profile: Mapping[str, Any] | None = None,
                             ) -> "TuningResult":
         """Normalise a legacy :class:`Recommendation` into a result.
 
         Node/iteration counts are lifted from the solve report when the
-        advisor recorded one in its extras.  ``trace`` (an exported span
-        tree) and ``profile`` (a sampled hotspot table) land in ``extras``
-        and travel with the payload; both are fingerprint-excluded.
+        advisor recorded one in its extras.  The facade adds its own stage
+        timings, and ``extras["trace"]`` / ``extras["profile"]``, once the
+        request's root span has closed.
         """
         nodes = iterations = 0
         report = recommendation.extras.get("solve_report")
@@ -209,16 +206,13 @@ class TuningResult:
         if solution is not None:
             nodes = int(getattr(solution, "nodes_explored", 0))
             iterations = int(getattr(solution, "iterations", 0))
-        timings = dict(recommendation.timings)
-        for stage, seconds in (facade_timings or {}).items():
-            timings[f"facade.{stage}"] = seconds
         diagnostics = TuningDiagnostics(
             gap=recommendation.gap,
             whatif_calls=recommendation.whatif_calls,
             candidate_count=recommendation.candidate_count,
             nodes_explored=nodes,
             iterations=iterations,
-            timings=timings,
+            timings=dict(recommendation.timings),
             gap_trace=recommendation.gap_trace,
             timed_out=recommendation.timed_out,
             solve_tier=recommendation.solve_tier,
@@ -226,11 +220,6 @@ class TuningResult:
             retries=recommendation.retries,
             faults_survived=recommendation.faults_survived,
         )
-        extras = dict(recommendation.extras)
-        if trace is not None:
-            extras["trace"] = dict(trace)
-        if profile is not None:
-            extras["profile"] = dict(profile)
         return cls(
             configuration=recommendation.configuration,
             advisor_name=recommendation.advisor_name,
@@ -238,7 +227,7 @@ class TuningResult:
             statement_costs=tuple(statement_costs),
             diagnostics=diagnostics,
             provenance=dict(provenance),
-            extras=extras,
+            extras=dict(recommendation.extras),
         )
 
     # ------------------------------------------------------------ serialization

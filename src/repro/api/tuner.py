@@ -35,6 +35,7 @@ from repro.inum.cache import InumCache
 from repro.obs.log import log_event
 from repro.obs.metrics import (
     MetricsRegistry,
+    active_registry,
     declare_standard_metrics,
     use_registry,
 )
@@ -45,7 +46,7 @@ from repro.obs.profile import (
     ensure_memory_tracking,
 )
 from repro.obs.store import TraceStore
-from repro.obs.trace import Tracer, activate, span
+from repro.obs.trace import Tracer, activate, span, stage
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.query import UpdateQuery
 from repro.workload.workload import Workload, WorkloadStatement
@@ -151,8 +152,6 @@ class SchemaContext:
                 statements' templates (wrong costs, or a shape crash deep in
                 the tensor), so the collision is rejected loudly at admission.
         """
-        from repro.obs.metrics import active_registry
-
         events = active_registry().counter(
             "repro_cache_events_total",
             "Hits and misses of the tuning-stack caches", ("cache", "event"))
@@ -446,74 +445,45 @@ def tune_in_context(request: TuningRequest, context: SchemaContext, *,
     recorded in the provenance when the service auto-namespaced the
     workload's statement names at admission.  ``fault_plan`` arms the
     ``solver`` fault site: the check fires before the advisor runs, so a
-    caller-level retry repeats a request the pipeline never started; the
-    plan is then armed process-wide for the duration of the solve, which is
-    how it reaches the downstream fault sites (shard executors, matrix
-    builds) without every advisor growing a ``fault_plan`` parameter.
+    caller-level retry repeats a request the pipeline never started.
 
-    Observability rides the same ambient pattern: ``tracing`` opens the
-    root ``tune`` span on a fresh :class:`~repro.obs.trace.Tracer`
-    (inheriting a pending trace id planted by the HTTP server or
-    :func:`~repro.obs.trace.trace_context`) and activates it for the
-    duration, so advisor/solver/executor spans nest under it without
-    parameters; ``metrics`` is activated the same way.  Request latency and
-    status are recorded even when the pipeline raises, the facade's
-    ``total`` timing is finalized in a ``finally``, and a failed request's
-    partial trace is exported to the structured log.
-
-    Performance introspection (PR 10): the lock/queue waits the serving
-    thread accumulated before the pipeline started are drained onto the
-    root span (``lock_wait_ms`` / ``queue_wait_ms``); ``profiler`` decides
-    per-request whether to run the pipeline under ``cProfile`` and attach
-    the hotspot table; ``trace_store`` retains the finished (or
-    failed-partial) trace for ``GET /v1/traces``; and the latency histogram
-    sample carries the trace id as an exemplar so a slow bucket can be
-    chased back to its stored trace.  All of it is observation only — the
-    result fingerprint is bit-identical with every knob on or off.
+    The body is the sequence of the facade's stages, each under its span,
+    all under the root ``tune`` span — opened through the ambient
+    :func:`~repro.obs.trace.stage` either way; ``tracing`` only decides
+    whether a fresh :class:`~repro.obs.trace.Tracer` (inheriting a pending
+    trace id, see :func:`~repro.obs.trace.trace_context`) keeps and exports
+    the tree.  The root's one reading is ``facade.total``, the
+    ``repro_request_seconds`` sample and the trace store's ``duration_ms``;
+    the ``finally`` records them, so a request that raises mid-stage still
+    reports its latency and logs a partial trace.  Observation only: the
+    fingerprint is bit-identical with every knob on or off.
     """
-    from repro.obs.metrics import active_registry
-    from repro.reliability.faults import armed, maybe_check
+    from repro.reliability.faults import maybe_check
 
-    started = time.perf_counter()
-    facade_timings: dict[str, float] = {}
     spec = request.resolved_advisor()
-    options = request.resolved_options()
     advisor_name = canonical_name(spec.name)
     tracer = Tracer(track_memory=profile_memory) if tracing else None
     registry = metrics if metrics is not None else active_registry()
+    timings: dict[str, float] = {}
     status, tier = "error", "none"
-    profile_capture: cProfile.Profile | None = None
-    profile_payload: dict[str, Any] | None = None
-    trace_payload: dict[str, Any] | None = None
+    capture = (cProfile.Profile() if profiler is not None
+               and profiler.should_capture() else None)
     try:
-        with contextlib.ExitStack() as scope:
-            scope.enter_context(use_registry(registry))
-            root = None
-            if tracer is not None:
-                scope.enter_context(activate(tracer))
-                root = scope.enter_context(tracer.span(
-                    "tune", advisor=advisor_name,
-                    request_id=request.request_id,
-                    schema=request.schema.name,
-                    statements=len(request.workload)))
-
-            # Attribute the waits that preceded the pipeline (context-lock
-            # acquisition, pool queueing) to this request's root span; the
-            # drain also clears the thread-local so pool-thread reuse never
-            # leaks one request's waits into the next.
-            waits = drain_pending_waits()
-            if root is not None:
-                if "lock_wait_s" in waits:
-                    root.set(lock_wait_ms=round(
-                        waits["lock_wait_s"] * 1000.0, 3))
-                if "queue_wait_s" in waits:
-                    root.set(queue_wait_ms=round(
-                        waits["queue_wait_s"] * 1000.0, 3))
-
-            if profiler is not None and profiler.should_capture():
-                profile_capture = cProfile.Profile()
-                profile_capture.enable()
-
+        with use_registry(registry), \
+                (activate(tracer) if tracer is not None
+                 else contextlib.nullcontext()), \
+                stage(timings, "facade.total", advisor=advisor_name,
+                      request_id=request.request_id,
+                      schema=request.schema.name,
+                      statements=len(request.workload)) as root:
+            # The context-lock and pool-queue waits that preceded the
+            # pipeline belong to this request (``lock_wait_ms`` /
+            # ``queue_wait_ms``); draining also keeps a reused pool thread
+            # from leaking them into the next one.
+            for wait, seconds in drain_pending_waits().items():
+                root.set(**{f"{wait[:-1]}ms": round(seconds * 1000.0, 3)})
+            if capture is not None:
+                capture.enable()
             # Anchor the anytime deadline here so facade work (candidate
             # resolution, cache preparation) spends the same budget the
             # advisor sees.
@@ -521,114 +491,167 @@ def tune_in_context(request: TuningRequest, context: SchemaContext, *,
             if budget is not None:
                 budget.start()
             maybe_check(fault_plan, "solver", key=advisor_name)
-
-            workload = context.canonical_workload(request.workload)
-            candidates = _resolve_candidates(request, context, workload)
-
-            advisor = make_advisor(spec.name, request.schema,
-                                   shared_optimizer=context.optimizer,
-                                   shared_inum=context.inum, **options)
-
-            # Request-scoped candidate registration: when the request names
-            # its candidate universe, the shared cache registers the columns
-            # before the advisor runs (idempotent + incremental — repeated
-            # requests only append genuinely new columns).
-            prepared = False
-            shares_cache = getattr(advisor, "inum", None) is context.inum
-            if candidates is not None and shares_cache:
-                prepare_started = time.perf_counter()
-                with span("prepare", candidates=len(candidates)):
-                    context.inum.prepare(workload, candidates)
-                facade_timings["prepare"] = \
-                    time.perf_counter() - prepare_started
-                prepared = True
-
-            plan_guard = (armed(fault_plan) if fault_plan is not None
-                          else contextlib.nullcontext())
-            with plan_guard:
-                if budget is None:
-                    # Budget-less requests take the exact legacy call —
-                    # custom advisors registered with a pre-anytime tune()
-                    # signature keep working.
-                    recommendation = advisor.tune(workload,
-                                                  request.constraints,
-                                                  candidates=candidates)
-                else:
-                    recommendation = advisor.tune(workload,
-                                                  request.constraints,
-                                                  candidates=candidates,
-                                                  budget=budget)
+            with span("canonicalize", statements=len(request.workload)):
+                workload = context.canonical_workload(request.workload)
+            advisor, candidates = _resolve(request, context, workload)
+            prepared = _prepare(context, advisor, workload, candidates, timings)
+            recommendation = _advise(root, advisor, workload, request,
+                                     candidates, budget, fault_plan)
             tier = recommendation.solve_tier
-
-            evaluate = request.per_statement_costs
-            if evaluate is None:
-                # Default: evaluate only advisors already wired to the
-                # context's gamma-matrix cache — the tensors exist, one
-                # reduction is free.  The black-box baselines
-                # (dta/relaxation without use_shared_inum) would pay a full
-                # INUM build they deliberately avoided, and scale-out exists
-                # to never cost the full workload monolithically.
-                evaluate = shares_cache and advisor_name != "scaleout"
-            statement_costs: tuple[StatementCost, ...] = ()
-            if evaluate:
-                evaluate_started = time.perf_counter()
-                with span("evaluate", statements=len(workload)):
-                    costs = context.inum.statement_costs(
-                        workload, recommendation.configuration)
-                statement_costs = tuple(
-                    StatementCost(statement=statement.query.name,
-                                  weight=statement.weight, cost=float(cost))
-                    for statement, cost in zip(workload, costs))
-                facade_timings["evaluate"] = \
-                    time.perf_counter() - evaluate_started
-
-            if root is not None:
-                root.set(tier=tier,
-                         whatif_calls=recommendation.whatif_calls,
-                         indexes=len(recommendation.configuration),
-                         retries=recommendation.retries,
-                         faults_survived=recommendation.faults_survived,
-                         degraded=recommendation.degraded)
+            statement_costs = _evaluate(request, context, advisor,
+                                        advisor_name, workload,
+                                        recommendation, timings)
+            result = _export(request, advisor, workload, candidates,
+                             recommendation, statement_costs,
+                             prepared=prepared, namespaced=namespaced)
             status = "degraded" if recommendation.degraded else "ok"
     finally:
-        # The total facade timing must exist even when the pipeline raises
-        # mid-stage, so failed requests still report latency and export a
-        # (partial) trace instead of vanishing without a timing record.
-        if profile_capture is not None:
-            profile_capture.disable()
-            profile_payload = profiler.hotspots(profile_capture)
+        profile = None
+        if capture is not None:
+            capture.disable()
+            profile = profiler.hotspots(capture)
         drain_pending_waits()  # discard in-pipeline residue
-        facade_timings["total"] = time.perf_counter() - started
-        registry.counter(
-            "repro_requests_total",
-            "Tuning requests served through the facade",
-            ("advisor", "tier", "status")).inc(
-            advisor=advisor_name, tier=tier, status=status)
-        registry.histogram(
-            "repro_request_seconds",
-            "End-to-end facade latency per tuning request",
-            ("advisor",)).observe(
-            facade_timings["total"], advisor=advisor_name,
-            exemplar=tracer.trace_id if tracer is not None else None)
-        trace_payload = tracer.export() if tracer is not None else None
-        if trace_store is not None and trace_payload is not None:
-            trace_store.record(
-                trace_payload, advisor=advisor_name, status=status,
-                duration_ms=facade_timings["total"] * 1000.0,
-                request_id=request.request_id, profile=profile_payload)
-        if status == "error" and tracer is not None:
-            log_event(logging.WARNING, "tune_failed",
-                      advisor=advisor_name, request_id=request.request_id,
-                      seconds=round(facade_timings["total"], 4),
-                      trace_id=tracer.trace_id, trace=trace_payload)
+        trace = _record_request(
+            request, advisor_name, tier, status, timings["facade.total"],
+            registry, tracer, trace_store, profile)
 
-    provenance = _provenance(request, spec, options, advisor, workload,
-                             candidates, prepared=prepared, evaluated=evaluate,
-                             namespaced=namespaced)
-    return TuningResult.from_recommendation(
-        recommendation, provenance=provenance,
-        statement_costs=statement_costs, facade_timings=facade_timings,
-        trace=trace_payload, profile=profile_payload)
+    result.diagnostics.timings.update(timings)
+    if trace is not None:
+        result.extras["trace"] = dict(trace)
+    if profile is not None:
+        result.extras["profile"] = dict(profile)
+    return result
+
+
+def _resolve(request: TuningRequest, context: SchemaContext,
+             workload: Workload) -> tuple[Advisor, CandidateSet | None]:
+    """The request's candidate universe, and its advisor wired to the
+    context's shared optimizer and cache."""
+    with span("resolve"):
+        candidates = _resolve_candidates(request, context, workload)
+        advisor = make_advisor(request.resolved_advisor().name,
+                               request.schema,
+                               shared_optimizer=context.optimizer,
+                               shared_inum=context.inum,
+                               **request.resolved_options())
+    return advisor, candidates
+
+
+def _prepare(context: SchemaContext, advisor: Advisor, workload: Workload,
+             candidates: CandidateSet | None,
+             timings: dict[str, float]) -> bool:
+    """Request-scoped candidate registration.
+
+    When the request names its candidate universe, the shared cache
+    registers the columns before the advisor runs (idempotent + incremental
+    — repeated requests only append genuinely new columns).
+    """
+    if candidates is None or getattr(advisor, "inum", None) is not context.inum:
+        return False
+    with stage(timings, "facade.prepare", candidates=len(candidates)):
+        context.inum.prepare(workload, candidates)
+    return True
+
+
+def _advise(root, advisor: Advisor, workload: Workload,
+            request: TuningRequest, candidates: CandidateSet | None,
+            budget, fault_plan) -> Recommendation:
+    """Run the advisor and note its outcome on the root span.
+
+    ``fault_plan`` is armed process-wide for the duration, which is how it
+    reaches the downstream fault sites (shard executors, matrix builds)
+    without every advisor growing a ``fault_plan`` parameter.
+    """
+    from repro.reliability.faults import armed
+
+    # Budget-less requests take the exact legacy call — custom advisors
+    # registered with a pre-anytime tune() signature keep working.
+    anytime = {} if budget is None else {"budget": budget}
+    with (armed(fault_plan) if fault_plan is not None
+          else contextlib.nullcontext()):
+        recommendation = advisor.tune(workload, request.constraints,
+                                      candidates=candidates, **anytime)
+    root.set(tier=recommendation.solve_tier,
+             whatif_calls=recommendation.whatif_calls,
+             indexes=len(recommendation.configuration),
+             retries=recommendation.retries,
+             faults_survived=recommendation.faults_survived,
+             degraded=recommendation.degraded)
+    return recommendation
+
+
+def _evaluate(request: TuningRequest, context: SchemaContext,
+              advisor: Advisor, advisor_name: str, workload: Workload,
+              recommendation: Recommendation, timings: dict[str, float]
+              ) -> tuple[StatementCost, ...] | None:
+    """Per-statement costs under the recommendation (None: not evaluated)."""
+    evaluate = request.per_statement_costs
+    if evaluate is None:
+        # Default: evaluate only advisors already wired to the context's
+        # gamma-matrix cache — the tensors exist, one reduction is free.
+        # The black-box baselines (dta/relaxation without use_shared_inum)
+        # would pay a full INUM build they deliberately avoided, and
+        # scale-out exists to never cost the full workload monolithically.
+        evaluate = (getattr(advisor, "inum", None) is context.inum
+                    and advisor_name != "scaleout")
+    if not evaluate:
+        return None
+    with stage(timings, "facade.evaluate", statements=len(workload)):
+        costs = context.inum.statement_costs(workload,
+                                             recommendation.configuration)
+        return tuple(
+            StatementCost(statement=statement.query.name,
+                          weight=statement.weight, cost=float(cost))
+            for statement, cost in zip(workload, costs))
+
+
+def _export(request: TuningRequest, advisor: Advisor, workload: Workload,
+            candidates: CandidateSet | None, recommendation: Recommendation,
+            statement_costs: tuple[StatementCost, ...] | None, *,
+            prepared: bool, namespaced: bool) -> TuningResult:
+    """Provenance plus the normalised result (timings, trace and profile
+    are attached once the root span has closed)."""
+    with span("export"):
+        provenance = _provenance(
+            request, request.resolved_advisor(), request.resolved_options(),
+            advisor, workload, candidates, prepared=prepared,
+            evaluated=statement_costs is not None, namespaced=namespaced)
+        return TuningResult.from_recommendation(
+            recommendation, provenance, statement_costs or ())
+
+
+def _record_request(request: TuningRequest, advisor_name: str, tier: str,
+                    status: str, seconds: float, registry: MetricsRegistry,
+                    tracer: Tracer | None, trace_store: TraceStore | None,
+                    profile: dict[str, Any] | None) -> dict[str, Any] | None:
+    """Count the request, sample its latency (the trace id is the exemplar,
+    so a slow bucket can be chased back to its stored trace), retain and
+    return its exported trace; a failed request's partial trace is logged."""
+    registry.counter(
+        "repro_requests_total",
+        "Tuning requests served through the facade",
+        ("advisor", "tier", "status")).inc(
+        advisor=advisor_name, tier=tier, status=status)
+    registry.histogram(
+        "repro_request_seconds",
+        "End-to-end facade latency per tuning request",
+        ("advisor",)).observe(
+        seconds, advisor=advisor_name,
+        exemplar=tracer.trace_id if tracer is not None else None)
+    if tracer is None:
+        return None
+    trace = tracer.export()
+    if trace_store is not None:
+        trace_store.record(
+            trace, advisor=advisor_name, status=status,
+            duration_ms=seconds * 1000.0,
+            request_id=request.request_id, profile=profile)
+    if status == "error":
+        log_event(logging.WARNING, "tune_failed",
+                  advisor=advisor_name, request_id=request.request_id,
+                  seconds=round(seconds, 4),
+                  trace_id=tracer.trace_id, trace=trace)
+    return trace
 
 
 def build_session_result(recommendation: Recommendation,

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.catalog.schema import Schema
-from repro.indexes.configuration import Configuration
+from repro.indexes.configuration import Configuration, baseline_configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -13,20 +12,6 @@ from repro.workload.workload import Workload
 
 __all__ = ["baseline_configuration", "workload_cost", "perf_improvement",
            "speedup_percent"]
-
-
-def baseline_configuration(schema: Schema) -> Configuration:
-    """The baseline ``X0``: one clustered primary-key index per table.
-
-    Mirrors the paper's evaluation baseline ("a configuration that contains
-    only the clustered primary key indexes").
-    """
-    indexes: list[Index] = []
-    for table in schema:
-        if table.primary_key:
-            indexes.append(Index(table.name, table.primary_key, clustered=True,
-                                 name=f"pk_{table.name}"))
-    return Configuration(indexes, name="baseline-clustered-pk")
 
 
 def workload_cost(optimizer: WhatIfOptimizer, workload: Workload,

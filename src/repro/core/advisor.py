@@ -7,8 +7,7 @@ reports the same execution-time breakdown the paper uses in its evaluation
 
 from __future__ import annotations
 
-import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
@@ -32,7 +31,7 @@ from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
-from repro.obs.trace import span
+from repro.obs.trace import stage
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.workload import Workload
@@ -136,7 +135,6 @@ class CoPhyAdvisor(Advisor):
         warm-starts the exact solve with whatever wall clock remains.
         """
         hard, soft = split_constraints(constraints)
-        tier = "exact" if budget is None else budget.tier
         if budget is not None:
             budget.start()
             if soft and budget.time_budget_ms is not None:
@@ -144,27 +142,39 @@ class CoPhyAdvisor(Advisor):
                     "Soft constraints are not budget-aware: the Pareto "
                     "exploration runs several exact solves; drop "
                     "time_budget_ms or make the constraints hard")
-        timings: dict[str, float] = {}
+        timings: dict[str, float] = {"candidate_generation": 0.0}
+        with stage(timings, "total"):
+            return self._tune(workload, hard, soft, candidates, dba_indexes,
+                              budget, timings)
 
-        started = time.perf_counter()
+    def _tune(self, workload: Workload, hard: Sequence[TuningConstraint],
+              soft: Sequence[SoftConstraint], candidates: CandidateSet | None,
+              dba_indexes: Iterable[Index], budget: SolveBudget | None,
+              timings: dict[str, float]) -> Recommendation:
+        """The staged pipeline; every return is one ``answer(...)``."""
+        tier = "exact" if budget is None else budget.tier
         if candidates is None:
-            with span("candidates") as node:
+            with stage(timings, "candidate_generation") as node:
                 candidates = self.generate_candidates(workload, dba_indexes)
                 node.set(candidates=len(candidates))
-        timings["candidate_generation"] = time.perf_counter() - started
 
         whatif_before = self.optimizer.whatif_calls + self.inum.template_build_calls
-        inum_started = time.perf_counter()
+
+        def answer(configuration: Configuration, objective: float, gap: float,
+                   **rest) -> Recommendation:
+            return Recommendation(
+                configuration=configuration, advisor_name=self.name,
+                objective_estimate=objective, timings=timings,
+                candidate_count=len(candidates),
+                whatif_calls=(self.optimizer.whatif_calls
+                              + self.inum.template_build_calls - whatif_before),
+                gap=gap, **rest)
+
         # Template enumeration plus gamma-matrix materialization for the full
         # candidate set: BIP coefficient assembly then only reads arrays.
-        with span("prepare", statements=len(workload),
-                  candidates=len(candidates)):
+        with stage(timings, "inum", statements=len(workload),
+                   candidates=len(candidates)):
             self.inum.prepare(workload, candidates)
-        timings["inum"] = time.perf_counter() - inum_started
-
-        def whatif_spent() -> int:
-            return (self.optimizer.whatif_calls
-                    + self.inum.template_build_calls - whatif_before)
 
         heuristic: HeuristicResult | None = None
         if tier in ("heuristic", "cascade") and not soft:
@@ -177,36 +187,25 @@ class CoPhyAdvisor(Advisor):
                     "not supported by solve_tier='heuristic'; use 'cascade' "
                     "or 'exact'")
             if blocker is None:
-                heuristic_started = time.perf_counter()
-                with span("greedy") as node:
+                with stage(timings, "heuristic") as node:
                     heuristic = greedy_knapsack(self.inum, workload,
                                                 candidates, hard, budget=budget)
                     node.set(picked=len(heuristic.configuration),
                              gap=round(heuristic.gap, 6))
-                timings["heuristic"] = time.perf_counter() - heuristic_started
                 if tier == "heuristic" or budget.expired():
-                    timings["total"] = time.perf_counter() - started
-                    return Recommendation(
-                        configuration=heuristic.configuration,
-                        advisor_name=self.name,
-                        objective_estimate=heuristic.objective,
-                        timings=timings,
-                        candidate_count=len(candidates),
-                        whatif_calls=whatif_spent(),
-                        gap=heuristic.gap,
+                    return answer(
+                        heuristic.configuration, heuristic.objective,
+                        heuristic.gap,
                         extras={"heuristic": _heuristic_extras(heuristic)},
-                        timed_out=budget.expired(),
-                        solve_tier="heuristic",
-                    )
+                        timed_out=budget.expired(), solve_tier="heuristic")
 
         # A deadline fallback exists when the cascade produced a greedy
         # incumbent, or when the constraint classes guarantee the empty
         # configuration is feasible (exactly the heuristic tier's classes).
         can_fallback = (heuristic is not None
                         or unsupported_constraint(hard) is None)
-        build_started = time.perf_counter()
         try:
-            with span("bip_build") as node:
+            with stage(timings, "build") as node:
                 bip = self.bip_builder.build(workload, candidates,
                                              budget=budget if can_fallback
                                              else None)
@@ -218,49 +217,35 @@ class CoPhyAdvisor(Advisor):
                             if isinstance(value, (int, float))
                             and "::" not in key})
         except BuildInterrupted:
-            timings["build"] = time.perf_counter() - build_started
             return self._deadline_fallback(workload, candidates, heuristic,
-                                           tier, timings, started,
-                                           whatif_spent())
-        timings["build"] = time.perf_counter() - build_started
+                                           tier, answer)
         if budget is not None and budget.expired() and can_fallback:
             # The build finished but ate the remaining clock; even starting
             # the exact solve (its root relaxation / presolve alone) could
             # dwarf the overrun, so answer with the best incumbent now.
             recommendation = self._deadline_fallback(
-                workload, candidates, heuristic, tier, timings, started,
-                whatif_spent())
+                workload, candidates, heuristic, tier, answer)
             recommendation.extras["bip"] = bip
             return recommendation
 
-        solve_started = time.perf_counter()
         extras: dict = {"bip_statistics": dict(bip.statistics)}
         if heuristic is not None:
             extras["heuristic"] = _heuristic_extras(heuristic)
         if soft:
-            with span("solve", mode="pareto") as node:
+            with stage(timings, "solve", mode="pareto") as node:
                 explorer = ParetoExplorer(self.solver)
                 points = explorer.explore(bip, soft, hard_constraints=hard)
                 node.set(points=len(points))
-            timings["solve"] = time.perf_counter() - solve_started
             best = max(points, key=lambda p: p.lambda_value)
             extras["pareto_points"] = points
-            recommendation = Recommendation(
-                configuration=best.configuration,
-                advisor_name=self.name,
-                objective_estimate=best.workload_cost,
-                timings=timings,
-                candidate_count=len(candidates),
-                whatif_calls=whatif_spent(),
-                gap=0.0,
-                extras=extras,
-            )
+            recommendation = answer(best.configuration, best.workload_cost,
+                                    0.0, extras=extras)
         else:
             warm_start = (bip.warm_start_from(heuristic.configuration)
                           if heuristic is not None else None)
             try:
-                with span("solve", warm_started=warm_start is not None) \
-                        as node:
+                with stage(timings, "solve",
+                           warm_started=warm_start is not None) as node:
                     report = self.solver.solve(bip, hard_constraints=hard,
                                                warm_start=warm_start,
                                                budget=budget)
@@ -275,23 +260,12 @@ class CoPhyAdvisor(Advisor):
                 # The deadline killed the exact solve before any incumbent
                 # (MILP backend, which cannot warm-start); the greedy result
                 # is still a valid feasible answer.
-                timings["solve"] = time.perf_counter() - solve_started
-                timings["total"] = time.perf_counter() - started
-                recommendation = Recommendation(
-                    configuration=heuristic.configuration,
-                    advisor_name=self.name,
-                    objective_estimate=heuristic.objective,
-                    timings=timings,
-                    candidate_count=len(candidates),
-                    whatif_calls=whatif_spent(),
-                    gap=heuristic.gap,
-                    extras=extras,
-                    timed_out=True,
-                    solve_tier="cascade",
-                )
+                recommendation = answer(
+                    heuristic.configuration, heuristic.objective,
+                    heuristic.gap, extras=extras, timed_out=True,
+                    solve_tier="cascade")
                 recommendation.extras["bip"] = bip
                 return recommendation
-            timings["solve"] = time.perf_counter() - solve_started
             extras["solve_report"] = report
             timed_out = report.timed_out or (budget is not None
                                              and budget.expired())
@@ -306,27 +280,17 @@ class CoPhyAdvisor(Advisor):
                 objective = heuristic.objective
                 bound = max(heuristic.lower_bound, report.solution.best_bound)
                 gap = max(0.0, (objective - bound) / max(abs(objective), 1e-9))
-            recommendation = Recommendation(
-                configuration=configuration,
-                advisor_name=self.name,
-                objective_estimate=objective,
-                timings=timings,
-                candidate_count=len(candidates),
-                whatif_calls=whatif_spent(),
-                gap=gap,
-                gap_trace=report.gap_trace,
-                extras=extras,
-                timed_out=timed_out,
-                solve_tier="cascade" if heuristic is not None else "exact",
-            )
-        timings["total"] = time.perf_counter() - started
+            recommendation = answer(
+                configuration, objective, gap, gap_trace=report.gap_trace,
+                extras=extras, timed_out=timed_out,
+                solve_tier="cascade" if heuristic is not None else "exact")
         recommendation.extras["bip"] = bip
         return recommendation
 
     def _deadline_fallback(self, workload: Workload, candidates: CandidateSet,
                            heuristic: HeuristicResult | None, tier: str,
-                           timings: dict[str, float], started: float,
-                           whatif_calls: int) -> Recommendation:
+                           answer: Callable[..., Recommendation]
+                           ) -> Recommendation:
         """Best-so-far answer when the deadline fires before the exact solve.
 
         The greedy incumbent when the cascade produced one; otherwise the
@@ -335,34 +299,17 @@ class CoPhyAdvisor(Advisor):
         reported with its finite gap against the ideal all-candidates bound.
         """
         if heuristic is not None:
-            timings["total"] = time.perf_counter() - started
-            return Recommendation(
-                configuration=heuristic.configuration,
-                advisor_name=self.name,
-                objective_estimate=heuristic.objective,
-                timings=timings,
-                candidate_count=len(candidates),
-                whatif_calls=whatif_calls,
-                gap=heuristic.gap,
-                extras={"heuristic": _heuristic_extras(heuristic)},
-                timed_out=True,
-                solve_tier="cascade",
-            )
+            return answer(heuristic.configuration, heuristic.objective,
+                          heuristic.gap,
+                          extras={"heuristic": _heuristic_extras(heuristic)},
+                          timed_out=True, solve_tier="cascade")
         empty = Configuration((), name="cophy-recommendation")
         objective = self.inum.workload_cost(workload, empty)
         bound = ideal_lower_bound(self.inum, workload, candidates)
-        timings["total"] = time.perf_counter() - started
-        return Recommendation(
-            configuration=empty,
-            advisor_name=self.name,
-            objective_estimate=objective,
-            timings=timings,
-            candidate_count=len(candidates),
-            whatif_calls=whatif_calls,
-            gap=max(0.0, (objective - bound) / max(abs(objective), 1e-9)),
-            timed_out=True,
-            solve_tier=tier,
-        )
+        return answer(
+            empty, objective,
+            max(0.0, (objective - bound) / max(abs(objective), 1e-9)),
+            timed_out=True, solve_tier=tier)
 
     def explore_tradeoffs(self, workload: Workload,
                           soft_constraints: Sequence[SoftConstraint],

@@ -28,7 +28,6 @@ requires.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -73,7 +72,6 @@ class CophyBip:
     y_variables: dict[tuple[str, int], Variable]
     x_variables: dict[SlotKey, dict[Index | None, Variable]]
     cost_expression: LinearExpression
-    build_seconds: float = 0.0
     statistics: dict[str, float] = field(default_factory=dict)
     slot_constraints: dict[SlotKey, Constraint] = field(default_factory=dict)
     #: Per-statement weight overrides the BIP was built with (by statement
@@ -245,7 +243,6 @@ class BipBuilder:
         Raises:
             BuildInterrupted: When ``budget``'s deadline fires mid-build.
         """
-        started = time.perf_counter()
         model = Model(name=model_name)
         statistics: dict[str, float] = {}
 
@@ -301,7 +298,6 @@ class BipBuilder:
             y_variables=y_variables,
             x_variables=x_variables,
             cost_expression=cost_expression,
-            build_seconds=time.perf_counter() - started,
             statistics=statistics,
             slot_constraints=slot_constraints,
             statement_weights=overrides,
@@ -323,7 +319,6 @@ class BipBuilder:
         added = [index for index in added_candidates if index not in bip.candidates]
         if not added:
             return bip
-        started = time.perf_counter()
         model = bip.model
         for index in added:
             bip.candidates.add(index)
@@ -338,7 +333,6 @@ class BipBuilder:
                                    added, bip, objective_terms, tensor)
         bip.cost_expression = LinearExpression(objective_terms, objective_constant)
         model.set_objective(bip.cost_expression)
-        bip.build_seconds += time.perf_counter() - started
         bip.statistics["variables"] = float(model.variable_count)
         bip.statistics["constraints"] = float(model.constraint_count)
         bip.statistics["candidates"] = float(len(bip.candidates))

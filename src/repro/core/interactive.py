@@ -16,7 +16,6 @@ that surface and the legacy ``CoPhyAdvisor.create_session`` entry point.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 from repro.advisors.base import Recommendation
@@ -27,6 +26,7 @@ from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.lp.constraint import Constraint
+from repro.obs.trace import stage
 from repro.workload.workload import Workload
 
 __all__ = ["InteractiveTuningSession"]
@@ -93,49 +93,39 @@ class InteractiveTuningSession:
         """Produce the initial recommendation (full INUM + build + solve)."""
         advisor = self._advisor
         timings: dict[str, float] = {}
-        started = time.perf_counter()
-
-        inum_started = time.perf_counter()
-        advisor.inum.build_workload(self._workload)
-        timings["inum"] = time.perf_counter() - inum_started
-
-        build_started = time.perf_counter()
-        self._bip = advisor.bip_builder.build(self._workload, self._candidates)
-        # A fresh BIP has no pin rows; stale entries would otherwise make a
-        # later add_candidates() take the restore path (a no-op on the new
-        # model) and silently skip creating the candidate's variables.
-        self._pinned_out = {}
-        timings["build"] = time.perf_counter() - build_started
-
-        recommendation = self._solve(timings, warm_start=None)
-        timings["total"] = time.perf_counter() - started
-        return recommendation
+        with stage(timings, "total"):
+            with stage(timings, "inum", statements=len(self._workload)):
+                advisor.inum.build_workload(self._workload)
+            with stage(timings, "build"):
+                self._bip = advisor.bip_builder.build(self._workload,
+                                                      self._candidates)
+                # A fresh BIP has no pin rows; stale entries would otherwise
+                # make a later add_candidates() take the restore path (a no-op
+                # on the new model) and silently skip creating the
+                # candidate's variables.
+                self._pinned_out = {}
+            return self._solve(timings, warm_start=None)
 
     def add_candidates(self, new_indexes: Iterable[Index]) -> Recommendation:
         """Re-tune after the DBA adds candidate indexes (delta BIP + warm start)."""
         if self._bip is None:
             self._candidates.add_all(new_indexes)
             return self.recommend()
-        advisor = self._advisor
         timings: dict[str, float] = {"inum": 0.0}
-        started = time.perf_counter()
-
-        build_started = time.perf_counter()
-        new_indexes = list(new_indexes)
-        # Candidates that were pinned out earlier come back by dropping their
-        # pin rows — their variables and coefficients are still in the BIP.
-        restored = [index for index in new_indexes if index in self._pinned_out]
-        if restored:
-            self._bip.model.remove_constraints(
-                [self._pinned_out.pop(index) for index in restored])
-            self._candidates.add_all(restored)
-        advisor.bip_builder.extend(self._bip, new_indexes)
-        timings["build"] = time.perf_counter() - build_started
-
-        warm_start = self._warm_start_values()
-        recommendation = self._solve(timings, warm_start=warm_start)
-        timings["total"] = time.perf_counter() - started
-        return recommendation
+        with stage(timings, "total"):
+            with stage(timings, "build"):
+                new_indexes = list(new_indexes)
+                # Candidates that were pinned out earlier come back by
+                # dropping their pin rows — their variables and coefficients
+                # are still in the BIP.
+                restored = [index for index in new_indexes
+                            if index in self._pinned_out]
+                if restored:
+                    self._bip.model.remove_constraints(
+                        [self._pinned_out.pop(index) for index in restored])
+                    self._candidates.add_all(restored)
+                self._advisor.bip_builder.extend(self._bip, new_indexes)
+            return self._solve(timings, self._warm_start_values())
 
     def remove_candidates(self, removed_indexes: Iterable[Index]) -> Recommendation:
         """Re-tune after the DBA retracts candidate indexes (pinned delta BIP).
@@ -152,26 +142,21 @@ class InteractiveTuningSession:
         if self._bip is None:
             return self.recommend()
         timings: dict[str, float] = {"inum": 0.0}
-        started = time.perf_counter()
-
-        build_started = time.perf_counter()
-        for index in removed:
-            variable = self._bip.z_variables.get(index)
-            if variable is None or index in self._pinned_out:
-                continue
-            self._pinned_out[index] = self._bip.model.add_constraint(
-                (1.0 * variable) <= 0.0, name=f"removed[{index.name}]")
-        timings["build"] = time.perf_counter() - build_started
-
-        warm_start = None
-        if self._last_recommendation is not None:
-            survivors = Configuration(
-                [index for index in self._last_recommendation.configuration
-                 if index not in set(removed)])
-            warm_start = self._bip.warm_start_from(survivors)
-        recommendation = self._solve(timings, warm_start=warm_start)
-        timings["total"] = time.perf_counter() - started
-        return recommendation
+        with stage(timings, "total"):
+            with stage(timings, "build"):
+                for index in removed:
+                    variable = self._bip.z_variables.get(index)
+                    if variable is None or index in self._pinned_out:
+                        continue
+                    self._pinned_out[index] = self._bip.model.add_constraint(
+                        (1.0 * variable) <= 0.0, name=f"removed[{index.name}]")
+            warm_start = None
+            if self._last_recommendation is not None:
+                survivors = Configuration(
+                    [index for index in self._last_recommendation.configuration
+                     if index not in set(removed)])
+                warm_start = self._bip.warm_start_from(survivors)
+            return self._solve(timings, warm_start)
 
     def update_constraints(self,
                            constraints: Sequence[TuningConstraint | SoftConstraint]
@@ -181,11 +166,8 @@ class InteractiveTuningSession:
         if self._bip is None:
             return self.recommend()
         timings: dict[str, float] = {"inum": 0.0, "build": 0.0}
-        started = time.perf_counter()
-        warm_start = self._warm_start_values()
-        recommendation = self._solve(timings, warm_start=warm_start)
-        timings["total"] = time.perf_counter() - started
-        return recommendation
+        with stage(timings, "total"):
+            return self._solve(timings, self._warm_start_values())
 
     # ---------------------------------------------------------------- internals
     def _warm_start_values(self):
@@ -195,10 +177,12 @@ class InteractiveTuningSession:
 
     def _solve(self, timings: dict[str, float], warm_start) -> Recommendation:
         advisor = self._advisor
-        solve_started = time.perf_counter()
-        report = advisor.solver.solve(self._bip, hard_constraints=self._hard,
-                                      warm_start=warm_start)
-        timings["solve"] = time.perf_counter() - solve_started
+        with stage(timings, "solve",
+                   warm_started=warm_start is not None) as node:
+            report = advisor.solver.solve(self._bip,
+                                          hard_constraints=self._hard,
+                                          warm_start=warm_start)
+            node.set(gap=round(report.gap, 6), timed_out=report.timed_out)
         recommendation = Recommendation(
             configuration=report.configuration,
             advisor_name=advisor.name,

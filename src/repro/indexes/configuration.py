@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping
 
+from repro.catalog.schema import Schema
 from repro.exceptions import IndexDefinitionError
 from repro.indexes.index import Index
 
-__all__ = ["Configuration", "AtomicConfiguration", "atomic_configurations"]
+__all__ = ["Configuration", "AtomicConfiguration", "atomic_configurations",
+           "baseline_configuration"]
 
 
 class Configuration:
@@ -97,6 +99,20 @@ class Configuration:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Configuration({len(self._indexes)} indexes)"
+
+
+def baseline_configuration(schema: Schema) -> Configuration:
+    """The baseline ``X0``: one clustered primary-key index per table.
+
+    Mirrors the paper's evaluation baseline ("a configuration that contains
+    only the clustered primary key indexes").
+    """
+    indexes: list[Index] = []
+    for table in schema:
+        if table.primary_key:
+            indexes.append(Index(table.name, table.primary_key, clustered=True,
+                                 name=f"pk_{table.name}"))
+    return Configuration(indexes, name="baseline-clustered-pk")
 
 
 class AtomicConfiguration:

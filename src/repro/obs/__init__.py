@@ -6,8 +6,13 @@ the advisor/solver layers):
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing nested spans with
   monotonic durations and attributes.  The active tracer travels via a
   ``contextvars`` context variable, so deep layers call the module-level
-  :func:`~repro.obs.trace.span` helper and no-op (one contextvar read) when
-  nothing is recording.  A per-request ``trace_id`` propagates over the wire
+  :func:`~repro.obs.trace.span` helper, which times the block either way
+  and keeps the span only when a tracer is recording.  The span is the
+  pipeline's one stage clock: :func:`~repro.obs.trace.stage` books a stage
+  span's seconds under its ``timings`` key
+  (:data:`~repro.obs.trace.STAGE_SPANS` binds the two names), so the
+  ``timings`` of a result are readings of the spans of its trace.
+  A per-request ``trace_id`` propagates over the wire
   in the ``X-Repro-Trace-Id`` header and into shard worker processes; the
   finished span tree is exported in ``TuningResult.extras["trace"]`` and —
   like timings — excluded from ``fingerprint()``.
@@ -71,6 +76,7 @@ from repro.obs.trace import (
     current_trace_id,
     new_trace_id,
     span,
+    stage,
     trace_context,
 )
 
@@ -92,6 +98,7 @@ __all__ = [
     "new_trace_id",
     "note_queue_wait",
     "span",
+    "stage",
     "trace_context",
     "use_registry",
 ]

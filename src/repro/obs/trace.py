@@ -3,12 +3,18 @@
 One :class:`Tracer` records one request.  The facade
 (:func:`repro.api.tuner.tune_in_context`) creates it, activates it on a
 ``contextvars`` context variable and opens the root ``tune`` span; every
-deeper layer — advisors, the branch-and-bound solver, the shard executor —
-calls the module-level :func:`span` helper, which nests under whatever span
-is currently open and costs a single contextvar read (returning the shared
-no-op span) when nothing is recording.  The layers therefore carry no
-tracer parameters, and code running outside a traced request stays exactly
-as fast as before.
+deeper layer — advisors, interactive sessions, the shard executor — calls
+the module-level :func:`span` helper, which nests under whatever span is
+currently open.  The layers therefore carry no tracer parameters.
+
+The span is also the pipeline's only stage clock.  :func:`span` always
+yields a timed :class:`Span` whose ``seconds`` can be read after the block;
+with no ambient tracer the span is *detached* — nothing retains or logs it
+and ``is_recording`` is false — so an untraced stage costs what the
+stopwatch it replaced did.  :func:`stage` books that reading into a
+``timings`` dict, and :data:`STAGE_SPANS` is the one table binding the
+payload's timing keys to the span names; spans are opened per stage, never
+inside a solver or costing loop.
 
 Trace identity and propagation:
 
@@ -43,9 +49,10 @@ import uuid
 from contextvars import ContextVar
 from typing import Any, Iterator
 
-__all__ = ["Span", "Tracer", "activate", "adopt", "current_span",
-           "current_tracer", "current_trace_id", "new_trace_id",
-           "pending_trace_id", "span", "trace_context"]
+__all__ = ["STAGE_SPANS", "Span", "Tracer", "activate", "adopt",
+           "current_span", "current_tracer", "current_trace_id",
+           "new_trace_id", "pending_trace_id", "span", "stage",
+           "trace_context"]
 
 #: The tracer recording the current request (None = tracing off).
 _ACTIVE: ContextVar["Tracer | None"] = ContextVar("repro_tracer",
@@ -66,6 +73,9 @@ class Span:
     ``attrs`` hold whatever the instrumented layer reports (node counts,
     shard ids, retry attempts, …); :meth:`set` adds more after the span
     opened — typically outcomes known only once the stage finished.
+    ``seconds`` is the span's elapsed time once it finished — the reading
+    every ``timings`` entry is taken from.  ``is_recording`` tells whether
+    a tracer keeps the span in its tree or it is a detached stopwatch.
 
     Resource accounting (PR 10): every span records the CPU seconds its
     thread spent inside it (``attrs["cpu_ms"]``, via ``time.thread_time`` —
@@ -75,38 +85,39 @@ class Span:
     its own start (``attrs["mem_peak_kb"]``).
     """
 
-    __slots__ = ("name", "attrs", "children", "_started", "_cpu_started",
-                 "_mem_started", "duration_ms")
+    __slots__ = ("name", "attrs", "children", "is_recording", "_opened",
+                 "_cpu_opened", "_mem_opened", "seconds")
 
-    def __init__(self, name: str, attrs: dict[str, Any] | None = None,
-                 track_memory: bool = False):
+    def __init__(self, name: str | None, attrs: dict[str, Any] | None = None,
+                 track_memory: bool = False, recording: bool = True):
         self.name = name
         self.attrs: dict[str, Any] = dict(attrs or {})
         #: Finished child spans (Span objects) or adopted payload dicts.
         self.children: list[Any] = []
-        self._started = time.perf_counter()
-        self._cpu_started = time.thread_time()
-        self._mem_started = (tracemalloc.get_traced_memory()[0]
-                             if track_memory and tracemalloc.is_tracing()
-                             else None)
-        self.duration_ms: float = 0.0
+        self.is_recording = recording
+        self._opened = time.perf_counter()
+        self._cpu_opened = time.thread_time()
+        self._mem_opened = (tracemalloc.get_traced_memory()[0]
+                            if track_memory and tracemalloc.is_tracing()
+                            else None)
+        self.seconds: float = 0.0
 
     @property
-    def is_recording(self) -> bool:
-        return True
+    def duration_ms(self) -> float:
+        return self.seconds * 1000.0
 
     def set(self, **attrs: Any) -> None:
         """Attach (or overwrite) attributes on the open span."""
         self.attrs.update(attrs)
 
     def finish(self) -> None:
-        self.duration_ms = (time.perf_counter() - self._started) * 1000.0
-        cpu_ms = (time.thread_time() - self._cpu_started) * 1000.0
+        self.seconds = time.perf_counter() - self._opened
+        cpu_ms = (time.thread_time() - self._cpu_opened) * 1000.0
         self.attrs["cpu_ms"] = round(cpu_ms, 3)
-        if self._mem_started is not None and tracemalloc.is_tracing():
+        if self._mem_opened is not None and tracemalloc.is_tracing():
             peak = tracemalloc.get_traced_memory()[1]
             self.attrs["mem_peak_kb"] = round(
-                max(0.0, peak - self._mem_started) / 1024.0, 1)
+                max(0.0, peak - self._mem_opened) / 1024.0, 1)
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -116,22 +127,6 @@ class Span:
             "children": [child.to_payload() if isinstance(child, Span)
                          else child for child in self.children],
         }
-
-
-class _NoopSpan:
-    """The shared do-nothing span handed out when no tracer is active."""
-
-    __slots__ = ()
-
-    @property
-    def is_recording(self) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-
-NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
@@ -236,19 +231,61 @@ def current_trace_id() -> str | None:
 
 
 @contextlib.contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Any]:
-    """Open a span on the ambient tracer; a shared no-op when tracing is off.
+def span(name: str | None, **attrs: Any) -> Iterator[Span]:
+    """Open a timed span: on the ambient tracer's tree, else detached.
 
     The instrumentation call sites throughout the stack all go through
-    here, so a process that never activates a tracer pays one contextvar
-    read per would-be span and nothing else.
+    here.  With no tracer active — or no ``name`` to file it under — the
+    span is one nothing retains or logs: only its ``seconds`` outlive the
+    block.
     """
     tracer = _ACTIVE.get()
-    if tracer is None:
-        yield NOOP_SPAN
+    if tracer is not None and name is not None:
+        with tracer.span(name, **attrs) as node:
+            yield node
         return
-    with tracer.span(name, **attrs) as node:
+    node = Span(name, attrs, recording=False)
+    try:
         yield node
+    finally:
+        node.finish()
+
+
+#: Payload timing key -> span name: the two public vocabularies of one
+#: measurement.  ``total`` (an advisor's or session step's whole run) is not
+#: a stage: its span is named by whoever owns the run, and stays detached
+#: where the run's stages already are the nodes of the request's tree.
+STAGE_SPANS: dict[str, str] = {
+    "candidate_generation": "candidates",
+    "inum": "prepare",
+    "heuristic": "greedy",
+    "build": "bip_build",
+    "solve": "solve",
+    "compress": "compress",
+    "partition": "partition",
+    "merge": "merge",
+    "facade.prepare": "prepare",
+    "facade.evaluate": "evaluate",
+    "facade.total": "tune",
+}
+
+
+@contextlib.contextmanager
+def stage(timings: dict[str, float], key: str, run: str | None = None,
+          **attrs: Any) -> Iterator[Span]:
+    """Run one pipeline stage under its span and book its reading.
+
+    The span is named ``STAGE_SPANS[key]``; on exit — normal, early return
+    or raise — its ``seconds`` are added to ``timings[key]``, so a stage
+    that repeats sums.  ``stage(timings, "total", run)`` around the other
+    stages is the whole run: traced as ``run`` when given, detached when not.
+    """
+    name = run if key == "total" else STAGE_SPANS[key]
+    try:
+        with span(name, **attrs) as node:
+            yield node
+    finally:
+        timings[key] = timings.get(key, 0.0) + node.seconds
 
 
 def adopt(payload: dict[str, Any] | None) -> None:

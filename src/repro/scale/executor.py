@@ -404,7 +404,6 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
             shard_span.set(queue_wait_ms=round(queue_wait_ms, 3))
         maybe_check(fault_plan, "shard_solve", key=shard.position,
                     attempt=attempt, in_worker=in_worker)
-        started = time.perf_counter()
         candidates = CandidateSet(inum.schema, shard.candidates)
         inum.prepare(shard.workload, candidates)
         bip = BipBuilder(inum).build(shard.workload, candidates,
@@ -419,20 +418,20 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
         report = solver.solve(bip, hard_constraints=constraints)
         shard_span.set(gap=round(report.gap, 6), timed_out=report.timed_out,
                        indexes=len(report.configuration.indexes))
-        return ShardResult(
-            position=shard.position,
-            indexes=report.configuration.indexes,
-            objective=report.objective,
-            gap=report.gap,
-            solve_seconds=time.perf_counter() - started,
-            timed_out=report.timed_out,
-            statistics={
-                "statements": float(len(shard.workload)),
-                "candidates": float(len(shard.candidates)),
-                "variables": bip.statistics.get("variables", 0.0),
-                "constraints": bip.statistics.get("constraints", 0.0),
-            },
-        )
+    return ShardResult(
+        position=shard.position,
+        indexes=report.configuration.indexes,
+        objective=report.objective,
+        gap=report.gap,
+        solve_seconds=shard_span.seconds,
+        timed_out=report.timed_out,
+        statistics={
+            "statements": float(len(shard.workload)),
+            "candidates": float(len(shard.candidates)),
+            "variables": bip.statistics.get("variables", 0.0),
+            "constraints": bip.statistics.get("constraints", 0.0),
+        },
+    )
 
 
 def _solve_shard_job(job: tuple) -> ShardResult:

@@ -212,10 +212,15 @@ class TestInteractiveTuning:
         session = advisor.create_session(simple_workload, candidates=initial)
         first = session.recommend()
         inum_calls_after_first = advisor.inum.template_build_calls
+        model = session.bip.model
+        variables, constraints = model.variable_count, model.constraint_count
         second = session.add_candidates(all_candidates[len(all_candidates) // 2:])
         assert advisor.inum.template_build_calls == inum_calls_after_first
         assert second.extras["warm_started"]
-        assert second.timings["build"] < first.timings["build"] + 1e-3
+        # The delta build is cheaper than the initial one in work, not in
+        # wall clock: it adds fewer variables and rows than were created.
+        assert 0 < model.variable_count - variables < variables
+        assert 0 < model.constraint_count - constraints < constraints
         # More candidates can only help the objective.
         assert second.objective_estimate <= first.objective_estimate + 1e-6
 

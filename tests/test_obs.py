@@ -29,13 +29,18 @@ from repro.obs.metrics import (
     use_registry,
 )
 from repro.obs.trace import (
+    STAGE_SPANS,
     Tracer,
     activate,
     current_trace_id,
+    current_tracer,
     span,
+    stage,
     trace_context,
 )
+from repro.api.registry import make_advisor
 from repro.core.constraints import StorageBudgetConstraint
+from repro.indexes.candidate_generation import CandidateGenerator
 from repro.server.app import TuningServer, _endpoint_pattern
 from repro.server.client import TuningClient
 from repro.server.protocol import TRACE_HEADER
@@ -306,6 +311,189 @@ class TestSpanTreeShapes:
         restored = TuningResult.from_json(result.to_json())
         assert restored.extras["trace"] == result.extras["trace"]
         assert restored.fingerprint() == result.fingerprint()
+
+
+# -------------------------------------------------------------------- one clock
+_STAGES = {"candidate_generation", "inum", "build", "solve", "total"}
+#: (advisor, solve tier) -> the advisor's ``timings`` vocabulary, and the span
+#: its ``total`` is read from (None: detached — the stages are the tree).
+_ADVISOR_TIMINGS = {
+    ("cophy", None): (_STAGES, None),
+    ("cophy", "cascade"): (_STAGES | {"heuristic"}, None),
+    ("cophy", "heuristic"): (_STAGES - {"build", "solve"} | {"heuristic"},
+                             None),
+    ("ilp", None): (_STAGES - {"candidate_generation"}, None),
+    ("scaleout", None): ({"compress", "partition", "solve", "merge", "total"},
+                         None),
+    ("dta", None): ({"total"}, "search"),
+    ("relaxation", None): ({"total"}, "search"),
+}
+
+
+def _seconds(root, name):
+    """Summed reading of the stage spans called ``name`` directly under
+    ``root`` — live Span objects, so exactly what ``timings`` was read from."""
+    return sum(child.seconds for child in root.children
+               if child.name == name)
+
+
+class TestOneClock:
+    @pytest.mark.parametrize("advisor,tier", list(_ADVISOR_TIMINGS))
+    def test_timing_keys_per_advisor_with_tracing_on_and_off(
+            self, simple_schema, simple_workload, advisor, tier):
+        stages, _ = _ADVISOR_TIMINGS[advisor, tier]
+        request = TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            constraints=[StorageBudgetConstraint.from_fraction_of_data(
+                simple_schema, 1.0)],
+            advisor=AdvisorSpec(advisor, solve_tier=tier))
+        for tracing in (True, False):
+            result = Tuner(tracing=tracing).tune(request)
+            pipeline = result.provenance["pipeline"]
+            facade = {"facade.total"}
+            facade |= {"facade.prepare"} if pipeline["prepared"] else set()
+            facade |= {"facade.evaluate"} if pipeline["evaluated"] else set()
+            assert set(result.diagnostics.timings) == stages | facade
+
+    def test_session_operations_report_the_same_four_keys(
+            self, simple_schema, simple_workload):
+        advisor = make_advisor("cophy", simple_schema)
+        candidates = list(advisor.generate_candidates(simple_workload))
+        session = advisor.create_session(
+            simple_workload,
+            candidates=advisor.generate_candidates(simple_workload).subset(
+                candidates[:-2]))
+        budget = StorageBudgetConstraint.from_fraction_of_data(
+            simple_schema, 0.5)
+        for step in (session.recommend(),
+                     session.add_candidates(candidates[-2:]),
+                     session.remove_candidates(candidates[-1:]),
+                     session.update_constraints([budget])):
+            assert set(step.timings) == {"inum", "build", "solve", "total"}
+
+    @pytest.mark.parametrize("advisor,tier", list(_ADVISOR_TIMINGS))
+    def test_advisor_timings_are_the_readings_of_their_spans(
+            self, simple_schema, simple_workload, advisor, tier):
+        from repro.lp.budget import SolveBudget
+
+        stages, run = _ADVISOR_TIMINGS[advisor, tier]
+        tracer = Tracer()
+        with activate(tracer), tracer.span("test") as root:
+            timings = make_advisor(advisor, simple_schema).tune(
+                simple_workload,
+                [StorageBudgetConstraint.from_fraction_of_data(
+                    simple_schema, 1.0)],
+                **({"budget": SolveBudget.from_spec(None, tier)} if tier else {})
+            ).timings
+        assert set(timings) == stages
+        for key in stages - {"total"}:
+            assert timings[key] == _seconds(root, STAGE_SPANS[key])
+        if run is not None:
+            assert timings["total"] == _seconds(root, run)
+
+    def test_facade_timings_are_the_readings_of_the_root_and_its_stages(
+            self, simple_schema, simple_workload):
+        candidates = CandidateGenerator(simple_schema).generate(
+            simple_workload)
+        tracer = Tracer()
+        with activate(tracer):
+            # tracing=False: the facade keeps no tree of its own, so its
+            # ambient spans land on this tracer as live Span objects.
+            result = Tuner(tracing=False).tune(TuningRequest(
+                workload=simple_workload, schema=simple_schema,
+                candidates=candidates))
+        timings, root = result.diagnostics.timings, tracer.root
+        assert "trace" not in result.extras
+        assert root.name == STAGE_SPANS["facade.total"] == "tune"
+        assert timings["facade.total"] == root.seconds
+        assert timings["facade.evaluate"] == _seconds(root, "evaluate")
+        # Both vocabularies call their cache preparation ``prepare``: the
+        # facade's registration first, then the advisor's INUM stage.
+        assert [child.seconds for child in root.children
+                if child.name == "prepare"] \
+            == [timings["facade.prepare"], timings["inum"]]
+        assert [child.name for child in root.children] == [
+            "canonicalize", "resolve", "prepare", "prepare", "bip_build",
+            "solve", "evaluate", "export"]
+
+    def test_a_repeated_stage_sums_and_a_run_reads_its_own_span(self):
+        timings = {}
+        tracer = Tracer()
+        with activate(tracer), tracer.span("test") as root:
+            with stage(timings, "total"):
+                for _ in range(3):
+                    with stage(timings, "solve"):
+                        pass
+        # The run is not a stage of the table: detached, it left no node;
+        # the three stages did.
+        assert "total" not in STAGE_SPANS
+        assert [child.name for child in root.children] == ["solve"] * 3
+        assert timings["solve"] == _seconds(root, "solve")
+        assert timings["total"] >= timings["solve"]
+
+    def test_span_without_a_tracer_is_timed_and_detached(self):
+        with pytest.raises(RuntimeError):
+            with span("stage", x=1) as node:
+                assert current_tracer() is None
+                raise RuntimeError("boom")
+        assert not node.is_recording
+        assert node.seconds > 0.0
+        timings = {}
+        with pytest.raises(RuntimeError):
+            with stage(timings, "total"), stage(timings, "inum"):
+                raise RuntimeError("boom")
+        assert set(timings) == {"inum", "total"}
+
+    @pytest.mark.parametrize("advisor,expected", [
+        ("ilp", {"prepare", "bip_build", "solve"}),
+        ("dta", {"search"}),
+        ("relaxation", {"search"}),
+    ])
+    def test_baseline_advisor_traces_contain_their_stage_spans(
+            self, simple_schema, simple_workload, advisor, expected):
+        result = Tuner().tune(TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            advisor=AdvisorSpec(advisor)))
+        assert expected <= _span_names(result.extras["trace"]["root"])
+
+    def test_session_steps_nest_their_stages_under_the_ambient_tracer(
+            self, simple_schema, simple_workload):
+        advisor = make_advisor("cophy", simple_schema)
+        candidates = list(advisor.generate_candidates(simple_workload))
+        session = advisor.create_session(
+            simple_workload,
+            candidates=advisor.generate_candidates(simple_workload).subset(
+                candidates[:-2]))
+        tracer = Tracer()
+        with activate(tracer), tracer.span("session"):
+            with tracer.span("recommend") as first:
+                session.recommend()
+            with tracer.span("add_candidates") as second:
+                session.add_candidates(candidates[-2:])
+        assert [child.name for child in first.children] \
+            == ["prepare", "bip_build", "solve"]
+        assert [child.name for child in second.children] \
+            == ["bip_build", "solve"]
+        assert second.children[1].attrs["warm_started"] is True
+
+    def test_a_request_failing_mid_stage_still_reports_one_reading(
+            self, tpch):
+        from repro.reliability.faults import FaultPlan, FaultRule, InjectedFault
+
+        tuner = Tuner(fault_plan=FaultPlan(
+            [FaultRule(site="solver", probability=1.0)]))
+        with pytest.raises(InjectedFault):
+            tuner.tune(_request(tpch))
+        latency = tuner.metrics.snapshot()["repro_request_seconds"][
+            ("cophy",)]
+        entry = tuner.trace_store.summaries(1)[0]
+        assert entry["status"] == "error"
+        # Histogram sample, stored duration and the partial trace's root are
+        # one reading of one span.
+        assert entry["duration_ms"] == round(latency["sum"] * 1000.0, 3)
+        stored = tuner.trace_store.get(entry["trace_id"])["trace"]["root"]
+        assert stored["name"] == "tune"
+        assert stored["duration_ms"] == entry["duration_ms"]
 
 
 # ------------------------------------------------------------------- metrics e2e

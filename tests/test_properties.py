@@ -68,7 +68,7 @@ class TestInumProperties:
         for statement in _WORKLOAD.select_statements():
             inum_cost = _INUM.cost(statement.query, configuration)
             true_cost = _OPTIMIZER.cost(statement.query, configuration)
-            assert inum_cost == pytest.approx(true_cost, rel=0.5)
+            assert inum_cost == pytest.approx(true_cost, rel=1e-9)
 
     @given(subset=_subset_strategy)
     @settings(max_examples=30, deadline=None)

@@ -1,8 +1,9 @@
 """Tests for repo tooling: the reprolint CLI contract (PR 9):
-``python -m repro.analysis``."""
+``python -m repro.analysis``, and the clock allow-list."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -147,3 +148,54 @@ class TestReprolintCli:
     def test_repo_default_run_is_clean_and_fast(self):
         done = _lint()
         assert done.returncode == 0, done.stdout + done.stderr
+
+
+# ------------------------------------------------------------------ one clock
+#: Every ``src/repro`` module that may read a clock, which one, and why.  A
+#: pipeline stage is timed by its span (``repro.obs.trace.stage``); anything
+#: else that wants a stopwatch has to argue its way onto this list.
+_CLOCK_READERS = {
+    "obs/trace.py": ({"perf_counter", "thread_time"}, "the clock: Span"),
+    "obs/profile.py": ({"perf_counter"}, "the clock: lock-wait accounting"),
+    "lp/budget.py": ({"perf_counter"}, "solver-intrinsic: the deadline"),
+    "lp/branch_and_bound.py": ({"perf_counter"},
+                               "solver-intrinsic: solve_seconds, gap trace"),
+    "lp/highs_backend.py": ({"perf_counter"},
+                            "solver-intrinsic: solve_seconds"),
+    "core/solver.py": ({"perf_counter"}, "SolveReport.solve_seconds"),
+    "core/soft_constraints.py": ({"perf_counter"},
+                                 "ParetoPoint.solve_seconds"),
+    "api/tuner.py": ({"monotonic"}, "context TTL"),
+    "api/service.py": ({"perf_counter"}, "pool queue wait"),
+    "server/app.py": ({"monotonic", "perf_counter"},
+                      "session TTL, drain deadline, HTTP latency"),
+    "scale/executor.py": ({"time"}, "cross-process dispatch timestamp"),
+    "bench/harness.py": ({"perf_counter"}, "the evaluation harness"),
+    "analysis/cli.py": ({"perf_counter"}, "the linter's own run time"),
+}
+_CLOCKS = {"perf_counter", "monotonic", "time", "thread_time", "process_time"}
+
+
+def _clock_reads(path: Path) -> set:
+    """Names of the ``time`` module clocks a source file calls."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and func.attr in _CLOCKS
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "time"):
+            found.add(func.attr)
+        elif isinstance(func, ast.Name) and func.id in _CLOCKS - {"time"}:
+            found.add(func.id)
+    return found
+
+
+def test_clock_reads_are_confined_to_the_allow_list():
+    package = REPO_ROOT / "src" / "repro"
+    readers = {}
+    for path in sorted(package.rglob("*.py")):
+        found = _clock_reads(path)
+        if found:
+            readers[path.relative_to(package).as_posix()] = found
+    assert readers == {module: clocks
+                       for module, (clocks, _why) in _CLOCK_READERS.items()}
