@@ -18,8 +18,8 @@ from repro.inum.template_plan import TemplatePlan
 from repro.inum.workload_tensor import WorkloadGammaTensor
 from repro.obs.metrics import active_registry
 from repro.obs.profile import InstrumentedLock
+from repro.optimizer.join_enumeration import SubPlanTable
 from repro.optimizer.plan import ScanNode
-
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.predicates import ColumnRef
 from repro.workload.query import Query, UpdateQuery
@@ -49,7 +49,8 @@ class InumCache:
     """Per-query template-plan cache implementing fast what-if optimization.
 
     The cache is built once per query with a small number of optimizer
-    invocations — one per enumerated combination of interesting orders — and
+    invocations — one per enumerated combination of interesting orders, the
+    combinations of one shell sharing their sub-plans — and
     afterwards answers ``cost(q, X)`` for arbitrary configurations without
     touching the optimizer, by minimising ``beta_qk + sum_i gamma_qkia`` over
     the templates ``k`` and the per-slot access-method choices.  The costs
@@ -443,21 +444,44 @@ class InumCache:
         return tuple(orders[:self._max_orders])
 
     def _enumerate_templates(self, query: Query) -> tuple[TemplatePlan, ...]:
-        per_table_orders: dict[str, tuple[ColumnRef | None, ...]] = {}
-        for table in query.tables:
-            options: list[ColumnRef | None] = [None]
-            options.extend(self._interesting_orders(query, table))
-            per_table_orders[table] = tuple(options)
+        """One template per interesting-order combination of a shell.
 
-        specs = self._order_specs(query.tables, per_table_orders)
+        Every order spec is one plan requested from the optimizer (and counts
+        as one in :attr:`template_build_calls`), but the shell is profiled
+        once — heap scan and width per table, one synthetic leaf per (table,
+        order) — and the specs share one :class:`SubPlanTable`.
+        """
+        selector = self._optimizer.access_selector
+        widths: dict[str, float] = {}
+        leaves: dict[str, dict[ColumnRef | None, ScanNode]] = {}
+        for table in query.tables:
+            base = self._optimizer.access_scan(query, table, None)
+            widths[table] = selector.output_width(query, table)
+            leaves[table] = {
+                order: ScanNode(cost=base.cost, rows=base.rows,
+                                output_order=order, table=table, index=None,
+                                access_path=base.access_path)
+                for order in (None, *self._interesting_orders(query, table))}
+
+        specs = self._order_specs(query.tables,
+                                  {table: tuple(leaves[table]) for table in leaves})
+        with self._metrics_lock:
+            self._build_calls += len(specs)
+        build = self._optimizer.plan_builder.build
+        shared = SubPlanTable()
         templates: list[TemplatePlan] = []
         seen_signatures: set[tuple] = set()
         for spec in specs:
-            template = self._build_template(query, spec)
-            if template.signature() in seen_signatures:
-                continue
-            seen_signatures.add(template.signature())
-            templates.append(template)
+            plan = build(query,
+                         {table: leaves[table][order] for table, order in spec.items()},
+                         widths, shared)
+            template = TemplatePlan(query_name=query.name, order_requirements=spec,
+                                    internal_cost=plan.internal_cost,
+                                    representative_plan=plan)
+            signature = template.signature()
+            if signature not in seen_signatures:
+                seen_signatures.add(signature)
+                templates.append(template)
         return tuple(self._prune_dominated(templates))
 
     @staticmethod
@@ -482,9 +506,8 @@ class InumCache:
                     other.required_order(table) is None
                     or other.required_order(table) == candidate.required_order(table)
                     for table in candidate.tables)
-                strictly = (other.internal_cost < candidate.internal_cost - 1e-9
-                            or other.signature() != candidate.signature())
-                if weaker and strictly:
+                if weaker and (other.internal_cost < candidate.internal_cost - 1e-9
+                               or other.signature() != candidate.signature()):
                     dominated = True
                     break
             if not dominated:
@@ -523,31 +546,3 @@ class InumCache:
             for table in tables}
         specs.append(all_first)
         return specs
-
-    def _build_template(self, query: Query,
-                        order_spec: Mapping[str, ColumnRef | None]) -> TemplatePlan:
-        """Build one template plan by optimizing with synthetic ordered leaves."""
-        with self._metrics_lock:
-            self._build_calls += 1
-        scans: dict[str, ScanNode] = {}
-        widths: dict[str, float] = {}
-        for table in query.tables:
-            base = self._optimizer.access_scan(query, table, None)
-            required = order_spec.get(table)
-            scans[table] = ScanNode(
-                cost=base.cost,
-                rows=base.rows,
-                output_order=required,
-                table=table,
-                index=None,
-                access_path=base.access_path,
-            )
-            widths[table] = self._optimizer.access_selector.output_width(query, table)
-        plan = self._optimizer.plan_builder.build(query, scans, widths)
-        internal_cost = plan.internal_cost
-        return TemplatePlan(
-            query_name=query.name,
-            order_requirements=dict(order_spec),
-            internal_cost=internal_cost,
-            representative_plan=plan,
-        )

@@ -85,8 +85,7 @@ class QueryGammaMatrix:
         self._matrix = np.empty((len(self._templates), len(self._tables), 1),
                                 dtype=np.float64)
         for slot, table in enumerate(self._tables):
-            self._matrix[:, slot, 0] = [self._gamma_scalar(t, table, None)
-                                        for t in self._templates]
+            self._matrix[:, slot, 0] = self._gamma_column(table, None)
 
     # ----------------------------------------------------------------- metadata
     @property
@@ -145,8 +144,7 @@ class QueryGammaMatrix:
         block.fill(INFEASIBLE_COST)
         for offset, index in enumerate(new):
             slot = self._slot_of[index.table]
-            block[:, slot, offset] = [
-                self._gamma_scalar(t, index.table, index) for t in self._templates]
+            block[:, slot, offset] = self._gamma_column(index.table, index)
         # Registered only once costed: a failure above (e.g. no optimizer
         # bound yet) must not leave columns that the array does not have.
         self._column_of.update(
@@ -251,10 +249,23 @@ class QueryGammaMatrix:
         return float(totals.min())
 
     # ---------------------------------------------------------------- internals
-    def _gamma_scalar(self, template: TemplatePlan, table: str,
-                      index: Index | None) -> float:
+    def _bound_optimizer(self) -> WhatIfOptimizer:
         if self._optimizer is None:
             raise OptimizerError(
                 f"gamma matrix of query {self._query.name!r} was unpickled "
                 "and has no optimizer; call rebind_optimizer() first")
-        return slot_gamma(self._optimizer, self._query, template, table, index)
+        return self._optimizer
+
+    def _gamma_scalar(self, template: TemplatePlan, table: str,
+                      index: Index | None) -> float:
+        return slot_gamma(self._bound_optimizer(), self._query, template, table,
+                          index)
+
+    def _gamma_column(self, table: str, index: Index | None) -> list[float]:
+        """:func:`slot_gamma` of one of the query's slots for every template,
+        from one fetch of the scan (it depends on table and index only)."""
+        scan = self._bound_optimizer().access_scan(self._query, table, index)
+        return [0.0 if table not in template.order_requirements
+                else scan.cost if template.accepts(table, scan)
+                else INFEASIBLE_COST
+                for template in self._templates]

@@ -42,11 +42,14 @@ class TemplatePlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order_requirements", dict(self.order_requirements))
-        # Template plans key the gamma-matrix position lookups on costing hot
-        # paths; precompute the hash instead of rebuilding the signature
-        # tuple on every dict access.
+        # Dedup, dominance pruning and equality all compare signatures, and
+        # template plans key the gamma-matrix position lookups on costing hot
+        # paths: derive the signature and the hash once.
+        object.__setattr__(self, "_signature", tuple(
+            (table, None if order is None else order.column)
+            for table, order in sorted(self.order_requirements.items())))
         object.__setattr__(self, "_hash",
-                           hash((self.query_name, self.signature())))
+                           hash((self.query_name, self._signature)))
 
     def __getstate__(self) -> dict:
         # The cached hash is built from string hashes, which vary per process
@@ -59,7 +62,7 @@ class TemplatePlan:
         for key, value in state.items():
             object.__setattr__(self, key, value)
         object.__setattr__(self, "_hash",
-                           hash((self.query_name, self.signature())))
+                           hash((self.query_name, self._signature)))
 
     @property
     def tables(self) -> tuple[str, ...]:
@@ -94,9 +97,7 @@ class TemplatePlan:
 
     def signature(self) -> tuple[tuple[str, str | None], ...]:
         """Hashable summary of the order requirements (used for deduplication)."""
-        return tuple(
-            (table, None if order is None else order.column)
-            for table, order in sorted(self.order_requirements.items()))
+        return self._signature
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemplatePlan):

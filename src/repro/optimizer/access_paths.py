@@ -1,4 +1,11 @@
-"""Access-path selection: costing heap scans and (hypothetical) index scans."""
+"""Access-path selection: costing heap scans and (hypothetical) index scans.
+
+Everything an access path needs to know about the *query* — the rows that
+survive the local predicates, how selective the sargable predicates on each
+column are, which columns must be produced — is a property of the (query,
+table) pair, not of the index.  It is profiled once per pair
+(:class:`_TableProfile`); costing a candidate index is arithmetic on it.
+"""
 
 from __future__ import annotations
 
@@ -10,19 +17,24 @@ from repro.indexes.index import Index
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.plan import AccessPath, ScanNode
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.workload.predicates import ColumnRef, ComparisonOperator, SimplePredicate
+from repro.workload.predicates import ColumnRef, ComparisonOperator
 from repro.workload.query import Query
 
 __all__ = ["AccessPathSelector"]
 
 
-@dataclass(frozen=True)
-class _IndexApplicability:
-    """How well an index matches a query's predicates on its table."""
+@dataclass(slots=True)
+class _TableProfile:
+    """What a query asks of one of its tables, whatever the access method:
+    the rows surviving its local predicates; per column with sargable
+    predicates the product of their selectivities (in predicate order) and
+    whether all are equalities (a range ends the usable key prefix); the
+    names of the columns it mentions; the width it contributes."""
 
-    prefix_length: int
-    index_selectivity: float
-    covering: bool
+    output_rows: float
+    sargable: dict[str, tuple[float, bool]]
+    referenced: tuple[str, ...]
+    output_width: float
 
 
 class AccessPathSelector:
@@ -40,23 +52,39 @@ class AccessPathSelector:
         self._schema = schema
         self._cost_model = cost_model
         self._selectivity = selectivity
+        # Per query name: the query object profiled and its per-table
+        # profiles (bounded like the owning optimizer's scan cache).
+        self._profiles: dict[str, tuple[Query, dict[str, _TableProfile]]] = {}
+        # One ColumnRef per (table, column) scans are ordered on, shared by them.
+        self._orders: dict[tuple[str, str], ColumnRef] = {}
 
     # -------------------------------------------------------------------- public
     def seq_scan(self, query: Query, table: str) -> ScanNode:
         """A heap scan of ``table`` with the query's local predicates applied."""
         table_def = self._schema.table(table)
-        output_rows = self._selectivity.table_cardinality(query, table)
         cost = self._cost_model.seq_scan_cost(table_def.page_count, table_def.row_count)
         order = self._heap_order(table_def)
-        return ScanNode(cost=cost, rows=output_rows, output_order=order,
-                        table=table, index=None, access_path=AccessPath.SEQ_SCAN)
+        return ScanNode(cost=cost, rows=self._profile(query, table).output_rows,
+                        output_order=order, table=table, index=None,
+                        access_path=AccessPath.SEQ_SCAN)
 
     def index_scan(self, query: Query, table: str, index: Index) -> ScanNode:
         """An index scan of ``table`` via ``index``."""
         table_def = self._schema.table(table)
-        applicability = self._applicability(query, table, index)
-        output_rows = self._selectivity.table_cardinality(query, table)
-        matched_rows = max(1.0, table_def.row_count * applicability.index_selectivity)
+        profile = self._profile(query, table)
+        # Match the sargable predicates against the index key prefix.
+        index_selectivity = 1.0
+        for key_column in index.key_columns:
+            matched = profile.sargable.get(key_column)
+            if matched is None:
+                break
+            index_selectivity *= matched[0]
+            if not matched[1]:
+                # A range predicate consumes the rest of the key prefix: later
+                # key columns can no longer narrow the scanned range.
+                break
+        covering = index.covers(profile.referenced)
+        matched_rows = max(1.0, table_def.row_count * min(1.0, index_selectivity))
 
         entry_width = sum(table_def.column_width(c) for c in index.all_columns) + 12
         entries_per_page = max(2.0, table_def.page_size * 0.7 / entry_width)
@@ -71,14 +99,14 @@ class AccessPathSelector:
             total_rows=table_def.row_count,
             leaf_pages=leaf_pages,
             heap_pages=table_def.page_count,
-            covering=applicability.covering,
+            covering=covering,
             correlation=correlation,
             tree_height=tree_height,
         )
-        access_path = (AccessPath.INDEX_ONLY_SCAN if applicability.covering
+        access_path = (AccessPath.INDEX_ONLY_SCAN if covering
                        else AccessPath.INDEX_SCAN)
-        order = ColumnRef(table, index.leading_column)
-        return ScanNode(cost=cost, rows=output_rows, output_order=order,
+        order = self._order(table, index.leading_column)
+        return ScanNode(cost=cost, rows=profile.output_rows, output_order=order,
                         table=table, index=index, access_path=access_path)
 
     def scan(self, query: Query, table: str, index: Index | None) -> ScanNode:
@@ -89,49 +117,45 @@ class AccessPathSelector:
 
     def output_width(self, query: Query, table: str) -> float:
         """Width in bytes of the columns ``table`` contributes to the query."""
-        table_def = self._schema.table(table)
-        columns = query.referenced_columns_on(table)
-        if not columns:
-            return 8.0
-        return float(sum(table_def.column_width(c.column) for c in columns)) + 8.0
+        return self._profile(query, table).output_width
 
     # ----------------------------------------------------------------- internals
     def _heap_order(self, table_def: Table) -> ColumnRef | None:
         """Heap scans deliver clustered-key order when the table has a primary key."""
         if table_def.primary_key:
-            return ColumnRef(table_def.name, table_def.primary_key[0])
+            return self._order(table_def.name, table_def.primary_key[0])
         return None
 
-    def _applicability(self, query: Query, table: str,
-                       index: Index) -> _IndexApplicability:
-        """Match the query's sargable predicates against the index key prefix."""
-        predicates = query.sargable_predicates_on(table)
-        by_column: dict[str, list[SimplePredicate]] = {}
-        for predicate in predicates:
-            by_column.setdefault(predicate.column.column, []).append(predicate)
+    def _order(self, table: str, column: str) -> ColumnRef:
+        order = self._orders.get((table, column))
+        if order is None:
+            order = self._orders[table, column] = ColumnRef(table, column)
+        return order
 
-        index_selectivity = 1.0
-        prefix_length = 0
-        for key_column in index.key_columns:
-            column_predicates = by_column.get(key_column)
-            if not column_predicates:
-                break
-            prefix_length += 1
-            column_selectivity = 1.0
-            only_equalities = True
-            for predicate in column_predicates:
-                column_selectivity *= self._selectivity.predicate_selectivity(predicate)
-                if predicate.operator not in (ComparisonOperator.EQ,
-                                              ComparisonOperator.IN):
-                    only_equalities = False
-            index_selectivity *= column_selectivity
-            if not only_equalities:
-                # A range predicate consumes the rest of the key prefix: later
-                # key columns can no longer narrow the scanned range.
-                break
-
-        referenced = query.referenced_columns_on(table)
-        covering = index.covers(referenced) if referenced else True
-        return _IndexApplicability(prefix_length=prefix_length,
-                                   index_selectivity=min(1.0, index_selectivity),
-                                   covering=covering)
+    def _profile(self, query: Query, table: str) -> _TableProfile:
+        """The profile of ``table`` in ``query``: cached under the query's
+        name, trusted only for the very query object it was derived from — so
+        equal-named objects used alternately evict each other (derived again,
+        never wrong); the optimizer keeps one shell object per UPDATE."""
+        entry = self._profiles.get(query.name)
+        if entry is None or entry[0] is not query:
+            entry = self._profiles[query.name] = (query, {})
+        profile = entry[1].get(table)
+        if profile is not None:
+            return profile
+        table_def = self._schema.table(table)
+        sargable: dict[str, tuple[float, bool]] = {}
+        for predicate in query.sargable_predicates_on(table):
+            selectivity, only_equalities = sargable.get(
+                predicate.column.column, (1.0, True))
+            sargable[predicate.column.column] = (
+                selectivity * self._selectivity.predicate_selectivity(predicate),
+                only_equalities and predicate.operator in (
+                    ComparisonOperator.EQ, ComparisonOperator.IN))
+        referenced = tuple(
+            column.column for column in query.referenced_columns_on(table))
+        width = float(sum(table_def.column_width(c) for c in referenced)) + 8.0
+        profile = entry[1][table] = _TableProfile(
+            output_rows=self._selectivity.table_cardinality(query, table),
+            sargable=sargable, referenced=referenced, output_width=width)
+        return profile

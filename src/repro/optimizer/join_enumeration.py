@@ -9,12 +9,23 @@ tiny inputs.  It then adds grouping/aggregation and ORDER BY handling on top.
 The builder is deliberately order-aware: providing a sorted access path for a
 join, group-by or order-by column removes sort work from the *internal* plan,
 which is exactly the effect INUM's interesting-order templates capture.
+
+Each piece of the work is done once.  Which table subsets are connected, how
+each splits, the selectivity product of the connecting joins and the join
+column on either side depend on the query alone: this :class:`_JoinSkeleton`
+is derived once per query object.  A sub-plan carries the cost of its subtree,
+summed in exactly the order :meth:`PlanNode.total_cost` walks it (``node.cost +
+(left + right)``, ``node.cost + child``), so comparing plans never re-walks
+them and every cost is bit-identical to the walked one.  And the best sub-plan
+of a subset is a function of the leaves *inside* it, so builds that pass the
+same :class:`SubPlanTable` (INUM: the order specs of one shell) reuse every
+sub-plan whose leaves are the same scan objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.exceptions import OptimizerError
 from repro.optimizer.cost_model import CostModel
@@ -28,25 +39,32 @@ from repro.optimizer.plan import (
     SortNode,
 )
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.workload.predicates import ColumnRef, JoinPredicate
+from repro.workload.predicates import ColumnRef
 from repro.workload.query import Query
 
-__all__ = ["PlanBuilder"]
+__all__ = ["PlanBuilder", "SubPlanTable"]
 
 #: Inputs at or below this cardinality may use a naive nested-loop join.
 _NESTED_LOOP_THRESHOLD = 64.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _SubPlan:
-    """A DP entry: a plan covering a set of tables plus its output width."""
+    """A DP entry: a plan covering a set of tables, its output width and the
+    cost of its whole subtree (``node.total_cost()``, carried not re-walked)."""
 
     node: PlanNode
     width: float
+    cost: float
 
-    @property
-    def cost(self) -> float:
-        return self.node.total_cost()
+    @classmethod
+    def over(cls, node: PlanNode, width: float, *inputs: "_SubPlan") -> "_SubPlan":
+        """``node`` above the sub-plans it consumes (none for a leaf).  The one
+        statement of the summation rule: :meth:`PlanNode.total_cost`'s order."""
+        below = 0
+        for sub in inputs:
+            below += sub.cost
+        return cls(node, width, node.cost + below)
 
     @property
     def rows(self) -> float:
@@ -57,179 +75,215 @@ class _SubPlan:
         return self.node.output_order
 
 
+class SubPlanTable:
+    """Sub-plans that builds of one query with the same widths may share.
+
+    A leaf is identified by the :class:`ScanNode` object itself: each distinct
+    leaf gets one bit, a sub-plan is keyed by the bits of the leaves under it,
+    and the table keeps every leaf it has seen alive.
+    """
+
+    __slots__ = ("leaf_bits", "best")
+
+    def __init__(self) -> None:
+        self.leaf_bits: dict[int, int] = {}
+        self.best: dict[int, _SubPlan] = {}
+
+
+@dataclass(slots=True)
+class _JoinSkeleton:
+    """The leaf-independent half of one query's join DP.
+
+    ``query`` is the object this was derived from (a cached skeleton is trusted
+    only for that very object).  ``subsets`` holds the connected multi-table
+    subsets (bit ``i`` = table ``i``) in increasing popcount order, so both
+    halves of any split are solved first, each with its admissible splits in
+    enumeration order as ``(left, right, join selectivity, left column, right
+    column)``.  ``bridge`` is empty unless the join graph is disconnected: then
+    it lists the largest solved pieces that cover every table.
+    """
+
+    query: Query
+    subsets: tuple[tuple[int, tuple[tuple, ...]], ...]
+    bridge: tuple[int, ...]
+
+
 class PlanBuilder:
     """Builds a full physical plan from per-table access paths."""
 
     def __init__(self, cost_model: CostModel, selectivity: SelectivityEstimator):
         self._cost_model = cost_model
         self._selectivity = selectivity
+        # One skeleton per multi-table query name, like the optimizer's scan
+        # cache; replaced when a different query object arrives under the name.
+        self._skeletons: dict[str, _JoinSkeleton] = {}
 
     # -------------------------------------------------------------------- public
     def build(self, query: Query, scans: Mapping[str, ScanNode],
-              widths: Mapping[str, float]) -> Plan:
+              widths: Mapping[str, float],
+              shared: SubPlanTable | None = None) -> Plan:
         """Assemble the cheapest plan for ``query`` over the given leaf scans.
 
         Args:
             query: The statement being planned.
             scans: One scan node per referenced table.
             widths: Output width (bytes) each table contributes to the query.
+            shared: Sub-plans of earlier builds for this query (same widths)
+                to reuse and extend; the plan is the same with or without it.
         """
         missing = [t for t in query.tables if t not in scans]
         if missing:
             raise OptimizerError(f"No access path supplied for tables {missing}")
-        joined = self._join_tables(query, scans, widths)
+        if shared is None:
+            shared = SubPlanTable()
+        joined = self._join_tables(query, scans, widths, shared)
         finished = self._finish(query, joined)
-        return Plan(finished.node, query_name=query.name)
+        return Plan(finished.node, query_name=query.name,
+                    total_cost=finished.cost)
 
     # ------------------------------------------------------------------- joining
     def _join_tables(self, query: Query, scans: Mapping[str, ScanNode],
-                     widths: Mapping[str, float]) -> _SubPlan:
-        tables = list(query.tables)
-        if len(tables) == 1:
-            table = tables[0]
-            return _SubPlan(scans[table], widths.get(table, 8.0))
+                     widths: Mapping[str, float], shared: SubPlanTable) -> _SubPlan:
+        leaf_bits, best = shared.leaf_bits, shared.best
+        keys: dict[int, int] = {}
+        for position, table in enumerate(query.tables):
+            scan = scans[table]
+            key = leaf_bits.get(id(scan))
+            if key is None:
+                key = leaf_bits[id(scan)] = 1 << len(leaf_bits)
+                best[key] = _SubPlan.over(scan, widths.get(table, 8.0))
+            keys[1 << position] = key
+        if len(keys) == 1:
+            return best[key]
 
-        table_bit = {table: 1 << position for position, table in enumerate(tables)}
-        best: dict[int, _SubPlan] = {}
-        for table in tables:
-            best[table_bit[table]] = _SubPlan(scans[table], widths.get(table, 8.0))
-
-        full_mask = (1 << len(tables)) - 1
-        # Enumerate subsets in increasing popcount order so both halves of any
-        # split are already solved.
-        subsets = sorted(range(1, full_mask + 1), key=lambda m: (bin(m).count("1"), m))
-        for subset in subsets:
-            if subset in best and bin(subset).count("1") == 1:
+        skeleton = self._skeleton(query)
+        for subset, splits in skeleton.subsets:
+            key = keys[subset] = keys[splits[0][0]] | keys[splits[0][1]]
+            if key in best:
                 continue
-            candidate_best: _SubPlan | None = best.get(subset)
+            cheapest: _SubPlan | None = None
+            for left, right, selectivity, left_column, right_column in splits:
+                cheapest = self._best_join(
+                    best[keys[left]], best[keys[right]], selectivity,
+                    left_column, right_column, cheapest) or cheapest
+            best[key] = cheapest
+        if skeleton.bridge:
+            # The join graph is disconnected: bridge the pieces with
+            # cartesian-product hash joins (rare, but keeps the builder total).
+            return self._bridge_disconnected(
+                [best[keys[mask]] for mask in skeleton.bridge])
+        return best[key]
+
+    def _skeleton(self, query: Query) -> _JoinSkeleton:
+        cached = self._skeletons.get(query.name)
+        if cached is not None and cached.query is query:
+            return cached
+        tables = query.tables
+        table_bit = {table: 1 << position for position, table in enumerate(tables)}
+        joins = [(join, table_bit[join.left.table], table_bit[join.right.table],
+                  self._selectivity.join_selectivity(join))
+                 for join in query.joins]
+        full_mask = (1 << len(tables)) - 1
+        solved = set(table_bit.values())
+        subsets = []
+        for subset in sorted(range(1, full_mask + 1),
+                             key=lambda m: (m.bit_count(), m)):
+            if subset in solved:
+                continue
+            splits = []
             # Enumerate proper splits of `subset` into left/right halves.
             left = (subset - 1) & subset
             while left:
                 right = subset ^ left
-                if left < right:
-                    left = (left - 1) & subset
-                    continue
-                left_plan = best.get(left)
-                right_plan = best.get(right)
-                if left_plan is not None and right_plan is not None:
-                    connecting = self._connecting_joins(query, tables, table_bit,
-                                                        left, right)
+                if left > right and left in solved and right in solved:
+                    connecting = [
+                        (join, bit, join_selectivity)
+                        for join, bit, other_bit, join_selectivity in joins
+                        if (bit & left and other_bit & right)
+                        or (other_bit & left and bit & right)]
                     if connecting:
-                        joined = self._best_join(left_plan, right_plan, connecting)
-                        if candidate_best is None or joined.cost < candidate_best.cost:
-                            candidate_best = joined
+                        selectivity = 1.0
+                        for _, _, join_selectivity in connecting:
+                            selectivity *= join_selectivity
+                        primary, left_bit, _ = connecting[0]
+                        on_left, on_right = (
+                            (primary.left, primary.right) if left_bit & left
+                            else (primary.right, primary.left))
+                        splits.append((left, right, selectivity, on_left, on_right))
                 left = (left - 1) & subset
-            if candidate_best is not None:
-                best[subset] = candidate_best
+            if splits:
+                solved.add(subset)
+                subsets.append((subset, tuple(splits)))
+        bridge: list[int] = []
+        if full_mask not in solved:
+            covered = 0
+            for mask in sorted(solved, key=lambda m: (-m.bit_count(), m)):
+                if not mask & covered:
+                    bridge.append(mask)
+                    covered |= mask
+        skeleton = _JoinSkeleton(query, tuple(subsets), tuple(bridge))
+        self._skeletons[query.name] = skeleton
+        return skeleton
 
-        if full_mask not in best:
-            # The join graph is disconnected: bridge remaining pieces with
-            # cartesian-product hash joins (rare, but keeps the builder total).
-            return self._bridge_disconnected(best, full_mask)
-        return best[full_mask]
-
-    def _connecting_joins(self, query: Query, tables: Sequence[str],
-                          table_bit: Mapping[str, int], left_mask: int,
-                          right_mask: int) -> tuple[JoinPredicate, ...]:
-        connecting = []
-        for join in query.joins:
-            left_table, right_table = join.tables
-            bits = (table_bit[left_table], table_bit[right_table])
-            if (bits[0] & left_mask and bits[1] & right_mask) or (
-                    bits[1] & left_mask and bits[0] & right_mask):
-                connecting.append(join)
-        return tuple(connecting)
-
-    def _best_join(self, left: _SubPlan, right: _SubPlan,
-                   joins: tuple[JoinPredicate, ...]) -> _SubPlan:
-        join_selectivity = 1.0
-        for join in joins:
-            join_selectivity *= self._selectivity.join_selectivity(join)
+    def _best_join(self, left: _SubPlan, right: _SubPlan, join_selectivity: float,
+                   left_column: ColumnRef, right_column: ColumnRef,
+                   incumbent: _SubPlan | None) -> _SubPlan | None:
+        """The cheapest join of two sub-plans, or ``None`` unless it beats
+        ``incumbent``: hash join, merge join (sorting an input not ordered on
+        its join column) and — for a tiny input — nested loops are costed
+        first, the earlier winning a tie; only the winner's nodes are built, so
+        the totals here are the one copy of :meth:`_SubPlan.over`'s sum."""
+        model = self._cost_model
         output_rows = max(1.0, left.rows * right.rows * join_selectivity)
+        smaller, larger = (left, right) if left.rows <= right.rows else (right, left)
+        inputs_cost = left.cost + right.cost
+
+        algorithm = JoinAlgorithm.HASH_JOIN
+        cost = model.hash_join_cost(smaller.rows, larger.rows, smaller.width,
+                                    output_rows)
+        total = cost + inputs_cost
+
+        left_sort = (None if left.order == left_column
+                     else model.sort_cost(left.rows, left.width))
+        right_sort = (None if right.order == right_column
+                      else model.sort_cost(right.rows, right.width))
+        merge_cost = model.merge_join_cost(left.rows, right.rows, output_rows)
+        merge_total = merge_cost + (
+            (left.cost if left_sort is None else left_sort + left.cost)
+            + (right.cost if right_sort is None else right_sort + right.cost))
+        if merge_total < total:
+            algorithm, cost, total = JoinAlgorithm.MERGE_JOIN, merge_cost, merge_total
+
+        if smaller.rows <= _NESTED_LOOP_THRESHOLD:
+            loop_cost = model.nested_loop_cost(smaller.rows, larger.rows, output_rows)
+            if loop_cost + inputs_cost < total:
+                algorithm, cost, total = (JoinAlgorithm.NESTED_LOOP, loop_cost,
+                                          loop_cost + inputs_cost)
+
+        if incumbent is not None and not total < incumbent.cost:
+            return None
         output_width = left.width + right.width
-        primary = joins[0]
-        left_column = self._column_on_side(primary, left.node)
-        right_column = self._column_on_side(primary, right.node)
-
-        candidates = [
-            self._hash_join(left, right, output_rows, output_width,
-                            left_column, right_column),
-            self._merge_join(left, right, output_rows, output_width,
-                             left_column, right_column),
-        ]
-        if min(left.rows, right.rows) <= _NESTED_LOOP_THRESHOLD:
-            candidates.append(self._nested_loop(left, right, output_rows,
-                                                output_width, left_column,
-                                                right_column))
-        return min(candidates, key=lambda sub: sub.cost)
-
-    def _column_on_side(self, join: JoinPredicate, side: PlanNode) -> ColumnRef:
-        side_tables = {node.table for node in side.walk() if isinstance(node, ScanNode)}
-        if join.left.table in side_tables:
-            return join.left
-        return join.right
-
-    def _hash_join(self, left: _SubPlan, right: _SubPlan, output_rows: float,
-                   output_width: float, left_column: ColumnRef,
-                   right_column: ColumnRef) -> _SubPlan:
-        build, probe = (left, right) if left.rows <= right.rows else (right, left)
-        cost = self._cost_model.hash_join_cost(build.rows, probe.rows, build.width,
-                                               output_rows)
-        node = JoinNode(cost=cost, rows=output_rows, output_order=None,
-                        algorithm=JoinAlgorithm.HASH_JOIN,
-                        left=left.node, right=right.node,
+        output_order = None
+        if algorithm is JoinAlgorithm.MERGE_JOIN:
+            output_order = left_column
+            if left_sort is not None:
+                left = self._sorted(left, left_column, left_sort)
+            if right_sort is not None:
+                right = self._sorted(right, right_column, right_sort)
+        elif algorithm is JoinAlgorithm.NESTED_LOOP:
+            output_order = smaller.order
+        node = JoinNode(cost=cost, rows=output_rows, output_order=output_order,
+                        algorithm=algorithm, left=left.node, right=right.node,
                         join_column_left=left_column,
                         join_column_right=right_column)
-        return _SubPlan(node, output_width)
+        return _SubPlan(node, output_width, total)
 
-    def _merge_join(self, left: _SubPlan, right: _SubPlan, output_rows: float,
-                    output_width: float, left_column: ColumnRef,
-                    right_column: ColumnRef) -> _SubPlan:
-        left_input = self._ensure_order(left, left_column)
-        right_input = self._ensure_order(right, right_column)
-        cost = self._cost_model.merge_join_cost(left_input.rows, right_input.rows,
-                                                output_rows)
-        node = JoinNode(cost=cost, rows=output_rows, output_order=left_column,
-                        algorithm=JoinAlgorithm.MERGE_JOIN,
-                        left=left_input.node, right=right_input.node,
-                        join_column_left=left_column,
-                        join_column_right=right_column)
-        return _SubPlan(node, output_width)
-
-    def _nested_loop(self, left: _SubPlan, right: _SubPlan, output_rows: float,
-                     output_width: float, left_column: ColumnRef,
-                     right_column: ColumnRef) -> _SubPlan:
-        outer, inner = (left, right) if left.rows <= right.rows else (right, left)
-        cost = self._cost_model.nested_loop_cost(outer.rows, inner.rows, output_rows)
-        node = JoinNode(cost=cost, rows=output_rows, output_order=outer.order,
-                        algorithm=JoinAlgorithm.NESTED_LOOP,
-                        left=left.node, right=right.node,
-                        join_column_left=left_column,
-                        join_column_right=right_column)
-        return _SubPlan(node, output_width)
-
-    def _ensure_order(self, sub: _SubPlan, column: ColumnRef) -> _SubPlan:
-        """Add a Sort above ``sub`` unless its output is already ordered by ``column``."""
-        if sub.order == column:
-            return sub
-        sort_cost = self._cost_model.sort_cost(sub.rows, sub.width)
+    def _sorted(self, sub: _SubPlan, column: ColumnRef, sort_cost: float) -> _SubPlan:
         node = SortNode(cost=sort_cost, rows=sub.rows, output_order=column,
                         child=sub.node, sort_column=column)
-        return _SubPlan(node, sub.width)
+        return _SubPlan.over(node, sub.width, sub)
 
-    def _bridge_disconnected(self, best: Mapping[int, _SubPlan],
-                             full_mask: int) -> _SubPlan:
-        pieces = []
-        covered = 0
-        for mask in sorted(best, key=lambda m: -bin(m).count("1")):
-            if mask & covered:
-                continue
-            pieces.append(best[mask])
-            covered |= mask
-            if covered == full_mask:
-                break
-        if covered != full_mask or not pieces:
-            raise OptimizerError("Could not cover all tables during join enumeration")
+    def _bridge_disconnected(self, pieces: list[_SubPlan]) -> _SubPlan:
         result = pieces[0]
         for piece in pieces[1:]:
             output_rows = max(1.0, result.rows * piece.rows)
@@ -239,7 +293,7 @@ class PlanBuilder:
             node = JoinNode(cost=cost, rows=output_rows, output_order=None,
                             algorithm=JoinAlgorithm.HASH_JOIN,
                             left=result.node, right=piece.node)
-            result = _SubPlan(node, result.width + piece.width)
+            result = _SubPlan.over(node, result.width + piece.width, result, piece)
         return result
 
     # ----------------------------------------------------------------- finishing
@@ -251,7 +305,7 @@ class PlanBuilder:
             cost = self._cost_model.plain_aggregate_cost(current.rows)
             node = AggregateNode(cost=cost, rows=1.0, output_order=None,
                                  child=current.node, strategy="plain")
-            current = _SubPlan(node, current.width)
+            current = _SubPlan.over(node, current.width, current)
         if query.order_by:
             current = self._order(query, current)
         return current
@@ -264,7 +318,7 @@ class PlanBuilder:
             node = AggregateNode(cost=cost, rows=group_count,
                                  output_order=leading_group, child=current.node,
                                  strategy="stream", group_columns=query.group_by)
-            return _SubPlan(node, current.width)
+            return _SubPlan.over(node, current.width, current)
         hash_cost = self._cost_model.hash_aggregate_cost(current.rows, group_count)
         sort_cost = self._cost_model.sort_cost(current.rows, current.width)
         stream_cost = self._cost_model.stream_aggregate_cost(current.rows, group_count)
@@ -272,15 +326,17 @@ class PlanBuilder:
             node = AggregateNode(cost=hash_cost, rows=group_count, output_order=None,
                                  child=current.node, strategy="hash",
                                  group_columns=query.group_by)
-            return _SubPlan(node, current.width)
-        sorted_input = self._ensure_order(current, leading_group)
+            return _SubPlan.over(node, current.width, current)
+        sorted_input = self._sorted(current, leading_group, sort_cost)
         node = AggregateNode(cost=stream_cost, rows=group_count,
                              output_order=leading_group, child=sorted_input.node,
                              strategy="stream", group_columns=query.group_by)
-        return _SubPlan(node, current.width)
+        return _SubPlan.over(node, current.width, sorted_input)
 
     def _order(self, query: Query, current: _SubPlan) -> _SubPlan:
+        """Add a Sort unless the output is already ordered by the leading column."""
         leading_order = query.order_by[0]
         if current.order == leading_order:
             return current
-        return self._ensure_order(current, leading_order)
+        return self._sorted(current, leading_order, self._cost_model.sort_cost(
+            current.rows, current.width))

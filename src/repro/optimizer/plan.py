@@ -150,13 +150,13 @@ class Plan:
     leaf) and the *internal plan cost* — the total cost minus the leaves.
     """
 
-    def __init__(self, root: PlanNode, query_name: str = ""):
+    def __init__(self, root: PlanNode, query_name: str = "",
+                 total_cost: float | None = None):
         self.root = root
         self.query_name = query_name
-
-    @property
-    def total_cost(self) -> float:
-        return self.root.total_cost()
+        #: ``root.total_cost()`` — the plan builder hands over the sum it
+        #: carried while planning, so comparing plans never re-walks them.
+        self.total_cost = root.total_cost() if total_cost is None else total_cost
 
     def scan_nodes(self) -> tuple[ScanNode, ...]:
         """The leaf accesses of the plan, in traversal order."""

@@ -64,6 +64,7 @@ class WhatIfOptimizer:
         self._scan_cache: dict[tuple, ScanNode] = {}
         self._ucost_cache: dict[tuple, float] = {}
         self._base_update_cache: dict[str, float] = {}
+        self._shells: dict[str, tuple[UpdateQuery, Query]] = {}
 
     # --------------------------------------------------------------- components
     @property
@@ -180,7 +181,7 @@ class WhatIfOptimizer:
         if not isinstance(configuration, Configuration):
             configuration = Configuration(configuration)
         if isinstance(query, UpdateQuery):
-            shell_cost = self.cost(query.query_shell(), configuration)
+            shell_cost = self.cost(query, configuration)
             maintenance = sum(
                 self.update_maintenance_cost(index, query)
                 for index in configuration.indexes_on(query.table))
@@ -252,11 +253,15 @@ class WhatIfOptimizer:
         return scan
 
     # ----------------------------------------------------------------- internals
-    @staticmethod
-    def _shell(query: Query) -> Query:
-        if isinstance(query, UpdateQuery):
-            return query.query_shell()
-        return query
+    def _shell(self, query: Query) -> Query:
+        """``query`` itself, or the one shell object kept per UPDATE object (the
+        selector and the plan builder trust their per-query state by identity)."""
+        if not isinstance(query, UpdateQuery):
+            return query
+        entry = self._shells.get(query.name)
+        if entry is None or entry[0] is not query:
+            entry = self._shells[query.name] = (query, query.query_shell())
+        return entry[1]
 
     @staticmethod
     def _atomic_key(query: Query, atomic: AtomicConfiguration) -> tuple:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.catalog.tpch import tpch_schema
 from repro.exceptions import OptimizerError
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
@@ -11,10 +14,16 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.inum.gamma_matrix import slot_gamma
 from repro.inum.template_plan import INFEASIBLE_COST, TemplatePlan
+from repro.optimizer.cost_model import CostModel
 from repro.optimizer.plan import ScanNode
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.workload.predicates import ColumnRef
-from repro.workload.query import UpdateQuery
+from repro.workload.generators import (
+    generate_heterogeneous_workload,
+    generate_homogeneous_workload,
+)
+from repro.workload.predicates import ColumnRef, JoinPredicate
+from repro.workload.query import SelectQuery, UpdateQuery
+from repro.workload.workload import Workload
 from tests.conftest import reference_statement_cost
 
 
@@ -247,3 +256,145 @@ class TestInumCost:
                                        Index("orders", ("o_date",))])
         assert (inum.cost(query, configuration)
                 == reference_statement_cost(inum, query, configuration))
+
+
+def _templates_one_spec_at_a_time(schema, shell, caps):
+    """``TPlans(q)`` the unshared way: every order spec is planned by a fresh
+    optimizer (no skeleton, profile or sub-plan reused), then deduplicated and
+    pruned exactly like ``InumCache._enumerate_templates``."""
+    rules = InumCache(WhatIfOptimizer(schema), *caps)
+    options = {table: (None, *rules._interesting_orders(shell, table))
+               for table in shell.tables}
+    templates, seen = [], set()
+    for spec in rules._order_specs(shell.tables, options):
+        optimizer = WhatIfOptimizer(schema)
+        scans, widths = {}, {}
+        for table in shell.tables:
+            base = optimizer.access_scan(shell, table, None)
+            scans[table] = ScanNode(cost=base.cost, rows=base.rows,
+                                    output_order=spec[table], table=table,
+                                    index=None, access_path=base.access_path)
+            widths[table] = optimizer.access_selector.output_width(shell, table)
+        plan = optimizer.plan_builder.build(shell, scans, widths)
+        template = TemplatePlan(shell.name, spec, plan.internal_cost, plan)
+        if template.signature() not in seen:
+            seen.add(template.signature())
+            templates.append(template)
+    return InumCache._prune_dominated(templates)
+
+
+def _generated_workload(schema, seed, size=8):
+    """TPC-H template instances plus ad-hoc SPJ statements, updates included."""
+    return Workload(
+        generate_homogeneous_workload(size, seed=seed,
+                                      update_fraction=0.25).statements
+        + generate_heterogeneous_workload(size, seed=seed + 1,
+                                          update_fraction=0.25,
+                                          schema=schema).statements,
+        name=f"generated-{seed}")
+
+
+class TestSharedEnumeration:
+    """One shared pass per shell must equal planning every spec on its own."""
+
+    # (1, 2) and (2, 8) force the representative-subset branch of _order_specs.
+    @pytest.mark.parametrize("caps", [(2, 64), (1, 2), (2, 8)])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_templates_equal_one_spec_at_a_time(self, seed, caps):
+        schema = tpch_schema(scale_factor=0.01)
+        workload = _generated_workload(schema, seed)
+        assert any(isinstance(s.query, UpdateQuery) for s in workload)
+        inum = InumCache(WhatIfOptimizer(schema), *caps)
+        for statement in workload:
+            query = statement.query
+            shell = (query.query_shell() if isinstance(query, UpdateQuery)
+                     else query)
+            expected = _templates_one_spec_at_a_time(schema, shell, caps)
+            built = inum.templates(query)
+            assert len(built) == len(expected)
+            for ours, theirs in zip(built, expected):
+                assert ours.order_requirements == theirs.order_requirements
+                assert ours.internal_cost == theirs.internal_cost
+                assert (ours.representative_plan.explain()
+                        == theirs.representative_plan.explain())
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_pickled_entries_cost_like_the_local_build(self, seed):
+        schema = tpch_schema(scale_factor=0.01)
+        workload = _generated_workload(schema, seed)
+        candidates = tuple(CandidateGenerator(schema).generate(workload))
+        local = InumCache(WhatIfOptimizer(schema))
+        local.prepare(workload, candidates)
+        adopted = InumCache(WhatIfOptimizer(schema))
+        adopted.adopt_built(pickle.loads(pickle.dumps(
+            local.export_built(workload))))
+        configurations = [Configuration(), Configuration(candidates[::3]),
+                          Configuration(candidates)]
+        for statement in workload:
+            for configuration in configurations:
+                cost = local.statement_cost(statement.query, configuration)
+                assert adopted.statement_cost(statement.query,
+                                              configuration) == cost
+                assert reference_statement_cost(adopted, statement.query,
+                                                configuration) == cost
+        assert adopted.template_build_calls == 0
+
+
+class TestEnumerationWorkCounts:
+    """The sharing is pinned by counting cost-model calls, not by a clock."""
+
+    @staticmethod
+    def _three_table_shell() -> SelectQuery:
+        join = lambda left, right: JoinPredicate(ColumnRef(*left), ColumnRef(*right))
+        return SelectQuery(
+            tables=("customer", "orders", "lineitem"),
+            projections=(ColumnRef("customer", "c_name"),
+                         ColumnRef("lineitem", "l_extendedprice")),
+            joins=(join(("customer", "c_custkey"), ("orders", "o_custkey")),
+                   join(("orders", "o_orderkey"), ("lineitem", "l_orderkey"))),
+            group_by=(ColumnRef("customer", "c_name"),),
+            order_by=(ColumnRef("lineitem", "l_shipdate"),),
+            name="three-tables")
+
+    @staticmethod
+    def _count_hash_join_costings(monkeypatch, run) -> int:
+        calls = []
+        original = CostModel.hash_join_cost
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CostModel, "hash_join_cost", counting)
+            run()
+        return len(calls)
+
+    def test_specs_of_one_shell_share_sub_plans(self, monkeypatch):
+        schema = tpch_schema(scale_factor=0.01)
+        shell = self._three_table_shell()
+        expected = _templates_one_spec_at_a_time(schema, shell, (2, 64))
+
+        def standalone_build():
+            optimizer = WhatIfOptimizer(schema)
+            scans = {table: optimizer.access_scan(shell, table, None)
+                     for table in shell.tables}
+            widths = {table: optimizer.access_selector.output_width(shell, table)
+                      for table in shell.tables}
+            optimizer.plan_builder.build(shell, scans, widths)
+
+        one_build = self._count_hash_join_costings(monkeypatch, standalone_build)
+        assert one_build > 0
+        counts = []
+        for _ in range(2):
+            inum = InumCache(WhatIfOptimizer(schema))
+            counts.append(self._count_hash_join_costings(
+                monkeypatch, lambda: inum.templates(shell)))
+            # All 3 x 3 x 3 order combinations were requested from the optimizer.
+            assert inum.template_build_calls == 27
+            assert [t.internal_cost for t in inum.templates(shell)] == [
+                t.internal_cost for t in expected]
+        assert counts[0] == counts[1]
+        assert counts[0] < 27 * one_build
+        assert self._count_hash_join_costings(
+            monkeypatch, lambda: inum.templates(shell)) == 0

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog.tpch import tpch_schema
+from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import AtomicConfiguration, Configuration
 from repro.indexes.index import Index
+from repro.optimizer.cost_model import CostModel
 from repro.optimizer.plan import (
     AccessPath,
     AggregateNode,
@@ -16,6 +19,7 @@ from repro.optimizer.plan import (
     SortNode,
 )
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.workload.generators import generate_homogeneous_workload
 from repro.workload.predicates import ColumnRef, ComparisonOperator, JoinPredicate, SimplePredicate
 from repro.workload.query import Aggregate, AggregateFunction, SelectQuery, UpdateQuery
 
@@ -182,6 +186,29 @@ class TestWhatIfOptimizer:
         other_table = Index("items", ("i_shipdate",))
         assert optimizer.update_maintenance_cost(other_table, update) == 0.0
 
+    def test_update_is_profiled_once_however_often_it_is_costed(
+            self, optimizer, simple_workload, monkeypatch):
+        """One access profile per (statement, table): the optimizer keeps one
+        shell object per UPDATE, so a new candidate scan does not re-profile."""
+        from repro.optimizer.selectivity import SelectivityEstimator
+
+        update = simple_workload.statements[3].query
+        calls = []
+        original = SelectivityEstimator.table_cardinality
+
+        def counting(self, query, table):
+            calls.append((query.name, table))
+            return original(self, query, table)
+
+        monkeypatch.setattr(SelectivityEstimator, "table_cardinality", counting)
+        indexes = [Index("orders", ("o_status", "o_date")),
+                   Index("orders", ("o_customer",)), Index("orders", ("o_date",))]
+        for index in indexes:
+            optimizer.statement_cost(update, Configuration([index]))
+            optimizer.access_scan(update, "orders", index)
+            optimizer.optimize_atomic(update, AtomicConfiguration({"orders": index}))
+        assert calls == [(update.query_shell().name, "orders")]
+
     def test_update_fraction_overrides_predicates(self, optimizer):
         explicit = UpdateQuery(table="orders",
                                set_columns=(ColumnRef("orders", "o_status"),),
@@ -212,3 +239,82 @@ class TestWhatIfOptimizer:
         without = optimizer.cost(query, Configuration())
         with_index = optimizer.cost(query, Configuration([ordering_index]))
         assert with_index < without
+
+
+class TestCarriedCostIsWalkedCost:
+    """The total a plan was handed while it was built must be the walked one,
+    bit for bit — the builder sums in ``PlanNode.total_cost()``'s order."""
+
+    @staticmethod
+    def _check(plan: Plan) -> Plan:
+        walked = plan.root.total_cost()
+        leaves = sum(node.cost for node in plan.root.walk()
+                     if isinstance(node, ScanNode))
+        assert plan.total_cost == walked
+        assert plan.internal_cost == walked - leaves
+        return plan
+
+    def test_on_tpch_statements_under_atomic_configurations(self):
+        schema = tpch_schema(scale_factor=0.01)
+        workload = generate_homogeneous_workload(24, seed=5, update_fraction=0.2)
+        candidates = CandidateGenerator(schema).generate(workload)
+        optimizer = WhatIfOptimizer(schema)
+        multi_index = 0
+        for statement in workload:
+            shell = statement.query
+            if isinstance(shell, UpdateQuery):
+                shell = shell.query_shell()
+            per_table = {table: [index for index in candidates
+                                 if index.table == table][:4]
+                         for table in shell.tables}
+            self._check(optimizer.optimize_atomic(statement.query,
+                                                  AtomicConfiguration({})))
+            for table, indexes in per_table.items():
+                for index in indexes:
+                    self._check(optimizer.optimize_atomic(
+                        statement.query, AtomicConfiguration({table: index})))
+            for choice in range(4):
+                assignment = {table: indexes[choice % len(indexes)]
+                              for table, indexes in per_table.items() if indexes}
+                multi_index += len(assignment) > 1
+                self._check(optimizer.optimize_atomic(
+                    statement.query, AtomicConfiguration(assignment)))
+            self._check(optimizer.optimize(statement.query,
+                                           Configuration(candidates)))
+        assert multi_index > 0
+
+    def test_on_a_disconnected_join_graph(self):
+        optimizer = WhatIfOptimizer(tpch_schema(scale_factor=0.01))
+        query = SelectQuery(
+            tables=("customer", "orders", "nation", "region"),
+            projections=(ColumnRef("customer", "c_name"),
+                         ColumnRef("region", "r_name")),
+            joins=(JoinPredicate(ColumnRef("customer", "c_custkey"),
+                                 ColumnRef("orders", "o_custkey")),),
+            name="disconnected")
+        plan = self._check(optimizer.optimize(query, Configuration()))
+        assert {node.table for node in plan.scan_nodes()} == set(query.tables)
+        bridges = [node for node in plan.root.walk()
+                   if isinstance(node, JoinNode) and node.join_column_left is None]
+        assert len(bridges) == 2
+
+    def test_on_sort_based_aggregation_and_order_by(self, simple_schema):
+        # A dear hash table makes sort + stream aggregation the cheaper grouping.
+        optimizer = WhatIfOptimizer(simple_schema,
+                                    CostModel(hash_build_factor=50.0))
+        query = SelectQuery(
+            tables=("orders", "items"),
+            joins=(JoinPredicate(ColumnRef("orders", "o_id"),
+                                 ColumnRef("items", "i_order")),),
+            group_by=(ColumnRef("items", "i_product"),),
+            order_by=(ColumnRef("orders", "o_date"),),
+            aggregates=(Aggregate(AggregateFunction.SUM,
+                                  ColumnRef("items", "i_price")),),
+            name="sorted_grouping")
+        plan = self._check(optimizer.optimize(query, Configuration()))
+        top, aggregate, grouping_sort = list(plan.root.walk())[:3]
+        assert isinstance(top, SortNode)
+        assert top.sort_column == ColumnRef("orders", "o_date")
+        assert isinstance(aggregate, AggregateNode) and aggregate.strategy == "stream"
+        assert isinstance(grouping_sort, SortNode)
+        assert grouping_sort.sort_column == ColumnRef("items", "i_product")
