@@ -8,15 +8,24 @@ fingerprints, same result fingerprints.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import CostingSpec, ScaleSpec, Tuner, TuningRequest
+from repro.api import AdvisorSpec, CostingSpec, ScaleSpec, Tuner, TuningRequest
 from repro.api.tuner import statement_digest, workload_fingerprint
 from repro.catalog import tpch_schema
+from repro.catalog.column import Column, ColumnType
+from repro.catalog.schema import Schema
+from repro.catalog.statistics import ColumnStatistics, Histogram
+from repro.catalog.table import Table
 from repro.core.constraints import (
     ClusteredIndexConstraint,
+    ComparisonSense,
     IndexCountConstraint,
     IndexWidthConstraint,
     QueryCostConstraint,
@@ -27,6 +36,7 @@ from repro.core.constraints import (
 )
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.index import Index
+from repro.server.protocol import envelope_for_exception
 from repro.server.wire import (
     WIRE_VERSION,
     SchemaCache,
@@ -44,6 +54,20 @@ from repro.workload import (
     generate_heterogeneous_workload,
     generate_homogeneous_workload,
 )
+from repro.workload.predicates import (
+    ColumnRef,
+    ComparisonOperator,
+    JoinPredicate,
+    SimplePredicate,
+)
+from repro.workload.query import (
+    Aggregate,
+    AggregateFunction,
+    SelectQuery,
+    UpdateQuery,
+)
+from repro.workload.workload import Workload, WorkloadStatement
+from tests.conftest import build_simple_schema, build_simple_workload
 
 
 def _json_round_trip(payload):
@@ -309,3 +333,322 @@ class TestRequestCodec:
         local = Tuner().tune(request)
         remote_shaped = Tuner().tune(decoded)
         assert remote_shaped.fingerprint() == local.fingerprint()
+
+
+# ------------------------------------------------------------ generated cases
+# Seeded (``derandomize``) so tier-1 never depends on luck, and sized so the
+# whole file stays a few seconds.
+_FUZZ = dict(deadline=None, derandomize=True)
+
+_names = st.text(alphabet="abcdefgh_#", min_size=1, max_size=6)
+_finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+_positive = st.floats(min_value=0.5, max_value=1e9)
+_operand = st.one_of(st.integers(-10_000, 10_000), _finite,
+                     st.text(max_size=5))
+_hint = st.none() | st.floats(min_value=0.001, max_value=1.0)
+
+
+@st.composite
+def _schemas(draw):
+    """Small catalogs whose columns carry no, flat or histogram statistics."""
+    tables = []
+    for position in range(draw(st.integers(1, 3))):
+        columns = [Column(f"t{position}c{column}",
+                          draw(st.sampled_from(list(ColumnType))),
+                          width=draw(st.sampled_from([0, 2, 24])),
+                          nullable=draw(st.booleans()))
+                   for column in range(draw(st.integers(2, 4)))]
+        statistics = {}
+        for column in columns:
+            shape = draw(st.sampled_from(["none", "flat", "histogram"]))
+            if shape == "flat":
+                statistics[column.name] = ColumnStatistics(
+                    distinct_values=draw(_positive),
+                    null_fraction=draw(st.floats(0.0, 1.0)),
+                    correlation=draw(st.floats(-1.0, 1.0)),
+                    average_width=draw(st.floats(1.0, 64.0)))
+            elif shape == "histogram":
+                statistics[column.name] = ColumnStatistics.for_numeric_range(
+                    0.0, draw(st.floats(1.0, 1e6)), draw(st.integers(1, 500)),
+                    skew=draw(st.sampled_from([0.0, 1.0, 2.0])))
+        tables.append(Table(
+            f"t{position}", columns, row_count=draw(_positive),
+            statistics=statistics,
+            primary_key=draw(st.sampled_from([(), (columns[0].name,)])),
+            page_size=draw(st.sampled_from([4096, 8192]))))
+    return Schema(tables, name=draw(_names))
+
+
+def _predicates(columns):
+    column = st.sampled_from(columns)
+    return st.one_of(
+        st.builds(SimplePredicate, column, st.sampled_from([
+            ComparisonOperator.EQ, ComparisonOperator.NE,
+            ComparisonOperator.LT, ComparisonOperator.GE,
+            ComparisonOperator.LIKE]), _operand, _hint),
+        st.builds(SimplePredicate, column, st.just(ComparisonOperator.BETWEEN),
+                  st.tuples(_operand, _operand), _hint),
+        st.builds(SimplePredicate, column, st.just(ComparisonOperator.IN),
+                  st.lists(_operand, min_size=1, max_size=4).map(tuple),
+                  _hint),
+        st.builds(SimplePredicate, column,
+                  st.just(ComparisonOperator.IS_NULL)))
+
+
+@st.composite
+def _workloads(draw, schema):
+    """SELECT (single-table and join) and UPDATE statements over ``schema``."""
+    statements = []
+    for position in range(draw(st.integers(1, 4))):
+        table = draw(st.sampled_from(schema.tables))
+        columns = [ColumnRef(table.name, column.name)
+                   for column in table.columns]
+        some_columns = st.lists(st.sampled_from(columns), max_size=2,
+                                unique=True)
+        # One predicate per (column, operator): the structural statement
+        # key sorts on the hint next and cannot order None against a float.
+        predicates = draw(st.lists(
+            _predicates(columns), max_size=3,
+            unique_by=lambda predicate: (predicate.column,
+                                         predicate.operator)))
+        if draw(st.booleans()):
+            query = UpdateQuery(
+                table.name,
+                set_columns=draw(st.lists(st.sampled_from(columns),
+                                          min_size=1, max_size=2,
+                                          unique=True)),
+                predicates=predicates, name=f"upd#{position}",
+                update_fraction=draw(st.none() | st.floats(0.01, 1.0)))
+        else:
+            tables, joins = [table.name], []
+            other = draw(st.sampled_from(schema.tables))
+            if other is not table:
+                tables.append(other.name)
+                joins.append(JoinPredicate(
+                    columns[0], ColumnRef(other.name, other.columns[0].name)))
+            query = SelectQuery(
+                tables=tables, projections=draw(some_columns),
+                predicates=predicates, joins=joins,
+                group_by=draw(some_columns), order_by=draw(some_columns),
+                aggregates=draw(st.lists(st.builds(
+                    Aggregate, st.sampled_from(list(AggregateFunction)),
+                    st.none() | st.sampled_from(columns)), max_size=2)),
+                name=f"sel#{position}")
+        statements.append(WorkloadStatement(query, draw(_positive)))
+    return Workload(statements, name=draw(_names))
+
+
+def _constraints(workload):
+    """Lists drawn from all eight declarative constraint kinds."""
+    queries = [statement.query for statement in workload]
+    hard = st.one_of(
+        st.builds(StorageBudgetConstraint, _positive),
+        # Floats only where the decoder coerces with float(): an int limit
+        # comes back as 3.0, equal as a value but not as JSON text.
+        st.builds(IndexCountConstraint, limit=_positive,
+                  sense=st.sampled_from(list(ComparisonSense)), name=_names),
+        st.builds(IndexWidthConstraint, max_columns=st.integers(1, 6)),
+        st.builds(ClusteredIndexConstraint),
+        st.builds(QueryCostConstraint, query=st.sampled_from(queries),
+                  reference_cost=_positive, factor=st.floats(0.1, 1.0)),
+        st.builds(QuerySpeedupGenerator,
+                  reference_costs=st.dictionaries(
+                      st.sampled_from([query.name for query in queries]),
+                      _positive),
+                  factor=st.floats(0.1, 1.0)),
+        st.builds(UpdateCostConstraint, limit=_positive))
+    soft = st.builds(SoftConstraint, hard, target=st.none() | _positive)
+    return st.lists(hard | soft, max_size=4)
+
+
+@st.composite
+def _requests(draw):
+    schema = draw(_schemas())
+    workload = draw(_workloads(schema))
+    indexes = st.lists(
+        st.sampled_from(schema.tables).flatmap(lambda table: st.builds(
+            Index, st.just(table.name),
+            st.lists(st.sampled_from(table.column_names), min_size=1,
+                     max_size=2, unique=True),
+            clustered=st.booleans())),
+        max_size=3)
+    scale = draw(st.none() | st.builds(
+        ScaleSpec, max_cost_error=st.sampled_from([0, 0.0, 0.05]),
+        compress=st.booleans(), shard_count=st.none() | st.integers(1, 4),
+        shard_workers=st.none() | st.integers(1, 2),
+        budget_oversubscription=st.none() | st.floats(1.0, 2.0)))
+    advisor = draw(st.none() | st.builds(
+        AdvisorSpec,
+        st.just("scaleout") if scale is not None
+        else st.sampled_from(["cophy", "ilp", "dta", "tool-a"]),
+        st.dictionaries(_names, st.one_of(
+            st.none(), st.booleans(), st.integers(0, 9), _finite, _names,
+            st.lists(st.integers(0, 9), max_size=3)), max_size=2),
+        time_budget_ms=st.none() | st.floats(1.0, 1e4),
+        solve_tier=st.none() | st.sampled_from(
+            ["heuristic", "cascade", "exact"])))
+    return TuningRequest(
+        workload=workload, schema=schema,
+        constraints=draw(_constraints(workload)),
+        candidates=draw(st.none() | indexes.map(
+            lambda chosen: CandidateSet(schema, chosen))),
+        dba_indexes=draw(indexes), advisor=advisor,
+        costing=draw(st.builds(
+            CostingSpec, max_orders_per_table=st.integers(1, 4),
+            max_templates_per_query=st.integers(1, 64),
+            build_processes=st.none() | st.integers(1, 2))),
+        scale=scale, per_statement_costs=draw(st.none() | st.booleans()),
+        request_id=draw(_names))
+
+
+class TestGeneratedRoundTrips:
+    @given(request=_requests())
+    @settings(max_examples=60, **_FUZZ)
+    def test_encode_decode_encode_is_the_identity(self, request):
+        payload = _json_round_trip(encode_request(request))
+        decoded = decode_request(payload)
+        again = encode_request(decoded)
+        assert again == payload
+        # Equal as Python values is not enough (1 == 1.0 == True): the JSON
+        # *text* a client would send must survive, because statement digests
+        # and result fingerprints hash reprs and JSON text.
+        assert json.dumps(again, sort_keys=True) == \
+            json.dumps(payload, sort_keys=True)
+        assert workload_fingerprint(decoded.workload) == \
+            workload_fingerprint(request.workload)
+        budgeted = (request.advisor is not None and
+                    (request.advisor.time_budget_ms is not None
+                     or request.advisor.solve_tier is not None))
+        assert payload["wire_version"] == (2 if budgeted else 1)
+
+
+def _slim(schema):
+    """``schema`` with two-bucket histograms on every other column, so a random
+    path lands on every payload type instead of mostly on bucket numbers."""
+    tables = []
+    for table in schema:
+        statistics = {
+            name: dataclasses.replace(
+                stats, histogram=None if position % 2 else
+                Histogram.from_domain(0.0, 100.0, 50, num_buckets=2))
+            for position, (name, stats) in enumerate(table.statistics.items())}
+        tables.append(Table(table.name, table.columns, table.row_count,
+                            statistics, table.primary_key, table.page_size))
+    return Schema(tables, name=schema.name)
+
+
+def _base_payloads():
+    """Encoded requests that exercise every payload type at least once."""
+    schema, workload = _slim(build_simple_schema()), build_simple_workload()
+    full = TuningRequest(
+        workload=workload, schema=schema,
+        constraints=[
+            StorageBudgetConstraint(5e6), IndexCountConstraint(limit=3),
+            IndexWidthConstraint(max_columns=2), ClusteredIndexConstraint(),
+            QueryCostConstraint(workload.statements[0].query,
+                                reference_cost=123.5, factor=0.75),
+            QuerySpeedupGenerator(reference_costs={"point#1": 10.0}),
+            UpdateCostConstraint(limit=40.0),
+            SoftConstraint(StorageBudgetConstraint(1000.0), target=900.0)],
+        candidates=[Index("orders", ("o_customer",),
+                          include_columns=("o_total",))],
+        dba_indexes=[Index("orders", ("o_date",), clustered=True)],
+        advisor=AdvisorSpec("cophy", {"gap_limit": 0.05},
+                            time_budget_ms=250.0, solve_tier="cascade"),
+        costing=CostingSpec(max_orders_per_table=2, build_processes=1),
+        per_statement_costs=True, request_id="fuzz")
+    scaled = TuningRequest(
+        workload=workload, schema=schema,
+        scale=ScaleSpec(shard_count=2, shard_workers=1,
+                        budget_oversubscription=1.5))
+    return [_json_round_trip(encode_request(request))
+            for request in (full, scaled)]
+
+
+_BASE_PAYLOADS = _base_payloads()
+
+#: Wrong-typed stand-ins, one per JSON type.
+_JSON_SAMPLES = {"null": None, "boolean": True, "number": 7, "string": "yes",
+                 "array": ["x"], "object": {"x": 1}}
+#: Keys whose value is free-form by contract (any scalar / any JSON).
+_FREE_FORM = {"value", "options"}
+
+
+def _json_type(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) slot of a JSON document, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _resolve(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _outcome(decode):
+    """``None`` when ``decode`` accepts, else the HTTP status it maps to."""
+    try:
+        decode()
+    except Exception as exc:  # noqa: BLE001 — every escape is classified
+        return envelope_for_exception(exc)[0]
+    return None
+
+
+class TestMutationFuzz:
+    """No mutant is a 500, and none is accepted with a field's type changed."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "hand-paired codec at 9bac81d: of 4,224 single mutations 35 are HTTP "
+        "500s and 485 are accepted with a changed type; the table codec "
+        "fixes them"))
+    @given(data=st.data())
+    @settings(max_examples=400, **_FUZZ)
+    def test_mutants_are_rejected_with_a_typed_4xx(self, data):
+        base = data.draw(st.sampled_from(_BASE_PAYLOADS))
+        path = data.draw(st.sampled_from(list(_paths(base))))
+        mutant = copy.deepcopy(base)
+        parent, key = _resolve(mutant, path[:-1]), path[-1]
+        original = parent[key]
+        mutation = data.draw(st.sampled_from(["drop", "add", "swap"]))
+        if mutation == "add" and isinstance(original, dict):
+            original["no_such_field"] = 1
+        elif mutation == "drop" or original is None:
+            del parent[key]
+        else:
+            mutation = "swap"
+            wrong = data.draw(st.sampled_from(sorted(
+                set(_JSON_SAMPLES) - {_json_type(original)})))
+            parent[key] = _JSON_SAMPLES[wrong]
+
+        decoded = []
+        status = _outcome(lambda: decoded.append(decode_request(mutant)))
+        assert status is None or 400 <= status < 500, (path, mutation, status)
+        if status is not None:
+            return
+        # Accepted: then nothing was silently reinterpreted.  A swapped-in
+        # null means "absent" for an optional field; statistics and
+        # reference_costs are keyed by free names; anything else accepted
+        # must be free-form by contract.
+        if mutation == "swap" and parent[key] is not None:
+            assert _FREE_FORM & set(path), (path, parent[key])
+        if mutation == "add":
+            assert {"options", "statistics", "reference_costs"} & set(path), \
+                path
