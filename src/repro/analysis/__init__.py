@@ -11,10 +11,10 @@ other tree (the fixture tests use this).  The engine parses source with
 :mod:`ast` and never imports the code under analysis, so it has no runtime
 dependencies; a full run over the repo takes well under ten seconds.  The
 rules encode the conventions PRs 1-8 established — fingerprint purity,
-fault-site discipline, context-lock discipline, bounded metric labels, wire
-codec completeness, worker pickle safety, no runtime asserts, no dead
-imports — see the ROADMAP's "Static analysis (PR 9)" notes for each rule's
-origin and the suppression workflow.
+fault-site discipline, context-lock discipline, bounded metric labels,
+bounded buffers, worker pickle safety, no runtime asserts, no dead imports —
+see the ROADMAP's "Static analysis (PR 9)" notes for each rule's origin and
+the suppression workflow.
 """
 
 from repro.analysis.baseline import Baseline, split_by_baseline

@@ -10,7 +10,6 @@ from repro.analysis.rules.hygiene import RuntimeAssertRule, UnusedImportRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.metrics import MetricLabelRule
 from repro.analysis.rules.pickling import PickleHashRule
-from repro.analysis.rules.wire import WireCompletenessRule
 
 __all__ = ["Finding", "Rule", "ALL_RULES", "rule_by_name"]
 
@@ -21,7 +20,6 @@ ALL_RULES: tuple[Rule, ...] = (
     LockDisciplineRule(),
     MetricLabelRule(),
     BoundedBufferRule(),
-    WireCompletenessRule(),
     PickleHashRule(),
     RuntimeAssertRule(),
     UnusedImportRule(),

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.advisors.base import Recommendation
+from repro.api._codec import (
+    BOOL, FLOAT, INT, NUMBER, OBJECT, STR, Field, Record, decode, encode, many,
+    mapping)
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.lp.solution import GapTracePoint
@@ -44,22 +47,22 @@ _TIMING_KEYS = frozenset({
 _VOLATILE_KEYS = frozenset({"retries", "faults_survived", "trace", "profile"})
 
 
+_INDEX = Record(
+    "index", Index,
+    Field("table", STR),
+    Field("key_columns", many(STR)),
+    Field("include_columns", many(STR), required=False),
+    Field("clustered", BOOL, required=False),
+    Field("name", STR, required=False))
+
+
 def index_to_payload(index: Index) -> dict[str, Any]:
     """An :class:`Index` as a JSON-representable dict."""
-    return {
-        "table": index.table,
-        "key_columns": list(index.key_columns),
-        "include_columns": list(index.include_columns),
-        "clustered": index.clustered,
-        "name": index.name,
-    }
+    return encode(_INDEX, index)
 
 
 def index_from_payload(payload: Mapping[str, Any]) -> Index:
-    return Index(payload["table"], tuple(payload["key_columns"]),
-                 include_columns=tuple(payload["include_columns"]),
-                 clustered=bool(payload["clustered"]),
-                 name=payload["name"] or None)
+    return decode(_INDEX, payload)
 
 
 @dataclass(frozen=True)
@@ -108,38 +111,37 @@ class TuningDiagnostics:
     faults_survived: int = 0
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "gap": self.gap,
-            "whatif_calls": self.whatif_calls,
-            "candidate_count": self.candidate_count,
-            "nodes_explored": self.nodes_explored,
-            "iterations": self.iterations,
-            "timings": dict(self.timings),
-            "gap_trace": [asdict(point) for point in self.gap_trace],
-            "timed_out": self.timed_out,
-            "solve_tier": self.solve_tier,
-            "degraded": self.degraded,
-            "retries": self.retries,
-            "faults_survived": self.faults_survived,
-        }
+        return encode(_DIAGNOSTICS, self)
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "TuningDiagnostics":
-        return cls(
-            gap=float(payload.get("gap", 0.0)),
-            whatif_calls=int(payload.get("whatif_calls", 0)),
-            candidate_count=int(payload.get("candidate_count", 0)),
-            nodes_explored=int(payload.get("nodes_explored", 0)),
-            iterations=int(payload.get("iterations", 0)),
-            timings=dict(payload.get("timings", {})),
-            gap_trace=tuple(GapTracePoint(**point)
-                            for point in payload.get("gap_trace", ())),
-            timed_out=bool(payload.get("timed_out", False)),
-            solve_tier=str(payload.get("solve_tier", "exact")),
-            degraded=bool(payload.get("degraded", False)),
-            retries=int(payload.get("retries", 0)),
-            faults_survived=int(payload.get("faults_survived", 0)),
-        )
+        return decode(_DIAGNOSTICS, payload)
+
+
+_DIAGNOSTICS = Record(
+    "diagnostics", TuningDiagnostics,
+    Field("gap", FLOAT, required=False),
+    Field("whatif_calls", INT, required=False),
+    Field("candidate_count", INT, required=False),
+    Field("nodes_explored", INT, required=False),
+    Field("iterations", INT, required=False),
+    Field("timings", mapping(NUMBER, "timing"), required=False),
+    Field("gap_trace", many(Record(
+        "gap trace point", GapTracePoint,
+        Field("elapsed_seconds", NUMBER),
+        Field("incumbent_objective", NUMBER),
+        Field("best_bound", NUMBER),
+        Field("gap", NUMBER),
+        Field("nodes_explored", INT))), required=False),
+    Field("timed_out", BOOL, required=False),
+    Field("solve_tier", STR, required=False),
+    Field("degraded", BOOL, required=False),
+    Field("retries", INT, required=False),
+    Field("faults_survived", INT, required=False))
+
+_STATEMENT_COST = Record(
+    "statement cost", StatementCost,
+    Field("statement", STR), Field("weight", NUMBER), Field("cost", NUMBER))
 
 
 @dataclass
@@ -233,26 +235,9 @@ class TuningResult:
     # ------------------------------------------------------------ serialization
     def to_payload(self) -> dict[str, Any]:
         """The JSON-representable payload (everything except live extras)."""
-        payload = {
-            "version": RESULT_PAYLOAD_VERSION,
-            "advisor": self.advisor_name,
-            "objective_estimate": self.objective_estimate,
-            "configuration": {
-                "name": self.configuration.name,
-                "indexes": [index_to_payload(index)
-                            for index in self.configuration],
-            },
-            "statement_costs": [asdict(entry)
-                                for entry in self.statement_costs],
-            "diagnostics": self.diagnostics.to_payload(),
-            "provenance": self.provenance,
-        }
-        trace = self.extras.get("trace")
-        if trace is not None:
-            payload["trace"] = trace
-        profile = self.extras.get("profile")
-        if profile is not None:
-            payload["profile"] = profile
+        payload = encode(_RESULT, self)
+        payload.update((key, self.extras[key]) for key in _OBSERVATION_EXTRAS
+                       if self.extras.get(key) is not None)
         return payload
 
     def to_json(self, indent: int | None = None) -> str:
@@ -261,33 +246,19 @@ class TuningResult:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "TuningResult":
-        # Pre-PR 5 payloads carried no version field and are structurally
-        # version 1; anything else is a payload this build cannot promise to
-        # load faithfully, so fail loudly instead of partial-loading.
-        version = payload.get("version", RESULT_PAYLOAD_VERSION)
-        if version != RESULT_PAYLOAD_VERSION:
-            raise ValueError(
-                f"Unsupported TuningResult payload version {version!r}; "
-                f"this build understands version {RESULT_PAYLOAD_VERSION}")
-        configuration = Configuration(
-            (index_from_payload(entry)
-             for entry in payload["configuration"]["indexes"]),
-            name=payload["configuration"].get("name", ""))
-        extras: dict[str, Any] = {}
-        if payload.get("trace") is not None:
-            extras["trace"] = dict(payload["trace"])
-        if payload.get("profile") is not None:
-            extras["profile"] = dict(payload["profile"])
-        return cls(
-            configuration=configuration,
-            advisor_name=payload["advisor"],
-            objective_estimate=float(payload["objective_estimate"]),
-            statement_costs=tuple(StatementCost(**entry)
-                                  for entry in payload["statement_costs"]),
-            diagnostics=TuningDiagnostics.from_payload(payload["diagnostics"]),
-            provenance=dict(payload["provenance"]),
-            extras=extras,
-        )
+        """The result ``payload`` describes; an unknown version, a missing or
+        unknown field and a wrong-typed value raise ``WireFormatError`` (a
+        ``ValueError``), so a truncated response never loads partially."""
+        observations = {}
+        if isinstance(payload, Mapping):
+            observations = {key: dict(payload[key])
+                            for key in _OBSERVATION_EXTRAS
+                            if payload.get(key) is not None}
+            payload = {key: value for key, value in payload.items()
+                       if key not in _OBSERVATION_EXTRAS}
+        result = decode(_RESULT, payload)
+        result.extras.update(observations)
+        return result
 
     @classmethod
     def from_json(cls, text: str) -> "TuningResult":
@@ -303,6 +274,25 @@ class TuningResult:
         canonical = json.dumps(_strip_timings(self.to_payload()),
                                sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: The extras that ride the payload, as top-level keys present only when set.
+_OBSERVATION_EXTRAS = ("trace", "profile")
+
+#: A payload without ``version`` is a pre-PR 5 (structurally version 1) one;
+#: any other value is one this build cannot promise to load faithfully.
+_RESULT = Record(
+    "TuningResult", TuningResult,
+    Field("advisor", STR, attr="advisor_name"),
+    Field("objective_estimate", FLOAT),
+    Field("configuration", Record(
+        "configuration", Configuration,
+        Field("name", STR, required=False),
+        Field("indexes", many(_INDEX)))),
+    Field("statement_costs", many(_STATEMENT_COST)),
+    Field("diagnostics", _DIAGNOSTICS),
+    Field("provenance", OBJECT),
+    tag=("version", RESULT_PAYLOAD_VERSION))
 
 
 def _strip_timings(value: Any) -> Any:

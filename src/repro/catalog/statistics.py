@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 __all__ = ["HistogramBucket", "Histogram", "ColumnStatistics", "zipf_frequencies"]
 
@@ -127,21 +127,6 @@ class Histogram:
     def buckets(self) -> tuple[HistogramBucket, ...]:
         return self._buckets
 
-    # ------------------------------------------------------------ serialization
-    def to_payload(self) -> dict[str, Any]:
-        """A JSON-representable payload (wire format of the tuning server).
-
-        Buckets are flat ``[low, high, frequency, distinct_values]`` rows;
-        frequencies are already normalised, so a decode re-runs the
-        constructor's normalisation as a no-op and the round trip is exact.
-        """
-        return {"buckets": [[b.low, b.high, b.frequency, b.distinct_values]
-                            for b in self._buckets]}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "Histogram":
-        return cls([HistogramBucket(*entry) for entry in payload["buckets"]])
-
     @property
     def low(self) -> float:
         return self._buckets[0].low
@@ -233,30 +218,6 @@ class ColumnStatistics:
             raise ValueError("null_fraction must be within [0, 1]")
         if not -1.0 <= self.correlation <= 1.0:
             raise ValueError("correlation must be within [-1, 1]")
-
-    # ------------------------------------------------------------ serialization
-    def to_payload(self) -> dict[str, Any]:
-        """A JSON-representable payload (wire format of the tuning server)."""
-        return {
-            "distinct_values": self.distinct_values,
-            "null_fraction": self.null_fraction,
-            "correlation": self.correlation,
-            "average_width": self.average_width,
-            "histogram": (None if self.histogram is None
-                          else self.histogram.to_payload()),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ColumnStatistics":
-        histogram = payload.get("histogram")
-        return cls(
-            distinct_values=float(payload["distinct_values"]),
-            null_fraction=float(payload.get("null_fraction", 0.0)),
-            histogram=(None if histogram is None
-                       else Histogram.from_payload(histogram)),
-            correlation=float(payload.get("correlation", 0.0)),
-            average_width=float(payload.get("average_width", 8.0)),
-        )
 
     def equality_selectivity(self, value: float | None = None) -> float:
         """Selectivity of an equality predicate on this column."""

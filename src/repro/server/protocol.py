@@ -9,8 +9,8 @@ client maps it back onto the exception the embedded API would have raised
 (:func:`raise_remote_error`), so error handling code is the same in-process
 and over the wire.  Status mapping:
 
-* ``400`` — the request itself is broken: malformed JSON, unknown wire
-  version / advisor name, invalid spec combinations (``ValueError``);
+* ``400`` — the request itself is broken: malformed JSON, a payload the wire
+  table rejects (``WireFormatError``), unknown advisor name, ``ValueError``;
 * ``422`` — the request parsed but describes an unservable tuning problem:
   :class:`WorkloadError` (e.g. statement-name collisions), catalog and
   constraint errors, infeasible problems;
@@ -111,8 +111,6 @@ def envelope_for_exception(exc: BaseException) -> tuple[int, dict[str, Any]]:
         if exc.retry_after_s is not None:
             envelope["error"]["retry_after_s"] = exc.retry_after_s
         return status, envelope
-    if isinstance(exc, WireFormatError):
-        return 400, error_envelope("WireFormatError", str(exc), 400)
     if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
         # UnicodeDecodeError: a body that is not even valid UTF-8 is as
         # malformed as one that is not valid JSON.
@@ -126,7 +124,7 @@ def envelope_for_exception(exc: BaseException) -> tuple[int, dict[str, Any]]:
                 "No advisor registered"):
             return 400, error_envelope("UnknownAdvisor", message, 400)
         return 500, error_envelope("KeyError", str(message), 500)
-    if isinstance(exc, (ValueError, TypeError)):
+    if isinstance(exc, (ValueError, TypeError)):  # WireFormatError included
         return 400, error_envelope(type(exc).__name__, str(exc), 400)
     if isinstance(exc, (WorkloadError, CatalogError, ConstraintError,
                         IndexDefinitionError, InfeasibleProblemError)):

@@ -1,10 +1,13 @@
 """Versioned JSON wire formats for the network tuning server.
 
 ``TuningResult`` has serialized since PR 4 (:meth:`TuningResult.to_json`);
-this module supplies the *request* side: codecs for :class:`Schema` (tables,
-columns, statistics), :class:`Workload` (statements, weights, predicates,
-updates), the DBA constraint language and the three request specs, composing
-into :func:`encode_request` / :func:`decode_request`.
+this module states the *request* side once, as a table: one
+:class:`~repro.api._codec.Record` of ``Field`` rows per payload type (schema
+… statistics, workload … predicate, the constraint kinds, the specs, the
+request), walked by the single encoder and decoder of
+:mod:`repro.api._codec`.  The ``encode_*`` / ``decode_*`` functions are its
+entry points; what a row cannot say is a hook on one field (``query_cost``
+resolving its statement by name, candidates becoming a ``CandidateSet``).
 
 The contract is **bit-identical round-tripping**: for any encodable request,
 tuning ``decode_request(encode_request(request))`` produces a result whose
@@ -12,17 +15,18 @@ tuning ``decode_request(encode_request(request))`` produces a result whose
 ``tests/test_wire.py`` and ``tests/test_server.py``).  Three properties make
 that hold:
 
-* floats survive exactly — Python's ``json`` emits shortest-repr floats,
-  which round-trip bit-identically;
+* numbers survive exactly — Python's ``json`` emits shortest-repr floats,
+  and a number the object model does not itself hold as a ``float`` is
+  decoded as it arrived (an ``int`` stays an ``int``);
 * tuple-valued predicate operands (``BETWEEN`` / ``IN``) are restored to
   tuples on decode, so statement digests (which ``repr`` the operands) match;
 * statement and workload *names* are part of the payload — the canonical
   workload LRU and the shared INUM cache key on them.
 
-Every payload carries ``wire_version``; :func:`decode_request` rejects
-versions it does not understand with :class:`WireFormatError` instead of
-silently partial-loading.  Constraints carrying live callables (selectors,
-filters) have no wire representation and are rejected at *encode* time.
+Every request carries ``wire_version``; an unknown version, an unknown or
+missing field and a value of the wrong JSON type are all
+:class:`WireFormatError` — never a silent partial load.  Constraints carrying
+live callables (selectors, filters) are rejected at *encode* time.
 """
 
 from __future__ import annotations
@@ -31,15 +35,21 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import fields
 from typing import Any, Mapping
 
-from repro.api.result import index_from_payload, index_to_payload
+from repro.api._codec import (
+    BOOL, FLOAT, INT, NUMBER, OBJECT, STR, Codec, Field, Record,
+    WireFormatError, decode, encode, enum, flat, many, mapping, union)
+from repro.api.result import _INDEX
 from repro.obs.metrics import active_registry
 from repro.api.specs import AdvisorSpec, CostingSpec, ScaleSpec, TuningRequest
 from repro.catalog.column import Column, ColumnType
 from repro.catalog.schema import Schema
-from repro.catalog.statistics import ColumnStatistics
+from repro.catalog.statistics import (
+    ColumnStatistics,
+    Histogram,
+    HistogramBucket,
+)
 from repro.catalog.table import Table
 from repro.core.constraints import (
     ClusteredIndexConstraint,
@@ -53,7 +63,6 @@ from repro.core.constraints import (
     TuningConstraint,
     UpdateCostConstraint,
 )
-from repro.exceptions import ReproError
 from repro.indexes.candidate_generation import CandidateSet
 from repro.workload.predicates import (
     ColumnRef,
@@ -86,186 +95,58 @@ __all__ = [
     "decode_request",
 ]
 
-#: Version of the request wire format.  Bump on any incompatible change; the
-#: decoder rejects versions it does not understand.
-#:
-#: Version history:
-#:
-#: * 1 — PR 5 baseline.
-#: * 2 — anytime tuning: the advisor spec may carry ``time_budget_ms`` /
-#:   ``solve_tier``.  The encoder still emits version 1 when neither field
-#:   is set, so budget-less clients keep interoperating with version-1
-#:   servers; the decoder accepts both versions but rejects budget fields
-#:   arriving under version 1.
+#: Newest version of the request wire format.  Bump on any incompatible
+#: change; the decoder rejects versions it does not understand.  History (a
+#: row's ``since`` is the version that introduced it): 1 — PR 5 baseline;
+#: 2 — anytime tuning: the advisor spec may carry ``time_budget_ms`` /
+#: ``solve_tier``.  Neither set, the encoder still emits version 1, so
+#: budget-less clients keep interoperating with version-1 servers; the
+#: decoder rejects budget fields arriving under version 1.
 WIRE_VERSION = 2
-
-#: Wire versions :func:`decode_request` understands.
-_ACCEPTED_WIRE_VERSIONS = frozenset({1, WIRE_VERSION})
-
-
-class WireFormatError(ReproError):
-    """Raised when a payload cannot be encoded to / decoded from the wire."""
-
-
-# --------------------------------------------------------------------- helpers
-def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
-    try:
-        return payload[key]
-    except (KeyError, TypeError):
-        raise WireFormatError(
-            f"{context} payload is missing required field {key!r}") from None
-
-
-def _check_fields(payload: Any, allowed: frozenset, context: str) -> None:
-    """Reject unknown payload fields loudly.
-
-    A misspelled optional field (``"sence"`` for ``"sense"``) would otherwise
-    be dropped and its default silently enforced — the partial-load failure
-    mode this module promises never to have.
-    """
-    if not isinstance(payload, Mapping):
-        raise WireFormatError(
-            f"{context} payload must be a JSON object, got "
-            f"{type(payload).__name__}")
-    unknown = set(payload) - allowed
-    if unknown:
-        raise WireFormatError(
-            f"{context} payload has unknown fields {sorted(unknown)}; "
-            f"known fields: {sorted(allowed)}")
-
-
-_REQUEST_FIELDS = frozenset({
-    "wire_version", "kind", "request_id", "schema", "workload", "constraints",
-    "candidates", "dba_indexes", "advisor", "costing", "scale",
-    "per_statement_costs"})
-_SCHEMA_FIELDS = frozenset({"name", "tables"})
-_TABLE_FIELDS = frozenset({"name", "row_count", "page_size", "primary_key",
-                           "columns", "statistics"})
-_COLUMN_FIELDS = frozenset({"name", "type", "width", "nullable"})
-_STATISTICS_FIELDS = frozenset({"distinct_values", "null_fraction",
-                                "correlation", "average_width", "histogram"})
-_HISTOGRAM_FIELDS = frozenset({"buckets"})
-_WORKLOAD_FIELDS = frozenset({"name", "statements"})
-_STATEMENT_FIELDS = frozenset({"weight", "query"})
-_SELECT_FIELDS = frozenset({"kind", "name", "tables", "projections",
-                            "predicates", "joins", "group_by", "order_by",
-                            "aggregates"})
-_UPDATE_FIELDS = frozenset({"kind", "name", "table", "set_columns",
-                            "predicates", "update_fraction"})
-_PREDICATE_FIELDS = frozenset({"column", "operator", "value",
-                               "selectivity_hint"})
-_JOIN_FIELDS = frozenset({"left", "right"})
-_AGGREGATE_FIELDS = frozenset({"function", "column"})
-_ADVISOR_FIELDS_V1 = frozenset({"name", "options"})
-_ADVISOR_FIELDS = _ADVISOR_FIELDS_V1 | frozenset({"time_budget_ms",
-                                                  "solve_tier"})
-#: Allowed fields per constraint payload type.
-_CONSTRAINT_FIELDS = {
-    "soft": frozenset({"type", "target", "inner"}),
-    "storage_budget": frozenset({"type", "budget_bytes", "name"}),
-    "index_count": frozenset({"type", "limit", "sense", "name"}),
-    "index_width": frozenset({"type", "max_columns", "name"}),
-    "clustered_index": frozenset({"type", "name"}),
-    "query_cost": frozenset({"type", "query", "reference_cost", "factor",
-                             "name"}),
-    "speedup_generator": frozenset({"type", "reference_costs", "factor",
-                                    "name"}),
-    "update_cost": frozenset({"type", "limit", "name"}),
-}
-
-
-def _scalar(value: Any, context: str) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise WireFormatError(
-        f"{context} value {value!r} of type {type(value).__name__} has no "
-        f"JSON wire representation")
-
-
-def _encode_operand(value: Any, context: str) -> Any:
-    if isinstance(value, (tuple, list)):
-        return [_scalar(item, context) for item in value]
-    return _scalar(value, context)
-
-
-def _encode_column_ref(column: ColumnRef) -> list[str]:
-    return [column.table, column.column]
-
-
-def _decode_column_ref(payload: Any, context: str) -> ColumnRef:
-    if not isinstance(payload, (list, tuple)) or len(payload) != 2:
-        raise WireFormatError(
-            f"{context}: a column reference must be a [table, column] pair, "
-            f"got {payload!r}")
-    return ColumnRef(payload[0], payload[1])
 
 
 # ---------------------------------------------------------------------- schema
+#: Bucket frequencies are already normalised, so a decode re-runs
+#: ``Histogram``'s normalisation as a no-op and the round trip is exact.
+_HISTOGRAM = Record("histogram", Histogram,
+                    Field("buckets", many(flat(HistogramBucket, NUMBER))))
+
+_STATISTICS = Record(
+    "statistics", ColumnStatistics,
+    Field("distinct_values", FLOAT),
+    Field("null_fraction", FLOAT, required=False),
+    Field("correlation", FLOAT, required=False),
+    Field("average_width", FLOAT, required=False),
+    Field("histogram", _HISTOGRAM, required=False))
+
+_COLUMN = Record(
+    "column", Column,
+    Field("name", STR),
+    Field("type", enum(ColumnType, "column type"), attr="column_type"),
+    Field("width", INT, required=False),
+    Field("nullable", BOOL, required=False))
+
+_TABLE = Record(
+    "table", Table,
+    Field("name", STR),
+    Field("row_count", FLOAT),
+    Field("page_size", INT, required=False),
+    Field("primary_key", many(STR), required=False),
+    Field("columns", many(_COLUMN)),
+    Field("statistics", mapping(_STATISTICS, "statistics for column"),
+          required=False))
+
+_SCHEMA = Record("schema", Schema,
+                 Field("name", STR), Field("tables", many(_TABLE)))
+
+
 def encode_schema(schema: Schema) -> dict[str, Any]:
     """A :class:`Schema` (tables, columns, statistics) as a JSON payload."""
-    return {
-        "name": schema.name,
-        "tables": [_encode_table(table) for table in schema],
-    }
-
-
-def _encode_table(table: Table) -> dict[str, Any]:
-    return {
-        "name": table.name,
-        "row_count": table.row_count,
-        "page_size": table.page_size,
-        "primary_key": list(table.primary_key),
-        "columns": [
-            {"name": column.name, "type": column.column_type.value,
-             "width": column.width, "nullable": column.nullable}
-            for column in table.columns
-        ],
-        "statistics": {name: stats.to_payload()
-                       for name, stats in table.statistics.items()},
-    }
+    return encode(_SCHEMA, schema)
 
 
 def decode_schema(payload: Mapping[str, Any]) -> Schema:
-    _check_fields(payload, _SCHEMA_FIELDS, "schema")
-    tables = [_decode_table(entry)
-              for entry in _require(payload, "tables", "schema")]
-    return Schema(tables, name=_require(payload, "name", "schema"))
-
-
-def _decode_table(payload: Mapping[str, Any]) -> Table:
-    _check_fields(payload, _TABLE_FIELDS, "table")
-    columns = []
-    for entry in _require(payload, "columns", "table"):
-        _check_fields(entry, _COLUMN_FIELDS, "column")
-        try:
-            column_type = ColumnType(_require(entry, "type", "column"))
-        except ValueError as exc:
-            raise WireFormatError(f"Unknown column type: {exc}") from None
-        columns.append(Column(
-            name=_require(entry, "name", "column"),
-            column_type=column_type,
-            width=int(entry.get("width", 0)),
-            nullable=bool(entry.get("nullable", False)),
-        ))
-    statistics = {}
-    for name, stats in payload.get("statistics", {}).items():
-        _check_fields(stats, _STATISTICS_FIELDS, f"statistics[{name}]")
-        if stats.get("histogram") is not None:
-            _check_fields(stats["histogram"], _HISTOGRAM_FIELDS,
-                          f"statistics[{name}].histogram")
-        try:
-            statistics[name] = ColumnStatistics.from_payload(stats)
-        except (KeyError, TypeError) as exc:
-            raise WireFormatError(
-                f"Malformed statistics for column {name!r}: {exc}") from None
-    return Table(
-        name=_require(payload, "name", "table"),
-        columns=columns,
-        row_count=float(_require(payload, "row_count", "table")),
-        statistics=statistics,
-        primary_key=tuple(payload.get("primary_key", ())),
-        page_size=int(payload.get("page_size", 8192)),
-    )
+    return decode(_SCHEMA, payload)
 
 
 def _schema_cache_event(event: str) -> None:
@@ -325,403 +206,233 @@ class SchemaCache:
 
 
 # -------------------------------------------------------------------- workload
+_COLUMN_REF = flat(ColumnRef, STR)
+
+
+def _scalar(value: Any, _walk: Any) -> Any:
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise WireFormatError(
+        f"value {value!r} of type {type(value).__name__} has no JSON wire "
+        f"representation")
+
+
+_SCALAR = Codec(_scalar, _scalar)
+_SCALARS = many(_SCALAR)
+#: A scalar, or the array of a BETWEEN pair / IN list — which comes back as a
+#: tuple, so statement digests (they ``repr`` the operand) match.
+_OPERAND = Codec(
+    lambda value, walk: (_SCALARS if isinstance(value, (tuple, list))
+                         else _SCALAR).enc(value, walk),
+    lambda value, walk: (_SCALARS if isinstance(value, list)
+                         else _SCALAR).dec(value, walk))
+
+
+def _encode_options(options: Any, walk: Any) -> Any:
+    """Strictly-JSON projection of spec options (live objects are rejected)."""
+    if isinstance(options, dict):
+        return {key: _encode_options(value, walk)
+                for key, value in options.items()}
+    return _OPERAND.enc(options, walk)
+
+
+_PREDICATE = Record(
+    "predicate", SimplePredicate,
+    Field("column", _COLUMN_REF),
+    Field("operator", enum(ComparisonOperator, "comparison operator")),
+    Field("value", _OPERAND, required=False),
+    Field("selectivity_hint", NUMBER, required=False))
+
+_JOIN = Record("join", JoinPredicate,
+               Field("left", _COLUMN_REF), Field("right", _COLUMN_REF))
+
+_AGGREGATE = Record(
+    "aggregate", Aggregate,
+    Field("function", enum(AggregateFunction, "aggregate function")),
+    Field("column", _COLUMN_REF, required=False))
+
+_SELECT = Record(
+    "select query", SelectQuery,
+    Field("name", STR),
+    Field("tables", many(STR)),
+    Field("projections", many(_COLUMN_REF), required=False),
+    Field("predicates", many(_PREDICATE), required=False),
+    Field("joins", many(_JOIN), required=False),
+    Field("group_by", many(_COLUMN_REF), required=False),
+    Field("order_by", many(_COLUMN_REF), required=False),
+    Field("aggregates", many(_AGGREGATE), required=False),
+    tag=("kind", "select"))
+
+_UPDATE = Record(
+    "update query", UpdateQuery,
+    Field("name", STR),
+    Field("table", STR),
+    Field("set_columns", many(_COLUMN_REF)),
+    Field("predicates", many(_PREDICATE), required=False),
+    Field("update_fraction", NUMBER, required=False),
+    tag=("kind", "update"))
+
+_QUERY = union("statement", _SELECT, _UPDATE)
+
+_STATEMENT = Record("statement", WorkloadStatement,
+                    Field("weight", FLOAT, required=False),
+                    Field("query", _QUERY))
+
+_WORKLOAD = Record("workload", Workload,
+                   Field("name", STR), Field("statements", many(_STATEMENT)))
+
+
 def encode_workload(workload: Workload) -> dict[str, Any]:
     """A :class:`Workload` (statements, weights) as a JSON payload."""
-    return {
-        "name": workload.name,
-        "statements": [
-            {"weight": statement.weight,
-             "query": encode_query(statement.query)}
-            for statement in workload
-        ],
-    }
+    return encode(_WORKLOAD, workload)
 
 
 def decode_workload(payload: Mapping[str, Any]) -> Workload:
-    _check_fields(payload, _WORKLOAD_FIELDS, "workload")
-    statements = []
-    for entry in _require(payload, "statements", "workload"):
-        _check_fields(entry, _STATEMENT_FIELDS, "statement")
-        statements.append(WorkloadStatement(
-            decode_query(_require(entry, "query", "statement")),
-            weight=float(entry.get("weight", 1.0))))
-    return Workload(statements, name=_require(payload, "name", "workload"))
+    return decode(_WORKLOAD, payload)
 
 
 def encode_query(query: Query) -> dict[str, Any]:
     """A statement (SELECT or UPDATE) as a JSON payload."""
-    if isinstance(query, UpdateQuery):
-        return {
-            "kind": "update",
-            "name": query.name,
-            "table": query.table,
-            "set_columns": [_encode_column_ref(c) for c in query.set_columns],
-            "predicates": [_encode_predicate(p) for p in query.predicates],
-            "update_fraction": query.update_fraction,
-        }
-    return {
-        "kind": "select",
-        "name": query.name,
-        "tables": list(query.tables),
-        "projections": [_encode_column_ref(c) for c in query.projections],
-        "predicates": [_encode_predicate(p) for p in query.predicates],
-        "joins": [{"left": _encode_column_ref(j.left),
-                   "right": _encode_column_ref(j.right)}
-                  for j in query.joins],
-        "group_by": [_encode_column_ref(c) for c in query.group_by],
-        "order_by": [_encode_column_ref(c) for c in query.order_by],
-        "aggregates": [
-            {"function": a.function.value,
-             "column": (None if a.column is None
-                        else _encode_column_ref(a.column))}
-            for a in query.aggregates
-        ],
-    }
+    return encode(_QUERY, query)
 
 
 def decode_query(payload: Mapping[str, Any]) -> Query:
-    kind = _require(payload, "kind", "query")
-    name = _require(payload, "name", "query")
-    _check_fields(payload,
-                  _UPDATE_FIELDS if kind == "update" else _SELECT_FIELDS,
-                  f"{kind} query")
-    predicates = tuple(_decode_predicate(entry)
-                       for entry in payload.get("predicates", ()))
-    if kind == "update":
-        return UpdateQuery(
-            table=_require(payload, "table", "update query"),
-            set_columns=tuple(_decode_column_ref(c, name)
-                              for c in _require(payload, "set_columns",
-                                                "update query")),
-            predicates=predicates,
-            name=name,
-            update_fraction=payload.get("update_fraction"),
-        )
-    if kind != "select":
-        raise WireFormatError(
-            f"Unknown statement kind {kind!r} (expected 'select' or 'update')")
-    aggregates = []
-    for entry in payload.get("aggregates", ()):
-        _check_fields(entry, _AGGREGATE_FIELDS, "aggregate")
-        try:
-            function = AggregateFunction(_require(entry, "function",
-                                                  "aggregate"))
-        except ValueError as exc:
-            raise WireFormatError(f"Unknown aggregate function: {exc}") from None
-        column = entry.get("column")
-        aggregates.append(Aggregate(
-            function, None if column is None
-            else _decode_column_ref(column, name)))
-    return SelectQuery(
-        tables=tuple(_require(payload, "tables", "query")),
-        projections=tuple(_decode_column_ref(c, name)
-                          for c in payload.get("projections", ())),
-        predicates=predicates,
-        joins=tuple(_decode_join(j, name) for j in payload.get("joins", ())),
-        group_by=tuple(_decode_column_ref(c, name)
-                       for c in payload.get("group_by", ())),
-        order_by=tuple(_decode_column_ref(c, name)
-                       for c in payload.get("order_by", ())),
-        aggregates=tuple(aggregates),
-        name=name,
-    )
-
-
-def _decode_join(payload: Mapping[str, Any], query_name: str) -> JoinPredicate:
-    _check_fields(payload, _JOIN_FIELDS, "join")
-    return JoinPredicate(
-        _decode_column_ref(_require(payload, "left", "join"), query_name),
-        _decode_column_ref(_require(payload, "right", "join"), query_name))
-
-
-def _encode_predicate(predicate: SimplePredicate) -> dict[str, Any]:
-    return {
-        "column": _encode_column_ref(predicate.column),
-        "operator": predicate.operator.value,
-        "value": _encode_operand(predicate.value,
-                                 f"predicate on {predicate.column}"),
-        "selectivity_hint": predicate.selectivity_hint,
-    }
-
-
-def _decode_predicate(payload: Mapping[str, Any]) -> SimplePredicate:
-    _check_fields(payload, _PREDICATE_FIELDS, "predicate")
-    try:
-        operator = ComparisonOperator(_require(payload, "operator",
-                                               "predicate"))
-    except ValueError as exc:
-        raise WireFormatError(f"Unknown comparison operator: {exc}") from None
-    value = payload.get("value")
-    # Tuple operands (BETWEEN bounds, IN lists) arrive as JSON arrays;
-    # restoring tuples keeps statement digests (which repr the operand)
-    # bit-identical to the pre-encode statement.
-    if isinstance(value, list):
-        value = tuple(value)
-    return SimplePredicate(
-        column=_decode_column_ref(_require(payload, "column", "predicate"),
-                                  "predicate"),
-        operator=operator,
-        value=value,
-        selectivity_hint=payload.get("selectivity_hint"),
-    )
+    return decode(_QUERY, payload)
 
 
 # ----------------------------------------------------------------- constraints
+def _statement_named(name: Any, walk: Any) -> Query:
+    """``query_cost`` names its statement; the BIP keys cost expressions by
+    statement name, so the workload's statement of that name is the one."""
+    for statement in walk.workload:
+        if statement.query.name == name:
+            return statement.query
+    raise WireFormatError(
+        f"query_cost constraint references unknown statement {name!r} (not "
+        f"in workload {walk.workload.name!r})")
+
+
+def _hard(kind: str, cls: type, *fields: Field, **options: Any) -> Record:
+    """A hard constraint kind: tagged by ``type``, optionally named."""
+    return Record(f"{kind} constraint", cls, *fields,
+                  Field("name", STR, required=False), tag=("type", kind),
+                  **options)
+
+
+_HARD_CONSTRAINTS = (
+    _hard("storage_budget", StorageBudgetConstraint,
+          Field("budget_bytes", FLOAT)),
+    _hard("index_count", IndexCountConstraint,
+          Field("limit", FLOAT),
+          Field("sense", enum(ComparisonSense, "comparison sense"),
+                required=False),
+          callables=("selector", "weight")),
+    _hard("index_width", IndexWidthConstraint, Field("max_columns", INT)),
+    _hard("clustered_index", ClusteredIndexConstraint),
+    _hard("query_cost", QueryCostConstraint,
+          Field("query", Codec(lambda query, _walk: query.name,
+                               _statement_named)),
+          Field("reference_cost", FLOAT),
+          Field("factor", FLOAT, required=False)),
+    _hard("speedup_generator", QuerySpeedupGenerator,
+          Field("reference_costs",
+                mapping(FLOAT, "reference cost of statement")),
+          Field("factor", FLOAT, required=False),
+          callables=("statement_filter",)),
+    _hard("update_cost", UpdateCostConstraint, Field("limit", FLOAT)))
+
+#: A soft constraint wraps a hard one — its ``inner`` row knows no ``soft``
+#: tag, so soft constraints cannot nest.
+_CONSTRAINT = union(
+    "constraint",
+    Record("soft constraint", SoftConstraint,
+           Field("target", NUMBER, required=False),
+           Field("inner", union("constraint", *_HARD_CONSTRAINTS)),
+           tag=("type", "soft")),
+    *_HARD_CONSTRAINTS)
+
+
 def encode_constraint(constraint: TuningConstraint | SoftConstraint
                       ) -> dict[str, Any]:
-    """A DBA constraint as a JSON payload.
-
-    Constraints carrying live callables (``IndexCountConstraint`` selectors /
-    weights, ``QuerySpeedupGenerator`` filters) are rejected — a callable has
-    no faithful wire representation, and shipping a lossy approximation would
-    silently change what the server enforces.
-    """
-    if isinstance(constraint, SoftConstraint):
-        return {"type": "soft", "target": constraint.target,
-                "inner": encode_constraint(constraint.inner)}
-    if isinstance(constraint, StorageBudgetConstraint):
-        return {"type": "storage_budget",
-                "budget_bytes": constraint.budget_bytes,
-                "name": constraint.name}
-    if isinstance(constraint, IndexCountConstraint):
-        if constraint.selector is not None or constraint.weight is not None:
-            raise WireFormatError(
-                "IndexCountConstraint with a selector/weight callable has no "
-                "wire representation; apply it through the embedded API, or "
-                "express the rule as IndexWidthConstraint / multiple "
-                "constraints")
-        return {"type": "index_count", "limit": constraint.limit,
-                "sense": constraint.sense.value, "name": constraint.name}
-    if isinstance(constraint, IndexWidthConstraint):
-        return {"type": "index_width", "max_columns": constraint.max_columns,
-                "name": constraint.name}
-    if isinstance(constraint, ClusteredIndexConstraint):
-        return {"type": "clustered_index", "name": constraint.name}
-    if isinstance(constraint, QueryCostConstraint):
-        return {"type": "query_cost", "query": constraint.query.name,
-                "reference_cost": constraint.reference_cost,
-                "factor": constraint.factor, "name": constraint.name}
-    if isinstance(constraint, QuerySpeedupGenerator):
-        if constraint.statement_filter is not None:
-            raise WireFormatError(
-                "QuerySpeedupGenerator with a statement_filter callable has "
-                "no wire representation; pre-filter the reference_costs "
-                "mapping instead")
-        return {"type": "speedup_generator",
-                "reference_costs": dict(constraint.reference_costs),
-                "factor": constraint.factor, "name": constraint.name}
-    if isinstance(constraint, UpdateCostConstraint):
-        return {"type": "update_cost", "limit": constraint.limit,
-                "name": constraint.name}
-    raise WireFormatError(
-        f"Constraint type {type(constraint).__name__} has no wire "
-        f"representation")
+    """A DBA constraint as a JSON payload (live callables are rejected)."""
+    return encode(_CONSTRAINT, constraint)
 
 
 def decode_constraint(payload: Mapping[str, Any], workload: Workload
                       ) -> TuningConstraint | SoftConstraint:
-    """Decode one constraint payload.
-
-    ``query_cost`` constraints reference their statement *by name*; the name
-    is resolved against ``workload`` (the BIP keys cost expressions by
-    statement name, so the resolved object only needs the right name and a
-    shape that is part of the tuning problem).
-    """
-    kind = _require(payload, "type", "constraint")
-    allowed = _CONSTRAINT_FIELDS.get(kind)
-    if allowed is None:
-        raise WireFormatError(f"Unknown constraint type {kind!r}")
-    _check_fields(payload, allowed, f"{kind} constraint")
-    if kind == "soft":
-        inner = decode_constraint(_require(payload, "inner", "soft constraint"),
-                                  workload)
-        if isinstance(inner, SoftConstraint):
-            raise WireFormatError("Soft constraints cannot nest")
-        return SoftConstraint(inner, target=payload.get("target"))
-    if kind == "storage_budget":
-        return StorageBudgetConstraint(
-            budget_bytes=float(_require(payload, "budget_bytes", kind)),
-            name=payload.get("name", "storage_budget"))
-    if kind == "index_count":
-        try:
-            sense = ComparisonSense(payload.get("sense", "<="))
-        except ValueError as exc:
-            raise WireFormatError(f"Unknown comparison sense: {exc}") from None
-        return IndexCountConstraint(
-            limit=float(_require(payload, "limit", kind)), sense=sense,
-            name=payload.get("name", "index_count"))
-    if kind == "index_width":
-        return IndexWidthConstraint(
-            max_columns=int(_require(payload, "max_columns", kind)),
-            name=payload.get("name", "index_width"))
-    if kind == "clustered_index":
-        return ClusteredIndexConstraint(
-            name=payload.get("name", "one_clustered_per_table"))
-    if kind == "query_cost":
-        query_name = _require(payload, "query", kind)
-        for statement in workload:
-            if statement.query.name == query_name:
-                return QueryCostConstraint(
-                    query=statement.query,
-                    reference_cost=float(_require(payload, "reference_cost",
-                                                  kind)),
-                    factor=float(payload.get("factor", 1.0)),
-                    name=payload.get("name", "query_cost"))
-        raise WireFormatError(
-            f"query_cost constraint references unknown statement "
-            f"{query_name!r} (not in workload {workload.name!r})")
-    if kind == "speedup_generator":
-        return QuerySpeedupGenerator(
-            reference_costs={str(name): float(cost) for name, cost in
-                             _require(payload, "reference_costs",
-                                      kind).items()},
-            factor=float(payload.get("factor", 0.75)),
-            name=payload.get("name", "speedup_generator"))
-    return UpdateCostConstraint(
-        limit=float(_require(payload, "limit", kind)),
-        name=payload.get("name", "update_cost"))
-
-
-# ----------------------------------------------------------------------- specs
-def _encode_options(options: Mapping[str, Any], context: str
-                    ) -> dict[str, Any]:
-    """Strictly-JSON projection of spec options (live objects are rejected)."""
-    encoded: dict[str, Any] = {}
-    for key, value in options.items():
-        if isinstance(value, (tuple, list)):
-            encoded[key] = [_scalar(item, f"{context}.{key}") for item in value]
-        elif isinstance(value, dict):
-            encoded[key] = _encode_options(value, f"{context}.{key}")
-        else:
-            encoded[key] = _scalar(value, f"{context}.{key}")
-    return encoded
-
-
-def _decode_spec(cls, payload: Mapping[str, Any], context: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(payload) - known
-    if unknown:
-        raise WireFormatError(
-            f"{context} payload has unknown fields {sorted(unknown)}; "
-            f"known fields: {sorted(known)}")
-    return cls(**payload)
+    """One constraint; statement names resolve against ``workload``."""
+    return decode(_CONSTRAINT, payload, workload=workload)
 
 
 # --------------------------------------------------------------------- request
-def encode_request(request: TuningRequest) -> dict[str, Any]:
-    """One :class:`TuningRequest` as a self-contained, versioned JSON payload.
+def _decode_request_schema(payload: Any, walk: Any) -> Schema:
+    cache = walk.schema_cache
+    walk.schema = (decode_schema if cache is None else cache.resolve)(payload)
+    return walk.schema
 
-    Budget-less requests are emitted as wire version 1 (they contain nothing
-    a version-1 server cannot understand); any anytime field on the advisor
-    spec upgrades the payload to version 2.
-    """
-    advisor = request.advisor
-    candidates = request.candidates
-    advisor_payload = None
-    version = 1
-    if advisor is not None:
-        advisor_payload = {
-            "name": advisor.name,
-            "options": _encode_options(advisor.options, "advisor option"),
-        }
-        if advisor.time_budget_ms is not None or advisor.solve_tier is not None:
-            advisor_payload["time_budget_ms"] = advisor.time_budget_ms
-            advisor_payload["solve_tier"] = advisor.solve_tier
-            version = WIRE_VERSION
-    return {
-        "wire_version": version,
-        "kind": "tuning_request",
-        "request_id": request.request_id,
-        "schema": encode_schema(request.schema),
-        "workload": encode_workload(request.workload),
-        "constraints": [encode_constraint(constraint)
-                        for constraint in request.constraints],
-        "candidates": (None if candidates is None else
-                       [index_to_payload(index) for index in candidates]),
-        "dba_indexes": [index_to_payload(index)
-                        for index in request.dba_indexes],
-        "advisor": advisor_payload,
-        "costing": {f.name: getattr(request.costing, f.name)
-                    for f in fields(CostingSpec)},
-        "scale": (None if request.scale is None else
-                  {f.name: getattr(request.scale, f.name)
-                   for f in fields(ScaleSpec)}),
-        "per_statement_costs": request.per_statement_costs,
-    }
+
+def _decode_request_workload(payload: Any, walk: Any) -> Workload:
+    walk.workload = _WORKLOAD.dec(payload, walk)
+    walk.workload.validate_against(walk.schema)
+    return walk.workload
+
+
+_INDEXES = many(_INDEX)
+
+_ADVISOR = Record(
+    "advisor", AdvisorSpec,
+    Field("name", STR),
+    Field("options", Codec(_encode_options, OBJECT.dec), required=False),
+    Field("time_budget_ms", FLOAT, required=False, since=2),
+    Field("solve_tier", STR, required=False, since=2))
+
+_COSTING = Record(
+    "costing spec", CostingSpec,
+    Field("max_orders_per_table", INT, required=False),
+    Field("max_templates_per_query", INT, required=False),
+    Field("build_processes", INT, required=False))
+
+_SCALE = Record(
+    "scale spec", ScaleSpec,
+    Field("signature", STR, required=False),
+    Field("max_cost_error", NUMBER, required=False),
+    Field("compress", BOOL, required=False),
+    Field("shard_count", INT, required=False),
+    Field("shard_workers", INT, required=False),
+    Field("budget_oversubscription", NUMBER, required=False))
+
+#: Decoded in row order: the hooks of later rows read ``walk.schema`` and
+#: ``walk.workload``, which the ``schema`` and ``workload`` rows bind.
+_REQUEST = Record(
+    "request", TuningRequest,
+    Field("request_id", STR, required=False),
+    Field("schema", Codec(_SCHEMA.enc, _decode_request_schema)),
+    Field("workload", Codec(_WORKLOAD.enc, _decode_request_workload)),
+    Field("constraints", many(_CONSTRAINT), required=False),
+    Field("candidates", Codec(
+        _INDEXES.enc, lambda entries, walk: CandidateSet(
+            walk.schema, _INDEXES.dec(entries, walk))), required=False),
+    Field("dba_indexes", _INDEXES, required=False),
+    Field("advisor", _ADVISOR, required=False),
+    Field("costing", _COSTING, required=False),
+    Field("scale", _SCALE, required=False),
+    Field("per_statement_costs", BOOL, required=False),
+    tag=("kind", "tuning_request"), version=("wire_version", WIRE_VERSION))
+
+
+def encode_request(request: TuningRequest) -> dict[str, Any]:
+    """One :class:`TuningRequest` as a self-contained, versioned payload."""
+    return encode(_REQUEST, request)
 
 
 def decode_request(payload: Mapping[str, Any],
                    schema_cache: SchemaCache | None = None) -> TuningRequest:
-    """Decode a request payload back into a :class:`TuningRequest`.
+    """Decode a request payload back into a :class:`TuningRequest`; an unknown
+    wire version, an unknown or missing field and a wrong-typed value raise
+    :class:`WireFormatError` — never a silent partial load.
 
-    Args:
-        payload: The JSON-shaped payload produced by :func:`encode_request`.
-        schema_cache: Optional :class:`SchemaCache`; when given, equal schema
-            payloads resolve to one shared :class:`Schema` object so the
-            serving Tuner can share one context (optimizer, INUM cache,
-            tensors) across requests.
-
-    Raises:
-        WireFormatError: On unknown wire versions, missing fields or
-            malformed sub-payloads — never a silent partial load.
+    With a ``schema_cache``, equal schema payloads resolve to one shared
+    :class:`Schema` object, so the serving Tuner can share one context
+    (optimizer, INUM cache, tensors) across requests.
     """
-    if not isinstance(payload, Mapping):
-        raise WireFormatError(
-            f"A tuning request payload must be a JSON object, got "
-            f"{type(payload).__name__}")
-    version = payload.get("wire_version")
-    if version not in _ACCEPTED_WIRE_VERSIONS:
-        raise WireFormatError(
-            f"Unsupported wire_version {version!r}; this build understands "
-            f"versions {sorted(_ACCEPTED_WIRE_VERSIONS)}")
-    _check_fields(payload, _REQUEST_FIELDS, "request")
-    schema_payload = _require(payload, "schema", "request")
-    if schema_cache is not None:
-        schema = schema_cache.resolve(schema_payload)
-    else:
-        schema = decode_schema(schema_payload)
-    workload = decode_workload(_require(payload, "workload", "request"))
-    workload.validate_against(schema)
-    constraints = tuple(decode_constraint(entry, workload)
-                        for entry in payload.get("constraints", ()))
-    candidates_payload = payload.get("candidates")
-    candidates = (None if candidates_payload is None else
-                  CandidateSet(schema, (index_from_payload(entry)
-                                        for entry in candidates_payload)))
-    dba_indexes = tuple(index_from_payload(entry)
-                        for entry in payload.get("dba_indexes", ()))
-    advisor_payload = payload.get("advisor")
-    advisor = None
-    if advisor_payload is not None:
-        # Anytime fields are a version-2 addition; under version 1 they are
-        # unknown fields and rejected like any other (a version-1 payload
-        # must mean exactly what a version-1 server would make of it).
-        _check_fields(advisor_payload,
-                      _ADVISOR_FIELDS if version >= 2 else _ADVISOR_FIELDS_V1,
-                      "advisor")
-        time_budget_ms = advisor_payload.get("time_budget_ms")
-        solve_tier = advisor_payload.get("solve_tier")
-        try:
-            advisor = AdvisorSpec(
-                _require(advisor_payload, "name", "advisor"),
-                advisor_payload.get("options", {}),
-                time_budget_ms=(None if time_budget_ms is None
-                                else float(time_budget_ms)),
-                solve_tier=None if solve_tier is None else str(solve_tier))
-        except ValueError as exc:
-            raise WireFormatError(f"Malformed advisor spec: {exc}") from None
-    scale_payload = payload.get("scale")
-    return TuningRequest(
-        workload=workload,
-        schema=schema,
-        constraints=constraints,
-        candidates=candidates,
-        dba_indexes=dba_indexes,
-        advisor=advisor,
-        costing=_decode_spec(CostingSpec, payload.get("costing", {}),
-                             "costing spec"),
-        scale=(None if scale_payload is None else
-               _decode_spec(ScaleSpec, scale_payload, "scale spec")),
-        per_statement_costs=payload.get("per_statement_costs"),
-        request_id=str(payload.get("request_id", "")),
-    )
+    return decode(_REQUEST, payload, schema_cache=schema_cache)

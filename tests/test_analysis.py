@@ -35,7 +35,7 @@ def test_rule_registry_is_complete():
     names = {rule.name for rule in ALL_RULES}
     assert {"fingerprint-purity", "fault-site-discipline", "lock-discipline",
             "metric-label-cardinality", "bounded-buffer",
-            "wire-codec-completeness", "worker-pickle-safety",
+            "worker-pickle-safety",
             "runtime-assert", "unused-import"} <= names
     assert rule_by_name("no-such-rule") is None
 
@@ -234,74 +234,6 @@ def test_bounded_buffer_accepts_recorder_with_bounded_capacity(tmp_path):
                 self.entries[entry["id"]] = entry
         """}, rule="bounded-buffer")
     assert findings == []
-
-
-# ----------------------------------------------------------------- wire codec
-_WIRE_SPECS = """\
-    from dataclasses import dataclass
-
-    @dataclass
-    class TuningRequest:
-        workload: object
-        shiny: int = 0
-    """
-
-
-def test_wire_rule_catches_dropped_field(tmp_path):
-    findings = run_tree(tmp_path, {
-        "repro/api/specs.py": _WIRE_SPECS,
-        "repro/server/wire.py": """\
-        _REQUEST_FIELDS = frozenset({"workload"})
-
-        def encode_request(request):
-            return {"workload": request.workload}
-
-        def decode_request(payload):
-            return payload.get("workload")
-        """}, rule="wire-codec-completeness")
-    assert len(findings) == 1
-    assert "shiny" in findings[0].message and "_REQUEST_FIELDS" in findings[0].message
-
-
-def test_wire_rule_passes_complete_codec(tmp_path):
-    findings = run_tree(tmp_path, {
-        "repro/api/specs.py": _WIRE_SPECS,
-        "repro/server/wire.py": """\
-        _REQUEST_FIELDS = frozenset({"workload", "shiny"})
-
-        def encode_request(request):
-            return {"workload": request.workload, "shiny": request.shiny}
-
-        def decode_request(payload):
-            return (payload.get("workload"), payload.get("shiny"))
-        """}, rule="wire-codec-completeness")
-    assert findings == []
-
-
-def test_wire_rule_requires_version_gate_for_post_v1_fields(tmp_path):
-    findings = run_tree(tmp_path, {
-        "repro/api/specs.py": """\
-        from dataclasses import dataclass
-
-        @dataclass
-        class AdvisorSpec:
-            name: str = "cophy"
-            time_budget_ms: int | None = None
-        """,
-        "repro/server/wire.py": """\
-        _ADVISOR_FIELDS_V1 = frozenset({"name"})
-        _ADVISOR_FIELDS = _ADVISOR_FIELDS_V1 | frozenset({"time_budget_ms"})
-
-        def encode_request(request):
-            return {"name": request.name,
-                    "time_budget_ms": request.time_budget_ms}
-
-        def decode_request(payload):
-            return (payload.get("name"), payload.get("time_budget_ms"))
-        """}, rule="wire-codec-completeness")
-    messages = " ".join(f.message for f in findings)
-    assert "unconditionally" in messages        # encoder lacks the version bump
-    assert "selecting the field set" in messages  # decoder lacks the gate
 
 
 # ------------------------------------------------------------- pickle safety

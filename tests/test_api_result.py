@@ -116,6 +116,16 @@ class TestJsonRoundTrip:
             with pytest.raises(ValueError, match="version"):
                 TuningResult.from_payload({**payload, "version": alien})
 
+    @pytest.mark.parametrize("missing", ["configuration", "diagnostics"])
+    def test_truncated_payload_fails_like_an_unknown_version(
+            self, missing, simple_schema, simple_workload):
+        """A server response cut short must not crash the client untyped."""
+        payload = Tuner().tune(TuningRequest(
+            workload=simple_workload, schema=simple_schema)).to_payload()
+        del payload[missing]
+        with pytest.raises(ValueError, match=missing):
+            TuningResult.from_payload(payload)
+
     def test_statement_cost_accessor(self):
         result = TuningResult(
             configuration=Configuration(),

@@ -200,6 +200,21 @@ class TestSessions:
         assert capped.configuration == local_capped.configuration
         assert extra not in shrunk.configuration
 
+    def test_malformed_session_index_is_a_400_not_a_500(self, simple_schema,
+                                                        simple_workload):
+        """At 9bac81d an index without ``key_columns`` was a bare KeyError."""
+        from repro.server.wire import WireFormatError
+
+        with TuningServer() as server:
+            client = TuningClient(server.url)
+            with client.open_session(_request(simple_schema,
+                                              simple_workload)) as session:
+                with pytest.raises(WireFormatError, match="key_columns"):
+                    client._post(
+                        f"/v1/sessions/{session.session_id}/tune",
+                        {"operation": "add_candidates",
+                         "indexes": [{"table": "items"}]})
+
     def test_unknown_session_is_404(self, simple_schema, simple_workload):
         with TuningServer() as server:
             client = TuningClient(server.url)

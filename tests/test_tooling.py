@@ -141,7 +141,7 @@ class TestReprolintCli:
         assert done.returncode == 0
         for name in ("fingerprint-purity", "fault-site-discipline",
                      "lock-discipline", "metric-label-cardinality",
-                     "wire-codec-completeness", "worker-pickle-safety",
+                     "worker-pickle-safety",
                      "runtime-assert", "unused-import"):
             assert name in done.stdout
 

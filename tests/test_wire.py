@@ -11,12 +11,15 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import AdvisorSpec, CostingSpec, ScaleSpec, Tuner, TuningRequest
+from repro.api import result
+from repro.api.result import StatementCost, TuningDiagnostics
 from repro.api.tuner import statement_digest, workload_fingerprint
 from repro.catalog import tpch_schema
 from repro.catalog.column import Column, ColumnType
@@ -36,6 +39,7 @@ from repro.core.constraints import (
 )
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.index import Index
+from repro.server import wire
 from repro.server.protocol import envelope_for_exception
 from repro.server.wire import (
     WIRE_VERSION,
@@ -335,6 +339,82 @@ class TestRequestCodec:
         assert remote_shaped.fingerprint() == local.fingerprint()
 
 
+class TestDefectsOfTheHandPairedCodec:
+    """What the mutation fuzz found at 9bac81d, each pinned by name: the
+    first three were HTTP 500s, the rest were accepted."""
+
+    _MUTATIONS = {
+        "dba_index_missing_key_columns":
+            lambda p: p["dba_indexes"][0].pop("key_columns"),
+        "candidate_missing_key_columns":
+            lambda p: p["candidates"][0].pop("key_columns"),
+        "statistics_is_an_array":
+            lambda p: p["schema"]["tables"][0].update(statistics=[]),
+        "unknown_field_on_an_index":
+            lambda p: p["dba_indexes"][0].update(fillfactor=70),
+        "costing_cap_is_a_string":
+            lambda p: p["costing"].update(max_orders_per_table="two"),
+        "per_statement_costs_is_a_string":
+            lambda p: p.update(per_statement_costs="yes"),
+        "advisor_name_is_a_number":
+            lambda p: p["advisor"].update(name=7),
+        "predicate_value_is_an_object":
+            lambda p: p["workload"]["statements"][0]["query"]["predicates"][0]
+                       .update(value={"gt": 1}),
+        "kind_is_another_payload_type":
+            lambda p: p.update(kind="tuning_result"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(_MUTATIONS))
+    def test_is_a_wire_format_error(self, defect, simple_schema,
+                                    simple_workload):
+        payload = _json_round_trip(encode_request(TuningRequest(
+            workload=simple_workload, schema=simple_schema, advisor="cophy",
+            candidates=[Index("items", ("i_shipdate",))],
+            dba_indexes=[Index("orders", ("o_date",))])))
+        self._MUTATIONS[defect](payload)
+        with pytest.raises(WireFormatError):
+            decode_request(payload)
+
+
+#: Every class whose fields cross the wire, with the record that states them
+#: and — where the record has rows newer than version 1 — an instance that
+#: sets them all.
+_WIRE_CLASSES = [
+    (TuningRequest, wire._REQUEST, None),
+    (AdvisorSpec, wire._ADVISOR,
+     AdvisorSpec("cophy", time_budget_ms=5.0, solve_tier="exact")),
+    (CostingSpec, wire._COSTING, None),
+    (ScaleSpec, wire._SCALE, None),
+    (TuningDiagnostics, result._DIAGNOSTICS, None),
+    (StatementCost, result._STATEMENT_COST, None),
+    (Column, wire._COLUMN, None),
+    (ColumnStatistics, wire._STATISTICS, None),
+]
+
+
+class TestTableCompleteness:
+    """The behavioural successor of the ``wire-codec-completeness`` lint
+    rule: a dataclass field the table does not list would be dropped on the
+    wire, so adding one fails here until it gets a row."""
+
+    @pytest.mark.parametrize("cls,record,newest", _WIRE_CLASSES,
+                             ids=[entry[0].__name__ for entry in _WIRE_CLASSES])
+    def test_every_field_has_a_row_and_newer_rows_are_gated(
+            self, cls, record, newest):
+        assert record.build is cls
+        assert {f.attr for f in record.fields} == \
+            {f.name for f in dataclasses.fields(cls)}
+        newer = [f for f in record.fields if f.since > 1]
+        assert all(f.since <= WIRE_VERSION for f in newer)
+        if newer:
+            payload = record.enc(newest, SimpleNamespace(version=1))
+            assert {f.key for f in newer} <= set(payload)
+        for f in newer:
+            with pytest.raises(WireFormatError, match="unknown fields"):
+                record.dec(payload, SimpleNamespace(version=f.since - 1))
+
+
 # ------------------------------------------------------------ generated cases
 # Seeded (``derandomize``) so tier-1 never depends on luck, and sized so the
 # whole file stays a few seconds.
@@ -615,10 +695,6 @@ def _outcome(decode):
 class TestMutationFuzz:
     """No mutant is a 500, and none is accepted with a field's type changed."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "hand-paired codec at 9bac81d: of 4,224 single mutations 35 are HTTP "
-        "500s and 485 are accepted with a changed type; the table codec "
-        "fixes them"))
     @given(data=st.data())
     @settings(max_examples=400, **_FUZZ)
     def test_mutants_are_rejected_with_a_typed_4xx(self, data):
@@ -631,6 +707,7 @@ class TestMutationFuzz:
         if mutation == "add" and isinstance(original, dict):
             original["no_such_field"] = 1
         elif mutation == "drop" or original is None:
+            mutation = "drop"
             del parent[key]
         else:
             mutation = "swap"
@@ -638,8 +715,7 @@ class TestMutationFuzz:
                 set(_JSON_SAMPLES) - {_json_type(original)})))
             parent[key] = _JSON_SAMPLES[wrong]
 
-        decoded = []
-        status = _outcome(lambda: decoded.append(decode_request(mutant)))
+        status = _outcome(lambda: decode_request(mutant))
         assert status is None or 400 <= status < 500, (path, mutation, status)
         if status is not None:
             return
