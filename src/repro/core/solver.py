@@ -119,91 +119,96 @@ class CoPhySolver:
                 / gap limits are merged into the backend's settings, and a
                 fired deadline surfaces as ``SolveReport.timed_out``.
 
+        The BIP is left as it was found on every exit — merged rows removed,
+        relaxation undone, objective restored — including when a
+        constraint's ``to_linear`` or the backend raises, so one BIP can
+        serve any number of solves.
+
         Raises:
             InfeasibleProblemError: When the hard constraints cannot be met.
         """
         model = bip.model
-        constraint_rows = self._merge_constraints(bip, hard_constraints)
-
-        if extra_objective is not None:
-            model.set_objective(extra_objective)
-        else:
-            model.set_objective(bip.cost_expression)
-
+        constraint_rows: list[Constraint] = []
         relaxation_applied = False
-        if self.apply_relaxation:
-            relaxation_applied = self._apply_relaxation(bip)
+        try:
+            self._merge_constraints(bip, hard_constraints, constraint_rows)
+            model.set_objective(extra_objective if extra_objective is not None
+                                else bip.cost_expression)
+            if self.apply_relaxation:
+                relaxation_applied = self._apply_relaxation(bip)
 
-        effective_gap = self.gap_tolerance if gap_tolerance is None else gap_tolerance
-        effective_limit = (self.time_limit_seconds if time_limit_seconds is None
-                           else time_limit_seconds)
+            effective_gap = (self.gap_tolerance if gap_tolerance is None
+                             else gap_tolerance)
+            effective_limit = (self.time_limit_seconds
+                               if time_limit_seconds is None
+                               else time_limit_seconds)
 
-        if budget is not None:
-            budget.start()
+            if budget is not None:
+                budget.start()
 
-        started = time.perf_counter()
-        if self.backend is SolverBackend.BRANCH_AND_BOUND:
-            solver = BranchAndBoundSolver(gap_tolerance=effective_gap,
-                                          time_limit_seconds=effective_limit)
-            if not solver.is_feasible(model):
-                self._rollback(bip, constraint_rows, relaxation_applied)
-                raise InfeasibleProblemError(
-                    "The hard constraints cannot all be satisfied",
-                    violated_constraints=tuple(c.name for c in hard_constraints))
-            solution = solver.solve(model, warm_start=warm_start,
-                                    gap_tolerance=effective_gap,
-                                    time_limit_seconds=effective_limit,
-                                    budget=budget)
-        else:
-            backend = MilpBackend(gap_tolerance=effective_gap,
-                                  time_limit_seconds=effective_limit)
-            solution = backend.solve(model, budget=budget)
-            # The branch-and-bound backend records its own solve metrics
-            # (it also owns the nodes histogram); the MILP backend is
-            # instrumented here so repro_solver_solves_total counts every
-            # solve regardless of backend.
-            registry = active_registry()
-            registry.counter(
-                "repro_solver_solves_total",
-                "Solver runs by outcome status",
-                ("status",)).inc(status=solution.status.name.lower())
-            if math.isfinite(solution.gap):
-                registry.histogram(
-                    "repro_solver_gap",
-                    "Relative optimality gap per finished solve",
-                    buckets=GAP_BUCKETS).observe(float(solution.gap))
-            if solution.status is SolutionStatus.INFEASIBLE:
-                self._rollback(bip, constraint_rows, relaxation_applied)
-                raise InfeasibleProblemError(
-                    "The hard constraints cannot all be satisfied",
-                    violated_constraints=tuple(c.name for c in hard_constraints))
-        elapsed = time.perf_counter() - started
+            started = time.perf_counter()
+            if self.backend is SolverBackend.BRANCH_AND_BOUND:
+                solver = BranchAndBoundSolver(gap_tolerance=effective_gap,
+                                              time_limit_seconds=effective_limit)
+                if not solver.is_feasible(model):
+                    raise InfeasibleProblemError(
+                        "The hard constraints cannot all be satisfied",
+                        violated_constraints=tuple(c.name
+                                                   for c in hard_constraints))
+                solution = solver.solve(model, warm_start=warm_start,
+                                        gap_tolerance=effective_gap,
+                                        time_limit_seconds=effective_limit,
+                                        budget=budget)
+            else:
+                backend = MilpBackend(gap_tolerance=effective_gap,
+                                      time_limit_seconds=effective_limit)
+                solution = backend.solve(model, budget=budget)
+                # The branch-and-bound backend records its own solve metrics
+                # (it also owns the nodes histogram); the MILP backend is
+                # instrumented here so repro_solver_solves_total counts every
+                # solve regardless of backend.
+                registry = active_registry()
+                registry.counter(
+                    "repro_solver_solves_total",
+                    "Solver runs by outcome status",
+                    ("status",)).inc(status=solution.status.name.lower())
+                if math.isfinite(solution.gap):
+                    registry.histogram(
+                        "repro_solver_gap",
+                        "Relative optimality gap per finished solve",
+                        buckets=GAP_BUCKETS).observe(float(solution.gap))
+                if solution.status is SolutionStatus.INFEASIBLE:
+                    raise InfeasibleProblemError(
+                        "The hard constraints cannot all be satisfied",
+                        violated_constraints=tuple(c.name
+                                                   for c in hard_constraints))
+            elapsed = time.perf_counter() - started
 
-        if not solution.is_feasible:
-            self._rollback(bip, constraint_rows, relaxation_applied)
-            raise SolverError(f"BIP solver failed: {solution.message}")
+            if not solution.is_feasible:
+                raise SolverError(f"BIP solver failed: {solution.message}")
 
-        configuration = bip.extract_configuration(solution)
-        objective = bip.cost_expression.evaluate(solution.values)
-        report = SolveReport(
-            configuration=configuration,
-            solution=solution,
-            objective=objective,
-            gap=solution.gap,
-            solve_seconds=elapsed,
-            gap_trace=solution.gap_trace,
-            constraint_rows=len(constraint_rows),
-            relaxation_applied=relaxation_applied,
-            timed_out=solution.timed_out,
-        )
-        self._rollback(bip, constraint_rows, relaxation_applied)
-        return report
+            return SolveReport(
+                configuration=bip.extract_configuration(solution),
+                solution=solution,
+                objective=bip.cost_expression.evaluate(solution.values),
+                gap=solution.gap,
+                solve_seconds=elapsed,
+                gap_trace=solution.gap_trace,
+                constraint_rows=len(constraint_rows),
+                relaxation_applied=relaxation_applied,
+                timed_out=solution.timed_out,
+            )
+        finally:
+            # A relaxation that raised half-way is undone too: only relaxed
+            # (``<=``) slot rows are flipped back.
+            self._rollback(bip, constraint_rows, self.apply_relaxation)
 
     def check_feasibility(self, bip: CophyBip,
                           hard_constraints: Sequence[TuningConstraint] = ()) -> bool:
         """The feasibility probe of line 1 in the Solver pseudo-code."""
-        constraint_rows = self._merge_constraints(bip, hard_constraints)
+        constraint_rows: list[Constraint] = []
         try:
+            self._merge_constraints(bip, hard_constraints, constraint_rows)
             solver = BranchAndBoundSolver()
             return solver.is_feasible(bip.model)
         finally:
@@ -252,14 +257,16 @@ class CoPhySolver:
         bip.model.invalidate_cache()
 
     # ---------------------------------------------------------------- internals
-    def _merge_constraints(self, bip: CophyBip,
-                           hard_constraints: Sequence[TuningConstraint]
-                           ) -> list[Constraint]:
-        rows: list[Constraint] = []
+    @staticmethod
+    def _merge_constraints(bip: CophyBip,
+                           hard_constraints: Sequence[TuningConstraint],
+                           rows: list[Constraint]) -> None:
+        """Add every constraint's rows to the model, recording each in
+        ``rows`` as it lands — a ``to_linear`` that raises part-way leaves
+        the caller a complete list to roll back."""
         for constraint in hard_constraints:
             for row in constraint.to_linear(bip):
                 rows.append(bip.model.add_constraint(row))
-        return rows
 
     def _rollback(self, bip: CophyBip, constraint_rows: Iterable[Constraint],
                   relaxation_applied: bool) -> None:

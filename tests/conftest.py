@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.catalog.column import Column, ColumnType
@@ -129,6 +130,28 @@ def reference_statement_cost(inum: InumCache, query: Query,
                           for index in configuration.indexes_on(query.table))
         best = best + maintenance + optimizer.base_update_cost(query)
     return best
+
+
+def model_state(bip) -> tuple:
+    """Everything a solver backend reads off a BIP's model, copied: the
+    matrix export (cost vector, CSR parts of both row blocks, right-hand
+    sides, bounds, integrality), the row count and the objective."""
+    matrices = bip.model.to_matrices()
+    arrays = [matrices[key]
+              for key in ("c", "b_ub", "b_eq", "bounds", "integrality")]
+    for key in ("A_ub", "A_eq"):
+        arrays += [matrices[key].data, matrices[key].indices,
+                   matrices[key].indptr]
+    objective = bip.model.objective
+    return ([np.array(array, copy=True) for array in arrays],
+            bip.model.constraint_count, objective.terms, objective.constant)
+
+
+def assert_left_as_found(bip, before: tuple) -> None:
+    """``bip``'s model is the one :func:`model_state` recorded in ``before``."""
+    arrays, *rest = model_state(bip)
+    assert all(map(np.array_equal, before[0], arrays))
+    assert tuple(rest) == before[1:]
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
+from tests.conftest import assert_left_as_found, model_state
 
 
 @pytest.fixture
@@ -91,6 +92,36 @@ class TestCoPhySolver:
         # The relaxation must have been undone afterwards (equalities restored).
         followup = CoPhySolver(gap_tolerance=0.0).solve(bip)
         assert followup.objective == pytest.approx(plain.objective, rel=1e-6)
+
+    @pytest.mark.parametrize("failure", ["to_linear", "backend"])
+    def test_raising_solve_leaves_the_bip_as_found(self, tuning_setup,
+                                                   monkeypatch, failure):
+        """The rollback runs on every exit: a ``to_linear`` that raises after
+        merging its first row, or a backend that raises, must not leave rows,
+        a relaxation or a replaced objective behind."""
+        from repro.lp import highs_backend
+
+        _, _, candidates, bip = tuning_setup
+        first_row = StorageBudgetConstraint(candidates.total_size())
+
+        class RaisesOnSecondRow(StorageBudgetConstraint):
+            def to_linear(self, bip):
+                yield from first_row.to_linear(bip)
+                raise RuntimeError("to_linear")
+
+        def milp_raises(*args, **kwargs):
+            raise RuntimeError("backend")
+
+        constraints = [IndexCountConstraint(limit=3)]
+        if failure == "to_linear":
+            constraints.append(RaisesOnSecondRow(0.0))
+        else:
+            monkeypatch.setattr(highs_backend.optimize, "milp", milp_raises)
+        before = model_state(bip)
+        with pytest.raises(RuntimeError, match=failure):
+            CoPhySolver(apply_relaxation=True).solve(
+                bip, constraints, extra_objective=bip.cost_expression * 0.5)
+        assert_left_as_found(bip, before)
 
     def test_gap_tolerance_keeps_solution_within_bound(self, tuning_setup):
         _, _, _, bip = tuning_setup
