@@ -236,10 +236,14 @@ def structural_statement_key(query: Query, max_cost_error: float = 0.0
     """The structural signature of one statement (public: the unified API's
     workload fingerprint reuses it with the exact ``0.0`` fallback)."""
     shell = _shell_of(query)
+    # Two predicates on one column and operator may differ in having a hint
+    # at all; a hint-less one sorts first instead of comparing ``None``
+    # with a number (any other order is the plain tuple order).
     selectivities = tuple(sorted(
-        (p.column.table, p.column.column, p.operator.name,
-         _quantise(getattr(p, "selectivity_hint", None), max_cost_error))
-        for p in shell.predicates))
+        ((p.column.table, p.column.column, p.operator.name,
+          _quantise(getattr(p, "selectivity_hint", None), max_cost_error))
+         for p in shell.predicates),
+        key=lambda key: (key[:3], key[3] is not None, key[3] or 0)))
     return (_shape_key(shell), selectivities,
             _update_key(query, max_cost_error, None))
 

@@ -18,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import Tuner, TuningRequest, TuningService
+from repro.api import Tuner, TuningRequest, TuningResult, TuningService
 from repro.core.constraints import (
     IndexCountConstraint,
     StorageBudgetConstraint,
@@ -76,6 +76,40 @@ class TestEndToEndParity:
         for expected, got in zip(sequential, results):
             assert got.configuration == expected.configuration
             assert got.objective_estimate == expected.objective_estimate
+
+    def test_hinted_and_unhinted_predicates_on_one_column_are_served(
+            self, tpch):
+        """``l_quantity < 5`` with a selectivity hint next to
+        ``l_quantity < 9`` without one: canonicalisation sorted the two
+        predicate keys by comparing ``None`` with a number, so every tune of
+        such a statement raised ``TypeError`` (HTTP 500)."""
+        from repro.server.wire import encode_request
+        from repro.workload import (ColumnRef, ComparisonOperator, SelectQuery,
+                                    SimplePredicate, Workload,
+                                    WorkloadStatement)
+
+        quantity = ColumnRef("lineitem", "l_quantity")
+        query = SelectQuery(
+            tables=("lineitem",),
+            projections=(ColumnRef("lineitem", "l_extendedprice"),),
+            predicates=(
+                SimplePredicate(quantity, ComparisonOperator.LT, 5,
+                                selectivity_hint=0.2),
+                SimplePredicate(quantity, ComparisonOperator.LT, 9)),
+            name="mixed_hints")
+        request = _request(tpch, Workload([WorkloadStatement(query, 1.0)],
+                                          name="mixed-hints"))
+        local = Tuner().tune(request)
+        with TuningServer() as server:
+            body = json.dumps(encode_request(request)).encode("utf-8")
+            http = urllib.request.Request(
+                f"{server.url}/v1/tune", data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(http) as response:
+                assert response.status == 200
+                remote = TuningResult.from_payload(
+                    json.loads(response.read())["result"])
+        assert remote.fingerprint() == local.fingerprint()
 
     def test_repeated_requests_share_one_context(self, simple_schema,
                                                  simple_workload):
