@@ -2,7 +2,8 @@
 
 PR 4's concurrency contract: ``InumCache`` does not lock itself — every
 mutating pipeline (``prepare``, ``ensure_columns``, ``adopt_built``,
-lazy tensor/matrix builds) is serialized by the owning ``SchemaContext``'s
+lazy tensor/matrix builds, the ``workload_memo`` that hands one BIP to
+every request of a workload) is serialized by the owning ``SchemaContext``'s
 RLock (or the service's ``_stats_lock``).  This rule walks the name-based
 call graph *backwards* from every mutator call site outside ``inum/`` and
 requires each path to hit, before reaching an entry point, either
@@ -27,7 +28,8 @@ from repro.analysis.rules.base import Finding, Rule
 __all__ = ["LockDisciplineRule"]
 
 MUTATORS = frozenset({"prepare", "ensure_columns", "adopt_built",
-                      "build_workload", "workload_tensor", "gamma_matrix"})
+                      "build_workload", "workload_tensor", "gamma_matrix",
+                      "workload_memo"})
 
 #: Receiver tokens identifying the shared cache (or one of its views).
 _RECEIVER_TOKENS = ("inum", "cache", "tensor", "gamma", "matrix")

@@ -158,7 +158,9 @@ class TuningResult:
     #: Programmatic-access only and not serialized — except ``"trace"`` (the
     #: exported span tree) and ``"profile"`` (the sampled hotspot table),
     #: which ride the payload so remote callers see the server-side view;
-    #: everything else is empty after ``from_json``.
+    #: everything else is empty after ``from_json``.  ``extras["bip"]`` is
+    #: the schema context's BIP for this workload and candidate set: later
+    #: requests of the same context may solve on it, so it is read-only.
     extras: dict[str, Any] = field(default_factory=dict, repr=False)
 
     # ---------------------------------------------------------------- accessors

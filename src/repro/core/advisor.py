@@ -206,13 +206,22 @@ class CoPhyAdvisor(Advisor):
                         or unsupported_constraint(hard) is None)
         try:
             with stage(timings, "build") as node:
-                bip = self.bip_builder.build(workload, candidates,
-                                             budget=budget if can_fallback
-                                             else None)
+                # The Theorem-1 BIP does not depend on the constraints (the
+                # solver merges them per solve and rolls them back), so the
+                # context keeps one per workload.  It is tagged with the
+                # ordered candidates — z order is column order — and their
+                # names, which name the recommendation.
+                bip, reused = self.inum.workload_memo(
+                    workload,
+                    tuple((index, index.name) for index in candidates),
+                    lambda: self.bip_builder.build(
+                        workload, candidates,
+                        budget=budget if can_fallback else None))
                 # Aggregate scalars only: the ``::``-keyed statistics are
                 # per-coefficient (beta/gamma/ucost) and would bloat every
                 # exported trace by thousands of attributes.
-                node.set(**{key: value
+                node.set(reused=reused,
+                         **{key: value
                             for key, value in bip.statistics.items()
                             if isinstance(value, (int, float))
                             and "::" not in key})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class InumCache:
         # Workload tensors keyed by workload object identity; the stored
         # workload reference keeps the id alive, so it cannot be reused.
         self._tensors: dict[int, tuple[Workload, WorkloadGammaTensor]] = {}
+        # ``workload_memo`` entries, ``(tag, value)`` under the same key as
+        # the tensor they sit beside; evicted with it.
+        self._memos: dict[int, tuple[Hashable, Any]] = {}
         # Flat per-update ``index -> ucost`` maps: the batched costing loop
         # reads maintenance terms with plain dict gets instead of paying a
         # method call per (update, index) probe.
@@ -328,9 +331,35 @@ class InumCache:
                             self._matrices[shell.name]))
         tensor = WorkloadGammaTensor(entries)
         if len(self._tensors) >= _TENSOR_CACHE_LIMIT:
-            self._tensors.pop(next(iter(self._tensors)))
+            evicted = next(iter(self._tensors))
+            del self._tensors[evicted]
+            self._memos.pop(evicted, None)
         self._tensors[id(workload)] = (workload, tensor)
         return tensor
+
+    # reprolint: requires-lock (see build: callers serialize)
+    def workload_memo(self, workload: Workload, tag: Hashable,
+                      build: Callable[[], Any]) -> tuple[Any, bool]:
+        """One caller-built value per cached workload tensor — the CoPhy
+        advisor keeps its BIP here, so hits and misses are counted as
+        ``repro_cache_events_total{cache="bip"}``.
+
+        The value is kept beside ``workload``'s tensor and evicted with it;
+        the cache never looks inside.  A call with a ``tag`` equal to the
+        stored one returns the stored value; any other call runs ``build()``
+        and, when ``workload`` has a cached tensor, keeps the result in place
+        of the previous one.  Returns ``(value, hit)``.
+        """
+        key = id(workload)
+        entry = self._memos.get(key)
+        if entry is not None and entry[0] == tag:
+            _cache_event("bip", "hit")
+            return entry[1], True
+        _cache_event("bip", "miss")
+        value = build()
+        if key in self._tensors:
+            self._memos[key] = (tag, value)
+        return value, False
 
     # ------------------------------------------------------------------ costing
     def access_cost(self, query: Query, table: str, index: Index | None) -> float:

@@ -31,8 +31,11 @@ domains and where each is pinned:
 * ``endpoint`` — route *patterns* from ``repro.server.app._endpoint_pattern``
   (never raw request paths).
 * ``method`` / ``status`` — HTTP verbs and status codes.
-* ``event`` / ``cache`` / ``outcome`` / ``kind`` / ``stage`` — short literal
-  event names at the call site.
+* ``cache`` — the caches of ``repro_cache_events_total``: ``template``,
+  ``tensor``, ``bip`` (the per-workload BIP kept beside the tensor),
+  ``canonical_workload``, ``schema_payload``.
+* ``event`` / ``outcome`` / ``kind`` / ``stage`` — short literal event names
+  at the call site.
 * ``lock`` — :class:`~repro.obs.profile.InstrumentedLock` names, fixed at
   construction (``schema_context``, ``inum_metrics``).  Lock-wait histograms
   count *every* acquisition — re-entrant and uncontended acquires record a

@@ -117,6 +117,17 @@ def test_lock_rule_flags_unprotected_root(tmp_path):
     assert "prepare" in findings[0].message
 
 
+def test_lock_rule_flags_unlocked_workload_memo(tmp_path):
+    # The memo hands one BIP to every request of a workload: a caller
+    # without the context lock could solve on it while another merges rows.
+    findings = run_tree(tmp_path, {"pkg/uses.py": """\
+        def reuse(context, workload, tag, build):
+            return context.inum.workload_memo(workload, tag, build)
+        """}, rule="lock-discipline")
+    assert len(findings) == 1
+    assert "workload_memo" in findings[0].message
+
+
 def test_lock_rule_accepts_lexical_lock_and_annotation(tmp_path):
     findings = run_tree(tmp_path, {"pkg/uses.py": """\
         def locked(context, workload, candidates):
