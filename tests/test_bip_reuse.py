@@ -6,7 +6,8 @@ The contract pinned here, on one TPC-H workload through one ``Tuner``:
 * the reused BIP is *left as found* by every kind of request — each hard
   constraint kind, a soft constraint, a budgeted cascade, the relaxation and
   an infeasible constraint set;
-* every answer equals a fresh ``Tuner``'s, and a repeat is a memo hit;
+* every answer's fingerprint equals a fresh ``Tuner``'s that holds the same
+  templates but builds its own BIP, and a repeat is a memo hit;
 * anything but the exact ordered candidate tuple misses and rebuilds;
 * interactive sessions and ``build_bip`` keep private BIPs.
 """
@@ -239,8 +240,7 @@ class TestSessionsStayPrivate:
         assert session.inner.bip is not memo and built is not memo
         assert _bip_events(tuner) == (1.0, 1.0)
 
-        fresh = Tuner().tune(request).fingerprint()
-        assert first.fingerprint() == last.fingerprint() == fresh
+        assert first.fingerprint() == last.fingerprint() == _fresh(request)
         _, fresh_steps = self._session(TuningService(Tuner()), request,
                                        candidates, hard)
         assert ([step.fingerprint() for step in steps]
