@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.catalog.column import Column, ColumnType
 from repro.catalog.schema import Schema
@@ -130,6 +131,127 @@ def reference_statement_cost(inum: InumCache, query: Query,
                           for index in configuration.indexes_on(query.table))
         best = best + maintenance + optimizer.base_update_cost(query)
     return best
+
+
+def reference_bip_matrices(inum: InumCache, workload: Workload, candidates,
+                           statement_weights=None) -> dict:
+    """Scalar oracle for ``BipBuilder.build(...).model.to_matrices()``.
+
+    Walks the workload one statement, template, slot and access at a time,
+    reading each gamma from the workload tensor's per-query view, and emits
+    the Theorem-1 program as ``(row, column, value)`` triplets in the
+    builder's column order (z, then per statement its y's and x's) and row
+    order (per statement: the one-template row, then per template and slot
+    the ``x <= z`` select rows and the one-access slot row).  scipy builds
+    the CSR blocks, so the export must match it bit for bit: values, index
+    dtypes, and the sign of every zero (slot and select rows have
+    ``b = -0.0``).
+    """
+    optimizer = inum.optimizer
+    tensor = inum.workload_tensor(workload)
+    tensor.ensure_columns(tuple(candidates))
+    z = {index: column for column, index in enumerate(candidates)}
+    columns = len(z)
+    cost: dict[int, float] = {}
+    rows: dict[bool, list[tuple[dict[int, float], float]]] = {True: [],
+                                                              False: []}
+    constant = 0.0
+    for statement in workload:
+        query = statement.query
+        weight = statement.weight
+        if statement_weights is not None:
+            weight = statement_weights.get(query.name, weight)
+        shell = query.query_shell() if isinstance(query, UpdateQuery) else query
+        view = tensor.view(shell.name)
+        templates = inum.templates(shell)
+        usable = []
+        for position in range(len(templates)):
+            slots = {}
+            for table in shell.tables:
+                referenced = {c.column for c in shell.referenced_columns_on(table)}
+                accesses = [None] + [
+                    index for index in candidates.for_table(table)
+                    if referenced and (index.leading_column in referenced
+                                       or index.covers(referenced))]
+                slots[table] = [
+                    (access, gamma) for access in accesses
+                    if (gamma := view.value(position, table, access))
+                    != INFEASIBLE_COST]
+            if all(slots.values()):
+                usable.append((position, slots))
+        y = {}
+        for position, _ in usable:
+            y[position] = columns
+            columns += 1
+            cost[y[position]] = 0.0 + weight * templates[position].internal_cost
+        rows[True].append(({column: 1.0 for column in y.values()}, 1.0))
+        for position, slots in usable:
+            for table, pairs in slots.items():
+                xs = []
+                for access, gamma in pairs:
+                    xs.append(columns)
+                    cost[columns] = 0.0 + weight * gamma
+                    if access is not None:
+                        rows[False].append(
+                            ({z[access]: -1.0, columns: 1.0}, -0.0))
+                    columns += 1
+                rows[True].append(
+                    ({y[position]: -1.0, **dict.fromkeys(xs, 1.0)}, -0.0))
+        if isinstance(query, UpdateQuery):
+            for index in candidates.for_table(query.table):
+                ucost = optimizer.update_maintenance_cost(index, query)
+                if ucost > 0.0:
+                    cost[z[index]] = cost.get(z[index], 0.0) + weight * ucost
+            constant += weight * optimizer.base_update_cost(query)
+
+    def block(entries):
+        if not entries:
+            return None, None
+        data, row_ids, column_ids = [], [], []
+        for row, (coefficients, _) in enumerate(entries):
+            for column, value in coefficients.items():
+                data.append(value)
+                row_ids.append(row)
+                column_ids.append(column)
+        matrix = sparse.csr_matrix((data, (row_ids, column_ids)),
+                                   shape=(len(entries), columns))
+        return matrix, np.array([rhs for _, rhs in entries])
+
+    c = np.zeros(columns)
+    for column, value in cost.items():
+        c[column] = value
+    bounds = np.zeros((columns, 2))
+    bounds[:, 1] = 1.0
+    a_ub, b_ub = block(rows[False])
+    a_eq, b_eq = block(rows[True])
+    return {"c": c, "A_ub": a_ub, "b_ub": b_ub, "A_eq": a_eq, "b_eq": b_eq,
+            "bounds": bounds, "integrality": np.ones(columns, dtype=np.int8),
+            "objective_constant": constant}
+
+
+def assert_same_matrices(actual: dict, expected: dict) -> None:
+    """Two matrix exports are bit-equal: values, dtypes and zero signs."""
+
+    def same(left, right):
+        assert (left is None) == (right is None)
+        if left is None:
+            return
+        assert left.dtype == right.dtype
+        assert np.array_equal(left, right)
+        if left.dtype.kind == "f":
+            assert np.array_equal(np.signbit(left), np.signbit(right))
+
+    assert actual.keys() == expected.keys()
+    for key in ("c", "b_ub", "b_eq", "bounds", "integrality"):
+        same(actual[key], expected[key])
+    for key in ("A_ub", "A_eq"):
+        assert (actual[key] is None) == (expected[key] is None)
+        if expected[key] is not None:
+            assert actual[key].shape == expected[key].shape
+            for part in ("data", "indices", "indptr"):
+                same(getattr(actual[key], part), getattr(expected[key], part))
+    same(np.array([actual["objective_constant"]]),
+         np.array([expected["objective_constant"]]))
 
 
 def model_state(bip) -> tuple:

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from repro.core.bip_builder import BipBuilder
+from repro.core.constraints import StorageBudgetConstraint
 from repro.core.solver import CoPhySolver, SolverBackend
 from repro.exceptions import SolverError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
@@ -15,7 +16,12 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.highs_backend import MilpBackend
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.workload.generators import (
+    generate_heterogeneous_workload,
+    generate_homogeneous_workload,
+)
 from repro.workload.workload import Workload
+from tests.conftest import assert_same_matrices, reference_bip_matrices
 
 
 @pytest.fixture
@@ -232,3 +238,74 @@ class TestIncrementalExtension:
         for index, variable in bip.z_variables.items():
             expected = 1.0 if index in configuration else 0.0
             assert warm[variable] == expected
+
+
+def _tpch_with_updates(tpch, size=8, seed=3):
+    workload = generate_homogeneous_workload(size, seed=seed,
+                                             update_fraction=0.4)
+    assert workload.update_statements(), "expected UPDATE statements"
+    return workload, CandidateGenerator(tpch).generate(workload)
+
+
+class TestExportParity:
+    """``to_matrices()`` of a built BIP equals the scalar triplet oracle
+    bit for bit — the parity contract of the array assembly."""
+
+    def test_conftest_workload(self, simple_schema, simple_workload, inum,
+                               builder):
+        candidates = CandidateGenerator(simple_schema).generate(simple_workload)
+        bip = builder.build(simple_workload, candidates)
+        assert_same_matrices(
+            bip.model.to_matrices(),
+            reference_bip_matrices(inum, simple_workload, candidates))
+
+    def test_tpch_workload_with_updates(self, tpch):
+        workload, candidates = _tpch_with_updates(tpch)
+        inum = InumCache(WhatIfOptimizer(tpch))
+        bip = BipBuilder(inum).build(workload, candidates)
+        assert_same_matrices(bip.model.to_matrices(),
+                             reference_bip_matrices(inum, workload, candidates))
+
+    def test_statement_weights(self, tpch):
+        workload, candidates = _tpch_with_updates(tpch, seed=5)
+        weights = {statement.query.name: 0.5 + position
+                   for position, statement in enumerate(workload)
+                   if position % 2 == 0}
+        inum = InumCache(WhatIfOptimizer(tpch))
+        bip = BipBuilder(inum).build(workload, candidates,
+                                     statement_weights=weights)
+        assert_same_matrices(
+            bip.model.to_matrices(),
+            reference_bip_matrices(inum, workload, candidates,
+                                   statement_weights=weights))
+
+
+@pytest.mark.parametrize("kind,updates,seed", [
+    ("homogeneous", 0.0, 11), ("homogeneous", 0.5, 12),
+    ("heterogeneous", 0.0, 15), ("heterogeneous", 0.5, 14)])
+def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
+                                                          seed):
+    """Theorem 1 against brute force on generated workloads: at gap 0, B&B
+    and HiGHS reach one objective, and it is the cheapest INUM workload
+    cost over every storage-feasible subset of (at most six) candidates."""
+    if kind == "homogeneous":
+        workload = generate_homogeneous_workload(5, seed=seed,
+                                                 update_fraction=updates)
+    else:
+        workload = generate_heterogeneous_workload(5, seed=seed,
+                                                   update_fraction=updates,
+                                                   schema=tpch)
+    generated = list(CandidateGenerator(tpch).generate(workload))
+    step = max(1, len(generated) // 6)
+    candidates = CandidateSet(tpch, generated[::step][:6])
+    budget = 0.4 * candidates.total_size()
+    inum = InumCache(WhatIfOptimizer(tpch))
+    bip = BipBuilder(inum).build(workload, candidates)
+    objectives = [
+        CoPhySolver(backend=backend, gap_tolerance=0.0).solve(
+            bip, [StorageBudgetConstraint(budget)]).objective
+        for backend in (SolverBackend.MILP, SolverBackend.BRANCH_AND_BOUND)]
+    brute_cost, _ = brute_force_best(inum, workload, candidates,
+                                     storage_budget=budget)
+    assert objectives[1] == pytest.approx(objectives[0], rel=1e-9)
+    assert objectives[0] == pytest.approx(brute_cost, rel=1e-9)
