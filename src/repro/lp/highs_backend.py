@@ -142,7 +142,15 @@ class MilpBackend:
         values = {variable: float(vector[variable.index])
                   for variable in model.variables}
         gap = float(getattr(result, "mip_gap", 0.0) or 0.0)
-        bound = float(getattr(result, "mip_dual_bound", objective) or objective)
+        # HiGHS bounds the minimised ``c x`` alone: add the constant back and
+        # undo the sign flip of a maximisation, as for the objective.
+        bound = getattr(result, "mip_dual_bound", None)
+        if bound is None:
+            bound = objective
+        elif model.sense is ObjectiveSense.MAXIMIZE:
+            bound = -float(bound) + matrices["objective_constant"]
+        else:
+            bound = float(bound) + matrices["objective_constant"]
         status = (SolutionStatus.OPTIMAL if result.status == 0
                   else SolutionStatus.FEASIBLE)
         # HiGHS status 1 = iteration / time limit reached with an incumbent;

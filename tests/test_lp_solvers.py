@@ -411,3 +411,45 @@ class TestSolutionObject:
         assert copy.status is SolutionStatus.FEASIBLE
         assert copy.objective == solution.objective
         assert copy.values == solution.values
+
+
+class TestMilpDualBound:
+    """``best_bound`` is in the objective's own terms: the constant added,
+    the sign of a maximisation undone, and a zero bound kept as zero."""
+
+    def test_constant_is_part_of_the_bound(self):
+        model = Model("constant")
+        x = model.add_binary("x")
+        model.set_objective(1.0 * x + 5.0)
+        model.add_constraint((1.0 * x) >= 1)
+        solution = MilpBackend().solve(model)
+        assert solution.objective == 6.0
+        assert solution.best_bound == 6.0
+
+    def test_maximisation_bound_has_the_objective_sign(self):
+        model, _ = build_knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
+        solution = MilpBackend().solve(model)
+        assert solution.best_bound == pytest.approx(solution.objective)
+
+    def test_zero_bound_stays_zero(self):
+        model = Model("zero")
+        x = model.add_binary("x")
+        model.set_objective(1.0 * x)
+        solution = MilpBackend().solve(model)
+        assert solution.objective == 0.0
+        assert solution.best_bound == 0.0
+
+    def test_cophy_bip_with_updates_at_gap_zero(self, simple_schema,
+                                                simple_workload):
+        from repro.core.bip_builder import BipBuilder
+        from repro.core.solver import CoPhySolver
+        from repro.indexes.candidate_generation import CandidateGenerator
+        from repro.inum.cache import InumCache
+        from repro.optimizer.whatif import WhatIfOptimizer
+
+        assert simple_workload.update_statements()
+        candidates = CandidateGenerator(simple_schema).generate(simple_workload)
+        bip = BipBuilder(InumCache(WhatIfOptimizer(simple_schema))).build(
+            simple_workload, candidates)
+        solution = CoPhySolver(gap_tolerance=0.0).solve(bip).solution
+        assert solution.best_bound == pytest.approx(solution.objective)
