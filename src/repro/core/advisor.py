@@ -206,25 +206,18 @@ class CoPhyAdvisor(Advisor):
                         or unsupported_constraint(hard) is None)
         try:
             with stage(timings, "build") as node:
-                # The Theorem-1 BIP does not depend on the constraints (the
-                # solver merges them per solve and rolls them back), so the
-                # context keeps one per workload.  It is tagged with the
-                # ordered candidates — z order is column order — and their
-                # names, which name the recommendation.
+                # The Theorem-1 BIP does not depend on the constraints (a
+                # solve passes them to its export of the program and never
+                # edits it), so the context keeps one per workload.  It is
+                # tagged with the ordered candidates — z order is column
+                # order — and their names, which name the recommendation.
                 bip, reused = self.inum.workload_memo(
                     workload,
                     tuple((index, index.name) for index in candidates),
                     lambda: self.bip_builder.build(
                         workload, candidates,
                         budget=budget if can_fallback else None))
-                # Aggregate scalars only: the ``::``-keyed statistics are
-                # per-coefficient (beta/gamma/ucost) and would bloat every
-                # exported trace by thousands of attributes.
-                node.set(reused=reused,
-                         **{key: value
-                            for key, value in bip.statistics.items()
-                            if isinstance(value, (int, float))
-                            and "::" not in key})
+                node.set(reused=reused, **bip.statistics)
         except BuildInterrupted:
             return self._deadline_fallback(workload, candidates, heuristic,
                                            tier, answer)
@@ -258,11 +251,8 @@ class CoPhyAdvisor(Advisor):
                     report = self.solver.solve(bip, hard_constraints=hard,
                                                warm_start=warm_start,
                                                budget=budget)
-                    solution = getattr(report, "solution", None)
-                    node.set(gap=round(report.gap, 6),
-                             timed_out=report.timed_out,
-                             nodes=int(getattr(solution, "nodes_explored",
-                                               0)))
+                    node.set(nodes=report.solution.nodes_explored,
+                             **report.span_attributes())
             except SolverError:
                 if heuristic is None:
                     raise

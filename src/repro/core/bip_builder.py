@@ -24,44 +24,103 @@ query on that table, or they cover the referenced columns) — irrelevant
 indexes could never beat the ``I_0`` choice, so dropping them changes nothing
 while keeping the program linear in the size of the input, as the paper
 requires.
+
+Layout: the program is assembled as arrays, straight from the workload gamma
+tensor's per-slot blocks.  Columns are the ``z`` (candidate order), then per
+statement its ``y`` (usable templates, ascending) and its ``x`` (template,
+then slot in table order, then access: heap first, candidates in candidate
+order).  The rows are one :class:`~repro.lp.model.RowBlock` in the same
+per-statement order: the one-template row, then per (template, slot) the
+``x <= z`` select rows and the slot's one-access row.  Only the ``z`` columns
+carry :class:`~repro.lp.variable.Variable` objects; the ``y``/``x`` columns
+are described by the struct-of-array tables on :class:`CophyBip`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.exceptions import BuildInterrupted, SolverError, WorkloadError
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.workload_tensor import QueryTensorView, WorkloadGammaTensor
+from repro.inum.template_plan import INFEASIBLE_COST
+from repro.inum.workload_tensor import WorkloadGammaTensor
 from repro.lp.budget import SolveBudget
-from repro.lp.constraint import Constraint
 from repro.lp.expression import LinearExpression
-from repro.lp.model import Model
+from repro.lp.model import Model, Objective, RowBlock, RowKind
 from repro.lp.solution import Solution
 from repro.lp.variable import Variable
-from repro.workload.query import Query, UpdateQuery
+from repro.workload.query import Query, StatementKind, UpdateQuery
 from repro.workload.workload import Workload
 
-__all__ = ["BipBuilder", "CophyBip", "SlotKey"]
+__all__ = ["BipBuilder", "CophyBip"]
 
 #: ``I_0`` — the "no index" access method, represented as ``None`` in slot maps.
 NO_INDEX = None
 
 
 @dataclass(frozen=True)
-class SlotKey:
-    """Identifies one slot variable family: (query, template index, table)."""
+class _Table:
+    """Parallel arrays, one entry per row of the table."""
 
-    query_name: str
-    template_position: int
-    table: str
+    @classmethod
+    def of(cls, parts: list["_Table"]) -> "_Table":
+        """The parts' entries, one after the other (no parts: no entries)."""
+        return cls(**{column.name: np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [getattr(part, column.name) for part in parts])
+            for column in fields(cls)})
 
 
-@dataclass
+@dataclass(frozen=True)
+class TemplateColumns(_Table):
+    """One entry per ``y`` column: a usable template of a statement.
+
+    A statement's entries are consecutive, in template position order.
+    """
+
+    columns: np.ndarray
+    #: Ordinal of the statement in the workload.
+    statements: np.ndarray
+    #: Template position in ``InumCache.templates`` of the statement's shell.
+    positions: np.ndarray
+    betas: np.ndarray
+
+
+@dataclass(frozen=True)
+class AccessColumns(_Table):
+    """One entry per ``x`` column: an access method of a (template, slot).
+
+    A slot is named by its one-access row; a template's slots, in its
+    shell's table order, have ascending rows.
+    """
+
+    columns: np.ndarray
+    #: The template, as an entry of :class:`TemplateColumns`.
+    templates: np.ndarray
+    #: The slot's one-access row, as a row of :attr:`CophyBip.rows`.
+    slot_rows: np.ndarray
+    #: The index's ``z`` column, or -1 for the heap access ``I_0``.
+    indexes: np.ndarray
+    gammas: np.ndarray
+
+
+@dataclass(frozen=True)
+class UpdateCosts(_Table):
+    """One entry per positive ``ucost(a, q)``: an UPDATE and an index."""
+
+    statements: np.ndarray
+    #: The index's ``z`` column.
+    columns: np.ndarray
+    costs: np.ndarray
+
+
+@dataclass(eq=False)
 class CophyBip:
     """The generated BIP plus the bookkeeping needed to interpret solutions."""
 
@@ -69,11 +128,13 @@ class CophyBip:
     workload: Workload
     candidates: CandidateSet
     z_variables: dict[Index, Variable]
-    y_variables: dict[tuple[str, int], Variable]
-    x_variables: dict[SlotKey, dict[Index | None, Variable]]
-    cost_expression: LinearExpression
+    #: The Theorem-1 rows (one-template, select and one-access rows).
+    rows: RowBlock
+    templates: TemplateColumns
+    accesses: AccessColumns
+    updates: UpdateCosts
+    #: Aggregate sizes only: ``variables``, ``constraints``, ``candidates``.
     statistics: dict[str, float] = field(default_factory=dict)
-    slot_constraints: dict[SlotKey, Constraint] = field(default_factory=dict)
     #: Per-statement weight overrides the BIP was built with (by statement
     #: name); ``extend`` reads them so delta coefficients stay consistent.
     statement_weights: dict[str, float] | None = None
@@ -104,38 +165,44 @@ class CophyBip:
     def update_cost_expression(self) -> LinearExpression:
         """``sum_q sum_a f_q ucost(a, q) z_a`` — total index-maintenance cost."""
         coefficients: dict[Variable, float] = {}
-        for statement in self.workload.update_statements():
+        for ordinal, statement in enumerate(self.workload):
             update = statement.query
+            if update.kind is not StatementKind.UPDATE:
+                continue
             if not isinstance(update, UpdateQuery):
                 raise WorkloadError(
                     f"statement '{getattr(update, 'name', update)}' is "
                     "classified as an update but its query is "
                     f"{type(update).__name__}")
+            mine = self.updates.statements == ordinal
+            ucosts = dict(zip(self.updates.columns[mine].tolist(),
+                              self.updates.costs[mine].tolist()))
             for index, variable in self.z_variables.items():
-                if index.table != update.table:
-                    continue
-                ucost = self.statistics.get(f"ucost::{update.name}::{index.name}")
-                if ucost:
+                ucost = ucosts.get(variable.index)
+                if index.table == update.table and ucost:
                     coefficients[variable] = (coefficients.get(variable, 0.0)
                                               + statement.weight * ucost)
         return LinearExpression(coefficients)
 
     def query_cost_expression(self, query: Query) -> LinearExpression:
-        """The BIP expression of ``cost(q, X*)`` for one SELECT / query shell."""
-        terms: dict[Variable, float] = {}
-        shell_name = self._shell_name(query)
-        for (query_name, position), y_variable in self.y_variables.items():
-            if query_name != shell_name:
-                continue
-            beta = self.statistics.get(f"beta::{query_name}::{position}", 0.0)
-            terms[y_variable] = terms.get(y_variable, 0.0) + beta
-        for slot, access_variables in self.x_variables.items():
-            if slot.query_name != shell_name:
-                continue
-            for access, variable in access_variables.items():
-                gamma = self.statistics.get(self._gamma_key(slot, access), 0.0)
-                terms[variable] = terms.get(variable, 0.0) + gamma
-        return LinearExpression(terms)
+        """The BIP expression of ``cost(q, X*)`` for one SELECT / query shell.
+
+        A shell the workload repeats is read at its last occurrence.
+        """
+        shell_name = _shell(query).name
+        ordinals = [ordinal for ordinal, statement in enumerate(self.workload)
+                    if _shell(statement.query).name == shell_name]
+        if not ordinals:
+            return LinearExpression()
+        mine = self.templates.statements == ordinals[-1]
+        accesses = mine[self.accesses.templates]
+        columns = np.concatenate((self.templates.columns[mine],
+                                  self.accesses.columns[accesses]))
+        costs = 0.0 + np.concatenate((self.templates.betas[mine],
+                                      self.accesses.gammas[accesses]))
+        return LinearExpression({self.model.column(column): cost
+                                 for column, cost in zip(columns.tolist(),
+                                                         costs.tolist())})
 
     def extract_configuration(self, solution: Solution) -> Configuration:
         """Read ``X* = {a | z_a = 1}`` out of a solver solution."""
@@ -143,69 +210,125 @@ class CophyBip:
                     if solution.value(variable) >= 0.5]
         return Configuration(selected, name="cophy-recommendation")
 
-    def warm_start_from(self, configuration: Configuration
-                        ) -> dict[Variable, float]:
-        """A feasible assignment that selects exactly ``configuration``.
+    def warm_start_from(self, configuration: Configuration) -> np.ndarray:
+        """A feasible assignment (a column vector) selecting exactly
+        ``configuration``.
 
         Used to warm-start re-tuning: the z variables follow the previous
-        recommendation and, for every query, the cheapest template/slot
-        combination compatible with that configuration is switched on.
+        recommendation and, for every statement, the cheapest template/slot
+        combination compatible with that configuration is switched on (ties
+        go to the first template, and in a slot to the first access).
         """
-        values: dict[Variable, float] = {variable: 0.0
-                                         for variable in self.model.variables}
+        values = np.zeros(self.model.variable_count)
+        # One more entry, read by the heap's index -1: always allowed.
+        allowed = np.zeros(self.model.variable_count + 1, dtype=bool)
+        allowed[-1] = True
         chosen = set(configuration.indexes)
         for index, variable in self.z_variables.items():
-            values[variable] = 1.0 if index in chosen else 0.0
-        by_query: dict[str, list[tuple[int, Variable]]] = {}
-        for (query_name, position), variable in self.y_variables.items():
-            by_query.setdefault(query_name, []).append((position, variable))
-        for query_name, templates in by_query.items():
-            best_choice = None
-            for position, y_variable in templates:
-                total = self.statistics.get(f"beta::{query_name}::{position}",
-                                            0.0)
-                slot_choices: list[tuple[SlotKey, Variable]] = []
-                feasible = True
-                for slot, access_variables in self.x_variables.items():
-                    if slot.query_name != query_name or slot.template_position != position:
-                        continue
-                    best_access = None
-                    for access, x_variable in access_variables.items():
-                        if access is not NO_INDEX and access not in chosen:
-                            continue
-                        gamma = self.statistics.get(self._gamma_key(slot, access))
-                        if gamma is None:
-                            continue
-                        if best_access is None or gamma < best_access[0]:
-                            best_access = (gamma, x_variable)
-                    if best_access is None:
-                        feasible = False
-                        break
-                    total += best_access[0]
-                    slot_choices.append((slot, best_access[1]))
-                if not feasible:
-                    continue
-                if best_choice is None or total < best_choice[0]:
-                    best_choice = (total, y_variable, slot_choices)
-            if best_choice is None:
-                continue
-            _, y_variable, slot_choices = best_choice
-            values[y_variable] = 1.0
-            for _, x_variable in slot_choices:
-                values[x_variable] = 1.0
+            if index in chosen:
+                values[variable.index] = 1.0
+                allowed[variable.index] = True
+        accesses, templates = self.accesses, self.templates
+        gammas = np.where(allowed[accesses.indexes], accesses.gammas,
+                          INFEASIBLE_COST)
+        # Per slot its cheapest allowed access, in slot-row order; added to
+        # beta one slot at a time, so in each template's table order.
+        picks = _group_minima(accesses.slot_rows, gammas)
+        totals = templates.betas.copy()
+        np.add.at(totals, accesses.templates[picks], gammas[picks])
+        best = _group_minima(templates.statements, totals)
+        best = best[totals[best] < INFEASIBLE_COST]
+        values[templates.columns[best]] = 1.0
+        values[accesses.columns[picks[np.isin(accesses.templates[picks],
+                                              best)]]] = 1.0
         return values
 
-    @staticmethod
-    def _shell_name(query: Query) -> str:
-        if isinstance(query, UpdateQuery):
-            return query.query_shell().name
-        return query.name
 
-    @staticmethod
-    def _gamma_key(slot: SlotKey, access: Index | None) -> str:
-        access_name = "I0" if access is NO_INDEX else access.name
-        return (f"gamma::{slot.query_name}::{slot.template_position}::"
-                f"{slot.table}::{access_name}")
+class _Assembly:
+    """Columns, rows and objective terms of a program under construction.
+
+    Rows are collected as triplets, numbered from 0; objective terms in the
+    order they are encoded, which is the order the objective's value is
+    summed in.  A ``z`` coefficient accumulates across UPDATE statements but
+    keeps its place at the first statement that touched it.
+    """
+
+    def __init__(self, first_column: int, first_template: int = 0):
+        self.first_column = self.columns = first_column
+        self.templates = first_template
+        self.rows = 0
+        self.triplets: list[tuple[np.ndarray, np.ndarray, float]] = []
+        self.rhs: list[np.ndarray] = []
+        self.kinds: list[np.ndarray] = []
+        self.terms: list[tuple[np.ndarray, np.ndarray | None]] = []
+        self.z_costs: dict[int, float] = {}
+        self.tables: dict[type, list[_Table]] = {}
+
+    def entries(self, rows: np.ndarray, columns: np.ndarray,
+                value: float) -> None:
+        """``value`` at every ``(rows[k], columns[k])``."""
+        self.triplets.append((rows, columns, value))
+
+    def add_rows(self, rhs: np.ndarray, kinds: np.ndarray) -> int:
+        """Number ``len(rhs)`` more rows; returns the first one's number."""
+        first = self.rows
+        self.rhs.append(rhs)
+        self.kinds.append(kinds)
+        self.rows += len(rhs)
+        return first
+
+    def add(self, part: _Table) -> None:
+        self.tables.setdefault(type(part), []).append(part)
+
+    def update_cost(self, column: int, cost: float) -> None:
+        if column not in self.z_costs:
+            self.terms.append((np.array([column]), None))
+            self.z_costs[column] = 0.0
+        self.z_costs[column] = self.z_costs[column] + cost
+
+    def table(self, kind: type) -> _Table:
+        return kind.of(self.tables.get(kind, []))
+
+    def row_block(self) -> RowBlock:
+        if not self.triplets:
+            return RowBlock.of(())
+        rows, columns, values = zip(*self.triplets)
+        return RowBlock.from_triplets(
+            np.concatenate(rows), np.concatenate(columns),
+            np.repeat(values, [part.size for part in rows]),
+            np.concatenate(self.rhs), np.concatenate(self.kinds))
+
+    def objective(self, base: Objective) -> Objective:
+        """``base`` with the encoded terms appended."""
+        columns = [base.columns]
+        coefficients = [base.coefficients]
+        for term_columns, values in self.terms:
+            columns.append(term_columns)
+            coefficients.append(values if values is not None else
+                                np.array([self.z_costs[int(term_columns[0])]]))
+        return Objective(np.concatenate(columns), np.concatenate(coefficients),
+                         base.constant)
+
+
+def _lay_out(gammas: list[np.ndarray], indexes: list[list[int]]):
+    """The finite cells of per-slot gamma blocks, as ``x`` columns.
+
+    ``gammas[t]`` holds slot ``t``'s gammas, a row per template and a
+    column per access; ``indexes[t]`` the accesses' ``z`` columns (-1 for
+    the heap).  Returns, for every finite cell in template, slot, access
+    order: its slot (numbered template-major), its access's ``z`` column
+    and its gamma.
+    """
+    templates, tables = gammas[0].shape[0], len(gammas)
+    width = max(block.shape[1] for block in gammas)
+    cells = np.full((templates, tables, width), INFEASIBLE_COST)
+    columns = np.full((tables, width), -1, dtype=np.int64)
+    for table, (block, accesses) in enumerate(zip(gammas, indexes)):
+        cells[:, table, :block.shape[1]] = block
+        columns[table, :len(accesses)] = accesses
+    finite = np.flatnonzero(cells != INFEASIBLE_COST)
+    slots, offsets = np.divmod(finite, width)
+    return slots, columns[slots % tables, offsets], cells.ravel()[finite]
 
 
 class BipBuilder:
@@ -244,16 +367,10 @@ class BipBuilder:
             BuildInterrupted: When ``budget``'s deadline fires mid-build.
         """
         model = Model(name=model_name)
-        statistics: dict[str, float] = {}
-
-        z_variables: dict[Index, Variable] = {}
-        for index in candidates:
-            z_variables[index] = model.add_binary(f"z[{index.name}]")
-
-        y_variables: dict[tuple[str, int], Variable] = {}
-        x_variables: dict[SlotKey, dict[Index | None, Variable]] = {}
-        objective_terms: dict[Variable, float] = {}
-        slot_constraints: dict[SlotKey, Constraint] = {}
+        z_variables = {index: model.add_binary(f"z[{index.name}]")
+                       for index in candidates}
+        z_columns = {index: variable.index
+                     for index, variable in z_variables.items()}
 
         # Coefficients are read through the workload gamma tensor (one batched
         # column registration for the whole candidate set up front), so the
@@ -269,42 +386,36 @@ class BipBuilder:
         objective_constant = 0.0
         overrides = (dict(statement_weights)
                      if statement_weights is not None else None)
-        for encoded, statement in enumerate(workload):
+        assembly = _Assembly(model.variable_count)
+        for ordinal, statement in enumerate(workload):
             if budget is not None and budget.expired():
                 raise BuildInterrupted(
                     f"Anytime deadline fired while building "
-                    f"{model_name!r}; {encoded} of {len(workload)} "
+                    f"{model_name!r}; {ordinal} of {len(workload)} "
                     f"statements encoded")
             weight = statement.weight
             if overrides is not None:
                 weight = overrides.get(statement.query.name, weight)
-            self._encode_statement(statement.query, weight, candidates,
-                                   model, z_variables, y_variables, x_variables,
-                                   objective_terms, statistics, slot_constraints,
-                                   tensor)
+            self._encode_statement(ordinal, statement.query, weight,
+                                   candidates, z_columns, tensor, assembly)
             if isinstance(statement.query, UpdateQuery):
                 objective_constant += (weight
                                        * self._optimizer.base_update_cost(
                                            statement.query))
 
-        cost_expression = LinearExpression(objective_terms, objective_constant)
-        model.set_objective(cost_expression)
-
+        model.add_columns(assembly.columns - assembly.first_column)
+        rows = model.add_rows(assembly.row_block())
+        empty = np.zeros(0, dtype=np.int64)
+        model.set_objective(assembly.objective(
+            Objective(empty, np.zeros(0), objective_constant)))
         bip = CophyBip(
-            model=model,
-            workload=workload,
-            candidates=candidates,
-            z_variables=z_variables,
-            y_variables=y_variables,
-            x_variables=x_variables,
-            cost_expression=cost_expression,
-            statistics=statistics,
-            slot_constraints=slot_constraints,
-            statement_weights=overrides,
-        )
-        bip.statistics["variables"] = float(model.variable_count)
-        bip.statistics["constraints"] = float(model.constraint_count)
-        bip.statistics["candidates"] = float(len(candidates))
+            model=model, workload=workload, candidates=candidates,
+            z_variables=z_variables, rows=rows,
+            templates=assembly.table(TemplateColumns),
+            accesses=assembly.table(AccessColumns),
+            updates=assembly.table(UpdateCosts),
+            statement_weights=overrides)
+        self._count(bip)
         return bip
 
     # reprolint: requires-lock (see build: caller serializes)
@@ -312,9 +423,10 @@ class BipBuilder:
         """Incrementally extend an existing BIP with new candidate indexes.
 
         This is the "delta BIP" of interactive tuning: INUM's cache and all
-        existing variables/constraints are reused; only variables and rows
-        involving the new candidates are added.  Rebuilding from scratch is
-        never required.
+        existing columns and rows are reused; the new candidates' columns
+        are appended, their ``x <= z`` rows follow every stored row, and the
+        one-access rows of the slots they serve grow in place.  Rebuilding
+        from scratch is never required.
         """
         added = [index for index in added_candidates if index not in bip.candidates]
         if not added:
@@ -323,197 +435,178 @@ class BipBuilder:
         for index in added:
             bip.candidates.add(index)
             bip.z_variables[index] = model.add_binary(f"z[{index.name}]")
+        z_columns = {index: bip.z_variables[index].index for index in added}
 
         tensor = self._inum.workload_tensor(bip.workload)
         tensor.ensure_columns(added)  # one batched registration
-        objective_terms = bip.cost_expression.terms
-        objective_constant = bip.cost_expression.constant
-        for statement in bip.workload:
-            self._extend_statement(statement.query, bip.weight_of(statement),
-                                   added, bip, objective_terms, tensor)
-        bip.cost_expression = LinearExpression(objective_terms, objective_constant)
-        model.set_objective(bip.cost_expression)
-        bip.statistics["variables"] = float(model.variable_count)
-        bip.statistics["constraints"] = float(model.constraint_count)
-        bip.statistics["candidates"] = float(len(bip.candidates))
+        assembly = _Assembly(model.variable_count)
+        for ordinal, statement in enumerate(bip.workload):
+            self._extend_statement(ordinal, statement.query,
+                                   bip.weight_of(statement), added, z_columns,
+                                   bip, tensor, assembly)
+        model.add_columns(assembly.columns - assembly.first_column)
+        model.add_rows(assembly.row_block())
+        accesses = assembly.table(AccessColumns)
+        bip.rows = model.grow_rows(bip.rows, accesses.slot_rows,
+                                   accesses.columns,
+                                   np.ones(accesses.columns.size))
+        model.set_objective(assembly.objective(model.objective))
+        bip.accesses = AccessColumns.of([bip.accesses, accesses])
+        bip.updates = UpdateCosts.of([bip.updates,
+                                      assembly.table(UpdateCosts)])
+        self._count(bip)
         return bip
 
     # ----------------------------------------------------------------- internals
-    def _encode_statement(self, query: Query, weight: float,
-                          candidates: CandidateSet, model: Model,
-                          z_variables: Mapping[Index, Variable],
-                          y_variables: dict[tuple[str, int], Variable],
-                          x_variables: dict[SlotKey, dict[Index | None, Variable]],
-                          objective_terms: dict[Variable, float],
-                          statistics: dict[str, float],
-                          slot_constraints: dict[SlotKey, Constraint],
-                          tensor: WorkloadGammaTensor) -> None:
-        shell = query.query_shell() if isinstance(query, UpdateQuery) else query
+    @staticmethod
+    def _count(bip: CophyBip) -> None:
+        bip.statistics["variables"] = float(bip.model.variable_count)
+        bip.statistics["constraints"] = float(bip.model.constraint_count)
+        bip.statistics["candidates"] = float(len(bip.candidates))
+
+    def _encode_statement(self, ordinal: int, query: Query, weight: float,
+                          candidates: CandidateSet,
+                          z_columns: Mapping[Index, int],
+                          tensor: WorkloadGammaTensor,
+                          assembly: _Assembly) -> None:
+        shell = _shell(query)
         templates = self._inum.build(shell)
         view = tensor.view(shell.name)
-        # Relevance filtering and column registration are position-independent:
-        # do them once per table, not once per (template, table).
-        per_table_accesses: dict[str, list[Index | None]] = {}
-        for table in shell.tables:
-            referenced = {c.column for c in shell.referenced_columns_on(table)}
-            accesses: list[Index | None] = [NO_INDEX]
-            accesses.extend(index for index in candidates.for_table(table)
-                            if self._relevant(index, referenced))
-            per_table_accesses[table] = accesses
-            view.ensure_columns(accesses)
-
-        usable_positions: list[int] = []
-        per_position_slots: dict[int, dict[str, dict[Index | None, float]]] = {}
-        for position in range(len(templates)):
-            slots = self._slot_access_costs(position, per_table_accesses, view)
-            if slots is None:
-                continue
-            usable_positions.append(position)
-            per_position_slots[position] = slots
-        if not usable_positions:
+        gammas: list[np.ndarray] = []
+        indexes: list[list[int]] = []
+        for table, relevant in zip(shell.tables,
+                                   self._relevant(shell, candidates.for_table)):
+            gammas.append(view.slot_block(table, [NO_INDEX, *relevant]))
+            indexes.append([-1, *(z_columns[index] for index in relevant)])
+        # A template is usable when every slot has a finite access.
+        positions = np.flatnonzero(np.logical_and.reduce(
+            [(block != INFEASIBLE_COST).any(axis=1) for block in gammas]))
+        if not positions.size:
             raise SolverError(
                 f"No feasible template plan for statement {shell.name!r}")
+        slots, accesses, costs = _lay_out(
+            [block[positions] for block in gammas], indexes)
 
-        y_of_position: dict[int, Variable] = {}
-        for position in usable_positions:
-            y_variable = model.add_binary(f"y[{shell.name}][{position}]")
-            y_variables[(shell.name, position)] = y_variable
-            y_of_position[position] = y_variable
-            beta = templates[position].internal_cost
-            statistics[f"beta::{shell.name}::{position}"] = beta
-            objective_terms[y_variable] = (objective_terms.get(y_variable, 0.0)
-                                           + weight * beta)
+        usable, tables = len(positions), len(shell.tables)
+        y_columns = assembly.columns + np.arange(usable)
+        x_columns = assembly.columns + usable + np.arange(len(slots))
+        assembly.columns += usable + len(slots)
+        betas = np.array([templates[position].internal_cost
+                          for position in positions])
 
-        # Exactly one template per statement.
-        model.add_constraint(
-            LinearExpression.sum_of(list(y_of_position.values())) == 1.0,
-            name=f"one_template[{shell.name}]")
+        # Row order: the one-template row, then per slot its select rows
+        # (one per index access) followed by its one-access row.
+        select = np.flatnonzero(accesses >= 0)
+        selects = np.bincount(slots[select], minlength=usable * tables)
+        slot_rows = np.cumsum(selects + 1)
+        select_rows = (slot_rows - selects)[slots[select]] + (
+            np.arange(select.size) - (np.cumsum(selects) - selects)[slots[select]])
+        kinds = np.full(1 + slot_rows[-1], RowKind.LESS_EQUAL, dtype=np.int8)
+        kinds[0] = RowKind.EQUAL
+        kinds[slot_rows] = RowKind.RELAXABLE
+        rhs = np.full(kinds.size, -0.0)
+        rhs[0] = 1.0
+        first = assembly.add_rows(rhs, kinds)
+        slot_rows += first
+        select_rows += first
+        assembly.entries(np.full(usable, first), y_columns, 1.0)
+        assembly.entries(select_rows, accesses[select], -1.0)
+        assembly.entries(select_rows, x_columns[select], 1.0)
+        assembly.entries(slot_rows,
+                         y_columns[np.arange(usable * tables) // tables], -1.0)
+        assembly.entries(slot_rows[slots], x_columns, 1.0)
 
-        for position in usable_positions:
-            slots = per_position_slots[position]
-            y_variable = y_of_position[position]
-            for table, access_costs in slots.items():
-                slot = SlotKey(shell.name, position, table)
-                access_variables: dict[Index | None, Variable] = {}
-                for access, gamma in access_costs.items():
-                    access_name = "I0" if access is NO_INDEX else access.name
-                    x_variable = model.add_binary(
-                        f"x[{shell.name}][{position}][{table}][{access_name}]")
-                    access_variables[access] = x_variable
-                    statistics[CophyBip._gamma_key(slot, access)] = gamma
-                    objective_terms[x_variable] = (
-                        objective_terms.get(x_variable, 0.0) + weight * gamma)
-                    if access is not NO_INDEX:
-                        # z_a >= x_qkia
-                        model.add_constraint(
-                            (1.0 * x_variable) - (1.0 * z_variables[access]) <= 0.0,
-                            name=f"select[{x_variable.name}]")
-                x_variables[slot] = access_variables
-                # Exactly one access method per slot of the chosen template.
-                slot_constraints[slot] = model.add_constraint(
-                    LinearExpression.sum_of(list(access_variables.values()))
-                    - (1.0 * y_variable) == 0.0,
-                    name=f"one_access[{shell.name}][{position}][{table}]")
-
+        assembly.terms.append((
+            np.concatenate((y_columns, x_columns)),
+            0.0 + weight * np.concatenate((betas, costs))))
+        assembly.add(TemplateColumns(y_columns, np.full(usable, ordinal),
+                                     positions, betas))
+        assembly.add(AccessColumns(x_columns,
+                                   assembly.templates + slots // tables,
+                                   slot_rows[slots], accesses, costs))
+        assembly.templates += usable
         if isinstance(query, UpdateQuery):
-            self._encode_update_cost(query, weight, candidates, z_variables,
-                                     objective_terms, statistics)
+            self._encode_update_cost(ordinal, query, weight,
+                                     candidates.for_table(query.table),
+                                     z_columns, assembly)
 
-    def _encode_update_cost(self, update: UpdateQuery, weight: float,
-                            candidates: CandidateSet,
-                            z_variables: Mapping[Index, Variable],
-                            objective_terms: dict[Variable, float],
-                            statistics: dict[str, float]) -> None:
-        for index in candidates.for_table(update.table):
+    def _encode_update_cost(self, ordinal: int, update: UpdateQuery,
+                            weight: float, indexes: Iterable[Index],
+                            z_columns: Mapping[Index, int],
+                            assembly: _Assembly) -> None:
+        columns, costs = [], []
+        for index in indexes:
+            if index.table != update.table:
+                continue
             ucost = self._optimizer.update_maintenance_cost(index, update)
             if ucost <= 0.0:
                 continue
-            statistics[f"ucost::{update.name}::{index.name}"] = ucost
-            variable = z_variables[index]
-            objective_terms[variable] = (objective_terms.get(variable, 0.0)
-                                         + weight * ucost)
+            columns.append(z_columns[index])
+            costs.append(ucost)
+            assembly.update_cost(z_columns[index], weight * ucost)
+        assembly.add(UpdateCosts(np.full(len(columns), ordinal),
+                                 np.array(columns, dtype=np.int64),
+                                 np.array(costs)))
 
     @staticmethod
-    def _slot_access_costs(position: int,
-                           per_table_accesses: Mapping[str, list[Index | None]],
-                           view: QueryTensorView
-                           ) -> dict[str, dict[Index | None, float]] | None:
-        """Finite-gamma access methods per slot, or ``None`` if a slot has none.
+    def _relevant(shell: Query, indexes_on: Callable[[str], Iterable[Index]]
+                  ) -> list[list[Index]]:
+        """Per table of ``shell``, the indexes (from ``indexes_on(table)``)
+        that could plausibly serve its slot: the leading key column is
+        referenced by the query on that table, or the index covers every
+        referenced column."""
+        referenced: dict[str, set[str]] = {}
+        for column in shell.referenced_columns():
+            referenced.setdefault(column.table, set()).add(column.column)
+        return [[index for index in indexes_on(table)
+                 if index.leading_column in columns
+                 or columns.issubset(index.all_columns)]
+                if (columns := referenced.get(table)) else []
+                for table in shell.tables]
 
-        The caller has registered the accesses' columns, so each slot's
-        coefficients are read as one row slice of the stacked array.
-        """
-        slots: dict[str, dict[Index | None, float]] = {}
-        for table, accesses in per_table_accesses.items():
-            gammas = view.slot_costs(position, table, accesses,
-                                     registered=True)
-            access_costs = {access: gamma
-                            for access, gamma in zip(accesses, gammas)
-                            if gamma != float("inf")}
-            if not access_costs:
-                return None
-            slots[table] = access_costs
-        return slots
-
-    @staticmethod
-    def _relevant(index: Index, referenced_columns: set[str]) -> bool:
-        """Whether an index could plausibly serve a slot of this query."""
-        if not referenced_columns:
-            return False
-        if index.leading_column in referenced_columns:
-            return True
-        return index.covers(referenced_columns)
-
-    def _extend_statement(self, query: Query, weight: float, added: list[Index],
-                          bip: CophyBip,
-                          objective_terms: dict[Variable, float],
-                          tensor: WorkloadGammaTensor) -> None:
-        shell = query.query_shell() if isinstance(query, UpdateQuery) else query
-        templates = self._inum.build(shell)
+    def _extend_statement(self, ordinal: int, query: Query, weight: float,
+                          added: list[Index], z_columns: Mapping[Index, int],
+                          bip: CophyBip, tensor: WorkloadGammaTensor,
+                          assembly: _Assembly) -> None:
+        shell = _shell(query)
         view = tensor.view(shell.name)
-        model = bip.model
-        for position in range(len(templates)):
-            for table in shell.tables:
-                slot = SlotKey(shell.name, position, table)
-                access_variables = bip.x_variables.get(slot)
-                if access_variables is None:
-                    continue
-                slot_constraint = bip.slot_constraints.get(slot)
-                referenced = {c.column for c in shell.referenced_columns_on(table)}
-                for index in added:
-                    if index.table != table or not self._relevant(index, referenced):
-                        continue
-                    gamma = view.value(position, table, index)
-                    if gamma == float("inf"):
-                        continue
-                    x_variable = model.add_binary(
-                        f"x[{shell.name}][{position}][{table}][{index.name}]")
-                    access_variables[index] = x_variable
-                    bip.statistics[CophyBip._gamma_key(slot, index)] = gamma
-                    objective_terms[x_variable] = (
-                        objective_terms.get(x_variable, 0.0) + weight * gamma)
-                    model.add_constraint(
-                        (1.0 * x_variable) - (1.0 * bip.z_variables[index]) <= 0.0,
-                        name=f"select[{x_variable.name}]")
-                    # Grow the slot's assignment row in place so the new access
-                    # method becomes a legal choice for this slot.
-                    if slot_constraint is not None:
-                        slot_constraint.expression = (
-                            slot_constraint.expression + (1.0 * x_variable))
-                        model.invalidate_cache()
+        mine = np.flatnonzero(bip.templates.statements == ordinal)
+        gammas: list[np.ndarray] = []
+        indexes: list[list[int]] = []
+        for table, relevant in zip(shell.tables, self._relevant(
+                shell, lambda table: [index for index in added
+                                      if index.table == table])):
+            gammas.append(view.slot_block(table, relevant)[
+                bip.templates.positions[mine]])
+            indexes.append([z_columns[index] for index in relevant])
+        slots, accesses, costs = _lay_out(gammas, indexes)
+        # The statement's one-access rows, template-major like ``slots``.
+        slot_rows = np.unique(bip.accesses.slot_rows[
+            np.isin(bip.accesses.templates, mine)])[slots]
+        x_columns = assembly.columns + np.arange(len(slots))
+        assembly.columns += len(slots)
+        select_rows = assembly.add_rows(
+            np.full(len(slots), -0.0),
+            np.full(len(slots), RowKind.LESS_EQUAL, dtype=np.int8)
+        ) + np.arange(len(slots))
+        assembly.entries(select_rows, accesses, -1.0)
+        assembly.entries(select_rows, x_columns, 1.0)
+        assembly.terms.append((x_columns, 0.0 + weight * costs))
+        assembly.add(AccessColumns(x_columns,
+                                   mine[slots // len(shell.tables)],
+                                   slot_rows, accesses, costs))
         if isinstance(query, UpdateQuery):
-            for index in added:
-                if index.table != update_table(query):
-                    continue
-                ucost = self._optimizer.update_maintenance_cost(index, query)
-                if ucost <= 0.0:
-                    continue
-                bip.statistics[f"ucost::{query.name}::{index.name}"] = ucost
-                variable = bip.z_variables[index]
-                objective_terms[variable] = (objective_terms.get(variable, 0.0)
-                                             + weight * ucost)
+            self._encode_update_cost(ordinal, query, weight, added, z_columns,
+                                     assembly)
 
 
-def update_table(update: UpdateQuery) -> str:
-    """The table written by an UPDATE statement (helper for readability)."""
-    return update.table
+def _shell(query: Query) -> Query:
+    """The query a statement is costed as (an UPDATE's query shell)."""
+    return query.query_shell() if isinstance(query, UpdateQuery) else query
+
+
+def _group_minima(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per group in ascending order, the entry with the least value (the
+    first one on ties)."""
+    order = np.lexsort((np.arange(len(values)), values, groups))
+    return order[np.diff(groups[order], prepend=-1) != 0]

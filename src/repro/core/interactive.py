@@ -182,7 +182,7 @@ class InteractiveTuningSession:
             report = advisor.solver.solve(self._bip,
                                           hard_constraints=self._hard,
                                           warm_start=warm_start)
-            node.set(gap=round(report.gap, 6), timed_out=report.timed_out)
+            node.set(**report.span_attributes())
         recommendation = Recommendation(
             configuration=report.configuration,
             advisor_name=advisor.name,

@@ -25,11 +25,14 @@ from dataclasses import dataclass
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.bip_builder import CophyBip
 from repro.core.constraints import SoftConstraint, TuningConstraint
 from repro.core.solver import CoPhySolver, SolveReport
 from repro.indexes.configuration import Configuration
 from repro.lp.expression import LinearExpression
+from repro.lp.model import Objective
 
 __all__ = ["ParetoPoint", "ParetoExplorer"]
 
@@ -164,28 +167,37 @@ class ParetoExplorer:
 
     def _solve_point(self, bip: CophyBip, normalised: list[_NormalisedSoft],
                      hard_constraints: Sequence[TuningConstraint],
-                     lambda_value: float, warm_values) -> tuple[ParetoPoint, dict]:
+                     lambda_value: float, warm_values
+                     ) -> tuple[ParetoPoint, np.ndarray]:
         lambda_value = min(1.0, max(0.0, lambda_value))
-        cost_terms = bip.cost_expression.terms
-        cost_scale = max((abs(c) for c in cost_terms.values()), default=1.0)
-        objective = bip.cost_expression * (lambda_value / cost_scale)
+        model = bip.model
+        cost = model.objective
+        cost_scale = (float(np.abs(cost.coefficients).max())
+                      if cost.coefficients.size else 1.0)
+        factor = lambda_value / cost_scale
+        coefficients = cost.cost_vector(model.variable_count) * factor
+        constant = cost.constant * factor
         for soft in normalised:
             weight = (1.0 - lambda_value) / soft.scale
-            objective = objective + (soft.expression - soft.target) * weight
+            for variable, coefficient in soft.expression.terms.items():
+                coefficients[variable.index] = (coefficients[variable.index]
+                                                + coefficient * weight)
+            constant = constant + (soft.expression.constant
+                                   + soft.target * -1.0) * weight
         started = time.perf_counter()
         report: SolveReport = self._solver.solve(
-            bip, hard_constraints=hard_constraints,
-            warm_start=warm_values, extra_objective=objective)
+            bip, hard_constraints=hard_constraints, warm_start=warm_values,
+            objective=Objective(np.arange(model.variable_count), coefficients,
+                                constant))
         elapsed = time.perf_counter() - started
-        workload_cost = bip.cost_expression.evaluate(report.solution.values)
         measures = tuple(soft.expression.evaluate(report.solution.values)
                          for soft in normalised)
         point = ParetoPoint(
             lambda_value=lambda_value,
-            workload_cost=workload_cost,
+            workload_cost=report.objective,
             measures=measures,
             configuration=report.configuration,
             solve_seconds=elapsed,
             warm_started=warm_values is not None,
         )
-        return point, dict(report.solution.values)
+        return point, report.solution.vector

@@ -191,26 +191,6 @@ class QueryGammaMatrix:
             column = self._column_of[index]
         return float(self._matrix[position, slot, column])
 
-    def slot_costs(self, position: int, table: str,
-                   accesses: Sequence[Index | None],
-                   registered: bool = False) -> list[float]:
-        """The gamma row of one slot, aligned with ``accesses`` (``None`` = heap).
-
-        Pass ``registered=True`` when the caller has already registered the
-        accesses via :meth:`ensure_columns` — skipping the idempotent re-scan
-        matters when this is called once per template position.
-        """
-        if not registered:
-            self.ensure_columns(accesses)
-        slot = self._slot_of.get(table)
-        if slot is None:
-            template = self._templates[position]
-            return [self._gamma_scalar(template, table, access)
-                    for access in accesses]
-        columns = [0 if access is None else self._column_of[access]
-                   for access in accesses]
-        return self._matrix[position, slot, columns].tolist()
-
     def cost(self, configuration: Configuration) -> float:
         """``min_k (beta_qk + sum_i min_a gamma_qkia)`` over ``{I_0} ∪ X``.
 

@@ -286,8 +286,8 @@ class WorkloadGammaTensor:
 class QueryTensorView:
     """One query's rows of a workload tensor, with the gamma-matrix read API.
 
-    BIP coefficient assembly consumes per-(template, slot) gamma rows; this
-    view answers them from the stacked tensor through the shared candidate →
+    BIP coefficient assembly consumes per-slot gamma blocks; this view
+    answers them from the stacked tensor through the shared candidate →
     column mapping, so the BIP's coefficients come from the same array every
     ``workload_cost`` reduction reads.
     """
@@ -310,21 +310,17 @@ class QueryTensorView:
         """Register columns tensor-wide (keeps matrix and stack in sync)."""
         self._tensor.ensure_columns(indexes)
 
-    def slot_costs(self, position: int, table: str,
-                   accesses: Sequence[Index | None],
-                   registered: bool = False) -> list[float]:
-        """The gamma row of one slot, aligned with ``accesses`` (``None`` = heap)."""
-        if not registered:
-            self.ensure_columns(accesses)
-        slot = self._slot_of.get(table)
-        if slot is None:
-            return self._matrix.slot_costs(position, table, accesses,
-                                           registered=True)
+    def slot_block(self, table: str,
+                   accesses: Sequence[Index | None]) -> np.ndarray:
+        """One slot's gammas: a row per template, a column per access
+        (``None`` = heap).  The accesses' columns must be registered."""
         column_of = self._tensor._column_of
         columns = [0 if access is None else column_of[access]
                    for access in accesses]
-        return self._tensor._tensor[self._position, position, slot,
-                                    columns].tolist()
+        rows = self._tensor._tensor[self._position,
+                                    :len(self._matrix.templates),
+                                    self._slot_of[table]]
+        return rows[:, columns]
 
     def value(self, position: int, table: str, index: Index | None) -> float:
         """``gamma_qkia`` for template ``position`` / slot ``table`` / ``index``."""

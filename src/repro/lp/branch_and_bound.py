@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.lp.budget import SolveBudget
 from repro.lp.highs_backend import LinearRelaxationBackend
-from repro.lp.model import Model, ObjectiveSense
+from repro.lp.model import Model, ObjectiveSense, satisfies
 from repro.lp.solution import GapTracePoint, Solution, SolutionStatus
-from repro.lp.variable import Variable, VariableKind
+from repro.lp.variable import Variable
 from repro.obs.metrics import GAP_BUCKETS, NODES_BUCKETS, active_registry
 
 __all__ = ["BranchAndBoundSolver"]
@@ -72,28 +72,32 @@ class BranchAndBoundSolver:
         self._relaxation = LinearRelaxationBackend()
 
     # ------------------------------------------------------------------- probes
-    def is_feasible(self, model: Model) -> bool:
+    def is_feasible(self, model: Model, matrices: dict | None = None) -> bool:
         """Fast feasibility probe via the LP relaxation.
 
         An infeasible relaxation proves the BIP infeasible.  (A feasible
         relaxation does not *prove* integer feasibility, but for the index
         tuning constraint classes of the paper — budgets, cardinality limits,
         per-table rules — LP feasibility coincides with BIP feasibility.)
+        ``matrices`` probes that export of the model instead of its own.
         """
-        relaxed = self._relaxation.solve(model)
+        relaxed = self._relaxation.solve(model, matrices=matrices)
         return relaxed.status is not SolutionStatus.INFEASIBLE
 
     # -------------------------------------------------------------------- solve
-    def solve(self, model: Model, warm_start: Mapping[Variable, float] | None = None,
+    def solve(self, model: Model,
+              warm_start: Mapping[Variable, float] | np.ndarray | None = None,
               gap_tolerance: float | None = None,
               time_limit_seconds: float | None = None,
-              budget: SolveBudget | None = None) -> Solution:
+              budget: SolveBudget | None = None,
+              matrices: dict | None = None) -> Solution:
         """Solve the binary integer program.
 
         Args:
             model: The model to solve (binary and continuous variables).
-            warm_start: Optional assignment used as the initial incumbent if it
-                is feasible; this is how re-tuning reuses prior solutions.
+            warm_start: Optional assignment (by variable, or a column
+                vector) used as the initial incumbent if it is feasible; this
+                is how re-tuning reuses prior solutions.
             gap_tolerance: Per-call override of the construction-time tolerance.
             time_limit_seconds: Per-call override of the time limit.
             budget: Optional :class:`~repro.lp.budget.SolveBudget`; its
@@ -101,11 +105,13 @@ class BranchAndBoundSolver:
                 with the solver's own settings.  When the deadline fires the
                 best-so-far incumbent is returned with ``timed_out=True`` and
                 its closed-form gap against the tightest known bound.
+            matrices: Optional export of ``model`` to solve instead of its
+                own (a solve's extra rows, objective or relaxation).
         """
         solution = self._solve(model, warm_start=warm_start,
                                gap_tolerance=gap_tolerance,
                                time_limit_seconds=time_limit_seconds,
-                               budget=budget)
+                               budget=budget, matrices=matrices)
         # One metrics record per solve (never per node): outcome, search
         # size and the achieved gap, into whichever registry the current
         # request activated.
@@ -128,10 +134,11 @@ class BranchAndBoundSolver:
         return solution
 
     def _solve(self, model: Model,
-               warm_start: Mapping[Variable, float] | None = None,
+               warm_start: Mapping[Variable, float] | np.ndarray | None = None,
                gap_tolerance: float | None = None,
                time_limit_seconds: float | None = None,
-               budget: SolveBudget | None = None) -> Solution:
+               budget: SolveBudget | None = None,
+               matrices: dict | None = None) -> Solution:
         started = time.perf_counter()
         effective_gap = (self.gap_tolerance if gap_tolerance is None
                          else max(0.0, gap_tolerance))
@@ -145,25 +152,27 @@ class BranchAndBoundSolver:
                 effective_gap = max(effective_gap, budget.gap_limit)
             if budget.node_limit is not None:
                 effective_nodes = min(effective_nodes, budget.node_limit)
-        matrices = model.to_matrices()
+        if matrices is None:
+            matrices = model.to_matrices()
         root_bounds = matrices["bounds"].copy()
-        binary_variables = tuple(v for v in model.variables
-                                 if v.kind is VariableKind.BINARY)
         # Vectorized branching/rounding work on the LP solution vector; the
         # binary positions and mask are fixed for the whole search.
-        binary_indices = np.array([v.index for v in binary_variables],
-                                  dtype=np.intp)
         binary_mask = matrices["integrality"].astype(bool)
+        binary_indices = np.flatnonzero(binary_mask)
+        binary_variables = model.binary_variables()
         # The search works in minimisation space; maximisation models are
         # handled by flipping the sign of every objective value.
         sign = -1.0 if model.sense is ObjectiveSense.MAXIMIZE else 1.0
 
-        incumbent_values: dict[Variable, float] | None = None
+        incumbent_vector: np.ndarray | None = None
         incumbent_objective = math.inf
-        if warm_start is not None and model.is_feasible_assignment(warm_start):
-            incumbent_values = {v: float(warm_start.get(v, 0.0))
-                                for v in model.variables}
-            incumbent_objective = sign * model.objective_value(incumbent_values)
+        if warm_start is not None:
+            warm_vector = np.asarray(model.vector_of(warm_start),
+                                     dtype=np.float64)
+            if satisfies(matrices, warm_vector):
+                incumbent_vector = warm_vector
+                incumbent_objective = self._objective(matrices, warm_vector,
+                                                      sign)
 
         gap_trace: list[GapTracePoint] = []
         nodes_explored = 0
@@ -251,7 +260,7 @@ class BranchAndBoundSolver:
                                                      binary_indices)
             if fractional_index is None:
                 # Integral solution: new incumbent.
-                incumbent_values = dict(relaxed.values)
+                incumbent_vector = relaxed.vector
                 incumbent_objective = relaxed_objective
                 record(force=True)
             else:
@@ -260,11 +269,7 @@ class BranchAndBoundSolver:
                 if rounded is not None:
                     rounded_vector, rounded_objective = rounded
                     if rounded_objective < incumbent_objective - 1e-12:
-                        # The per-variable dict is materialized only for an
-                        # accepted incumbent, not on every node.
-                        incumbent_values = {
-                            variable: float(rounded_vector[variable.index])
-                            for variable in model.variables}
+                        incumbent_vector = rounded_vector
                         incumbent_objective = rounded_objective
                         record(force=True)
                 for branch_value in (0.0, 1.0):
@@ -288,7 +293,7 @@ class BranchAndBoundSolver:
                 break
 
         elapsed = time.perf_counter() - started
-        if incumbent_values is None:
+        if incumbent_vector is None:
             # No integral solution found within the limits.
             return Solution(status=SolutionStatus.ERROR, solve_seconds=elapsed,
                             nodes_explored=nodes_explored,
@@ -301,11 +306,15 @@ class BranchAndBoundSolver:
         status = (SolutionStatus.OPTIMAL if gap <= max(effective_gap, 1e-9)
                   else SolutionStatus.FEASIBLE)
         record(force=True)
+        # The per-variable dict is materialized once, for the final answer.
+        values = {variable: float(incumbent_vector[variable.index])
+                  for variable in model.variables}
         return Solution(status=status, objective=sign * incumbent_objective,
-                        values=incumbent_values, best_bound=sign * best_bound,
+                        values=values, best_bound=sign * best_bound,
                         gap=gap, solve_seconds=elapsed,
                         nodes_explored=nodes_explored, gap_trace=tuple(gap_trace),
-                        timed_out=timed_out and status is not SolutionStatus.OPTIMAL)
+                        timed_out=timed_out and status is not SolutionStatus.OPTIMAL,
+                        vector=incumbent_vector)
 
     # ---------------------------------------------------------------- internals
     @staticmethod
@@ -373,22 +382,15 @@ class BranchAndBoundSolver:
         """
         vector = relaxed.vector
         if vector is None:  # solution from a backend without vector support
-            vector = np.zeros(len(model.variables), dtype=np.float64)
-            for variable, value in relaxed.values.items():
-                vector[variable.index] = value
+            vector = model.vector_of(relaxed.values)
         rounded = vector.copy()
         rounded[binary_mask] = np.round(rounded[binary_mask])
-        tolerance = 1e-6
-        bounds = matrices["bounds"]
-        if ((rounded < bounds[:, 0] - tolerance).any()
-                or (rounded > bounds[:, 1] + tolerance).any()):
+        if not satisfies(matrices, rounded):
             return None
-        a_ub, b_ub = matrices["A_ub"], matrices["b_ub"]
-        if a_ub is not None and (a_ub @ rounded > b_ub + tolerance).any():
-            return None
-        a_eq, b_eq = matrices["A_eq"], matrices["b_eq"]
-        if a_eq is not None and np.abs(a_eq @ rounded - b_eq).max() > tolerance:
-            return None
+        return rounded, BranchAndBoundSolver._objective(matrices, rounded, sign)
+
+    @staticmethod
+    def _objective(matrices: dict, vector: np.ndarray, sign: float) -> float:
+        """A vector's objective in minimisation space."""
         # ``c`` is already negated for maximisation, the constant is not.
-        objective = float(matrices["c"] @ rounded) + sign * matrices["objective_constant"]
-        return rounded, objective
+        return float(matrices["c"] @ vector) + sign * matrices["objective_constant"]

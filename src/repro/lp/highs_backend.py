@@ -16,6 +16,12 @@ from repro.lp.variable import Variable
 __all__ = ["LinearRelaxationBackend", "MilpBackend"]
 
 
+def _values_of(model: Model, vector: np.ndarray) -> dict[Variable, float]:
+    """A solution vector read through the model's variables."""
+    return {variable: float(vector[variable.index])
+            for variable in model.variables}
+
+
 def _status_from_scipy(status_code: int, success: bool) -> SolutionStatus:
     if success:
         return SolutionStatus.OPTIMAL
@@ -66,16 +72,12 @@ class LinearRelaxationBackend:
         if model.sense is ObjectiveSense.MAXIMIZE:
             objective = -float(result.fun) + matrices["objective_constant"]
         vector = np.asarray(result.x, dtype=np.float64)
-        values = self._vector_to_values(model, vector)
+        values = _values_of(model, vector)
         return Solution(status=status, objective=objective, values=values,
                         best_bound=objective, gap=0.0, solve_seconds=elapsed,
                         iterations=int(getattr(result, "nit", 0) or 0),
                         message=str(result.message), vector=vector)
 
-    @staticmethod
-    def _vector_to_values(model: Model, vector: np.ndarray) -> dict[Variable, float]:
-        return {variable: float(vector[variable.index])
-                for variable in model.variables}
 
 
 class MilpBackend:
@@ -92,8 +94,12 @@ class MilpBackend:
 
     def solve(self, model: Model, gap_tolerance: float | None = None,
               time_limit_seconds: float | None = None,
-              budget: "SolveBudget | None" = None) -> Solution:
-        matrices = model.to_matrices()
+              budget: "SolveBudget | None" = None,
+              matrices: dict | None = None) -> Solution:
+        """Solve ``model``, or the export ``matrices`` of it when a caller
+        passes one (a solve's own rows, objective or relaxation)."""
+        if matrices is None:
+            matrices = model.to_matrices()
         constraints = []
         if matrices["A_ub"] is not None:
             constraints.append(optimize.LinearConstraint(
@@ -139,8 +145,7 @@ class MilpBackend:
         # Snap binaries to exact integers for downstream consumers.
         binary = matrices["integrality"].astype(bool)
         vector[binary] = np.round(vector[binary])
-        values = {variable: float(vector[variable.index])
-                  for variable in model.variables}
+        values = _values_of(model, vector)
         gap = float(getattr(result, "mip_gap", 0.0) or 0.0)
         # HiGHS bounds the minimised ``c x`` alone: add the constant back and
         # undo the sign flip of a maximisation, as for the objective.

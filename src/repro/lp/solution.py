@@ -58,9 +58,11 @@ class Solution:
     #: True when a wall-clock deadline interrupted the solve: the solution is
     #: the best-so-far incumbent, ``gap`` its closed-form optimality bound.
     timed_out: bool = False
-    #: Raw solution vector indexed by ``Variable.index`` (set by the LP/MILP
-    #: backends).  Lets vectorized consumers — branch-and-bound's rounding
-    #: heuristic and branching rule — avoid per-variable dict traffic.
+    #: Raw solution vector indexed by column (set by every backend).  It is
+    #: the whole assignment — ``values`` covers only the columns that have a
+    #: :class:`Variable` — and lets vectorized consumers (branch-and-bound's
+    #: rounding heuristic and branching rule, objective evaluation) avoid
+    #: per-variable dict traffic.
     vector: np.ndarray | None = None
 
     @property

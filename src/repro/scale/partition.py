@@ -224,12 +224,9 @@ def _relevant_candidates(query: Query, candidates: CandidateSet
     when it cannot serve the shell.)
     """
     shell = query.query_shell() if isinstance(query, UpdateQuery) else query
-    relevant: list[Index] = []
-    for table in shell.tables:
-        referenced = {c.column for c in shell.referenced_columns_on(table)}
-        for index in candidates.for_table(table):
-            if BipBuilder._relevant(index, referenced):
-                relevant.append(index)
+    relevant: list[Index] = [
+        index for indexes in BipBuilder._relevant(shell, candidates.for_table)
+        for index in indexes]
     if isinstance(query, UpdateQuery):
         written = {c.column for c in query.set_columns}
         for index in candidates.for_table(query.table):

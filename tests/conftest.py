@@ -257,7 +257,8 @@ def assert_same_matrices(actual: dict, expected: dict) -> None:
 def model_state(bip) -> tuple:
     """Everything a solver backend reads off a BIP's model, copied: the
     matrix export (cost vector, CSR parts of both row blocks, right-hand
-    sides, bounds, integrality), the row count and the objective."""
+    sides, bounds, integrality), the objective's terms, the row count and
+    the objective constant."""
     matrices = bip.model.to_matrices()
     arrays = [matrices[key]
               for key in ("c", "b_ub", "b_eq", "bounds", "integrality")]
@@ -265,8 +266,9 @@ def model_state(bip) -> tuple:
         arrays += [matrices[key].data, matrices[key].indices,
                    matrices[key].indptr]
     objective = bip.model.objective
+    arrays += [objective.columns, objective.coefficients]
     return ([np.array(array, copy=True) for array in arrays],
-            bip.model.constraint_count, objective.terms, objective.constant)
+            bip.model.constraint_count, objective.constant)
 
 
 def assert_left_as_found(bip, before: tuple) -> None:

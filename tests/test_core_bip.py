@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.bip_builder import BipBuilder
@@ -15,6 +16,7 @@ from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.highs_backend import MilpBackend
+from repro.lp.model import RowKind
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.generators import (
     generate_heterogeneous_workload,
@@ -63,40 +65,48 @@ class TestBipStructure:
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
         assert len(bip.z_variables) == len(candidates)
-        assert len(bip.y_variables) >= len(simple_workload)
-        assert bip.x_variables, "expected slot variables"
+        assert len(bip.templates.columns) >= len(simple_workload)
+        assert bip.accesses.columns.size, "expected slot variables"
         assert bip.model.variable_count == (
-            len(bip.z_variables) + len(bip.y_variables)
-            + sum(len(v) for v in bip.x_variables.values()))
+            len(bip.z_variables) + len(bip.templates.columns)
+            + len(bip.accesses.columns))
 
     def test_one_template_constraint_per_statement(self, builder, simple_workload,
                                                    simple_schema):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
-        template_rows = [c for c in bip.model.constraints
-                         if c.name.startswith("one_template")]
+        template_rows = np.flatnonzero(bip.rows.kinds == RowKind.EQUAL)
         assert len(template_rows) == len(simple_workload)
+        # Each one covers exactly its statement's y columns.
+        for ordinal, row in enumerate(template_rows):
+            columns = bip.rows.indices[bip.rows.indptr[row]:
+                                       bip.rows.indptr[row + 1]]
+            assert columns.tolist() == bip.templates.columns[
+                bip.templates.statements == ordinal].tolist()
 
     def test_slot_constraints_cover_every_slot(self, builder, simple_workload,
                                                simple_schema):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
-        assert set(bip.slot_constraints.keys()) == set(bip.x_variables.keys())
+        assert set(bip.accesses.slot_rows.tolist()) == set(
+            np.flatnonzero(bip.rows.kinds == RowKind.RELAXABLE).tolist())
 
     def test_statistics_capture_beta_and_gamma(self, builder, simple_workload,
                                                simple_schema):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
-        assert any(key.startswith("beta::") for key in bip.statistics)
-        assert any(key.startswith("gamma::") for key in bip.statistics)
+        assert bip.templates.betas.size == bip.templates.columns.size
+        assert bip.accesses.gammas.size == bip.accesses.columns.size
+        assert set(bip.statistics) == {"variables", "constraints", "candidates"}
         assert bip.statistics["variables"] == float(bip.model.variable_count)
 
     def test_update_costs_attached_to_z_variables(self, builder, simple_workload,
                                                   simple_schema):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
-        ucost_keys = [key for key in bip.statistics if key.startswith("ucost::")]
-        assert ucost_keys, "expected update-maintenance coefficients"
+        assert bip.updates.costs.size, "expected update-maintenance coefficients"
+        assert set(bip.updates.columns.tolist()) <= {
+            variable.index for variable in bip.z_variables.values()}
         update_expression = bip.update_cost_expression()
         assert not update_expression.is_empty()
 
@@ -237,7 +247,7 @@ class TestIncrementalExtension:
         # The warm start selects exactly the indexes of the configuration.
         for index, variable in bip.z_variables.items():
             expected = 1.0 if index in configuration else 0.0
-            assert warm[variable] == expected
+            assert warm[variable.index] == expected
 
 
 def _tpch_with_updates(tpch, size=8, seed=3):
@@ -309,3 +319,54 @@ def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
                                      storage_budget=budget)
     assert objectives[1] == pytest.approx(objectives[0], rel=1e-9)
     assert objectives[0] == pytest.approx(brute_cost, rel=1e-9)
+
+
+def reference_warm_start(bip, configuration: Configuration) -> np.ndarray:
+    """Scalar oracle for ``CophyBip.warm_start_from``: per statement, each
+    template costs beta plus, slot by slot in table order, its cheapest
+    allowed access (the heap or a chosen index; the first on ties); the
+    first cheapest feasible template is switched on with its picks."""
+    values = np.zeros(bip.model.variable_count)
+    chosen = {bip.z_variables[index].index for index in configuration.indexes}
+    for column in chosen:
+        values[column] = 1.0
+    templates, accesses = bip.templates, bip.accesses
+    for statement in sorted(set(templates.statements.tolist())):
+        best = None
+        for template in np.flatnonzero(templates.statements == statement):
+            total, picks = float(templates.betas[template]), []
+            for slot_row in sorted(set(
+                    accesses.slot_rows[accesses.templates == template].tolist())):
+                options = [(float(accesses.gammas[k]), int(accesses.columns[k]))
+                           for k in np.flatnonzero(accesses.slot_rows == slot_row)
+                           if accesses.indexes[k] < 0
+                           or int(accesses.indexes[k]) in chosen]
+                if not options:
+                    break
+                gamma, column = min(options, key=lambda option: option[0])
+                total += gamma
+                picks.append(column)
+            else:
+                if best is None or total < best[0]:
+                    best = (total, int(templates.columns[template]), picks)
+        if best is not None:
+            values[[best[1], *best[2]]] = 1.0
+    return values
+
+
+def test_warm_start_matches_the_scalar_oracle(tpch):
+    workload, candidates = _tpch_with_updates(tpch, size=10, seed=7)
+    inum = InumCache(WhatIfOptimizer(tpch))
+    builder = BipBuilder(inum)
+    indexes = list(candidates)
+    bip = builder.build(workload, CandidateSet(tpch, indexes[::2]))
+    for extended in (False, True):
+        if extended:
+            builder.extend(bip, indexes[1::2])
+        present = list(bip.candidates)
+        for configuration in (Configuration(()), Configuration(present[::3]),
+                              Configuration(present[1::2]),
+                              Configuration(present)):
+            warm = bip.warm_start_from(configuration)
+            assert np.array_equal(warm, reference_warm_start(bip, configuration))
+            assert bip.model.is_feasible_assignment(warm)

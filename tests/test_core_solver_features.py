@@ -15,6 +15,7 @@ from repro.exceptions import InfeasibleProblemError
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
+from repro.lp.model import Objective
 from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
 from tests.conftest import assert_left_as_found, model_state
@@ -96,9 +97,9 @@ class TestCoPhySolver:
     @pytest.mark.parametrize("failure", ["to_linear", "backend"])
     def test_raising_solve_leaves_the_bip_as_found(self, tuning_setup,
                                                    monkeypatch, failure):
-        """The rollback runs on every exit: a ``to_linear`` that raises after
-        merging its first row, or a backend that raises, must not leave rows,
-        a relaxation or a replaced objective behind."""
+        """A solve never edits the BIP: a ``to_linear`` that raises after
+        yielding its first row, or a backend that raises, leaves no rows, no
+        relaxation and no replaced objective behind."""
         from repro.lp import highs_backend
 
         _, _, candidates, bip = tuning_setup
@@ -118,9 +119,11 @@ class TestCoPhySolver:
         else:
             monkeypatch.setattr(highs_backend.optimize, "milp", milp_raises)
         before = model_state(bip)
+        halved = Objective(bip.model.objective.columns,
+                           bip.model.objective.coefficients * 0.5)
         with pytest.raises(RuntimeError, match=failure):
             CoPhySolver(apply_relaxation=True).solve(
-                bip, constraints, extra_objective=bip.cost_expression * 0.5)
+                bip, constraints, objective=halved)
         assert_left_as_found(bip, before)
 
     def test_gap_tolerance_keeps_solution_within_bound(self, tuning_setup):

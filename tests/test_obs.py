@@ -69,6 +69,19 @@ def _find_spans(node, predicate):
     return found
 
 
+def _assert_solve_attrs_match(attrs, bip, report, rows):
+    """A ``solve`` span states the shape of the program the backend saw —
+    the BIP exported with the request's constraint rows — and its bound."""
+    matrices = bip.model.to_matrices(rows=rows)
+    blocks = [matrices[key] for key in ("A_ub", "A_eq")
+              if matrices[key] is not None]
+    assert attrs["rows"] == sum(block.shape[0] for block in blocks)
+    assert attrs["columns"] == matrices["c"].size == bip.model.variable_count
+    assert attrs["nonzeros"] == sum(block.nnz for block in blocks)
+    assert attrs["dual_bound"] == report.solution.best_bound
+    assert attrs["dual_bound"] <= report.solution.objective + 1e-6
+
+
 # ---------------------------------------------------------------------- tracer
 class TestTracer:
     def test_spans_nest_into_one_tree(self):
@@ -296,6 +309,30 @@ class TestSpanTreeShapes:
         merge = _find_spans(root, lambda node: node["name"] == "merge")[0]
         assert merge["attrs"]["adopted"] == 0
         assert merge["attrs"]["template_builds"] == 0
+
+    def test_solve_span_states_the_exported_program(self, tpch):
+        request = _request(tpch)
+        result = Tuner().tune(request)
+        solve = _find_spans(result.extras["trace"]["root"],
+                            lambda node: node["name"] == "solve")[0]
+        bip = result.extras["bip"]
+        _assert_solve_attrs_match(
+            solve["attrs"], bip, result.extras["solve_report"],
+            [row for constraint in request.constraints
+             for row in constraint.to_linear(bip)])
+
+    def test_session_solve_span_states_the_exported_program(
+            self, simple_schema, simple_workload):
+        budget = StorageBudgetConstraint.from_fraction_of_data(simple_schema,
+                                                               0.5)
+        session = make_advisor("cophy", simple_schema).create_session(
+            simple_workload, constraints=[budget])
+        tracer = Tracer()
+        with activate(tracer), tracer.span("recommend") as step:
+            recommendation = session.recommend()
+        _assert_solve_attrs_match(
+            step.children[-1].attrs, session.bip,
+            recommendation.extras["solve_report"], budget.to_linear(session.bip))
 
     def test_tracing_off_yields_no_trace(self, tpch):
         result = Tuner(tracing=False).tune(_request(tpch))

@@ -397,11 +397,11 @@ class TestWeightedBipBuild:
              for s in simple_workload], name="reweighted")
         rebuilt = BipBuilder(inum).build(
             reweighted, CandidateGenerator(simple_schema).generate(reweighted))
-        by_name = {v.name: c for v, c in rebuilt.cost_expression.terms.items()}
-        for variable, coefficient in overridden.cost_expression.terms.items():
-            assert coefficient == pytest.approx(by_name[variable.name])
-        assert overridden.cost_expression.constant == pytest.approx(
-            rebuilt.cost_expression.constant)
+        by_name = _cost_terms(rebuilt)
+        for name, coefficient in _cost_terms(overridden).items():
+            assert coefficient == pytest.approx(by_name[name])
+        assert overridden.model.objective.constant == pytest.approx(
+            rebuilt.model.objective.constant)
 
     def test_extend_honours_statement_weight_overrides(self, simple_schema,
                                                        simple_workload):
@@ -418,10 +418,37 @@ class TestWeightedBipBuild:
         full = builder.build(
             simple_workload, CandidateSet(simple_schema, all_candidates),
             statement_weights=weights)
-        extended_terms = {v.name: c
-                          for v, c in extended.cost_expression.terms.items()}
-        for variable, coefficient in full.cost_expression.terms.items():
-            assert coefficient == pytest.approx(extended_terms[variable.name])
+        extended_terms = _cost_terms(extended)
+        for name, coefficient in _cost_terms(full).items():
+            assert coefficient == pytest.approx(extended_terms[name])
+
+
+def _cost_terms(bip) -> dict[str, float]:
+    """The BIP objective's coefficients by column name: ``z[index]``,
+    ``y[query][k]`` or ``x[query][k][table][index or I0]``."""
+    names = {variable.index: f"z[{index.name}]"
+             for index, variable in bip.z_variables.items()}
+    index_names = {variable.index: index.name
+                   for index, variable in bip.z_variables.items()}
+    index_names[-1] = "I0"
+    templates, accesses = bip.templates, bip.accesses
+    for template, column in enumerate(templates.columns.tolist()):
+        shell = _shell(bip.workload.statements[
+            templates.statements[template]].query)
+        label = f"{shell.name}][{templates.positions[template]}"
+        names[column] = f"y[{label}]"
+        # The template's slots, in table order, have ascending rows.
+        mine = accesses.templates == template
+        slot_rows = np.unique(accesses.slot_rows[mine])
+        for access in np.flatnonzero(mine).tolist():
+            table = shell.tables[int(np.searchsorted(
+                slot_rows, accesses.slot_rows[access]))]
+            index = index_names[int(accesses.indexes[access])]
+            names[int(accesses.columns[access])] = f"x[{label}][{table}][{index}]"
+    objective = bip.model.objective
+    return {names[column]: coefficient
+            for column, coefficient in zip(objective.columns.tolist(),
+                                           objective.coefficients.tolist())}
 
 
 def _without_seconds(stats: dict) -> dict:

@@ -218,9 +218,12 @@ class TestTensorViews:
             matrix = inum.gamma_matrix(shell)
             view = tensor.view(shell.name)
             accesses = [None, *candidates.for_table(shell.tables[0])]
+            block = view.slot_block(shell.tables[0], accesses)
+            assert block.shape == (len(matrix.templates), len(accesses))
             for position in range(len(matrix.templates)):
-                assert (view.slot_costs(position, shell.tables[0], accesses)
-                        == matrix.slot_costs(position, shell.tables[0], accesses))
+                assert block[position].tolist() == [
+                    matrix.value(position, shell.tables[0], access)
+                    for access in accesses]
                 for access in accesses:
                     assert (view.value(position, shell.tables[0], access)
                             == matrix.value(position, shell.tables[0], access))
