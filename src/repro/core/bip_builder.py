@@ -253,9 +253,9 @@ class _Assembly:
     keeps its place at the first statement that touched it.
     """
 
-    def __init__(self, first_column: int, first_template: int = 0):
+    def __init__(self, first_column: int):
         self.first_column = self.columns = first_column
-        self.templates = first_template
+        self.templates = 0
         self.rows = 0
         self.triplets: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.rhs: list[np.ndarray] = []

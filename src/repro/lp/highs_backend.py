@@ -79,7 +79,6 @@ class LinearRelaxationBackend:
                         message=str(result.message), vector=vector)
 
 
-
 class MilpBackend:
     """Solves the integer model directly with :func:`scipy.optimize.milp` (HiGHS).
 

@@ -336,13 +336,10 @@ class Model:
         bounds = np.zeros((variable_count, 2))
         bounds[:, 0] = self._lower
         bounds[:, 1] = self._upper
-        relaxable = block.kinds == RowKind.RELAXABLE
-        a_ub, b_ub = _select(block, (block.kinds == RowKind.LESS_EQUAL)
-                             | (relaxable & relax),
-                             relaxable if relax else None, variable_count)
-        a_eq, b_eq = _select(block, (block.kinds == RowKind.EQUAL)
-                             | (relaxable & (not relax)),
-                             None, variable_count)
+        relaxed = (block.kinds == RowKind.RELAXABLE) & relax
+        inequality = (block.kinds == RowKind.LESS_EQUAL) | relaxed
+        a_ub, b_ub = _select(block, inequality, relaxed, variable_count)
+        a_eq, b_eq = _select(block, ~inequality, relaxed, variable_count)
         matrices = {
             "c": cost,
             "A_ub": a_ub,
@@ -454,7 +451,7 @@ def _concatenated(blocks: Sequence[RowBlock]) -> RowBlock:
         np.concatenate([block.kinds for block in blocks]))
 
 
-def _select(block: RowBlock, selected: np.ndarray, negated: np.ndarray | None,
+def _select(block: RowBlock, selected: np.ndarray, negated: np.ndarray,
             variable_count: int):
     """The selected rows as a CSR matrix and right-hand side (``None, None``
     when none is); rows flagged in ``negated`` have both sides times -1."""
@@ -462,10 +459,9 @@ def _select(block: RowBlock, selected: np.ndarray, negated: np.ndarray | None,
         return None, None
     lengths = np.diff(block.indptr)
     entries = np.repeat(selected, lengths)
-    data, rhs = block.data[entries], block.rhs[selected]
-    if negated is not None:
-        data = data * np.repeat(np.where(negated, -1.0, 1.0), lengths)[entries]
-        rhs = rhs * np.where(negated, -1.0, 1.0)[selected]
+    sign = np.where(negated, -1.0, 1.0)
+    data = (block.data * np.repeat(sign, lengths))[entries]
+    rhs = (block.rhs * sign)[selected]
     indptr = np.zeros(int(selected.sum()) + 1, dtype=np.int64)
     np.cumsum(lengths[selected], out=indptr[1:])
     matrix = sparse.csr_matrix((data, block.indices[entries], indptr),
