@@ -22,7 +22,7 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Hashable, Mapping
+from typing import Any, Mapping
 
 from repro.advisors.base import Advisor, Recommendation
 from repro.api.registry import canonical_name, make_advisor
@@ -58,14 +58,14 @@ __all__ = ["SchemaContext", "Tuner"]
 WORKLOAD_LRU_LIMIT = 8
 
 
-def statement_digest(query) -> Hashable:
+def _structure(query) -> tuple:
     """The exact structural identity of one statement.
 
     The scale-out structural signature (tables, joins, predicate
     columns/operators/selectivity hints, grouping/ordering/aggregation/
     projection shape, update targets) plus the predicate *constants*, which
-    the signature deliberately buckets — two statements with equal digests
-    are costed identically by the optimizer.
+    the signature deliberately buckets — two statements with equal
+    structures are costed identically by the optimizer.
     """
     from repro.scale.compress import structural_statement_key
 
@@ -74,6 +74,20 @@ def statement_digest(query) -> Hashable:
         (p.column.table, p.column.column, p.operator.name, repr(p.value))
         for p in shell.predicates))
     return (query.kind.value, structural_statement_key(query), constants)
+
+
+def _sha256(value: tuple) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+def statement_digest(query) -> str:
+    """The SHA-256 of a statement's exact structural identity.
+
+    Kept as a digest rather than the nested tuple it hashes: a schema
+    context holds one per statement name for its whole life, and a string
+    is one object the collector never tracks.
+    """
+    return _sha256(_structure(query))
 
 
 def admission_names(query) -> tuple[str, ...]:
@@ -86,20 +100,20 @@ def admission_names(query) -> tuple[str, ...]:
     return tuple(dict.fromkeys((query.name, shell.name)))
 
 
-def workload_fingerprint(workload: Workload) -> Hashable:
-    """A hashable identity for "the same workload arriving again".
+def workload_fingerprint(workload: Workload) -> str:
+    """A digest identifying "the same workload arriving again".
 
-    Keyed on names, weights *and* every statement's structural digest.  Two
-    workloads with equal fingerprints contain statements the optimizer costs
-    identically, so substituting one for the other cannot change any
-    recommendation — default statement names from ``parse_workload``
-    (``stmt1``, ``stmt2``, …) never alias structurally different workloads
-    onto each other.
+    The SHA-256 of the workload's name and, per statement, its name, weight
+    *and* exact structure.  Two workloads with equal fingerprints contain
+    statements the optimizer costs identically, so substituting one for the
+    other cannot change any recommendation — default statement names from
+    ``parse_workload`` (``stmt1``, ``stmt2``, …) never alias structurally
+    different workloads onto each other.
     """
-    return (workload.name,
-            tuple((statement.query.name, statement.weight,
-                   statement_digest(statement.query))
-                  for statement in workload))
+    return _sha256((workload.name,
+                    tuple((statement.query.name, statement.weight,
+                           _structure(statement.query))
+                          for statement in workload)))
 
 
 class SchemaContext:
@@ -121,11 +135,11 @@ class SchemaContext:
         #: every acquisition records its wait into
         #: ``repro_lock_wait_seconds{lock="schema_context"}``.
         self.lock = InstrumentedLock("schema_context")
-        self._workloads: OrderedDict[Hashable, Workload] = OrderedDict()
+        self._workloads: OrderedDict[str, Workload] = OrderedDict()
         #: Structural digest per statement name ever admitted: the shared
         #: ``InumCache`` keys templates/matrices by statement name, so one
         #: name must mean one statement shape for the context's lifetime.
-        self._statement_digests: dict[str, Hashable] = {}
+        self._statement_digests: dict[str, str] = {}
 
     # Lock-free counter snapshots: ``len()`` is atomic under the GIL, and a
     # stats poll must never block behind a context whose lock is held for
@@ -170,7 +184,7 @@ class SchemaContext:
             return workload
 
     def _collisions(self, workload: Workload
-                    ) -> tuple[dict[str, Hashable], set[str]]:
+                    ) -> tuple[dict[str, str], set[str]]:
         """Probe every statement name against the context's digest registry.
 
         Returns the registrations the workload would add, plus the set of
@@ -178,7 +192,7 @@ class SchemaContext:
         this context, or earlier in the same workload).  Pure — nothing is
         committed.
         """
-        admitted: dict[str, Hashable] = {}
+        admitted: dict[str, str] = {}
         conflicts: set[str] = set()
         for statement in workload:
             query = statement.query
@@ -239,8 +253,7 @@ class SchemaContext:
             _, conflicts = self._collisions(workload)
         if not conflicts:
             return workload, {}
-        suffix = hashlib.sha256(
-            repr(key).encode("utf-8")).hexdigest()[:8]
+        suffix = key[:8]
         statements = []
         renames: dict[str, str] = {}
         for statement in workload:

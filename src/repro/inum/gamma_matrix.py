@@ -243,8 +243,15 @@ class QueryGammaMatrix:
 
     def _gamma_column(self, table: str, index: Index | None) -> list[float]:
         """:func:`slot_gamma` of one of the query's slots for every template,
-        from one fetch of the scan (it depends on table and index only)."""
-        scan = self._bound_optimizer().access_scan(self._query, table, index)
+        from one costing of the scan (it depends on table and index only).
+
+        A column is filled once, so the scan is costed by the access-path
+        selector directly instead of through the what-if optimizer's scan
+        cache: an entry per (query, table, index) that nothing reads again
+        would only pile up for the life of the optimizer.
+        """
+        scan = self._bound_optimizer().access_selector.scan(self._query, table,
+                                                            index)
         return [0.0 if table not in template.order_requirements
                 else scan.cost if template.accepts(table, scan)
                 else INFEASIBLE_COST

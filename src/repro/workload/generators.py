@@ -20,7 +20,13 @@ from typing import Sequence
 from repro.catalog.schema import Schema
 from repro.catalog.tpch import tpch_schema
 from repro.exceptions import WorkloadError
-from repro.workload.predicates import ColumnRef, ComparisonOperator, JoinPredicate, SimplePredicate
+from repro.workload.predicates import (
+    ColumnRef,
+    ComparisonOperator,
+    JoinPredicate,
+    SimplePredicate,
+    column_ref,
+)
 from repro.workload.query import Aggregate, AggregateFunction, SelectQuery, UpdateQuery
 
 from repro.workload.templates_tpch import (
@@ -180,11 +186,11 @@ class HeterogeneousWorkloadGenerator:
         set_column = rng.choice(_UPDATABLE_COLUMNS[table])
         filter_column = rng.choice(_FILTERABLE_COLUMNS[table])
         predicate = SimplePredicate(
-            ColumnRef(table, filter_column), ComparisonOperator.LE,
+            column_ref(table, filter_column), ComparisonOperator.LE,
             rng.uniform(1, 1000), selectivity_hint=rng.uniform(0.002, 0.02))
         return UpdateQuery(
             table=table,
-            set_columns=(ColumnRef(table, set_column),),
+            set_columns=(column_ref(table, set_column),),
             predicates=(predicate,),
             name=f"C2U_{table}_{instance}#1",
         )
@@ -198,8 +204,8 @@ class HeterogeneousWorkloadGenerator:
             return (table,), ()
         first = rng.choice(edges)
         tables: list[str] = [first[0], first[2]]
-        joins: list[JoinPredicate] = [JoinPredicate(ColumnRef(first[0], first[1]),
-                                                    ColumnRef(first[2], first[3]))]
+        joins: list[JoinPredicate] = [JoinPredicate(column_ref(first[0], first[1]),
+                                                    column_ref(first[2], first[3]))]
         target_size = rng.randint(1, self._max_tables)
         if target_size == 1:
             table = rng.choice([first[0], first[2]])
@@ -210,8 +216,8 @@ class HeterogeneousWorkloadGenerator:
             if not extensions:
                 break
             edge = rng.choice(extensions)
-            joins.append(JoinPredicate(ColumnRef(edge[0], edge[1]),
-                                       ColumnRef(edge[2], edge[3])))
+            joins.append(JoinPredicate(column_ref(edge[0], edge[1]),
+                                       column_ref(edge[2], edge[3])))
             new_table = edge[2] if edge[0] in tables else edge[0]
             tables.append(new_table)
         return tuple(tables), tuple(joins)
@@ -229,12 +235,12 @@ class HeterogeneousWorkloadGenerator:
                 selectivity = rng.uniform(0.01, 0.4)
                 if rng.random() < 0.5:
                     predicate = SimplePredicate(
-                        ColumnRef(table, column), ComparisonOperator.EQ,
+                        column_ref(table, column), ComparisonOperator.EQ,
                         rng.randint(0, 100), selectivity_hint=selectivity)
                 else:
                     low = rng.uniform(0, 1000)
                     predicate = SimplePredicate(
-                        ColumnRef(table, column), ComparisonOperator.BETWEEN,
+                        column_ref(table, column), ComparisonOperator.BETWEEN,
                         (low, low + rng.uniform(1, 500)),
                         selectivity_hint=selectivity)
                 predicates.append(predicate)
@@ -249,7 +255,7 @@ class HeterogeneousWorkloadGenerator:
         anchor_columns = [c for c in _FILTERABLE_COLUMNS.get(anchor_table, ())
                           if self._schema.has_column(anchor_table, c)]
         if anchor_columns and rng.random() < 0.7:
-            group_column = ColumnRef(anchor_table, rng.choice(anchor_columns))
+            group_column = column_ref(anchor_table, rng.choice(anchor_columns))
             group_by.append(group_column)
             aggregates.append(Aggregate(AggregateFunction.COUNT, None))
             if rng.random() < 0.5:
@@ -260,12 +266,12 @@ class HeterogeneousWorkloadGenerator:
                                if self._schema.has_column(project_table, c)]
             for column in rng.sample(project_columns,
                                      min(len(project_columns), rng.randint(1, 3))):
-                projections.append(ColumnRef(project_table, column))
+                projections.append(column_ref(project_table, column))
             if projections and rng.random() < 0.4:
                 order_by.append(projections[0])
         if rng.random() < 0.5 and anchor_columns:
             aggregates.append(Aggregate(AggregateFunction.SUM,
-                                        ColumnRef(anchor_table,
+                                        column_ref(anchor_table,
                                                   rng.choice(anchor_columns))))
         return tuple(group_by), tuple(order_by), tuple(aggregates), tuple(projections)
 

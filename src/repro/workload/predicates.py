@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import WorkloadError
 
 __all__ = ["ColumnRef", "ComparisonOperator", "Predicate", "SimplePredicate",
-           "JoinPredicate"]
+           "JoinPredicate", "column_ref"]
 
 
 @dataclass(frozen=True, order=True)
@@ -30,6 +31,19 @@ class ColumnRef:
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}"
+
+
+@functools.cache
+def column_ref(table: str, column: str) -> ColumnRef:
+    """The one shared :class:`ColumnRef` of ``table.column``.
+
+    ColumnRefs are immutable and compare by value, so the workload
+    generators hand out one object per column instead of one per mention:
+    a generated workload then holds a few dozen of them rather than
+    thousands.  The cache grows with the distinct columns generated, i.e.
+    with the schemas' sizes.
+    """
+    return ColumnRef(table, column)
 
 
 class ComparisonOperator(enum.Enum):

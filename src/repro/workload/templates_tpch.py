@@ -18,14 +18,15 @@ import random
 from typing import Callable
 
 
-from repro.workload.predicates import ColumnRef, ComparisonOperator, JoinPredicate, SimplePredicate
+from repro.workload.predicates import (
+    ComparisonOperator,
+    JoinPredicate,
+    SimplePredicate,
+    column_ref as _col,
+)
 from repro.workload.query import Aggregate, AggregateFunction, Query, SelectQuery, UpdateQuery
 
 __all__ = ["SELECT_TEMPLATES", "UPDATE_TEMPLATES", "instantiate_template"]
-
-
-def _col(table: str, column: str) -> ColumnRef:
-    return ColumnRef(table, column)
 
 
 def _eq(table: str, column: str, value, selectivity: float) -> SimplePredicate:

@@ -163,3 +163,28 @@ class TestAllUpdateWorkloads:
         other_seed = generate(25, seed=22, update_fraction=1.0)
         assert ([s.query.name for s in first]
                 != [s.query.name for s in other_seed])
+
+
+def _column_refs(workload):
+    for statement in workload:
+        query = statement.query
+        yield from query.projections
+        yield from query.group_by
+        yield from query.order_by
+        yield from (predicate.column for predicate in query.predicates)
+        for join in getattr(query, "joins", ()):
+            yield join.left
+            yield join.right
+        yield from getattr(query, "set_columns", ())
+
+
+@pytest.mark.parametrize("generate", [generate_homogeneous_workload,
+                                      generate_heterogeneous_workload])
+def test_generated_statements_share_one_column_ref_per_column(generate):
+    """A generated workload holds one ColumnRef object per column, not one
+    per mention: a benchmark round that builds thousands of statements then
+    hands the collector a few dozen of them."""
+    refs = list(_column_refs(generate(40, seed=3, update_fraction=0.3)))
+    assert len(refs) > len({(ref.table, ref.column) for ref in refs})
+    assert len({id(ref) for ref in refs}) == len(
+        {(ref.table, ref.column) for ref in refs})
