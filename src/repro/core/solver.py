@@ -6,8 +6,8 @@ Responsibilities:
 2. probe feasibility and report the offending constraints back to the DBA
    (raising :class:`~repro.exceptions.InfeasibleProblemError`);
 3. optionally apply a Lagrangian-style relaxation of the slot-assignment
-   constraints (weakening them to inequalities, with an optional penalty in
-   the objective) to avoid solver corner cases;
+   constraints (weakening them to inequalities) to avoid solver corner
+   cases;
 4. hand the program to the off-the-shelf BIP solver — either the pure-Python
    branch-and-bound solver (which provides the gap trace used for early
    termination feedback and warm starts for interactive tuning) or the
@@ -93,19 +93,16 @@ class CoPhySolver:
         time_limit_seconds: Wall-clock limit per solve call.
         apply_relaxation: Whether to apply the Lagrangian-style relaxation of
             the slot-assignment constraints before solving (section 4.1).
-        relaxation_penalty: Penalty weight used by the relaxation.
     """
 
     def __init__(self, backend: SolverBackend = SolverBackend.MILP,
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
-                 apply_relaxation: bool = False,
-                 relaxation_penalty: float | None = None):
+                 apply_relaxation: bool = False):
         self.backend = backend
         self.gap_tolerance = max(0.0, gap_tolerance)
         self.time_limit_seconds = time_limit_seconds
         self.apply_relaxation = apply_relaxation
-        self.relaxation_penalty = relaxation_penalty
 
     # -------------------------------------------------------------------- public
     def solve(self, bip: CophyBip,
@@ -142,10 +139,12 @@ class CoPhySolver:
         """
         model = bip.model
         rows = self._rows(bip, hard_constraints)
+        # The relaxation (section 4.1) exports the one-access equalities
+        # ``sum_a x_qkia = y_qk`` as ``sum_a x_qkia >= y_qk``: every gamma is
+        # non-negative, so a cost-minimising solution never picks two
+        # accesses for one slot and the optima are the original ones.
         relaxation_applied = (self.apply_relaxation
                               and bip.accesses.columns.size > 0)
-        if relaxation_applied and self.relaxation_penalty:
-            objective = self._penalised(bip, objective)
         matrices = model.to_matrices(rows=rows, objective=objective,
                                      relax=relaxation_applied)
 
@@ -222,28 +221,6 @@ class CoPhySolver:
         matrices = bip.model.to_matrices(
             rows=self._rows(bip, hard_constraints))
         return BranchAndBoundSolver().is_feasible(bip.model, matrices)
-
-    # --------------------------------------------------------------- relaxation
-    def _penalised(self, bip: CophyBip, objective: Objective | None
-                   ) -> Objective:
-        """The objective plus the relaxation's penalty on every ``x``.
-
-        The relaxation (section 4.1) replaces the slot-assignment equalities
-        ``sum_a x_qkia = y_qk`` by ``sum_a x_qkia >= y_qk`` (the export's
-        ``relax``).  Because every ``gamma`` is non-negative, a
-        cost-minimising solution never selects more than one access method
-        per slot, so the relaxed program has the same optima as the original
-        (this is the "key trick" of section 4.1 — it removes equality rows
-        that slow some solvers down); the optional penalty makes extra
-        selections strictly worse.
-        """
-        model = bip.model
-        if objective is None:
-            objective = model.objective
-        cost = objective.cost_vector(model.variable_count)
-        cost[bip.accesses.columns] += self.relaxation_penalty
-        return Objective(np.arange(model.variable_count), cost,
-                         objective.constant)
 
     # ---------------------------------------------------------------- internals
     @staticmethod
