@@ -213,7 +213,8 @@ class CoPhyAdvisor(Advisor):
                 # order — and their names, which name the recommendation.
                 bip, reused = self.inum.workload_memo(
                     workload,
-                    tuple((index, index.name) for index in candidates),
+                    (tuple(candidates),
+                     tuple(index.name for index in candidates)),
                     lambda: self.bip_builder.build(
                         workload, candidates,
                         budget=budget if can_fallback else None))

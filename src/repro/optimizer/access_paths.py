@@ -17,7 +17,7 @@ from repro.indexes.index import Index
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.plan import AccessPath, ScanNode
 from repro.optimizer.selectivity import SelectivityEstimator
-from repro.workload.predicates import ColumnRef, ComparisonOperator
+from repro.workload.predicates import ColumnRef, ComparisonOperator, column_ref
 from repro.workload.query import Query
 
 __all__ = ["AccessPathSelector"]
@@ -55,8 +55,6 @@ class AccessPathSelector:
         # Per query name: the query object profiled and its per-table
         # profiles (bounded like the owning optimizer's scan cache).
         self._profiles: dict[str, tuple[Query, dict[str, _TableProfile]]] = {}
-        # One ColumnRef per (table, column) scans are ordered on, shared by them.
-        self._orders: dict[tuple[str, str], ColumnRef] = {}
 
     # -------------------------------------------------------------------- public
     def seq_scan(self, query: Query, table: str) -> ScanNode:
@@ -105,7 +103,7 @@ class AccessPathSelector:
         )
         access_path = (AccessPath.INDEX_ONLY_SCAN if covering
                        else AccessPath.INDEX_SCAN)
-        order = self._order(table, index.leading_column)
+        order = column_ref(table, index.leading_column)
         return ScanNode(cost=cost, rows=profile.output_rows, output_order=order,
                         table=table, index=index, access_path=access_path)
 
@@ -123,14 +121,8 @@ class AccessPathSelector:
     def _heap_order(self, table_def: Table) -> ColumnRef | None:
         """Heap scans deliver clustered-key order when the table has a primary key."""
         if table_def.primary_key:
-            return self._order(table_def.name, table_def.primary_key[0])
+            return column_ref(table_def.name, table_def.primary_key[0])
         return None
-
-    def _order(self, table: str, column: str) -> ColumnRef:
-        order = self._orders.get((table, column))
-        if order is None:
-            order = self._orders[table, column] = ColumnRef(table, column)
-        return order
 
     def _profile(self, query: Query, table: str) -> _TableProfile:
         """The profile of ``table`` in ``query``: cached under the query's
