@@ -133,6 +133,108 @@ def reference_statement_cost(inum: InumCache, query: Query,
     return best
 
 
+def reference_greedy_knapsack(inum: InumCache, workload: Workload, candidates,
+                              constraints=(), name: str = "anytime-greedy"):
+    """Oracle of ``greedy_knapsack``: the lazy benefit-density loop with every
+    probe a full ``InumCache.workload_cost``.
+
+    Same queue order, tie-breaking (position), ``fits`` rules and probe
+    count as the production pass, without a deadline; the production pass
+    must match it with ``==`` on the configuration *order*, ``objective``,
+    ``lower_bound``, ``gap`` and ``probes``.
+    """
+    import heapq
+
+    from repro.core.constraints import (
+        ClusteredIndexConstraint,
+        IndexCountConstraint,
+        IndexWidthConstraint,
+        StorageBudgetConstraint,
+    )
+    from repro.core.heuristics import HeuristicResult, ideal_lower_bound
+
+    storage_limits = [c.budget_bytes for c in constraints
+                      if isinstance(c, StorageBudgetConstraint)]
+    width_limits = [c.max_columns for c in constraints
+                    if isinstance(c, IndexWidthConstraint)]
+    count_rules = [c for c in constraints
+                   if isinstance(c, IndexCountConstraint)]
+    clustered_rule = any(isinstance(c, ClusteredIndexConstraint)
+                         for c in constraints)
+
+    probes = 0
+
+    def cost_of(configuration):
+        nonlocal probes
+        probes += 1
+        return inum.workload_cost(workload, configuration)
+
+    empty = Configuration((), name=name)
+    base_cost = cost_of(empty)
+    lower_bound = ideal_lower_bound(inum, workload, candidates)
+
+    admissible = [index for index in candidates
+                  if not any(index.width > limit for limit in width_limits)]
+
+    def fits(index, chosen, used_bytes):
+        size = candidates.size_of(index)
+        if any(used_bytes + size > limit + 1e-6 for limit in storage_limits):
+            return False
+        for rule in count_rules:
+            if rule.selector is not None and not rule.selector(index):
+                continue
+            total = 1.0 if rule.weight is None else float(rule.weight(index))
+            for picked in chosen:
+                if rule.selector is not None and not rule.selector(picked):
+                    continue
+                total += (1.0 if rule.weight is None
+                          else float(rule.weight(picked)))
+            if total > rule.limit + 1e-9:
+                return False
+        if (clustered_rule and index.clustered
+                and chosen.clustered_indexes_on(index.table)):
+            return False
+        return True
+
+    scored = []
+    for position, index in enumerate(admissible):
+        benefit = base_cost - cost_of(Configuration((index,)))
+        if benefit <= 0.0:
+            continue
+        size = max(candidates.size_of(index), 1.0)
+        heapq.heappush(scored, (-benefit / size, position, index, benefit, 0))
+
+    chosen = empty
+    objective = base_cost
+    used_bytes = 0.0
+    pick_round = 0
+    while scored:
+        _, position, index, benefit, scored_round = heapq.heappop(scored)
+        if index in chosen or not fits(index, chosen, used_bytes):
+            continue
+        if scored_round != pick_round:
+            benefit = objective - cost_of(chosen.union((index,)))
+            if benefit <= 0.0:
+                continue
+            density = benefit / max(candidates.size_of(index), 1.0)
+            if scored and density < -scored[0][0]:
+                heapq.heappush(scored, (-density, position, index,
+                                        benefit, pick_round))
+                continue
+        chosen = chosen.union((index,))
+        objective -= benefit
+        used_bytes += candidates.size_of(index)
+        pick_round += 1
+    objective = cost_of(chosen)
+    if not np.isfinite(objective) or not np.isfinite(lower_bound):
+        gap = float("inf")
+    else:
+        gap = max(0.0, (objective - lower_bound) / max(abs(objective), 1e-9))
+    return HeuristicResult(configuration=chosen, objective=objective,
+                           lower_bound=lower_bound, gap=gap, probes=probes,
+                           timed_out=False)
+
+
 def reference_bip_matrices(inum: InumCache, workload: Workload, candidates,
                            statement_weights=None) -> dict:
     """Scalar oracle for ``BipBuilder.build(...).model.to_matrices()``.

@@ -24,17 +24,22 @@ import pytest
 from repro.api import AdvisorSpec, Tuner, TuningRequest, TuningService
 from repro.api.registry import make_advisor
 from repro.core.constraints import (
+    ClusteredIndexConstraint,
     ComparisonSense,
     IndexCountConstraint,
+    IndexWidthConstraint,
     StorageBudgetConstraint,
 )
 from repro.core.heuristics import greedy_knapsack, unsupported_constraint
 from repro.exceptions import ConstraintError
+from repro.indexes.candidate_generation import CandidateGenerator
+from repro.inum.cache import InumCache
 from repro.lp import SOLVE_TIERS, SolveBudget
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.expression import LinearExpression
 from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import SolutionStatus
+from repro.optimizer.whatif import WhatIfOptimizer
 from repro.server import (
     TuningClient,
     TuningClientTimeout,
@@ -44,6 +49,13 @@ from repro.server import (
     decode_request,
     encode_request,
 )
+from repro.workload.generators import (
+    generate_heterogeneous_workload,
+    generate_homogeneous_workload,
+)
+from repro.workload.workload import Workload, WorkloadStatement
+
+from tests.conftest import reference_greedy_knapsack
 
 
 def _storage(schema, fraction=1.0):
@@ -219,6 +231,71 @@ class TestGreedyKnapsack:
             [_storage(simple_schema), IndexCountConstraint(limit=3)]) is None
         with pytest.raises(ConstraintError, match="heuristic"):
             greedy_knapsack(inum, workload, candidates, [at_least])
+
+
+def _constraint_sets(schema, candidates):
+    """Every constraint class the greedy honours, alone and combined."""
+    tables = sorted({index.table for index in candidates})
+    return [
+        [_storage(schema, 0.02)],
+        [_storage(schema, 0.3)],
+        [_storage(schema, 3.0)],
+        [IndexCountConstraint(limit=2)],
+        [_storage(schema, 1.0),
+         IndexCountConstraint(limit=1.5, selector=lambda a: a.table == tables[0],
+                              weight=lambda a: 0.5 * a.width)],
+        [IndexWidthConstraint(max_columns=1), _storage(schema, 0.5)],
+        [ClusteredIndexConstraint(), _storage(schema, 2.0)],
+        [ClusteredIndexConstraint(), IndexWidthConstraint(max_columns=2),
+         IndexCountConstraint(limit=4), _storage(schema, 0.2)],
+    ]
+
+
+def _assert_greedy_matches_reference(schema, workload, candidates):
+    for constraints in _constraint_sets(schema, candidates):
+        result = greedy_knapsack(InumCache(WhatIfOptimizer(schema)),
+                                 workload, candidates, constraints)
+        expected = reference_greedy_knapsack(
+            InumCache(WhatIfOptimizer(schema)), workload, candidates,
+            constraints)
+        assert result.configuration.indexes == \
+            expected.configuration.indexes
+        assert result.objective == expected.objective
+        assert result.lower_bound == expected.lower_bound
+        assert result.gap == expected.gap
+        assert result.probes == expected.probes
+        assert not result.timed_out
+
+
+class TestGreedyParity:
+    """``greedy_knapsack`` equals the lazy loop over ``workload_cost``
+    (``tests/conftest.py::reference_greedy_knapsack``) with ``==``: the
+    picks in order, objective, bound, gap and probe count."""
+
+    def test_conftest_workload(self, simple_schema, simple_workload,
+                               simple_candidates):
+        _assert_greedy_matches_reference(simple_schema, simple_workload,
+                                         simple_candidates)
+
+    def test_tpch_workload_with_updates(self, tpch):
+        workload = generate_homogeneous_workload(12, seed=3,
+                                                 update_fraction=0.4)
+        assert workload.update_statements()
+        _assert_greedy_matches_reference(
+            tpch, workload, CandidateGenerator(tpch).generate(workload))
+
+    def test_weighted_and_repeated_statements(self, tpch):
+        base = generate_heterogeneous_workload(8, seed=21,
+                                               update_fraction=0.3,
+                                               schema=tpch)
+        statements = [WorkloadStatement(statement.query, 0.25 + 1.5 * position)
+                      for position, statement in enumerate(base)]
+        # Repeats: the same statement object again, under other weights.
+        statements += [WorkloadStatement(statement.query, 3.0)
+                       for statement in list(base)[::3]]
+        workload = Workload(statements, name="weighted-repeated")
+        _assert_greedy_matches_reference(
+            tpch, workload, CandidateGenerator(tpch).generate(workload))
 
 
 # ====================================================== advisors under budgets
