@@ -189,7 +189,9 @@ class ScaleOutAdvisor(Advisor):
                     heuristic = greedy_knapsack(self.inum, tuned, candidates,
                                                 hard, budget=budget)
                     node.set(picked=len(heuristic.configuration),
-                             gap=round(heuristic.gap, 6))
+                             gap=round(heuristic.gap, 6),
+                             probes=heuristic.probes,
+                             candidates=len(candidates))
                 extras["heuristic"] = {
                     "objective": heuristic.objective,
                     "lower_bound": heuristic.lower_bound,

@@ -11,21 +11,26 @@ Each strategy registers a *factory* under one or more names with
 
 A factory receives the catalog, the caller's constructor options, and — when
 invoked by the :class:`~repro.api.tuner.Tuner` pipeline — the per-schema
-shared optimizer and INUM cache.  The factory decides how the shared state is
-wired: BIP-based advisors (CoPhy, ILP, scale-out) always adopt the shared
-cache, while the paper-faithful black-box advisors (Tool-A, Tool-B) only do
-so when the options opt in with ``use_shared_inum=True`` — their cost is
-*defined* by their own optimizer calls, so silently switching them to INUM
-would change the reproduced behaviour.
+shared optimizer and INUM cache; a factory that also declares a
+``shared_candidate_generator`` keyword receives the per-schema candidate
+generator, which keeps the generated candidates per workload.  The factory
+decides how the shared state is wired: BIP-based advisors (CoPhy, ILP,
+scale-out) always adopt the shared cache and generator, while the
+paper-faithful black-box advisors (Tool-A, Tool-B) keep their own
+generators and only adopt the cache when the options opt in with
+``use_shared_inum=True`` — their cost is *defined* by their own optimizer
+calls, so silently switching them to INUM would change the reproduced
+behaviour.
 
-Explicit ``optimizer=`` / ``inum=`` options always win over shared wiring,
-so imperative callers keep full control: ``make_advisor("dta", schema,
-optimizer=opt, inum=InumCache(opt))`` behaves exactly like the direct
-constructor call.
+Explicit ``optimizer=`` / ``inum=`` / ``candidate_generator=`` options
+always win over shared wiring, so imperative callers keep full control:
+``make_advisor("dta", schema, optimizer=opt, inum=InumCache(opt))`` behaves
+exactly like the direct constructor call.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.advisors.base import Advisor, Recommendation
@@ -35,7 +40,7 @@ from repro.advisors.relaxation import RelaxationAdvisor
 from repro.advisors.scaleout import ScaleOutAdvisor
 from repro.catalog.schema import Schema
 from repro.core.advisor import CoPhyAdvisor
-from repro.indexes.candidate_generation import CandidateSet
+from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.inum.cache import InumCache
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.workload import Workload
@@ -55,10 +60,13 @@ class AdvisorProtocol(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-#: ``factory(schema, options, *, shared_optimizer=None, shared_inum=None)``.
+#: ``factory(schema, options, *, shared_optimizer=None, shared_inum=None)``,
+#: optionally also ``shared_candidate_generator=None``.
 AdvisorFactory = Callable[..., Advisor]
 
 _FACTORIES: dict[str, AdvisorFactory] = {}
+#: Registered names whose factory declares ``shared_candidate_generator``.
+_TAKES_GENERATOR: set[str] = set()
 #: Canonical name per registered alias (provenance records the canonical one).
 _CANONICAL: dict[str, str] = {}
 
@@ -77,9 +85,15 @@ def register_advisor(name: str, *, aliases: Sequence[str] = ()
         # pointed at it, so alias traffic never serves a stale strategy.
         keys.update((key, None) for key, canonical in _CANONICAL.items()
                     if canonical == name)
+        takes_generator = ("shared_candidate_generator"
+                           in inspect.signature(factory).parameters)
         for key in keys:
             _FACTORIES[key] = factory
             _CANONICAL[key] = name
+            if takes_generator:
+                _TAKES_GENERATOR.add(key)
+            else:
+                _TAKES_GENERATOR.discard(key)
         return factory
 
     return decorator
@@ -110,6 +124,7 @@ def available_advisors() -> tuple[str, ...]:
 def make_advisor(name: str, schema: Schema, *,
                  shared_optimizer: WhatIfOptimizer | None = None,
                  shared_inum: InumCache | None = None,
+                 shared_candidate_generator: CandidateGenerator | None = None,
                  **options: Any) -> Advisor:
     """Construct an advisor through the registry.
 
@@ -119,25 +134,33 @@ def make_advisor(name: str, schema: Schema, *,
     the Tuner's ambient per-schema state; imperative callers rarely pass them.
     """
     factory = advisor_factory(name)
+    shared: dict[str, Any] = {}
+    if shared_candidate_generator is not None and name in _TAKES_GENERATOR:
+        shared["shared_candidate_generator"] = shared_candidate_generator
     return factory(schema, options, shared_optimizer=shared_optimizer,
-                   shared_inum=shared_inum)
+                   shared_inum=shared_inum, **shared)
 
 
 # --------------------------------------------------------------------- wiring
 def _wire(options: Mapping[str, Any],
           shared_optimizer: WhatIfOptimizer | None,
           shared_inum: InumCache | None,
-          adopt_shared_inum: bool) -> dict[str, Any]:
+          adopt_shared_inum: bool,
+          shared_candidate_generator: CandidateGenerator | None = None
+          ) -> dict[str, Any]:
     """Merge shared per-schema state into constructor options.
 
     Explicit options always win; the shared INUM cache is only adopted when
-    the strategy's policy says so (``adopt_shared_inum``).
+    the strategy's policy says so (``adopt_shared_inum``), and the shared
+    candidate generator only when one is passed.
     """
     wired = dict(options)
     if shared_optimizer is not None:
         wired.setdefault("optimizer", shared_optimizer)
     if adopt_shared_inum and shared_inum is not None:
         wired.setdefault("inum", shared_inum)
+    if shared_candidate_generator is not None:
+        wired.setdefault("candidate_generator", shared_candidate_generator)
     return wired
 
 
@@ -149,7 +172,9 @@ _INUM_CAP_OPTIONS = ("max_orders_per_table", "max_templates_per_query")
 @register_advisor("cophy")
 def _build_cophy(schema: Schema, options: Mapping[str, Any], *,
                  shared_optimizer: WhatIfOptimizer | None = None,
-                 shared_inum: InumCache | None = None) -> Advisor:
+                 shared_inum: InumCache | None = None,
+                 shared_candidate_generator: CandidateGenerator | None = None
+                 ) -> Advisor:
     if shared_inum is not None and "inum" not in options:
         caps = [key for key in _INUM_CAP_OPTIONS if key in options]
         if caps:
@@ -159,27 +184,35 @@ def _build_cophy(schema: Schema, options: Mapping[str, Any], *,
                 f"AdvisorSpec options {caps} cannot apply to the shared INUM "
                 f"cache; set the enumeration caps on CostingSpec instead "
                 f"(they select the per-schema context)")
-    return CoPhyAdvisor(schema, **_wire(options, shared_optimizer,
-                                        shared_inum, adopt_shared_inum=True))
+    return CoPhyAdvisor(schema, **_wire(
+        options, shared_optimizer, shared_inum, adopt_shared_inum=True,
+        shared_candidate_generator=shared_candidate_generator))
 
 
 @register_advisor("ilp")
 def _build_ilp(schema: Schema, options: Mapping[str, Any], *,
                shared_optimizer: WhatIfOptimizer | None = None,
-               shared_inum: InumCache | None = None) -> Advisor:
-    return IlpAdvisor(schema, **_wire(options, shared_optimizer,
-                                      shared_inum, adopt_shared_inum=True))
+               shared_inum: InumCache | None = None,
+               shared_candidate_generator: CandidateGenerator | None = None
+               ) -> Advisor:
+    return IlpAdvisor(schema, **_wire(
+        options, shared_optimizer, shared_inum, adopt_shared_inum=True,
+        shared_candidate_generator=shared_candidate_generator))
 
 
 @register_advisor("scaleout")
 def _build_scaleout(schema: Schema, options: Mapping[str, Any], *,
                     shared_optimizer: WhatIfOptimizer | None = None,
-                    shared_inum: InumCache | None = None) -> Advisor:
-    return ScaleOutAdvisor(schema, **_wire(options, shared_optimizer,
-                                           shared_inum,
-                                           adopt_shared_inum=True))
+                    shared_inum: InumCache | None = None,
+                    shared_candidate_generator: CandidateGenerator | None = None
+                    ) -> Advisor:
+    return ScaleOutAdvisor(schema, **_wire(
+        options, shared_optimizer, shared_inum, adopt_shared_inum=True,
+        shared_candidate_generator=shared_candidate_generator))
 
 
+# The black-box baselines keep their own candidate generators (their CGen
+# options differ from CoPhy's), so they take no shared one.
 @register_advisor("dta", aliases=("tool-b",))
 def _build_dta(schema: Schema, options: Mapping[str, Any], *,
                shared_optimizer: WhatIfOptimizer | None = None,

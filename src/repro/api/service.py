@@ -437,6 +437,8 @@ class TuningService:
             advisor = make_advisor(spec.name, request.schema,
                                    shared_optimizer=context.optimizer,
                                    shared_inum=context.inum,
+                                   shared_candidate_generator=(
+                                       context.candidate_generator),
                                    **request.resolved_options())
             workload = context.canonical_workload(request.workload)
             candidates = _resolve_candidates(request, context, workload)

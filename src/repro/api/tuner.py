@@ -49,13 +49,13 @@ from repro.obs.store import TraceStore
 from repro.obs.trace import Tracer, activate, span, stage
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.query import UpdateQuery
-from repro.workload.workload import Workload, WorkloadStatement
+from repro.workload.workload import (
+    WORKLOAD_LRU_LIMIT,
+    Workload,
+    WorkloadStatement,
+)
 
 __all__ = ["SchemaContext", "Tuner"]
-
-#: Cap on canonical workload objects kept per schema context (aligned with
-#: the tensor LRU inside ``InumCache`` — keeping more would be pointless).
-WORKLOAD_LRU_LIMIT = 8
 
 
 def _structure(query) -> tuple:
@@ -136,6 +136,10 @@ class SchemaContext:
         #: ``repro_lock_wait_seconds{lock="schema_context"}``.
         self.lock = InstrumentedLock("schema_context")
         self._workloads: OrderedDict[str, Workload] = OrderedDict()
+        #: ``id(canonical workload) -> fingerprint`` for the objects in
+        #: ``_workloads``, so a request that carries a canonical object skips
+        #: the SHA-256.
+        self._keys: dict[int, str] = {}
         #: Structural digest per statement name ever admitted: the shared
         #: ``InumCache`` keys templates/matrices by statement name, so one
         #: name must mean one statement shape for the context's lifetime.
@@ -169,7 +173,7 @@ class SchemaContext:
         events = active_registry().counter(
             "repro_cache_events_total",
             "Hits and misses of the tuning-stack caches", ("cache", "event"))
-        key = workload_fingerprint(workload)
+        key = self._fingerprint(workload)
         with self.lock:
             known = self._workloads.get(key)
             if known is not None:
@@ -179,9 +183,20 @@ class SchemaContext:
             events.inc(cache="canonical_workload", event="miss")
             self._admit(workload)
             if len(self._workloads) >= WORKLOAD_LRU_LIMIT:
-                self._workloads.popitem(last=False)
+                _, evicted = self._workloads.popitem(last=False)
+                self._keys.pop(id(evicted), None)
             self._workloads[key] = workload
+            self._keys[id(workload)] = key
             return workload
+
+    def _fingerprint(self, workload: Workload) -> str:
+        """``workload_fingerprint(workload)``, looked up by identity when
+        ``workload`` is a canonical object: ``Workload`` holds an immutable
+        tuple, and the id is only trusted while the object is kept."""
+        key = self._keys.get(id(workload))
+        if key is not None and self._workloads.get(key) is workload:
+            return key
+        return workload_fingerprint(workload)
 
     def _collisions(self, workload: Workload
                     ) -> tuple[dict[str, str], set[str]]:
@@ -247,7 +262,7 @@ class SchemaContext:
         qualifier — and still fail admission loudly.
         """
         with self.lock:
-            key = workload_fingerprint(workload)
+            key = self._fingerprint(workload)
             if key in self._workloads:
                 return workload, {}  # already admitted verbatim
             _, conflicts = self._collisions(workload)
@@ -546,6 +561,8 @@ def _resolve(request: TuningRequest, context: SchemaContext,
                                request.schema,
                                shared_optimizer=context.optimizer,
                                shared_inum=context.inum,
+                               shared_candidate_generator=(
+                                   context.candidate_generator),
                                **request.resolved_options())
     return advisor, candidates
 

@@ -191,7 +191,9 @@ class CoPhyAdvisor(Advisor):
                     heuristic = greedy_knapsack(self.inum, workload,
                                                 candidates, hard, budget=budget)
                     node.set(picked=len(heuristic.configuration),
-                             gap=round(heuristic.gap, 6))
+                             gap=round(heuristic.gap, 6),
+                             probes=heuristic.probes,
+                             candidates=len(candidates))
                 if tier == "heuristic" or budget.expired():
                     return answer(
                         heuristic.configuration, heuristic.objective,

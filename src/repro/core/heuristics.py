@@ -3,11 +3,14 @@
 This is the cheap tier of the anytime pipeline (``solve_tier="heuristic"`` /
 the first stage of ``"cascade"``).  It never builds the BIP: candidates are
 ranked by *benefit density* — workload-cost reduction per byte, re-evaluated
-lazily as the configuration grows — using batched
-:meth:`~repro.inum.cache.InumCache.workload_cost` probes, the same tensor
-reductions the DTA baseline's knapsack uses.  Every probe is preceded by a
-deadline check, so the pass is interruptible at probe granularity and always
-returns a feasible (possibly empty) configuration.
+lazily as the configuration grows.  Probes are answered by a
+:class:`~repro.inum.probe.ConfigurationProbe`: the single-index scoring is one
+batched tensor reduction over every admissible candidate, and a re-probe
+recomputes only the statements on the candidate's table — each equal with
+``==`` to :meth:`~repro.inum.cache.InumCache.workload_cost` of the probed
+configuration.  The deadline is checked before and after the scoring batch
+and before every re-probe, so the pass always returns a feasible (possibly
+empty) configuration.
 
 The result carries a **finite optimality gap** without any LP: the *ideal
 bound* costs the workload as if every candidate were materialised at once and
@@ -39,6 +42,7 @@ from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
+from repro.inum.probe import ConfigurationProbe
 from repro.lp.budget import SolveBudget
 from repro.workload.workload import Workload
 
@@ -165,14 +169,20 @@ def greedy_knapsack(inum: InumCache, workload: Workload,
             gap=_relative_gap(objective, lower_bound),
             probes=probes, timed_out=timed_out)
 
-    # Initial scoring: one single-index probe per candidate, deadline-aware.
-    # entries: benefit and the pick-round it was computed in; density orders
-    # the queue (stale entries are re-probed when they surface).
+    # Initial scoring: one single-index probe per candidate, as one batch
+    # with a deadline check on each side.  entries: benefit and the
+    # pick-round it was computed in; density orders the queue (stale entries
+    # are re-probed when they surface).
+    if budget is not None and budget.expired():
+        return result(empty, base_cost, True)
+    probe = ConfigurationProbe(inum, workload, admissible)
+    single_costs = probe.costs_with(admissible).tolist()
+    probes += len(admissible)
+    if budget is not None and budget.expired():
+        return result(empty, base_cost, True)
     scored: list[tuple[float, int, Index, float, int]] = []
-    for position, index in enumerate(admissible):
-        if budget is not None and budget.expired():
-            return result(empty, base_cost, True)
-        benefit = base_cost - cost_of(Configuration((index,)))
+    for position, (index, cost) in enumerate(zip(admissible, single_costs)):
+        benefit = base_cost - cost
         if benefit <= 0.0:
             continue
         size = max(candidates.size_of(index), 1.0)
@@ -191,7 +201,8 @@ def greedy_knapsack(inum: InumCache, workload: Workload,
             continue
         if scored_round != pick_round:
             # Stale benefit — re-probe against the current configuration.
-            benefit = objective - cost_of(chosen.union((index,)))
+            probes += 1
+            benefit = objective - probe.cost_with(index)
             if benefit <= 0.0:
                 continue
             density = benefit / max(candidates.size_of(index), 1.0)
@@ -200,6 +211,7 @@ def greedy_knapsack(inum: InumCache, workload: Workload,
                                         benefit, pick_round))
                 continue
         chosen = chosen.union((index,))
+        probe.add(index)
         objective -= benefit
         used_bytes += candidates.size_of(index)
         pick_round += 1

@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-
 from repro.catalog.schema import Schema
 from repro.exceptions import IndexDefinitionError
 from repro.indexes.index import Index, index_size_bytes
+from repro.obs.metrics import active_registry
 from repro.workload.query import Query, UpdateQuery
-
-from repro.workload.workload import Workload
+from repro.workload.workload import WORKLOAD_LRU_LIMIT, Workload
 
 __all__ = ["CandidateGenerator", "CandidateSet"]
 
@@ -166,15 +165,46 @@ class CandidateGenerator:
             max_include_columns=max(0, max_include_columns),
             per_query_limit=per_query_limit,
         )
+        # Generated candidates keyed by workload object identity; the stored
+        # workload keeps the id alive (workloads are immutable, so identity
+        # is a sufficient key, as for the INUM tensor cache).  The size
+        # estimates are shared by every set handed out for the workload:
+        # they are pure functions of the index and the catalog.
+        self._generated: dict[int, tuple[Workload, tuple[Index, ...],
+                                         dict[Index, float]]] = {}
 
     # -------------------------------------------------------------------- public
     def generate(self, workload: Workload,
                  dba_indexes: Iterable[Index] = ()) -> CandidateSet:
-        """Generate candidates for a workload, plus DBA-supplied indexes ``S_DBA``."""
-        candidates = CandidateSet(self._schema)
-        for statement in workload:
-            for index in self.candidates_for_query(statement.query):
-                candidates.add(index)
+        """Generate candidates for a workload, plus DBA-supplied indexes ``S_DBA``.
+
+        The generated indexes are kept per workload object (the last
+        ``WORKLOAD_LRU_LIMIT`` workloads), counted as
+        ``repro_cache_events_total{cache="candidates"}``.  Every call returns
+        a fresh :class:`CandidateSet` — sessions mutate theirs — with the
+        DBA indexes after the generated ones.
+        """
+        events = active_registry().counter(
+            "repro_cache_events_total",
+            "Hits and misses of the tuning-stack caches", ("cache", "event"))
+        key = id(workload)
+        entry = self._generated.pop(key, None)
+        if entry is not None and entry[0] is workload:
+            events.inc(cache="candidates", event="hit")
+            # Re-inserted last: the eviction below pops the least recent.
+            self._generated[key] = entry
+            candidates = CandidateSet(self._schema, entry[1])
+            candidates._sizes = entry[2]
+        else:
+            events.inc(cache="candidates", event="miss")
+            candidates = CandidateSet(self._schema)
+            for statement in workload:
+                for index in self.candidates_for_query(statement.query):
+                    candidates.add(index)
+            if len(self._generated) >= WORKLOAD_LRU_LIMIT:
+                del self._generated[next(iter(self._generated))]
+            self._generated[key] = (workload, candidates.indexes,
+                                    candidates._sizes)
         candidates.add_all(dba_indexes)
         return candidates
 

@@ -23,18 +23,23 @@ from repro.optimizer.plan import ScanNode
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.predicates import ColumnRef
 from repro.workload.query import Query, UpdateQuery
-from repro.workload.workload import Workload
+from repro.workload.workload import WORKLOAD_LRU_LIMIT, Workload
 
 __all__ = ["InumCache", "DEFAULT_MAX_ORDERS_PER_TABLE",
-           "DEFAULT_MAX_TEMPLATES_PER_QUERY"]
-
-#: Cap on cached workload tensors (distinct workload objects per session).
-_TENSOR_CACHE_LIMIT = 8
+           "DEFAULT_MAX_TEMPLATES_PER_QUERY", "update_statement_cost"]
 
 #: Constructor defaults, shared with code that rebuilds caches in worker
 #: processes so both sides always enumerate the same templates.
 DEFAULT_MAX_ORDERS_PER_TABLE = 2
 DEFAULT_MAX_TEMPLATES_PER_QUERY = 64
+
+
+def update_statement_cost(shell_cost, maintenance, base_cost):
+    """An UPDATE's full cost, ``(shell + maintenance) + base`` — the one
+    order every costing path adds it in (floats or arrays alike), so the
+    batched and incremental costs stay bit-identical to
+    :meth:`InumCache.statement_cost`."""
+    return shell_cost + maintenance + base_cost
 
 
 def _cache_event(cache: str, event: str, count: int = 1) -> None:
@@ -99,9 +104,9 @@ class InumCache:
         # ``workload_memo`` entries, ``(tag, value)`` under the same key as
         # the tensor they sit beside; evicted with it.
         self._memos: dict[int, tuple[Hashable, Any]] = {}
-        # Flat per-update ``index -> ucost`` maps: the batched costing loop
-        # reads maintenance terms with plain dict gets instead of paying a
-        # method call per (update, index) probe.
+        # Flat per-update ``index -> ucost`` maps (``maintenance_cost``): a
+        # maintenance term is a plain dict get instead of the optimizer's
+        # per-call key building.
         self._ucost_maps: dict[str, dict[Index, float]] = {}
         self._build_calls = 0
         # Instrumented: contended build-counter updates surface in
@@ -190,9 +195,18 @@ class InumCache:
         ``prepare`` is idempotent and incremental: calling it again with an
         enlarged candidate set extends the existing matrices and the workload
         tensor with the new columns only — templates are never re-enumerated
-        and nothing is rebuilt from scratch.
+        and nothing is rebuilt from scratch.  When the workload's cached
+        tensor already has every candidate, it returns at once: the event
+        counts are those of the full pass (every shell a template hit, one
+        tensor hit), without its per-statement column scans.
         """
         indexes = tuple(candidates)
+        entry = self._tensors.get(id(workload))
+        if entry is not None and entry[0] is workload \
+                and entry[1].has_columns(indexes):
+            _cache_event("template", "hit", entry[1].shell_count)
+            self.workload_tensor(workload)
+            return
         self._build_statements(workload, indexes, build_processes)
         self.workload_tensor(workload).ensure_columns(indexes)
 
@@ -330,7 +344,7 @@ class InumCache:
             entries.append((self._queries[shell.name],
                             self._matrices[shell.name]))
         tensor = WorkloadGammaTensor(entries)
-        if len(self._tensors) >= _TENSOR_CACHE_LIMIT:
+        if len(self._tensors) >= WORKLOAD_LRU_LIMIT:
             evicted = next(iter(self._tensors))
             del self._tensors[evicted]
             self._memos.pop(evicted, None)
@@ -389,7 +403,9 @@ class InumCache:
             maintenance = sum(
                 self._optimizer.update_maintenance_cost(index, query)
                 for index in configuration.indexes_on(query.table))
-            return shell_cost + maintenance + self._optimizer.base_update_cost(query)
+            return update_statement_cost(
+                shell_cost, maintenance,
+                self._optimizer.base_update_cost(query))
         return self.cost(query, configuration)
 
     def workload_cost(self, workload: Workload,
@@ -437,9 +453,9 @@ class InumCache:
         for position, statement in enumerate(workload):
             query = statement.query
             if isinstance(query, UpdateQuery):
-                costs[position] = (costs[position]
-                                   + self._maintenance(query, configuration)
-                                   + self._optimizer.base_update_cost(query))
+                costs[position] = update_statement_cost(
+                    costs[position], self._maintenance(query, configuration),
+                    self._optimizer.base_update_cost(query))
         return costs
 
     def _maintenance(self, update: UpdateQuery,
@@ -449,15 +465,19 @@ class InumCache:
         Accumulated in ``indexes_on`` order (like :meth:`statement_cost`), so
         the batched path stays bit-identical to the per-statement one.
         """
-        ucosts = self._ucost_maps.setdefault(update.name, {})
         total = 0.0
         for index in configuration.indexes_on(update.table):
-            cost = ucosts.get(index)
-            if cost is None:
-                cost = self._optimizer.update_maintenance_cost(index, update)
-                ucosts[index] = cost
-            total += cost
+            total += self.maintenance_cost(update, index)
         return total
+
+    def maintenance_cost(self, update: UpdateQuery, index: Index) -> float:
+        """``ucost(index, update)``, read through the flat per-update map."""
+        ucosts = self._ucost_maps.setdefault(update.name, {})
+        cost = ucosts.get(index)
+        if cost is None:
+            cost = self._optimizer.update_maintenance_cost(index, update)
+            ucosts[index] = cost
+        return cost
 
     # ---------------------------------------------------------------- internals
     @staticmethod

@@ -48,10 +48,29 @@ from repro.inum.gamma_matrix import QueryGammaMatrix
 from repro.inum.template_plan import INFEASIBLE_COST
 from repro.workload.query import Query
 
-__all__ = ["WorkloadGammaTensor"]
+__all__ = ["WorkloadGammaTensor", "shell_minimum"]
 
 #: Cap on memoized per-configuration cost vectors before a wholesale reset.
 _COST_MEMO_LIMIT = 4096
+
+
+def shell_minimum(beta: np.ndarray, slot_min: np.ndarray) -> np.ndarray:
+    """``min_k (beta_k + slot_min_k0 + slot_min_k1 + ...)``: shell costs from
+    per-slot minima shaped ``(..., templates, slots)``.
+
+    The one statement of the summation order every tensor shell cost uses:
+    the slot minima are added onto ``beta`` one slot at a time, in slot
+    order — the addition sequence of each query's own gamma matrix, so the
+    result is bit-identical to the per-query path (never ``np.sum``, whose
+    pairwise order differs).  Padded slots add exactly 0.0; ``min`` is
+    exact in any order.
+    """
+    # ``beta + first`` is the add ``beta.copy(); totals += first`` performs,
+    # broadcast over any leading axes.  Every query has a slot.
+    totals = beta + slot_min[..., 0]
+    for slot in range(1, slot_min.shape[-1]):
+        totals += slot_min[..., slot]
+    return totals.min(axis=-1)
 
 
 class WorkloadGammaTensor:
@@ -167,9 +186,21 @@ class WorkloadGammaTensor:
         """Memory footprint of the stacked cost arrays."""
         return int(self._tensor.nbytes + self._beta.nbytes)
 
+    @property
+    def shell_count(self) -> int:
+        """Number of distinct query shells (by name) among the rows."""
+        return len(self._position_of)
+
     def position_of(self, query_name: str) -> int | None:
         """Row of the first statement whose shell carries ``query_name``."""
         return self._position_of.get(query_name)
+
+    def has_columns(self, indexes: Iterable[Index]) -> bool:
+        """Whether :meth:`ensure_columns` would add nothing for ``indexes``:
+        each has a column, or is on a table no query touches."""
+        column_of, tables = self._column_of, self._slots_by_table
+        return all(index in column_of or index.table not in tables
+                   for index in indexes)
 
     # ----------------------------------------------------------------- building
     # reprolint: requires-lock (mutates the shared tensor; callers hold the
@@ -243,16 +274,24 @@ class WorkloadGammaTensor:
 
     def _reduce(self, configuration: Configuration) -> np.ndarray:
         """The stacked reduction: ``min_k (beta + sum_i min_a gamma)`` per query."""
-        query_count, max_templates, max_slots, _ = self._tensor.shape
+        query_count, max_templates, _, _ = self._tensor.shape
         if query_count == 0:
             return np.zeros(0, dtype=np.float64)
         if max_templates == 0:
             return np.full(query_count, INFEASIBLE_COST, dtype=np.float64)
+        return shell_minimum(self._beta, self.slot_minima(configuration))
+
+    def slot_minima(self, configuration: Configuration) -> np.ndarray:
+        """Per-slot minima over ``{I_0} ∪ X``: a fresh ``(queries,
+        templates, slots)`` array (registers the configuration's columns).
+
+        Gathered one table at a time: a candidate only has finite entries in
+        slots holding its own table, so each gather touches exactly the
+        informative columns.  Padded slots hold 0.0 (they belong to no table
+        group), as does the heap column there.
+        """
         self.ensure_columns(configuration.indexes)
-        # Per-slot minima over {I_0} ∪ X, gathered one table at a time: a
-        # candidate only has finite entries in slots holding its own table,
-        # so each gather touches exactly the informative columns.  Padded
-        # slots keep their initial 0.0 (they belong to no table group).
+        query_count, max_templates, max_slots, _ = self._tensor.shape
         slot_min = np.zeros((query_count, max_templates, max_slots),
                             dtype=np.float64)
         for table, (rows, slots) in self._slots_by_table.items():
@@ -265,14 +304,26 @@ class WorkloadGammaTensor:
             # Advanced indexing puts the broadcast (row, column) axes first:
             # ``gathered`` is (pairs, columns, templates).
             slot_min[rows, :, slots] = gathered.min(axis=1)
-        # Accumulate slot minima onto beta one slot at a time — each query
-        # sees the same addition order as its own gamma matrix, so the totals
-        # (and therefore the final costs) are bit-identical to the per-query
-        # path.  Padded slots add exactly 0.0.
-        totals = self._beta.copy()
-        for slot in range(max_slots):
-            totals += slot_min[:, :, slot]
-        return totals.min(axis=1)
+        return slot_min
+
+    def table_slots(self, table: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(query rows, slots)`` pairs holding ``table`` (empty arrays
+        for a table no query touches)."""
+        empty = np.zeros(0, dtype=np.intp)
+        return self._slots_by_table.get(table, (empty, empty))
+
+    def beta_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``beta`` of the given query rows: ``(rows, templates)``."""
+        return self._beta[rows]
+
+    def gamma_columns(self, rows: np.ndarray, slots: np.ndarray,
+                      indexes: Sequence[Index]) -> np.ndarray:
+        """``gamma`` of each ``(row, slot)`` pair for each index:
+        ``(pairs, indexes, templates)``.  The indexes' columns must be
+        registered."""
+        columns = np.array([self._column_of[index] for index in indexes],
+                           dtype=np.intp)
+        return self._tensor[rows[:, None], :, slots[:, None], columns[None, :]]
 
     # ----------------------------------------------------------------- per-query
     def view(self, query_name: str) -> "QueryTensorView":

@@ -33,6 +33,7 @@ domains and where each is pinned:
 * ``method`` / ``status`` — HTTP verbs and status codes.
 * ``cache`` — the caches of ``repro_cache_events_total``: ``template``,
   ``tensor``, ``bip`` (the per-workload BIP kept beside the tensor),
+  ``candidates`` (generated candidate indexes per workload),
   ``canonical_workload``, ``schema_payload``.
 * ``event`` / ``outcome`` / ``kind`` / ``stage`` — short literal event names
   at the call site.

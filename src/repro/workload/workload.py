@@ -9,9 +9,11 @@ from repro.catalog.schema import Schema
 from repro.exceptions import WorkloadError
 from repro.workload.query import Query, StatementKind
 
+__all__ = ["WorkloadStatement", "Workload", "WORKLOAD_LRU_LIMIT"]
 
-
-__all__ = ["WorkloadStatement", "Workload"]
+#: Cap on the values a cache keeps per workload object (canonical workloads
+#: of a schema context, INUM tensors, generated candidate sets).
+WORKLOAD_LRU_LIMIT = 8
 
 
 @dataclass(frozen=True)

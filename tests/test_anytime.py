@@ -16,6 +16,7 @@ Three guarantees are pinned here:
 from __future__ import annotations
 
 import math
+import random
 import socket
 import time
 
@@ -33,7 +34,10 @@ from repro.core.constraints import (
 from repro.core.heuristics import greedy_knapsack, unsupported_constraint
 from repro.exceptions import ConstraintError
 from repro.indexes.candidate_generation import CandidateGenerator
+from repro.indexes.configuration import Configuration
+from repro.indexes.index import Index
 from repro.inum.cache import InumCache
+from repro.inum.probe import ConfigurationProbe
 from repro.lp import SOLVE_TIERS, SolveBudget
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.expression import LinearExpression
@@ -296,6 +300,79 @@ class TestGreedyParity:
         workload = Workload(statements, name="weighted-repeated")
         _assert_greedy_matches_reference(
             tpch, workload, CandidateGenerator(tpch).generate(workload))
+
+
+class TestConfigurationProbe:
+    """Every probe equals ``workload_cost(chosen.union((c,)))`` with ``==``,
+    for random grown prefixes of generated workloads with UPDATEs."""
+
+    @pytest.mark.parametrize("kind,seed", [
+        ("homogeneous", 41), ("homogeneous", 42),
+        ("heterogeneous", 43), ("heterogeneous", 44)])
+    def test_probes_equal_workload_cost(self, tpch, kind, seed):
+        if kind == "homogeneous":
+            workload = generate_homogeneous_workload(10, seed=seed,
+                                                     update_fraction=0.4)
+        else:
+            workload = generate_heterogeneous_workload(
+                10, seed=seed, update_fraction=0.4, schema=tpch)
+        assert workload.update_statements()
+        touched = {table for statement in workload
+                   for table in statement.query.tables}
+        untouched = sorted(set(tpch.table_names) - touched)
+        assert untouched, "expected a table no statement touches"
+        stray = Index(untouched[0],
+                      (tpch.table(untouched[0]).columns[0].name,))
+        candidates = [*CandidateGenerator(tpch).generate(workload), stray]
+        inum = InumCache(WhatIfOptimizer(tpch))
+        rng = random.Random(seed)
+        for _ in range(3):
+            probe = ConfigurationProbe(inum, workload, candidates)
+            chosen = Configuration(())
+            for index in rng.sample(candidates, rng.randint(0, 6)):
+                chosen = chosen.union((index,))
+                probe.add(index)
+            rest = [index for index in candidates if index not in chosen]
+            expected = [inum.workload_cost(workload, chosen.union((index,)))
+                        for index in rest]
+            assert [probe.cost_with(index) for index in rest] == expected
+            assert probe.costs_with(rest).tolist() == expected
+
+
+class TestGreedyDeadline:
+    """The deadline is checked before and after the scoring batch and
+    before every re-probe."""
+
+    def test_deadline_expiring_during_the_batch_returns_empty(
+            self, simple_schema, simple_workload, simple_candidates,
+            monkeypatch):
+        import repro.lp.budget as budget_module
+
+        clock = {"now": 100.0}
+
+        class _Clock:
+            @staticmethod
+            def perf_counter():
+                return clock["now"]
+
+        monkeypatch.setattr(budget_module, "time", _Clock)
+        batch = ConfigurationProbe.costs_with
+
+        def slow_batch(self, indexes):
+            clock["now"] += 10.0  # the deadline passes while scoring runs
+            return batch(self, indexes)
+
+        monkeypatch.setattr(ConfigurationProbe, "costs_with", slow_batch)
+        inum = InumCache(WhatIfOptimizer(simple_schema))
+        budget = SolveBudget(time_budget_ms=1000.0, tier="heuristic")
+        result = greedy_knapsack(inum, simple_workload, simple_candidates,
+                                 [_storage(simple_schema)], budget=budget)
+        assert result.timed_out
+        assert len(result.configuration) == 0
+        assert result.objective == inum.workload_cost(
+            simple_workload, Configuration(()))
+        assert math.isfinite(result.gap)
+        assert clock["now"] == 110.0  # the batch ran exactly once
 
 
 # ====================================================== advisors under budgets

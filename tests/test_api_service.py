@@ -441,6 +441,50 @@ class TestServiceSessions:
         assert session.inner.last_recommendation.configuration \
             == shrunk.configuration
 
+    def test_candidate_memo_never_leaks_session_edits(self, simple_schema,
+                                                      simple_workload):
+        """The context keeps the generated candidates per workload; a
+        session's add/remove edits its own copy, never the kept tuple."""
+        from dataclasses import replace
+
+        from repro.indexes.candidate_generation import CandidateGenerator
+        from repro.indexes.index import Index
+
+        generated = CandidateGenerator(simple_schema).generate(
+            simple_workload).indexes
+        request = TuningRequest(workload=simple_workload,
+                                schema=simple_schema,
+                                constraints=[_budget(simple_schema, 0.5)])
+        service = TuningService()
+        service.tune(request)
+        session = service.open_session(request)
+        session.recommend()
+        extra = Index("items", ("i_quantity", "i_product"))
+        assert extra not in generated
+        session.add_candidates([extra])
+        session.remove_candidates(generated[:2])
+        assert extra in session.inner.candidates
+        assert len(session.inner.candidates) == len(generated) - 1
+
+        plain = service.tune(request)
+        fresh = Tuner().tune(request)
+        assert plain.diagnostics.candidate_count == len(generated)
+        assert plain.configuration == fresh.configuration
+        assert plain.objective_estimate == fresh.objective_estimate
+
+        dba = Index("orders", ("o_total",), include_columns=("o_date",))
+        assert dba not in generated
+        with_dba = replace(request, dba_indexes=(dba,))
+        served = service.tune(with_dba)
+        fresh = Tuner().tune(with_dba)
+        assert served.diagnostics.candidate_count == len(generated) + 1
+        assert served.configuration == fresh.configuration
+        assert served.objective_estimate == fresh.objective_estimate
+        context, = service.tuner.contexts
+        assert context.candidate_generator.generate(
+            simple_workload, dba_indexes=(dba,)).indexes \
+            == (*generated, dba)
+
     def test_open_session_requires_cophy(self, simple_schema,
                                          simple_workload):
         service = TuningService()

@@ -31,6 +31,8 @@ from repro.core.advisor import CoPhyAdvisor
 from repro.core.constraints import StorageBudgetConstraint
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
+from repro.indexes.index import Index
+from repro.workload.workload import Workload
 
 
 def _budget(schema, fraction=1.0):
@@ -133,6 +135,23 @@ class TestRegistry:
         advisor = make_advisor("cophy", simple_schema,
                                max_templates_per_query=1)
         assert advisor.inum.enumeration_caps[1] == 1
+
+    def test_shared_candidate_generator_wiring(self, simple_schema):
+        """The BIP advisors adopt the context's generator unless an explicit
+        one is given; the black-box baselines keep their own."""
+        shared = CandidateGenerator(simple_schema)
+        mine = CandidateGenerator(simple_schema, covering=False)
+        for name in ("cophy", "ilp", "scaleout"):
+            assert make_advisor(name, simple_schema,
+                                shared_candidate_generator=shared
+                                ).candidate_generator is shared
+            assert make_advisor(name, simple_schema, candidate_generator=mine,
+                                shared_candidate_generator=shared
+                                ).candidate_generator is mine
+        for name in ("dta", "tool-a"):
+            assert make_advisor(name, simple_schema,
+                                shared_candidate_generator=shared
+                                ).candidate_generator is not shared
 
     def test_explicit_options_beat_shared_wiring(self, simple_schema):
         from repro.optimizer.whatif import WhatIfOptimizer
@@ -267,3 +286,92 @@ class TestTunerPipeline:
         assert provenance["schema"]["name"] == simple_schema.name
         assert provenance["workload"]["statements"] == len(simple_workload)
         assert provenance["constraints"] == ["storage_budget[1x data]"]
+
+
+class TestPrimedContext:
+    """A request on a primed context skips the work whose input it shares
+    with earlier requests — and counts what it skipped like the full pass."""
+
+    @staticmethod
+    def _events(tuner):
+        return tuner.metrics.snapshot()["repro_cache_events_total"]
+
+    def test_candidates_are_generated_once_per_workload(self, simple_schema,
+                                                        simple_workload):
+        tuner = Tuner()
+        request = TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            constraints=[_budget(simple_schema, 0.5)],
+            advisor=AdvisorSpec("cophy", solve_tier="heuristic"))
+        first = tuner.tune(request)
+        assert self._events(tuner)[("candidates", "miss")] == 1
+        # An equal workload object resolves to the canonical one and hits.
+        copy = Workload(list(simple_workload), name=simple_workload.name)
+        second = tuner.tune(TuningRequest(
+            workload=copy, schema=simple_schema,
+            constraints=[_budget(simple_schema, 0.25)],
+            advisor=AdvisorSpec("cophy", solve_tier="heuristic")))
+        events = self._events(tuner)
+        assert events[("candidates", "miss")] == 1
+        assert events[("candidates", "hit")] == 1
+        assert first.diagnostics.candidate_count \
+            == second.diagnostics.candidate_count \
+            == len(CandidateGenerator(simple_schema).generate(simple_workload))
+
+    def test_prepare_on_a_covered_tensor_returns_at_once(self, tpch,
+                                                         monkeypatch):
+        from repro.inum.cache import InumCache
+        from repro.obs.metrics import MetricsRegistry, use_registry
+        from repro.optimizer.whatif import WhatIfOptimizer
+        from repro.workload.generators import generate_homogeneous_workload
+
+        workload = generate_homogeneous_workload(6, seed=8,
+                                                 update_fraction=0.3)
+        candidates = CandidateGenerator(tpch).generate(workload)
+        inum = InumCache(WhatIfOptimizer(tpch))
+        inum.prepare(workload, candidates)
+        shells = len({statement.query.name for statement in workload})
+
+        def counted(indexes):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                inum.prepare(workload, indexes)
+            return registry.snapshot()["repro_cache_events_total"]
+
+        full = counted(candidates)
+        assert full == {("template", "hit"): shells, ("tensor", "hit"): 1}
+        # Covered: every candidate has a column, or is on a table no
+        # statement touches — the pass returns before any column scan.
+        touched = {table for statement in workload
+                   for table in statement.query.tables}
+        untouched = sorted(set(tpch.table_names) - touched)
+        assert untouched
+        stray = Index(untouched[0],
+                      (tpch.table(untouched[0]).columns[0].name,))
+        monkeypatch.setattr(inum, "_build_statements", None)
+        assert counted((stray, *reversed(candidates.indexes))) == full
+        monkeypatch.undo()
+        # A genuinely new column still takes the full, extending pass.
+        table = sorted(touched)[0]
+        columns = [column.name for column in tpch.table(table).columns]
+        new = Index(table, tuple(reversed(columns[:3])))
+        assert new not in candidates
+        assert counted((*candidates, new)) == full
+        assert new in inum.workload_tensor(workload).candidate_columns
+
+    def test_a_canonical_workload_skips_the_fingerprint(
+            self, simple_schema, simple_workload, monkeypatch):
+        import repro.api.tuner as tuner_module
+
+        calls = []
+        fingerprint = tuner_module.workload_fingerprint
+        monkeypatch.setattr(tuner_module, "workload_fingerprint",
+                            lambda workload: calls.append(workload)
+                            or fingerprint(workload))
+        context = Tuner().context_for(simple_schema)
+        assert context.canonical_workload(simple_workload) is simple_workload
+        assert context.canonical_workload(simple_workload) is simple_workload
+        assert calls == [simple_workload]
+        copy = Workload(list(simple_workload), name=simple_workload.name)
+        assert context.canonical_workload(copy) is simple_workload
+        assert calls == [simple_workload, copy]

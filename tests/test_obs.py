@@ -247,6 +247,24 @@ class TestSpanTreeShapes:
         names = _span_names(root)
         assert {"candidates", "prepare", "solve", "evaluate"} <= names
 
+    @pytest.mark.parametrize("advisor", [
+        AdvisorSpec("cophy", solve_tier="heuristic"),
+        AdvisorSpec("scaleout", {"shard_workers": 1}, solve_tier="heuristic")])
+    def test_greedy_span_reports_probes_and_candidates(self, tpch, advisor):
+        request = _request(tpch, advisor=advisor)
+        result = Tuner().tune(request)
+        root = result.extras["trace"]["root"]
+        greedy = _find_spans(root, lambda node: node["name"] == "greedy")
+        assert len(greedy) == 1
+        attrs = greedy[0]["attrs"]
+        heuristic = result.extras["heuristic"]
+        assert attrs["probes"] == heuristic["probes"] > 0
+        assert attrs["candidates"] == result.diagnostics.candidate_count > 0
+        assert attrs["picked"] == result.index_count
+        # Spans are volatile: the fingerprint is the same without them.
+        assert Tuner(tracing=False).tune(request).fingerprint() \
+            == result.fingerprint()
+
     def test_scaleout_trace_includes_worker_shard_spans(self, tpch):
         result = Tuner().tune(_request(
             tpch, statements=12,
