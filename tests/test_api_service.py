@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.api import (
+    AdvisorSpec,
     Tuner,
     TuningRequest,
     TuningService,
@@ -22,7 +23,8 @@ def _budget(schema, fraction=1.0):
 
 
 def _requests(schema, workload):
-    """A mixed batch: two strategies plus a repeated request and a variant."""
+    """A mixed batch: three strategies plus a repeated request, a variant and
+    a greedy-tier request."""
     budget = _budget(schema)
     return [
         TuningRequest(workload=workload, schema=schema, constraints=[budget],
@@ -36,6 +38,10 @@ def _requests(schema, workload):
                       advisor="cophy", request_id="cophy-tight"),
         TuningRequest(workload=workload, schema=schema, constraints=[budget],
                       advisor="cophy", request_id="cophy-2"),
+        TuningRequest(workload=workload, schema=schema,
+                      constraints=[_budget(schema, 0.5)],
+                      advisor=AdvisorSpec("cophy", solve_tier="heuristic"),
+                      request_id="cophy-greedy"),
     ]
 
 
