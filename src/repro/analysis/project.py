@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from repro.analysis.loader import SourceModule, iter_source_files, load_module
 
 __all__ = ["CallSite", "FunctionInfo", "Project", "load_project",
-           "call_name", "literal_strings"]
+           "call_name"]
 
 
 def call_name(node: ast.Call) -> str | None:
@@ -35,12 +35,6 @@ def call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Name):
         return func.id
     return None
-
-
-def literal_strings(node: ast.AST) -> set[str]:
-    """Every string constant anywhere under *node*."""
-    return {sub.value for sub in ast.walk(node)
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
 
 
 def _mentions_lock(node: ast.expr) -> bool:
@@ -198,32 +192,21 @@ class Project:
 
     # -------------------------------------------------- assignment extraction
     def assigned_strings(self, module: SourceModule, name: str) -> set[str]:
-        """String constants in the module-level assignment of *name*.
-
-        Resolves one level of name references so unions such as
-        ``FIELDS = FIELDS_V1 | frozenset({"extra"})`` include the referenced
-        set's members too.
-        """
-        values: dict[str, ast.expr] = {}
+        """String constants in the module-level assignment of *name*."""
         for node in module.tree.body:
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
+            if isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            elif isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
             else:
                 continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    values[target.id] = node.value  # type: ignore[union-attr]
-        expr = values.get(name)
-        if expr is None:
-            return set()
-        result = literal_strings(expr)
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Name) and sub.id in values:
-                result |= literal_strings(values[sub.id])
-        return result
+            if value is not None and any(
+                    isinstance(target, ast.Name) and target.id == name
+                    for target in targets):
+                return {sub.value for sub in ast.walk(value)
+                        if isinstance(sub, ast.Constant)
+                        and isinstance(sub.value, str)}
+        return set()
 
 
 def load_project(root: Path,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.analysis.rules.base import Finding, Rule
 from repro.analysis.rules.buffers import BoundedBufferRule
 from repro.analysis.rules.faultsites import FaultSiteRule
-from repro.analysis.rules.fingerprint import FingerprintPurityRule
 from repro.analysis.rules.hygiene import RuntimeAssertRule, UnusedImportRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.metrics import MetricLabelRule
@@ -15,7 +14,6 @@ __all__ = ["Finding", "Rule", "ALL_RULES", "rule_by_name"]
 
 #: Every shipped rule, instantiated once; order is the report order.
 ALL_RULES: tuple[Rule, ...] = (
-    FingerprintPurityRule(),
     FaultSiteRule(),
     LockDisciplineRule(),
     MetricLabelRule(),

@@ -131,7 +131,8 @@ class Record:
     """One payload type: its rows, and the two walks over them.
 
     ``tag`` is the constant ``(key, value)`` marking the type, ``version``
-    the ``(key, newest)`` of the payload that carries the format version.
+    the ``(key, newest)`` of the payload that carries the format version —
+    its own, so one nested in a list encodes as it would alone.
     ``callables`` are attributes that may hold a live callable: a stand-in
     would silently change what the server enforces, so encoding rejects it.
     """
@@ -148,6 +149,8 @@ class Record:
         self._keys = {pair[0] for pair in self._head} | {f.key for f in fields}
 
     def enc(self, obj: Any, walk: Any) -> dict[str, Any]:
+        if self.version:  # a versioned payload counts its own version
+            walk.version = 1
         for attr in self.callables:
             if getattr(obj, attr) is not None:
                 raise WireFormatError(

@@ -56,15 +56,6 @@ _INDEX = Record(
     Field("name", STR, required=False))
 
 
-def index_to_payload(index: Index) -> dict[str, Any]:
-    """An :class:`Index` as a JSON-representable dict."""
-    return encode(_INDEX, index)
-
-
-def index_from_payload(payload: Mapping[str, Any]) -> Index:
-    return decode(_INDEX, payload)
-
-
 @dataclass(frozen=True)
 class StatementCost:
     """One statement's cost under the chosen configuration.

@@ -424,13 +424,21 @@ class TuningService:
         """Start an interactive (incremental re-tuning) session.
 
         Only the CoPhy strategy supports delta-BIP re-tuning, so the request
-        must name it (or leave the advisor unset).
+        must name it (or leave the advisor unset); and a session step is an
+        exact solve without a deadline, so the request may not ask for a
+        time budget or an anytime tier.
         """
         spec = request.resolved_advisor()
         if canonical_name(spec.name) != "cophy":
             raise ValueError(
                 f"Interactive sessions require the 'cophy' advisor; the "
                 f"request asks for {spec.name!r}")
+        if spec.time_budget_ms is not None or spec.solve_tier not in (
+                None, "exact"):
+            raise ValueError(
+                f"Interactive sessions solve exactly without a deadline; the "
+                f"request asks for time_budget_ms={spec.time_budget_ms!r}, "
+                f"solve_tier={spec.solve_tier!r}")
         context = self._tuner.context_for(request.schema, request.costing)
         with use_registry(self._tuner.metrics), context.lock:
             request, renames = self._admitted(request, context)

@@ -3,9 +3,10 @@
 The paper's index-tuning-as-a-service vision over the unified API (PR 4):
 
 * :mod:`repro.server.wire` — the versioned request format as one table of
-  payload records (schemas, workloads, constraints, specs) that a single
-  encoder and decoder walk; :func:`encode_request` / :func:`decode_request`
-  round-trip a :class:`~repro.api.specs.TuningRequest` bit-identically;
+  payload records (schemas, workloads, constraints, specs, and the
+  ``tune_batch`` and session-step bodies) that a single encoder and decoder
+  walk; :func:`encode_request` / :func:`decode_request` round-trip a
+  :class:`~repro.api.specs.TuningRequest` bit-identically;
 * :mod:`repro.server.app` — :class:`TuningServer`, a zero-dependency
   ``http.server``-based HTTP front-end over a shared
   :class:`~repro.api.service.TuningService` (``POST /v1/tune``,

@@ -15,10 +15,10 @@ POST    ``/v1/tune_batch``          ``{"requests": [...]}`` served via
                                     all-or-nothing on error).
 POST    ``/v1/sessions``            Open an interactive session; returns
                                     ``{"session_id": ...}``.
-POST    ``/v1/sessions/{id}/tune``  One session step: ``{"operation":
-                                    "recommend" | "add_candidates" |
-                                    "remove_candidates" |
-                                    "update_constraints", ...}``.
+POST    ``/v1/sessions/{id}/tune``  One session step, its body derived
+                                    from the codec table: ``{"operation":
+                                    <TuningSession method>}`` plus that
+                                    method's ``indexes`` / ``constraints``.
 DELETE  ``/v1/sessions/{id}``       Close a session.
 GET     ``/v1/health``              Liveness + advisor registry.
 GET     ``/v1/stats``               Service counters: contexts, cache sizes,
@@ -42,7 +42,10 @@ response.  Each dispatch records ``repro_http_requests_total`` /
 be silent (client disconnects, 5xx envelopes) log structured warnings with
 the trace id attached.
 
-Errors travel as the structured envelope of :mod:`repro.server.protocol`.
+Every POST body decodes through the codec table of :mod:`repro.server.wire`,
+so an unknown key, a wrong type or a non-object body is a
+``WireFormatError`` (400).  Errors travel as the structured envelope of
+:mod:`repro.server.protocol`.
 Equal client schema payloads are canonicalized through a
 :class:`~repro.server.wire.SchemaCache` so repeated traffic shares one
 ``SchemaContext`` (optimizer, templates, tensors) — which is exactly why the
@@ -63,7 +66,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.api.registry import available_advisors
-from repro.api.result import index_from_payload
 from repro.api.service import TuningService, TuningSession
 from repro.api.specs import TuningRequest
 from repro.obs.log import configure as configure_logging
@@ -82,19 +84,12 @@ from repro.server.wire import (
     WIRE_VERSION,
     SchemaCache,
     WireFormatError,
-    decode_constraint,
+    decode_batch,
     decode_request,
+    decode_session_step,
 )
 
 __all__ = ["TuningServer", "install_signal_handlers", "main"]
-
-#: Session tune operations and the request-body key carrying their argument.
-_SESSION_OPERATIONS = {
-    "recommend": None,
-    "add_candidates": "indexes",
-    "remove_candidates": "indexes",
-    "update_constraints": "constraints",
-}
 
 
 class TuningServer:
@@ -366,13 +361,8 @@ class TuningServer:
         return {"result": result.to_payload()}
 
     def handle_tune_batch(self, body: Any) -> dict[str, Any]:
-        payloads = body.get("requests") if isinstance(body, dict) else None
-        if not isinstance(payloads, list):
-            raise WireFormatError(
-                "tune_batch body must be {\"requests\": [<request>, ...]}")
-        requests = [self._budgeted(
-                        decode_request(entry, schema_cache=self.schema_cache))
-                    for entry in payloads]
+        requests = [self._budgeted(request) for request in
+                    decode_batch(body, schema_cache=self.schema_cache)]
         results = self.service.tune_many(requests)
         return {"results": [result.to_payload() for result in results]}
 
@@ -388,27 +378,8 @@ class TuningServer:
     def handle_session_tune(self, session_id: str, body: Any
                             ) -> dict[str, Any]:
         session, request = self._session(session_id)
-        operation = (body.get("operation", "recommend")
-                     if isinstance(body, dict) else "recommend")
-        if operation not in _SESSION_OPERATIONS:
-            raise WireFormatError(
-                f"Unknown session operation {operation!r}; expected one of "
-                f"{sorted(_SESSION_OPERATIONS)}")
-        argument_key = _SESSION_OPERATIONS[operation]
-        if argument_key is None:
-            result = session.recommend()
-        else:
-            entries = body.get(argument_key)
-            if not isinstance(entries, list):
-                raise WireFormatError(
-                    f"Session operation {operation!r} needs a "
-                    f"{argument_key!r} list in the body")
-            if argument_key == "indexes":
-                argument = [index_from_payload(entry) for entry in entries]
-            else:
-                argument = [decode_constraint(entry, request.workload)
-                            for entry in entries]
-            result = getattr(session, operation)(argument)
+        operation, arguments = decode_session_step(body, request.workload)
+        result = getattr(session, operation)(*arguments)
         return {"result": result.to_payload()}
 
     def handle_close_session(self, session_id: str) -> dict[str, Any]:

@@ -23,7 +23,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Iterable, Sequence
 
-from repro.api.result import TuningResult, index_to_payload
+from repro.api.result import TuningResult
 from repro.api.specs import TuningRequest
 from repro.exceptions import ServerOverloaded
 from repro.lp.budget import SolveBudget
@@ -40,7 +40,11 @@ from repro.server.protocol import (
     TuningServerUnavailable,
     raise_remote_error,
 )
-from repro.server.wire import encode_constraint, encode_request
+from repro.server.wire import (
+    encode_batch,
+    encode_request,
+    encode_session_step,
+)
 
 __all__ = ["DEFAULT_RETRY_POLICY", "TuningClient", "RemoteTuningSession"]
 
@@ -97,8 +101,7 @@ class TuningClient:
         """Serve a batch concurrently on the server; results in order."""
         requests = list(requests)
         payload = self._post(
-            f"{API_PREFIX}/tune_batch",
-            {"requests": [encode_request(request) for request in requests]},
+            f"{API_PREFIX}/tune_batch", encode_batch(requests),
             timeout=self._derived_timeout(requests), idempotent=True)
         return [TuningResult.from_payload(entry)
                 for entry in payload["results"]]
@@ -282,22 +285,16 @@ class RemoteTuningSession:
 
     # ------------------------------------------------------------------ tuning
     def recommend(self) -> TuningResult:
-        return self._step({"operation": "recommend"})
+        return self._step("recommend")
 
     def add_candidates(self, new_indexes: Sequence) -> TuningResult:
-        return self._step({"operation": "add_candidates",
-                           "indexes": [index_to_payload(index)
-                                       for index in new_indexes]})
+        return self._step("add_candidates", new_indexes)
 
     def remove_candidates(self, removed_indexes: Sequence) -> TuningResult:
-        return self._step({"operation": "remove_candidates",
-                           "indexes": [index_to_payload(index)
-                                       for index in removed_indexes]})
+        return self._step("remove_candidates", removed_indexes)
 
     def update_constraints(self, constraints: Sequence) -> TuningResult:
-        return self._step({"operation": "update_constraints",
-                           "constraints": [encode_constraint(constraint)
-                                           for constraint in constraints]})
+        return self._step("update_constraints", constraints)
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> bool:
@@ -316,13 +313,14 @@ class RemoteTuningSession:
         self.close()
 
     # ---------------------------------------------------------------- internals
-    def _step(self, body: dict[str, Any]) -> TuningResult:
+    def _step(self, operation: str, *arguments: Any) -> TuningResult:
         if self._closed:
             raise TuningServerError(
                 f"Session {self.session_id!r} is closed", status=404,
                 error_type="UnknownSession")
         payload = self._client._post(
-            f"{API_PREFIX}/sessions/{self.session_id}/tune", body)
+            f"{API_PREFIX}/sessions/{self.session_id}/tune",
+            encode_session_step(operation, *arguments))
         result = TuningResult.from_payload(payload["result"])
         self._history.append(result)
         return result

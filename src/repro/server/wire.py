@@ -4,7 +4,8 @@
 this module states the *request* side once, as a table: one
 :class:`~repro.api._codec.Record` of ``Field`` rows per payload type (schema
 … statistics, workload … predicate, the constraint kinds, the specs, the
-request), walked by the single encoder and decoder of
+request, the ``tune_batch`` envelope, the session steps), walked by the
+single encoder and decoder of
 :mod:`repro.api._codec`.  The ``encode_*`` / ``decode_*`` functions are its
 entry points; what a row cannot say is a hook on one field (``query_cost``
 resolving its statement by name, candidates becoming a ``CandidateSet``).
@@ -31,11 +32,12 @@ live callables (selectors, filters) are rejected at *encode* time.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.api._codec import (
     BOOL, FLOAT, INT, NUMBER, OBJECT, STR, Codec, Field, Record,
@@ -93,6 +95,10 @@ __all__ = [
     "decode_constraint",
     "encode_request",
     "decode_request",
+    "encode_batch",
+    "decode_batch",
+    "encode_session_step",
+    "decode_session_step",
 ]
 
 #: Newest version of the request wire format.  Bump on any incompatible
@@ -436,3 +442,56 @@ def decode_request(payload: Mapping[str, Any],
     (optimizer, INUM cache, tensors) across requests.
     """
     return decode(_REQUEST, payload, schema_cache=schema_cache)
+
+
+# ----------------------------------------------------------- batches, sessions
+def _body(name: str, *fields: Field, **namespace: Any) -> type:
+    """The frozen dataclass a body record builds: one field per row."""
+    return dataclasses.make_dataclass(name, [(f.key, Any) for f in fields],
+                                      namespace=namespace, frozen=True)
+
+
+_BATCH_ROWS = (Field("requests", many(_REQUEST)),)
+_BATCH = Record("tune_batch", _body("tune_batch", *_BATCH_ROWS), *_BATCH_ROWS)
+
+
+def encode_batch(requests: Iterable[TuningRequest]) -> dict[str, Any]:
+    """The ``/v1/tune_batch`` body: ``{"requests": [<request>, ...]}``."""
+    return encode(_BATCH, _BATCH.build(list(requests)))
+
+
+def decode_batch(payload: Any, schema_cache: SchemaCache | None = None
+                 ) -> tuple[TuningRequest, ...]:
+    """The requests of a ``/v1/tune_batch`` body, each decoded as
+    :func:`decode_request` decodes one."""
+    return decode(_BATCH, payload, schema_cache=schema_cache).requests
+
+
+def _step(operation: str, *fields: Field) -> Record:
+    """One session operation, tagged by the name of the
+    :class:`~repro.api.service.TuningSession` method it calls."""
+    return Record(f"{operation} step",
+                  _body(f"{operation}_step", *fields, operation=operation),
+                  *fields, tag=("operation", operation))
+
+
+_STEPS = {record.tag[1]: record for record in (
+    _step("recommend"),
+    _step("add_candidates", Field("indexes", _INDEXES)),
+    _step("remove_candidates", Field("indexes", _INDEXES)),
+    _step("update_constraints", Field("constraints", many(_CONSTRAINT))))}
+_SESSION_STEP = union("session operation", *_STEPS.values())
+
+
+def encode_session_step(operation: str, *arguments: Any) -> dict[str, Any]:
+    """A session step's body: ``operation`` and its argument, if it has one."""
+    record = _STEPS[operation]
+    return encode(record, record.build(*arguments))
+
+
+def decode_session_step(payload: Any, workload: Workload
+                        ) -> tuple[str, tuple]:
+    """The ``(operation, arguments)`` a session step's body asks for;
+    constraints name their statements in the session's ``workload``."""
+    step = decode(_SESSION_STEP, payload, workload=workload)
+    return step.operation, tuple(vars(step).values())

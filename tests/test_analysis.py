@@ -3,8 +3,8 @@
 Every rule is proven on a seeded violation (the rule fires) and on the fixed
 tree (the rule stays quiet).  Fixtures are tiny source trees written into
 ``tmp_path`` and analyzed through the Python API via ``--root``-style loading;
-rules that read repo configuration (``FAULT_SITES``, ``_TIMING_KEYS``) fall
-back to built-in defaults when the config modules are absent from the tree.
+rules that read repo configuration (``FAULT_SITES``) fall back to built-in
+defaults when the config modules are absent from the tree.
 """
 
 from __future__ import annotations
@@ -33,47 +33,11 @@ def run_tree(tmp_path: Path, files: dict[str, str], rule: str | None = None):
 
 def test_rule_registry_is_complete():
     names = {rule.name for rule in ALL_RULES}
-    assert {"fingerprint-purity", "fault-site-discipline", "lock-discipline",
+    assert {"fault-site-discipline", "lock-discipline",
             "metric-label-cardinality", "bounded-buffer",
             "worker-pickle-safety",
             "runtime-assert", "unused-import"} <= names
     assert rule_by_name("no-such-rule") is None
-
-
-# --------------------------------------------------------------- fingerprint
-def test_fingerprint_purity_catches_undeclared_clock_key(tmp_path):
-    findings = run_tree(tmp_path, {"pkg/record.py": """\
-        import time
-
-        def record(extras):
-            started = time.perf_counter()
-            extras["started_at"] = time.time() - started
-        """}, rule="fingerprint-purity")
-    assert [f.rule for f in findings] == ["fingerprint-purity"]
-    assert "started_at" in findings[0].message
-
-
-def test_fingerprint_purity_accepts_declared_timing_keys(tmp_path):
-    findings = run_tree(tmp_path, {"pkg/record.py": """\
-        import time
-
-        def record(extras, timings):
-            started = time.perf_counter()
-            extras["elapsed_seconds"] = time.time() - started
-            timings["prepare"] = time.perf_counter() - started
-        """}, rule="fingerprint-purity")
-    assert findings == []
-
-
-def test_fingerprint_purity_catches_tainted_diagnostics_kwarg(tmp_path):
-    findings = run_tree(tmp_path, {"pkg/diag.py": """\
-        import time
-
-        def build(TuningDiagnostics):
-            stamp = time.time()
-            return TuningDiagnostics(gap=0.0, started=stamp)
-        """}, rule="fingerprint-purity")
-    assert len(findings) == 1 and "started" in findings[0].message
 
 
 # ---------------------------------------------------------------- fault sites

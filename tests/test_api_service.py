@@ -498,3 +498,26 @@ class TestServiceSessions:
             service.open_session(TuningRequest(
                 workload=simple_workload, schema=simple_schema,
                 advisor="dta"))
+
+    @pytest.mark.parametrize("budget", [
+        {"solve_tier": "heuristic"}, {"solve_tier": "cascade"},
+        {"time_budget_ms": 0.001},
+        {"time_budget_ms": 0.001, "solve_tier": "exact"}],
+        ids=["heuristic", "cascade", "deadline", "deadline_exact"])
+    def test_open_session_rejects_a_budget_it_cannot_keep(
+            self, budget, simple_schema, simple_workload):
+        """A session step is an exact solve without a deadline: a budgeted
+        request used to open one and then silently run unbounded."""
+        request = TuningRequest(workload=simple_workload,
+                                schema=simple_schema,
+                                advisor=AdvisorSpec("cophy", **budget))
+        with pytest.raises(ValueError, match="without a deadline"):
+            TuningService().open_session(request)
+
+    def test_open_session_accepts_the_exact_tier(self, simple_schema,
+                                                 simple_workload):
+        request = TuningRequest(workload=simple_workload,
+                                schema=simple_schema,
+                                advisor=AdvisorSpec("cophy",
+                                                    solve_tier="exact"))
+        assert TuningService().open_session(request).recommend().configuration

@@ -207,32 +207,33 @@ class TestSessions:
     def test_remote_session_matches_local_service_session(self, simple_schema,
                                                           simple_workload):
         budget = _budget(simple_schema)
-        local_service = TuningService()
-        local = local_service.open_session(_request(simple_schema,
-                                                    simple_workload))
-        local_first = local.recommend()
-        local_capped = local.update_constraints(
-            [budget, IndexCountConstraint(limit=2)])
+        extra = Index("items", ("i_shipdate",), include_columns=("i_price",))
 
+        def steps(session):
+            return [session.recommend(),
+                    session.update_constraints(
+                        [budget, IndexCountConstraint(limit=2)]),
+                    session.add_candidates([extra]),
+                    session.remove_candidates([extra])]
+
+        local = steps(TuningService().open_session(
+            _request(simple_schema, simple_workload)))
         with TuningServer() as server:
             client = TuningClient(server.url)
             with client.open_session(_request(simple_schema,
                                               simple_workload)) as session:
-                first = session.recommend()
-                capped = session.update_constraints(
-                    [budget, IndexCountConstraint(limit=2)])
-                extra = Index("items", ("i_shipdate",),
-                              include_columns=("i_price",))
-                grown = session.add_candidates([extra])
-                shrunk = session.remove_candidates([extra])
-                assert session.history == (first, capped, grown, shrunk)
-                assert session.last_result is shrunk
+                remote = steps(session)
+                assert session.history == tuple(remote)
+                assert session.last_result is remote[-1]
             assert server.session_count == 0  # context exit closed it
 
-        assert first.configuration == local_first.configuration
-        assert first.objective_estimate == local_first.objective_estimate
-        assert capped.configuration == local_capped.configuration
-        assert extra not in shrunk.configuration
+        assert [result.fingerprint() for result in remote] == \
+            [result.fingerprint() for result in local]
+        assert [result.provenance["session"]["operation"]
+                for result in remote] == ["recommend", "update_constraints",
+                                          "add_candidates",
+                                          "remove_candidates"]
+        assert extra not in remote[-1].configuration
 
     def test_malformed_session_index_is_a_400_not_a_500(self, simple_schema,
                                                         simple_workload):
@@ -352,6 +353,18 @@ class TestErrorEnvelopes:
         with TuningServer() as server:
             with pytest.raises(ValueError, match="cophy"):
                 TuningClient(server.url).open_session(request)
+
+    def test_a_budgeted_session_is_a_400(self, simple_schema,
+                                         simple_workload):
+        from repro.api import AdvisorSpec
+
+        request = _request(simple_schema, simple_workload,
+                           advisor=AdvisorSpec("cophy",
+                                               solve_tier="heuristic"))
+        with TuningServer() as server:
+            with pytest.raises(ValueError, match="without a deadline"):
+                TuningClient(server.url).open_session(request)
+            assert server.session_count == 0
 
     def test_negative_content_length_is_rejected_not_hung(self):
         import http.client

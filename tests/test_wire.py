@@ -45,13 +45,17 @@ from repro.server.wire import (
     WIRE_VERSION,
     SchemaCache,
     WireFormatError,
+    decode_batch,
     decode_constraint,
     decode_request,
     decode_schema,
+    decode_session_step,
     decode_workload,
+    encode_batch,
     encode_constraint,
     encode_request,
     encode_schema,
+    encode_session_step,
     encode_workload,
 )
 from repro.workload import (
@@ -339,6 +343,68 @@ class TestRequestCodec:
         assert remote_shaped.fingerprint() == local.fingerprint()
 
 
+class TestSessionAndBatchBodies:
+    """The session step and the ``tune_batch`` envelope are table rows too:
+    each round-trips, and each defect the hand decoder let through (it
+    answered 200) is a ``WireFormatError``."""
+
+    def _steps(self, workload):
+        extra = Index("items", ("i_shipdate",), include_columns=("i_price",))
+        return [("recommend",),
+                ("add_candidates", [extra]),
+                ("remove_candidates", [extra]),
+                ("update_constraints",
+                 [StorageBudgetConstraint(5e6),
+                  QueryCostConstraint(workload.statements[0].query,
+                                      reference_cost=12.5)])]
+
+    def test_each_step_round_trips(self, simple_workload):
+        for operation, *arguments in self._steps(simple_workload):
+            body = _json_round_trip(encode_session_step(operation,
+                                                        *arguments))
+            assert body["operation"] == operation
+            assert decode_session_step(body, simple_workload) == \
+                (operation, tuple(tuple(entry) for entry in arguments))
+
+    def test_batch_round_trips_with_each_request_at_its_own_version(
+            self, simple_schema, simple_workload):
+        plain = TuningRequest(workload=simple_workload, schema=simple_schema)
+        budgeted = dataclasses.replace(
+            plain, advisor=AdvisorSpec("cophy", time_budget_ms=50.0))
+        body = _json_round_trip(encode_batch([budgeted, plain]))
+        assert body == {"requests": [encode_request(budgeted),
+                                     encode_request(plain)]}
+        assert [entry["wire_version"] for entry in body["requests"]] == [2, 1]
+        assert [encode_request(request) for request in decode_batch(body)] \
+            == body["requests"]
+
+    _DEFECTS = {
+        "unknown_key_on_a_step": {"operation": "recommend", "junk": 1},
+        "array_body": [1, 2],
+        "missing_operation": {},
+        "unknown_operation": {"operation": "drop_everything"},
+        "argument_of_another_operation":
+            {"operation": "recommend", "indexes": []},
+        "indexes_is_an_object": {"operation": "add_candidates",
+                                 "indexes": {"table": "items"}},
+        "constraints_missing": {"operation": "update_constraints"},
+    }
+
+    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
+    def test_step_defect_is_a_wire_format_error(self, defect,
+                                                simple_workload):
+        with pytest.raises(WireFormatError):
+            decode_session_step(self._DEFECTS[defect], simple_workload)
+
+    @pytest.mark.parametrize("body", [
+        {"requests": [], "junk": 1}, [], {}, {"requests": {}}],
+        ids=["unknown_key", "array_body", "missing_requests",
+             "requests_is_an_object"])
+    def test_batch_defect_is_a_wire_format_error(self, body):
+        with pytest.raises(WireFormatError):
+            decode_batch(body)
+
+
 class TestDefectsOfTheHandPairedCodec:
     """What the mutation fuzz found at 9bac81d, each pinned by name: the
     first three were HTTP 500s, the rest were accepted."""
@@ -390,6 +456,8 @@ _WIRE_CLASSES = [
     (StatementCost, result._STATEMENT_COST, None),
     (Column, wire._COLUMN, None),
     (ColumnStatistics, wire._STATISTICS, None),
+    (wire._BATCH.build, wire._BATCH, None),
+    *[(record.build, record, None) for record in wire._STEPS.values()],
 ]
 
 
@@ -647,6 +715,32 @@ def _base_payloads():
 
 _BASE_PAYLOADS = _base_payloads()
 
+
+def _session_and_batch_bodies():
+    """Every session step's body and the ``tune_batch`` envelope, each with
+    the decoder the server runs on it."""
+    workload = build_simple_workload()
+    steps = [
+        ("recommend",),
+        ("add_candidates", [Index("orders", ("o_customer",),
+                                  include_columns=("o_total",)),
+                            Index("items", ("i_shipdate",), clustered=True)]),
+        ("remove_candidates", [Index("orders", ("o_customer",))]),
+        ("update_constraints", [
+            StorageBudgetConstraint(5e6), IndexCountConstraint(limit=3),
+            QueryCostConstraint(workload.statements[0].query,
+                                reference_cost=123.5, factor=0.75),
+            QuerySpeedupGenerator(reference_costs={"point#1": 10.0}),
+            SoftConstraint(StorageBudgetConstraint(1000.0), target=900.0)])]
+    bodies = [(_json_round_trip(encode_session_step(*step)),
+               lambda body: decode_session_step(body, workload))
+              for step in steps]
+    bodies.append(({"requests": [_BASE_PAYLOADS[0]]}, decode_batch))
+    return bodies
+
+
+_SESSION_AND_BATCH_BODIES = _session_and_batch_bodies()
+
 #: Wrong-typed stand-ins, one per JSON type.
 _JSON_SAMPLES = {"null": None, "boolean": True, "number": 7, "string": "yes",
                  "array": ["x"], "object": {"x": 1}}
@@ -692,39 +786,53 @@ def _outcome(decode):
     return None
 
 
+def _sweep(data, bases):
+    """One drop/add/swap mutant of one base body, the body itself included:
+    never a 500, and never accepted with a field's meaning changed."""
+    base, decode = data.draw(st.sampled_from(bases))
+    holder = [copy.deepcopy(base)]
+    path = data.draw(st.sampled_from(list(_paths(holder))))
+    parent, key = _resolve(holder, path[:-1]), path[-1]
+    original = parent[key]
+    mutation = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    if mutation == "add" and isinstance(original, dict):
+        original["no_such_field"] = 1
+    elif mutation == "drop" or original is None:
+        mutation = "drop"
+        del parent[key]
+    else:
+        mutation = "swap"
+        wrong = data.draw(st.sampled_from(sorted(
+            set(_JSON_SAMPLES) - {_json_type(original)})))
+        parent[key] = _JSON_SAMPLES[wrong]
+
+    # A dropped body is an empty one: the decoder sees ``null``.
+    status = _outcome(lambda: decode(holder[0] if holder else None))
+    assert status is None or 400 <= status < 500, (path, mutation, status)
+    if status is not None:
+        return
+    # Accepted: then nothing was silently reinterpreted.  A swapped-in
+    # null means "absent" for an optional field; statistics and
+    # reference_costs are keyed by free names; anything else accepted
+    # must be free-form by contract.
+    if mutation == "swap" and parent[key] is not None:
+        assert _FREE_FORM & set(path), (path, parent[key])
+    if mutation == "add":
+        assert {"options", "statistics", "reference_costs"} & set(path), \
+            path
+
+
 class TestMutationFuzz:
     """No mutant is a 500, and none is accepted with a field's type changed."""
 
     @given(data=st.data())
     @settings(max_examples=400, **_FUZZ)
     def test_mutants_are_rejected_with_a_typed_4xx(self, data):
-        base = data.draw(st.sampled_from(_BASE_PAYLOADS))
-        path = data.draw(st.sampled_from(list(_paths(base))))
-        mutant = copy.deepcopy(base)
-        parent, key = _resolve(mutant, path[:-1]), path[-1]
-        original = parent[key]
-        mutation = data.draw(st.sampled_from(["drop", "add", "swap"]))
-        if mutation == "add" and isinstance(original, dict):
-            original["no_such_field"] = 1
-        elif mutation == "drop" or original is None:
-            mutation = "drop"
-            del parent[key]
-        else:
-            mutation = "swap"
-            wrong = data.draw(st.sampled_from(sorted(
-                set(_JSON_SAMPLES) - {_json_type(original)})))
-            parent[key] = _JSON_SAMPLES[wrong]
+        _sweep(data, [(payload, decode_request)
+                      for payload in _BASE_PAYLOADS])
 
-        status = _outcome(lambda: decode_request(mutant))
-        assert status is None or 400 <= status < 500, (path, mutation, status)
-        if status is not None:
-            return
-        # Accepted: then nothing was silently reinterpreted.  A swapped-in
-        # null means "absent" for an optional field; statistics and
-        # reference_costs are keyed by free names; anything else accepted
-        # must be free-form by contract.
-        if mutation == "swap" and parent[key] is not None:
-            assert _FREE_FORM & set(path), (path, parent[key])
-        if mutation == "add":
-            assert {"options", "statistics", "reference_costs"} & set(path), \
-                path
+    @given(data=st.data())
+    @settings(max_examples=400, **_FUZZ)
+    def test_session_and_batch_mutants_are_rejected_with_a_typed_4xx(
+            self, data):
+        _sweep(data, _SESSION_AND_BATCH_BODIES)
