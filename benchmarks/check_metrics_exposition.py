@@ -8,8 +8,10 @@ Two modes:
 * ``--live`` — start an in-process :class:`TuningServer` on an ephemeral
   port, serve one small tuning request through the HTTP client, scrape
   ``GET /v1/metrics`` over real HTTP, and validate the response: content
-  type, text grammar, and the presence of the request/solver/cache/HTTP
-  series the dashboard relies on.
+  type, text grammar, the presence of the request/solver/cache/HTTP
+  series the dashboard relies on, and that every ``# HELP`` / ``# TYPE``
+  pair states a row of the family table (``repro.obs.metrics.FAMILIES``)
+  word for word.
 
 CI runs the ``--live`` mode in the server-smoke lane, so a malformed
 exposition (or a silently vanished series) fails the build rather than the
@@ -84,6 +86,30 @@ def validate_exposition(text: str) -> list[str]:
     return problems
 
 
+def table_mismatches(text: str) -> list[str]:
+    """Families whose ``# HELP`` / ``# TYPE`` differ from the family table
+    (empty = every family in the scrape is a row, stated as the row states
+    it)."""
+    from repro.obs.metrics import FAMILIES
+
+    rows = {row.name: row for row in FAMILIES}
+    problems: list[str] = []
+    for line in text.splitlines():
+        parts = line.split(" ", 3)
+        if len(parts) < 4 or parts[:2] not in (["#", "HELP"], ["#", "TYPE"]):
+            continue
+        name, stated = parts[2], parts[3]
+        row = rows.get(name)
+        if row is None:
+            problems.append(f"family {name!r} is not in the family table")
+            continue
+        expected = row.help if parts[1] == "HELP" else row.kind
+        if stated != expected:
+            problems.append(f"{parts[1]} of {name!r} is {stated!r}, its row "
+                            f"says {expected!r}")
+    return sorted(set(problems))
+
+
 def scrape_live() -> tuple[str, str]:
     """Serve one request through a live server; return (content_type, body)."""
     import time
@@ -124,7 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--live", action="store_true",
                         help="start an in-process server, tune once, scrape "
-                             "/v1/metrics over HTTP and validate it")
+                             "/v1/metrics over HTTP and validate it against "
+                             "the family table")
     parser.add_argument("--file", type=Path, default=None,
                         help="read the exposition from a file instead of "
                              "stdin")
@@ -145,6 +172,8 @@ def main(argv: list[str] | None = None) -> int:
         text = sys.stdin.read()
 
     problems = validate_exposition(text)
+    if args.live:
+        problems.extend(table_mismatches(text))
     sample_lines = [line for line in text.splitlines()
                     if line and not line.startswith("#")]
     for series in required:

@@ -27,7 +27,7 @@ from repro.analysis.rules.base import Finding, Rule, keyword_arguments
 __all__ = ["MetricLabelRule"]
 
 _LABEL_METHODS = frozenset({"inc", "observe", "labels"})
-_SET_TOKENS = ("metric", "counter", "gauge", "histogram")
+_SET_TOKENS = ("metric", "counter", "gauge", "histogram", "family")
 
 #: Parameter names whose values are validated/bounded upstream (see the
 #: bounded-set table in ``obs/metrics.py``).

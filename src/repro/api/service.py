@@ -43,10 +43,36 @@ from repro.api.tuner import (
 )
 from repro.core.interactive import InteractiveTuningSession
 from repro.exceptions import ServerOverloaded
-from repro.obs.metrics import WAIT_BUCKETS, histogram_quantiles, use_registry
+from repro.obs.metrics import (
+    CONTEXTS_DROPPED, DEGRADED, NAMESPACED_REQUESTS, OVERLOAD_REJECTED,
+    PENDING_REQUESTS, QUEUE_WAIT_SECONDS, REQUEST_SECONDS, REQUESTS,
+    RESULT_RETRIES, SESSIONS_REAPED, histogram_quantiles, use_registry)
 from repro.obs.profile import note_queue_wait
 
 __all__ = ["TuningService", "TuningSession"]
+
+#: The ``/v1/stats`` counters, each the sum of one family's samples in the
+#: registry snapshot whose labels take the listed values (no filter: the
+#: whole family).  ``requests_served`` keeps its legacy meaning: requests
+#: that returned a result (the facade also counts errored ones).
+_STATS_READINGS = (
+    ("evicted_contexts", CONTEXTS_DROPPED, {"reason": ("lru",)}),
+    ("expired_contexts", CONTEXTS_DROPPED, {"reason": ("ttl",)}),
+    ("requests_served", REQUESTS, {"status": ("ok", "degraded")}),
+    ("namespaced_requests", NAMESPACED_REQUESTS, {}),
+    ("sessions_reaped", SESSIONS_REAPED, {}),
+    ("pending", PENDING_REQUESTS, {}),
+    ("rejected_overload", OVERLOAD_REJECTED, {}),
+    ("retries", RESULT_RETRIES, {}),
+    ("degraded_results", DEGRADED, {}),
+)
+
+
+def _reading(snap: dict, row, label_filter: dict) -> int:
+    """One ``/v1/stats`` counter off a registry snapshot."""
+    return int(sum(value for key, value in snap.get(row.name, {}).items()
+                   if all(dict(zip(row.labelnames, key))[label] in allowed
+                          for label, allowed in label_filter.items())))
 
 
 def _renamed_constraint(constraint, renames: "dict[str, str]", workload):
@@ -167,29 +193,6 @@ class TuningService:
         #: exposes them for free.
         self._stats_lock = threading.Lock()
         self._pending = 0
-        metrics = self._tuner.metrics
-        self._namespaced_metric = metrics.counter(
-            "repro_namespaced_requests_total",
-            "Requests whose statements were auto-namespaced")
-        self._reaped_metric = metrics.counter(
-            "repro_sessions_reaped_total",
-            "Interactive sessions reaped by idle TTL")
-        self._rejected_metric = metrics.counter(
-            "repro_overload_rejected_total",
-            "Requests rejected by admission control (429)")
-        self._retries_metric = metrics.counter(
-            "repro_result_retries_total",
-            "Reliability-layer retries reported by served results")
-        self._degraded_metric = metrics.counter(
-            "repro_degraded_total",
-            "Served results flagged degraded (lost shards)")
-        self._pending_metric = metrics.gauge(
-            "repro_pending_requests",
-            "Requests admitted but not yet finished")
-        self._queue_wait_metric = metrics.histogram(
-            "repro_queue_wait_seconds",
-            "Seconds requests waited in the service pool queue",
-            buckets=WAIT_BUCKETS)
         #: Set on pool threads whose request already holds a pending slot
         #: (acquired at submit() time), so tune() does not acquire a second.
         self._slot_held = threading.local()
@@ -233,9 +236,10 @@ class TuningService:
                 pending = self._pending
             else:
                 self._pending += 1
-                self._pending_metric.set(float(self._pending))
+                self._tuner.metrics.family(PENDING_REQUESTS).set(
+                    float(self._pending))
                 return
-        self._rejected_metric.inc()
+        self._tuner.metrics.family(OVERLOAD_REJECTED).inc()
         raise ServerOverloaded(
             f"Tuning service pending-work queue is full "
             f"({pending} in flight, max_pending={limit}); "
@@ -244,7 +248,8 @@ class TuningService:
     def _release_slot(self) -> None:
         with self._stats_lock:
             self._pending -= 1
-            self._pending_metric.set(float(self._pending))
+            self._tuner.metrics.family(PENDING_REQUESTS).set(
+                float(self._pending))
 
     def note_sessions_reaped(self, count: int) -> None:
         """Record idle sessions reaped by a front-end (e.g. the HTTP server).
@@ -256,40 +261,33 @@ class TuningService:
         """
         if count <= 0:
             return
-        self._reaped_metric.inc(float(count))
+        self._tuner.metrics.family(SESSIONS_REAPED).inc(float(count))
 
     def stats(self) -> dict[str, Any]:
         """Machine-readable service counters (the ``/v1/stats`` payload).
 
-        All monotonic counters come out of ONE registry ``snapshot()`` —
-        a single lock acquisition — so a poll racing concurrent
-        ``tune_many`` traffic sees a consistent set: no counter in the
-        payload can come from a later instant than another.
+        All counters (:data:`_STATS_READINGS`) and the latency SLOs come
+        out of ONE registry ``snapshot()`` — a single lock acquisition — so
+        a poll racing concurrent ``tune_many`` traffic sees a consistent
+        set: no counter in the payload can come from a later instant than
+        another.  The per-context rows and the configured limits are direct
+        reads.
 
         ``faults_injected`` counts plan firings observed *in this process*;
         worker-side injections are counted by the worker's plan copy and
         surface here as part of ``retries`` / ``degraded_results`` instead.
         """
+        # context_stats() reaps expired contexts first, so the snapshot
+        # already counts them.
+        contexts = self._tuner.context_stats()
         snap = self._tuner.metrics.snapshot()
-
-        def total(name: str) -> float:
-            return sum(snap.get(name, {}).values())
-
-        # requests_served keeps its legacy meaning: requests that returned a
-        # result (the facade also counts errored requests, under
-        # status="error").
-        served = sum(value
-                     for key, value in snap.get("repro_requests_total",
-                                                {}).items()
-                     if key[2] != "error")
-        pending = snap.get("repro_pending_requests", {}).get((), 0.0)
         plan = self._tuner.effective_fault_plan()
 
         # Streaming latency SLOs: per-advisor p50/p95/p99 interpolated from
         # the full bucket data of the same atomic snapshot, with the slowest
         # request's exemplar trace id for drill-down into /v1/traces.
         latency_slo: dict[str, Any] = {}
-        for labels, sample in snap.get("repro_request_seconds", {}).items():
+        for labels, sample in snap.get(REQUEST_SECONDS.name, {}).items():
             advisor = labels[0] if labels else ""
             p50, p95, p99 = histogram_quantiles(sample, (0.5, 0.95, 0.99))
             row: dict[str, Any] = {
@@ -304,17 +302,11 @@ class TuningService:
             latency_slo[advisor] = row
 
         return {
-            **self._tuner.context_stats(),
+            **contexts,
+            **{key: _reading(snap, row, label_filter)
+               for key, row, label_filter in _STATS_READINGS},
             "namespace_statements": self._namespace_statements,
-            "requests_served": int(served),
-            "namespaced_requests": int(
-                total("repro_namespaced_requests_total")),
-            "sessions_reaped": int(total("repro_sessions_reaped_total")),
-            "pending": int(pending),
             "max_pending": self._max_pending,
-            "rejected_overload": int(total("repro_overload_rejected_total")),
-            "retries": int(total("repro_result_retries_total")),
-            "degraded_results": int(total("repro_degraded_total")),
             "faults_injected": 0 if plan is None else plan.injected_total,
             "latency_slo": latency_slo,
         }
@@ -349,12 +341,14 @@ class TuningService:
                 profile_memory=self._tuner.profile_memory)
         # The per-request family (repro_requests_total) was recorded inside
         # tune_in_context; only the service-level views remain.
+        metrics = self._tuner.metrics
         if renames:
-            self._namespaced_metric.inc()
+            metrics.family(NAMESPACED_REQUESTS).inc()
         if result.diagnostics.retries:
-            self._retries_metric.inc(float(result.diagnostics.retries))
+            metrics.family(RESULT_RETRIES).inc(
+                float(result.diagnostics.retries))
         if result.diagnostics.degraded:
-            self._degraded_metric.inc()
+            metrics.family(DEGRADED).inc()
         return result
 
     def _admitted(self, request: TuningRequest, context: SchemaContext
@@ -393,7 +387,7 @@ class TuningService:
             # histogram and noted thread-locally so the request's root span
             # carries it as ``queue_wait_ms``.
             waited = time.perf_counter() - queued_at
-            self._queue_wait_metric.observe(waited)
+            self._tuner.metrics.family(QUEUE_WAIT_SECONDS).observe(waited)
             note_queue_wait(waited)
             self._slot_held.held = True
             try:

@@ -34,11 +34,8 @@ from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.inum.cache import InumCache
 from repro.obs.log import log_event
 from repro.obs.metrics import (
-    MetricsRegistry,
-    active_registry,
-    declare_standard_metrics,
-    use_registry,
-)
+    CACHE_EVENTS, CONTEXTS_DROPPED, REQUEST_SECONDS, REQUESTS, MetricsRegistry,
+    active_registry, declare_standard_metrics, use_registry)
 from repro.obs.profile import (
     InstrumentedLock,
     ProfileSampler,
@@ -170,9 +167,7 @@ class SchemaContext:
                 statements' templates (wrong costs, or a shape crash deep in
                 the tensor), so the collision is rejected loudly at admission.
         """
-        events = active_registry().counter(
-            "repro_cache_events_total",
-            "Hits and misses of the tuning-stack caches", ("cache", "event"))
+        events = active_registry().family(CACHE_EVENTS)
         key = self._fingerprint(workload)
         with self.lock:
             known = self._workloads.get(key)
@@ -359,9 +354,9 @@ class Tuner:
             OrderedDict()
         self._last_used: dict[tuple[int, CostingSpec], float] = {}
         self._contexts_lock = threading.Lock()
-        #: Contexts dropped by the LRU cap / by TTL expiry (monotonic counters).
-        self.evicted_contexts = 0
-        self.expired_contexts = 0
+        #: Contexts dropped by the LRU cap (``reason="lru"``) or by TTL
+        #: expiry (``reason="ttl"``).
+        self._dropped = self.metrics.family(CONTEXTS_DROPPED)
 
     # ---------------------------------------------------------------- contexts
     def context_for(self, schema: Schema,
@@ -384,7 +379,7 @@ class Tuner:
                 while len(self._contexts) > self.max_contexts:
                     victim, _ = self._contexts.popitem(last=False)
                     self._last_used.pop(victim, None)
-                    self.evicted_contexts += 1
+                    self._dropped.inc(reason="lru")
             return context
 
     def _purge_expired(self, now: float) -> None:
@@ -395,7 +390,17 @@ class Tuner:
         for key in expired:
             self._contexts.pop(key, None)
             self._last_used.pop(key, None)
-            self.expired_contexts += 1
+            self._dropped.inc(reason="ttl")
+
+    @property
+    def evicted_contexts(self) -> int:
+        """Contexts dropped by the LRU cap so far."""
+        return int(self._dropped.value(reason="lru"))
+
+    @property
+    def expired_contexts(self) -> int:
+        """Contexts dropped by TTL expiry so far."""
+        return int(self._dropped.value(reason="ttl"))
 
     @property
     def contexts(self) -> tuple[SchemaContext, ...]:
@@ -403,11 +408,13 @@ class Tuner:
             return tuple(self._contexts.values())
 
     def context_stats(self) -> dict[str, Any]:
-        """Machine-readable context / eviction counters (``/v1/stats``).
+        """The per-context rows and configured limits of ``/v1/stats``.
 
         Also reaps TTL-expired contexts, so the reported state is accurate
         and a stats-polling monitor doubles as the reaper on an otherwise
-        idle server (``context_for`` is the other reap point).
+        idle server (``context_for`` is the other reap point).  The drop
+        counters are registry families (``repro_contexts_dropped_total``),
+        read by ``TuningService.stats()`` off its one snapshot.
         """
         with self._contexts_lock:
             self._purge_expired(time.monotonic())
@@ -427,8 +434,6 @@ class Tuner:
             "context_count": len(contexts),
             "max_contexts": self.max_contexts,
             "context_ttl_s": self.context_ttl_s,
-            "evicted_contexts": self.evicted_contexts,
-            "expired_contexts": self.expired_contexts,
         }
 
     def effective_fault_plan(self):
@@ -657,15 +662,9 @@ def _record_request(request: TuningRequest, advisor_name: str, tier: str,
     """Count the request, sample its latency (the trace id is the exemplar,
     so a slow bucket can be chased back to its stored trace), retain and
     return its exported trace; a failed request's partial trace is logged."""
-    registry.counter(
-        "repro_requests_total",
-        "Tuning requests served through the facade",
-        ("advisor", "tier", "status")).inc(
-        advisor=advisor_name, tier=tier, status=status)
-    registry.histogram(
-        "repro_request_seconds",
-        "End-to-end facade latency per tuning request",
-        ("advisor",)).observe(
+    registry.family(REQUESTS).inc(advisor=advisor_name, tier=tier,
+                                  status=status)
+    registry.family(REQUEST_SECONDS).observe(
         seconds, advisor=advisor_name,
         exemplar=tracer.trace_id if tracer is not None else None)
     if tracer is None:

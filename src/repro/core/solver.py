@@ -37,7 +37,7 @@ from repro.lp.highs_backend import MilpBackend
 from repro.lp.model import Objective
 from repro.lp.solution import GapTracePoint, Solution, SolutionStatus
 from repro.lp.variable import Variable
-from repro.obs.metrics import GAP_BUCKETS, active_registry
+from repro.obs.metrics import SOLVER_GAP, SOLVER_SOLVES, active_registry
 
 __all__ = ["SolverBackend", "SolveReport", "CoPhySolver"]
 
@@ -179,15 +179,10 @@ class CoPhySolver:
             # instrumented here so repro_solver_solves_total counts every
             # solve regardless of backend.
             registry = active_registry()
-            registry.counter(
-                "repro_solver_solves_total",
-                "Solver runs by outcome status",
-                ("status",)).inc(status=solution.status.name.lower())
+            registry.family(SOLVER_SOLVES).inc(
+                status=solution.status.name.lower())
             if math.isfinite(solution.gap):
-                registry.histogram(
-                    "repro_solver_gap",
-                    "Relative optimality gap per finished solve",
-                    buckets=GAP_BUCKETS).observe(float(solution.gap))
+                registry.family(SOLVER_GAP).observe(float(solution.gap))
             if solution.status is SolutionStatus.INFEASIBLE:
                 raise InfeasibleProblemError(
                     "The hard constraints cannot all be satisfied",

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from repro.catalog.schema import Schema
 from repro.exceptions import IndexDefinitionError
 from repro.indexes.index import Index, index_size_bytes
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import CACHE_EVENTS, active_registry
 from repro.workload.query import Query, UpdateQuery
 from repro.workload.workload import WORKLOAD_LRU_LIMIT, Workload
 
@@ -184,9 +184,7 @@ class CandidateGenerator:
         a fresh :class:`CandidateSet` — sessions mutate theirs — with the
         DBA indexes after the generated ones.
         """
-        events = active_registry().counter(
-            "repro_cache_events_total",
-            "Hits and misses of the tuning-stack caches", ("cache", "event"))
+        events = active_registry().family(CACHE_EVENTS)
         key = id(workload)
         entry = self._generated.pop(key, None)
         if entry is not None and entry[0] is workload:

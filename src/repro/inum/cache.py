@@ -16,7 +16,7 @@ from repro.indexes.index import Index
 from repro.inum.gamma_matrix import QueryGammaMatrix
 from repro.inum.template_plan import TemplatePlan
 from repro.inum.workload_tensor import WorkloadGammaTensor
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import CACHE_EVENTS, active_registry
 from repro.obs.profile import InstrumentedLock
 from repro.optimizer.join_enumeration import SubPlanTable
 from repro.optimizer.plan import ScanNode
@@ -44,10 +44,8 @@ def update_statement_cost(shell_cost, maintenance, base_cost):
 
 def _cache_event(cache: str, event: str, count: int = 1) -> None:
     """Record hits/misses of a cache into the active metrics registry."""
-    active_registry().counter(
-        "repro_cache_events_total",
-        "Hits and misses of the tuning-stack caches",
-        ("cache", "event")).inc(count, cache=cache, event=event)
+    active_registry().family(CACHE_EVENTS).inc(count, cache=cache,
+                                               event=event)
 
 
 class InumCache:

@@ -69,17 +69,11 @@ class QueryGammaMatrix:
         self._slot_of = {table: slot for slot, table in enumerate(self._tables)}
         self._column_of: dict[Index, int] = {}
         # Memoized ``min`` reductions per (slot, index subset); atomic
-        # configurations and knapsack-style loops re-cost the same per-table
-        # subsets constantly.  Entries stay valid when new columns register
-        # because a slot minimum only depends on its own subset's columns.
-        # Two levels: by the subset tuple's identity (no hashing at all —
-        # safe because the value keeps the tuple alive, so its id cannot be
-        # reused) and by tuple equality (hits for equal subsets coming from
-        # freshly built configurations).
-        self._slot_min_by_id: dict[tuple[int, int],
-                                   tuple[tuple[Index, ...], np.ndarray]] = {}
-        self._slot_min_by_key: dict[tuple[int, tuple[Index, ...]],
-                                    np.ndarray] = {}
+        # configurations and knapsack-style loops re-cost equal per-table
+        # subsets of freshly built configurations constantly.  Entries stay
+        # valid when new columns register because a slot minimum only
+        # depends on its own subset's columns.
+        self._slot_min: dict[tuple[int, tuple[Index, ...]], np.ndarray] = {}
         self._beta = np.array([t.internal_cost for t in self._templates],
                               dtype=np.float64)
         self._matrix = np.empty((len(self._templates), len(self._tables), 1),
@@ -162,18 +156,17 @@ class QueryGammaMatrix:
 
     def __getstate__(self) -> dict:
         # The optimizer (schema + scan caches) is process-local and the
-        # slot-min memos are keyed by object identities of this process:
-        # only the arrays, templates and column map cross the boundary.
+        # slot-min memo is a rebuildable cache: only the arrays, templates
+        # and column map cross the boundary.
         state = self.__dict__.copy()
-        for key in ("_optimizer", "_slot_min_by_id", "_slot_min_by_key"):
+        for key in ("_optimizer", "_slot_min"):
             del state[key]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._optimizer = None
-        self._slot_min_by_id = {}
-        self._slot_min_by_key = {}
+        self._slot_min = {}
 
     # ------------------------------------------------------------------ reading
     def value(self, position: int, table: str, index: Index | None) -> float:
@@ -206,25 +199,16 @@ class QueryGammaMatrix:
             if not indexes:
                 totals += self._matrix[:, slot, 0]
                 continue
-            id_key = (slot, id(indexes))
-            cached = self._slot_min_by_id.get(id_key)
-            if cached is not None:
-                totals += cached[1]
-                continue
-            eq_key = (slot, indexes)
-            mins = self._slot_min_by_key.get(eq_key)
+            key = (slot, indexes)
+            mins = self._slot_min.get(key)
             if mins is None:
                 self.ensure_columns(indexes)
                 columns = [0]
                 columns.extend(self._column_of[index] for index in indexes)
                 mins = self._matrix[:, slot, columns].min(axis=1)
-                if len(self._slot_min_by_key) >= _SLOT_MIN_CACHE_LIMIT:
-                    self._slot_min_by_key.clear()
-                    self._slot_min_by_id.clear()
-                self._slot_min_by_key[eq_key] = mins
-            if len(self._slot_min_by_id) >= _SLOT_MIN_CACHE_LIMIT:
-                self._slot_min_by_id.clear()
-            self._slot_min_by_id[id_key] = (indexes, mins)
+                if len(self._slot_min) >= _SLOT_MIN_CACHE_LIMIT:
+                    self._slot_min.clear()
+                self._slot_min[key] = mins
             totals += mins
         return float(totals.min())
 

@@ -31,7 +31,8 @@ from repro.lp.highs_backend import LinearRelaxationBackend
 from repro.lp.model import Model, ObjectiveSense, satisfies
 from repro.lp.solution import GapTracePoint, Solution, SolutionStatus
 from repro.lp.variable import Variable
-from repro.obs.metrics import GAP_BUCKETS, NODES_BUCKETS, active_registry
+from repro.obs.metrics import (
+    SOLVER_GAP, SOLVER_NODES, SOLVER_SOLVES, active_registry)
 
 __all__ = ["BranchAndBoundSolver"]
 
@@ -116,21 +117,13 @@ class BranchAndBoundSolver:
         # size and the achieved gap, into whichever registry the current
         # request activated.
         registry = active_registry()
-        registry.counter(
-            "repro_solver_solves_total",
-            "Branch-and-bound solves by outcome status",
-            ("status",)).inc(status=solution.status.name.lower())
-        registry.histogram(
-            "repro_solver_nodes",
-            "Nodes explored per branch-and-bound solve",
-            buckets=NODES_BUCKETS).observe(float(solution.nodes_explored))
+        registry.family(SOLVER_SOLVES).inc(
+            status=solution.status.name.lower())
+        registry.family(SOLVER_NODES).observe(float(solution.nodes_explored))
         if math.isfinite(solution.gap):
             # Failed solves report an infinite gap; observing it would poison
             # the histogram's _sum, so only finished solves land here.
-            registry.histogram(
-                "repro_solver_gap",
-                "Relative optimality gap per finished solve",
-                buckets=GAP_BUCKETS).observe(float(solution.gap))
+            registry.family(SOLVER_GAP).observe(float(solution.gap))
         return solution
 
     def _solve(self, model: Model,

@@ -13,10 +13,13 @@ Like the tracer, the registry is ambient: the facade activates the owning
 :class:`~repro.api.tuner.Tuner`'s registry around each request
 (:func:`use_registry`), deep layers record through :func:`active_registry`,
 and code running outside any request falls back to the process-wide
-:data:`DEFAULT_REGISTRY`.  Metric families are get-or-create, so call sites
-simply declare name/help/labels inline; :func:`declare_standard_metrics`
-pre-registers the stack's standard families so ``/v1/metrics`` exposes them
-(as empty families) even before the first request.
+:data:`DEFAULT_REGISTRY`.  Every family the stack records is declared once,
+as a :class:`Family` row of the table :data:`FAMILIES` (name, kind, help,
+labels, buckets): recording sites name their row
+(``active_registry().family(CACHE_EVENTS).inc(...)``),
+:func:`declare_standard_metrics` pre-registers the rows so ``/v1/metrics``
+exposes them before the first request, and ``TuningService.stats()`` reads
+its counters off one snapshot by row.
 
 Label cardinality contract (enforced by the ``metric-label-cardinality``
 reprolint rule): every label value must come from a *bounded* set, because
@@ -35,6 +38,7 @@ domains and where each is pinned:
   ``tensor``, ``bip`` (the per-workload BIP kept beside the tensor),
   ``candidates`` (generated candidate indexes per workload),
   ``canonical_workload``, ``schema_payload``.
+* ``reason`` — why a schema context was dropped: ``lru`` or ``ttl``.
 * ``event`` / ``outcome`` / ``kind`` / ``stage`` — short literal event names
   at the call site.
 * ``lock`` — :class:`~repro.obs.profile.InstrumentedLock` names, fixed at
@@ -55,16 +59,17 @@ log event or a trace span attribute instead.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-import contextlib
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_REGISTRY", "METRICS_CONTENT_TYPE", "active_registry",
-           "declare_standard_metrics", "histogram_quantiles", "use_registry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "Family",
+           "FAMILIES", "DEFAULT_REGISTRY", "METRICS_CONTENT_TYPE",
+           "active_registry", "declare_standard_metrics",
+           "histogram_quantiles", "use_registry"]
 
 #: Content type of the Prometheus text exposition format, as scrapers expect.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -255,6 +260,9 @@ class Histogram(_Metric):
         return lines
 
 
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
+
+
 class MetricsRegistry:
     """Get-or-create metric families behind one lock.
 
@@ -283,6 +291,13 @@ class MetricsRegistry:
                   buckets: tuple[float, ...] = SECONDS_BUCKETS) -> Histogram:
         return self._get_or_create(Histogram, name, help_text,
                                    tuple(labelnames), buckets=buckets)
+
+    def family(self, row: "Family") -> Any:
+        """The family declared by a :data:`FAMILIES` row (get-or-create)."""
+        cls = _KINDS[row.kind]
+        kwargs = {"buckets": row.buckets} if cls is Histogram else {}
+        return self._get_or_create(cls, row.name, row.help, row.labelnames,
+                                   **kwargs)
 
     def _get_or_create(self, cls, name: str, help_text: str,
                        labelnames: tuple[str, ...], **kwargs) -> Any:
@@ -421,61 +436,83 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         _ACTIVE_REGISTRY.reset(token)
 
 
-# --------------------------------------------------------- standard families
-def declare_standard_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Pre-register the stack's standard metric families.
+# ------------------------------------------------------------ the family table
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table; ``buckets`` is for histograms only."""
 
-    Families only exist once first touched; declaring them up front makes
-    ``GET /v1/metrics`` expose the full schema (empty families render as
-    ``# HELP`` / ``# TYPE`` headers) from the moment the server starts, so
-    scrapers and dashboards never see a shifting metric set.
-    """
-    registry.counter("repro_requests_total",
-                     "Tuning requests served through the facade",
-                     ("advisor", "tier", "status"))
-    registry.histogram("repro_request_seconds",
-                       "End-to-end facade latency per tuning request",
-                       ("advisor",))
-    registry.counter("repro_result_retries_total",
-                     "Reliability-layer retries reported by served results")
-    registry.counter("repro_namespaced_requests_total",
-                     "Requests whose statements were auto-namespaced")
-    registry.counter("repro_sessions_reaped_total",
-                     "Interactive sessions reaped by idle TTL")
-    registry.counter("repro_overload_rejected_total",
-                     "Requests rejected by admission control (429)")
-    registry.counter("repro_degraded_total",
-                     "Served results flagged degraded (lost shards)")
-    registry.gauge("repro_pending_requests",
-                   "Requests admitted but not yet finished")
-    registry.counter("repro_solver_solves_total",
-                     "Branch-and-bound solves by terminal status",
-                     ("status",))
-    registry.histogram("repro_solver_nodes",
-                       "Nodes explored per branch-and-bound solve",
-                       buckets=NODES_BUCKETS)
-    registry.histogram("repro_solver_gap",
-                       "Relative optimality gap per solve",
-                       buckets=GAP_BUCKETS)
-    registry.histogram("repro_lock_wait_seconds",
-                       "Seconds callers waited to acquire a named lock",
-                       ("lock",), buckets=WAIT_BUCKETS)
-    registry.histogram("repro_queue_wait_seconds",
-                       "Seconds requests waited in the service pool queue",
-                       buckets=WAIT_BUCKETS)
-    registry.counter("repro_cache_events_total",
-                     "Hits and misses of the tuning-stack caches",
-                     ("cache", "event"))
-    registry.counter("repro_retries_total",
-                     "Retries taken by the reliability layer, by site",
-                     ("site",))
-    registry.counter("repro_faults_injected_total",
-                     "Fault-plan injections observed in this process",
-                     ("site",))
-    registry.counter("repro_http_requests_total",
-                     "HTTP requests served by the tuning server",
-                     ("endpoint", "method", "status"))
-    registry.histogram("repro_http_request_seconds",
-                       "HTTP dispatch latency by endpoint",
-                       ("endpoint",))
+    name: str
+    kind: str  # the Prometheus type: counter, gauge or histogram
+    help: str
+    labelnames: tuple[str, ...] = ()
+    buckets: tuple[float, ...] = ()
+
+
+REQUESTS = Family("repro_requests_total", "counter",
+                  "Tuning requests served through the facade",
+                  ("advisor", "tier", "status"))
+REQUEST_SECONDS = Family("repro_request_seconds", "histogram",
+                         "End-to-end facade latency per tuning request",
+                         ("advisor",), SECONDS_BUCKETS)
+RESULT_RETRIES = Family("repro_result_retries_total", "counter",
+                        "Reliability-layer retries reported by served results")
+NAMESPACED_REQUESTS = Family("repro_namespaced_requests_total", "counter",
+                             "Requests whose statements were auto-namespaced")
+SESSIONS_REAPED = Family("repro_sessions_reaped_total", "counter",
+                         "Interactive sessions reaped by idle TTL")
+OVERLOAD_REJECTED = Family("repro_overload_rejected_total", "counter",
+                           "Requests rejected by admission control (429)")
+DEGRADED = Family("repro_degraded_total", "counter",
+                  "Served results flagged degraded (lost shards)")
+PENDING_REQUESTS = Family("repro_pending_requests", "gauge",
+                          "Requests admitted but not yet finished")
+CONTEXTS_DROPPED = Family("repro_contexts_dropped_total", "counter",
+                          "Schema contexts dropped, by reason (lru or ttl)",
+                          ("reason",))
+SOLVER_SOLVES = Family("repro_solver_solves_total", "counter",
+                       "BIP solves (branch-and-bound or MILP backend) by "
+                       "terminal status", ("status",))
+SOLVER_NODES = Family("repro_solver_nodes", "histogram",
+                      "Nodes explored per branch-and-bound solve",
+                      buckets=NODES_BUCKETS)
+SOLVER_GAP = Family("repro_solver_gap", "histogram",
+                    "Relative optimality gap per finished solve",
+                    buckets=GAP_BUCKETS)
+LOCK_WAIT_SECONDS = Family("repro_lock_wait_seconds", "histogram",
+                           "Seconds callers waited to acquire a named lock",
+                           ("lock",), WAIT_BUCKETS)
+QUEUE_WAIT_SECONDS = Family("repro_queue_wait_seconds", "histogram",
+                            "Seconds requests waited in the service pool "
+                            "queue", buckets=WAIT_BUCKETS)
+CACHE_EVENTS = Family("repro_cache_events_total", "counter",
+                      "Hits and misses of the tuning-stack caches",
+                      ("cache", "event"))
+RETRIES = Family("repro_retries_total", "counter",
+                 "Retries taken by the reliability layer, by site", ("site",))
+FAULTS_INJECTED = Family("repro_faults_injected_total", "counter",
+                         "Fault-plan injections observed in this process",
+                         ("site",))
+HTTP_REQUESTS = Family("repro_http_requests_total", "counter",
+                       "HTTP requests served by the tuning server",
+                       ("endpoint", "method", "status"))
+HTTP_REQUEST_SECONDS = Family("repro_http_request_seconds", "histogram",
+                              "HTTP dispatch latency by endpoint",
+                              ("endpoint",), SECONDS_BUCKETS)
+
+#: The family table: every family the stack records, declared once above.
+FAMILIES: tuple[Family, ...] = (
+    REQUESTS, REQUEST_SECONDS, RESULT_RETRIES, NAMESPACED_REQUESTS,
+    SESSIONS_REAPED, OVERLOAD_REJECTED, DEGRADED, PENDING_REQUESTS,
+    CONTEXTS_DROPPED, SOLVER_SOLVES, SOLVER_NODES, SOLVER_GAP,
+    LOCK_WAIT_SECONDS, QUEUE_WAIT_SECONDS, CACHE_EVENTS, RETRIES,
+    FAULTS_INJECTED, HTTP_REQUESTS, HTTP_REQUEST_SECONDS)
+
+
+def declare_standard_metrics(registry: MetricsRegistry) -> MetricsRegistry:
+    """Pre-register every row of :data:`FAMILIES`, so ``GET /v1/metrics``
+    exposes the full schema (empty families render as ``# HELP`` / ``# TYPE``
+    headers) from the moment the server starts and scrapers never see a
+    shifting metric set."""
+    for row in FAMILIES:
+        registry.family(row)
     return registry

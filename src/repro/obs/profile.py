@@ -37,7 +37,7 @@ import time
 import tracemalloc
 from typing import Any
 
-from repro.obs.metrics import WAIT_BUCKETS, active_registry
+from repro.obs.metrics import LOCK_WAIT_SECONDS, active_registry
 
 __all__ = ["InstrumentedLock", "ProfileSampler", "drain_pending_waits",
            "ensure_memory_tracking", "note_queue_wait"]
@@ -85,10 +85,8 @@ class InstrumentedLock:
         self.release()
 
     def _record(self, waited: float) -> None:
-        active_registry().histogram(
-            "repro_lock_wait_seconds",
-            "Seconds callers waited to acquire a named lock",
-            ("lock",), buckets=WAIT_BUCKETS).observe(waited, lock=self.name)
+        active_registry().family(LOCK_WAIT_SECONDS).observe(waited,
+                                                            lock=self.name)
         if waited > 0.0:
             _note_wait("lock_wait_s", waited)
 

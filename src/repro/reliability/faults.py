@@ -209,12 +209,9 @@ class FaultPlan:
                 break
         if fired is None:
             return
-        from repro.obs.metrics import active_registry
+        from repro.obs.metrics import FAULTS_INJECTED, active_registry
 
-        active_registry().counter(
-            "repro_faults_injected_total",
-            "Fault-plan injections observed in this process",
-            ("site",)).inc(site=site)
+        active_registry().family(FAULTS_INJECTED).inc(site=site)
         if fired.latency_s > 0:
             time.sleep(fired.latency_s)
         if fired.action == "latency":

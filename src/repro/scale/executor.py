@@ -63,7 +63,7 @@ from repro.inum.gamma_matrix import QueryGammaMatrix
 from repro.inum.template_plan import TemplatePlan
 from repro.lp.budget import SolveBudget
 from repro.obs.log import log_event
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import RETRIES, active_registry
 from repro.obs.trace import Tracer, activate, current_trace_id, span
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.reliability.faults import FaultPlan, armed_plan, maybe_check
@@ -363,9 +363,7 @@ class ShardExecutor:
 
 def _retry_metric(site: str) -> None:
     """Count one reliability-layer retry against the active registry."""
-    active_registry().counter(
-        "repro_retries_total",
-        "Retries taken by the reliability layer", ("site",)).inc(site=site)
+    active_registry().family(RETRIES).inc(site=site)
 
 
 def _failed_shard_result(shard: Shard, exc: BaseException,

@@ -56,6 +56,7 @@ auto-namespacing exist.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import logging
@@ -70,7 +71,8 @@ from repro.api.service import TuningService, TuningSession
 from repro.api.specs import TuningRequest
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import log_event
-from repro.obs.metrics import METRICS_CONTENT_TYPE, use_registry
+from repro.obs.metrics import (
+    HTTP_REQUEST_SECONDS, HTTP_REQUESTS, METRICS_CONTENT_TYPE, use_registry)
 from repro.obs.trace import trace_context
 from repro.server.protocol import (
     API_PREFIX,
@@ -103,8 +105,9 @@ class TuningServer:
             back from :attr:`port` (the pattern tests and in-process examples
             use).
         namespace_statements / max_contexts / context_ttl_s: Forwarded to the
-            created :class:`TuningService` (ignored when ``service`` is
-            supplied).  ``max_contexts`` *defaults to 64* here — unlike the
+            created :class:`TuningService`; with ``service`` supplied, a
+            non-default value is a ``ValueError`` (configure that service
+            instead).  ``max_contexts`` *defaults to 64* here — unlike the
             embedded service — because a server's schema contexts are born
             from decoded payloads: once the schema cache rotates an entry
             out, the orphaned context would be unreachable yet retained
@@ -122,17 +125,17 @@ class TuningServer:
             request cannot reserve a worker thread for an arbitrary wall
             time.
         max_pending / retry_after_s: Admission control, forwarded to the
-            created :class:`TuningService` (ignored when ``service`` is
-            supplied): at most ``max_pending`` tuning requests in flight,
-            beyond which the server answers 429 with a ``Retry-After``
-            header of ``retry_after_s``.
+            created :class:`TuningService` (same rule): at most
+            ``max_pending`` tuning requests in flight, beyond which the
+            server answers 429 with a ``Retry-After`` header of
+            ``retry_after_s``.
         drain_timeout_s: Upper bound :meth:`stop` waits for in-flight
             requests to finish before closing (graceful shutdown).
         trace_store_size / slow_threshold_ms / profile_every: Performance
             introspection, forwarded to the created :class:`TuningService`
-            (ignored when ``service`` is supplied): the ``/v1/traces`` ring
-            capacity (0 disables it), the slow-request pinning threshold,
-            and the sampled-``cProfile`` cadence.
+            (same rule): the ``/v1/traces`` ring capacity (0 disables it),
+            the slow-request pinning threshold, and the sampled-``cProfile``
+            cadence.
     """
 
     def __init__(self, service: TuningService | None = None,
@@ -158,15 +161,25 @@ class TuningServer:
             raise ValueError("max_time_budget_ms must be positive (or None)")
         if drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be non-negative")
+        forwarded = {"namespace_statements": namespace_statements,
+                     "max_contexts": max_contexts,
+                     "context_ttl_s": context_ttl_s,
+                     "max_pending": max_pending,
+                     "retry_after_s": retry_after_s,
+                     "trace_store_size": trace_store_size,
+                     "slow_threshold_ms": slow_threshold_ms,
+                     "profile_every": profile_every}
         if service is None:
-            service = TuningService(namespace_statements=namespace_statements,
-                                    max_contexts=max_contexts,
-                                    context_ttl_s=context_ttl_s,
-                                    max_pending=max_pending,
-                                    retry_after_s=retry_after_s,
-                                    trace_store_size=trace_store_size,
-                                    slow_threshold_ms=slow_threshold_ms,
-                                    profile_every=profile_every)
+            service = TuningService(**forwarded)
+        else:
+            defaults = inspect.signature(TuningServer).parameters
+            overridden = [name for name, value in forwarded.items()
+                          if value != defaults[name].default]
+            if overridden:
+                raise ValueError(
+                    f"{'/'.join(overridden)} configure the service the "
+                    "server creates; when supplying a service, set them on "
+                    "it directly")
         self.service = service
         self.schema_cache = SchemaCache(max_schemas=max_schemas)
         self.session_ttl_s = session_ttl_s
@@ -519,18 +532,12 @@ class _TuningRequestHandler(BaseHTTPRequestHandler):
         finally:
             owner._request_finished()
             registry = owner.service.tuner.metrics
-            registry.counter(
-                "repro_http_requests_total",
-                "HTTP requests served, by route pattern and status",
-                ("endpoint", "method", "status"),
-            ).inc(endpoint=endpoint, method=method,
-                  # HTTP status codes are a closed set.
-                  status=str(self._status_sent))  # reprolint: disable=metric-label-cardinality
-            registry.histogram(
-                "repro_http_request_seconds",
-                "Wall-clock seconds per HTTP request",
-                ("endpoint",),
-            ).observe(time.perf_counter() - started, endpoint=endpoint)
+            registry.family(HTTP_REQUESTS).inc(
+                endpoint=endpoint, method=method,
+                # HTTP status codes are a closed set.
+                status=str(self._status_sent))  # reprolint: disable=metric-label-cardinality
+            registry.family(HTTP_REQUEST_SECONDS).observe(
+                time.perf_counter() - started, endpoint=endpoint)
 
     def _write_error(self, exc: BaseException, *,
                      endpoint: str = "unknown") -> None:

@@ -28,7 +28,7 @@ from repro.api.specs import TuningRequest
 from repro.exceptions import ServerOverloaded
 from repro.lp.budget import SolveBudget
 from repro.obs.log import log_event
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import RETRIES, active_registry
 from repro.obs.trace import current_trace_id, new_trace_id, pending_trace_id
 from repro.reliability.faults import FaultPlan, InjectedFault, armed_plan
 from repro.reliability.retry import RetryPolicy
@@ -209,10 +209,7 @@ class TuningClient:
             budget = SolveBudget(time_budget_ms=timeout * 1000.0).start()
 
         def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
-            active_registry().counter(
-                "repro_retries_total",
-                "Retries taken by the reliability layer, by site",
-                ("site",)).inc(site="http_client")
+            active_registry().family(RETRIES).inc(site="http_client")
             log_event(logging.WARNING, "http_retry", method=method,
                       path=path, attempt=attempt, error=repr(exc),
                       delay_s=round(delay, 3), trace_id=trace_id)

@@ -43,7 +43,7 @@ from repro.api._codec import (
     BOOL, FLOAT, INT, NUMBER, OBJECT, STR, Codec, Field, Record,
     WireFormatError, decode, encode, enum, flat, many, mapping, union)
 from repro.api.result import _INDEX
-from repro.obs.metrics import active_registry
+from repro.obs.metrics import CACHE_EVENTS, active_registry
 from repro.api.specs import AdvisorSpec, CostingSpec, ScaleSpec, TuningRequest
 from repro.catalog.column import Column, ColumnType
 from repro.catalog.schema import Schema
@@ -156,10 +156,8 @@ def decode_schema(payload: Mapping[str, Any]) -> Schema:
 
 
 def _schema_cache_event(event: str) -> None:
-    active_registry().counter(
-        "repro_cache_events_total",
-        "Hits and misses of the tuning-stack caches",
-        ("cache", "event")).inc(cache="schema_payload", event=event)
+    active_registry().family(CACHE_EVENTS).inc(cache="schema_payload",
+                                               event=event)
 
 
 class SchemaCache:

@@ -160,6 +160,31 @@ def test_metric_label_rule_ignores_exemplar_kwarg(tmp_path):
     assert findings == []
 
 
+def test_metric_label_rule_checks_the_row_based_call_form(tmp_path):
+    # Recording sites name a row of the family table instead of restating
+    # the family; the label values they pass are held to the same contract.
+    bad = run_tree(tmp_path / "bad", {"pkg/obs.py": """\
+        from repro.obs.metrics import CACHE_EVENTS, PENDING_REQUESTS
+
+        def record(registry, query_name, depth):
+            registry.family(CACHE_EVENTS).inc(cache=f"q-{query_name}",
+                                              event="hit")
+            registry.family(PENDING_REQUESTS).set(1.0, queue=str(depth))
+        """}, rule="metric-label-cardinality")
+    assert len(bad) == 2
+    assert all("bounded" in finding.message for finding in bad)
+
+    good = run_tree(tmp_path / "good", {"pkg/obs.py": """\
+        from repro.obs.metrics import CACHE_EVENTS, SOLVER_SOLVES
+
+        def record(registry, cache, solution):
+            registry.family(CACHE_EVENTS).inc(cache=cache, event="miss")
+            registry.family(SOLVER_SOLVES).inc(
+                status=solution.status.name.lower())
+        """}, rule="metric-label-cardinality")
+    assert good == []
+
+
 # -------------------------------------------------------------- bounded buffer
 def test_bounded_buffer_flags_unbounded_deque_in_obs(tmp_path):
     findings = run_tree(tmp_path, {"repro/obs/ring.py": """\

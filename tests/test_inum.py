@@ -244,10 +244,40 @@ class TestInumCost:
         inum.build(query)
         matrix = inum.gamma_matrix(query)
         matrix._matrix[:, :, 0] = INFEASIBLE_COST  # force every template infeasible
-        matrix._slot_min_by_id.clear()
-        matrix._slot_min_by_key.clear()
+        matrix._slot_min.clear()
         with pytest.raises(OptimizerError):
             inum.cost(query, Configuration())
+
+    def test_atomic_configuration_costing_hits_the_slot_min_memo(
+            self, monkeypatch):
+        """ILP costs every atomic configuration of a query on freshly built
+        configurations: equal per-table subsets must reuse one slot minimum
+        (the memo is keyed by subset equality, not object identity)."""
+        from repro.api.registry import make_advisor
+        from repro.core.constraints import StorageBudgetConstraint
+        from repro.inum.gamma_matrix import QueryGammaMatrix
+
+        reads = {"hit": 0, "miss": 0}
+
+        class CountingMemo(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                reads["miss" if value is None else "hit"] += 1
+                return value
+
+        built = QueryGammaMatrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built(self, *args, **kwargs)
+            self._slot_min = CountingMemo()
+
+        monkeypatch.setattr(QueryGammaMatrix, "__init__", counting_init)
+        schema = tpch_schema(scale_factor=0.01)
+        advisor = make_advisor("ilp", schema, gap_tolerance=0.0)
+        advisor.tune(generate_homogeneous_workload(8, seed=3), [
+            StorageBudgetConstraint.from_fraction_of_data(schema, 1.0)])
+        assert reads["miss"] > 0
+        assert reads["hit"] > reads["miss"]
 
     def test_linear_composability_identity(self, inum, simple_workload):
         """cost(q, X) must equal min_k (beta_k + sum_i min_a gamma_kia)."""

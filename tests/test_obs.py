@@ -23,6 +23,7 @@ from repro.api.service import TuningService
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import log_event
 from repro.obs.metrics import (
+    FAMILIES,
     METRICS_CONTENT_TYPE,
     MetricsRegistry,
     declare_standard_metrics,
@@ -574,6 +575,77 @@ class TestFacadeMetrics:
         snap = tuner.metrics.snapshot()
         statuses = {key[2] for key in snap["repro_requests_total"]}
         assert statuses == {"error"}
+
+
+# ------------------------------------------------------------ the family table
+def _assert_families_are_rows(registry: MetricsRegistry) -> None:
+    rows = {row.name: row for row in FAMILIES}
+    for name in registry.snapshot():
+        row = rows.get(name)
+        assert row is not None, f"{name} is declared outside the table"
+        metric = registry.get(name)
+        assert (metric.kind, metric.help, metric.labelnames) \
+            == (row.kind, row.help, row.labelnames), name
+        if row.kind == "histogram":
+            assert metric.buckets == row.buckets, name
+
+
+class TestFamilyTable:
+    def test_table_declares_each_family_once(self):
+        names = [row.name for row in FAMILIES]
+        assert len(names) == len(set(names))
+        registry = declare_standard_metrics(MetricsRegistry())
+        assert sorted(registry.snapshot()) == sorted(names)
+
+    def test_every_recorded_family_is_a_table_row(self, tpch):
+        """Drive every recording site the serving stack has — facade,
+        service admission and namespacing, HTTP, session reaping, both
+        solver backends, context eviction — and hold each family any of
+        them created to its row.  The ambient registry is undeclared, so a
+        site restating a family with its own help or labels shows here."""
+        from repro.core.solver import SolverBackend
+        from repro.exceptions import ServerOverloaded
+
+        ambient = MetricsRegistry()
+        with use_registry(ambient):
+            tuner = Tuner()
+            tuner.tune(_request(tpch))
+            request = _request(tpch, seed=32)
+            for backend in SolverBackend:
+                make_advisor("cophy", tpch, backend=backend).tune(
+                    request.workload, request.constraints)
+
+            service = TuningService(namespace_statements=True,
+                                    max_contexts=1)
+            service.tune(_request(tpch, seed=33, statements=6))
+            service.tune(_request(tpch, seed=34, statements=6))
+            service.max_pending = 0
+            with pytest.raises(ServerOverloaded):
+                service.tune(_request(tpch))
+            service.max_pending = None
+            with TuningServer(service=service, session_ttl_s=0.05) as server:
+                client = TuningClient(server.url)
+                # The decoded schema is a new object: a second context,
+                # which evicts the first under max_contexts=1.
+                client.tune(_request(tpch, seed=35, statements=4))
+                client.open_session(_request(tpch, seed=35, statements=4))
+                time.sleep(0.1)
+                assert server.session_count == 0
+            service.close()
+
+        stats = service.stats()
+        assert stats["namespaced_requests"] == 1
+        assert stats["rejected_overload"] == 1
+        assert stats["sessions_reaped"] == 1
+        assert stats["evicted_contexts"] >= 1
+        solves = ambient.snapshot()["repro_solver_solves_total"]
+        assert sum(solves.values()) == 2
+        assert ambient.snapshot()["repro_solver_nodes"][()]["count"] == 1
+        text = service.tuner.metrics.render()
+        assert (f'repro_contexts_dropped_total{{reason="lru"}} '
+                f'{stats["evicted_contexts"]}') in text
+        for registry in (ambient, tuner.metrics, service.tuner.metrics):
+            _assert_families_are_rows(registry)
 
 
 # -------------------------------------------------------------- stats atomicity

@@ -487,6 +487,22 @@ class TestHealthAndStats:
             stats = TuningClient(server.url).stats()
         assert stats["service"]["max_contexts"] == 64
 
+    @pytest.mark.parametrize("knob", [
+        {"namespace_statements": True}, {"max_contexts": None},
+        {"context_ttl_s": 5.0}, {"max_pending": 4}, {"retry_after_s": 2.0},
+        {"trace_store_size": 0}, {"slow_threshold_ms": 10.0},
+        {"profile_every": 3}])
+    def test_forwarded_knobs_require_an_owned_service(self, knob):
+        """The knobs configure the service the server creates; silently
+        dropping them next to a supplied service would hide a
+        misconfiguration, as TuningService(tuner=...) already refuses to."""
+        service = TuningService()
+        with pytest.raises(ValueError, match=next(iter(knob))):
+            TuningServer(service=service, **knob)
+        # The server's own defaults are not overrides.
+        TuningServer(service=service).close()
+        service.close()
+
     def test_health_ignores_query_strings(self):
         """Load balancers probe with query parameters; routing must not 404."""
         with TuningServer() as server:
