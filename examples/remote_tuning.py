@@ -5,14 +5,18 @@ auto-namespacing on), describes a tuning problem once, and serves it both
 through an embedded ``TuningService`` and through ``TuningClient`` over the
 wire — then asserts the two results carry *identical fingerprints*, which is
 the end-to-end guarantee of the wire formats: encode → HTTP → decode → tune
-is bit-for-bit the in-process pipeline.  The batch endpoint and the four
-steps of a remote interactive session are held to the same parity.  Also
-prints the ``/v1/stats`` counters (schema-context LRU, namespacing).
+is bit-for-bit the in-process pipeline.  A repeat of the request names
+its schema by digest instead of re-sending it (its body is under a tenth of
+the first) and still matches.  The batch endpoint and the four steps of a
+remote interactive session are held to the same parity.  Also prints the
+``/v1/stats`` counters (schema-context LRU, namespacing).
 
 Run with:  python examples/remote_tuning.py
 """
 
 from __future__ import annotations
+
+import json
 
 from repro import StorageBudgetConstraint, TuningRequest
 from repro.api import TuningService
@@ -23,10 +27,22 @@ from repro.server import TuningClient, TuningServer
 from repro.workload import generate_homogeneous_workload
 
 
+class MeasuredClient(TuningClient):
+    """A ``TuningClient`` that notes the size of every body it POSTs."""
+
+    def __init__(self, base_url: str):
+        super().__init__(base_url)
+        self.body_bytes: list[int] = []
+
+    def _post(self, path, payload, **options):
+        self.body_bytes.append(len(json.dumps(payload)))
+        return super()._post(path, payload, **options)
+
+
 def main() -> None:
     # 1. One declarative tuning problem, built exactly like quickstart.py.
     schema = tpch_schema(scale_factor=0.01)
-    workload = generate_homogeneous_workload(30, seed=11)
+    workload = generate_homogeneous_workload(6, seed=11)
     request = TuningRequest(
         workload=workload,
         schema=schema,
@@ -44,7 +60,7 @@ def main() -> None:
     #    the stdlib-urllib client SDK.  ``TuningClient.tune`` accepts the
     #    same TuningRequest and returns the same TuningResult type.
     with TuningServer(namespace_statements=True, max_contexts=8) as server:
-        client = TuningClient(server.url)
+        client = MeasuredClient(server.url)
         health = client.health()
         print(f"Server up at {server.url}: advisors = "
               f"{', '.join(health['advisors'])}")
@@ -56,6 +72,19 @@ def main() -> None:
               f"{remote.fingerprint()[:16]}… "
               f"({remote.index_count} indexes, objective "
               f"{remote.objective_estimate:.1f})")
+
+        #    The schema has crossed the wire once; a repeat names it by the
+        #    digest of that payload, and the server resolves it to the same
+        #    schema context.
+        again = client.tune(request)
+        first_bytes, again_bytes = client.body_bytes[0], client.body_bytes[-1]
+        assert again_bytes < 0.1 * first_bytes, \
+            "a repeated request must name its schema by digest"
+        local_again = local_service.tune(request)
+        assert again.fingerprint() == local_again.fingerprint(), \
+            "a request sent by digest must tune like the local repeat"
+        print(f"Repeat by schema digest: {again_bytes:,} B instead of "
+              f"{first_bytes:,} B, fingerprint still equal to the local one")
 
         # 4. Batched serving: the server fans tune_batch out on its thread
         #    pool (different advisors, one shared schema context).

@@ -117,7 +117,9 @@ class Field(NamedTuple):
     key itself when empty).  A key that is not ``required`` may be absent or
     ``null`` — the constructor's default applies — and ``None`` is emitted as
     ``null``.  ``since`` is the payload version that introduced the field; a
-    newer field is "not set", to the encoder, while it is ``None``.
+    newer field is "not set", to the encoder, while it is ``None`` or the
+    object has no such attribute (a version-3 ``schema_digest`` is set only
+    on the view :func:`repro.server.wire.request_by_digest` builds).
     """
 
     key: str
@@ -159,7 +161,8 @@ class Record:
         newest = 1
         if self._newer:
             newest = max((f.since for f in self._newer
-                          if getattr(obj, f.attr) is not None), default=1)
+                          if getattr(obj, f.attr, None) is not None),
+                         default=1)
             walk.version = max(walk.version, newest)
         payload = dict(self._head)
         for key, codec, attr, required, since in self.fields:

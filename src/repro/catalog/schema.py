@@ -15,6 +15,14 @@ class Schema:
     (to validate column references), the candidate generator (to enumerate
     indexable columns), the what-if optimizer (for statistics) and the
     constraint language (e.g. the per-table clustered-index rule).
+
+    A schema is identified by the object, not by its contents: the
+    :class:`~repro.api.tuner.Tuner` keys its per-schema contexts by
+    ``id(schema)``, and a :class:`~repro.server.client.TuningClient` names a
+    schema it has sent once by the digest of that first payload.  So a schema
+    object must not be modified once it has been tuned or sent; build a new
+    one for a changed catalog.  (The optimizer's lazily synthesised default
+    column statistics are the one write, and they change no decision.)
     """
 
     def __init__(self, tables: Iterable[Table], name: str = "schema"):

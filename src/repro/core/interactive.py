@@ -93,6 +93,7 @@ class InteractiveTuningSession:
         """Produce the initial recommendation (full INUM + build + solve)."""
         advisor = self._advisor
         timings: dict[str, float] = {}
+        whatif_before = self._whatif_calls()
         with stage(timings, "total"):
             with stage(timings, "inum", statements=len(self._workload)):
                 advisor.inum.build_workload(self._workload)
@@ -104,7 +105,7 @@ class InteractiveTuningSession:
                 # on the new model) and silently skip creating the
                 # candidate's variables.
                 self._pinned_out = {}
-            return self._solve(timings, warm_start=None)
+            return self._solve(timings, None, whatif_before)
 
     def add_candidates(self, new_indexes: Iterable[Index]) -> Recommendation:
         """Re-tune after the DBA adds candidate indexes (delta BIP + warm start)."""
@@ -112,6 +113,7 @@ class InteractiveTuningSession:
             self._candidates.add_all(new_indexes)
             return self.recommend()
         timings: dict[str, float] = {"inum": 0.0}
+        whatif_before = self._whatif_calls()
         with stage(timings, "total"):
             with stage(timings, "build"):
                 new_indexes = list(new_indexes)
@@ -125,7 +127,8 @@ class InteractiveTuningSession:
                         [self._pinned_out.pop(index) for index in restored])
                     self._candidates.add_all(restored)
                 self._advisor.bip_builder.extend(self._bip, new_indexes)
-            return self._solve(timings, self._warm_start_values())
+            return self._solve(timings, self._warm_start_values(),
+                               whatif_before)
 
     def remove_candidates(self, removed_indexes: Iterable[Index]) -> Recommendation:
         """Re-tune after the DBA retracts candidate indexes (pinned delta BIP).
@@ -142,6 +145,7 @@ class InteractiveTuningSession:
         if self._bip is None:
             return self.recommend()
         timings: dict[str, float] = {"inum": 0.0}
+        whatif_before = self._whatif_calls()
         with stage(timings, "total"):
             with stage(timings, "build"):
                 for index in removed:
@@ -156,7 +160,7 @@ class InteractiveTuningSession:
                     [index for index in self._last_recommendation.configuration
                      if index not in set(removed)])
                 warm_start = self._bip.warm_start_from(survivors)
-            return self._solve(timings, warm_start)
+            return self._solve(timings, warm_start, whatif_before)
 
     def update_constraints(self,
                            constraints: Sequence[TuningConstraint | SoftConstraint]
@@ -166,8 +170,10 @@ class InteractiveTuningSession:
         if self._bip is None:
             return self.recommend()
         timings: dict[str, float] = {"inum": 0.0, "build": 0.0}
+        whatif_before = self._whatif_calls()
         with stage(timings, "total"):
-            return self._solve(timings, self._warm_start_values())
+            return self._solve(timings, self._warm_start_values(),
+                               whatif_before)
 
     # ---------------------------------------------------------------- internals
     def _warm_start_values(self):
@@ -175,7 +181,18 @@ class InteractiveTuningSession:
             return None
         return self._bip.warm_start_from(self._last_recommendation.configuration)
 
-    def _solve(self, timings: dict[str, float], warm_start) -> Recommendation:
+    def _whatif_calls(self) -> int:
+        """What-if calls so far on the advisor's (possibly shared) optimizer.
+
+        A step reports its own delta, as ``CoPhyAdvisor.tune`` does, so what
+        other requests did on the context never shows in it.  Template
+        builds stay out, as they always have here: counting them would make
+        a first step differ between a warm and a fresh context.
+        """
+        return self._advisor.optimizer.whatif_calls
+
+    def _solve(self, timings: dict[str, float], warm_start,
+               whatif_before: int) -> Recommendation:
         advisor = self._advisor
         with stage(timings, "solve",
                    warm_started=warm_start is not None) as node:
@@ -189,7 +206,7 @@ class InteractiveTuningSession:
             objective_estimate=report.objective,
             timings=timings,
             candidate_count=len(self._candidates),
-            whatif_calls=advisor.optimizer.whatif_calls,
+            whatif_calls=self._whatif_calls() - whatif_before,
             gap=report.gap,
             gap_trace=report.gap_trace,
             extras={"solve_report": report, "warm_started": warm_start is not None},

@@ -50,7 +50,9 @@ Equal client schema payloads are canonicalized through a
 :class:`~repro.server.wire.SchemaCache` so repeated traffic shares one
 ``SchemaContext`` (optimizer, templates, tensors) — which is exactly why the
 service-level eviction (``max_contexts`` / ``context_ttl_s``) and statement
-auto-namespacing exist.
+auto-namespacing exist.  A request that names its schema by
+``schema_digest`` (wire version 3) resolves through the same cache; a digest
+it does not hold answers 404 ``UnknownSchemaDigest``.
 """
 
 from __future__ import annotations

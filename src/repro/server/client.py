@@ -12,6 +12,12 @@ agnostic about where the advisor runs::
 (:class:`~repro.exceptions.WorkloadError` on statement-name collisions, …)
 reconstructed from the server's error envelope; only transport-level
 failures surface as :class:`~repro.server.protocol.TuningServerError`.
+
+A schema crosses the wire once per process: the first request carrying a
+:class:`~repro.catalog.schema.Schema` object sends it in full, and every later
+one, from any client, names it by the digest of that payload (wire version
+3).  A server that cannot resolve the digest — another server, an evicted
+entry, a version-2 server — refuses the body, and gets it again in full.
 """
 
 from __future__ import annotations
@@ -19,12 +25,15 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import threading
 import urllib.error
 import urllib.request
+import weakref
 from typing import Any, Iterable, Sequence
 
 from repro.api.result import TuningResult
 from repro.api.specs import TuningRequest
+from repro.catalog.schema import Schema
 from repro.exceptions import ServerOverloaded
 from repro.lp.budget import SolveBudget
 from repro.obs.log import log_event
@@ -38,12 +47,16 @@ from repro.server.protocol import (
     TuningClientTimeout,
     TuningServerError,
     TuningServerUnavailable,
+    UnknownSchemaDigest,
     raise_remote_error,
 )
 from repro.server.wire import (
+    WireFormatError,
     encode_batch,
     encode_request,
     encode_session_step,
+    request_by_digest,
+    schema_digest,
 )
 
 __all__ = ["DEFAULT_RETRY_POLICY", "TuningClient", "RemoteTuningSession"]
@@ -51,6 +64,12 @@ __all__ = ["DEFAULT_RETRY_POLICY", "TuningClient", "RemoteTuningSession"]
 #: The client's default backoff schedule for idempotent calls.
 DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.2,
                                    cap_delay_s=5.0)
+
+#: The digest of the payload each schema object was last sent as in full,
+#: shared by every client in the process and dropped with the object.
+_SENT_SCHEMAS: "weakref.WeakKeyDictionary[Schema, str]" = \
+    weakref.WeakKeyDictionary()
+_SENT_SCHEMAS_LOCK = threading.Lock()
 
 
 class TuningClient:
@@ -74,6 +93,12 @@ class TuningClient:
             Budgeted requests never retry past their own derived deadline.
         fault_plan: Explicit fault-injection plan for the ``http_request``
             site; ``None`` defers to the process-wide armed plan.
+
+    A :class:`~repro.catalog.schema.Schema` object must not be modified once
+    it has been sent (or tuned): after its first request, every client in
+    the process names it by the digest of the payload it was first sent as,
+    so the server keeps tuning against that payload.  Build a new schema
+    object for a changed catalog.
     """
 
     def __init__(self, base_url: str, timeout: float = 300.0,
@@ -91,17 +116,17 @@ class TuningClient:
     # ------------------------------------------------------------------ tuning
     def tune(self, request: TuningRequest) -> TuningResult:
         """Serve one declarative request remotely (mirrors ``Tuner.tune``)."""
-        payload = self._post(f"{API_PREFIX}/tune", encode_request(request),
-                             timeout=self._derived_timeout([request]),
-                             idempotent=True)
+        payload = self._post_requests(
+            f"{API_PREFIX}/tune", [request],
+            timeout=self._derived_timeout([request]), idempotent=True)
         return TuningResult.from_payload(payload["result"])
 
     def tune_many(self, requests: Iterable[TuningRequest]
                   ) -> list[TuningResult]:
         """Serve a batch concurrently on the server; results in order."""
         requests = list(requests)
-        payload = self._post(
-            f"{API_PREFIX}/tune_batch", encode_batch(requests),
+        payload = self._post_requests(
+            f"{API_PREFIX}/tune_batch", requests, batch=True,
             timeout=self._derived_timeout(requests), idempotent=True)
         return [TuningResult.from_payload(entry)
                 for entry in payload["results"]]
@@ -124,7 +149,7 @@ class TuningClient:
     # ---------------------------------------------------------------- sessions
     def open_session(self, request: TuningRequest) -> "RemoteTuningSession":
         """Open a server-held interactive session (delta-BIP re-tuning)."""
-        payload = self._post(f"{API_PREFIX}/sessions", encode_request(request))
+        payload = self._post_requests(f"{API_PREFIX}/sessions", [request])
         return RemoteTuningSession(self, payload["session_id"], request)
 
     # ------------------------------------------------------------- diagnostics
@@ -158,6 +183,41 @@ class TuningClient:
               idempotent: bool = False) -> dict[str, Any]:
         return self._call("POST", path, payload, timeout=timeout,
                           idempotent=idempotent)
+
+    def _post_requests(self, path: str, requests: Sequence[TuningRequest],
+                       batch: bool = False, **options: Any
+                       ) -> dict[str, Any]:
+        """POST one request (or, with ``batch``, a ``tune_batch`` of them),
+        each schema this process has sent before named by its digest.
+
+        A server that refuses a digest (:class:`UnknownSchemaDigest`, or
+        ``WireFormatError`` from a server older than version 3) has served
+        nothing yet — every body decodes whole before any work — so the
+        requests go again in full, once.
+        """
+        def send(entries: Sequence[Any]) -> dict[str, Any]:
+            body = encode_batch(entries) if batch else encode_request(
+                entries[0])
+            digests: dict[Schema, str] = {}
+            for request, sent in zip(requests, body["requests"] if batch
+                                     else [body]):
+                if (sent["schema"] is not None
+                        and request.schema not in digests):
+                    digests[request.schema] = schema_digest(sent["schema"])
+            with _SENT_SCHEMAS_LOCK:
+                _SENT_SCHEMAS.update(digests)
+            return self._post(path, body, **options)
+
+        with _SENT_SCHEMAS_LOCK:
+            known = [_SENT_SCHEMAS.get(request.schema) for request in requests]
+        if not any(known):
+            return send(requests)
+        try:
+            return send([request if digest is None
+                         else request_by_digest(request, digest)
+                         for request, digest in zip(requests, known)])
+        except (UnknownSchemaDigest, WireFormatError):
+            return send(requests)
 
     def _delete(self, path: str) -> dict[str, Any]:
         return self._call("DELETE", path, None)

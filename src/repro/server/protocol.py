@@ -14,8 +14,8 @@ and over the wire.  Status mapping:
 * ``422`` — the request parsed but describes an unservable tuning problem:
   :class:`WorkloadError` (e.g. statement-name collisions), catalog and
   constraint errors, infeasible problems;
-* ``404`` — unknown endpoint, session, or stored trace (evicted trace ids
-  answer 404 exactly like never-recorded ones);
+* ``404`` — unknown endpoint, session, stored trace or schema digest (evicted
+  trace ids and schema digests answer 404 exactly like never-recorded ones);
 * ``429`` — admission control rejected the request
   (:class:`~repro.exceptions.ServerOverloaded`); the response carries a
   ``Retry-After`` header and the envelope a ``retry_after_s`` hint;
@@ -38,10 +38,11 @@ from repro.exceptions import (
     ServerOverloaded,
     WorkloadError,
 )
-from repro.server.wire import WireFormatError
+from repro.api._codec import WireFormatError
 
 __all__ = ["API_PREFIX", "TRACE_HEADER", "TuningClientTimeout",
-           "TuningServerError", "TuningServerUnavailable", "error_envelope",
+           "TuningServerError", "TuningServerUnavailable",
+           "UnknownSchemaDigest", "error_envelope",
            "envelope_for_exception", "raise_remote_error",
            "response_headers_for"]
 
@@ -95,6 +96,20 @@ class TuningClientTimeout(TuningServerError):
         self.timeout_seconds = timeout_seconds
 
 
+class UnknownSchemaDigest(TuningServerError):
+    """A request named its schema by a ``schema_digest`` the server does not
+    hold: another server saw the schema, or the schema cache evicted it.
+
+    Not a ``WireFormatError`` — the body is well formed — so the decoder
+    passes it through unwrapped, and the client answers it by re-sending the
+    request with the schema in full, once.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message, status=404,
+                         error_type="UnknownSchemaDigest")
+
+
 def error_envelope(error_type: str, message: str, status: int
                    ) -> dict[str, Any]:
     return {"error": {"type": error_type, "message": message,
@@ -145,9 +160,12 @@ def response_headers_for(exc: BaseException) -> dict[str, str]:
     return {"Retry-After": str(max(1, math.ceil(float(retry_after))))}
 
 
-#: Builtin exception types the embedded API raises for bad requests; the
-#: client resurrects them so ``except ValueError`` handlers work remotely.
-_BUILTIN_ERROR_TYPES = {"ValueError": ValueError, "TypeError": TypeError}
+#: Envelope types raised as themselves that :mod:`repro.exceptions` does not
+#: hold: the builtin types the embedded API raises for bad requests (so
+#: ``except ValueError`` handlers work remotely) and the wire's own errors.
+_OTHER_ERROR_TYPES = {"ValueError": ValueError, "TypeError": TypeError,
+                      "WireFormatError": WireFormatError,
+                      "UnknownSchemaDigest": UnknownSchemaDigest}
 
 
 def raise_remote_error(status: int, payload: Mapping[str, Any] | None,
@@ -181,8 +199,6 @@ def raise_remote_error(status: int, payload: Mapping[str, Any] | None,
             and issubclass(exception_class, ReproError)
             and exception_class is not ReproError):
         raise exception_class(message)
-    if error_type == "WireFormatError":
-        raise WireFormatError(message)
-    if error_type in _BUILTIN_ERROR_TYPES:
-        raise _BUILTIN_ERROR_TYPES[error_type](message)
+    if error_type in _OTHER_ERROR_TYPES:
+        raise _OTHER_ERROR_TYPES[error_type](message)
     raise TuningServerError(message, status=status, error_type=error_type)

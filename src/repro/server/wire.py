@@ -28,6 +28,13 @@ Every request carries ``wire_version``; an unknown version, an unknown or
 missing field and a value of the wrong JSON type are all
 :class:`WireFormatError` — never a silent partial load.  Constraints carrying
 live callables (selectors, filters) are rejected at *encode* time.
+
+A request carries its schema in full, or (version 3) names one the server
+already holds by ``schema_digest``: the :func:`schema_digest` of the payload
+it was first sent as.  The encoders here always emit the full form; only the
+client picks the by-digest view (:func:`request_by_digest`), and the server
+resolves it through :class:`SchemaCache` to the object the full payload gave.
+A digest the cache does not hold is :class:`UnknownSchemaDigest` (HTTP 404).
 """
 
 from __future__ import annotations
@@ -37,13 +44,15 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Iterable, Mapping
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.api._codec import (
     BOOL, FLOAT, INT, NUMBER, OBJECT, STR, Codec, Field, Record,
     WireFormatError, decode, encode, enum, flat, many, mapping, union)
 from repro.api.result import _INDEX
 from repro.obs.metrics import CACHE_EVENTS, active_registry
+from repro.server.protocol import UnknownSchemaDigest
 from repro.api.specs import AdvisorSpec, CostingSpec, ScaleSpec, TuningRequest
 from repro.catalog.column import Column, ColumnType
 from repro.catalog.schema import Schema
@@ -85,6 +94,9 @@ __all__ = [
     "WIRE_VERSION",
     "WireFormatError",
     "SchemaCache",
+    "UnknownSchemaDigest",
+    "schema_digest",
+    "request_by_digest",
     "encode_schema",
     "decode_schema",
     "encode_workload",
@@ -107,8 +119,12 @@ __all__ = [
 #: 2 — anytime tuning: the advisor spec may carry ``time_budget_ms`` /
 #: ``solve_tier``.  Neither set, the encoder still emits version 1, so
 #: budget-less clients keep interoperating with version-1 servers; the
-#: decoder rejects budget fields arriving under version 1.
-WIRE_VERSION = 2
+#: decoder rejects budget fields arriving under version 1; 3 — a request may
+#: name its schema by ``schema_digest`` instead of carrying it.  Only a
+#: client's repeat sends of a schema object use it, so a first send still
+#: encodes as version 1 or 2, and a version-2 server's 400 makes the client
+#: re-send in full.
+WIRE_VERSION = 3
 
 
 # ---------------------------------------------------------------------- schema
@@ -155,6 +171,13 @@ def decode_schema(payload: Mapping[str, Any]) -> Schema:
     return decode(_SCHEMA, payload)
 
 
+def schema_digest(payload: Mapping[str, Any]) -> str:
+    """The SHA-256 of a schema payload's canonical JSON: the key of
+    :class:`SchemaCache`, and what a version-3 request names its schema by."""
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _schema_cache_event(event: str) -> None:
     active_registry().family(CACHE_EVENTS).inc(cache="schema_payload",
                                                event=event)
@@ -172,7 +195,10 @@ class SchemaCache:
 
     Entries are LRU-bounded by ``max_schemas``; evicting one only means the
     next equal payload decodes a fresh object (and gets a fresh context — the
-    Tuner's own ``max_contexts`` / ``context_ttl_s`` reap the orphan).
+    Tuner's own ``max_contexts`` / ``context_ttl_s`` reap the orphan), and a
+    request naming it by digest is :class:`UnknownSchemaDigest`.  A digest
+    is only ever computed here, from a full payload: a client's digest can
+    name an entry, never make one.
     """
 
     def __init__(self, max_schemas: int | None = 32):
@@ -186,16 +212,31 @@ class SchemaCache:
         with self._lock:
             return len(self._schemas)
 
-    def resolve(self, payload: Mapping[str, Any]) -> Schema:
-        """Decode ``payload`` once per distinct schema, LRU-cached by digest."""
-        key = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    def _cached(self, key: str) -> Schema | None:
         with self._lock:
             schema = self._schemas.get(key)
             if schema is not None:
                 self._schemas.move_to_end(key)
-                _schema_cache_event("hit")
-                return schema
+        return schema
+
+    def lookup(self, digest: str) -> Schema:
+        """The schema a full payload with ``digest`` resolved to."""
+        schema = self._cached(digest)
+        if schema is None:
+            _schema_cache_event("unknown_digest")
+            raise UnknownSchemaDigest(
+                f"No schema with digest {digest!r} is cached here; send the "
+                f"request with its schema in full")
+        _schema_cache_event("hit")
+        return schema
+
+    def resolve(self, payload: Mapping[str, Any]) -> Schema:
+        """Decode ``payload`` once per distinct schema, LRU-cached by digest."""
+        key = schema_digest(payload)
+        schema = self._cached(key)
+        if schema is not None:
+            _schema_cache_event("hit")
+            return schema
         _schema_cache_event("miss")
         schema = decode_schema(payload)
         with self._lock:
@@ -369,16 +410,54 @@ def decode_constraint(payload: Mapping[str, Any], workload: Workload
 
 
 # --------------------------------------------------------------------- request
+def _bind_schema(walk: Any, resolve: Callable[[Any], Schema], value: Any
+                 ) -> Schema:
+    """Either schema row binds the request's schema; the workload row, which
+    every request has, takes it — so a batch entry never sees the last's."""
+    if "unbound_schema" in vars(walk):
+        raise WireFormatError(
+            "request payload carries both a schema and a schema_digest")
+    walk.unbound_schema = resolve(value)
+    return walk.unbound_schema
+
+
 def _decode_request_schema(payload: Any, walk: Any) -> Schema:
     cache = walk.schema_cache
-    walk.schema = (decode_schema if cache is None else cache.resolve)(payload)
-    return walk.schema
+    return _bind_schema(
+        walk, decode_schema if cache is None else cache.resolve, payload)
+
+
+def _decode_schema_digest(digest: Any, walk: Any) -> Schema:
+    cache = walk.schema_cache
+    if cache is None:  # no digest resolves without a cache: an empty one
+        cache = SchemaCache()
+    return _bind_schema(walk, cache.lookup, STR.dec(digest, walk))
 
 
 def _decode_request_workload(payload: Any, walk: Any) -> Workload:
+    walk.schema = vars(walk).pop("unbound_schema", None)
+    if walk.schema is None:
+        raise WireFormatError(
+            "request payload needs a schema or a schema_digest")
     walk.workload = _WORKLOAD.dec(payload, walk)
     walk.workload.validate_against(walk.schema)
     return walk.workload
+
+
+def _request(schema_digest: Schema | None = None, **fields: Any
+             ) -> TuningRequest:
+    """A decoded request: a ``schema_digest`` row resolved to its schema."""
+    if schema_digest is not None:
+        fields["schema"] = schema_digest
+    return TuningRequest(**fields)
+
+
+def request_by_digest(request: TuningRequest, digest: str) -> Any:
+    """What :func:`encode_request` / :func:`encode_batch` encode as
+    ``request`` naming its schema by ``digest`` — a version-3 payload with
+    ``"schema": null``."""
+    return SimpleNamespace(**{**vars(request), "schema": None,
+                              "schema_digest": digest})
 
 
 _INDEXES = many(_INDEX)
@@ -406,11 +485,15 @@ _SCALE = Record(
     Field("budget_oversubscription", NUMBER, required=False))
 
 #: Decoded in row order: the hooks of later rows read ``walk.schema`` and
-#: ``walk.workload``, which the ``schema`` and ``workload`` rows bind.
+#: ``walk.workload``, which the ``workload`` row binds — the schema as one of
+#: the two schema rows before it resolved it.
 _REQUEST = Record(
-    "request", TuningRequest,
+    "request", _request,
     Field("request_id", STR, required=False),
-    Field("schema", Codec(_SCHEMA.enc, _decode_request_schema)),
+    Field("schema", Codec(_SCHEMA.enc, _decode_request_schema),
+          required=False),
+    Field("schema_digest", Codec(STR.enc, _decode_schema_digest),
+          required=False, since=3),
     Field("workload", Codec(_WORKLOAD.enc, _decode_request_workload)),
     Field("constraints", many(_CONSTRAINT), required=False),
     Field("candidates", Codec(
@@ -437,7 +520,9 @@ def decode_request(payload: Mapping[str, Any],
 
     With a ``schema_cache``, equal schema payloads resolve to one shared
     :class:`Schema` object, so the serving Tuner can share one context
-    (optimizer, INUM cache, tensors) across requests.
+    (optimizer, INUM cache, tensors) across requests, and a ``schema_digest``
+    resolves to the object its full payload gave; a digest the cache does
+    not hold (or any digest, without a cache) is :class:`UnknownSchemaDigest`.
     """
     return decode(_REQUEST, payload, schema_cache=schema_cache)
 

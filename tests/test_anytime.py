@@ -45,6 +45,7 @@ from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.server import (
+    WIRE_VERSION,
     TuningClient,
     TuningClientTimeout,
     TuningServer,
@@ -484,7 +485,7 @@ class TestWireVersioning:
 
     def test_unknown_version_rejected(self, simple_schema, simple_workload):
         payload = encode_request(_request(simple_schema, simple_workload))
-        payload["wire_version"] = 3
+        payload["wire_version"] = WIRE_VERSION + 1
         with pytest.raises(WireFormatError, match="wire_version"):
             decode_request(payload)
 

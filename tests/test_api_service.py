@@ -491,6 +491,31 @@ class TestServiceSessions:
             simple_workload, dba_indexes=(dba,)).indexes \
             == (*generated, dba)
 
+    def test_a_step_counts_only_its_own_whatif_calls(self, simple_schema,
+                                                     simple_workload):
+        """A step on a context that served a DTA request fingerprints like the
+        same step on a fresh context: it reports the what-if calls it made,
+        not the shared optimizer's running total."""
+        request = TuningRequest(workload=simple_workload,
+                                schema=simple_schema,
+                                constraints=[_budget(simple_schema)])
+        extra_cap = [_budget(simple_schema), IndexCountConstraint(limit=2)]
+
+        def steps(service):
+            session = service.open_session(request)
+            return [session.recommend(),
+                    session.update_constraints(extra_cap)]
+
+        fresh = steps(TuningService())
+        busy = TuningService()
+        dta = busy.tune(TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            constraints=[_budget(simple_schema)], advisor="dta"))
+        assert dta.diagnostics.whatif_calls > 0
+        assert [step.fingerprint() for step in steps(busy)] == \
+            [step.fingerprint() for step in fresh]
+        assert fresh[1].diagnostics.whatif_calls == 0
+
     def test_open_session_requires_cophy(self, simple_schema,
                                          simple_workload):
         service = TuningService()

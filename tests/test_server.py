@@ -19,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.api import Tuner, TuningRequest, TuningResult, TuningService
+from repro.catalog import tpch_schema
 from repro.core.constraints import (
     IndexCountConstraint,
     StorageBudgetConstraint,
@@ -26,8 +27,11 @@ from repro.core.constraints import (
 from repro.exceptions import WorkloadError
 from repro.indexes.index import Index
 from repro.reliability import FaultPlan
-from repro.server import TuningClient, TuningServer, TuningServerError
-from repro.workload import parse_workload
+from repro.server import (
+    WIRE_VERSION, TuningClient, TuningServer, TuningServerError)
+from repro.server import app as server_app
+from repro.server.wire import WireFormatError, encode_request
+from repro.workload import generate_homogeneous_workload, parse_workload
 
 
 def _budget(schema, fraction=1.0):
@@ -127,6 +131,192 @@ class TestEndToEndParity:
         assert stats["service"]["requests_served"] == 2
         context = stats["service"]["contexts"][0]
         assert context["canonical_workloads"] == 1
+
+
+class _RecordingClient(TuningClient):
+    """A client that keeps every POST body it sends, as JSON text."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bodies = []
+
+    def _post(self, path, payload, **options):
+        self.bodies.append(json.dumps(payload))
+        return super()._post(path, payload, **options)
+
+
+def _sent(body):
+    """Per request of a body: ``"full"``, or ``"digest"`` when it names its
+    schema by digest."""
+    payload = json.loads(body)
+    return ["full" if entry["schema"] is not None else "digest"
+            for entry in payload.get("requests", [payload])]
+
+
+class TestSchemaByDigest:
+    """A schema object crosses the wire once per process; later requests,
+    from any client, name it by digest."""
+
+    def _request(self, skew=0.0, **kwargs):
+        """A request on a TPC-H schema object no client has sent yet."""
+        schema = tpch_schema(scale_factor=0.005, skew=skew)
+        return _request(schema, generate_homogeneous_workload(4, seed=5),
+                        **kwargs)
+
+    def test_a_repeat_travels_by_digest_and_tunes_like_a_warm_tuner(self):
+        request = self._request()
+        tuner = Tuner()
+        tuner.tune(request)
+        warm = tuner.tune(request)
+        with TuningServer() as server:
+            first, again = (_RecordingClient(server.url) for _ in range(2))
+            first.tune(request)
+            remote = again.tune(request)  # another client: the memo is
+            stats = again.stats()         # the schema object's
+        assert _sent(first.bodies[0]) == ["full"]
+        assert _sent(again.bodies[0]) == ["digest"]
+        assert len(again.bodies[0]) < 0.1 * len(first.bodies[0])
+        assert remote.fingerprint() == warm.fingerprint()
+        assert stats["service"]["context_count"] == 1
+
+    def test_an_unknown_digest_is_sent_again_in_full_once(self):
+        request = self._request()
+        cold = Tuner().tune(request).fingerprint()
+        with TuningServer() as server:
+            TuningClient(server.url).tune(request)
+        with TuningServer() as fresh:  # has never seen the schema
+            client = _RecordingClient(fresh.url)
+            assert client.tune(request).fingerprint() == cold
+        assert [_sent(body) for body in client.bodies] == \
+            [["digest"], ["full"]]
+
+    def test_an_evicted_digest_is_sent_again_in_full_once(self):
+        request, other = self._request(), self._request(skew=1.0)
+        cold = Tuner().tune(request).fingerprint()
+        with TuningServer(max_schemas=1) as server:
+            client = _RecordingClient(server.url)
+            client.tune(request)
+            client.tune(other)  # evicts the first schema
+            assert client.tune(request).fingerprint() == cold
+            stats = client.stats()
+        assert [_sent(body) for body in client.bodies] == \
+            [["full"], ["full"], ["digest"], ["full"]]
+        assert stats["cached_schemas"] == 1
+
+    def test_a_version_2_server_gets_the_full_body(self, monkeypatch):
+        """A server that does not know version 3 answers 400; the client
+        re-sends in full, which that server serves."""
+        decode = server_app.decode_request
+
+        def version_2(body, schema_cache=None):
+            if body.get("wire_version") == 3:
+                raise WireFormatError("Unsupported wire_version 3")
+            return decode(body, schema_cache=schema_cache)
+
+        request = self._request()
+        tuner = Tuner()
+        tuner.tune(request)
+        with TuningServer() as server:
+            client = _RecordingClient(server.url)
+            client.tune(request)
+            monkeypatch.setattr(server_app, "decode_request", version_2)
+            assert client.tune(request).fingerprint() == \
+                tuner.tune(request).fingerprint()
+        assert [_sent(body) for body in client.bodies] == \
+            [["full"], ["digest"], ["full"]]
+
+    def test_batches_and_sessions_travel_by_digest(self):
+        request = self._request()
+        capped = _request(request.schema, request.workload,
+                          constraints=[IndexCountConstraint(limit=2)])
+        batch = [request, capped]
+        local = TuningService()
+        local.tune(request)
+        expected = [result.fingerprint() for result in local.tune_many(batch)]
+        expected_step = local.open_session(request).recommend().fingerprint()
+        with TuningServer() as server:
+            client = _RecordingClient(server.url)
+            client.tune(request)
+            results = client.tune_many(batch)
+            with client.open_session(request) as session:
+                step = session.recommend()
+        local.close()
+        assert [_sent(body) for body in client.bodies[:3]] == \
+            [["full"], ["digest", "digest"], ["digest"]]
+        assert [result.fingerprint() for result in results] == expected
+        assert step.fingerprint() == expected_step
+
+    def test_lazily_filled_statistics_open_no_second_context(self):
+        """An embedded optimizer writes default column statistics into the
+        client's schema; the payload changes, the schema object does not."""
+        schema = tpch_schema(scale_factor=0.005)
+        request = _request(schema, parse_workload(
+            ["SELECT c_acctbal FROM customer WHERE c_address = 'x'"],
+            schema=schema))  # c_address has no statistics
+        with TuningServer() as server:
+            client = TuningClient(server.url)
+            client.tune(request)
+            before = encode_request(request)["schema"]
+            Tuner().tune(request)
+            assert encode_request(request)["schema"] != before
+            client.tune(request)
+            stats = client.stats()
+        assert stats["service"]["context_count"] == 1
+        assert stats["cached_schemas"] == 1
+
+    def test_concurrent_clients_share_the_memo(self):
+        """Eight threads, each with its own client, race to send one fresh
+        schema object: every request is served, onto one schema context."""
+        import sys
+
+        request = self._request()
+        expected = Tuner().tune(request)
+        errors, results = [], []
+        with TuningServer() as server:
+            def loop():
+                try:
+                    client = TuningClient(server.url)
+                    results.extend(client.tune(request) for _ in range(2))
+                except Exception as exc:  # noqa: BLE001 — asserted below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=loop) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = TuningClient(server.url).stats()
+        assert errors == [] and len(results) == 16
+        assert {result.configuration for result in results} == \
+            {expected.configuration}
+        assert stats["service"]["context_count"] == 1
+        assert stats["cached_schemas"] == 1
+
+    def test_a_digest_only_body_to_a_fresh_server_is_a_typed_404(self):
+        request = self._request()
+        with TuningServer() as server:
+            TuningClient(server.url).tune(request)
+            named = _RecordingClient(server.url)
+            named.tune(request)
+        body = named.bodies[0].encode("utf-8")
+        with TuningServer() as fresh:
+            http = urllib.request.Request(
+                f"{fresh.url}/v1/tune", data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(http)
+            envelope = json.loads(info.value.read())
+            metrics = fresh.handle_metrics()
+        assert info.value.code == 404
+        assert envelope["error"]["type"] == "UnknownSchemaDigest"
+        assert ('repro_cache_events_total{cache="schema_payload",'
+                'event="unknown_digest"} 1') in metrics
 
 
 class TestNamespacing:
@@ -467,7 +657,7 @@ class TestHealthAndStats:
             health = TuningClient(server.url).health()
         assert health["status"] == "ok"
         assert "cophy" in health["advisors"]
-        assert health["wire_version"] == 2
+        assert health["wire_version"] == WIRE_VERSION
 
     def test_close_without_start_returns(self):
         """close() on a never-started server must not block on shutdown()."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -40,10 +41,13 @@ from repro.core.constraints import (
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.index import Index
 from repro.server import wire
+from repro.obs.metrics import CACHE_EVENTS, MetricsRegistry, use_registry
+from repro.server import TuningClient
 from repro.server.protocol import envelope_for_exception
 from repro.server.wire import (
     WIRE_VERSION,
     SchemaCache,
+    UnknownSchemaDigest,
     WireFormatError,
     decode_batch,
     decode_constraint,
@@ -57,6 +61,8 @@ from repro.server.wire import (
     encode_schema,
     encode_session_step,
     encode_workload,
+    request_by_digest,
+    schema_digest,
 )
 from repro.workload import (
     generate_heterogeneous_workload,
@@ -139,6 +145,23 @@ class TestSchemaCodec:
         cache.resolve(encode_schema(tpch_schema(scale_factor=0.004)))
         assert len(cache) == 2
         assert cache.resolve(payload) is not first
+
+    def test_schema_cache_looks_up_what_a_full_payload_resolved(
+            self, simple_schema):
+        cache = SchemaCache(max_schemas=1)
+        payload = _json_round_trip(encode_schema(simple_schema))
+        digest = schema_digest(payload)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            first = cache.resolve(payload)
+            assert cache.lookup(digest) is first
+            cache.resolve(encode_schema(tpch_schema(scale_factor=0.005)))
+            with pytest.raises(UnknownSchemaDigest) as info:
+                cache.lookup(digest)  # evicted
+        assert envelope_for_exception(info.value)[0] == 404
+        events = registry.family(CACHE_EVENTS)
+        assert [events.value(cache="schema_payload", event=event)
+                for event in ("miss", "hit", "unknown_digest")] == [2, 1, 1]
 
 
 class TestWorkloadCodec:
@@ -284,6 +307,62 @@ class TestRequestCodec:
         with pytest.raises(WireFormatError, match="wire_version"):
             decode_request(payload)
 
+    def _by_digest(self, schema, workload):
+        """A by-digest payload and a cache that has seen its schema."""
+        request = self._request(schema, workload)
+        cache = SchemaCache()
+        full = _json_round_trip(encode_request(request))
+        cache.resolve(full["schema"])
+        digest = schema_digest(full["schema"])
+        return _json_round_trip(encode_request(
+            request_by_digest(request, digest))), cache, full
+
+    def test_by_digest_request_resolves_to_the_cached_schema(
+            self, simple_schema, simple_workload):
+        payload, cache, full = self._by_digest(simple_schema,
+                                               simple_workload)
+        assert payload["wire_version"] == 3 and payload["schema"] is None
+        assert {**payload, "schema": full["schema"],
+                "wire_version": full["wire_version"]} == \
+            {**full, "schema_digest": payload["schema_digest"]}
+        decoded = decode_request(payload, schema_cache=cache)
+        assert decoded.schema is cache.resolve(full["schema"])
+        assert encode_request(decoded) == full
+
+    @pytest.mark.parametrize("defect", ["both", "neither"])
+    def test_a_v3_request_names_exactly_one_schema(
+            self, defect, simple_schema, simple_workload):
+        payload, cache, full = self._by_digest(simple_schema,
+                                               simple_workload)
+        if defect == "both":
+            payload["schema"] = full["schema"]
+        else:
+            del payload["schema_digest"]
+        with pytest.raises(WireFormatError, match="schema") as info:
+            decode_request(payload, schema_cache=cache)
+        assert envelope_for_exception(info.value)[0] == 400
+
+    def test_schema_digest_under_version_2_is_rejected(
+            self, simple_schema, simple_workload):
+        payload, cache, _ = self._by_digest(simple_schema, simple_workload)
+        payload["wire_version"] = 2
+        with pytest.raises(WireFormatError, match="unknown fields") as info:
+            decode_request(payload, schema_cache=cache)
+        assert envelope_for_exception(info.value)[0] == 400
+
+    def test_unresolvable_digest_is_a_typed_404(self, simple_schema,
+                                               simple_workload):
+        payload, cache, _ = self._by_digest(simple_schema, simple_workload)
+        for schema_cache in (None, SchemaCache()):
+            with pytest.raises(UnknownSchemaDigest) as info:
+                decode_request(payload, schema_cache=schema_cache)
+            assert envelope_for_exception(info.value) == (404, {"error": {
+                "type": "UnknownSchemaDigest", "message": str(info.value),
+                "status": 404}})
+        # The same digest nested in a batch is not re-wrapped either.
+        with pytest.raises(UnknownSchemaDigest):
+            decode_batch({"requests": [payload]}, schema_cache=SchemaCache())
+
     def test_unknown_spec_fields_are_rejected(self, simple_schema,
                                               simple_workload):
         """Retired costing knobs fail like any other unknown field."""
@@ -378,6 +457,55 @@ class TestSessionAndBatchBodies:
         assert [encode_request(request) for request in decode_batch(body)] \
             == body["requests"]
 
+    def test_batch_entries_bind_their_own_schema(self, simple_schema,
+                                                 simple_workload):
+        """An entry without a schema must not inherit the previous entry's."""
+        request = TuningRequest(workload=simple_workload, schema=simple_schema)
+        first = encode_request(request)
+        second = encode_request(request)
+        second["schema"] = None
+        with pytest.raises(WireFormatError, match="schema"):
+            decode_batch(_json_round_trip({"requests": [first, second]}))
+
+
+class TestClientFirstSend:
+    """The first send of a schema object is the body a version-2 client sent:
+    the sha256 of ``json.dumps(body)`` was taken from the client before
+    version 3."""
+
+    class _Recorder(TuningClient):
+        def __init__(self):
+            super().__init__("http://127.0.0.1:9", retry_policy=None)
+            self.bodies = []
+
+        def _post(self, path, payload, **options):
+            self.bodies.append(json.dumps(payload))
+            raise ConnectionAbortedError(path)
+
+    def test_first_send_bodies_are_byte_equal_to_version_2(self):
+        def fresh(**fields):  # a schema object this process never sent
+            return TuningRequest(workload=build_simple_workload(),
+                                 schema=build_simple_schema(), **fields)
+
+        budgeted = fresh(advisor=AdvisorSpec("cophy", time_budget_ms=50.0))
+        client = self._Recorder()
+        for call in (
+                lambda: client.tune(fresh(request_id="one")),
+                lambda: client.tune_many([budgeted, dataclasses.replace(
+                    budgeted, advisor=None)]),
+                lambda: client.open_session(fresh(request_id="session"))):
+            with pytest.raises(ConnectionAbortedError):
+                call()
+        assert [(hashlib.sha256(body.encode()).hexdigest()[:16], len(body))
+                for body in client.bodies] == [
+            ("4ce1b9bca2ee0f83", 14381), ("fd0aad61807d206d", 28846),
+            ("4bdd7880ee3f95bd", 14385)]
+        # Sent once, the schema travels by digest from then on.
+        with pytest.raises(ConnectionAbortedError):
+            client.tune_many([budgeted])
+        again = json.loads(client.bodies[-1])["requests"][0]
+        assert again["schema"] is None and again["wire_version"] == 3
+
     _DEFECTS = {
         "unknown_key_on_a_step": {"operation": "recommend", "junk": 1},
         "array_body": [1, 2],
@@ -447,7 +575,9 @@ class TestDefectsOfTheHandPairedCodec:
 #: and — where the record has rows newer than version 1 — an instance that
 #: sets them all.
 _WIRE_CLASSES = [
-    (TuningRequest, wire._REQUEST, None),
+    (TuningRequest, wire._REQUEST, request_by_digest(TuningRequest(
+        workload=build_simple_workload(), schema=build_simple_schema()),
+        "0" * 64)),
     (AdvisorSpec, wire._ADVISOR,
      AdvisorSpec("cophy", time_budget_ms=5.0, solve_tier="exact")),
     (CostingSpec, wire._COSTING, None),
@@ -461,6 +591,11 @@ _WIRE_CLASSES = [
 ]
 
 
+#: Rows that stand for a field under another name, with the builder that
+#: maps them: the request's ``schema_digest`` resolves to its ``schema``.
+_ALIASES = {wire._REQUEST: (wire._request, {"schema_digest"})}
+
+
 class TestTableCompleteness:
     """The behavioural successor of the ``wire-codec-completeness`` lint
     rule: a dataclass field the table does not list would be dropped on the
@@ -470,8 +605,9 @@ class TestTableCompleteness:
                              ids=[entry[0].__name__ for entry in _WIRE_CLASSES])
     def test_every_field_has_a_row_and_newer_rows_are_gated(
             self, cls, record, newest):
-        assert record.build is cls
-        assert {f.attr for f in record.fields} == \
+        build, aliases = _ALIASES.get(record, (cls, set()))
+        assert record.build is build
+        assert {f.attr for f in record.fields} - aliases == \
             {f.name for f in dataclasses.fields(cls)}
         newer = [f for f in record.fields if f.since > 1]
         assert all(f.since <= WIRE_VERSION for f in newer)
@@ -479,8 +615,11 @@ class TestTableCompleteness:
             payload = record.enc(newest, SimpleNamespace(version=1))
             assert {f.key for f in newer} <= set(payload)
         for f in newer:
+            older = dict(payload)
+            if record.version:  # a versioned payload states its own
+                older[record.version[0]] = f.since - 1
             with pytest.raises(WireFormatError, match="unknown fields"):
-                record.dec(payload, SimpleNamespace(version=f.since - 1))
+                record.dec(older, SimpleNamespace(version=f.since - 1))
 
 
 # ------------------------------------------------------------ generated cases
@@ -668,6 +807,17 @@ class TestGeneratedRoundTrips:
                     (request.advisor.time_budget_ms is not None
                      or request.advisor.solve_tier is not None))
         assert payload["wire_version"] == (2 if budgeted else 1)
+        # Named by digest, against a cache that has seen the full payload,
+        # the request decodes onto that schema and re-encodes as itself.
+        cache, digest = SchemaCache(), schema_digest(payload["schema"])
+        schema = cache.resolve(payload["schema"])
+        named = _json_round_trip(encode_request(
+            request_by_digest(request, digest)))
+        assert named["wire_version"] == 3
+        by_digest = decode_request(named, schema_cache=cache)
+        assert by_digest.schema is schema
+        assert encode_request(request_by_digest(by_digest, digest)) == named
+        assert encode_request(by_digest) == payload
 
 
 def _slim(schema):
@@ -716,6 +866,19 @@ def _base_payloads():
 _BASE_PAYLOADS = _base_payloads()
 
 
+def _by_digest_payload(payload):
+    """``payload`` named by its schema's digest, and a ``decode_request``
+    whose cache has seen the schema."""
+    cache = SchemaCache()
+    cache.resolve(payload["schema"])
+    named = {**payload, "schema": None, "wire_version": 3,
+             "schema_digest": schema_digest(payload["schema"])}
+    return named, lambda body: decode_request(body, schema_cache=cache)
+
+
+_BY_DIGEST = _by_digest_payload(_BASE_PAYLOADS[0])
+
+
 def _session_and_batch_bodies():
     """Every session step's body and the ``tune_batch`` envelope, each with
     the decoder the server runs on it."""
@@ -736,6 +899,11 @@ def _session_and_batch_bodies():
                lambda body: decode_session_step(body, workload))
               for step in steps]
     bodies.append(({"requests": [_BASE_PAYLOADS[0]]}, decode_batch))
+    named, _ = _BY_DIGEST
+    cache = SchemaCache()
+    cache.resolve(_BASE_PAYLOADS[0]["schema"])
+    bodies.append(({"requests": [named, _BASE_PAYLOADS[1]]},
+                   lambda body: decode_batch(body, schema_cache=cache)))
     return bodies
 
 
@@ -829,7 +997,7 @@ class TestMutationFuzz:
     @settings(max_examples=400, **_FUZZ)
     def test_mutants_are_rejected_with_a_typed_4xx(self, data):
         _sweep(data, [(payload, decode_request)
-                      for payload in _BASE_PAYLOADS])
+                      for payload in _BASE_PAYLOADS] + [_BY_DIGEST])
 
     @given(data=st.data())
     @settings(max_examples=400, **_FUZZ)
