@@ -467,6 +467,32 @@ class TestSessionAndBatchBodies:
         with pytest.raises(WireFormatError, match="schema"):
             decode_batch(_json_round_trip({"requests": [first, second]}))
 
+    _DEFECTS = {
+        "unknown_key_on_a_step": {"operation": "recommend", "junk": 1},
+        "array_body": [1, 2],
+        "missing_operation": {},
+        "unknown_operation": {"operation": "drop_everything"},
+        "argument_of_another_operation":
+            {"operation": "recommend", "indexes": []},
+        "indexes_is_an_object": {"operation": "add_candidates",
+                                 "indexes": {"table": "items"}},
+        "constraints_missing": {"operation": "update_constraints"},
+    }
+
+    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
+    def test_step_defect_is_a_wire_format_error(self, defect,
+                                                simple_workload):
+        with pytest.raises(WireFormatError):
+            decode_session_step(self._DEFECTS[defect], simple_workload)
+
+    @pytest.mark.parametrize("body", [
+        {"requests": [], "junk": 1}, [], {}, {"requests": {}}],
+        ids=["unknown_key", "array_body", "missing_requests",
+             "requests_is_an_object"])
+    def test_batch_defect_is_a_wire_format_error(self, body):
+        with pytest.raises(WireFormatError):
+            decode_batch(body)
+
 
 class TestClientFirstSend:
     """The first send of a schema object is the body a version-2 client sent:
@@ -505,32 +531,6 @@ class TestClientFirstSend:
             client.tune_many([budgeted])
         again = json.loads(client.bodies[-1])["requests"][0]
         assert again["schema"] is None and again["wire_version"] == 3
-
-    _DEFECTS = {
-        "unknown_key_on_a_step": {"operation": "recommend", "junk": 1},
-        "array_body": [1, 2],
-        "missing_operation": {},
-        "unknown_operation": {"operation": "drop_everything"},
-        "argument_of_another_operation":
-            {"operation": "recommend", "indexes": []},
-        "indexes_is_an_object": {"operation": "add_candidates",
-                                 "indexes": {"table": "items"}},
-        "constraints_missing": {"operation": "update_constraints"},
-    }
-
-    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
-    def test_step_defect_is_a_wire_format_error(self, defect,
-                                                simple_workload):
-        with pytest.raises(WireFormatError):
-            decode_session_step(self._DEFECTS[defect], simple_workload)
-
-    @pytest.mark.parametrize("body", [
-        {"requests": [], "junk": 1}, [], {}, {"requests": {}}],
-        ids=["unknown_key", "array_body", "missing_requests",
-             "requests_is_an_object"])
-    def test_batch_defect_is_a_wire_format_error(self, body):
-        with pytest.raises(WireFormatError):
-            decode_batch(body)
 
 
 class TestDefectsOfTheHandPairedCodec:
