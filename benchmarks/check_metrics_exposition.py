@@ -9,9 +9,10 @@ Two modes:
   port, serve one small tuning request through the HTTP client, scrape
   ``GET /v1/metrics`` over real HTTP, and validate the response: content
   type, text grammar, the presence of the request/solver/cache/HTTP
-  series the dashboard relies on, and that every ``# HELP`` / ``# TYPE``
+  series the dashboard relies on, that every ``# HELP`` / ``# TYPE``
   pair states a row of the family table (``repro.obs.metrics.FAMILIES``)
-  word for word.
+  word for word, and that every sample's label values lie in its row's
+  domains (``Family.domains``; an ``other`` series fails).
 
 CI runs the ``--live`` mode in the server-smoke lane, so a malformed
 exposition (or a silently vanished series) fails the build rather than the
@@ -36,6 +37,9 @@ SAMPLE_LINE = re.compile(
     r'(?P<labels>\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
     r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})?'
     r' (?P<value>-?[0-9.e+-]+|[+-]Inf|NaN)$')
+
+#: One ``name="value"`` pair of a sample's label set.
+LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"')
 
 #: Series the tuning dashboard depends on; each must appear in a live scrape
 #: after one served request (as a sample, not just a declared family).
@@ -87,14 +91,26 @@ def validate_exposition(text: str) -> list[str]:
 
 
 def table_mismatches(text: str) -> list[str]:
-    """Families whose ``# HELP`` / ``# TYPE`` differ from the family table
-    (empty = every family in the scrape is a row, stated as the row states
-    it)."""
+    """Families whose ``# HELP`` / ``# TYPE`` differ from the family table,
+    and samples whose label values lie outside their row's domains (empty =
+    every family in the scrape is a row, stated as the row states it)."""
     from repro.obs.metrics import FAMILIES
 
     rows = {row.name: row for row in FAMILIES}
     problems: list[str] = []
     for line in text.splitlines():
+        sample = SAMPLE_LINE.match(line)
+        if sample is not None:
+            name = sample.group("name")
+            row = rows.get(name) or rows.get(
+                re.sub(r"_(bucket|sum|count)$", "", name))
+            for label, value in LABEL_PAIR.findall(
+                    sample.group("labels") or ""):
+                if (row is not None and label in row.labelnames
+                        and value not in row.domain(label)):
+                    problems.append(f"{name} label {label}={value!r} is "
+                                    f"outside its row's domain")
+            continue
         parts = line.split(" ", 3)
         if len(parts) < 4 or parts[:2] not in (["#", "HELP"], ["#", "TYPE"]):
             continue
@@ -135,15 +151,13 @@ def scrape_live() -> tuple[str, str]:
         # is the only path that records repro_queue_wait_seconds samples.
         client.tune_many([request])
         # The tune handler records its HTTP counters *after* writing the
-        # response body, so give that finally-block a moment to land.
-        for _ in range(50):
-            with urlopen(server.url + "/v1/metrics") as response:
-                content_type = response.headers["Content-Type"]
-                text = response.read().decode("utf-8")
-            if "repro_http_requests_total{" in text:
-                break
-            time.sleep(0.1)
-        return content_type, text
+        # response body, and before it leaves the in-flight count.
+        deadline = time.monotonic() + 10.0
+        while server.inflight_requests and time.monotonic() < deadline:
+            time.sleep(0.001)
+        with urlopen(server.url + "/v1/metrics") as response:
+            return (response.headers["Content-Type"],
+                    response.read().decode("utf-8"))
 
 
 def main(argv: list[str] | None = None) -> int:

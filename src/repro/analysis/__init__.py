@@ -11,12 +11,13 @@ other tree (the fixture tests use this).  The engine parses source with
 :mod:`ast` and never imports the code under analysis, so it has no runtime
 dependencies; a full run over the repo takes well under ten seconds.  The
 rules encode the repo's established conventions — fault-site discipline,
-context-lock discipline, bounded metric labels, bounded buffers, worker
-pickle safety, no runtime asserts, no dead imports — see the ROADMAP's
-"Static analysis" notes for each rule's origin and the suppression
-workflow.  Fingerprint purity is checked by behaviour, not by a rule:
+context-lock discipline, bounded buffers, worker pickle safety, no runtime
+asserts, no dead imports — see the ROADMAP's "Static analysis" notes for
+each rule's origin and the suppression workflow.  Fingerprint purity and
+metric label bounds are checked by behaviour, not by rules:
 ``tests/test_tooling.py`` confines clock reads to an allow-list and re-runs
-every advisor under an erratic clock.
+every advisor under an erratic clock, and ``tests/test_obs.py`` drives every
+metric recording path against the label domains of the family table.
 """
 
 from repro.analysis.baseline import Baseline, split_by_baseline

@@ -7,7 +7,6 @@ from repro.analysis.rules.buffers import BoundedBufferRule
 from repro.analysis.rules.faultsites import FaultSiteRule
 from repro.analysis.rules.hygiene import RuntimeAssertRule, UnusedImportRule
 from repro.analysis.rules.locks import LockDisciplineRule
-from repro.analysis.rules.metrics import MetricLabelRule
 from repro.analysis.rules.pickling import PickleHashRule
 
 __all__ = ["Finding", "Rule", "ALL_RULES", "rule_by_name"]
@@ -16,7 +15,6 @@ __all__ = ["Finding", "Rule", "ALL_RULES", "rule_by_name"]
 ALL_RULES: tuple[Rule, ...] = (
     FaultSiteRule(),
     LockDisciplineRule(),
-    MetricLabelRule(),
     BoundedBufferRule(),
     PickleHashRule(),
     RuntimeAssertRule(),

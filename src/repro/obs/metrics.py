@@ -15,36 +15,23 @@ Like the tracer, the registry is ambient: the facade activates the owning
 and code running outside any request falls back to the process-wide
 :data:`DEFAULT_REGISTRY`.  Every family the stack records is declared once,
 as a :class:`Family` row of the table :data:`FAMILIES` (name, kind, help,
-labels, buckets): recording sites name their row
+labels, buckets, label domains): recording sites name their row
 (``active_registry().family(CACHE_EVENTS).inc(...)``),
 :func:`declare_standard_metrics` pre-registers the rows so ``/v1/metrics``
 exposes them before the first request, and ``TuningService.stats()`` reads
 its counters off one snapshot by row.
 
-Label cardinality contract (enforced by the ``metric-label-cardinality``
-reprolint rule): every label value must come from a *bounded* set, because
-each distinct value materializes one sample series per family.  The bounded
-domains and where each is pinned:
-
-* ``advisor`` — names in the advisor registry (``repro.api.registry``).
-* ``site`` — ``FAULT_SITES`` in ``repro.reliability.faults`` (plus the
-  literal ``http_client``).
-* ``tier`` / ``solve_tier`` — the anytime solve tiers, validated on
-  ``SolveBudget`` construction.
-* ``endpoint`` — route *patterns* from ``repro.server.app._endpoint_pattern``
-  (never raw request paths).
-* ``method`` / ``status`` — HTTP verbs and status codes.
-* ``cache`` — the caches of ``repro_cache_events_total``: ``template``,
-  ``tensor``, ``bip`` (the per-workload BIP kept beside the tensor),
-  ``candidates`` (generated candidate indexes per workload),
-  ``canonical_workload``, ``schema_payload``.
-* ``reason`` — why a schema context was dropped: ``lru`` or ``ttl``.
-* ``event`` / ``outcome`` / ``kind`` / ``stage`` — short literal event names
-  at the call site.
-* ``lock`` — :class:`~repro.obs.profile.InstrumentedLock` names, fixed at
-  construction (``schema_context``, ``inum_metrics``).  Lock-wait histograms
-  count *every* acquisition — re-entrant and uncontended acquires record a
-  zero wait, so ``_count`` doubles as the acquisition rate.
+Label cardinality: each distinct label value materializes one sample series
+per family, so every label of a row carries its closed domain
+(``Family.domains``) — a literal tuple, or a zero-arg callable reading a
+named source (``FAULT_SITES``, the advisor registry, the solve tiers,
+``SolutionStatus``, the server's route patterns, ``http.HTTPStatus``).  A
+family created from its row keys any value outside a domain as the one
+series ``other``: a metric bug costs one series, never a failed request,
+and ``tests/test_obs.py::TestFamilyTable`` holds every recording path to
+zero ``other`` series.  Lock-wait histograms count *every* acquisition —
+re-entrant and uncontended acquires record a zero wait, so ``_count``
+doubles as the acquisition rate.
 
 Histograms optionally carry one *exemplar* per label set — the trace id of
 the slowest observation so far (``observe(value, exemplar=trace_id)``).
@@ -53,8 +40,8 @@ there ``/v1/stats``); :meth:`MetricsRegistry.render` stays plain Prometheus
 text exposition, which the CI grammar check pins.
 
 Raw request data — statement names, schema names, paths, anything
-interpolated into a string — must never become a label value; put it in a
-log event or a trace span attribute instead.
+interpolated into a string — belongs in a log event or a trace span
+attribute, never in a label.
 """
 
 from __future__ import annotations
@@ -64,10 +51,10 @@ import math
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator, Union
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "Family",
-           "FAMILIES", "DEFAULT_REGISTRY", "METRICS_CONTENT_TYPE",
+           "FAMILIES", "OTHER", "DEFAULT_REGISTRY", "METRICS_CONTENT_TYPE",
            "active_registry", "declare_standard_metrics",
            "histogram_quantiles", "use_registry"]
 
@@ -110,6 +97,11 @@ def _label_text(names: tuple[str, ...], values: tuple[str, ...],
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
+#: The one series a family created from its row keys every out-of-domain
+#: label value as.
+OTHER = "other"
+
+
 class _Metric:
     """Common family machinery: fixed label names, per-labelset samples."""
 
@@ -122,13 +114,29 @@ class _Metric:
         self.labelnames = labelnames
         self._lock = lock
         self._samples: dict[tuple[str, ...], Any] = {}
+        # The row's domains (set by MetricsRegistry.family), read on first
+        # miss — a callable's source is imported lazily — and re-read on
+        # each miss, so a source that grew (a newly registered advisor) is
+        # admitted.
+        self._row: Family | None = None
+        self._admitted = [frozenset()] * len(labelnames)
 
     def _key(self, labels: dict[str, Any]) -> tuple[str, ...]:
         if set(labels) != set(self.labelnames):
             raise ValueError(
                 f"Metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(sorted(labels))}")
-        return tuple(str(labels[name]) for name in self.labelnames)
+        key = tuple(str(labels[name]) for name in self.labelnames)
+        if self._row is None or all(
+                map(frozenset.__contains__, self._admitted, key)):
+            return key
+        return tuple(map(self._bound, range(len(key)), key))
+
+    def _bound(self, position: int, value: str) -> str:
+        if value not in self._admitted[position]:
+            self._admitted[position] = self._row.domain(
+                self.labelnames[position])
+        return value if value in self._admitted[position] else OTHER
 
 
 class Counter(_Metric):
@@ -293,18 +301,21 @@ class MetricsRegistry:
                                    tuple(labelnames), buckets=buckets)
 
     def family(self, row: "Family") -> Any:
-        """The family declared by a :data:`FAMILIES` row (get-or-create)."""
+        """The family declared by a :data:`FAMILIES` row (get-or-create),
+        keying out-of-domain label values as :data:`OTHER`."""
         cls = _KINDS[row.kind]
         kwargs = {"buckets": row.buckets} if cls is Histogram else {}
         return self._get_or_create(cls, row.name, row.help, row.labelnames,
-                                   **kwargs)
+                                   row=row, **kwargs)
 
     def _get_or_create(self, cls, name: str, help_text: str,
-                       labelnames: tuple[str, ...], **kwargs) -> Any:
+                       labelnames: tuple[str, ...],
+                       row: Family | None = None, **kwargs) -> Any:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
                 metric = cls(name, help_text, labelnames, self._lock, **kwargs)
+                metric._row = row
                 self._metrics[name] = metric
                 return metric
         if not isinstance(metric, cls):
@@ -437,23 +448,73 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
 
 
 # ------------------------------------------------------------ the family table
+#: A label's closed value set: literal values, or a zero-arg callable reading
+#: a named source.
+Domain = Union[tuple[str, ...], Callable[[], Iterable[str]]]
+
+
 @dataclass(frozen=True)
 class Family:
-    """One row of the family table; ``buckets`` is for histograms only."""
+    """One row of the family table; ``buckets`` is for histograms only and
+    ``domains`` holds one :data:`Domain` per label name."""
 
     name: str
     kind: str  # the Prometheus type: counter, gauge or histogram
     help: str
     labelnames: tuple[str, ...] = ()
     buckets: tuple[float, ...] = ()
+    domains: tuple[Domain, ...] = ()
+
+    def domain(self, label: str) -> frozenset[str]:
+        """The values ``label`` may take, read from its source now."""
+        source = self.domains[self.labelnames.index(label)]
+        return frozenset(source() if callable(source) else source)
+
+
+# The named sources are imported when first read, so this module imports
+# none of the layers that record into it.
+def _advisors() -> set[str]:
+    from repro.api.registry import available_advisors, canonical_name
+    return {canonical_name(name) for name in available_advisors()}
+
+
+def _solve_tiers() -> tuple[str, ...]:
+    from repro.lp.budget import SOLVE_TIERS
+    return SOLVE_TIERS + ("none",)
+
+
+def _solution_statuses() -> list[str]:
+    from repro.lp.solution import SolutionStatus
+    return [status.value for status in SolutionStatus]
+
+
+def _fault_sites() -> tuple[str, ...]:
+    from repro.reliability.faults import FAULT_SITES
+    return FAULT_SITES
+
+
+def _retry_sites() -> tuple[str, ...]:
+    return _fault_sites() + ("http_client",)
+
+
+def _endpoints() -> tuple[str, ...]:
+    from repro.server.app import ENDPOINT_PATTERNS
+    return ENDPOINT_PATTERNS + ("unknown",)
+
+
+def _http_statuses() -> list[str]:
+    from http import HTTPStatus
+    return [str(status.value) for status in HTTPStatus]
 
 
 REQUESTS = Family("repro_requests_total", "counter",
                   "Tuning requests served through the facade",
-                  ("advisor", "tier", "status"))
+                  ("advisor", "tier", "status"),
+                  domains=(_advisors, _solve_tiers,
+                           ("ok", "degraded", "error")))
 REQUEST_SECONDS = Family("repro_request_seconds", "histogram",
                          "End-to-end facade latency per tuning request",
-                         ("advisor",), SECONDS_BUCKETS)
+                         ("advisor",), SECONDS_BUCKETS, (_advisors,))
 RESULT_RETRIES = Family("repro_result_retries_total", "counter",
                         "Reliability-layer retries reported by served results")
 NAMESPACED_REQUESTS = Family("repro_namespaced_requests_total", "counter",
@@ -468,10 +529,11 @@ PENDING_REQUESTS = Family("repro_pending_requests", "gauge",
                           "Requests admitted but not yet finished")
 CONTEXTS_DROPPED = Family("repro_contexts_dropped_total", "counter",
                           "Schema contexts dropped, by reason (lru or ttl)",
-                          ("reason",))
+                          ("reason",), domains=(("lru", "ttl"),))
 SOLVER_SOLVES = Family("repro_solver_solves_total", "counter",
                        "BIP solves (branch-and-bound or MILP backend) by "
-                       "terminal status", ("status",))
+                       "terminal status", ("status",),
+                       domains=(_solution_statuses,))
 SOLVER_NODES = Family("repro_solver_nodes", "histogram",
                       "Nodes explored per branch-and-bound solve",
                       buckets=NODES_BUCKETS)
@@ -480,24 +542,31 @@ SOLVER_GAP = Family("repro_solver_gap", "histogram",
                     buckets=GAP_BUCKETS)
 LOCK_WAIT_SECONDS = Family("repro_lock_wait_seconds", "histogram",
                            "Seconds callers waited to acquire a named lock",
-                           ("lock",), WAIT_BUCKETS)
+                           ("lock",), WAIT_BUCKETS,
+                           (("schema_context", "inum_metrics"),))
 QUEUE_WAIT_SECONDS = Family("repro_queue_wait_seconds", "histogram",
                             "Seconds requests waited in the service pool "
                             "queue", buckets=WAIT_BUCKETS)
 CACHE_EVENTS = Family("repro_cache_events_total", "counter",
                       "Hits and misses of the tuning-stack caches",
-                      ("cache", "event"))
+                      ("cache", "event"),
+                      domains=(("template", "tensor", "bip", "candidates",
+                                "canonical_workload", "schema_payload"),
+                               ("hit", "miss", "unknown_digest")))
 RETRIES = Family("repro_retries_total", "counter",
-                 "Retries taken by the reliability layer, by site", ("site",))
+                 "Retries taken by the reliability layer, by site", ("site",),
+                 domains=(_retry_sites,))
 FAULTS_INJECTED = Family("repro_faults_injected_total", "counter",
                          "Fault-plan injections observed in this process",
-                         ("site",))
+                         ("site",), domains=(_fault_sites,))
 HTTP_REQUESTS = Family("repro_http_requests_total", "counter",
                        "HTTP requests served by the tuning server",
-                       ("endpoint", "method", "status"))
+                       ("endpoint", "method", "status"),
+                       domains=(_endpoints, ("GET", "POST", "DELETE"),
+                                _http_statuses))
 HTTP_REQUEST_SECONDS = Family("repro_http_request_seconds", "histogram",
                               "HTTP dispatch latency by endpoint",
-                              ("endpoint",), SECONDS_BUCKETS)
+                              ("endpoint",), SECONDS_BUCKETS, (_endpoints,))
 
 #: The family table: every family the stack records, declared once above.
 FAMILIES: tuple[Family, ...] = (

@@ -438,6 +438,14 @@ class _TuningHTTPServer(ThreadingHTTPServer):
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
+#: The route patterns: the ``endpoint`` label's domain, with ``unknown``.
+ENDPOINT_PATTERNS = tuple(f"{API_PREFIX}{route}" for route in (
+    "/health", "/stats", "/metrics", "/tune", "/tune_batch", "/sessions",
+    "/traces", "/sessions/{id}", "/sessions/{id}/tune", "/traces/{id}"))
+_FIXED_ENDPOINTS = frozenset(pattern for pattern in ENDPOINT_PATTERNS
+                             if "{" not in pattern)
+
+
 def _endpoint_pattern(method: str, path: str) -> str:
     """Collapse a raw request path onto its route pattern for metric labels.
 
@@ -445,11 +453,7 @@ def _endpoint_pattern(method: str, path: str) -> str:
     are folded into ``{id}``; anything unroutable is ``unknown`` (one label
     value no matter what paths a scanner probes).
     """
-    fixed = {f"{API_PREFIX}/health", f"{API_PREFIX}/stats",
-             f"{API_PREFIX}/metrics", f"{API_PREFIX}/tune",
-             f"{API_PREFIX}/tune_batch", f"{API_PREFIX}/sessions",
-             f"{API_PREFIX}/traces"}
-    if path in fixed:
+    if path in _FIXED_ENDPOINTS:
         return path
     sessions_root = f"{API_PREFIX}/sessions/"
     if path.startswith(sessions_root):
@@ -532,14 +536,15 @@ class _TuningRequestHandler(BaseHTTPRequestHandler):
                                   trace_id=self._trace_id,
                                   phase="response")
         finally:
-            owner._request_finished()
+            # Recorded before the in-flight count drops, so a drained server
+            # (inflight_requests == 0) has every request's metrics landed.
             registry = owner.service.tuner.metrics
             registry.family(HTTP_REQUESTS).inc(
                 endpoint=endpoint, method=method,
-                # HTTP status codes are a closed set.
-                status=str(self._status_sent))  # reprolint: disable=metric-label-cardinality
+                status=str(self._status_sent))
             registry.family(HTTP_REQUEST_SECONDS).observe(
                 time.perf_counter() - started, endpoint=endpoint)
+            owner._request_finished()
 
     def _write_error(self, exc: BaseException, *,
                      endpoint: str = "unknown") -> None:

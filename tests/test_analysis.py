@@ -33,8 +33,7 @@ def run_tree(tmp_path: Path, files: dict[str, str], rule: str | None = None):
 
 def test_rule_registry_is_complete():
     names = {rule.name for rule in ALL_RULES}
-    assert {"fault-site-discipline", "lock-discipline",
-            "metric-label-cardinality", "bounded-buffer",
+    assert {"fault-site-discipline", "lock-discipline", "bounded-buffer",
             "worker-pickle-safety",
             "runtime-assert", "unused-import"} <= names
     assert rule_by_name("no-such-rule") is None
@@ -125,64 +124,6 @@ def test_lock_rule_walks_callers(tmp_path):
             _refresh(context, workload, candidates)
         """}, rule="lock-discipline")
     assert len(bad) == 1
-
-
-# -------------------------------------------------------------- metric labels
-def test_metric_label_rule_flags_interpolated_label(tmp_path):
-    findings = run_tree(tmp_path, {"pkg/obs.py": """\
-        def record(registry, query_name):
-            registry.counter("c", "d", ("q",)).inc(q=f"query-{query_name}")
-        """}, rule="metric-label-cardinality")
-    assert len(findings) == 1 and "bounded" in findings[0].message
-
-
-def test_metric_label_rule_accepts_bounded_values(tmp_path):
-    findings = run_tree(tmp_path, {"pkg/obs.py": """\
-        def record(registry, site, outcome):
-            registry.counter("c", "d", ("site",)).inc(site=site)
-            registry.counter("c2", "d", ("s",)).inc(s="literal")
-            registry.histogram("h", "d", ("o",)).observe(1.0, o=outcome)
-
-        def enumish(registry, solution):
-            registry.counter("c3", "d", ("s",)).inc(
-                s=solution.status.name.lower())
-        """}, rule="metric-label-cardinality")
-    assert findings == []
-
-
-def test_metric_label_rule_ignores_exemplar_kwarg(tmp_path):
-    # ``exemplar=`` deliberately carries a per-request trace id; it is
-    # snapshot metadata, not a label, so it must never be flagged.
-    findings = run_tree(tmp_path, {"pkg/obs.py": """\
-        def record(registry, trace_id):
-            registry.histogram("h", "d").observe(1.0, exemplar=trace_id)
-        """}, rule="metric-label-cardinality")
-    assert findings == []
-
-
-def test_metric_label_rule_checks_the_row_based_call_form(tmp_path):
-    # Recording sites name a row of the family table instead of restating
-    # the family; the label values they pass are held to the same contract.
-    bad = run_tree(tmp_path / "bad", {"pkg/obs.py": """\
-        from repro.obs.metrics import CACHE_EVENTS, PENDING_REQUESTS
-
-        def record(registry, query_name, depth):
-            registry.family(CACHE_EVENTS).inc(cache=f"q-{query_name}",
-                                              event="hit")
-            registry.family(PENDING_REQUESTS).set(1.0, queue=str(depth))
-        """}, rule="metric-label-cardinality")
-    assert len(bad) == 2
-    assert all("bounded" in finding.message for finding in bad)
-
-    good = run_tree(tmp_path / "good", {"pkg/obs.py": """\
-        from repro.obs.metrics import CACHE_EVENTS, SOLVER_SOLVES
-
-        def record(registry, cache, solution):
-            registry.family(CACHE_EVENTS).inc(cache=cache, event="miss")
-            registry.family(SOLVER_SOLVES).inc(
-                status=solution.status.name.lower())
-        """}, rule="metric-label-cardinality")
-    assert good == []
 
 
 # -------------------------------------------------------------- bounded buffer

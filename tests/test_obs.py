@@ -8,12 +8,14 @@ exposition, and ``TuningService.stats()`` atomicity under concurrency.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import logging
 import re
 import threading
 import time
+from pathlib import Path
 from urllib.request import Request, urlopen
 
 import pytest
@@ -23,8 +25,10 @@ from repro.api.service import TuningService
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import log_event
 from repro.obs.metrics import (
+    CACHE_EVENTS,
     FAMILIES,
     METRICS_CONTENT_TYPE,
+    OTHER,
     MetricsRegistry,
     declare_standard_metrics,
     use_registry,
@@ -579,8 +583,10 @@ class TestFacadeMetrics:
 
 # ------------------------------------------------------------ the family table
 def _assert_families_are_rows(registry: MetricsRegistry) -> None:
+    """Each family is its row, and every label value it holds lies in the
+    row's domain (none was keyed as ``other``)."""
     rows = {row.name: row for row in FAMILIES}
-    for name in registry.snapshot():
+    for name, samples in registry.snapshot().items():
         row = rows.get(name)
         assert row is not None, f"{name} is declared outside the table"
         metric = registry.get(name)
@@ -588,6 +594,8 @@ def _assert_families_are_rows(registry: MetricsRegistry) -> None:
             == (row.kind, row.help, row.labelnames), name
         if row.kind == "histogram":
             assert metric.buckets == row.buckets, name
+        for key in samples:
+            assert OTHER not in key, f"{name}{key} left its row's domains"
 
 
 class TestFamilyTable:
@@ -596,13 +604,44 @@ class TestFamilyTable:
         assert len(names) == len(set(names))
         registry = declare_standard_metrics(MetricsRegistry())
         assert sorted(registry.snapshot()) == sorted(names)
+        for row in FAMILIES:
+            assert len(row.domains) == len(row.labelnames), row.name
+            for label in row.labelnames:
+                assert row.domain(label) and OTHER not in row.domain(label)
+
+    def test_out_of_domain_values_share_one_other_series(self):
+        """A recording site that interpolates request data into a label
+        grows one ``other`` series, not one series per value; a value in
+        the domain keys as itself."""
+        registry = MetricsRegistry()
+        events = registry.family(CACHE_EVENTS)
+        for position in range(1000):
+            events.inc(cache=f"tensor-{position}", event="miss")
+        events.inc(cache="tensor", event="hit")
+        assert registry.snapshot()["repro_cache_events_total"] == {
+            (OTHER, "miss"): 1000.0, ("tensor", "hit"): 1.0}
+
+    def test_exposition_check_holds_samples_to_the_domains(self):
+        path = (Path(__file__).resolve().parents[1] / "benchmarks"
+                / "check_metrics_exposition.py")
+        spec = importlib.util.spec_from_file_location("exposition", path)
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        registry = declare_standard_metrics(MetricsRegistry())
+        registry.family(CACHE_EVENTS).inc(cache="tensor", event="hit")
+        assert check.table_mismatches(registry.render()) == []
+        registry.family(CACHE_EVENTS).inc(cache="tensor-7", event="hit")
+        assert check.table_mismatches(registry.render()) == [
+            "repro_cache_events_total label cache='other' is outside its "
+            "row's domain"]
 
     def test_every_recorded_family_is_a_table_row(self, tpch):
         """Drive every recording site the serving stack has — facade,
         service admission and namespacing, HTTP, session reaping, both
         solver backends, context eviction — and hold each family any of
-        them created to its row.  The ambient registry is undeclared, so a
-        site restating a family with its own help or labels shows here."""
+        them created to its row and its label domains.  The ambient
+        registry is undeclared, so a site restating a family with its own
+        help or labels shows here."""
         from repro.core.solver import SolverBackend
         from repro.exceptions import ServerOverloaded
 
@@ -688,6 +727,15 @@ def live_server():
     server.stop()
 
 
+def _wait_drained(server: TuningServer) -> None:
+    """A dispatch records its HTTP metrics before it leaves the in-flight
+    count, so once the count is zero every finished request has landed."""
+    deadline = time.monotonic() + 10.0
+    while server.inflight_requests:
+        assert time.monotonic() < deadline, "requests still in flight"
+        time.sleep(0.001)
+
+
 class TestServerObservability:
     def test_trace_id_round_trips_client_server_result(self, live_server,
                                                        tpch):
@@ -699,7 +747,7 @@ class TestServerObservability:
 
     def test_metrics_endpoint_serves_prometheus_text(self, live_server, tpch):
         TuningClient(live_server.url).tune(_request(tpch))
-        time.sleep(0.2)  # the handler's finally may still be recording
+        _wait_drained(live_server)
         request = Request(live_server.url + "/v1/metrics",
                           headers={TRACE_HEADER: "scrape-1"})
         with urlopen(request) as response:
@@ -715,7 +763,7 @@ class TestServerObservability:
     def test_unknown_paths_collapse_to_one_endpoint_label(self, live_server):
         with pytest.raises(Exception):
             urlopen(live_server.url + "/v1/no-such-endpoint")
-        time.sleep(0.2)
+        _wait_drained(live_server)
         snap = live_server.service.tuner.metrics.snapshot()
         assert snap["repro_http_requests_total"].get(
             ("unknown", "GET", "404"), 0.0) >= 1.0

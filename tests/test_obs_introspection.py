@@ -103,10 +103,11 @@ class TestInstrumentedLock:
         registry = MetricsRegistry()
         drain_pending_waits()  # isolate from earlier tests on this thread
         with use_registry(registry):
-            lock = InstrumentedLock("test_lock")
+            lock = InstrumentedLock("schema_context")
             with lock:
                 pass
-        sample = registry.snapshot()["repro_lock_wait_seconds"][("test_lock",)]
+        sample = registry.snapshot()["repro_lock_wait_seconds"][
+            ("schema_context",)]
         assert sample["count"] == 1
         assert sample["sum"] == 0.0
         assert drain_pending_waits() == {}
@@ -127,7 +128,7 @@ class TestInstrumentedLock:
 
     def test_contended_wait_lands_in_histogram_and_thread_local(self):
         registry = MetricsRegistry()
-        lock = InstrumentedLock("contended", lock=threading.Lock())
+        lock = InstrumentedLock("inum_metrics", lock=threading.Lock())
         waits_seen = {}
         lock.acquire()
 
@@ -143,7 +144,8 @@ class TestInstrumentedLock:
         time.sleep(0.05)
         lock.release()
         thread.join(timeout=5)
-        sample = registry.snapshot()["repro_lock_wait_seconds"][("contended",)]
+        sample = registry.snapshot()["repro_lock_wait_seconds"][
+            ("inum_metrics",)]
         assert sample["count"] == 1
         assert sample["sum"] >= 0.02
         assert waits_seen["lock_wait_s"] >= 0.02
