@@ -110,14 +110,14 @@ class TestCoPhySolver:
                 yield from first_row.to_linear(bip)
                 raise RuntimeError("to_linear")
 
-        def milp_raises(*args, **kwargs):
+        def highs_raises(*args, **kwargs):
             raise RuntimeError("backend")
 
         constraints = [IndexCountConstraint(limit=3)]
         if failure == "to_linear":
             constraints.append(RaisesOnSecondRow(0.0))
         else:
-            monkeypatch.setattr(highs_backend.optimize, "milp", milp_raises)
+            monkeypatch.setattr(highs_backend, "run_highs", highs_raises)
         before = model_state(bip)
         halved = Objective(bip.model.objective.columns,
                            bip.model.objective.coefficients * 0.5)

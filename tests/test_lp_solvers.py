@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lp import highs_backend
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.expression import LinearExpression
 from repro.lp.highs_backend import LinearRelaxationBackend, MilpBackend
@@ -99,6 +101,15 @@ class TestMilpBackend:
         solution = MilpBackend(gap_tolerance=0.2).solve(model)
         assert solution.is_feasible
         assert solution.objective >= 0.75 * brute_force_knapsack(values, weights, 20)
+
+    def test_a_solve_is_silent(self, capfd):
+        """HiGHS logs to the console by default; a served process's stdout
+        is its log, so a solve writes nothing to fd 1 or fd 2."""
+        model, _ = build_knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
+        capfd.readouterr()
+        MilpBackend().solve(model)
+        MilpBackend(gap_tolerance=0.05).solve(model, time_limit_seconds=0.0)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestBranchAndBound:
@@ -453,3 +464,166 @@ class TestMilpDualBound:
             simple_workload, candidates)
         solution = CoPhySolver(gap_tolerance=0.0).solve(bip).solution
         assert solution.best_bound == pytest.approx(solution.objective)
+
+
+def milp_reference(model: Model, matrices: dict, options: dict) -> Solution:
+    """The parity oracle: :meth:`MilpBackend.solve` written on
+    :func:`scipy.optimize.milp`, reading ``options`` as HiGHS option names."""
+    constraints = []
+    if matrices["A_ub"] is not None:
+        constraints.append(optimize.LinearConstraint(
+            matrices["A_ub"], -np.inf, matrices["b_ub"]))
+    if matrices["A_eq"] is not None:
+        constraints.append(optimize.LinearConstraint(
+            matrices["A_eq"], matrices["b_eq"], matrices["b_eq"]))
+    result = optimize.milp(
+        c=matrices["c"], constraints=constraints or None,
+        integrality=matrices["integrality"],
+        bounds=optimize.Bounds(matrices["bounds"][:, 0],
+                               matrices["bounds"][:, 1]),
+        options=options or None)
+    if result.x is None:
+        return Solution(status=SolutionStatus.INFEASIBLE if result.status == 2
+                        else SolutionStatus.ERROR)
+    sign = -1.0 if model.sense is ObjectiveSense.MAXIMIZE else 1.0
+    constant = matrices["objective_constant"]
+    vector = np.asarray(result.x, dtype=np.float64).copy()
+    binary = matrices["integrality"].astype(bool)
+    vector[binary] = np.round(vector[binary])
+    return Solution(
+        status=(SolutionStatus.OPTIMAL if result.status == 0
+                else SolutionStatus.FEASIBLE),
+        objective=sign * float(result.fun) + constant,
+        best_bound=sign * float(result.mip_dual_bound) + constant,
+        gap=float(result.mip_gap), nodes_explored=int(result.mip_node_count),
+        vector=vector)
+
+
+def _cophy_bip(schema, workload, candidates=None):
+    from repro.core.bip_builder import BipBuilder
+    from repro.indexes.candidate_generation import CandidateGenerator
+    from repro.inum.cache import InumCache
+    from repro.optimizer.whatif import WhatIfOptimizer
+
+    if candidates is None:
+        candidates = CandidateGenerator(schema).generate(workload)
+    return BipBuilder(InumCache(WhatIfOptimizer(schema))).build(
+        workload, candidates)
+
+
+def _generated_bip(tpch, kind, updates, seed):
+    """A generated BIP of
+    ``test_core_bip::test_solvers_agree_with_brute_force_on_generated_bips``."""
+    from repro.core.constraints import StorageBudgetConstraint
+    from repro.indexes.candidate_generation import (CandidateGenerator,
+                                                    CandidateSet)
+    from repro.workload.generators import (generate_heterogeneous_workload,
+                                           generate_homogeneous_workload)
+
+    if kind == "homogeneous":
+        workload = generate_homogeneous_workload(5, seed=seed,
+                                                 update_fraction=updates)
+    else:
+        workload = generate_heterogeneous_workload(
+            5, seed=seed, update_fraction=updates, schema=tpch)
+    generated = list(CandidateGenerator(tpch).generate(workload))
+    candidates = CandidateSet(tpch, generated[::max(1, len(generated) // 6)][:6])
+    bip = _cophy_bip(tpch, workload, candidates)
+    budget = StorageBudgetConstraint(0.4 * candidates.total_size())
+    return bip.model, bip.model.to_matrices(rows=budget.to_linear(bip))
+
+
+@pytest.fixture(params=[True, False], ids=["jump-on", "jump-off"])
+def feasibility_jump(request, monkeypatch):
+    """Both settings of HiGHS's feasibility-jump pass, on both sides."""
+    monkeypatch.setattr(highs_backend, "FEASIBILITY_JUMP", request.param)
+    return request.param
+
+
+class TestMilpParity:
+    """The direct HiGHS adapter answers as :func:`scipy.optimize.milp` does
+    at identical options: status, objective, vector, gap, dual bound and
+    node count are equal with ``==``.  CI installs scipy unpinned, so this
+    is the tripwire for an upgrade that moves ``_highspy`` or a default."""
+
+    @staticmethod
+    def assert_parity(model, matrices, feasibility_jump, gap=0.0,
+                      time_limit=None):
+        options = {}
+        if gap > 0:
+            options["mip_rel_gap"] = gap
+        if time_limit is not None:
+            options["time_limit"] = time_limit
+        actual = MilpBackend(gap_tolerance=gap).solve(
+            model, time_limit_seconds=time_limit, matrices=matrices)
+        if feasibility_jump:
+            expected = milp_reference(model, matrices, options)
+        else:
+            options["mip_heuristic_run_feasibility_jump"] = False
+            with pytest.warns(RuntimeWarning, match="Unrecognized options"):
+                expected = milp_reference(model, matrices, options)
+        assert actual.status is expected.status
+        assert actual.objective == expected.objective
+        assert actual.gap == expected.gap
+        assert actual.best_bound == expected.best_bound
+        assert actual.nodes_explored == expected.nodes_explored
+        if expected.vector is None:
+            assert actual.vector is None
+        else:
+            assert np.array_equal(actual.vector, expected.vector)
+        return actual
+
+    @pytest.mark.parametrize("gap", [0.0, 0.05])
+    def test_conftest_bip(self, simple_schema, simple_workload,
+                          feasibility_jump, gap):
+        model = _cophy_bip(simple_schema, simple_workload).model
+        solution = self.assert_parity(model, model.to_matrices(),
+                                      feasibility_jump, gap=gap)
+        assert solution.status is SolutionStatus.OPTIMAL
+
+    @pytest.mark.parametrize("gap", [0.0, 0.05])
+    def test_tpch_with_updates(self, tpch, feasibility_jump, gap):
+        """Under this storage budget the two feasibility-jump settings
+        reach different answers, so each side must honour the setting."""
+        from repro.core.constraints import StorageBudgetConstraint
+        from repro.indexes.candidate_generation import CandidateGenerator
+        from repro.workload.generators import generate_homogeneous_workload
+
+        workload = generate_homogeneous_workload(8, seed=3,
+                                                 update_fraction=0.4)
+        assert workload.update_statements()
+        candidates = CandidateGenerator(tpch).generate(workload)
+        bip = _cophy_bip(tpch, workload, candidates)
+        budget = StorageBudgetConstraint(0.1 * candidates.total_size())
+        self.assert_parity(bip.model,
+                           bip.model.to_matrices(rows=budget.to_linear(bip)),
+                           feasibility_jump, gap=gap)
+
+    @pytest.mark.parametrize("kind,updates,seed", [
+        ("homogeneous", 0.0, 11), ("homogeneous", 0.5, 12),
+        ("heterogeneous", 0.0, 15), ("heterogeneous", 0.5, 14)])
+    def test_generated_bips(self, tpch, feasibility_jump, kind, updates, seed):
+        model, matrices = _generated_bip(tpch, kind, updates, seed)
+        self.assert_parity(model, matrices, feasibility_jump)
+
+    def test_infeasible_constraint_set(self, simple_schema, simple_workload,
+                                       feasibility_jump):
+        from repro.core.constraints import (ComparisonSense,
+                                            IndexCountConstraint,
+                                            StorageBudgetConstraint)
+
+        bip = _cophy_bip(simple_schema, simple_workload)
+        rows = [*StorageBudgetConstraint(0.0).to_linear(bip),
+                *IndexCountConstraint(limit=1, sense=ComparisonSense.AT_LEAST
+                                      ).to_linear(bip)]
+        solution = self.assert_parity(bip.model,
+                                      bip.model.to_matrices(rows=rows),
+                                      feasibility_jump)
+        assert solution.status is SolutionStatus.INFEASIBLE
+
+    def test_time_limited_solve(self, tpch, feasibility_jump):
+        model, matrices = _generated_bip(tpch, "heterogeneous", 0.5, 14)
+        solution = self.assert_parity(model, matrices, feasibility_jump,
+                                      gap=0.05, time_limit=0.0)
+        assert solution.status is SolutionStatus.ERROR
+        assert solution.timed_out
