@@ -149,8 +149,9 @@ def run_highs(matrices: dict, options: dict[str, float]) -> highs._Highs:
 class MilpBackend:
     """Solves the integer model directly with HiGHS (:func:`run_highs`).
 
-    Supports the two termination knobs CoPhy relies on: a relative optimality
-    gap (early termination at e.g. 5%) and a wall-clock time limit.
+    Supports the termination knobs CoPhy relies on: a relative optimality
+    gap (early termination at e.g. 5%), a wall-clock time limit and a
+    budget's node limit.
     """
 
     def __init__(self, gap_tolerance: float = 0.0,
@@ -178,6 +179,8 @@ class MilpBackend:
             if budget.gap_limit is not None:
                 effective_gap = max(effective_gap, budget.gap_limit)
                 options["mip_rel_gap"] = effective_gap
+            if budget.node_limit is not None:
+                options["mip_max_nodes"] = budget.node_limit
         if effective_time is not None:
             options["time_limit"] = float(effective_time)
 
@@ -188,10 +191,8 @@ class MilpBackend:
         status = solver.getModelStatus()
         info = solver.getInfo()
         message = solver.modelStatusToString(status)
-        # A limit in force and reached: scipy's status 1, as milp reports it.
-        timed_out = (effective_time is not None and status in (
-            highs.HighsModelStatus.kTimeLimit,
-            highs.HighsModelStatus.kIterationLimit))
+        # A wall-clock stop; a node limit stops at kSolutionLimit instead.
+        timed_out = status == highs.HighsModelStatus.kTimeLimit
         integral = matrices["integrality"].astype(bool)
         found = (status == highs.HighsModelStatus.kOptimal
                  or (status in _LIMITS and integral.any()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.lp import highs_backend
 from repro.lp.branch_and_bound import BranchAndBoundSolver
+from repro.lp.budget import SolveBudget
 from repro.lp.expression import LinearExpression
 from repro.lp.highs_backend import LinearRelaxationBackend, MilpBackend
 from repro.lp.model import Model, ObjectiveSense
@@ -101,6 +102,23 @@ class TestMilpBackend:
         solution = MilpBackend(gap_tolerance=0.2).solve(model)
         assert solution.is_feasible
         assert solution.objective >= 0.75 * brute_force_knapsack(values, weights, 20)
+
+    def test_node_limit_stops_without_a_timeout(self):
+        """A budget's ``node_limit`` reaches HiGHS, and running out of nodes
+        is not a timeout: the incumbent comes back FEASIBLE with a true
+        bound.  The program needs more than one node at gap 0."""
+        weights = [51, 58, 30, 28, 51, 53, 40, 25, 53, 40, 26, 25, 36, 47]
+        values = [50, 62, 25, 27, 51, 58, 37, 29, 48, 38, 29, 26, 41, 50]
+        capacity = 281.5
+        model, _ = build_knapsack([-value for value in values], weights,
+                                  capacity, maximize=False)
+        optimum = -brute_force_knapsack(values, weights, capacity)
+        assert MilpBackend().solve(model).nodes_explored > 1
+        solution = MilpBackend().solve(model, budget=SolveBudget(node_limit=1))
+        assert solution.status is SolutionStatus.FEASIBLE
+        assert not solution.timed_out
+        assert solution.nodes_explored == 1
+        assert solution.best_bound <= optimum <= solution.objective
 
     def test_a_solve_is_silent(self, capfd):
         """HiGHS logs to the console by default; a served process's stdout
