@@ -11,8 +11,8 @@ equivalent substrate without external solvers:
   *gap trace* over time (for the early-termination feedback of Figure 6a),
   gap-based early stopping, node/time limits and warm starts from a known
   incumbent (for interactive re-tuning, Figure 6b);
-* a :class:`MilpBackend` that wraps :func:`scipy.optimize.milp` for users who
-  prefer the HiGHS branch-and-bound written in C.
+* a :class:`MilpBackend` that hands the model to HiGHS's branch and bound,
+  written in C, through one ``_Highs`` object of the build scipy vendors.
 """
 
 from repro.lp.budget import SOLVE_TIERS, SolveBudget

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import optimize, sparse
 from scipy.optimize._highspy import _core as highs
 
+from repro.exceptions import SolverError
 from repro.lp.budget import SolveBudget
 from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import Solution, SolutionStatus
@@ -89,8 +90,9 @@ class LinearRelaxationBackend:
 
 #: HiGHS 1.12 runs a feasibility-jump heuristic before the root LP.  A
 #: CoPhy BIP usually closes at its first node, so the pass is a roughly fixed
-#: cost on every solve: 17.0 -> 10.8 ms median over 96 served solves, lower
-#: on 96 of 96 (ROADMAP, design note "One HiGHS object").  Off, not an option.
+#: cost on every solve: turning it off took 96 replayed served solves from
+#: 13.9 to 8.6 ms (median, lower on 95 of 96; ROADMAP, design note "One
+#: HiGHS object").  Off, and not an option.
 FEASIBILITY_JUMP = False
 
 _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
@@ -140,7 +142,9 @@ def run_highs(matrices: dict, options: dict[str, float]) -> highs._Highs:
     for name, value in options.items():
         setattr(settings, name, value)
     solver = highs._Highs()
-    solver.passOptions(settings)
+    if solver.passOptions(settings) == highs.HighsStatus.kError:
+        # HiGHS would otherwise run on its defaults, console log included.
+        raise SolverError(f"HiGHS rejected the solve options {options!r}")
     solver.passModel(lp)
     solver.run()
     return solver
@@ -194,8 +198,11 @@ class MilpBackend:
         # A wall-clock stop; a node limit stops at kSolutionLimit instead.
         timed_out = status == highs.HighsModelStatus.kTimeLimit
         integral = matrices["integrality"].astype(bool)
+        mip = bool(integral.any())
+        # A MIP stopped at a limit answers with its incumbent, if it has
+        # one; an LP answers only at kOptimal (as milp reads HiGHS).
         found = (status == highs.HighsModelStatus.kOptimal
-                 or (status in _LIMITS and integral.any()
+                 or (mip and status in _LIMITS
                      and info.objective_function_value != highs.kHighsInf))
         if not found:
             return Solution(
@@ -209,7 +216,7 @@ class MilpBackend:
         vector = np.array(solver.getSolution().col_value)
         # Snap binaries to exact integers for downstream consumers.
         vector[integral] = np.round(vector[integral])
-        if integral.any():
+        if mip:
             # HiGHS bounds the minimised ``c x`` alone: add the constant back
             # and undo the sign flip of a maximisation, as for the objective.
             gap = info.mip_gap

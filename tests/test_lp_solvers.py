@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from repro.exceptions import SolverError
 from repro.lp import highs_backend
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.budget import SolveBudget
@@ -128,6 +129,13 @@ class TestMilpBackend:
         MilpBackend().solve(model)
         MilpBackend(gap_tolerance=0.05).solve(model, time_limit_seconds=0.0)
         assert capfd.readouterr() == ("", "")
+
+    def test_rejected_options_raise(self):
+        """HiGHS rejects a negative time limit; the solve must not go on
+        under HiGHS's defaults."""
+        model, _ = build_knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
+        with pytest.raises(SolverError, match="time_limit"):
+            MilpBackend(time_limit_seconds=-1.0).solve(model)
 
 
 class TestBranchAndBound:
