@@ -23,7 +23,16 @@ method) combinations with finite ``gamma`` and for access methods that are
 query on that table, or they cover the referenced columns) — irrelevant
 indexes could never beat the ``I_0`` choice, so dropping them changes nothing
 while keeping the program linear in the size of the input, as the paper
-requires.
+requires.  Nor is an index access created whose gamma is at least the heap's
+in the same slot (``gamma_qkia >= gamma_qki0``), and with it goes its
+``x <= z`` select row.  This is sound: the heap access needs no ``z`` and
+appears in no other row, so moving a slot from a dominated access to the heap
+keeps every row satisfied (select rows only loosen, the ``<=`` rows of
+query-cost constraints only get smaller, rows over ``z`` alone are
+untouched), and it never raises an objective whose ``x`` coefficients are
+non-negative multiples of ``gamma`` — the workload cost and every Pareto
+scalarisation.  Every configuration's best cost, and so the optimum, is
+unchanged.
 
 Layout: the program is assembled as arrays, straight from the workload gamma
 tensor's per-slot blocks.  Columns are the ``z`` (candidate order), then per
@@ -31,7 +40,8 @@ statement its ``y`` (usable templates, ascending) and its ``x`` (template,
 then slot in table order, then access: heap first, candidates in candidate
 order).  The rows are one :class:`~repro.lp.model.RowBlock` in the same
 per-statement order: the one-template row, then per (template, slot) the
-``x <= z`` select rows and the slot's one-access row.  Only the ``z`` columns
+``x <= z`` select rows and the slot's one-access row; :meth:`BipBuilder.extend`
+appends its columns and rows after all of these.  Only the ``z`` columns
 carry :class:`~repro.lp.variable.Variable` objects; the ``y``/``x`` columns
 are described by the struct-of-array tables on :class:`CophyBip`.
 """
@@ -81,7 +91,9 @@ class _Table:
 class TemplateColumns(_Table):
     """One entry per ``y`` column: a usable template of a statement.
 
-    A statement's entries are consecutive, in template position order.
+    A statement's entries are in template position order, except that the
+    templates an :meth:`BipBuilder.extend` makes usable follow every earlier
+    entry.
     """
 
     columns: np.ndarray
@@ -181,7 +193,8 @@ class CophyBip:
                 ucost = ucosts.get(variable.index)
                 if index.table == update.table and ucost:
                     coefficients[variable] = (coefficients.get(variable, 0.0)
-                                              + statement.weight * ucost)
+                                              + self.weight_of(statement)
+                                              * ucost)
         return LinearExpression(coefficients)
 
     def query_cost_expression(self, query: Query) -> LinearExpression:
@@ -253,10 +266,11 @@ class _Assembly:
     keeps its place at the first statement that touched it.
     """
 
-    def __init__(self, first_column: int):
+    def __init__(self, first_column: int, first_template: int = 0,
+                 first_row: int = 0):
         self.first_column = self.columns = first_column
-        self.templates = 0
-        self.rows = 0
+        self.templates = first_template
+        self.rows = first_row
         self.triplets: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.rhs: list[np.ndarray] = []
         self.kinds: list[np.ndarray] = []
@@ -289,14 +303,16 @@ class _Assembly:
     def table(self, kind: type) -> _Table:
         return kind.of(self.tables.get(kind, []))
 
-    def row_block(self) -> RowBlock:
-        if not self.triplets:
-            return RowBlock.of(())
-        rows, columns, values = zip(*self.triplets)
-        return RowBlock.from_triplets(
-            np.concatenate(rows), np.concatenate(columns),
+    def grow(self, model: Model, block: RowBlock) -> RowBlock:
+        """``block``, stored in ``model``, with the encoded entries and, after
+        its own rows, the encoded rows."""
+        none = np.zeros(0, dtype=np.int64)
+        rows, columns, values = zip((none, none, 0.0), *self.triplets)
+        return model.grow_rows(
+            block, np.concatenate(rows), np.concatenate(columns),
             np.repeat(values, [part.size for part in rows]),
-            np.concatenate(self.rhs), np.concatenate(self.kinds))
+            np.concatenate([np.zeros(0), *self.rhs]),
+            np.concatenate([np.zeros(0, dtype=np.int8), *self.kinds]))
 
     def objective(self, base: Objective) -> Objective:
         """``base`` with the encoded terms appended."""
@@ -404,7 +420,7 @@ class BipBuilder:
                                            statement.query))
 
         model.add_columns(assembly.columns - assembly.first_column)
-        rows = model.add_rows(assembly.row_block())
+        rows = assembly.grow(model, model.add_rows(RowBlock.of(())))
         empty = np.zeros(0, dtype=np.int64)
         model.set_objective(assembly.objective(
             Objective(empty, np.zeros(0), objective_constant)))
@@ -425,8 +441,12 @@ class BipBuilder:
         This is the "delta BIP" of interactive tuning: INUM's cache and all
         existing columns and rows are reused; the new candidates' columns
         are appended, their ``x <= z`` rows follow every stored row, and the
-        one-access rows of the slots they serve grow in place.  Rebuilding
-        from scratch is never required.
+        one-access rows of the slots they serve grow in place.  A template
+        that had a slot without a finite access, and that a new candidate
+        makes usable, is encoded whole after them (its heap and index
+        accesses and their rows), and its statement's one-template row
+        grows in place.  The program equals a fresh build's up to column and
+        row order, so rebuilding from scratch is never required.
         """
         added = [index for index in added_candidates if index not in bip.candidates]
         if not added:
@@ -435,23 +455,32 @@ class BipBuilder:
         for index in added:
             bip.candidates.add(index)
             bip.z_variables[index] = model.add_binary(f"z[{index.name}]")
-        z_columns = {index: bip.z_variables[index].index for index in added}
+        z_columns = {index: variable.index
+                     for index, variable in bip.z_variables.items()}
+        # Every index with a ``z`` column, pinned-out ones included, may
+        # serve a template the added candidates make usable.
+        by_table: dict[str, list[Index]] = {}
+        for index in bip.z_variables:
+            by_table.setdefault(index.table, []).append(index)
+        template_rows = np.flatnonzero(bip.rows.kinds == RowKind.EQUAL)
 
         tensor = self._inum.workload_tensor(bip.workload)
         tensor.ensure_columns(added)  # one batched registration
-        assembly = _Assembly(model.variable_count)
+        assembly = _Assembly(model.variable_count, bip.templates.columns.size,
+                             bip.rows.row_count)
         for ordinal, statement in enumerate(bip.workload):
             self._extend_statement(ordinal, statement.query,
-                                   bip.weight_of(statement), added, z_columns,
+                                   bip.weight_of(statement), added,
+                                   lambda table: by_table.get(table, ()),
+                                   z_columns, int(template_rows[ordinal]),
                                    bip, tensor, assembly)
         model.add_columns(assembly.columns - assembly.first_column)
-        model.add_rows(assembly.row_block())
-        accesses = assembly.table(AccessColumns)
-        bip.rows = model.grow_rows(bip.rows, accesses.slot_rows,
-                                   accesses.columns,
-                                   np.ones(accesses.columns.size))
+        bip.rows = assembly.grow(model, bip.rows)
         model.set_objective(assembly.objective(model.objective))
-        bip.accesses = AccessColumns.of([bip.accesses, accesses])
+        bip.templates = TemplateColumns.of([bip.templates,
+                                            assembly.table(TemplateColumns)])
+        bip.accesses = AccessColumns.of([bip.accesses,
+                                         assembly.table(AccessColumns)])
         bip.updates = UpdateCosts.of([bip.updates,
                                       assembly.table(UpdateCosts)])
         self._count(bip)
@@ -471,45 +500,69 @@ class BipBuilder:
                           assembly: _Assembly) -> None:
         shell = _shell(query)
         templates = self._inum.build(shell)
+        gammas, indexes = self._slot_blocks(shell, tensor, candidates.for_table,
+                                            z_columns)
+        positions = _usable(gammas)
+        if not positions.size:
+            raise SolverError(
+                f"No feasible template plan for statement {shell.name!r}")
+        template_row = assembly.add_rows(
+            np.ones(1), np.full(1, RowKind.EQUAL, dtype=np.int8))
+        self._encode_templates(ordinal, weight, templates, positions, gammas,
+                               indexes, template_row, assembly)
+        if isinstance(query, UpdateQuery):
+            self._encode_update_cost(ordinal, query, weight,
+                                     candidates.for_table(query.table),
+                                     z_columns, assembly)
+
+    def _slot_blocks(self, shell: Query, tensor: WorkloadGammaTensor,
+                     indexes_on: Callable[[str], Iterable[Index]],
+                     z_columns: Mapping[Index, int]
+                     ) -> tuple[list[np.ndarray], list[list[int]]]:
+        """Per table of ``shell``, its slot's undominated gammas (a row per
+        template, a column per access: the heap, then the relevant indexes
+        from ``indexes_on``) and the accesses' ``z`` columns (-1 for the
+        heap)."""
         view = tensor.view(shell.name)
         gammas: list[np.ndarray] = []
         indexes: list[list[int]] = []
         for table, relevant in zip(shell.tables,
-                                   self._relevant(shell, candidates.for_table)):
-            gammas.append(view.slot_block(table, [NO_INDEX, *relevant]))
+                                   self._relevant(shell, indexes_on)):
+            gammas.append(_undominated(
+                view.slot_block(table, [NO_INDEX, *relevant])))
             indexes.append([-1, *(z_columns[index] for index in relevant)])
-        # A template is usable when every slot has a finite access.
-        positions = np.flatnonzero(np.logical_and.reduce(
-            [(block != INFEASIBLE_COST).any(axis=1) for block in gammas]))
-        if not positions.size:
-            raise SolverError(
-                f"No feasible template plan for statement {shell.name!r}")
+        return gammas, indexes
+
+    @staticmethod
+    def _encode_templates(ordinal: int, weight: float,
+                          templates: tuple, positions: np.ndarray,
+                          gammas: list[np.ndarray], indexes: list[list[int]],
+                          template_row: int, assembly: _Assembly) -> None:
+        """The ``y`` and ``x`` columns of the statement's templates at
+        ``positions`` (ascending), their rows, and their ``y`` entries in
+        the statement's one-template row."""
         slots, accesses, costs = _lay_out(
             [block[positions] for block in gammas], indexes)
-
-        usable, tables = len(positions), len(shell.tables)
+        usable, tables = len(positions), len(gammas)
         y_columns = assembly.columns + np.arange(usable)
         x_columns = assembly.columns + usable + np.arange(len(slots))
         assembly.columns += usable + len(slots)
         betas = np.array([templates[position].internal_cost
                           for position in positions])
 
-        # Row order: the one-template row, then per slot its select rows
-        # (one per index access) followed by its one-access row.
+        # Row order: per slot its select rows (one per index access)
+        # followed by its one-access row.
         select = np.flatnonzero(accesses >= 0)
         selects = np.bincount(slots[select], minlength=usable * tables)
-        slot_rows = np.cumsum(selects + 1)
+        slot_rows = np.cumsum(selects + 1) - 1
         select_rows = (slot_rows - selects)[slots[select]] + (
             np.arange(select.size) - (np.cumsum(selects) - selects)[slots[select]])
         kinds = np.full(1 + slot_rows[-1], RowKind.LESS_EQUAL, dtype=np.int8)
-        kinds[0] = RowKind.EQUAL
         kinds[slot_rows] = RowKind.RELAXABLE
-        rhs = np.full(kinds.size, -0.0)
-        rhs[0] = 1.0
-        first = assembly.add_rows(rhs, kinds)
+        first = assembly.add_rows(np.full(kinds.size, -0.0), kinds)
         slot_rows += first
         select_rows += first
-        assembly.entries(np.full(usable, first), y_columns, 1.0)
+        assembly.entries(np.full(usable, template_row), y_columns, 1.0)
         assembly.entries(select_rows, accesses[select], -1.0)
         assembly.entries(select_rows, x_columns[select], 1.0)
         assembly.entries(slot_rows,
@@ -525,10 +578,6 @@ class BipBuilder:
                                    assembly.templates + slots // tables,
                                    slot_rows[slots], accesses, costs))
         assembly.templates += usable
-        if isinstance(query, UpdateQuery):
-            self._encode_update_cost(ordinal, query, weight,
-                                     candidates.for_table(query.table),
-                                     z_columns, assembly)
 
     def _encode_update_cost(self, ordinal: int, update: UpdateQuery,
                             weight: float, indexes: Iterable[Index],
@@ -565,22 +614,26 @@ class BipBuilder:
                 for table in shell.tables]
 
     def _extend_statement(self, ordinal: int, query: Query, weight: float,
-                          added: list[Index], z_columns: Mapping[Index, int],
+                          added: list[Index],
+                          indexes_on: Callable[[str], Iterable[Index]],
+                          z_columns: Mapping[Index, int], template_row: int,
                           bip: CophyBip, tensor: WorkloadGammaTensor,
                           assembly: _Assembly) -> None:
         shell = _shell(query)
-        view = tensor.view(shell.name)
+        gammas, indexes = self._slot_blocks(shell, tensor, indexes_on,
+                                            z_columns)
         mine = np.flatnonzero(bip.templates.statements == ordinal)
-        gammas: list[np.ndarray] = []
-        indexes: list[list[int]] = []
-        for table, relevant in zip(shell.tables, self._relevant(
-                shell, lambda table: [index for index in added
-                                      if index.table == table])):
-            gammas.append(view.slot_block(table, relevant)[
-                bip.templates.positions[mine]])
-            indexes.append([z_columns[index] for index in relevant])
-        slots, accesses, costs = _lay_out(gammas, indexes)
-        # The statement's one-access rows, template-major like ``slots``.
+        known = bip.templates.positions[mine]
+        # The added accesses of the templates already in the program: their
+        # columns and select rows, and entries in their slots' one-access
+        # rows (template-major, like ``slots``).
+        fresh = {z_columns[index] for index in added}
+        picks = [[access for access, column in enumerate(slot_indexes)
+                  if column in fresh] for slot_indexes in indexes]
+        slots, accesses, costs = _lay_out(
+            [block[known][:, pick] for block, pick in zip(gammas, picks)],
+            [[slot_indexes[access] for access in pick]
+             for slot_indexes, pick in zip(indexes, picks)])
         slot_rows = np.unique(bip.accesses.slot_rows[
             np.isin(bip.accesses.templates, mine)])[slots]
         x_columns = assembly.columns + np.arange(len(slots))
@@ -591,10 +644,17 @@ class BipBuilder:
         ) + np.arange(len(slots))
         assembly.entries(select_rows, accesses, -1.0)
         assembly.entries(select_rows, x_columns, 1.0)
+        assembly.entries(slot_rows, x_columns, 1.0)
         assembly.terms.append((x_columns, 0.0 + weight * costs))
         assembly.add(AccessColumns(x_columns,
                                    mine[slots // len(shell.tables)],
                                    slot_rows, accesses, costs))
+        # The templates the added candidates make usable, encoded whole.
+        positions = np.setdiff1d(_usable(gammas), known)
+        if positions.size:
+            self._encode_templates(ordinal, weight, self._inum.build(shell),
+                                   positions, gammas, indexes, template_row,
+                                   assembly)
         if isinstance(query, UpdateQuery):
             self._encode_update_cost(ordinal, query, weight, added, z_columns,
                                      assembly)
@@ -603,6 +663,21 @@ class BipBuilder:
 def _shell(query: Query) -> Query:
     """The query a statement is costed as (an UPDATE's query shell)."""
     return query.query_shell() if isinstance(query, UpdateQuery) else query
+
+
+def _undominated(block: np.ndarray) -> np.ndarray:
+    """A slot block (heap first) with every index access whose gamma is at
+    least the heap's in the same template marked infeasible."""
+    dominated = block >= block[:, :1]
+    dominated[:, 0] = False
+    return np.where(dominated, INFEASIBLE_COST, block)
+
+
+def _usable(gammas: list[np.ndarray]) -> np.ndarray:
+    """The templates (rows of the slot blocks) with a finite access in
+    every slot."""
+    return np.flatnonzero(np.logical_and.reduce(
+        [(block != INFEASIBLE_COST).any(axis=1) for block in gammas]))
 
 
 def _group_minima(groups: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -91,13 +91,18 @@ class RowBlock:
         return len(self.rhs)
 
     def with_entries(self, rows: np.ndarray, columns: np.ndarray,
-                     values: np.ndarray) -> "RowBlock":
-        """This block with more entries in (some of) its rows."""
+                     values: np.ndarray, rhs: np.ndarray,
+                     kinds: np.ndarray) -> "RowBlock":
+        """This block with more entries in (some of) its rows, and with
+        ``len(rhs)`` more rows after its own (numbered on from
+        :attr:`row_count`)."""
         own_rows = np.repeat(np.arange(self.row_count), np.diff(self.indptr))
         return RowBlock.from_triplets(
             np.concatenate((own_rows, rows)),
             np.concatenate((self.indices, columns)),
-            np.concatenate((self.data, values)), self.rhs, self.kinds)
+            np.concatenate((self.data, values)),
+            np.concatenate((self.rhs, rhs)),
+            np.concatenate((self.kinds, kinds)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,20 +242,21 @@ class Model:
 
     def add_rows(self, block: RowBlock) -> RowBlock:
         """Append a block of rows (bulk input, e.g. a whole BIP's rows)."""
-        if block.indices.size and block.indices.max() >= self.variable_count:
-            raise SolverError(
-                f"Row block references columns model {self.name!r} lacks")
+        self._check_block(block)
         self._rows.append(block)
         self._invalidate()
         return block
 
     def grow_rows(self, block: RowBlock, rows: np.ndarray, columns: np.ndarray,
-                  values: np.ndarray) -> RowBlock:
-        """Replace the stored ``block`` by one with extra entries in its rows;
-        returns the replacement."""
+                  values: np.ndarray, rhs: np.ndarray,
+                  kinds: np.ndarray) -> RowBlock:
+        """Replace the stored ``block`` by one with extra entries in its rows
+        and ``len(rhs)`` extra rows after them (see
+        :meth:`RowBlock.with_entries`); returns the replacement."""
         position = next(position for position, stored in enumerate(self._rows)
                         if stored is block)
-        grown = block.with_entries(rows, columns, values)
+        grown = block.with_entries(rows, columns, values, rhs, kinds)
+        self._check_block(grown)
         self._rows[position] = grown
         self._invalidate()
         return grown
@@ -393,6 +399,11 @@ class Model:
         """The one-row constraints an assignment violates."""
         return tuple(constraint for constraint in self.constraints
                      if not constraint.is_satisfied(values, tolerance))
+
+    def _check_block(self, block: RowBlock) -> None:
+        if block.indices.size and block.indices.max() >= self.variable_count:
+            raise SolverError(
+                f"Row block references columns model {self.name!r} lacks")
 
     def _check_row(self, constraint: Constraint) -> None:
         if not isinstance(constraint, Constraint):

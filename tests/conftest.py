@@ -240,7 +240,9 @@ def reference_bip_matrices(inum: InumCache, workload: Workload, candidates,
     """Scalar oracle for ``BipBuilder.build(...).model.to_matrices()``.
 
     Walks the workload one statement, template, slot and access at a time,
-    reading each gamma from the workload tensor's per-query view, and emits
+    reading each gamma from the workload tensor's per-query view, keeps an
+    index access only when its gamma is below the slot's heap gamma, and
+    emits
     the Theorem-1 program as ``(row, column, value)`` triplets in the
     builder's column order (z, then per statement its y's and x's) and row
     order (per statement: the one-template row, then per template and slot
@@ -275,10 +277,12 @@ def reference_bip_matrices(inum: InumCache, workload: Workload, candidates,
                     index for index in candidates.for_table(table)
                     if referenced and (index.leading_column in referenced
                                        or index.covers(referenced))]
+                heap = view.value(position, table, None)
                 slots[table] = [
                     (access, gamma) for access in accesses
                     if (gamma := view.value(position, table, access))
-                    != INFEASIBLE_COST]
+                    != INFEASIBLE_COST
+                    and (access is None or gamma < heap)]
             if all(slots.values()):
                 usable.append((position, slots))
         y = {}

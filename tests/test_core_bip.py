@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.catalog.tpch import tpch_schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
 from repro.core.solver import CoPhySolver, SolverBackend
@@ -22,8 +27,14 @@ from repro.workload.generators import (
     generate_heterogeneous_workload,
     generate_homogeneous_workload,
 )
+from repro.workload.query import UpdateQuery
 from repro.workload.workload import Workload
-from tests.conftest import assert_same_matrices, reference_bip_matrices
+from tests.conftest import (
+    assert_same_matrices,
+    build_simple_schema,
+    build_simple_workload,
+    reference_bip_matrices,
+)
 
 
 @pytest.fixture
@@ -57,6 +68,30 @@ def brute_force_best(inum: InumCache, workload: Workload,
                 best_cost = cost
                 best_subset = set(subset)
     return best_cost, best_subset
+
+
+def x_entries(bip) -> list[tuple]:
+    """Per ``x`` column (entry of ``bip.accesses``): its statement ordinal,
+    template position, table, index name (``None`` for the heap) and
+    gamma."""
+    names = {variable.index: index.name
+             for index, variable in bip.z_variables.items()}
+    statements = list(bip.workload)
+    accesses, templates = bip.accesses, bip.templates
+    entries = []
+    for template, slot_row, column, gamma in zip(
+            accesses.templates.tolist(), accesses.slot_rows.tolist(),
+            accesses.indexes.tolist(), accesses.gammas.tolist()):
+        statement = templates.statements[template]
+        query = statements[statement].query
+        shell = query.query_shell() if isinstance(query, UpdateQuery) else query
+        # A template's slots have ascending rows, in its shell's table order.
+        slot_rows = sorted(set(
+            accesses.slot_rows[accesses.templates == template].tolist()))
+        entries.append((int(statement), int(templates.positions[template]),
+                        shell.tables[slot_rows.index(slot_row)],
+                        names.get(column), gamma))
+    return entries
 
 
 class TestBipStructure:
@@ -127,6 +162,56 @@ class TestBipStructure:
         query = simple_workload.statements[0].query
         expression = bip.query_cost_expression(query)
         assert not expression.is_empty()
+
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_update_cost_expression_matches_the_objective(self, tpch,
+                                                          overridden):
+        workload, candidates = _tpch_with_updates(tpch, seed=5)
+        weights = ({statement.query.name: 0.5 + position
+                    for position, statement in enumerate(workload)
+                    if position % 2 == 0} if overridden else None)
+        bip = BipBuilder(InumCache(WhatIfOptimizer(tpch))).build(
+            workload, candidates, statement_weights=weights)
+        costs = bip.model.objective.cost_vector(bip.model.variable_count)
+        expression = bip.update_cost_expression()
+        assert not expression.is_empty()
+        for variable in bip.z_variables.values():
+            assert expression.terms.get(variable, 0.0) == costs[variable.index]
+
+    def test_no_index_access_is_dominated_by_the_heap(self, tpch,
+                                                      simple_schema,
+                                                      simple_workload):
+        """No ``x`` column has a gamma at or above its slot's heap gamma,
+        read from INUM, on a fresh or an extended build."""
+        tpch_workload, tpch_candidates = _tpch_with_updates(tpch)
+        indexes = list(tpch_candidates)
+        builds = []
+        for schema, workload, candidates, added in (
+                (simple_schema, simple_workload,
+                 CandidateGenerator(simple_schema).generate(simple_workload),
+                 ()),
+                (tpch, tpch_workload, tpch_candidates, ()),
+                (tpch, tpch_workload,
+                 CandidateSet(tpch, indexes[:len(indexes) // 2]),
+                 indexes[len(indexes) // 2:])):
+            inum = InumCache(WhatIfOptimizer(schema))
+            builder = BipBuilder(inum)
+            bip = builder.extend(builder.build(workload, candidates), added)
+            builds.append((inum, bip))
+        for inum, bip in builds:
+            tensor = inum.workload_tensor(bip.workload)
+            queries = [statement.query for statement in bip.workload]
+            indexed = 0
+            for statement, position, table, index, gamma in x_entries(bip):
+                if index is None:
+                    continue
+                indexed += 1
+                query = queries[statement]
+                shell = (query.query_shell() if isinstance(query, UpdateQuery)
+                         else query)
+                heap = tensor.view(shell.name).value(position, table, None)
+                assert gamma < heap, (statement, position, table, index)
+            assert indexed, "expected index accesses"
 
     def test_unknown_index_variable_lookup_raises(self, builder, simple_workload,
                                                   simple_schema):
@@ -207,26 +292,43 @@ class TestIncrementalExtension:
             assert index in bip.z_variables
 
     def test_extend_is_equivalent_to_building_from_scratch(self, simple_schema,
-                                                           simple_workload):
-        generator = CandidateGenerator(simple_schema)
-        all_candidates = list(generator.generate(simple_workload))
-        subset, added = all_candidates[:6], all_candidates[6:12]
+                                                           simple_workload,
+                                                           tpch):
+        """An extended BIP holds a fresh build's templates and accesses
+        (with their gammas) and reaches its optimum under a storage budget,
+        also when the added candidates make a template usable."""
+        tpch_workload, tpch_candidates = _tpch_with_updates(tpch)
+        simple = list(CandidateGenerator(simple_schema).generate(
+            simple_workload))
+        tpch_indexes = list(tpch_candidates)
+        half = len(tpch_indexes) // 2
+        for schema, workload, subset, added in (
+                (simple_schema, simple_workload, simple[:6], simple[6:12]),
+                (tpch, tpch_workload, tpch_indexes[:half],
+                 tpch_indexes[half:])):
+            incremental_builder = BipBuilder(
+                InumCache(WhatIfOptimizer(schema)))
+            incremental = incremental_builder.build(
+                workload, CandidateSet(schema, subset))
+            incremental_builder.extend(incremental, added)
+            fresh = BipBuilder(InumCache(WhatIfOptimizer(schema))).build(
+                workload, CandidateSet(schema, subset + added))
 
-        shared_inum = InumCache(WhatIfOptimizer(simple_schema))
-        incremental_builder = BipBuilder(shared_inum)
-        incremental = incremental_builder.build(
-            simple_workload, CandidateSet(simple_schema, subset))
-        incremental_builder.extend(incremental, added)
-        incremental_solution = MilpBackend().solve(incremental.model)
-
-        fresh_inum = InumCache(WhatIfOptimizer(simple_schema))
-        fresh_builder = BipBuilder(fresh_inum)
-        fresh = fresh_builder.build(simple_workload,
-                                    CandidateSet(simple_schema, subset + added))
-        fresh_solution = MilpBackend().solve(fresh.model)
-
-        assert incremental_solution.objective == pytest.approx(
-            fresh_solution.objective, rel=1e-6)
+            assert Counter(x_entries(incremental)) == Counter(x_entries(fresh))
+            assert sorted(zip(incremental.templates.statements.tolist(),
+                              incremental.templates.positions.tolist())) == (
+                sorted(zip(fresh.templates.statements.tolist(),
+                           fresh.templates.positions.tolist())))
+            assert incremental.model.variable_count == fresh.model.variable_count
+            assert (incremental.model.constraint_count
+                    == fresh.model.constraint_count)
+            budget = [StorageBudgetConstraint(
+                0.3 * CandidateSet(schema, subset + added).total_size())]
+            objectives = [
+                CoPhySolver(backend=SolverBackend.MILP,
+                            gap_tolerance=0.0).solve(bip, budget).objective
+                for bip in (incremental, fresh)]
+            assert objectives[0] == pytest.approx(objectives[1], rel=1e-9)
 
     def test_extend_with_duplicates_is_a_no_op(self, simple_schema, simple_workload,
                                                builder):
@@ -319,6 +421,41 @@ def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
                                      storage_budget=budget)
     assert objectives[1] == pytest.approx(objectives[0], rel=1e-9)
     assert objectives[0] == pytest.approx(brute_cost, rel=1e-9)
+
+
+@functools.cache
+def _theorem_case(name: str) -> tuple[InumCache, object]:
+    """The conftest or the TPC-H-with-UPDATEs BIP, built once, with its INUM."""
+    if name == "conftest":
+        schema, workload = build_simple_schema(), build_simple_workload()
+        candidates = CandidateGenerator(schema).generate(workload)
+    else:
+        schema = tpch_schema(scale_factor=0.005)
+        workload, candidates = _tpch_with_updates(schema)
+    inum = InumCache(WhatIfOptimizer(schema))
+    return inum, BipBuilder(inum).build(workload, candidates)
+
+
+@pytest.mark.parametrize("case", ["conftest", "tpch"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_theorem_one_holds_per_configuration(case, data):
+    """Theorem 1 for every configuration, not only the optimum: with the
+    ``z`` bounds of the export fixed to a candidate subset X, the gap-0
+    objective is INUM's workload cost of X."""
+    inum, bip = _theorem_case(case)
+    indexes = list(bip.candidates)
+    chosen = data.draw(st.lists(st.sampled_from(indexes), unique=True,
+                                max_size=len(indexes)))
+    matrices = dict(bip.model.to_matrices())
+    bounds = matrices["bounds"].copy()
+    for index, variable in bip.z_variables.items():
+        bounds[variable.index] = 1.0 if index in chosen else 0.0
+    matrices["bounds"] = bounds
+    solution = MilpBackend(gap_tolerance=0.0).solve(bip.model,
+                                                    matrices=matrices)
+    assert solution.objective == pytest.approx(
+        inum.workload_cost(bip.workload, Configuration(chosen)), rel=1e-9)
 
 
 def reference_warm_start(bip, configuration: Configuration) -> np.ndarray:
