@@ -9,7 +9,7 @@ results:
   (data skew ``z`` is reproduced analytically);
 * the 250/500/1000-statement workloads become 15/30/60-statement workloads
   drawn from the same generators;
-* CPLEX becomes the bundled branch-and-bound / HiGHS MILP backends.
+* CPLEX becomes HiGHS, the build scipy vendors.
 
 Each benchmark prints the rows/series corresponding to the paper's table or
 figure (run with ``pytest benchmarks/ --benchmark-only -s`` to see them) and

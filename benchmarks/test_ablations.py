@@ -1,12 +1,10 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-These are not paper figures; they quantify the impact of three implementation
+These are not paper figures; they quantify the impact of implementation
 choices of the reproduction:
 
 * the Lagrangian-style relaxation of the slot-assignment constraints
   (section 4.1 of the paper) versus solving the raw Theorem-1 BIP;
-* the pure-Python branch-and-bound backend versus the scipy/HiGHS MILP
-  backend;
 * INUM's cost approximation versus direct what-if optimization (accuracy and
   optimizer-call counts) — the premise the whole BIP formulation rests on.
 """
@@ -20,7 +18,6 @@ from repro.api import make_advisor
 from repro.bench.harness import run_advisor
 from repro.bench.metrics import baseline_configuration
 from repro.bench.reporting import format_table
-from repro.core.solver import SolverBackend
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.inum.cache import InumCache
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -55,42 +52,6 @@ def test_ablation_relaxation(benchmark):
     # The relaxation must not change the quality of the recommendation.
     assert results["relaxed BIP"].objective_estimate == pytest.approx(
         results["raw BIP"].objective_estimate, rel=1e-6)
-
-
-def _run_backend_ablation():
-    schema = make_schema(0.0)
-    budget = storage_budget(schema, 1.0)
-    workload = generate_homogeneous_workload(WORKLOAD_SIZES[500], seed=SEED)
-    rows = []
-    results = {}
-    for label, backend in (("milp (HiGHS)", SolverBackend.MILP),
-                           ("branch-and-bound", SolverBackend.BRANCH_AND_BOUND)):
-        advisor = make_advisor("cophy", schema, backend=backend, gap_tolerance=0.05,
-                               time_limit_seconds=120.0)
-        recommendation = advisor.tune(workload, constraints=[budget])
-        results[label] = recommendation
-        rows.append({
-            "backend": label,
-            "objective": round(recommendation.objective_estimate, 1),
-            "gap": round(recommendation.gap, 4),
-            "solve s": round(recommendation.timings["solve"], 3),
-            "gap-trace points": len(recommendation.gap_trace),
-        })
-    return rows, results
-
-
-def test_ablation_solver_backend(benchmark):
-    rows, results = benchmark.pedantic(_run_backend_ablation, rounds=1,
-                                       iterations=1)
-    print_report("Ablation: MILP backend vs pure-Python branch and bound",
-                 format_table(rows))
-    milp = results["milp (HiGHS)"]
-    bnb = results["branch-and-bound"]
-    # Both backends land within the early-termination gap of each other.
-    assert bnb.objective_estimate <= milp.objective_estimate * 1.06 + 1e-6
-    assert milp.objective_estimate <= bnb.objective_estimate * 1.06 + 1e-6
-    # Only the branch-and-bound backend provides the interactive gap trace.
-    assert bnb.gap_trace and not milp.gap_trace
 
 
 def _run_inum_ablation():

@@ -3,7 +3,7 @@
 One knob — ``AdvisorSpec.time_budget_ms`` — turns a tuning request into an
 *anytime* request: the deadline is anchored when the pipeline starts and
 threaded through candidate generation, the greedy-knapsack heuristic, BIP
-construction and the branch-and-bound/MILP solve, so the call returns a
+construction and the HiGHS solve, so the call returns a
 *feasible* recommendation by the deadline, flagged ``timed_out=True`` with a
 finite optimality gap instead of blowing the budget.  ``solve_tier`` picks
 how the budget is spent:

@@ -3,8 +3,8 @@
 A DBA explores the design space incrementally: open a session on the tuning
 service, get an initial recommendation, add hand-picked candidate indexes and
 re-tune, then tighten the constraints and re-tune again.  Re-tuning reuses
-INUM's cache, extends the existing BIP with a delta and warm-starts the
-solver, so it is much cheaper than the initial run — and because the session
+INUM's cache and extends the existing BIP with a delta instead of rebuilding
+it, so it is much cheaper than the initial run — and because the session
 lives on the service, it shares the schema's cache with every other request
 the service is fielding.
 

@@ -12,7 +12,7 @@ every substrate it depends on:
   (``repro.indexes``),
 * a cost-based what-if optimizer (``repro.optimizer``),
 * INUM-style fast what-if optimization (``repro.inum``),
-* a from-scratch BIP modelling layer and branch-and-bound solver (``repro.lp``),
+* a BIP modelling layer over the HiGHS solver (``repro.lp``),
 * the CoPhy advisor itself: BIP generation, constraint language, soft
   constraints / Pareto exploration, early termination and interactive
   re-tuning (``repro.core``),
@@ -68,7 +68,6 @@ from repro.core import (
     QueryCostConstraint,
     QuerySpeedupGenerator,
     SoftConstraint,
-    SolverBackend,
     StorageBudgetConstraint,
     UpdateCostConstraint,
 )
@@ -107,7 +106,6 @@ __all__ = [
     # CoPhy
     "CoPhyAdvisor",
     "CoPhySolver",
-    "SolverBackend",
     "InteractiveTuningSession",
     "ParetoExplorer",
     "StorageBudgetConstraint",

@@ -9,7 +9,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.lp.budget import SolveBudget
-from repro.lp.solution import GapTracePoint
 from repro.workload.workload import Workload, WorkloadStatement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (advisors <- inum)
@@ -54,8 +53,6 @@ class Recommendation:
             commercial tools).
         whatif_calls: What-if optimizer invocations consumed.
         gap: Reported optimality gap (solver-based advisors only).
-        gap_trace: Gap-over-time feedback points (CoPhy's early-termination
-            feature; empty for advisors that cannot provide it).
         extras: Advisor-specific extra results (e.g. the Pareto set).
         timed_out: True when a :class:`~repro.lp.budget.SolveBudget` deadline
             interrupted the run; the recommendation is the best-so-far
@@ -78,7 +75,6 @@ class Recommendation:
     candidate_count: int = 0
     whatif_calls: int = 0
     gap: float = 0.0
-    gap_trace: tuple[GapTracePoint, ...] = ()
     extras: dict = field(default_factory=dict)
     timed_out: bool = False
     solve_tier: str = "exact"

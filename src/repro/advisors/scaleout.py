@@ -37,7 +37,7 @@ from repro.core.constraints import (
     split_constraints,
 )
 from repro.core.heuristics import greedy_knapsack, unsupported_constraint
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.exceptions import ConstraintError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
@@ -83,7 +83,7 @@ class ScaleOutAdvisor(Advisor):
             :func:`repro.scale.partition.split_budget`).
         build_processes: Process count for sharded gamma-matrix builds during
             gamma-signature compression.
-        backend / gap_tolerance / time_limit_seconds: Solver settings for the
+        gap_tolerance / time_limit_seconds: Solver settings for the
             shard and merge solves.
         retry_policy / fault_plan: Reliability knobs forwarded to the
             :class:`~repro.scale.executor.ShardExecutor` (``None`` defers to
@@ -102,7 +102,6 @@ class ScaleOutAdvisor(Advisor):
                  shard_workers: int | None = None,
                  budget_oversubscription: float | None = None,
                  build_processes: int | None = None,
-                 backend: SolverBackend = SolverBackend.MILP,
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
                  retry_policy=None, fault_plan=None):
@@ -117,7 +116,6 @@ class ScaleOutAdvisor(Advisor):
         self.shard_workers = shard_workers
         self.budget_oversubscription = budget_oversubscription
         self.build_processes = build_processes
-        self.backend = backend
         self.gap_tolerance = gap_tolerance
         self.time_limit_seconds = time_limit_seconds
         self.retry_policy = retry_policy
@@ -231,7 +229,6 @@ class ScaleOutAdvisor(Advisor):
         #    apportioned into equal wall-clock slices per shard wave, with a
         #    reserved fraction left over for the merge BIP.
         executor = ShardExecutor(workers=self.shard_workers,
-                                 backend=self.backend,
                                  gap_tolerance=self.gap_tolerance,
                                  time_limit_seconds=self.time_limit_seconds,
                                  retry_policy=self.retry_policy,
@@ -299,13 +296,13 @@ class ScaleOutAdvisor(Advisor):
         with stage(timings, "merge", winners=len(winners),
                    adopted=adopted) as merge_span:
             if winners:
-                configuration, objective, gap, gap_trace, merge_stats, \
+                configuration, objective, gap, merge_stats, \
                     merge_timed_out = self._merge(tuned, winners, hard,
                                                   budget=budget)
             else:
                 configuration = Configuration(name="scaleout-recommendation")
                 objective = self.inum.workload_cost(tuned, configuration)
-                gap, gap_trace, merge_stats = 0.0, (), {}
+                gap, merge_stats = 0.0, {}
             # Non-zero only when the merge had to enumerate templates itself
             # (shards that failed, or recovered inline, shipped nothing).
             merge_span.set(indexes=len(configuration),
@@ -327,7 +324,6 @@ class ScaleOutAdvisor(Advisor):
                           + self.inum.template_build_calls
                           + worker_calls - whatif_before),
             gap=gap,
-            gap_trace=gap_trace,
             extras=extras,
             timed_out=(any(result.timed_out for result in results)
                        or merge_timed_out
@@ -359,8 +355,7 @@ class ScaleOutAdvisor(Advisor):
                                               model_name="scaleout-merge-bip")
             node.set(variables=bip.statistics.get("variables", 0.0),
                      constraints=bip.statistics.get("constraints", 0.0))
-        solver = CoPhySolver(backend=self.backend,
-                             gap_tolerance=self.gap_tolerance,
+        solver = CoPhySolver(gap_tolerance=self.gap_tolerance,
                              time_limit_seconds=self.time_limit_seconds)
         with span("solve") as node:
             report = solver.solve(bip, hard_constraints=hard, budget=budget)
@@ -371,8 +366,8 @@ class ScaleOutAdvisor(Advisor):
                  "variables": bip.statistics.get("variables", 0.0),
                  "constraints": bip.statistics.get("constraints", 0.0),
                  "seconds": round(report.solve_seconds, 4)}
-        return (configuration, report.objective, report.gap, report.gap_trace,
-                stats, report.timed_out)
+        return (configuration, report.objective, report.gap, stats,
+                report.timed_out)
 
     @staticmethod
     def _storage_budget(constraints: Sequence[TuningConstraint]) -> float | None:

@@ -86,6 +86,9 @@ class TuningDiagnostics:
     #: Advisor-reported per-stage seconds plus the facade's own stages
     #: (``facade.prepare`` / ``facade.evaluate`` / ``facade.total``).
     timings: dict[str, float] = field(default_factory=dict)
+    #: Always empty: HiGHS reports its gap once, at the end of a solve.  The
+    #: field stays because the codec rejects unknown fields, so dropping it
+    #: would change the wire format.
     gap_trace: tuple[GapTracePoint, ...] = ()
     #: True when an anytime deadline interrupted the solve; the result is
     #: still feasible and ``gap`` bounds its distance from the optimum.
@@ -208,7 +211,6 @@ class TuningResult:
             nodes_explored=nodes,
             iterations=iterations,
             timings=dict(recommendation.timings),
-            gap_trace=recommendation.gap_trace,
             timed_out=recommendation.timed_out,
             solve_tier=recommendation.solve_tier,
             degraded=recommendation.degraded,

@@ -515,7 +515,7 @@ class TuningSession:
         return self._run("recommend")
 
     def add_candidates(self, new_indexes) -> TuningResult:
-        """Re-tune after adding candidates (delta BIP + warm start)."""
+        """Re-tune after adding candidates (delta BIP)."""
         return self._run("add_candidates", new_indexes)
 
     def remove_candidates(self, removed_indexes) -> TuningResult:
@@ -523,7 +523,7 @@ class TuningSession:
         return self._run("remove_candidates", removed_indexes)
 
     def update_constraints(self, constraints) -> TuningResult:
-        """Re-tune under a different constraint set (warm-started).
+        """Re-tune under a different constraint set (re-solve, no rebuild).
 
         Constraints referencing statements by their *original* names are
         rewritten through the admission-time rename map, so clients of a

@@ -42,7 +42,7 @@ class AdvisorSpec:
             ``"scaleout"`` — see :func:`repro.api.available_advisors`).
         options: Keyword options forwarded to the registered factory.  Must be
             JSON-representable values (they are recorded in the provenance);
-            live objects (custom generators, solver backends) belong to the
+            live objects (custom generators, shared caches) belong to the
             imperative :func:`repro.api.make_advisor` escape hatch instead.
         time_budget_ms: Anytime wall-clock budget for the whole tune, in
             milliseconds.  ``None`` (the default) keeps today's run-to-gap

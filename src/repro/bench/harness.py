@@ -207,7 +207,6 @@ def run_request(tuner: "Tuner", request: "TuningRequest",
         candidate_count=diagnostics.candidate_count,
         whatif_calls=diagnostics.whatif_calls,
         gap=diagnostics.gap,
-        gap_trace=diagnostics.gap_trace,
         extras=result.extras,
     )
     return AdvisorRun(advisor_name=result.advisor_name,

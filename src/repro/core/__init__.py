@@ -26,7 +26,7 @@ from repro.core.constraints import (
     TuningConstraint,
     UpdateCostConstraint,
 )
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.core.soft_constraints import ParetoExplorer, ParetoPoint
 from repro.core.advisor import CoPhyAdvisor, Recommendation
 from repro.core.interactive import InteractiveTuningSession
@@ -44,7 +44,6 @@ __all__ = [
     "UpdateCostConstraint",
     "SoftConstraint",
     "CoPhySolver",
-    "SolverBackend",
     "ParetoExplorer",
     "ParetoPoint",
     "CoPhyAdvisor",

@@ -24,7 +24,7 @@ from repro.core.heuristics import (
     unsupported_constraint,
 )
 from repro.core.soft_constraints import ParetoExplorer, ParetoPoint
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.exceptions import BuildInterrupted, ConstraintError, SolverError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
@@ -60,7 +60,6 @@ class CoPhyAdvisor(Advisor):
             (a fresh one over ``schema`` is created otherwise).
         cost_model: Cost-model constants for a freshly created optimizer.
         candidate_generator: Optional custom CGen instance.
-        backend: Which BIP solver backend to delegate to.
         gap_tolerance: Early-termination optimality gap (paper default: 5%).
         time_limit_seconds: Wall-clock limit for each solver call.
         apply_relaxation: Apply the Lagrangian-style relaxation before solving.
@@ -77,7 +76,6 @@ class CoPhyAdvisor(Advisor):
     def __init__(self, schema: Schema, optimizer: WhatIfOptimizer | None = None,
                  cost_model: CostModel | None = None,
                  candidate_generator: CandidateGenerator | None = None,
-                 backend: SolverBackend = SolverBackend.MILP,
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
                  apply_relaxation: bool = False,
@@ -93,7 +91,7 @@ class CoPhyAdvisor(Advisor):
                                       max_orders_per_table=max_orders_per_table,
                                       max_templates_per_query=max_templates_per_query)
         self.bip_builder = BipBuilder(self.inum)
-        self.solver = CoPhySolver(backend=backend, gap_tolerance=gap_tolerance,
+        self.solver = CoPhySolver(gap_tolerance=gap_tolerance,
                                   time_limit_seconds=time_limit_seconds,
                                   apply_relaxation=apply_relaxation)
         self.gap_tolerance = gap_tolerance
@@ -131,8 +129,8 @@ class CoPhyAdvisor(Advisor):
         ``budget`` makes the session *anytime*: its tier selects between the
         greedy-knapsack pass (``"heuristic"``), the exact BIP solve
         (``"exact"``, interrupted at the deadline with the best-so-far
-        incumbent) and ``"cascade"`` — greedy first, whose incumbent
-        warm-starts the exact solve with whatever wall clock remains.
+        incumbent) and ``"cascade"`` — greedy first, then the exact solve
+        with whatever wall clock remains, the better answer winning.
         """
         hard, soft = split_constraints(constraints)
         if budget is not None:
@@ -246,22 +244,18 @@ class CoPhyAdvisor(Advisor):
             recommendation = answer(best.configuration, best.workload_cost,
                                     0.0, extras=extras)
         else:
-            warm_start = (bip.warm_start_from(heuristic.configuration)
-                          if heuristic is not None else None)
             try:
-                with stage(timings, "solve",
-                           warm_started=warm_start is not None) as node:
+                with stage(timings, "solve") as node:
                     report = self.solver.solve(bip, hard_constraints=hard,
-                                               warm_start=warm_start,
                                                budget=budget)
                     node.set(nodes=report.solution.nodes_explored,
                              **report.span_attributes())
             except SolverError:
                 if heuristic is None:
                     raise
-                # The deadline killed the exact solve before any incumbent
-                # (MILP backend, which cannot warm-start); the greedy result
-                # is still a valid feasible answer.
+                # The deadline killed the exact solve before HiGHS found an
+                # incumbent; the greedy result is still a valid feasible
+                # answer.
                 recommendation = answer(
                     heuristic.configuration, heuristic.objective,
                     heuristic.gap, extras=extras, timed_out=True,
@@ -275,16 +269,16 @@ class CoPhyAdvisor(Advisor):
             gap = report.gap
             if (heuristic is not None
                     and heuristic.objective < objective - 1e-9):
-                # The exact solve (e.g. the MILP backend, which ignores warm
-                # starts) was cut off below the greedy incumbent — keep the
-                # better configuration and the tightest known bound.
+                # The exact solve stopped (at its gap tolerance or the
+                # deadline) at an incumbent worse than the greedy one — keep
+                # the better configuration and the tightest known bound.
                 configuration = heuristic.configuration
                 objective = heuristic.objective
                 bound = max(heuristic.lower_bound, report.solution.best_bound)
                 gap = max(0.0, (objective - bound) / max(abs(objective), 1e-9))
             recommendation = answer(
-                configuration, objective, gap, gap_trace=report.gap_trace,
-                extras=extras, timed_out=timed_out,
+                configuration, objective, gap, extras=extras,
+                timed_out=timed_out,
                 solve_tier="cascade" if heuristic is not None else "exact")
         recommendation.extras["bip"] = bip
         return recommendation

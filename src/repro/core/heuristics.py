@@ -16,9 +16,8 @@ The result carries a **finite optimality gap** without any LP: the *ideal
 bound* costs the workload as if every candidate were materialised at once and
 update maintenance were free — a valid lower bound on any feasible
 configuration's objective, because shell costs are monotone in the available
-index set and maintenance terms are non-negative.  The exact solve of the
-cascade tier then warm-starts from the greedy incumbent via
-``CophyBip.warm_start_from`` (the PR 1 seeding hooks).
+index set and maintenance terms are non-negative.  The cascade tier then runs
+the exact solve and keeps whichever of the two answers is better.
 """
 
 from __future__ import annotations

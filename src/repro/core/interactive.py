@@ -2,10 +2,10 @@
 
 Section 4.2 of the paper: index tuning is exploratory — the DBA tweaks the
 candidate set, the constraints or the workload and asks for a revised
-recommendation.  CoPhy makes this cheap by (a) reusing the INUM cache, (b)
-extending the existing BIP with a *delta* instead of rebuilding it, and (c)
-warm-starting the solver from the previous solution.  Figure 6(b) shows the
-resulting order-of-magnitude reduction in response time.
+recommendation.  CoPhy makes this cheap by (a) reusing the INUM cache and
+(b) extending the existing BIP with a *delta* instead of rebuilding it, so a
+re-tune is one more HiGHS solve of the program already built.  Figure 6(b)
+shows the resulting order-of-magnitude reduction in response time.
 
 Since the unified tuning API landed, sessions are opened through
 ``TuningService.open_session(TuningRequest(...))`` (which shares the
@@ -23,7 +23,6 @@ from repro.core.bip_builder import CophyBip
 from repro.core.constraints import SoftConstraint, TuningConstraint, split_constraints
 from repro.exceptions import SolverError
 from repro.indexes.candidate_generation import CandidateSet
-from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.lp.constraint import Constraint
 from repro.obs.trace import stage
@@ -105,10 +104,10 @@ class InteractiveTuningSession:
                 # on the new model) and silently skip creating the
                 # candidate's variables.
                 self._pinned_out = {}
-            return self._solve(timings, None, whatif_before)
+            return self._solve(timings, whatif_before)
 
     def add_candidates(self, new_indexes: Iterable[Index]) -> Recommendation:
-        """Re-tune after the DBA adds candidate indexes (delta BIP + warm start)."""
+        """Re-tune after the DBA adds candidate indexes (delta BIP)."""
         if self._bip is None:
             self._candidates.add_all(new_indexes)
             return self.recommend()
@@ -127,17 +126,15 @@ class InteractiveTuningSession:
                         [self._pinned_out.pop(index) for index in restored])
                     self._candidates.add_all(restored)
                 self._advisor.bip_builder.extend(self._bip, new_indexes)
-            return self._solve(timings, self._warm_start_values(),
-                               whatif_before)
+            return self._solve(timings, whatif_before)
 
     def remove_candidates(self, removed_indexes: Iterable[Index]) -> Recommendation:
         """Re-tune after the DBA retracts candidate indexes (pinned delta BIP).
 
         The shrink analogue of :meth:`add_candidates`: instead of rebuilding
         the BIP without the retracted candidates, each one's ``z`` variable
-        is pinned to zero with a single constraint row, the warm start is the
-        previous recommendation minus the retracted indexes, and the solver
-        re-runs on the otherwise unchanged program.
+        is pinned to zero with a single constraint row and the solver re-runs
+        on the otherwise unchanged program.
         """
         removed = [index for index in dict.fromkeys(removed_indexes)
                    if index in self._candidates]
@@ -154,33 +151,21 @@ class InteractiveTuningSession:
                         continue
                     self._pinned_out[index] = self._bip.model.add_constraint(
                         (1.0 * variable) <= 0.0, name=f"removed[{index.name}]")
-            warm_start = None
-            if self._last_recommendation is not None:
-                survivors = Configuration(
-                    [index for index in self._last_recommendation.configuration
-                     if index not in set(removed)])
-                warm_start = self._bip.warm_start_from(survivors)
-            return self._solve(timings, warm_start, whatif_before)
+            return self._solve(timings, whatif_before)
 
     def update_constraints(self,
                            constraints: Sequence[TuningConstraint | SoftConstraint]
                            ) -> Recommendation:
-        """Re-tune with a different constraint set (warm-started re-solve)."""
+        """Re-tune with a different constraint set (a re-solve, no rebuild)."""
         self._hard, self._soft = split_constraints(constraints)
         if self._bip is None:
             return self.recommend()
         timings: dict[str, float] = {"inum": 0.0, "build": 0.0}
         whatif_before = self._whatif_calls()
         with stage(timings, "total"):
-            return self._solve(timings, self._warm_start_values(),
-                               whatif_before)
+            return self._solve(timings, whatif_before)
 
     # ---------------------------------------------------------------- internals
-    def _warm_start_values(self):
-        if self._bip is None or self._last_recommendation is None:
-            return None
-        return self._bip.warm_start_from(self._last_recommendation.configuration)
-
     def _whatif_calls(self) -> int:
         """What-if calls so far on the advisor's (possibly shared) optimizer.
 
@@ -191,14 +176,12 @@ class InteractiveTuningSession:
         """
         return self._advisor.optimizer.whatif_calls
 
-    def _solve(self, timings: dict[str, float], warm_start,
+    def _solve(self, timings: dict[str, float],
                whatif_before: int) -> Recommendation:
         advisor = self._advisor
-        with stage(timings, "solve",
-                   warm_started=warm_start is not None) as node:
+        with stage(timings, "solve") as node:
             report = advisor.solver.solve(self._bip,
-                                          hard_constraints=self._hard,
-                                          warm_start=warm_start)
+                                          hard_constraints=self._hard)
             node.set(**report.span_attributes())
         recommendation = Recommendation(
             configuration=report.configuration,
@@ -208,8 +191,7 @@ class InteractiveTuningSession:
             candidate_count=len(self._candidates),
             whatif_calls=self._whatif_calls() - whatif_before,
             gap=report.gap,
-            gap_trace=report.gap_trace,
-            extras={"solve_report": report, "warm_started": warm_start is not None},
+            extras={"solve_report": report},
         )
         self._last_recommendation = recommendation
         self._history.append(recommendation)

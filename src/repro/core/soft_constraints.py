@@ -13,9 +13,10 @@ measure).  The Chord algorithm of Daskalakis, Diakonikolas and Yannakakis
 picks the ``lambda`` values adaptively so that a small number of solves yields
 a provably good approximation of the whole curve.
 
-Because only the objective changes between solves, warm starts from the
-previous point make the follow-up solves much cheaper than the first one —
-the effect Figure 6(c) reports.
+Only the objective changes between solves, so every point re-solves the one
+BIP already built — INUM and the build are paid once, which makes the
+follow-up points much cheaper than the first one (the effect Figure 6(c)
+reports).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class ParetoPoint:
     measures: tuple[float, ...]
     configuration: Configuration
     solve_seconds: float
-    warm_started: bool
 
     @property
     def measure(self) -> float:
@@ -94,24 +94,17 @@ class ParetoExplorer:
         normalised = [self._normalise(bip, soft) for soft in soft_constraints]
 
         if lambdas is not None:
-            points = []
-            warm_values = None
-            for lambda_value in lambdas:
-                point, warm_values = self._solve_point(
-                    bip, normalised, hard_constraints, lambda_value, warm_values)
-                points.append(point)
-            return points
+            return [self._solve_point(bip, normalised, hard_constraints,
+                                      lambda_value)
+                    for lambda_value in lambdas]
         return self._chord(bip, normalised, hard_constraints)
 
     # ----------------------------------------------------------- chord algorithm
     def _chord(self, bip: CophyBip, normalised: list[_NormalisedSoft],
                hard_constraints: Sequence[TuningConstraint]) -> list[ParetoPoint]:
         """Adaptive lambda selection following the Chord algorithm."""
-        warm_values = None
-        low_point, warm_values = self._solve_point(bip, normalised, hard_constraints,
-                                                   0.0, warm_values)
-        high_point, warm_values = self._solve_point(bip, normalised, hard_constraints,
-                                                    1.0, warm_values)
+        low_point = self._solve_point(bip, normalised, hard_constraints, 0.0)
+        high_point = self._solve_point(bip, normalised, hard_constraints, 1.0)
         points: dict[float, ParetoPoint] = {0.0: low_point, 1.0: high_point}
         segments: list[tuple[float, float]] = [(0.0, 1.0)]
 
@@ -122,9 +115,8 @@ class ParetoExplorer:
             if self._segment_is_flat(low, high):
                 continue
             mid_lambda = 0.5 * (low_lambda + high_lambda)
-            mid_point, warm_values = self._solve_point(bip, normalised,
-                                                       hard_constraints,
-                                                       mid_lambda, warm_values)
+            mid_point = self._solve_point(bip, normalised, hard_constraints,
+                                          mid_lambda)
             points[mid_lambda] = mid_point
             if self._distance_from_chord(low, high, mid_point) > self._chord_tolerance:
                 segments.append((low_lambda, mid_lambda))
@@ -167,8 +159,7 @@ class ParetoExplorer:
 
     def _solve_point(self, bip: CophyBip, normalised: list[_NormalisedSoft],
                      hard_constraints: Sequence[TuningConstraint],
-                     lambda_value: float, warm_values
-                     ) -> tuple[ParetoPoint, np.ndarray]:
+                     lambda_value: float) -> ParetoPoint:
         lambda_value = min(1.0, max(0.0, lambda_value))
         model = bip.model
         cost = model.objective
@@ -186,18 +177,16 @@ class ParetoExplorer:
                                    + soft.target * -1.0) * weight
         started = time.perf_counter()
         report: SolveReport = self._solver.solve(
-            bip, hard_constraints=hard_constraints, warm_start=warm_values,
+            bip, hard_constraints=hard_constraints,
             objective=Objective(np.arange(model.variable_count), coefficients,
                                 constant))
         elapsed = time.perf_counter() - started
         measures = tuple(soft.expression.evaluate(report.solution.values)
                          for soft in normalised)
-        point = ParetoPoint(
+        return ParetoPoint(
             lambda_value=lambda_value,
             workload_cost=report.objective,
             measures=measures,
             configuration=report.configuration,
             solve_seconds=elapsed,
-            warm_started=warm_values is not None,
         )
-        return point, report.solution.vector

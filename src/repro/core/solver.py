@@ -3,50 +3,34 @@
 Responsibilities:
 
 1. merge the DBA's hard constraints into the BIP as linear rows;
-2. probe feasibility and report the offending constraints back to the DBA
-   (raising :class:`~repro.exceptions.InfeasibleProblemError`);
-3. optionally apply a Lagrangian-style relaxation of the slot-assignment
+2. optionally apply a Lagrangian-style relaxation of the slot-assignment
    constraints (weakening them to inequalities) to avoid solver corner
    cases;
-4. hand the program to the off-the-shelf BIP solver — either the pure-Python
-   branch-and-bound solver (which provides the gap trace used for early
-   termination feedback and warm starts for interactive tuning) or the
-   scipy/HiGHS MILP backend;
-5. extract the recommended configuration ``X*`` from the solution.
+3. hand the program to the off-the-shelf BIP solver, HiGHS
+   (:class:`~repro.lp.highs_backend.MilpBackend`), and report a constraint
+   set it proves infeasible back to the DBA (raising
+   :class:`~repro.exceptions.InfeasibleProblemError`);
+4. extract the recommended configuration ``X*`` from the solution.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 import time
 from dataclasses import dataclass
 
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.core.bip_builder import CophyBip
 from repro.core.constraints import TuningConstraint
 from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.indexes.configuration import Configuration
-from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.budget import SolveBudget
 from repro.lp.constraint import Constraint
 from repro.lp.highs_backend import MilpBackend
 from repro.lp.model import Objective
-from repro.lp.solution import GapTracePoint, Solution, SolutionStatus
-from repro.lp.variable import Variable
-from repro.obs.metrics import SOLVER_GAP, SOLVER_SOLVES, active_registry
+from repro.lp.solution import Solution, SolutionStatus
 
-__all__ = ["SolverBackend", "SolveReport", "CoPhySolver"]
-
-
-class SolverBackend(enum.Enum):
-    """Which off-the-shelf BIP solver to delegate to."""
-
-    BRANCH_AND_BOUND = "branch_and_bound"
-    MILP = "milp"
+__all__ = ["SolveReport", "CoPhySolver"]
 
 
 @dataclass
@@ -58,11 +42,10 @@ class SolveReport:
     objective: float
     gap: float
     solve_seconds: float
-    gap_trace: tuple[GapTracePoint, ...] = ()
     constraint_rows: int = 0
     relaxation_applied: bool = False
     #: True when a wall-clock budget interrupted the solve (best-so-far
-    #: incumbent returned; ``gap`` is its closed-form optimality bound).
+    #: incumbent returned; ``gap`` is the optimality bound HiGHS proved).
     timed_out: bool = False
     #: Shape of the exported program the backend solved.
     rows: int = 0
@@ -85,9 +68,6 @@ class CoPhySolver:
     """Solves a CoPhy BIP under a set of hard constraints.
 
     Args:
-        backend: Off-the-shelf solver to use.  The branch-and-bound backend
-            exposes gap traces and warm starts; the MILP backend is the
-            fastest way to just get an answer.
         gap_tolerance: Relative optimality gap at which the solver may stop
             (the paper's default CPLEX setting is 5%).
         time_limit_seconds: Wall-clock limit per solve call.
@@ -95,11 +75,9 @@ class CoPhySolver:
             the slot-assignment constraints before solving (section 4.1).
     """
 
-    def __init__(self, backend: SolverBackend = SolverBackend.MILP,
-                 gap_tolerance: float = 0.05,
+    def __init__(self, gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
                  apply_relaxation: bool = False):
-        self.backend = backend
         self.gap_tolerance = max(0.0, gap_tolerance)
         self.time_limit_seconds = time_limit_seconds
         self.apply_relaxation = apply_relaxation
@@ -107,19 +85,15 @@ class CoPhySolver:
     # -------------------------------------------------------------------- public
     def solve(self, bip: CophyBip,
               hard_constraints: Sequence[TuningConstraint] = (),
-              warm_start: Mapping[Variable, float] | np.ndarray | None = None,
               objective: Objective | None = None,
               gap_tolerance: float | None = None,
               time_limit_seconds: float | None = None,
               budget: SolveBudget | None = None) -> SolveReport:
-        """Merge constraints, check feasibility, solve, and extract ``X*``.
+        """Merge constraints, solve, and extract ``X*``.
 
         Args:
             bip: The Theorem-1 BIP produced by :class:`BipBuilder`.
             hard_constraints: DBA constraints that must hold.
-            warm_start: Optional assignment (a column vector, e.g. from
-                :meth:`CophyBip.warm_start_from`) used as the initial
-                incumbent (interactive re-tuning).
             objective: Optional replacement objective (used by the soft
                 constraint scalarisation); when omitted the BIP's workload-cost
                 objective is used.
@@ -154,40 +128,14 @@ class CoPhySolver:
                            if time_limit_seconds is None
                            else time_limit_seconds)
 
-        if budget is not None:
-            budget.start()
-
         started = time.perf_counter()
-        if self.backend is SolverBackend.BRANCH_AND_BOUND:
-            solver = BranchAndBoundSolver(gap_tolerance=effective_gap,
-                                          time_limit_seconds=effective_limit)
-            if not solver.is_feasible(model, matrices):
-                raise InfeasibleProblemError(
-                    "The hard constraints cannot all be satisfied",
-                    violated_constraints=tuple(c.name
-                                               for c in hard_constraints))
-            solution = solver.solve(model, warm_start=warm_start,
-                                    gap_tolerance=effective_gap,
-                                    time_limit_seconds=effective_limit,
-                                    budget=budget, matrices=matrices)
-        else:
-            backend = MilpBackend(gap_tolerance=effective_gap,
-                                  time_limit_seconds=effective_limit)
-            solution = backend.solve(model, budget=budget, matrices=matrices)
-            # The branch-and-bound backend records its own solve metrics
-            # (it also owns the nodes histogram); the MILP backend is
-            # instrumented here so repro_solver_solves_total counts every
-            # solve regardless of backend.
-            registry = active_registry()
-            registry.family(SOLVER_SOLVES).inc(
-                status=solution.status.name.lower())
-            if math.isfinite(solution.gap):
-                registry.family(SOLVER_GAP).observe(float(solution.gap))
-            if solution.status is SolutionStatus.INFEASIBLE:
-                raise InfeasibleProblemError(
-                    "The hard constraints cannot all be satisfied",
-                    violated_constraints=tuple(c.name
-                                               for c in hard_constraints))
+        solution = MilpBackend(gap_tolerance=effective_gap,
+                               time_limit_seconds=effective_limit).solve(
+            model, budget=budget, matrices=matrices)
+        if solution.status is SolutionStatus.INFEASIBLE:
+            raise InfeasibleProblemError(
+                "The hard constraints cannot all be satisfied",
+                violated_constraints=tuple(c.name for c in hard_constraints))
         elapsed = time.perf_counter() - started
 
         if not solution.is_feasible:
@@ -201,7 +149,6 @@ class CoPhySolver:
             objective=model.objective.value(solution.vector),
             gap=solution.gap,
             solve_seconds=elapsed,
-            gap_trace=solution.gap_trace,
             constraint_rows=len(rows),
             relaxation_applied=relaxation_applied,
             timed_out=solution.timed_out,
@@ -209,13 +156,6 @@ class CoPhySolver:
             columns=model.variable_count,
             nonzeros=sum(block.nnz for block in blocks),
         )
-
-    def check_feasibility(self, bip: CophyBip,
-                          hard_constraints: Sequence[TuningConstraint] = ()) -> bool:
-        """The feasibility probe of line 1 in the Solver pseudo-code."""
-        matrices = bip.model.to_matrices(
-            rows=self._rows(bip, hard_constraints))
-        return BranchAndBoundSolver().is_feasible(bip.model, matrices)
 
     # ---------------------------------------------------------------- internals
     @staticmethod

@@ -1,18 +1,15 @@
-"""A from-scratch binary-integer-programming toolkit.
+"""A binary-integer-programming toolkit over HiGHS.
 
 The paper's CoPhy prototype delegates to CPLEX; this package provides the
-equivalent substrate without external solvers:
+equivalent substrate with the HiGHS build scipy vendors:
 
 * a modelling layer (:class:`Variable`, :class:`LinearExpression`,
   :class:`Constraint`, :class:`Model`) in the spirit of PuLP;
-* an LP-relaxation backend built on :func:`scipy.optimize.linprog` (HiGHS);
-* a :class:`BranchAndBoundSolver` that adds integrality by branch and bound,
-  exposing the features CoPhy depends on: a feasibility probe, an optimality
-  *gap trace* over time (for the early-termination feedback of Figure 6a),
-  gap-based early stopping, node/time limits and warm starts from a known
-  incumbent (for interactive re-tuning, Figure 6b);
-* a :class:`MilpBackend` that hands the model to HiGHS's branch and bound,
-  written in C, through one ``_Highs`` object of the build scipy vendors.
+* :class:`MilpBackend`, the one solver: it hands the model to HiGHS's
+  branch and bound, written in C, through one ``_Highs`` object per solve,
+  with the knobs CoPhy depends on — gap-based early stopping (the
+  early-termination feedback of Figure 6a) and time and node limits;
+* :class:`SolveBudget`, the anytime deadline every layer shares.
 """
 
 from repro.lp.budget import SOLVE_TIERS, SolveBudget
@@ -21,8 +18,7 @@ from repro.lp.expression import LinearExpression
 from repro.lp.constraint import Constraint, ConstraintSense
 from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import GapTracePoint, Solution, SolutionStatus
-from repro.lp.highs_backend import LinearRelaxationBackend, MilpBackend
-from repro.lp.branch_and_bound import BranchAndBoundSolver
+from repro.lp.highs_backend import MilpBackend
 
 __all__ = [
     "SOLVE_TIERS",
@@ -37,7 +33,5 @@ __all__ = [
     "Solution",
     "SolutionStatus",
     "GapTracePoint",
-    "LinearRelaxationBackend",
     "MilpBackend",
-    "BranchAndBoundSolver",
 ]

@@ -2,7 +2,7 @@
 
 A budget bundles a wall-clock deadline with optional node / gap limits and a
 solve *tier*.  The same object travels from :class:`~repro.api.specs.AdvisorSpec`
-down to :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver`, so every
+down to :class:`~repro.lp.highs_backend.MilpBackend`, so every
 layer shares one clock: the deadline is anchored **once** (:meth:`start`) when
 the pipeline begins, and each stage below it asks :meth:`remaining_seconds` /
 :meth:`expired` against that same anchor instead of restarting its own timer.
@@ -10,11 +10,11 @@ the pipeline begins, and each stage below it asks :meth:`remaining_seconds` /
 Tiers select how the CoPhy pipeline spends the budget:
 
 * ``"exact"`` — the BIP solve as before, interrupted at the deadline with the
-  best-so-far incumbent, its closed-form gap and ``timed_out=True``;
+  best-so-far incumbent, its gap and ``timed_out=True``;
 * ``"heuristic"`` — only the greedy knapsack pass
   (:mod:`repro.core.heuristics`), never building the BIP;
-* ``"cascade"`` — greedy first, then (budget permitting) the exact solve
-  warm-started from the greedy incumbent; whichever is better wins.
+* ``"cascade"`` — greedy first, then (budget permitting) the exact solve;
+  whichever is better wins.
 
 This module sits at the bottom layer on purpose: ``lp`` imports nothing from
 ``core``/``api``, so every layer can depend on the budget without cycles.
@@ -39,7 +39,7 @@ class SolveBudget:
     Args:
         time_budget_ms: Wall-clock budget in milliseconds; ``None`` means
             unlimited.  The clock starts at the first :meth:`start` call.
-        node_limit: Optional cap on branch-and-bound nodes.
+        node_limit: Optional cap on HiGHS's branch-and-bound nodes.
         gap_limit: Optional relative-gap tolerance at which the solve may
             stop early (merged with the solver's own tolerance via ``max``).
         tier: One of :data:`SOLVE_TIERS`; how the pipeline spends the budget.

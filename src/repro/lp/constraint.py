@@ -23,8 +23,8 @@ class Constraint:
 
     Constraints are stored in the normalised form "expression compared to
     zero"; the original right-hand side is folded into the expression's
-    constant.  :meth:`row` exposes the (coefficients, bound) view the solver
-    backends need.
+    constant.  :meth:`row` exposes the (coefficients, bound) view the
+    solver needs.
     """
 
     def __init__(self, expression: LinearExpression, sense: ConstraintSense,

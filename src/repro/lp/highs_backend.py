@@ -1,18 +1,21 @@
-"""scipy/HiGHS backends: LP relaxation and direct MILP solving.
+"""The BIP solver: the HiGHS build that scipy vendors.
 
-:class:`MilpBackend` drives the HiGHS build that scipy vendors, one
-``_Highs`` object per solve.  This module is the only importer of that
-private module; ``tests/test_lp_solvers.py::TestMilpParity`` holds it to
+:class:`MilpBackend` is the off-the-shelf solver of the paper's Figure 3 and
+the only one the package has: every CoPhy, ILP, shard and merge solve runs
+on one ``_Highs`` object built by :func:`run_highs`.  This module is the only
+importer of scipy's private ``_highspy``;
+``tests/test_lp_solvers.py::TestMilpParity`` holds it to
 :func:`scipy.optimize.milp` at identical options, so a scipy upgrade that
 moves it or changes a default fails there under its own name.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 from scipy.optimize._highspy import _core as highs
 
 from repro.exceptions import SolverError
@@ -20,72 +23,17 @@ from repro.lp.budget import SolveBudget
 from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import Solution, SolutionStatus
 from repro.lp.variable import Variable
+from repro.obs.metrics import (
+    SOLVER_GAP, SOLVER_NODES, SOLVER_SOLVES, active_registry)
 
 
-__all__ = ["LinearRelaxationBackend", "MilpBackend"]
+__all__ = ["MilpBackend"]
 
 
 def _values_of(model: Model, vector: np.ndarray) -> dict[Variable, float]:
     """A solution vector read through the model's variables."""
     return {variable: float(vector[variable.index])
             for variable in model.variables}
-
-
-def _status_from_scipy(status_code: int, success: bool) -> SolutionStatus:
-    if success:
-        return SolutionStatus.OPTIMAL
-    if status_code == 2:
-        return SolutionStatus.INFEASIBLE
-    if status_code == 3:
-        return SolutionStatus.UNBOUNDED
-    return SolutionStatus.ERROR
-
-
-class LinearRelaxationBackend:
-    """Solves the LP relaxation of a model with :func:`scipy.optimize.linprog`.
-
-    The branch-and-bound solver calls this repeatedly with per-node variable
-    bounds; the matrices are built once by the model and shared across calls.
-    """
-
-    def __init__(self, method: str = "highs"):
-        self._method = method
-
-    def solve(self, model: Model, bounds_override: np.ndarray | None = None,
-              matrices: dict | None = None) -> Solution:
-        """Solve the relaxation; ``bounds_override`` replaces variable bounds.
-
-        ``matrices`` lets callers that solve the same model many times with
-        different bounds (branch and bound) pass the matrix export once
-        instead of re-fetching it on every node.
-        """
-        if matrices is None:
-            matrices = model.to_matrices()
-        bounds = matrices["bounds"] if bounds_override is None else bounds_override
-        started = time.perf_counter()
-        result = optimize.linprog(
-            c=matrices["c"],
-            A_ub=matrices["A_ub"],
-            b_ub=matrices["b_ub"],
-            A_eq=matrices["A_eq"],
-            b_eq=matrices["b_eq"],
-            bounds=bounds,
-            method=self._method,
-        )
-        elapsed = time.perf_counter() - started
-        status = _status_from_scipy(result.status, result.success)
-        if not status.has_solution:
-            return Solution(status=status, solve_seconds=elapsed,
-                            message=str(result.message))
-        objective = float(result.fun) + matrices["objective_constant"]
-        if model.sense is ObjectiveSense.MAXIMIZE:
-            objective = -float(result.fun) + matrices["objective_constant"]
-        vector = np.asarray(result.x, dtype=np.float64)
-        values = _values_of(model, vector)
-        return Solution(status=status, objective=objective, values=values,
-                        best_bound=objective, gap=0.0, solve_seconds=elapsed,
-                        iterations=int(getattr(result, "nit", 0) or 0),
-                        message=str(result.message), vector=vector)
 
 
 #: HiGHS 1.12 runs a feasibility-jump heuristic before the root LP.  A
@@ -155,7 +103,9 @@ class MilpBackend:
 
     Supports the termination knobs CoPhy relies on: a relative optimality
     gap (early termination at e.g. 5%), a wall-clock time limit and a
-    budget's node limit.
+    budget's node limit.  Every solve is counted here, once, whoever asked
+    for it: ``repro_solver_solves_total`` by status, and the node count
+    and the finite gap in their histograms.
     """
 
     def __init__(self, gap_tolerance: float = 0.0,
@@ -192,44 +142,58 @@ class MilpBackend:
         solver = run_highs(matrices, options)
         elapsed = time.perf_counter() - started
 
-        status = solver.getModelStatus()
-        info = solver.getInfo()
-        message = solver.modelStatusToString(status)
-        # A wall-clock stop; a node limit stops at kSolutionLimit instead.
-        timed_out = status == highs.HighsModelStatus.kTimeLimit
-        integral = matrices["integrality"].astype(bool)
-        mip = bool(integral.any())
-        # A MIP stopped at a limit answers with its incumbent, if it has
-        # one; an LP answers only at kOptimal (as milp reads HiGHS).
-        found = (status == highs.HighsModelStatus.kOptimal
-                 or (mip and status in _LIMITS
-                     and info.objective_function_value != highs.kHighsInf))
-        if not found:
-            return Solution(
-                status=(SolutionStatus.INFEASIBLE
-                        if status == highs.HighsModelStatus.kInfeasible
-                        else SolutionStatus.ERROR),
-                solve_seconds=elapsed, message=message, timed_out=timed_out)
-        constant = matrices["objective_constant"]
-        sign = -1.0 if model.sense is ObjectiveSense.MAXIMIZE else 1.0
-        objective = sign * info.objective_function_value + constant
-        vector = np.array(solver.getSolution().col_value)
-        # Snap binaries to exact integers for downstream consumers.
-        vector[integral] = np.round(vector[integral])
-        if mip:
-            # HiGHS bounds the minimised ``c x`` alone: add the constant back
-            # and undo the sign flip of a maximisation, as for the objective.
-            gap = info.mip_gap
-            bound = sign * info.mip_dual_bound + constant
-            nodes = info.mip_node_count
-        else:
-            # An LP: HiGHS leaves the MIP fields of its info unset.
-            gap, bound, nodes = 0.0, objective, 0
+        solution = _read_solution(model, matrices, solver, elapsed)
+        registry = active_registry()
+        registry.family(SOLVER_SOLVES).inc(status=solution.status.name.lower())
+        registry.family(SOLVER_NODES).observe(float(solution.nodes_explored))
+        if math.isfinite(solution.gap):
+            # A failed solve reports an infinite gap, which would poison the
+            # histogram's _sum.
+            registry.family(SOLVER_GAP).observe(float(solution.gap))
+        return solution
+
+
+def _read_solution(model: Model, matrices: dict, solver: highs._Highs,
+                   elapsed: float) -> Solution:
+    """What a HiGHS run answered, in the terms of ``model``'s objective."""
+    status = solver.getModelStatus()
+    info = solver.getInfo()
+    message = solver.modelStatusToString(status)
+    # A wall-clock stop; a node limit stops at kSolutionLimit instead.
+    timed_out = status == highs.HighsModelStatus.kTimeLimit
+    integral = matrices["integrality"].astype(bool)
+    mip = bool(integral.any())
+    # A MIP stopped at a limit answers with its incumbent, if it has
+    # one; an LP answers only at kOptimal (as milp reads HiGHS).
+    found = (status == highs.HighsModelStatus.kOptimal
+             or (mip and status in _LIMITS
+                 and info.objective_function_value != highs.kHighsInf))
+    if not found:
         return Solution(
-            status=(SolutionStatus.OPTIMAL
-                    if status == highs.HighsModelStatus.kOptimal
-                    else SolutionStatus.FEASIBLE),
-            objective=objective, values=_values_of(model, vector),
-            best_bound=bound, gap=gap, solve_seconds=elapsed,
-            nodes_explored=nodes, message=message, timed_out=timed_out,
-            vector=vector)
+            status=(SolutionStatus.INFEASIBLE
+                    if status == highs.HighsModelStatus.kInfeasible
+                    else SolutionStatus.ERROR),
+            solve_seconds=elapsed, message=message, timed_out=timed_out)
+    constant = matrices["objective_constant"]
+    sign = -1.0 if model.sense is ObjectiveSense.MAXIMIZE else 1.0
+    objective = sign * info.objective_function_value + constant
+    vector = np.array(solver.getSolution().col_value)
+    # Snap binaries to exact integers for downstream consumers.
+    vector[integral] = np.round(vector[integral])
+    if mip:
+        # HiGHS bounds the minimised ``c x`` alone: add the constant back
+        # and undo the sign flip of a maximisation, as for the objective.
+        gap = info.mip_gap
+        bound = sign * info.mip_dual_bound + constant
+        nodes = info.mip_node_count
+    else:
+        # An LP: HiGHS leaves the MIP fields of its info unset.
+        gap, bound, nodes = 0.0, objective, 0
+    return Solution(
+        status=(SolutionStatus.OPTIMAL
+                if status == highs.HighsModelStatus.kOptimal
+                else SolutionStatus.FEASIBLE),
+        objective=objective, values=_values_of(model, vector),
+        best_bound=bound, gap=gap, solve_seconds=elapsed,
+        nodes_explored=nodes, message=message, timed_out=timed_out,
+        vector=vector)

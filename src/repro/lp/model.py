@@ -146,7 +146,7 @@ class Model:
     (:meth:`add_columns`; :meth:`column` hands out a variable for one on
     demand).  Rows live in one ordered storage: whole :class:`RowBlock`
     blocks and one-row :class:`Constraint` objects.  :meth:`to_matrices` is
-    the one export the scipy backends consume: inequality rows
+    the one export the solver consumes: inequality rows
     ``A_ub x <= b_ub``, equality rows ``A_eq x == b_eq``, a cost vector
     ``c`` and variable bounds.  A solve passes its own rows, objective or
     relaxation to the export instead of editing the model.
@@ -310,7 +310,7 @@ class Model:
     def to_matrices(self, rows: Sequence[Constraint] = (),
                     objective: Objective | None = None,
                     relax: bool = False) -> dict:
-        """Export the model in the matrix form used by the scipy backends.
+        """Export the model in the matrix form the solver consumes.
 
         Returns a dict with keys ``c`` (cost vector, already negated for
         maximisation), ``A_ub``/``b_ub``, ``A_eq``/``b_eq`` (sparse CSR

@@ -1,4 +1,4 @@
-"""Solver results: status, values, optimality gap and gap trace."""
+"""Solver results: status, values and optimality gap."""
 
 from __future__ import annotations
 
@@ -28,10 +28,10 @@ class SolutionStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class GapTracePoint:
-    """One point of the solver's progress feedback.
+    """One point of a solver's progress feedback (Figure 6a of the paper).
 
-    CoPhy surfaces these to the DBA so that a tuning session can be stopped
-    early once the bound is tight enough (Figure 6a of the paper).
+    The element type of ``TuningDiagnostics.gap_trace``, the wire record's
+    field, which no solve fills: HiGHS reports its gap once, at the end.
     """
 
     elapsed_seconds: float
@@ -53,16 +53,14 @@ class Solution:
     solve_seconds: float = 0.0
     nodes_explored: int = 0
     iterations: int = 0
-    gap_trace: tuple[GapTracePoint, ...] = ()
     message: str = ""
     #: True when a wall-clock deadline interrupted the solve: the solution is
-    #: the best-so-far incumbent, ``gap`` its closed-form optimality bound.
+    #: the best-so-far incumbent, ``gap`` the optimality bound HiGHS proved.
     timed_out: bool = False
-    #: Raw solution vector indexed by column (set by every backend).  It is
-    #: the whole assignment — ``values`` covers only the columns that have a
-    #: :class:`Variable` — and lets vectorized consumers (branch-and-bound's
-    #: rounding heuristic and branching rule, objective evaluation) avoid
-    #: per-variable dict traffic.
+    #: Raw solution vector indexed by column (set whenever there is a
+    #: solution).  It is the whole assignment — ``values`` covers only the
+    #: columns that have a :class:`Variable` — and lets vectorized consumers
+    #: (objective evaluation) avoid per-variable dict traffic.
     vector: np.ndarray | None = None
 
     @property
@@ -88,9 +86,8 @@ class Solution:
                         values=dict(self.values), best_bound=self.best_bound,
                         gap=self.gap, solve_seconds=self.solve_seconds,
                         nodes_explored=self.nodes_explored,
-                        iterations=self.iterations, gap_trace=self.gap_trace,
-                        message=self.message, timed_out=self.timed_out,
-                        vector=self.vector)
+                        iterations=self.iterations, message=self.message,
+                        timed_out=self.timed_out, vector=self.vector)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Solution(status={self.status.value}, objective={self.objective:.4g}, "

@@ -531,14 +531,13 @@ CONTEXTS_DROPPED = Family("repro_contexts_dropped_total", "counter",
                           "Schema contexts dropped, by reason (lru or ttl)",
                           ("reason",), domains=(("lru", "ttl"),))
 SOLVER_SOLVES = Family("repro_solver_solves_total", "counter",
-                       "BIP solves (branch-and-bound or MILP backend) by "
-                       "terminal status", ("status",),
+                       "HiGHS solves by terminal status", ("status",),
                        domains=(_solution_statuses,))
 SOLVER_NODES = Family("repro_solver_nodes", "histogram",
-                      "Nodes explored per branch-and-bound solve",
+                      "Nodes explored per HiGHS solve",
                       buckets=NODES_BUCKETS)
 SOLVER_GAP = Family("repro_solver_gap", "histogram",
-                    "Relative optimality gap per finished solve",
+                    "Relative optimality gap per finished HiGHS solve",
                     buckets=GAP_BUCKETS)
 LOCK_WAIT_SECONDS = Family("repro_lock_wait_seconds", "histogram",
                            "Seconds callers waited to acquire a named lock",

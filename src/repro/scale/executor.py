@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.catalog.schema import Schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.index import Index
 from repro.inum.cache import (
@@ -128,7 +128,6 @@ class ShardExecutor:
         workers: Process count; ``None`` uses ``os.cpu_count()``.  When the
             effective worker count is 1 (or only one shard exists) the solves
             run inline and share ``inum`` — no pickling, no process startup.
-        backend: BIP solver backend for the per-shard solves.
         gap_tolerance / time_limit_seconds: Per-shard solver settings.
         retry_policy: Retry/backoff schedule for failed or crashed shard
             solves (``None`` = the default policy; pass
@@ -142,7 +141,6 @@ class ShardExecutor:
     """
 
     def __init__(self, workers: int | None = None,
-                 backend: SolverBackend = SolverBackend.MILP,
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
                  retry_policy: RetryPolicy | None = None,
@@ -151,7 +149,6 @@ class ShardExecutor:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = workers
-        self.backend = backend
         self.gap_tolerance = gap_tolerance
         self.time_limit_seconds = time_limit_seconds
         self.retry_policy = (retry_policy if retry_policy is not None
@@ -214,7 +211,7 @@ class ShardExecutor:
         try:
             result = self.retry_policy.call(
                 lambda attempt: _solve_shard_inline(
-                    shard, inum, self.backend, self.gap_tolerance, time_limit,
+                    shard, inum, self.gap_tolerance, time_limit,
                     fault_plan=faults, attempt=attempt),
                 budget=budget, on_retry=on_retry)
         except Exception as exc:
@@ -319,7 +316,7 @@ class ShardExecutor:
                           shard=position, attempt=attempt_no[position] + 1)
                 try:
                     result = _solve_shard_inline(
-                        shard, inum, self.backend, self.gap_tolerance,
+                        shard, inum, self.gap_tolerance,
                         time_limit, fault_plan=faults,
                         attempt=attempt_no[position] + 1)
                 except Exception as exc:
@@ -356,7 +353,7 @@ class ShardExecutor:
         # epochs are not comparable across processes — the worker turns the
         # delta into the shard span's queue_wait_ms.
         return (schema, shard.position, shard.workload.statements,
-                shard.candidates, shard.budget_bytes, self.backend.value,
+                shard.candidates, shard.budget_bytes,
                 self.gap_tolerance, time_limit, caps, faults,
                 attempt, current_trace_id(), time.time(), ship)
 
@@ -380,7 +377,7 @@ def _failed_shard_result(shard: Shard, exc: BaseException,
 # reprolint: requires-lock (inline path runs under the caller's context lock;
 # the worker path operates on a process-local cache)
 def _solve_shard_inline(shard: Shard, inum: InumCache,
-                        backend: SolverBackend, gap_tolerance: float,
+                        gap_tolerance: float,
                         time_limit_seconds: float | None,
                         fault_plan: FaultPlan | None = None,
                         attempt: int = 1,
@@ -411,7 +408,7 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
             constraints = (StorageBudgetConstraint(
                 shard.budget_bytes,
                 name=f"storage_budget[shard{shard.position}]"),)
-        solver = CoPhySolver(backend=backend, gap_tolerance=gap_tolerance,
+        solver = CoPhySolver(gap_tolerance=gap_tolerance,
                              time_limit_seconds=time_limit_seconds)
         report = solver.solve(bip, hard_constraints=constraints)
         shard_span.set(gap=round(report.gap, 6), timed_out=report.timed_out,
@@ -434,9 +431,9 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
 
 def _solve_shard_job(job: tuple) -> ShardResult:
     """Worker-side shard solve: rebuild the full stack from pickled inputs."""
-    (schema, position, statements, indexes, budget_bytes, backend_value,
-     gap_tolerance, time_limit_seconds, caps, fault_plan,
-     attempt, trace_id, dispatch_ts, ship) = job
+    (schema, position, statements, indexes, budget_bytes, gap_tolerance,
+     time_limit_seconds, caps, fault_plan, attempt, trace_id, dispatch_ts,
+     ship) = job
     queue_wait_ms = max(0.0, (time.time() - dispatch_ts) * 1000.0)
     plan = fault_plan if fault_plan is not None else armed_plan()
     optimizer = WhatIfOptimizer(schema)
@@ -455,7 +452,6 @@ def _solve_shard_job(job: tuple) -> ShardResult:
              else contextlib.nullcontext())
     with scope:
         result = _solve_shard_inline(shard, inum,
-                                     SolverBackend(backend_value),
                                      gap_tolerance, time_limit_seconds,
                                      fault_plan=plan, attempt=attempt,
                                      in_worker=True,

@@ -39,10 +39,6 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.inum.probe import ConfigurationProbe
 from repro.lp import SOLVE_TIERS, SolveBudget
-from repro.lp.branch_and_bound import BranchAndBoundSolver
-from repro.lp.expression import LinearExpression
-from repro.lp.model import Model, ObjectiveSense
-from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.server import (
     WIRE_VERSION,
@@ -143,53 +139,6 @@ class TestSolveBudget:
         assert slice_s == pytest.approx(3.0, rel=0.01)
         everything = budget.shard_slice_seconds(1, workers=1, merge_reserve=0.0)
         assert everything == pytest.approx(8.0, rel=0.01)
-
-
-# ==================================================== branch and bound anytime
-def _knapsack(values, weights, capacity):
-    model = Model("knapsack", sense=ObjectiveSense.MAXIMIZE)
-    variables = [model.add_binary(f"x{i}") for i in range(len(values))]
-    model.set_objective(LinearExpression.sum_of(variables, values))
-    model.add_constraint(
-        LinearExpression.sum_of(variables, weights) <= capacity,
-        name="capacity")
-    return model, variables
-
-
-class TestBranchAndBoundAnytime:
-    def test_expired_deadline_returns_warm_start_with_finite_gap(self):
-        model, variables = _knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
-        warm = {variables[3]: 1.0}  # feasible but far from optimal
-        solution = BranchAndBoundSolver().solve(
-            model, warm_start=warm, budget=_expired_budget())
-        assert solution.timed_out
-        assert solution.status is SolutionStatus.FEASIBLE
-        assert solution.objective == pytest.approx(3.0)
-        # The root LP seeds the bound, so the gap is finite (closed-form)
-        # even though zero nodes were explored.
-        assert math.isfinite(solution.gap) and solution.gap > 0.0
-        assert solution.nodes_explored == 0
-
-    def test_expired_deadline_without_incumbent_reports_timeout(self):
-        model, _ = _knapsack([6, 5], [4, 3], 6)
-        solution = BranchAndBoundSolver().solve(model,
-                                                budget=_expired_budget())
-        assert solution.timed_out
-        assert solution.status is SolutionStatus.ERROR
-
-    def test_budget_node_limit_caps_exploration(self):
-        model, _ = _knapsack([6, 5, 4, 3, 2], [4, 3, 2, 1, 2], 6)
-        solution = BranchAndBoundSolver().solve(
-            model, budget=SolveBudget(node_limit=1))
-        assert solution.nodes_explored <= 1
-        assert not solution.timed_out  # node limits are not wall-clock expiry
-
-    def test_unbudgeted_solve_is_untouched(self):
-        model, _ = _knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
-        solution = BranchAndBoundSolver().solve(model)
-        assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.objective == pytest.approx(12.0)  # items 2+3+4
-        assert not solution.timed_out
 
 
 # ========================================================= the greedy heuristic

@@ -440,8 +440,8 @@ class TestServiceSessions:
             constraints=[_budget(simple_schema)]))
         session.recommend()
         extra = Index("items", ("i_shipdate",), include_columns=("i_price",))
-        grown = session.add_candidates([extra])
-        assert grown.extras["warm_started"] is True
+        session.add_candidates([extra])
+        assert extra in session.inner.candidates
         shrunk = session.remove_candidates([extra])
         assert extra not in shrunk.configuration
         assert session.inner.last_recommendation.configuration \

@@ -27,7 +27,6 @@ from repro.core.constraints import (
     StorageBudgetConstraint,
     UpdateCostConstraint,
 )
-from repro.core.solver import SolverBackend
 from repro.exceptions import InfeasibleProblemError
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
@@ -119,9 +118,8 @@ class TestLeftAsFound:
             tpch, workload, hard["storage_budget"].soft(target=0.0))
         requests["cascade"] = _request(
             tpch, workload, hard["storage_budget"],
-            advisor=AdvisorSpec(
-                "cophy", {"backend": SolverBackend.BRANCH_AND_BOUND},
-                time_budget_ms=600_000, solve_tier="cascade"))
+            advisor=AdvisorSpec("cophy", time_budget_ms=600_000,
+                                solve_tier="cascade"))
         requests["relaxation"] = _request(
             tpch, workload, hard["storage_budget"],
             advisor=AdvisorSpec("cophy", options={"apply_relaxation": True}))

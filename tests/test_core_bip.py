@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.catalog.tpch import tpch_schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.exceptions import SolverError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
@@ -257,7 +257,7 @@ class TestTheoremOneEquivalence:
         candidates = self._small_instance(simple_schema, simple_workload)
         budget = 0.4 * candidates.total_size()
         bip = builder.build(simple_workload, candidates)
-        solver = CoPhySolver(backend=SolverBackend.MILP, gap_tolerance=0.0)
+        solver = CoPhySolver(gap_tolerance=0.0)
         report = solver.solve(bip, [StorageBudgetConstraint(budget)])
         chosen_cost = inum.workload_cost(simple_workload, report.configuration)
         chosen_storage = sum(candidates.size_of(i) for i in report.configuration)
@@ -265,15 +265,6 @@ class TestTheoremOneEquivalence:
             inum, simple_workload, candidates, storage_budget=budget)
         assert chosen_storage <= budget * (1 + 1e-9)
         assert chosen_cost == pytest.approx(brute_cost, rel=1e-6)
-
-    def test_branch_and_bound_agrees_with_milp(self, simple_schema, simple_workload,
-                                               builder):
-        candidates = self._small_instance(simple_schema, simple_workload)
-        bip = builder.build(simple_workload, candidates)
-        milp = CoPhySolver(backend=SolverBackend.MILP, gap_tolerance=0.0).solve(bip)
-        bnb = CoPhySolver(backend=SolverBackend.BRANCH_AND_BOUND,
-                          gap_tolerance=0.0).solve(bip)
-        assert bnb.objective == pytest.approx(milp.objective, rel=1e-6)
 
 
 class TestIncrementalExtension:
@@ -325,8 +316,7 @@ class TestIncrementalExtension:
             budget = [StorageBudgetConstraint(
                 0.3 * CandidateSet(schema, subset + added).total_size())]
             objectives = [
-                CoPhySolver(backend=SolverBackend.MILP,
-                            gap_tolerance=0.0).solve(bip, budget).objective
+                CoPhySolver(gap_tolerance=0.0).solve(bip, budget).objective
                 for bip in (incremental, fresh)]
             assert objectives[0] == pytest.approx(objectives[1], rel=1e-9)
 
@@ -337,19 +327,6 @@ class TestIncrementalExtension:
         variables_before = bip.model.variable_count
         builder.extend(bip, list(candidates)[:3])
         assert bip.model.variable_count == variables_before
-
-    def test_warm_start_from_configuration_is_feasible(self, simple_schema,
-                                                       simple_workload, builder):
-        candidates = CandidateGenerator(simple_schema).generate(simple_workload)
-        bip = builder.build(simple_workload, candidates)
-        solution = MilpBackend().solve(bip.model)
-        configuration = bip.extract_configuration(solution)
-        warm = bip.warm_start_from(configuration)
-        assert bip.model.is_feasible_assignment(warm)
-        # The warm start selects exactly the indexes of the configuration.
-        for index, variable in bip.z_variables.items():
-            expected = 1.0 if index in configuration else 0.0
-            assert warm[variable.index] == expected
 
 
 def _tpch_with_updates(tpch, size=8, seed=3):
@@ -397,9 +374,9 @@ class TestExportParity:
     ("heterogeneous", 0.0, 15), ("heterogeneous", 0.5, 14)])
 def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
                                                           seed):
-    """Theorem 1 against brute force on generated workloads: at gap 0, B&B
-    and HiGHS reach one objective, and it is the cheapest INUM workload
-    cost over every storage-feasible subset of (at most six) candidates."""
+    """Theorem 1 against brute force on generated workloads: at gap 0,
+    HiGHS reaches the cheapest INUM workload cost over every
+    storage-feasible subset of (at most six) candidates."""
     if kind == "homogeneous":
         workload = generate_homogeneous_workload(5, seed=seed,
                                                  update_fraction=updates)
@@ -413,14 +390,11 @@ def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
     budget = 0.4 * candidates.total_size()
     inum = InumCache(WhatIfOptimizer(tpch))
     bip = BipBuilder(inum).build(workload, candidates)
-    objectives = [
-        CoPhySolver(backend=backend, gap_tolerance=0.0).solve(
-            bip, [StorageBudgetConstraint(budget)]).objective
-        for backend in (SolverBackend.MILP, SolverBackend.BRANCH_AND_BOUND)]
+    objective = CoPhySolver(gap_tolerance=0.0).solve(
+        bip, [StorageBudgetConstraint(budget)]).objective
     brute_cost, _ = brute_force_best(inum, workload, candidates,
                                      storage_budget=budget)
-    assert objectives[1] == pytest.approx(objectives[0], rel=1e-9)
-    assert objectives[0] == pytest.approx(brute_cost, rel=1e-9)
+    assert objective == pytest.approx(brute_cost, rel=1e-9)
 
 
 @functools.cache
@@ -456,54 +430,3 @@ def test_theorem_one_holds_per_configuration(case, data):
                                                     matrices=matrices)
     assert solution.objective == pytest.approx(
         inum.workload_cost(bip.workload, Configuration(chosen)), rel=1e-9)
-
-
-def reference_warm_start(bip, configuration: Configuration) -> np.ndarray:
-    """Scalar oracle for ``CophyBip.warm_start_from``: per statement, each
-    template costs beta plus, slot by slot in table order, its cheapest
-    allowed access (the heap or a chosen index; the first on ties); the
-    first cheapest feasible template is switched on with its picks."""
-    values = np.zeros(bip.model.variable_count)
-    chosen = {bip.z_variables[index].index for index in configuration.indexes}
-    for column in chosen:
-        values[column] = 1.0
-    templates, accesses = bip.templates, bip.accesses
-    for statement in sorted(set(templates.statements.tolist())):
-        best = None
-        for template in np.flatnonzero(templates.statements == statement):
-            total, picks = float(templates.betas[template]), []
-            for slot_row in sorted(set(
-                    accesses.slot_rows[accesses.templates == template].tolist())):
-                options = [(float(accesses.gammas[k]), int(accesses.columns[k]))
-                           for k in np.flatnonzero(accesses.slot_rows == slot_row)
-                           if accesses.indexes[k] < 0
-                           or int(accesses.indexes[k]) in chosen]
-                if not options:
-                    break
-                gamma, column = min(options, key=lambda option: option[0])
-                total += gamma
-                picks.append(column)
-            else:
-                if best is None or total < best[0]:
-                    best = (total, int(templates.columns[template]), picks)
-        if best is not None:
-            values[[best[1], *best[2]]] = 1.0
-    return values
-
-
-def test_warm_start_matches_the_scalar_oracle(tpch):
-    workload, candidates = _tpch_with_updates(tpch, size=10, seed=7)
-    inum = InumCache(WhatIfOptimizer(tpch))
-    builder = BipBuilder(inum)
-    indexes = list(candidates)
-    bip = builder.build(workload, CandidateSet(tpch, indexes[::2]))
-    for extended in (False, True):
-        if extended:
-            builder.extend(bip, indexes[1::2])
-        present = list(bip.candidates)
-        for configuration in (Configuration(()), Configuration(present[::3]),
-                              Configuration(present[1::2]),
-                              Configuration(present)):
-            warm = bip.warm_start_from(configuration)
-            assert np.array_equal(warm, reference_warm_start(bip, configuration))
-            assert bip.model.is_feasible_assignment(warm)

@@ -17,7 +17,7 @@ from repro.core.constraints import (
     UpdateCostConstraint,
     split_constraints,
 )
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.exceptions import ConstraintError, InfeasibleProblemError
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
@@ -36,7 +36,7 @@ def tuning_setup(simple_schema, simple_workload):
 
 
 def _solve(bip, constraints, gap=0.0):
-    solver = CoPhySolver(backend=SolverBackend.MILP, gap_tolerance=gap)
+    solver = CoPhySolver(gap_tolerance=gap)
     return solver.solve(bip, hard_constraints=constraints)
 
 

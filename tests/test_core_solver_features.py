@@ -10,13 +10,12 @@ from repro.core.advisor import CoPhyAdvisor
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import IndexCountConstraint, StorageBudgetConstraint
 from repro.core.soft_constraints import ParetoExplorer
-from repro.core.solver import CoPhySolver, SolverBackend
+from repro.core.solver import CoPhySolver
 from repro.exceptions import InfeasibleProblemError
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.model import Objective
-from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
 from tests.conftest import assert_left_as_found, model_state
 
@@ -64,25 +63,6 @@ class TestCoPhySolver:
                                    ).ComparisonSense.AT_LEAST)])
         assert bip.model.constraint_count == rows_before
         assert failure.value.violated_constraints
-
-    def test_check_feasibility_probe(self, tuning_setup):
-        _, _, candidates, bip = tuning_setup
-        solver = CoPhySolver()
-        assert solver.check_feasibility(bip, [StorageBudgetConstraint(
-            candidates.total_size())])
-        from repro.core.constraints import ComparisonSense
-
-        assert not solver.check_feasibility(
-            bip, [StorageBudgetConstraint(0.0),
-                  IndexCountConstraint(limit=1, sense=ComparisonSense.AT_LEAST)])
-
-    def test_branch_and_bound_backend_produces_gap_trace(self, tuning_setup):
-        _, _, _, bip = tuning_setup
-        report = CoPhySolver(backend=SolverBackend.BRANCH_AND_BOUND,
-                             gap_tolerance=0.0).solve(bip)
-        assert report.gap_trace
-        assert report.solution.status in (SolutionStatus.OPTIMAL,
-                                          SolutionStatus.FEASIBLE)
 
     def test_relaxation_preserves_the_optimum(self, tuning_setup):
         _, _, _, bip = tuning_setup
@@ -166,8 +146,6 @@ class TestParetoExploration:
         lambdas = [p.lambda_value for p in points]
         assert 0.0 in lambdas and 1.0 in lambdas
         assert len(points) <= 5
-        # All but the first solve can reuse the previous solution.
-        assert points[0].warm_started is False or points[-1].warm_started
 
     def test_hard_constraints_respected_during_exploration(self, tuning_setup):
         _, _, _, bip = tuning_setup
@@ -250,7 +228,7 @@ class TestInteractiveTuning:
         variables, constraints = model.variable_count, model.constraint_count
         second = session.add_candidates(all_candidates[len(all_candidates) // 2:])
         assert advisor.inum.template_build_calls == inum_calls_after_first
-        assert second.extras["warm_started"]
+        assert session.bip.model is model  # extended in place, not rebuilt
         # The delta build is cheaper than the initial one in work, not in
         # wall clock: it adds fewer variables and rows than were created.
         assert 0 < model.variable_count - variables < variables
@@ -309,13 +287,14 @@ class TestInteractiveTuning:
         first = session.recommend()
         assert len(first.configuration) > 0
         inum_calls = advisor.inum.template_build_calls
+        bip = session.bip
         removed = list(first.configuration)[:2]
 
         shrunk = session.remove_candidates(removed)
-        # Delta re-tune: no INUM rebuild, warm-started, retracted indexes
+        # Delta re-tune: no INUM rebuild, the BIP kept, retracted indexes
         # gone from both the candidate set and the recommendation.
         assert advisor.inum.template_build_calls == inum_calls
-        assert shrunk.extras["warm_started"]
+        assert session.bip is bip
         for index in removed:
             assert index not in session.candidates
             assert index not in shrunk.configuration

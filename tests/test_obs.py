@@ -534,7 +534,6 @@ class TestOneClock:
             == ["prepare", "bip_build", "solve"]
         assert [child.name for child in second.children] \
             == ["bip_build", "solve"]
-        assert second.children[1].attrs["warm_started"] is True
 
     def test_a_request_failing_mid_stage_still_reports_one_reading(
             self, tpch):
@@ -567,6 +566,17 @@ class TestFacadeMetrics:
         assert sum(snap["repro_solver_solves_total"].values()) >= 1
         cache_events = snap["repro_cache_events_total"]
         assert any(key[0] == "tensor" for key in cache_events)
+
+    @pytest.mark.parametrize("advisor", ["cophy", "ilp"])
+    def test_one_tune_counts_its_one_solve(self, tpch, advisor):
+        """Every HiGHS solve is counted once, whichever advisor asked for
+        it: the ILP baseline's direct solve as well as CoPhy's."""
+        tuner = Tuner()
+        tuner.tune(_request(tpch, advisor=AdvisorSpec(advisor)))
+        snap = tuner.metrics.snapshot()
+        assert sum(snap["repro_solver_solves_total"].values()) == 1
+        assert snap["repro_solver_nodes"][()]["count"] == 1
+        assert snap["repro_solver_gap"][()]["count"] == 1
 
     def test_failed_requests_count_as_errors(self, tpch):
         from repro.reliability.faults import FaultPlan, FaultRule, InjectedFault
@@ -637,12 +647,12 @@ class TestFamilyTable:
 
     def test_every_recorded_family_is_a_table_row(self, tpch):
         """Drive every recording site the serving stack has — facade,
-        service admission and namespacing, HTTP, session reaping, both
-        solver backends, context eviction — and hold each family any of
+        service admission and namespacing, HTTP, session reaping, the ILP
+        baseline's direct HiGHS solve, context eviction — and hold each
+        family any of
         them created to its row and its label domains.  The ambient
         registry is undeclared, so a site restating a family with its own
         help or labels shows here."""
-        from repro.core.solver import SolverBackend
         from repro.exceptions import ServerOverloaded
 
         ambient = MetricsRegistry()
@@ -650,9 +660,8 @@ class TestFamilyTable:
             tuner = Tuner()
             tuner.tune(_request(tpch))
             request = _request(tpch, seed=32)
-            for backend in SolverBackend:
-                make_advisor("cophy", tpch, backend=backend).tune(
-                    request.workload, request.constraints)
+            make_advisor("ilp", tpch).tune(request.workload,
+                                           request.constraints)
 
             service = TuningService(namespace_statements=True,
                                     max_contexts=1)
@@ -678,7 +687,7 @@ class TestFamilyTable:
         assert stats["sessions_reaped"] == 1
         assert stats["evicted_contexts"] >= 1
         solves = ambient.snapshot()["repro_solver_solves_total"]
-        assert sum(solves.values()) == 2
+        assert sum(solves.values()) == 1
         assert ambient.snapshot()["repro_solver_nodes"][()]["count"] == 1
         text = service.tuner.metrics.render()
         assert (f'repro_contexts_dropped_total{{reason="lru"}} '

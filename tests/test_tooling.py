@@ -166,8 +166,6 @@ _CLOCK_READERS = {
     "obs/trace.py": ({"perf_counter", "thread_time"}, "the clock: Span"),
     "obs/profile.py": ({"perf_counter"}, "the clock: lock-wait accounting"),
     "lp/budget.py": ({"perf_counter"}, "solver-intrinsic: the deadline"),
-    "lp/branch_and_bound.py": ({"perf_counter"},
-                               "solver-intrinsic: solve_seconds, gap trace"),
     "lp/highs_backend.py": ({"perf_counter"},
                             "solver-intrinsic: solve_seconds"),
     "core/solver.py": ({"perf_counter"}, "SolveReport.solve_seconds"),
