@@ -39,6 +39,10 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.inum.probe import ConfigurationProbe
 from repro.lp import SOLVE_TIERS, SolveBudget
+from repro.lp.expression import LinearExpression
+from repro.lp.highs_backend import MilpBackend
+from repro.lp.model import Model, ObjectiveSense
+from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.server import (
     WIRE_VERSION,
@@ -139,6 +143,41 @@ class TestSolveBudget:
         assert slice_s == pytest.approx(3.0, rel=0.01)
         everything = budget.shard_slice_seconds(1, workers=1, merge_reserve=0.0)
         assert everything == pytest.approx(8.0, rel=0.01)
+
+
+# ==================================================== branch and bound anytime
+def _knapsack(values, weights, capacity):
+    model = Model("knapsack", sense=ObjectiveSense.MAXIMIZE)
+    variables = [model.add_binary(f"x{i}") for i in range(len(values))]
+    model.set_objective(LinearExpression.sum_of(variables, values))
+    model.add_constraint(
+        LinearExpression.sum_of(variables, weights) <= capacity,
+        name="capacity")
+    return model, variables
+
+
+class TestBranchAndBoundAnytime:
+    """What a budget makes of HiGHS's branch and bound."""
+
+    def test_expired_deadline_without_incumbent_reports_timeout(self):
+        model, _ = _knapsack([6, 5], [4, 3], 6)
+        solution = MilpBackend().solve(model, budget=_expired_budget())
+        assert solution.timed_out
+        assert solution.status is SolutionStatus.ERROR
+
+    def test_budget_node_limit_caps_exploration(self):
+        model, _ = _knapsack([6, 5, 4, 3, 2], [4, 3, 2, 1, 2], 6)
+        solution = MilpBackend().solve(model,
+                                       budget=SolveBudget(node_limit=1))
+        assert solution.nodes_explored <= 1
+        assert not solution.timed_out  # node limits are not wall-clock expiry
+
+    def test_unbudgeted_solve_is_untouched(self):
+        model, _ = _knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(12.0)  # items 2+3+4
+        assert not solution.timed_out
 
 
 # ========================================================= the greedy heuristic

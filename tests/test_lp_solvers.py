@@ -1,8 +1,7 @@
-"""Tests for the MILP backend, HiGHS, and the solution object."""
+"""Tests for HiGHS (the MILP backend) on LPs, relaxations and binary
+programs, and for the solution object."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -40,33 +39,12 @@ def brute_force_knapsack(values, weights, capacity) -> float:
     return best
 
 
-class TestMilpBackend:
-    def test_solves_knapsack_to_optimality(self):
-        values = [6, 5, 4, 3]
-        weights = [4, 3, 2, 1]
-        model, variables = build_knapsack(values, weights, 6)
-        solution = MilpBackend().solve(model)
-        assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.objective == pytest.approx(
-            brute_force_knapsack(values, weights, 6))
-        assert not solution.timed_out
-        assert all(solution.value(v) in (0.0, 1.0) for v in variables)
-        assert all(solution.value(v) == solution.vector[v.index]
-                   for v in variables)
+class TestLinearRelaxationBackend:
+    """Linear programs through HiGHS: a model with no binary variable, and
+    the LP relaxation of a binary one (its export with the integrality
+    dropped), as a caller passes it in ``matrices``."""
 
-    def test_minimisation_with_covering_constraint(self):
-        model = Model("cover")
-        x = [model.add_binary(f"x{i}") for i in range(4)]
-        costs = [3.0, 2.0, 4.0, 1.0]
-        model.set_objective(LinearExpression.sum_of(x, costs))
-        model.add_constraint((x[0] + x[1]) >= 1)
-        model.add_constraint((x[1] + x[2]) >= 1)
-        model.add_constraint((x[2] + x[3]) >= 1)
-        solution = MilpBackend().solve(model)
-        assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.objective == pytest.approx(3.0)  # pick x1 and x3
-
-    def test_solves_an_lp(self):
+    def test_solves_simple_lp(self):
         model = Model("lp")
         x = model.add_continuous("x", 0.0, 10.0)
         y = model.add_continuous("y", 0.0, 10.0)
@@ -78,19 +56,46 @@ class TestMilpBackend:
         assert solution.objective == pytest.approx(-8.0, abs=1e-6)
         assert (solution.gap, solution.best_bound) == (0.0, solution.objective)
 
-    @given(st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_property_matches_brute_force(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=7))
-        values = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
-        weights = data.draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
-        capacity = data.draw(st.integers(1, 25))
-        model, _ = build_knapsack([float(v) for v in values],
-                                  [float(w) for w in weights], float(capacity))
+    def test_detects_infeasibility(self):
+        model = Model("lp")
+        x = model.add_continuous("x", 0.0, 1.0)
+        model.add_constraint((1 * x) >= 2)
+        model.set_objective(1 * x)
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.INFEASIBLE
+
+    def test_relaxation_of_binary_model_can_be_fractional(self):
+        model, variables = build_knapsack([10, 10], [1, 1], 1.0)
+        matrices = model.to_matrices()
+        relaxation = {**matrices,
+                      "integrality": np.zeros_like(matrices["integrality"])}
+        solution = MilpBackend().solve(model, matrices=relaxation)
+        assert solution.status is SolutionStatus.OPTIMAL
+        total = sum(solution.value(v) for v in variables)
+        assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_bounds_override(self):
+        model = Model("lp")
+        x = model.add_continuous("x", 0.0, 10.0)
+        model.set_objective(-1 * x)
+        matrices = model.to_matrices()
+        tightened = matrices["bounds"].copy()
+        tightened[0, 1] = 2.0
+        solution = MilpBackend().solve(model,
+                                       matrices={**matrices, "bounds": tightened})
+        assert solution.value(x) == pytest.approx(2.0, abs=1e-6)
+
+
+class TestMilpBackend:
+    def test_solves_knapsack_to_optimality(self):
+        values = [6, 5, 4, 3]
+        weights = [4, 3, 2, 1]
+        model, variables = build_knapsack(values, weights, 6)
         solution = MilpBackend().solve(model)
         assert solution.status is SolutionStatus.OPTIMAL
         assert solution.objective == pytest.approx(
-            brute_force_knapsack(values, weights, capacity))
+            brute_force_knapsack(values, weights, 6))
+        assert all(solution.value(v) in (0.0, 1.0) for v in variables)
 
     def test_detects_infeasibility(self):
         model = Model("m")
@@ -125,17 +130,6 @@ class TestMilpBackend:
         assert solution.nodes_explored == 1
         assert solution.best_bound <= optimum <= solution.objective
 
-    def test_expired_budget_without_incumbent_times_out(self):
-        """A deadline that passed before the solve leaves HiGHS no time for
-        an incumbent: no solution, flagged as a timeout."""
-        model, _ = build_knapsack([6, 5], [4, 3], 6)
-        budget = SolveBudget(time_budget_ms=0.001).start()
-        time.sleep(0.002)
-        assert budget.expired()
-        solution = MilpBackend().solve(model, budget=budget)
-        assert solution.status is SolutionStatus.ERROR
-        assert solution.timed_out
-
     def test_a_solve_is_silent(self, capfd):
         """HiGHS logs to the console by default; a served process's stdout
         is its log, so a solve writes nothing to fd 1 or fd 2."""
@@ -151,6 +145,125 @@ class TestMilpBackend:
         model, _ = build_knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
         with pytest.raises(SolverError, match="time_limit"):
             MilpBackend(time_limit_seconds=-1.0).solve(model)
+
+
+class TestBranchAndBound:
+    """HiGHS's branch and bound on small binary programs: optima against
+    brute force, infeasibility, the gap tolerance, the node limit and the
+    bound it reports."""
+
+    def test_matches_brute_force_on_knapsacks(self):
+        values = [7, 2, 9, 5, 8]
+        weights = [3, 1, 5, 2, 4]
+        model, _ = build_knapsack(values, weights, 8)
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(
+            brute_force_knapsack(values, weights, 8))
+
+    def test_minimisation_with_covering_constraint(self):
+        model = Model("cover")
+        x = [model.add_binary(f"x{i}") for i in range(4)]
+        costs = [3.0, 2.0, 4.0, 1.0]
+        model.set_objective(LinearExpression.sum_of(x, costs))
+        model.add_constraint((x[0] + x[1]) >= 1)
+        model.add_constraint((x[1] + x[2]) >= 1)
+        model.add_constraint((x[2] + x[3]) >= 1)
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(3.0)  # pick x1 and x3
+
+    def test_detects_infeasibility(self):
+        model = Model("m")
+        x = model.add_binary("x")
+        y = model.add_binary("y")
+        model.add_constraint((x + y) >= 3)
+        model.set_objective(x + y)
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.INFEASIBLE
+        assert not solution.is_feasible
+
+    def test_gap_trace_is_monotone_and_final_gap_reported(self):
+        """The gap a solve reports at each rung of a falling gap tolerance
+        (the trace Fig. 6a draws): each a true bound, never rising, and 0
+        at the last rung."""
+        values = [4, 7, 1, 9, 6, 3, 8]
+        weights = [2, 5, 1, 6, 4, 2, 5]
+        optimum = brute_force_knapsack(values, weights, 12)
+        gaps = []
+        for tolerance in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0):
+            solution = MilpBackend(gap_tolerance=tolerance).solve(
+                build_knapsack(values, weights, 12)[0])
+            assert solution.is_feasible
+            assert solution.gap <= tolerance + 1e-9
+            assert solution.objective <= optimum <= solution.best_bound + 1e-9
+            gaps.append(solution.gap)
+        assert all(b <= a + 1e-9 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-6
+        assert solution.objective == pytest.approx(optimum)
+
+    def test_gap_tolerance_allows_early_stop(self):
+        values = [4, 7, 1, 9, 6, 3, 8, 5, 2]
+        weights = [2, 5, 1, 6, 4, 2, 5, 3, 1]
+        exact = MilpBackend().solve(build_knapsack(values, weights, 15)[0])
+        loose = MilpBackend(gap_tolerance=0.25).solve(
+            build_knapsack(values, weights, 15)[0])
+        assert loose.is_feasible
+        assert loose.nodes_explored <= exact.nodes_explored
+        # Within the advertised bound of the optimum.
+        assert loose.objective >= (1 - 0.25) * exact.objective
+
+    def test_node_limit_returns_feasible_solution(self):
+        values = list(range(1, 16))
+        weights = [(v * 7 % 11) + 1 for v in values]
+        model, _ = build_knapsack(values, weights, 25)
+        solution = MilpBackend().solve(model, budget=SolveBudget(node_limit=3))
+        assert solution.nodes_explored <= 3
+        assert solution.is_feasible or solution.status is SolutionStatus.ERROR
+
+    def test_backends_expose_solution_vector(self):
+        model, variables = build_knapsack([6, 5, 4], [4, 3, 2], 6)
+        matrices = model.to_matrices()
+        relaxation = {**matrices,
+                      "integrality": np.zeros_like(matrices["integrality"])}
+        relaxed = MilpBackend().solve(model, matrices=relaxation)
+        assert relaxed.vector is not None
+        assert relaxed.vector.shape == (len(model.variables),)
+        integral = MilpBackend().solve(model)
+        assert integral.vector is not None
+        for variable in variables:
+            assert integral.value(variable) in (0.0, 1.0)
+            assert integral.value(variable) == float(
+                integral.vector[variable.index])
+
+    def test_pruned_root_closes_best_bound(self):
+        """A program whose root LP is integral is proved optimal at the
+        root: the best bound closes on the incumbent, with no branching."""
+        model = Model("lp-integral")
+        x = model.add_binary("x")
+        y = model.add_binary("y")
+        model.set_objective((1.0 * x) + (1.0 * y))
+        model.add_constraint((x + y) >= 1)
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(1.0)
+        assert solution.best_bound == pytest.approx(1.0)
+        assert solution.gap == pytest.approx(0.0)
+        assert solution.nodes_explored <= 1
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_matches_brute_force(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=7))
+        values = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+        weights = data.draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+        capacity = data.draw(st.integers(1, 25))
+        model, _ = build_knapsack([float(v) for v in values],
+                                  [float(w) for w in weights], float(capacity))
+        solution = MilpBackend().solve(model)
+        assert solution.status is SolutionStatus.OPTIMAL
+        assert solution.objective == pytest.approx(
+            brute_force_knapsack(values, weights, capacity))
 
 
 class TestSolutionObject:
