@@ -28,7 +28,7 @@ from repro.advisors.base import (
     weighted_statement_costs,
 )
 from repro.catalog.schema import Schema
-from repro.core.constraints import StorageBudgetConstraint, TuningConstraint
+from repro.core.constraints import TuningConstraint, tightest_storage_budget
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration, baseline_configuration
 from repro.indexes.index import Index, index_size_bytes
@@ -108,7 +108,7 @@ class DtaAdvisor(Advisor):
 
             compressed = self._compress(workload)
             per_query_best = self._per_query_candidates(compressed, candidates)
-            storage_budget = self._storage_budget(constraints)
+            storage_budget = tightest_storage_budget(constraints)
             # With INUM available the greedy's many workload costings run
             # through the workload gamma tensor: one batched reduction per
             # probed configuration instead of a Python loop over the
@@ -189,12 +189,6 @@ class DtaAdvisor(Advisor):
                                            + statement.weight * benefit)
         ranked = sorted(benefit_by_index, key=lambda index: -benefit_by_index[index])
         return ranked[:self.max_candidates]
-
-    def _storage_budget(self, constraints: Sequence[TuningConstraint]) -> float | None:
-        for constraint in constraints:
-            if isinstance(constraint, StorageBudgetConstraint):
-                return constraint.budget_bytes
-        return None
 
     def _index_size(self, index: Index) -> float:
         return index_size_bytes(index, self.schema.table(index.table))

@@ -21,9 +21,11 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+import numpy as np
+
 from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
-from repro.core.constraints import StorageBudgetConstraint, TuningConstraint
+from repro.core.constraints import TuningConstraint, tightest_storage_budget
 from repro.core.heuristics import ideal_lower_bound
 from repro.exceptions import InfeasibleProblemError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
@@ -31,9 +33,8 @@ from repro.indexes.configuration import AtomicConfiguration, Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
-from repro.lp.expression import LinearExpression
 from repro.lp.highs_backend import MilpBackend
-from repro.lp.model import Model
+from repro.lp.model import Model, Objective, RowBlock, RowKind
 from repro.lp.solution import SolutionStatus
 from repro.obs.trace import stage
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -101,22 +102,21 @@ class IlpAdvisor(Advisor):
                 self.inum.prepare(workload, candidates)
 
             with stage(timings, "build") as node:
-                model, z_variables, objective = self._build_model(
-                    workload, candidates, budget=budget)
-                storage_budget = self._storage_budget(constraints)
+                model, z_columns = self._build_model(workload, candidates,
+                                                     budget=budget)
+                storage_budget = tightest_storage_budget(constraints)
                 if storage_budget is not None:
-                    sizes = [candidates.size_of(index) for index in z_variables]
-                    expression = LinearExpression.sum_of(
-                        list(z_variables.values()), sizes)
-                    model.add_constraint(expression <= storage_budget,
-                                         name="storage_budget")
+                    model.add_rows(RowBlock.of([(Objective.of(
+                        z_columns.values(),
+                        [candidates.size_of(index) for index in z_columns]),
+                        storage_budget, RowKind.LESS_EQUAL)]))
                 node.set(variables=model.variable_count,
                          constraints=model.constraint_count)
 
             with stage(timings, "solve") as node:
                 backend = MilpBackend(gap_tolerance=self.gap_tolerance,
                                       time_limit_seconds=self.time_limit_seconds)
-                solution = backend.solve(model, budget=budget)
+                solution = backend.solve(model.to_matrices(), budget=budget)
                 node.set(timed_out=solution.timed_out)
 
             def answer(configuration: Configuration, objective: float,
@@ -149,8 +149,8 @@ class IlpAdvisor(Advisor):
                     max(0.0, (objective - bound) / max(abs(objective), 1e-9)),
                     timed_out=True)
 
-            selected = [index for index, variable in z_variables.items()
-                        if solution.value(variable) >= 0.5]
+            selected = [index for index, column in z_columns.items()
+                        if solution.vector[column] >= 0.5]
             return answer(
                 Configuration(selected, name="ilp-recommendation"),
                 solution.objective, solution.gap,
@@ -160,11 +160,17 @@ class IlpAdvisor(Advisor):
     # ----------------------------------------------------------------- internals
     def _build_model(self, workload: Workload, candidates: CandidateSet,
                      budget: SolveBudget | None = None
-                     ) -> tuple[Model, dict[Index, object], LinearExpression]:
-        model = Model(name="ilp-bip")
-        z_variables: dict[Index, object] = {
-            index: model.add_binary(f"z[{index.name}]") for index in candidates}
-        objective_terms: dict = {}
+                     ) -> tuple[Model, dict[Index, int]]:
+        """The program as triplets: the ``z`` columns (candidate order), then
+        per statement its ``p`` columns, one ``p <= z`` row per index each
+        configuration uses and its one-configuration row."""
+        z_columns = {index: column for column, index in enumerate(candidates)}
+        costs = [0.0] * len(z_columns)
+        rows: list[int] = []
+        columns: list[int] = []
+        values: list[float] = []
+        rhs: list[float] = []
+        kinds: list[int] = []
 
         for statement in workload:
             query = statement.query
@@ -177,31 +183,32 @@ class IlpAdvisor(Advisor):
                             self.inum.cost(shell, Configuration(())))]
             else:
                 atomics = self._pruned_atomic_configurations(shell, candidates)
-            config_variables = []
-            for position, (atomic, cost) in enumerate(atomics):
-                variable = model.add_binary(f"p[{shell.name}][{position}]")
-                config_variables.append(variable)
-                objective_terms[variable] = (objective_terms.get(variable, 0.0)
-                                             + statement.weight * cost)
+            first = len(costs)
+            for column, (atomic, cost) in enumerate(atomics, start=first):
+                costs.append(0.0 + statement.weight * cost)
                 for index in atomic.indexes():
-                    model.add_constraint(
-                        (1.0 * variable) - (1.0 * z_variables[index]) <= 0.0,
-                        name=f"uses[{shell.name}][{position}][{index.name}]")
-            model.add_constraint(
-                LinearExpression.sum_of(config_variables) == 1.0,
-                name=f"one_config[{shell.name}]")
+                    rows += [len(rhs)] * 2
+                    columns += [z_columns[index], column]
+                    values += [-1.0, 1.0]
+                    rhs.append(-0.0)
+                    kinds.append(RowKind.LESS_EQUAL)
+            rows += [len(rhs)] * len(atomics)
+            columns += range(first, len(costs))
+            values += [1.0] * len(atomics)
+            rhs.append(1.0)
+            kinds.append(RowKind.EQUAL)
             if isinstance(query, UpdateQuery):
                 for index in candidates.for_table(query.table):
                     ucost = self.optimizer.update_maintenance_cost(index, query)
                     if ucost > 0:
-                        variable = z_variables[index]
-                        objective_terms[variable] = (
-                            objective_terms.get(variable, 0.0)
-                            + statement.weight * ucost)
+                        costs[z_columns[index]] += statement.weight * ucost
 
-        objective = LinearExpression(objective_terms)
-        model.set_objective(objective)
-        return model, z_variables, objective
+        model = Model(name="ilp-bip")
+        model.add_columns(len(costs))
+        model.add_rows(RowBlock.from_triplets(rows, columns, values, rhs,
+                                              kinds))
+        model.set_objective(Objective(np.arange(len(costs)), np.array(costs)))
+        return model, z_columns
 
     def _pruned_atomic_configurations(self, query: Query, candidates: CandidateSet
                                       ) -> list[tuple[AtomicConfiguration, float]]:
@@ -233,10 +240,3 @@ class IlpAdvisor(Advisor):
             scored.append((atomic, cost))
         scored.sort(key=lambda pair: pair[1])
         return scored[:self.max_configurations_per_query]
-
-    @staticmethod
-    def _storage_budget(constraints: Sequence[TuningConstraint]) -> float | None:
-        for constraint in constraints:
-            if isinstance(constraint, StorageBudgetConstraint):
-                return constraint.budget_bytes
-        return None

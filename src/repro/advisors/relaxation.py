@@ -30,7 +30,7 @@ from repro.advisors.base import (
     weighted_statement_costs,
 )
 from repro.catalog.schema import Schema
-from repro.core.constraints import StorageBudgetConstraint, TuningConstraint
+from repro.core.constraints import TuningConstraint, tightest_storage_budget
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration, baseline_configuration
 from repro.indexes.index import Index, index_size_bytes
@@ -105,7 +105,7 @@ class RelaxationAdvisor(Advisor):
             pruned = self._prune_candidates(workload, candidates)
 
             evaluation_sample = self._evaluation_sample(workload, pruned)
-            storage_budget = self._storage_budget(constraints)
+            storage_budget = tightest_storage_budget(constraints)
             # Optional fast path: cost probes through the workload gamma tensor.
             eval_workload = None
             if self.inum is not None:
@@ -173,12 +173,6 @@ class RelaxationAdvisor(Advisor):
         rng = random.Random(self.seed)
         sampled = rng.sample(list(statements), affordable)
         return tuple(sampled)
-
-    def _storage_budget(self, constraints: Sequence[TuningConstraint]) -> float | None:
-        for constraint in constraints:
-            if isinstance(constraint, StorageBudgetConstraint):
-                return constraint.budget_bytes
-        return None
 
     def _index_size(self, index: Index) -> float:
         return index_size_bytes(index, self.schema.table(index.table))

@@ -32,9 +32,9 @@ from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import (
-    StorageBudgetConstraint,
     TuningConstraint,
     split_constraints,
+    tightest_storage_budget,
 )
 from repro.core.heuristics import greedy_knapsack, unsupported_constraint
 from repro.core.solver import CoPhySolver
@@ -217,7 +217,7 @@ class ScaleOutAdvisor(Advisor):
                    candidates=len(candidates)) as partition_span:
             plan = partition_workload(tuned, candidates,
                                       shard_count=self.shard_count)
-            storage_budget = self._storage_budget(hard)
+            storage_budget = tightest_storage_budget(hard)
             plan = split_budget(plan, candidates, storage_budget,
                                 oversubscription=self.budget_oversubscription)
             partition_span.set(shards=plan.shard_count)
@@ -368,10 +368,3 @@ class ScaleOutAdvisor(Advisor):
                  "seconds": round(report.solve_seconds, 4)}
         return (configuration, report.objective, report.gap, stats,
                 report.timed_out)
-
-    @staticmethod
-    def _storage_budget(constraints: Sequence[TuningConstraint]) -> float | None:
-        for constraint in constraints:
-            if isinstance(constraint, StorageBudgetConstraint):
-                return constraint.budget_bytes
-        return None

@@ -41,9 +41,12 @@ then slot in table order, then access: heap first, candidates in candidate
 order).  The rows are one :class:`~repro.lp.model.RowBlock` in the same
 per-statement order: the one-template row, then per (template, slot) the
 ``x <= z`` select rows and the slot's one-access row; :meth:`BipBuilder.extend`
-appends its columns and rows after all of these.  Only the ``z`` columns
-carry :class:`~repro.lp.variable.Variable` objects; the ``y``/``x`` columns
-are described by the struct-of-array tables on :class:`CophyBip`.
+appends its columns and rows after all of these.  A column is named by its
+number only: :attr:`CophyBip.z_columns` maps each candidate to its ``z``
+column, and the struct-of-array tables on :class:`CophyBip` describe the
+``y``/``x`` columns.  The linear measures the DBA's constraints bound
+(storage, maintenance cost, one query's cost) are
+:class:`~repro.lp.model.Objective` forms over those columns.
 """
 
 from __future__ import annotations
@@ -61,10 +64,8 @@ from repro.inum.cache import InumCache
 from repro.inum.template_plan import INFEASIBLE_COST
 from repro.inum.workload_tensor import WorkloadGammaTensor
 from repro.lp.budget import SolveBudget
-from repro.lp.expression import LinearExpression
 from repro.lp.model import Model, Objective, RowBlock, RowKind
 from repro.lp.solution import Solution
-from repro.lp.variable import Variable
 from repro.workload.query import Query, StatementKind, UpdateQuery
 from repro.workload.workload import Workload
 
@@ -139,7 +140,8 @@ class CophyBip:
     model: Model
     workload: Workload
     candidates: CandidateSet
-    z_variables: dict[Index, Variable]
+    #: Candidate -> its ``z`` column.
+    z_columns: dict[Index, int]
     #: The Theorem-1 rows (one-template, select and one-access rows).
     rows: RowBlock
     templates: TemplateColumns
@@ -158,25 +160,17 @@ class CophyBip:
                                               statement.weight)
         return statement.weight
 
-    # ---------------------------------------------------------------- accessors
-    def index_variable(self, index: Index) -> Variable:
-        try:
-            return self.z_variables[index]
-        except KeyError as exc:
-            raise SolverError(f"Index {index.name} is not part of this BIP") from exc
-
-    def storage_expression(self) -> LinearExpression:
+    # ----------------------------------------------------------------- measures
+    def storage_measure(self) -> Objective:
         """``sum_a size(a) * z_a`` — the left side of storage constraints."""
-        variables = []
-        sizes = []
-        for index, variable in self.z_variables.items():
-            variables.append(variable)
-            sizes.append(self.candidates.size_of(index))
-        return LinearExpression.sum_of(variables, sizes)
+        return Objective.of(self.z_columns.values(),
+                            [self.candidates.size_of(index)
+                             for index in self.z_columns])
 
-    def update_cost_expression(self) -> LinearExpression:
-        """``sum_q sum_a f_q ucost(a, q) z_a`` — total index-maintenance cost."""
-        coefficients: dict[Variable, float] = {}
+    def update_cost_measure(self) -> Objective:
+        """``sum_q sum_a f_q ucost(a, q) z_a`` — total index-maintenance
+        cost, a term per ``z`` in the order UPDATEs first touch them."""
+        coefficients: dict[int, float] = {}
         for ordinal, statement in enumerate(self.workload):
             update = statement.query
             if update.kind is not StatementKind.UPDATE:
@@ -189,16 +183,18 @@ class CophyBip:
             mine = self.updates.statements == ordinal
             ucosts = dict(zip(self.updates.columns[mine].tolist(),
                               self.updates.costs[mine].tolist()))
-            for index, variable in self.z_variables.items():
-                ucost = ucosts.get(variable.index)
+            for index, column in self.z_columns.items():
+                ucost = ucosts.get(column)
                 if index.table == update.table and ucost:
-                    coefficients[variable] = (coefficients.get(variable, 0.0)
-                                              + self.weight_of(statement)
-                                              * ucost)
-        return LinearExpression(coefficients)
+                    coefficients[column] = (coefficients.get(column, 0.0)
+                                            + self.weight_of(statement)
+                                            * ucost)
+        return Objective.of(coefficients, coefficients.values())
 
-    def query_cost_expression(self, query: Query) -> LinearExpression:
-        """The BIP expression of ``cost(q, X*)`` for one SELECT / query shell.
+    def query_cost_measure(self, query: Query) -> Objective:
+        """``cost(q, X*)`` for one SELECT / query shell: its ``y`` columns'
+        betas, then its ``x`` columns' gammas (no terms when the workload
+        lacks the shell).
 
         A shell the workload repeats is read at its last occurrence.
         """
@@ -206,21 +202,19 @@ class CophyBip:
         ordinals = [ordinal for ordinal, statement in enumerate(self.workload)
                     if _shell(statement.query).name == shell_name]
         if not ordinals:
-            return LinearExpression()
+            return Objective.of((), ())
         mine = self.templates.statements == ordinals[-1]
         accesses = mine[self.accesses.templates]
-        columns = np.concatenate((self.templates.columns[mine],
-                                  self.accesses.columns[accesses]))
-        costs = 0.0 + np.concatenate((self.templates.betas[mine],
-                                      self.accesses.gammas[accesses]))
-        return LinearExpression({self.model.column(column): cost
-                                 for column, cost in zip(columns.tolist(),
-                                                         costs.tolist())})
+        return Objective(
+            np.concatenate((self.templates.columns[mine],
+                            self.accesses.columns[accesses])),
+            0.0 + np.concatenate((self.templates.betas[mine],
+                                  self.accesses.gammas[accesses])))
 
     def extract_configuration(self, solution: Solution) -> Configuration:
         """Read ``X* = {a | z_a = 1}`` out of a solver solution."""
-        selected = [index for index, variable in self.z_variables.items()
-                    if solution.value(variable) >= 0.5]
+        selected = [index for index, column in self.z_columns.items()
+                    if solution.vector[column] >= 0.5]
         return Configuration(selected, name="cophy-recommendation")
 
 
@@ -350,10 +344,9 @@ class BipBuilder:
             BuildInterrupted: When ``budget``'s deadline fires mid-build.
         """
         model = Model(name=model_name)
-        z_variables = {index: model.add_binary(f"z[{index.name}]")
-                       for index in candidates}
-        z_columns = {index: variable.index
-                     for index, variable in z_variables.items()}
+        first = model.add_columns(len(candidates))
+        z_columns = {index: first + offset
+                     for offset, index in enumerate(candidates)}
 
         # Coefficients are read through the workload gamma tensor (one batched
         # column registration for the whole candidate set up front), so the
@@ -393,7 +386,7 @@ class BipBuilder:
             Objective(empty, np.zeros(0), objective_constant)))
         bip = CophyBip(
             model=model, workload=workload, candidates=candidates,
-            z_variables=z_variables, rows=rows,
+            z_columns=z_columns, rows=rows,
             templates=assembly.table(TemplateColumns),
             accesses=assembly.table(AccessColumns),
             updates=assembly.table(UpdateCosts),
@@ -419,15 +412,15 @@ class BipBuilder:
         if not added:
             return bip
         model = bip.model
-        for index in added:
+        first = model.add_columns(len(added))
+        for offset, index in enumerate(added):
             bip.candidates.add(index)
-            bip.z_variables[index] = model.add_binary(f"z[{index.name}]")
-        z_columns = {index: variable.index
-                     for index, variable in bip.z_variables.items()}
+            bip.z_columns[index] = first + offset
+        z_columns = bip.z_columns
         # Every index with a ``z`` column, pinned-out ones included, may
         # serve a template the added candidates make usable.
         by_table: dict[str, list[Index]] = {}
-        for index in bip.z_variables:
+        for index in z_columns:
             by_table.setdefault(index.table, []).append(index)
         template_rows = np.flatnonzero(bip.rows.kinds == RowKind.EQUAL)
 

@@ -15,9 +15,11 @@ the paper (which in turn cover the use cases of Bruno & Chaudhuri's
   satisfied to the extent possible"; they are *not* added to the BIP but drive
   the Pareto exploration in :mod:`repro.core.soft_constraints`.
 
-Every hard constraint knows how to translate itself into one or more linear
-:class:`repro.lp.constraint.Constraint` rows over an existing
-:class:`~repro.core.bip_builder.CophyBip`.
+Every hard constraint translates itself into one
+:class:`~repro.lp.model.RowBlock` of linear rows over the columns of an
+existing :class:`~repro.core.bip_builder.CophyBip`; a constraint that can be
+made soft also exposes its left side as a linear form (an
+:class:`~repro.lp.model.Objective`) through ``measure``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-
 from repro.core.bip_builder import CophyBip
 from repro.exceptions import ConstraintError
 from repro.indexes.index import Index
-from repro.lp.constraint import Constraint
-from repro.lp.expression import LinearExpression
+from repro.lp.model import Objective, RowBlock, RowKind
 from repro.workload.query import Query, StatementKind
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "QueryCostConstraint",
     "QuerySpeedupGenerator",
     "UpdateCostConstraint",
+    "tightest_storage_budget",
 ]
 
 
@@ -63,7 +64,7 @@ class TuningConstraint(abc.ABC):
     name: str = "constraint"
 
     @abc.abstractmethod
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
+    def to_linear(self, bip: CophyBip) -> RowBlock:
         """Translate the constraint into linear rows over the BIP."""
 
     def describe(self) -> str:
@@ -96,9 +97,9 @@ class SoftConstraint:
     def name(self) -> str:
         return f"soft({self.inner.name})"
 
-    def measure_expression(self, bip: CophyBip) -> LinearExpression:
+    def measure(self, bip: CophyBip) -> Objective:
         """The linear measure the soft constraint trades off against cost."""
-        measure = getattr(self.inner, "measure_expression", None)
+        measure = getattr(self.inner, "measure", None)
         if callable(measure):
             return measure(bip)
         raise ConstraintError(
@@ -141,15 +142,15 @@ class StorageBudgetConstraint(TuningConstraint):
         return cls(budget_bytes=fraction * schema.total_size_bytes,
                    name=f"storage_budget[{fraction:g}x data]")
 
-    def measure_expression(self, bip: CophyBip) -> LinearExpression:
-        return bip.storage_expression()
+    def measure(self, bip: CophyBip) -> Objective:
+        return bip.storage_measure()
 
     def bound_value(self) -> float:
         return self.budget_bytes
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        expression = self.measure_expression(bip)
-        return [(expression <= self.budget_bytes).named(self.name)]
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        return RowBlock.of([(self.measure(bip), self.budget_bytes,
+                             RowKind.LESS_EQUAL)])
 
 
 @dataclass
@@ -174,32 +175,30 @@ class IndexCountConstraint(TuningConstraint):
     sense: ComparisonSense = ComparisonSense.AT_MOST
     name: str = "index_count"
 
-    def _expression(self, bip: CophyBip) -> LinearExpression:
-        variables = []
+    def measure(self, bip: CophyBip) -> Objective:
+        columns = []
         weights = []
-        for index, variable in bip.z_variables.items():
+        for index, column in bip.z_columns.items():
             if self.selector is not None and not self.selector(index):
                 continue
-            variables.append(variable)
+            columns.append(column)
             weights.append(1.0 if self.weight is None else float(self.weight(index)))
-        return LinearExpression.sum_of(variables, weights)
-
-    def measure_expression(self, bip: CophyBip) -> LinearExpression:
-        return self._expression(bip)
+        return Objective.of(columns, weights)
 
     def bound_value(self) -> float:
         return self.limit
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        expression = self._expression(bip)
-        if expression.is_empty() and self.sense is ComparisonSense.AT_LEAST:
-            if self.limit > 0:
-                raise ConstraintError(
-                    f"Constraint {self.name!r} requires indexes but no candidate "
-                    "matches its selector")
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        form = self.measure(bip)
         if self.sense is ComparisonSense.AT_MOST:
-            return [(expression <= self.limit).named(self.name)]
-        return [(expression >= self.limit).named(self.name)]
+            return RowBlock.of([(form, self.limit, RowKind.LESS_EQUAL)])
+        if not form.columns.size and self.limit > 0:
+            raise ConstraintError(
+                f"Constraint {self.name!r} requires indexes but no candidate "
+                "matches its selector")
+        # ``form >= limit``, stored as ``-form <= -limit``.
+        return RowBlock.of([(Objective(form.columns, -form.coefficients),
+                             -self.limit, RowKind.LESS_EQUAL)])
 
 
 @dataclass
@@ -209,13 +208,11 @@ class IndexWidthConstraint(TuningConstraint):
     max_columns: int
     name: str = "index_width"
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        rows: list[Constraint] = []
-        for index, variable in bip.z_variables.items():
-            if index.width > self.max_columns:
-                rows.append(((1.0 * variable) <= 0.0).named(
-                    f"{self.name}[{index.name}]"))
-        return rows
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        return RowBlock.of([(Objective.of([column], [1.0]), 0.0,
+                             RowKind.LESS_EQUAL)
+                            for index, column in bip.z_columns.items()
+                            if index.width > self.max_columns])
 
 
 @dataclass
@@ -224,17 +221,15 @@ class ClusteredIndexConstraint(TuningConstraint):
 
     name: str = "one_clustered_per_table"
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        rows: list[Constraint] = []
-        by_table: dict[str, list] = {}
-        for index, variable in bip.z_variables.items():
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        by_table: dict[str, list[int]] = {}
+        for index, column in bip.z_columns.items():
             if index.clustered:
-                by_table.setdefault(index.table, []).append(variable)
-        for table, variables in by_table.items():
-            if len(variables) >= 2:
-                rows.append((LinearExpression.sum_of(variables) <= 1.0).named(
-                    f"{self.name}[{table}]"))
-        return rows
+                by_table.setdefault(index.table, []).append(column)
+        return RowBlock.of([(Objective.of(columns, [1.0] * len(columns)), 1.0,
+                             RowKind.LESS_EQUAL)
+                            for columns in by_table.values()
+                            if len(columns) >= 2])
 
 
 # ------------------------------------------------------------------- query cost
@@ -253,13 +248,15 @@ class QueryCostConstraint(TuningConstraint):
         if self.factor <= 0:
             raise ConstraintError("factor must be positive")
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        expression = bip.query_cost_expression(self.query)
-        if expression.is_empty():
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        return RowBlock.of([self._row(bip)])
+
+    def _row(self, bip: CophyBip) -> tuple[Objective, float, RowKind]:
+        form = bip.query_cost_measure(self.query)
+        if not form.columns.size:
             raise ConstraintError(
                 f"Query {self.query.name!r} is not part of the tuning problem")
-        bound = self.factor * self.reference_cost
-        return [(expression <= bound).named(f"{self.name}[{self.query.name}]")]
+        return form, self.factor * self.reference_cost, RowKind.LESS_EQUAL
 
 
 @dataclass
@@ -279,8 +276,8 @@ class QuerySpeedupGenerator(TuningConstraint):
     statement_filter: Callable[[Query], bool] | None = None
     name: str = "speedup_generator"
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        rows: list[Constraint] = []
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        rows = []
         for statement in bip.workload:
             query = statement.query
             if query.kind is not StatementKind.SELECT:
@@ -290,14 +287,14 @@ class QuerySpeedupGenerator(TuningConstraint):
             reference = self.reference_costs.get(query.name)
             if reference is None:
                 continue
-            rows.extend(QueryCostConstraint(
+            rows.append(QueryCostConstraint(
                 query=query, reference_cost=reference, factor=self.factor,
-                name=self.name).to_linear(bip))
+                name=self.name)._row(bip))
         if not rows:
             raise ConstraintError(
                 f"Generator {self.name!r} produced no constraints — check the "
                 "reference costs and filter")
-        return rows
+        return RowBlock.of(rows)
 
 
 @dataclass
@@ -311,15 +308,15 @@ class UpdateCostConstraint(TuningConstraint):
         if self.limit < 0:
             raise ConstraintError("Update-cost limit must be non-negative")
 
-    def measure_expression(self, bip: CophyBip) -> LinearExpression:
-        return bip.update_cost_expression()
+    def measure(self, bip: CophyBip) -> Objective:
+        return bip.update_cost_measure()
 
     def bound_value(self) -> float:
         return self.limit
 
-    def to_linear(self, bip: CophyBip) -> list[Constraint]:
-        expression = self.measure_expression(bip)
-        return [(expression <= self.limit).named(self.name)]
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        return RowBlock.of([(self.measure(bip), self.limit,
+                             RowKind.LESS_EQUAL)])
 
 
 def split_constraints(constraints: Iterable[TuningConstraint | SoftConstraint]
@@ -336,3 +333,13 @@ def split_constraints(constraints: Iterable[TuningConstraint | SoftConstraint]
             raise ConstraintError(
                 f"Unsupported constraint object: {type(constraint).__name__}")
     return hard, soft
+
+
+def tightest_storage_budget(constraints: Iterable[TuningConstraint]
+                            ) -> float | None:
+    """The smallest ``budget_bytes`` of the storage budgets among
+    ``constraints`` (all of them must hold), or ``None`` without one."""
+    budgets = [constraint.budget_bytes for constraint in constraints
+               if isinstance(constraint, StorageBudgetConstraint)]
+    return min(budgets, default=None)
+

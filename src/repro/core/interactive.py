@@ -24,7 +24,7 @@ from repro.core.constraints import SoftConstraint, TuningConstraint, split_const
 from repro.exceptions import SolverError
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.index import Index
-from repro.lp.constraint import Constraint
+from repro.lp.model import Objective, RowBlock, RowKind
 from repro.obs.trace import stage
 from repro.workload.workload import Workload
 
@@ -56,11 +56,11 @@ class InteractiveTuningSession:
         self._bip: CophyBip | None = None
         self._last_recommendation: Recommendation | None = None
         self._history: list[Recommendation] = []
-        # Candidates retracted after the BIP was built: their z variables are
-        # pinned to zero with one row each instead of rebuilding the program
-        # (the delta-BIP analogue of candidate *shrinking*).  Re-adding a
-        # pinned candidate simply removes its row.
-        self._pinned_out: dict[Index, Constraint] = {}
+        # Candidates retracted after the BIP was built: their z columns are
+        # pinned to zero with a one-row block each instead of rebuilding the
+        # program (the delta-BIP analogue of candidate *shrinking*).
+        # Re-adding a pinned candidate simply removes its block.
+        self._pinned_out: dict[Index, RowBlock] = {}
 
     # ---------------------------------------------------------------- accessors
     @property
@@ -102,7 +102,7 @@ class InteractiveTuningSession:
                 # A fresh BIP has no pin rows; stale entries would otherwise
                 # make a later add_candidates() take the restore path (a no-op
                 # on the new model) and silently skip creating the
-                # candidate's variables.
+                # candidate's columns.
                 self._pinned_out = {}
             return self._solve(timings, whatif_before)
 
@@ -117,12 +117,12 @@ class InteractiveTuningSession:
             with stage(timings, "build"):
                 new_indexes = list(new_indexes)
                 # Candidates that were pinned out earlier come back by
-                # dropping their pin rows — their variables and coefficients
+                # dropping their pin rows — their columns and coefficients
                 # are still in the BIP.
                 restored = [index for index in new_indexes
                             if index in self._pinned_out]
                 if restored:
-                    self._bip.model.remove_constraints(
+                    self._bip.model.remove_rows(
                         [self._pinned_out.pop(index) for index in restored])
                     self._candidates.add_all(restored)
                 self._advisor.bip_builder.extend(self._bip, new_indexes)
@@ -132,9 +132,9 @@ class InteractiveTuningSession:
         """Re-tune after the DBA retracts candidate indexes (pinned delta BIP).
 
         The shrink analogue of :meth:`add_candidates`: instead of rebuilding
-        the BIP without the retracted candidates, each one's ``z`` variable
-        is pinned to zero with a single constraint row and the solver re-runs
-        on the otherwise unchanged program.
+        the BIP without the retracted candidates, each one's ``z`` column
+        is pinned to zero with a single row and the solver re-runs on the
+        otherwise unchanged program.
         """
         removed = [index for index in dict.fromkeys(removed_indexes)
                    if index in self._candidates]
@@ -146,11 +146,12 @@ class InteractiveTuningSession:
         with stage(timings, "total"):
             with stage(timings, "build"):
                 for index in removed:
-                    variable = self._bip.z_variables.get(index)
-                    if variable is None or index in self._pinned_out:
+                    column = self._bip.z_columns.get(index)
+                    if column is None or index in self._pinned_out:
                         continue
-                    self._pinned_out[index] = self._bip.model.add_constraint(
-                        (1.0 * variable) <= 0.0, name=f"removed[{index.name}]")
+                    self._pinned_out[index] = self._bip.model.add_rows(
+                        RowBlock.of([(Objective.of([column], [1.0]), 0.0,
+                                      RowKind.LESS_EQUAL)]))
             return self._solve(timings, whatif_before)
 
     def update_constraints(self,

@@ -32,7 +32,6 @@ from repro.core.bip_builder import CophyBip
 from repro.core.constraints import SoftConstraint, TuningConstraint
 from repro.core.solver import CoPhySolver, SolveReport
 from repro.indexes.configuration import Configuration
-from repro.lp.expression import LinearExpression
 from repro.lp.model import Objective
 
 __all__ = ["ParetoPoint", "ParetoExplorer"]
@@ -56,9 +55,9 @@ class ParetoPoint:
 
 @dataclass
 class _NormalisedSoft:
-    """A soft constraint with its measure expression and scaling factor."""
+    """A soft constraint with its linear measure and scaling factor."""
 
-    expression: LinearExpression
+    measure: Objective
     target: float
     scale: float
 
@@ -150,12 +149,11 @@ class ParetoExplorer:
 
     # ---------------------------------------------------------------- internals
     def _normalise(self, bip: CophyBip, soft: SoftConstraint) -> _NormalisedSoft:
-        expression = soft.measure_expression(bip)
-        target = soft.target_value()
-        coefficients = list(expression.terms.values())
-        scale = max((abs(c) for c in coefficients), default=1.0)
-        scale = max(scale, 1e-9)
-        return _NormalisedSoft(expression=expression, target=target, scale=scale)
+        measure = soft.measure(bip)
+        scale = (float(np.abs(measure.coefficients).max())
+                 if measure.coefficients.size else 1.0)
+        return _NormalisedSoft(measure=measure, target=soft.target_value(),
+                               scale=max(scale, 1e-9))
 
     def _solve_point(self, bip: CophyBip, normalised: list[_NormalisedSoft],
                      hard_constraints: Sequence[TuningConstraint],
@@ -170,10 +168,10 @@ class ParetoExplorer:
         constant = cost.constant * factor
         for soft in normalised:
             weight = (1.0 - lambda_value) / soft.scale
-            for variable, coefficient in soft.expression.terms.items():
-                coefficients[variable.index] = (coefficients[variable.index]
-                                                + coefficient * weight)
-            constant = constant + (soft.expression.constant
+            columns = soft.measure.columns
+            coefficients[columns] = (coefficients[columns]
+                                     + soft.measure.coefficients * weight)
+            constant = constant + (soft.measure.constant
                                    + soft.target * -1.0) * weight
         started = time.perf_counter()
         report: SolveReport = self._solver.solve(
@@ -181,7 +179,7 @@ class ParetoExplorer:
             objective=Objective(np.arange(model.variable_count), coefficients,
                                 constant))
         elapsed = time.perf_counter() - started
-        measures = tuple(soft.expression.evaluate(report.solution.values)
+        measures = tuple(soft.measure.value(report.solution.vector)
                          for soft in normalised)
         return ParetoPoint(
             lambda_value=lambda_value,

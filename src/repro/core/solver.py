@@ -2,7 +2,7 @@
 
 Responsibilities:
 
-1. merge the DBA's hard constraints into the BIP as linear rows;
+1. translate the DBA's hard constraints into rows over the BIP's columns;
 2. optionally apply a Lagrangian-style relaxation of the slot-assignment
    constraints (weakening them to inequalities) to avoid solver corner
    cases;
@@ -25,9 +25,8 @@ from repro.core.constraints import TuningConstraint
 from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.indexes.configuration import Configuration
 from repro.lp.budget import SolveBudget
-from repro.lp.constraint import Constraint
 from repro.lp.highs_backend import MilpBackend
-from repro.lp.model import Objective
+from repro.lp.model import Objective, RowBlock
 from repro.lp.solution import Solution, SolutionStatus
 
 __all__ = ["SolveReport", "CoPhySolver"]
@@ -112,7 +111,8 @@ class CoPhySolver:
             InfeasibleProblemError: When the hard constraints cannot be met.
         """
         model = bip.model
-        rows = self._rows(bip, hard_constraints)
+        rows = RowBlock.concatenate([constraint.to_linear(bip)
+                                     for constraint in hard_constraints])
         # The relaxation (section 4.1) exports the one-access equalities
         # ``sum_a x_qkia = y_qk`` as ``sum_a x_qkia >= y_qk``: every gamma is
         # non-negative, so a cost-minimising solution never picks two
@@ -131,7 +131,7 @@ class CoPhySolver:
         started = time.perf_counter()
         solution = MilpBackend(gap_tolerance=effective_gap,
                                time_limit_seconds=effective_limit).solve(
-            model, budget=budget, matrices=matrices)
+            matrices, budget=budget)
         if solution.status is SolutionStatus.INFEASIBLE:
             raise InfeasibleProblemError(
                 "The hard constraints cannot all be satisfied",
@@ -149,18 +149,10 @@ class CoPhySolver:
             objective=model.objective.value(solution.vector),
             gap=solution.gap,
             solve_seconds=elapsed,
-            constraint_rows=len(rows),
+            constraint_rows=rows.row_count,
             relaxation_applied=relaxation_applied,
             timed_out=solution.timed_out,
             rows=sum(block.shape[0] for block in blocks),
             columns=model.variable_count,
             nonzeros=sum(block.nnz for block in blocks),
         )
-
-    # ---------------------------------------------------------------- internals
-    @staticmethod
-    def _rows(bip: CophyBip,
-              hard_constraints: Sequence[TuningConstraint]) -> list[Constraint]:
-        """Every hard constraint's rows over the BIP."""
-        return [row for constraint in hard_constraints
-                for row in constraint.to_linear(bip)]

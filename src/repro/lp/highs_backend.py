@@ -20,20 +20,12 @@ from scipy.optimize._highspy import _core as highs
 
 from repro.exceptions import SolverError
 from repro.lp.budget import SolveBudget
-from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import Solution, SolutionStatus
-from repro.lp.variable import Variable
 from repro.obs.metrics import (
     SOLVER_GAP, SOLVER_NODES, SOLVER_SOLVES, active_registry)
 
 
 __all__ = ["MilpBackend"]
-
-
-def _values_of(model: Model, vector: np.ndarray) -> dict[Variable, float]:
-    """A solution vector read through the model's variables."""
-    return {variable: float(vector[variable.index])
-            for variable in model.variables}
 
 
 #: HiGHS 1.12 runs a feasibility-jump heuristic before the root LP.  A
@@ -113,14 +105,11 @@ class MilpBackend:
         self.gap_tolerance = max(0.0, float(gap_tolerance))
         self.time_limit_seconds = time_limit_seconds
 
-    def solve(self, model: Model, gap_tolerance: float | None = None,
+    def solve(self, matrices: dict, gap_tolerance: float | None = None,
               time_limit_seconds: float | None = None,
-              budget: "SolveBudget | None" = None,
-              matrices: dict | None = None) -> Solution:
-        """Solve ``model``, or the export ``matrices`` of it when a caller
-        passes one (a solve's own rows, objective or relaxation)."""
-        if matrices is None:
-            matrices = model.to_matrices()
+              budget: "SolveBudget | None" = None) -> Solution:
+        """Solve a model's export (:meth:`~repro.lp.model.Model.to_matrices`,
+        with a solve's own rows, objective or relaxation)."""
         options: dict[str, float] = {}
         effective_gap = self.gap_tolerance if gap_tolerance is None else gap_tolerance
         if effective_gap > 0:
@@ -142,7 +131,7 @@ class MilpBackend:
         solver = run_highs(matrices, options)
         elapsed = time.perf_counter() - started
 
-        solution = _read_solution(model, matrices, solver, elapsed)
+        solution = _read_solution(matrices, solver, elapsed)
         registry = active_registry()
         registry.family(SOLVER_SOLVES).inc(status=solution.status.name.lower())
         registry.family(SOLVER_NODES).observe(float(solution.nodes_explored))
@@ -153,9 +142,9 @@ class MilpBackend:
         return solution
 
 
-def _read_solution(model: Model, matrices: dict, solver: highs._Highs,
+def _read_solution(matrices: dict, solver: highs._Highs,
                    elapsed: float) -> Solution:
-    """What a HiGHS run answered, in the terms of ``model``'s objective."""
+    """What a HiGHS run answered, in the terms of the export's objective."""
     status = solver.getModelStatus()
     info = solver.getInfo()
     message = solver.modelStatusToString(status)
@@ -175,16 +164,15 @@ def _read_solution(model: Model, matrices: dict, solver: highs._Highs,
                     else SolutionStatus.ERROR),
             solve_seconds=elapsed, message=message, timed_out=timed_out)
     constant = matrices["objective_constant"]
-    sign = -1.0 if model.sense is ObjectiveSense.MAXIMIZE else 1.0
-    objective = sign * info.objective_function_value + constant
+    objective = info.objective_function_value + constant
     vector = np.array(solver.getSolution().col_value)
     # Snap binaries to exact integers for downstream consumers.
     vector[integral] = np.round(vector[integral])
     if mip:
-        # HiGHS bounds the minimised ``c x`` alone: add the constant back
-        # and undo the sign flip of a maximisation, as for the objective.
+        # HiGHS bounds ``c x`` alone: add the constant back, as for the
+        # objective.
         gap = info.mip_gap
-        bound = sign * info.mip_dual_bound + constant
+        bound = info.mip_dual_bound + constant
         nodes = info.mip_node_count
     else:
         # An LP: HiGHS leaves the MIP fields of its info unset.
@@ -193,7 +181,6 @@ def _read_solution(model: Model, matrices: dict, solver: highs._Highs,
         status=(SolutionStatus.OPTIMAL
                 if status == highs.HighsModelStatus.kOptimal
                 else SolutionStatus.FEASIBLE),
-        objective=objective, values=_values_of(model, vector),
-        best_bound=bound, gap=gap, solve_seconds=elapsed,
+        objective=objective, best_bound=bound, gap=gap, solve_seconds=elapsed,
         nodes_explored=nodes, message=message, timed_out=timed_out,
         vector=vector)

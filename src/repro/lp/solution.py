@@ -1,13 +1,11 @@
-"""Solver results: status, values and optimality gap."""
+"""Solver results: status, solution vector and optimality gap."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from repro.lp.variable import Variable
 
 __all__ = ["SolutionStatus", "GapTracePoint", "Solution"]
 
@@ -47,47 +45,21 @@ class Solution:
 
     status: SolutionStatus
     objective: float = float("inf")
-    values: dict[Variable, float] = field(default_factory=dict)
     best_bound: float = float("-inf")
     gap: float = float("inf")
     solve_seconds: float = 0.0
     nodes_explored: int = 0
-    iterations: int = 0
     message: str = ""
     #: True when a wall-clock deadline interrupted the solve: the solution is
     #: the best-so-far incumbent, ``gap`` the optimality bound HiGHS proved.
     timed_out: bool = False
-    #: Raw solution vector indexed by column (set whenever there is a
-    #: solution).  It is the whole assignment — ``values`` covers only the
-    #: columns that have a :class:`Variable` — and lets vectorized consumers
-    #: (objective evaluation) avoid per-variable dict traffic.
+    #: The value of every column, by column index (set whenever there is a
+    #: solution; binary columns are snapped to exact 0.0 / 1.0).
     vector: np.ndarray | None = None
 
     @property
     def is_feasible(self) -> bool:
         return self.status.has_solution
-
-    def value(self, variable: Variable) -> float:
-        """Value of a variable in the solution (0.0 when absent)."""
-        return self.values.get(variable, 0.0)
-
-    def selected(self, tolerance: float = 0.5) -> tuple[Variable, ...]:
-        """Binary variables whose value rounds to 1."""
-        return tuple(variable for variable, value in self.values.items()
-                     if value >= tolerance)
-
-    def assignment_by_name(self) -> dict[str, float]:
-        """Values keyed by variable name (stable across re-solves)."""
-        return {variable.name: value for variable, value in self.values.items()}
-
-    def with_status(self, status: SolutionStatus) -> "Solution":
-        """Copy of the solution with a different status (used by wrappers)."""
-        return Solution(status=status, objective=self.objective,
-                        values=dict(self.values), best_bound=self.best_bound,
-                        gap=self.gap, solve_seconds=self.solve_seconds,
-                        nodes_explored=self.nodes_explored,
-                        iterations=self.iterations, message=self.message,
-                        timed_out=self.timed_out, vector=self.vector)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Solution(status={self.status.value}, objective={self.objective:.4g}, "

@@ -186,6 +186,20 @@ class TestDtaAdvisor:
         assert tool_b.candidate_count < cophy.candidate_count
 
 
+@pytest.mark.parametrize("name", ["ilp", "dta", "relaxation"])
+def test_every_storage_budget_holds(simple_schema, simple_workload, name):
+    """Of two storage budgets, the tighter one binds even when it comes
+    second (the loose one alone admits 0.74x to 0.92x of the data here)."""
+    tight = StorageBudgetConstraint(0.1 * simple_schema.total_size_bytes)
+    options = {"gap_tolerance": 0.0} if name == "ilp" else {}
+    recommendation = make_advisor(name, simple_schema, **options).tune(
+        simple_workload, [_budget(simple_schema), tight])
+    used = sum(index_size_bytes(index, simple_schema.table(index.table))
+               for index in recommendation.configuration)
+    assert recommendation.configuration
+    assert used <= tight.budget_bytes * (1 + 1e-9)
+
+
 class TestBaselineConfiguration:
     def test_contains_one_clustered_pk_per_keyed_table(self, simple_schema):
         baseline = baseline_configuration(simple_schema)

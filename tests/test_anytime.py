@@ -39,9 +39,8 @@ from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.inum.probe import ConfigurationProbe
 from repro.lp import SOLVE_TIERS, SolveBudget
-from repro.lp.expression import LinearExpression
 from repro.lp.highs_backend import MilpBackend
-from repro.lp.model import Model, ObjectiveSense
+from repro.lp.model import Model, Objective, RowBlock, RowKind
 from repro.lp.solution import SolutionStatus
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.server import (
@@ -147,36 +146,35 @@ class TestSolveBudget:
 
 # ==================================================== branch and bound anytime
 def _knapsack(values, weights, capacity):
-    model = Model("knapsack", sense=ObjectiveSense.MAXIMIZE)
-    variables = [model.add_binary(f"x{i}") for i in range(len(values))]
-    model.set_objective(LinearExpression.sum_of(variables, values))
-    model.add_constraint(
-        LinearExpression.sum_of(variables, weights) <= capacity,
-        name="capacity")
-    return model, variables
+    """The export of a knapsack that minimises ``-value``."""
+    model = Model("knapsack")
+    columns = range(model.add_columns(len(values)), len(values))
+    model.set_objective(Objective.of(columns, [-value for value in values]))
+    model.add_rows(RowBlock.of([(Objective.of(columns, weights), capacity,
+                                 RowKind.LESS_EQUAL)]))
+    return model.to_matrices()
 
 
 class TestBranchAndBoundAnytime:
     """What a budget makes of HiGHS's branch and bound."""
 
     def test_expired_deadline_without_incumbent_reports_timeout(self):
-        model, _ = _knapsack([6, 5], [4, 3], 6)
-        solution = MilpBackend().solve(model, budget=_expired_budget())
+        solution = MilpBackend().solve(_knapsack([6, 5], [4, 3], 6),
+                                       budget=_expired_budget())
         assert solution.timed_out
         assert solution.status is SolutionStatus.ERROR
 
     def test_budget_node_limit_caps_exploration(self):
-        model, _ = _knapsack([6, 5, 4, 3, 2], [4, 3, 2, 1, 2], 6)
-        solution = MilpBackend().solve(model,
-                                       budget=SolveBudget(node_limit=1))
+        solution = MilpBackend().solve(
+            _knapsack([6, 5, 4, 3, 2], [4, 3, 2, 1, 2], 6),
+            budget=SolveBudget(node_limit=1))
         assert solution.nodes_explored <= 1
         assert not solution.timed_out  # node limits are not wall-clock expiry
 
     def test_unbudgeted_solve_is_untouched(self):
-        model, _ = _knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6)
-        solution = MilpBackend().solve(model)
+        solution = MilpBackend().solve(_knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6))
         assert solution.status is SolutionStatus.OPTIMAL
-        assert solution.objective == pytest.approx(12.0)  # items 2+3+4
+        assert solution.objective == pytest.approx(-12.0)  # items 2+3+4
         assert not solution.timed_out
 
 

@@ -197,10 +197,10 @@ class TestMisses:
             bips.append(result.extras["bip"])
         assert len({id(bip) for bip in bips}) == len(requests)
         # An equal set in another order is another column order.
-        first, reordered = (list(bips[position].z_variables)
+        first, reordered = (list(bips[position].z_columns)
                             for position in (0, 2))
         assert first == candidates and reordered == candidates[::-1]
-        assert dba in bips[3].z_variables
+        assert dba in bips[3].z_columns
 
 
 class TestSessionsStayPrivate:

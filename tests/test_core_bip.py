@@ -15,7 +15,6 @@ from repro.catalog.tpch import tpch_schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
 from repro.core.solver import CoPhySolver
-from repro.exceptions import SolverError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
@@ -74,8 +73,7 @@ def x_entries(bip) -> list[tuple]:
     """Per ``x`` column (entry of ``bip.accesses``): its statement ordinal,
     template position, table, index name (``None`` for the heap) and
     gamma."""
-    names = {variable.index: index.name
-             for index, variable in bip.z_variables.items()}
+    names = {column: index.name for index, column in bip.z_columns.items()}
     statements = list(bip.workload)
     accesses, templates = bip.accesses, bip.templates
     entries = []
@@ -99,11 +97,11 @@ class TestBipStructure:
                                        simple_schema):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
-        assert len(bip.z_variables) == len(candidates)
+        assert len(bip.z_columns) == len(candidates)
         assert len(bip.templates.columns) >= len(simple_workload)
         assert bip.accesses.columns.size, "expected slot variables"
         assert bip.model.variable_count == (
-            len(bip.z_variables) + len(bip.templates.columns)
+            len(bip.z_columns) + len(bip.templates.columns)
             + len(bip.accesses.columns))
 
     def test_one_template_constraint_per_statement(self, builder, simple_workload,
@@ -140,18 +138,17 @@ class TestBipStructure:
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
         assert bip.updates.costs.size, "expected update-maintenance coefficients"
-        assert set(bip.updates.columns.tolist()) <= {
-            variable.index for variable in bip.z_variables.values()}
-        update_expression = bip.update_cost_expression()
-        assert not update_expression.is_empty()
+        assert set(bip.updates.columns.tolist()) <= set(
+            bip.z_columns.values())
+        assert bip.update_cost_measure().columns.size
 
     def test_storage_expression_uses_candidate_sizes(self, builder, simple_workload,
                                                      simple_schema):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
-        expression = bip.storage_expression()
-        full_selection = {variable: 1.0 for variable in bip.z_variables.values()}
-        assert expression.evaluate(full_selection) == pytest.approx(
+        full_selection = np.zeros(bip.model.variable_count)
+        full_selection[list(bip.z_columns.values())] = 1.0
+        assert bip.storage_measure().value(full_selection) == pytest.approx(
             candidates.total_size())
 
     def test_query_cost_expression_for_known_statement(self, builder,
@@ -160,8 +157,7 @@ class TestBipStructure:
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)
         bip = builder.build(simple_workload, candidates)
         query = simple_workload.statements[0].query
-        expression = bip.query_cost_expression(query)
-        assert not expression.is_empty()
+        assert bip.query_cost_measure(query).columns.size
 
     @pytest.mark.parametrize("overridden", [False, True])
     def test_update_cost_expression_matches_the_objective(self, tpch,
@@ -173,10 +169,11 @@ class TestBipStructure:
         bip = BipBuilder(InumCache(WhatIfOptimizer(tpch))).build(
             workload, candidates, statement_weights=weights)
         costs = bip.model.objective.cost_vector(bip.model.variable_count)
-        expression = bip.update_cost_expression()
-        assert not expression.is_empty()
-        for variable in bip.z_variables.values():
-            assert expression.terms.get(variable, 0.0) == costs[variable.index]
+        measure = bip.update_cost_measure()
+        assert measure.columns.size
+        z = list(bip.z_columns.values())
+        assert (measure.cost_vector(bip.model.variable_count)[z]
+                == costs[z]).all()
 
     def test_no_index_access_is_dominated_by_the_heap(self, tpch,
                                                       simple_schema,
@@ -213,13 +210,6 @@ class TestBipStructure:
                 assert gamma < heap, (statement, position, table, index)
             assert indexed, "expected index accesses"
 
-    def test_unknown_index_variable_lookup_raises(self, builder, simple_workload,
-                                                  simple_schema):
-        candidates = CandidateGenerator(simple_schema).generate(simple_workload)
-        bip = builder.build(simple_workload, candidates)
-        with pytest.raises(SolverError):
-            bip.index_variable(Index("orders", ("o_id", "o_total", "o_status")))
-
 
 class TestTheoremOneEquivalence:
     """The heart of the reproduction: the BIP optimum equals the true optimum."""
@@ -241,7 +231,7 @@ class TestTheoremOneEquivalence:
                                                        builder):
         candidates = self._small_instance(simple_schema, simple_workload)
         bip = builder.build(simple_workload, candidates)
-        solution = MilpBackend().solve(bip.model)
+        solution = MilpBackend().solve(bip.model.to_matrices())
         chosen = bip.extract_configuration(solution)
         bip_cost = inum.workload_cost(simple_workload, chosen)
         brute_cost, _ = brute_force_best(inum, simple_workload, candidates)
@@ -280,7 +270,7 @@ class TestIncrementalExtension:
         assert bip.model.variable_count > variables_before
         for index in added:
             assert index in bip.candidates
-            assert index in bip.z_variables
+            assert index in bip.z_columns
 
     def test_extend_is_equivalent_to_building_from_scratch(self, simple_schema,
                                                            simple_workload,
@@ -423,10 +413,9 @@ def test_theorem_one_holds_per_configuration(case, data):
                                 max_size=len(indexes)))
     matrices = dict(bip.model.to_matrices())
     bounds = matrices["bounds"].copy()
-    for index, variable in bip.z_variables.items():
-        bounds[variable.index] = 1.0 if index in chosen else 0.0
+    for index, column in bip.z_columns.items():
+        bounds[column] = 1.0 if index in chosen else 0.0
     matrices["bounds"] = bounds
-    solution = MilpBackend(gap_tolerance=0.0).solve(bip.model,
-                                                    matrices=matrices)
+    solution = MilpBackend(gap_tolerance=0.0).solve(matrices)
     assert solution.objective == pytest.approx(
         inum.workload_cost(bip.workload, Configuration(chosen)), rel=1e-9)

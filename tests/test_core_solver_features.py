@@ -78,7 +78,7 @@ class TestCoPhySolver:
     def test_raising_solve_leaves_the_bip_as_found(self, tuning_setup,
                                                    monkeypatch, failure):
         """A solve never edits the BIP: a ``to_linear`` that raises after
-        yielding its first row, or a backend that raises, leaves no rows, no
+        building its first row, or a backend that raises, leaves no rows, no
         relaxation and no replaced objective behind."""
         from repro.lp import highs_backend
 
@@ -87,7 +87,7 @@ class TestCoPhySolver:
 
         class RaisesOnSecondRow(StorageBudgetConstraint):
             def to_linear(self, bip):
-                yield from first_row.to_linear(bip)
+                first_row.to_linear(bip)
                 raise RuntimeError("to_linear")
 
         def highs_raises(*args, **kwargs):
@@ -343,9 +343,9 @@ class TestInteractiveTuning:
         removed = list(first.configuration)[:1]
         session.remove_candidates(removed)
         session.recommend()  # full rebuild without the removed candidate
-        assert removed[0] not in session.bip.z_variables
+        assert removed[0] not in session.bip.z_columns
         restored = session.add_candidates(removed)
-        assert removed[0] in session.bip.z_variables
+        assert removed[0] in session.bip.z_columns
         assert restored.objective_estimate == pytest.approx(
             first.objective_estimate, rel=1e-6)
 

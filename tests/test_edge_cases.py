@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import make_advisor
@@ -22,7 +23,7 @@ from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import AtomicConfiguration, Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
-from repro.lp.model import Model
+from repro.lp.model import Model, Objective
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.predicates import ColumnRef, ComparisonOperator, SimplePredicate
 from repro.workload.query import SelectQuery, UpdateQuery
@@ -142,27 +143,20 @@ class TestModelEdgeCases:
         from repro.lp.highs_backend import MilpBackend
 
         model = Model("unconstrained")
-        x = model.add_binary("x")
-        model.set_objective(1 * x)  # minimise => x = 0
-        solution = MilpBackend().solve(model)
-        assert solution.value(x) == 0.0
+        model.add_columns(1)
+        model.set_objective(Objective.of([0], [1.0]))  # minimise => x = 0
+        solution = MilpBackend().solve(model.to_matrices())
+        assert solution.vector[0] == 0.0
 
     def test_objective_with_constant_only(self):
         from repro.lp.highs_backend import MilpBackend
-        from repro.lp.expression import LinearExpression
 
         model = Model("constant")
-        model.add_binary("x")
-        model.set_objective(LinearExpression(constant=42.0))
-        solution = MilpBackend().solve(model)
+        model.add_columns(1)
+        model.set_objective(Objective(np.zeros(0, dtype=np.int64),
+                                      np.zeros(0), 42.0))
+        solution = MilpBackend().solve(model.to_matrices())
         assert solution.objective == pytest.approx(42.0)
-
-    def test_duplicate_variable_names_are_allowed_but_distinct(self):
-        model = Model("dup")
-        first = model.add_binary("x")
-        second = model.add_binary("x")
-        assert first is not second
-        assert first.index != second.index
 
 
 class TestWorkloadEdgeCases:

@@ -46,6 +46,7 @@ from repro.obs.trace import (
 from repro.api.registry import make_advisor
 from repro.core.constraints import StorageBudgetConstraint
 from repro.indexes.candidate_generation import CandidateGenerator
+from repro.lp.model import RowBlock
 from repro.server.app import TuningServer, _endpoint_pattern
 from repro.server.client import TuningClient
 from repro.server.protocol import TRACE_HEADER
@@ -341,8 +342,8 @@ class TestSpanTreeShapes:
         bip = result.extras["bip"]
         _assert_solve_attrs_match(
             solve["attrs"], bip, result.extras["solve_report"],
-            [row for constraint in request.constraints
-             for row in constraint.to_linear(bip)])
+            RowBlock.concatenate([constraint.to_linear(bip)
+                                  for constraint in request.constraints]))
 
     def test_session_solve_span_states_the_exported_program(
             self, simple_schema, simple_workload):

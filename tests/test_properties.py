@@ -90,7 +90,7 @@ class TestBipProperties:
         candidates = CandidateSet(_SCHEMA, subset)
         inum = InumCache(WhatIfOptimizer(_SCHEMA))
         bip = BipBuilder(inum).build(_WORKLOAD, candidates)
-        solution = MilpBackend().solve(bip.model)
+        solution = MilpBackend().solve(bip.model.to_matrices())
         chosen = bip.extract_configuration(solution)
         bip_cost = inum.workload_cost(_WORKLOAD, chosen)
         # The chosen configuration is at least as good as selecting nothing,

@@ -426,10 +426,10 @@ class TestWeightedBipBuild:
 def _cost_terms(bip) -> dict[str, float]:
     """The BIP objective's coefficients by column name: ``z[index]``,
     ``y[query][k]`` or ``x[query][k][table][index or I0]``."""
-    names = {variable.index: f"z[{index.name}]"
-             for index, variable in bip.z_variables.items()}
-    index_names = {variable.index: index.name
-                   for index, variable in bip.z_variables.items()}
+    names = {column: f"z[{index.name}]"
+             for index, column in bip.z_columns.items()}
+    index_names = {column: index.name
+                   for index, column in bip.z_columns.items()}
     index_names[-1] = "I0"
     templates, accesses = bip.templates, bip.accesses
     for template, column in enumerate(templates.columns.tolist()):
