@@ -17,16 +17,14 @@ unit the paper measures advisors by), which repeat exactly on any machine; the
 measured seconds are printed next to them.  The tools spend all of their time
 in those calls and CoPhy most of its time in the solver, so a 3-4x cheaper
 synthetic optimizer shrank the tools' seconds far more than CoPhy's, and on a
-loaded host the wall clocks of two runs race: the two clock claims that now
-sit inside their noise or beyond it live in the ``xfail`` test at the bottom,
-unchanged, until they are retargeted (ROADMAP 5f).
+loaded host the wall clocks of two runs race (ROADMAP 5f): Tool-A / CoPhy
+read 2.4-3.3x against the paper's > 3x and Tool-B / CoPhy 0.9-1.5x against
+> 1x.  Those two claims are asserted on the calls in the test at the bottom.
 """
 
 from __future__ import annotations
 
 import functools
-
-import pytest
 
 from benchmarks.conftest import SEED, WORKLOAD_SIZES, make_schema, print_report, storage_budget
 from repro.api import make_advisor
@@ -74,11 +72,9 @@ def test_fig4_commercial_execution_time(benchmark):
 
     largest = max(WORKLOAD_SIZES)
     smallest = min(WORKLOAD_SIZES)
-    # CoPhy is the cheapest technique for the larger workloads (paper: fastest
-    # for 500 and 1000 queries, at least 10x faster than Tool-A).
+    # CoPhy is cheaper than Tool-A for the larger workloads (paper: fastest
+    # for 500 and 1000 queries).
     assert calls["cophy"][largest] < calls["tool-a"][largest]
-    assert calls["cophy"][largest] < calls["tool-b"][largest]
-    assert calls["tool-a"][largest] / calls["cophy"][largest] > 3.0
     # Tool-A's cost grows much faster with the workload than CoPhy's: the
     # what-if calls it adds when the workload quadruples dwarf CoPhy's.
     cophy_increase = calls["cophy"][largest] - calls["cophy"][smallest]
@@ -86,11 +82,14 @@ def test_fig4_commercial_execution_time(benchmark):
     assert tool_a_increase > 2.0 * max(cophy_increase, 0.0)
 
 
-@pytest.mark.xfail(strict=False, reason=(
-    "PR 22 made the optimizer 3-4x cheaper: Tool-A reads 2.4-3.3x CoPhy's "
-    "seconds (asserted > 3x) and Tool-B 0.9-1.5x (asserted > 1x)"))
 def test_fig4_clock_claims_the_cheaper_optimizer_left_in_the_noise():
-    _, times, _ = _run_fig4()
+    """The two claims whose seconds sit in the clock's noise, on the calls.
+
+    CoPhy is the cheapest technique at the largest workload, Tool-B's
+    compression included, and at least 3x cheaper than Tool-A (paper: at
+    least 10x faster).
+    """
+    _, _, calls = _run_fig4()
     largest = max(WORKLOAD_SIZES)
-    assert times["cophy"][largest] < times["tool-b"][largest]
-    assert times["tool-a"][largest] / times["cophy"][largest] > 3.0
+    assert calls["cophy"][largest] < calls["tool-b"][largest]
+    assert calls["tool-a"][largest] / calls["cophy"][largest] > 3.0
