@@ -408,7 +408,10 @@ class BipBuilder:
         grows in place.  The program equals a fresh build's up to column and
         row order, so rebuilding from scratch is never required.
         """
-        added = [index for index in added_candidates if index not in bip.candidates]
+        # In order and once each: a repeated index would get a second, dangling
+        # ``z`` column.
+        added = list(dict.fromkeys(index for index in added_candidates
+                                   if index not in bip.candidates))
         if not added:
             return bip
         model = bip.model

@@ -35,6 +35,14 @@ __all__ = ["MilpBackend"]
 #: HiGHS object").  Off, and not an option.
 FEASIBILITY_JUMP = False
 
+#: HiGHS's soft cap on the cut pool (its default is 10,000).  A cold CoPhy
+#: BIP closes at the root, and its long solves were cut separation: the
+#: slowest seed-1 ``cold_tune`` call held 1,332 cuts at the root and took
+#: 0.16 s; at 10 it held 63 and took 0.07 s, with a slightly better answer.
+#: Summed over 128 replayed cold programs, HiGHS time fell 2,012 -> 1,297 ms
+#: (ROADMAP, design note "One HiGHS object").  Fixed, and not an option.
+CUT_POOL_SOFT_LIMIT = 10
+
 _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 #: Statuses at which HiGHS stops with an incumbent, when it has found one.
@@ -79,9 +87,12 @@ def run_highs(matrices: dict, options: dict[str, float]) -> highs._Highs:
     settings = highs.HighsOptions()
     settings.output_flag = False
     settings.mip_heuristic_run_feasibility_jump = FEASIBILITY_JUMP
+    settings.mip_pool_soft_limit = CUT_POOL_SOFT_LIMIT
     for name, value in options.items():
         setattr(settings, name, value)
     solver = highs._Highs()
+    # Silent before ``passOptions``, which logs a rejected value to stdout.
+    solver.setOptionValue("output_flag", False)
     if solver.passOptions(settings) == highs.HighsStatus.kError:
         # HiGHS would otherwise run on its defaults, console log included.
         raise SolverError(f"HiGHS rejected the solve options {options!r}")

@@ -310,6 +310,30 @@ class TestIncrementalExtension:
                 for bip in (incremental, fresh)]
             assert objectives[0] == pytest.approx(objectives[1], rel=1e-9)
 
+    def test_extend_adds_one_column_per_candidate(self, simple_schema,
+                                                  simple_workload, builder):
+        """A candidate named twice in one call gets one ``z`` column, and
+        every column the extension adds appears in a row or in the
+        objective."""
+        candidates = list(CandidateGenerator(simple_schema).generate(
+            simple_workload))
+        bip = builder.build(simple_workload,
+                            CandidateSet(simple_schema, candidates[:4]))
+        before = bip.model.variable_count
+        reference = builder.build(simple_workload,
+                                  CandidateSet(simple_schema, candidates[:5]))
+        builder.extend(bip, [candidates[4], candidates[4]])
+        assert bip.model.variable_count == reference.model.variable_count
+        assert [column for column in bip.z_columns.values()
+                if column >= before] == [before]
+        matrices = bip.model.to_matrices()
+        used = np.zeros(bip.model.variable_count, dtype=bool)
+        for block in ("A_ub", "A_eq"):
+            if matrices[block] is not None:
+                used[matrices[block].nonzero()[1]] = True
+        used[np.flatnonzero(matrices["c"])] = True
+        assert used[before:].all()
+
     def test_extend_with_duplicates_is_a_no_op(self, simple_schema, simple_workload,
                                                builder):
         candidates = CandidateGenerator(simple_schema).generate(simple_workload)

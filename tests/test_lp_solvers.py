@@ -130,10 +130,12 @@ class TestMilpBackend:
     def test_node_limit_stops_without_a_timeout(self):
         """A budget's ``node_limit`` reaches HiGHS, and running out of nodes
         is not a timeout: the incumbent comes back FEASIBLE with a true
-        bound.  The program needs more than one node at gap 0."""
-        weights = [51, 58, 30, 28, 51, 53, 40, 25, 53, 40, 26, 25, 36, 47]
-        values = [50, 62, 25, 27, 51, 58, 37, 29, 48, 38, 29, 26, 41, 50]
-        capacity = 281.5
+        bound.  The program needs more than one node at gap 0: 39 under the
+        cut-pool cap (45 on HiGHS's default pool), where the incumbent at
+        one node is -312 against an optimum of -316."""
+        weights = [57, 53, 46, 52, 28, 54, 29, 53, 52, 21, 48, 31, 58, 20]
+        values = [54, 50, 43, 54, 32, 50, 32, 48, 52, 26, 51, 34, 61, 22]
+        capacity = 301.5
         matrices = build_knapsack(values, weights, capacity).to_matrices()
         optimum = -brute_force_knapsack(values, weights, capacity)
         assert MilpBackend().solve(matrices).nodes_explored > 1
@@ -154,12 +156,15 @@ class TestMilpBackend:
                                               time_limit_seconds=0.0)
         assert capfd.readouterr() == ("", "")
 
-    def test_rejected_options_raise(self):
+    def test_rejected_options_raise(self, capfd):
         """HiGHS rejects a negative time limit; the solve must not go on
-        under HiGHS's defaults."""
+        under HiGHS's defaults, and the rejection is the exception alone:
+        nothing reaches fd 1 or fd 2."""
         matrices = build_knapsack([6, 5, 4, 3], [4, 3, 2, 1], 6).to_matrices()
+        capfd.readouterr()
         with pytest.raises(SolverError, match="time_limit"):
             MilpBackend(time_limit_seconds=-1.0).solve(matrices)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestBranchAndBound:
@@ -398,23 +403,23 @@ class TestMilpParity:
     """The direct HiGHS adapter answers as :func:`scipy.optimize.milp` does
     at identical options: status, objective, vector, gap, dual bound and
     node count are equal with ``==``.  CI installs scipy unpinned, so this
-    is the tripwire for an upgrade that moves ``_highspy`` or a default."""
+    is the tripwire for an upgrade that moves ``_highspy`` or a default.
+    ``milp`` gets the cut-pool cap (and the feasibility jump when off) as
+    HiGHS options it does not recognise but passes on, with a warning."""
 
     @staticmethod
     def assert_parity(matrices, feasibility_jump, gap=0.0, time_limit=None):
-        options = {}
+        options = {"mip_pool_soft_limit": highs_backend.CUT_POOL_SOFT_LIMIT}
         if gap > 0:
             options["mip_rel_gap"] = gap
         if time_limit is not None:
             options["time_limit"] = time_limit
+        if not feasibility_jump:
+            options["mip_heuristic_run_feasibility_jump"] = False
         actual = MilpBackend(gap_tolerance=gap).solve(
             matrices, time_limit_seconds=time_limit)
-        if feasibility_jump:
+        with pytest.warns(RuntimeWarning, match="Unrecognized options"):
             expected = milp_reference(matrices, options)
-        else:
-            options["mip_heuristic_run_feasibility_jump"] = False
-            with pytest.warns(RuntimeWarning, match="Unrecognized options"):
-                expected = milp_reference(matrices, options)
         assert actual.status is expected.status
         assert actual.objective == expected.objective
         assert actual.gap == expected.gap
@@ -457,6 +462,18 @@ class TestMilpParity:
     def test_generated_bips(self, tpch, feasibility_jump, kind, updates, seed):
         self.assert_parity(_generated_bip(tpch, kind, updates, seed),
                            feasibility_jump)
+
+    def test_branching_knapsack(self, feasibility_jump):
+        """The one case that tells the cut-pool settings apart: this
+        knapsack closes after 39 nodes under the cap and after 45 on
+        HiGHS's default pool, under either feasibility-jump setting."""
+        weights = [57, 53, 46, 52, 28, 54, 29, 53, 52, 21, 48, 31, 58, 20]
+        values = [54, 50, 43, 54, 32, 50, 32, 48, 52, 26, 51, 34, 61, 22]
+        solution = self.assert_parity(
+            build_knapsack(values, weights, 301.5).to_matrices(),
+            feasibility_jump)
+        assert solution.objective == pytest.approx(
+            -brute_force_knapsack(values, weights, 301.5))
 
     def test_infeasible_constraint_set(self, simple_schema, simple_workload,
                                        feasibility_jump):
