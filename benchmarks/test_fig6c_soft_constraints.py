@@ -7,39 +7,71 @@ INUM and the BIP build); the subsequent points cost 11-16 seconds each because
 the solver reuses the earlier computation — a ~4x speed-up over re-computing
 every point from scratch.
 
-Reproduced shape: the first Pareto point is by far the most expensive; later
-points, which re-solve the BIP already built, are several times cheaper; the
-resulting points trace a monotone storage-vs-cost trade-off.
+Reproduced shape: the first Pareto point pays for INUM and the BIP build;
+later points re-solve the BIP already built and do neither; the resulting
+points trace a monotone storage-vs-cost trade-off.
+
+The seconds are printed, and the reuse behind them is asserted on the work
+itself: plans built by the optimizer (template builds and what-if calls
+alike) and BIP builds, counted once for the first point's set-up and once
+over the sweep, and the BIP's size before and after the sweep.  The clock
+readings were left in the noise once INUM got cheaper: the first point's
+set-up is a few times one solve, not the orders of magnitude the paper
+reports, so a ratio of seconds says more about machine load than reuse.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from benchmarks.conftest import SEED, WORKLOAD_SIZES, make_schema, print_report, storage_budget
 from repro.api import make_advisor
 from repro.bench.reporting import format_table
+from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
+from repro.optimizer.join_enumeration import PlanBuilder
 from repro.workload.generators import generate_homogeneous_workload
 
 _PAPER_SECONDS = {0.0: 293.5, 0.25: 12.1, 0.5: 16.2, 0.75: 12.5, 1.0: 11.0}
 _LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _run_fig6c():
+def _count_calls(monkeypatch, counts: Counter) -> None:
+    """Count every optimizer plan and every BIP built, by whichever object."""
+    for owner, key in ((PlanBuilder, "plans"), (BipBuilder, "bip builds")):
+        original = owner.build
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "build", counted)
+
+
+def _run_fig6c(monkeypatch):
     schema = make_schema(0.0)
     workload = generate_homogeneous_workload(WORKLOAD_SIZES[1000], seed=SEED)
     advisor = make_advisor("cophy", schema)
     soft = StorageBudgetConstraint(0.0).soft(target=0.0)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts)
 
     import time
 
     started = time.perf_counter()
     bip = advisor.build_bip(workload)
     setup_seconds = time.perf_counter() - started
+    setup_work = dict(counts)
+    size = (bip.model.variable_count, bip.model.constraint_count)
 
     from repro.core.soft_constraints import ParetoExplorer
 
     explorer = ParetoExplorer(advisor.solver)
     points = explorer.explore(bip, [soft], lambdas=_LAMBDAS)
+    sweep_work = {key: counts[key] - setup_work.get(key, 0)
+                  for key in ("plans", "bip builds")}
+    work = {"setup": setup_work, "sweep": sweep_work, "size": size,
+            "size after": (bip.model.variable_count, bip.model.constraint_count)}
 
     rows = []
     for position, point in enumerate(points):
@@ -51,20 +83,24 @@ def _run_fig6c():
             "workload cost": round(point.workload_cost, 1),
             "storage MB": round(point.measure / 1e6, 2),
         })
-    return rows, points, setup_seconds
+    return rows, points, work
 
 
-def test_fig6c_soft_constraint_pareto(benchmark):
-    rows, points, setup_seconds = benchmark.pedantic(_run_fig6c, rounds=1,
-                                                     iterations=1)
+def test_fig6c_soft_constraint_pareto(benchmark, monkeypatch):
+    rows, points, work = benchmark.pedantic(_run_fig6c, args=(monkeypatch,),
+                                            rounds=1, iterations=1)
     print_report("Figure 6(c): Pareto curve generation for a soft storage "
                  "constraint", format_table(rows))
+    print(f"work: {work}")
 
-    first_cost = points[0].solve_seconds + setup_seconds
-    later_costs = [point.solve_seconds for point in points[1:]]
-    # The first point carries the INUM + build cost; later points are much cheaper.
-    assert max(later_costs) < first_cost
-    assert min(later_costs) < 0.5 * first_cost
+    # The first point carries INUM and the BIP build: one BIP, built from
+    # the optimizer's plans.
+    assert work["setup"]["bip builds"] == 1
+    assert work["setup"]["plans"] > 0
+    # Every point re-solves that BIP: no plan and no BIP is built while the
+    # curve is swept, and no solve changes the program's size.
+    assert work["sweep"] == {"plans": 0, "bip builds": 0}
+    assert work["size after"] == work["size"]
     # The trade-off is monotone: more weight on workload cost (larger lambda)
     # never increases cost and never decreases storage.
     costs = [point.workload_cost for point in points]

@@ -98,8 +98,8 @@ class IlpAdvisor(Advisor):
             # the atomic-configuration enumeration below runs on precomputed
             # arrays.
             with stage(timings, "inum", statements=len(workload),
-                       candidates=len(candidates)):
-                self.inum.prepare(workload, candidates)
+                       candidates=len(candidates)) as node:
+                node.set(**self.inum.prepare(workload, candidates))
 
             with stage(timings, "build") as node:
                 model, z_columns = self._build_model(workload, candidates,

@@ -348,8 +348,8 @@ class ScaleOutAdvisor(Advisor):
         """The final merge BIP: global constraints over the winner union."""
         merge_candidates = CandidateSet(self.schema, winners)
         with span("prepare", statements=len(tuned),
-                  candidates=len(merge_candidates)):
-            self.inum.prepare(tuned, merge_candidates)
+                  candidates=len(merge_candidates)) as node:
+            node.set(**self.inum.prepare(tuned, merge_candidates))
         with span("bip_build") as node:
             bip = BipBuilder(self.inum).build(tuned, merge_candidates,
                                               model_name="scaleout-merge-bip")

@@ -583,8 +583,8 @@ def _prepare(context: SchemaContext, advisor: Advisor, workload: Workload,
     """
     if candidates is None or getattr(advisor, "inum", None) is not context.inum:
         return False
-    with stage(timings, "facade.prepare", candidates=len(candidates)):
-        context.inum.prepare(workload, candidates)
+    with stage(timings, "facade.prepare", candidates=len(candidates)) as node:
+        node.set(**context.inum.prepare(workload, candidates))
     return True
 
 

@@ -171,8 +171,8 @@ class CoPhyAdvisor(Advisor):
         # Template enumeration plus gamma-matrix materialization for the full
         # candidate set: BIP coefficient assembly then only reads arrays.
         with stage(timings, "inum", statements=len(workload),
-                   candidates=len(candidates)):
-            self.inum.prepare(workload, candidates)
+                   candidates=len(candidates)) as node:
+            node.set(**self.inum.prepare(workload, candidates))
 
         heuristic: HeuristicResult | None = None
         if tier in ("heuristic", "cascade") and not soft:

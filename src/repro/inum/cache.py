@@ -19,7 +19,7 @@ from repro.inum.workload_tensor import WorkloadGammaTensor
 from repro.obs.metrics import CACHE_EVENTS, active_registry
 from repro.obs.profile import InstrumentedLock
 from repro.optimizer.join_enumeration import SubPlanTable
-from repro.optimizer.plan import ScanNode
+from repro.optimizer.plan import Plan, ScanNode
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.predicates import ColumnRef
 from repro.workload.query import Query, UpdateQuery
@@ -32,6 +32,9 @@ __all__ = ["InumCache", "DEFAULT_MAX_ORDERS_PER_TABLE",
 #: processes so both sides always enumerate the same templates.
 DEFAULT_MAX_ORDERS_PER_TABLE = 2
 DEFAULT_MAX_TEMPLATES_PER_QUERY = 64
+
+#: One planned order spec of a shell: its slot orders, β and plan.
+_PlannedSpec = tuple[dict[str, ColumnRef | None], float, Plan]
 
 
 def update_statement_cost(shell_cost, maintenance, base_cost):
@@ -182,7 +185,7 @@ class InumCache:
     # reprolint: requires-lock (see build: callers serialize)
     def prepare(self, workload: Workload,
                 candidates: Iterable[Index] = (),
-                build_processes: int | None = None) -> None:
+                build_processes: int | None = None) -> dict[str, int]:
         """Pre-process a workload and register candidate columns up front.
 
         After this, ``cost`` / ``workload_cost`` / BIP coefficient assembly
@@ -197,6 +200,11 @@ class InumCache:
         tensor already has every candidate, it returns at once: the event
         counts are those of the full pass (every shell a template hit, one
         tensor hit), without its per-statement column scans.
+
+        Returns the work this call did — order specs planned, templates
+        kept and γ columns added to the matrices — for the caller's stage
+        span; an empty dict when it returned at once, so a warm request's
+        trace (and response) carries nothing new.
         """
         indexes = tuple(candidates)
         entry = self._tensors.get(id(workload))
@@ -204,9 +212,19 @@ class InumCache:
                 and entry[1].has_columns(indexes):
             _cache_event("template", "hit", entry[1].shell_count)
             self.workload_tensor(workload)
-            return
+            return {}
+        before = self._work_done()
         self._build_statements(workload, indexes, build_processes)
         self.workload_tensor(workload).ensure_columns(indexes)
+        after = self._work_done()
+        return {key: after[key] - before[key] for key in after}
+
+    def _work_done(self) -> dict[str, int]:
+        """Running totals of :meth:`prepare`'s work counts."""
+        return {"specs": self._build_calls,
+                "templates": self.total_template_count(),
+                "gamma_columns": sum(matrix.column_count - 1
+                                     for matrix in self._matrices.values())}
 
     def _build_statements(self, workload: Workload, indexes: tuple[Index, ...],
                           build_processes: int | None = None) -> None:
@@ -496,7 +514,11 @@ class InumCache:
         Every order spec is one plan requested from the optimizer (and counts
         as one in :attr:`template_build_calls`), but the shell is profiled
         once — heap scan and width per table, one synthetic leaf per (table,
-        order) — and the specs share one :class:`SubPlanTable`.
+        order) — and the specs share one :class:`SubPlanTable`.  Every spec
+        names the shell's tables in the same order, so a spec is its tuple of
+        orders, and one an earlier spec repeats is not planned again.  β is
+        the plan's carried internal cost, and a :class:`TemplatePlan` is made
+        only for a spec that survives pruning.
         """
         selector = self._optimizer.access_selector
         widths: dict[str, float] = {}
@@ -516,50 +538,45 @@ class InumCache:
             self._build_calls += len(specs)
         build = self._optimizer.plan_builder.build
         shared = SubPlanTable()
-        templates: list[TemplatePlan] = []
-        seen_signatures: set[tuple] = set()
+        planned: dict[tuple[ColumnRef | None, ...], _PlannedSpec] = {}
         for spec in specs:
+            orders = tuple(spec.values())
+            if orders in planned:
+                continue
             plan = build(query,
                          {table: leaves[table][order] for table, order in spec.items()},
                          widths, shared)
-            template = TemplatePlan(query_name=query.name, order_requirements=spec,
-                                    internal_cost=plan.internal_cost,
-                                    representative_plan=plan)
-            signature = template.signature()
-            if signature not in seen_signatures:
-                seen_signatures.add(signature)
-                templates.append(template)
-        return tuple(self._prune_dominated(templates))
+            planned[orders] = (spec, plan.internal_cost, plan)
+        return tuple(
+            TemplatePlan(query_name=query.name, order_requirements=spec,
+                         internal_cost=beta, representative_plan=plan)
+            for spec, beta, plan in self._prune_dominated(list(planned.values())))
 
     @staticmethod
-    def _prune_dominated(templates: list[TemplatePlan]) -> list[TemplatePlan]:
-        """Drop templates dominated by a cheaper, less-demanding template.
+    def _prune_dominated(specs: list[_PlannedSpec]) -> list[_PlannedSpec]:
+        """Drop the ``(order requirements, β, plan)`` specs dominated by a
+        cheaper, less-demanding spec.
 
-        Template ``A`` dominates ``B`` when ``A`` costs no more internally and
+        The specs are one shell's, with distinct requirements.  Spec ``A``
+        dominates ``B`` when ``A`` costs no more internally (within 1e-9) and
         every slot of ``A`` accepts at least the access methods ``B`` accepts
         (``A``'s requirement is either none or identical).  Dominated
         templates can never win the minimisation, so removing them keeps the
         BIP compact without changing any cost.
         """
-        kept: list[TemplatePlan] = []
-        for candidate in templates:
-            dominated = False
-            for other in templates:
-                if other is candidate:
-                    continue
-                if other.internal_cost > candidate.internal_cost + 1e-9:
-                    continue
-                weaker = all(
-                    other.required_order(table) is None
-                    or other.required_order(table) == candidate.required_order(table)
-                    for table in candidate.tables)
-                if weaker and (other.internal_cost < candidate.internal_cost - 1e-9
-                               or other.signature() != candidate.signature()):
-                    dominated = True
-                    break
-            if not dominated:
+        orders = [tuple(requirements.values()) for requirements, _, _ in specs]
+        betas = [beta for _, beta, _ in specs]
+        kept = []
+        for position, candidate in enumerate(specs):
+            limit = betas[position] + 1e-9
+            demands = orders[position]
+            if not any(
+                    other != position and betas[other] <= limit
+                    and all(order is None or order == demand
+                            for order, demand in zip(orders[other], demands))
+                    for other in range(len(specs))):
                 kept.append(candidate)
-        return kept or templates
+        return kept or specs
 
     def _order_specs(self, tables: Sequence[str],
                      per_table_orders: Mapping[str, Sequence[ColumnRef | None]]

@@ -229,14 +229,13 @@ class QueryGammaMatrix:
         """:func:`slot_gamma` of one of the query's slots for every template,
         from one costing of the scan (it depends on table and index only).
 
-        A column is filled once, so the scan is costed by the access-path
-        selector directly instead of through the what-if optimizer's scan
-        cache: an entry per (query, table, index) that nothing reads again
-        would only pile up for the life of the optimizer.
+        A column is filled once, so it takes the scan's ``(cost, order)``
+        from the access-path selector directly — no scan node, and no entry
+        in the what-if optimizer's scan cache that nothing reads again.
         """
-        scan = self._bound_optimizer().access_selector.scan(self._query, table,
-                                                            index)
+        cost, order = self._bound_optimizer().access_selector.scan_cost(
+            self._query, table, index)
         return [0.0 if table not in template.order_requirements
-                else scan.cost if template.accepts(table, scan)
+                else cost if template.accepts_order(table, order)
                 else INFEASIBLE_COST
                 for template in self._templates]

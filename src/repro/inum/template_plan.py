@@ -73,10 +73,12 @@ class TemplatePlan:
 
     def accepts(self, table: str, scan: ScanNode) -> bool:
         """Whether the given leaf access satisfies this template's slot for ``table``."""
+        return self.accepts_order(table, scan.output_order)
+
+    def accepts_order(self, table: str, order: ColumnRef | None) -> bool:
+        """Whether an access delivering ``order`` satisfies the slot for ``table``."""
         required = self.order_requirements.get(table)
-        if required is None:
-            return True
-        return scan.output_order == required
+        return required is None or order == required
 
     def accepts_index(self, table: str, index: Index | None,
                       heap_order: ColumnRef | None) -> bool:

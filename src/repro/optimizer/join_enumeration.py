@@ -15,8 +15,10 @@ each splits, the selectivity product of the connecting joins and the join
 column on either side depend on the query alone: this :class:`_JoinSkeleton`
 is derived once per query object.  A sub-plan carries the cost of its subtree,
 summed in exactly the order :meth:`PlanNode.total_cost` walks it (``node.cost +
-(left + right)``, ``node.cost + child``), so comparing plans never re-walks
-them and every cost is bit-identical to the walked one.  And the best sub-plan
+(left + right)``, ``node.cost + child``), and its leaf costs in walk order, so
+neither comparing plans nor taking a plan's internal cost re-walks them and
+every cost is bit-identical to the walked one.  A sub-plan also keeps the cost
+of sorting its output once some parent has asked for it.  And the best sub-plan
 of a subset is a function of the leaves *inside* it, so builds that pass the
 same :class:`SubPlanTable` (INUM: the order specs of one shell) reuse every
 sub-plan whose leaves are the same scan objects.
@@ -50,29 +52,40 @@ _NESTED_LOOP_THRESHOLD = 64.0
 
 @dataclass(slots=True)
 class _SubPlan:
-    """A DP entry: a plan covering a set of tables, its output width and the
-    cost of its whole subtree (``node.total_cost()``, carried not re-walked)."""
+    """A DP entry: a plan covering a set of tables, its output width, rows and
+    order, the cost of its whole subtree (``node.total_cost()``, carried not
+    re-walked) and the costs of its leaves in walk order (what
+    :attr:`Plan.internal_cost` subtracts).  ``sort`` is the cost of sorting
+    its output, costed the first time a parent asks for it."""
 
     node: PlanNode
     width: float
     cost: float
+    rows: float
+    order: ColumnRef | None
+    leaves: tuple[float, ...]
+    sort: float | None = None
 
     @classmethod
     def over(cls, node: PlanNode, width: float, *inputs: "_SubPlan") -> "_SubPlan":
         """``node`` above the sub-plans it consumes (none for a leaf).  The one
         statement of the summation rule: :meth:`PlanNode.total_cost`'s order."""
+        if not inputs:
+            return cls(node, width, node.cost, node.rows, node.output_order,
+                       (node.cost,))
         below = 0
+        leaves: tuple[float, ...] = ()
         for sub in inputs:
             below += sub.cost
-        return cls(node, width, node.cost + below)
+            leaves += sub.leaves
+        return cls(node, width, node.cost + below, node.rows, node.output_order,
+                   leaves)
 
-    @property
-    def rows(self) -> float:
-        return self.node.rows
-
-    @property
-    def order(self) -> ColumnRef | None:
-        return self.node.output_order
+    def sort_cost(self, model: CostModel) -> float:
+        """The cost of sorting this sub-plan's output."""
+        if self.sort is None:
+            self.sort = model.sort_cost(self.rows, self.width)
+        return self.sort
 
 
 class SubPlanTable:
@@ -139,7 +152,7 @@ class PlanBuilder:
         joined = self._join_tables(query, scans, widths, shared)
         finished = self._finish(query, joined)
         return Plan(finished.node, query_name=query.name,
-                    total_cost=finished.cost)
+                    total_cost=finished.cost, leaf_costs=finished.leaves)
 
     # ------------------------------------------------------------------- joining
     def _join_tables(self, query: Query, scans: Mapping[str, ScanNode],
@@ -232,21 +245,24 @@ class PlanBuilder:
         ``incumbent``: hash join, merge join (sorting an input not ordered on
         its join column) and — for a tiny input — nested loops are costed
         first, the earlier winning a tie; only the winner's nodes are built, so
-        the totals here are the one copy of :meth:`_SubPlan.over`'s sum."""
+        the totals here are the one copy of :meth:`_SubPlan.over`'s sum.  No
+        operator costs less than 0, so when the inputs alone cost no less than
+        ``incumbent`` no join of them is costed."""
+        inputs_cost = left.cost + right.cost
+        if incumbent is not None and not inputs_cost < incumbent.cost:
+            return None
         model = self._cost_model
         output_rows = max(1.0, left.rows * right.rows * join_selectivity)
         smaller, larger = (left, right) if left.rows <= right.rows else (right, left)
-        inputs_cost = left.cost + right.cost
 
         algorithm = JoinAlgorithm.HASH_JOIN
         cost = model.hash_join_cost(smaller.rows, larger.rows, smaller.width,
                                     output_rows)
         total = cost + inputs_cost
 
-        left_sort = (None if left.order == left_column
-                     else model.sort_cost(left.rows, left.width))
+        left_sort = None if left.order == left_column else left.sort_cost(model)
         right_sort = (None if right.order == right_column
-                      else model.sort_cost(right.rows, right.width))
+                      else right.sort_cost(model))
         merge_cost = model.merge_join_cost(left.rows, right.rows, output_rows)
         merge_total = merge_cost + (
             (left.cost if left_sort is None else left_sort + left.cost)
@@ -276,7 +292,8 @@ class PlanBuilder:
                         algorithm=algorithm, left=left.node, right=right.node,
                         join_column_left=left_column,
                         join_column_right=right_column)
-        return _SubPlan(node, output_width, total)
+        return _SubPlan(node, output_width, total, output_rows, output_order,
+                        left.leaves + right.leaves)
 
     def _sorted(self, sub: _SubPlan, column: ColumnRef, sort_cost: float) -> _SubPlan:
         node = SortNode(cost=sort_cost, rows=sub.rows, output_order=column,
@@ -320,7 +337,7 @@ class PlanBuilder:
                                  strategy="stream", group_columns=query.group_by)
             return _SubPlan.over(node, current.width, current)
         hash_cost = self._cost_model.hash_aggregate_cost(current.rows, group_count)
-        sort_cost = self._cost_model.sort_cost(current.rows, current.width)
+        sort_cost = current.sort_cost(self._cost_model)
         stream_cost = self._cost_model.stream_aggregate_cost(current.rows, group_count)
         if hash_cost <= sort_cost + stream_cost:
             node = AggregateNode(cost=hash_cost, rows=group_count, output_order=None,
@@ -338,5 +355,5 @@ class PlanBuilder:
         leading_order = query.order_by[0]
         if current.order == leading_order:
             return current
-        return self._sorted(current, leading_order, self._cost_model.sort_cost(
-            current.rows, current.width))
+        return self._sorted(current, leading_order,
+                            current.sort_cost(self._cost_model))

@@ -151,12 +151,15 @@ class Plan:
     """
 
     def __init__(self, root: PlanNode, query_name: str = "",
-                 total_cost: float | None = None):
+                 total_cost: float | None = None,
+                 leaf_costs: tuple[float, ...] | None = None):
         self.root = root
         self.query_name = query_name
         #: ``root.total_cost()`` — the plan builder hands over the sum it
         #: carried while planning, so comparing plans never re-walks them.
         self.total_cost = root.total_cost() if total_cost is None else total_cost
+        # The leaf costs in walk order, likewise handed over by the builder.
+        self._leaf_costs = leaf_costs
 
     def scan_nodes(self) -> tuple[ScanNode, ...]:
         """The leaf accesses of the plan, in traversal order."""
@@ -174,8 +177,12 @@ class Plan:
 
     @property
     def internal_cost(self) -> float:
-        """Total cost minus all leaf access costs (the ``beta`` of the template)."""
-        return self.total_cost - sum(node.cost for node in self.scan_nodes())
+        """Total cost minus all leaf access costs (the ``beta`` of the template),
+        subtracted in walk order."""
+        leaf_costs = self._leaf_costs
+        if leaf_costs is None:
+            leaf_costs = [node.cost for node in self.scan_nodes()]
+        return self.total_cost - sum(leaf_costs)
 
     def indexes_used(self) -> tuple[Index, ...]:
         used = [node.index for node in self.scan_nodes() if node.index is not None]

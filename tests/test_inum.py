@@ -290,12 +290,14 @@ class TestInumCost:
 
 def _templates_one_spec_at_a_time(schema, shell, caps):
     """``TPlans(q)`` the unshared way: every order spec is planned by a fresh
-    optimizer (no skeleton, profile or sub-plan reused), then deduplicated and
+    optimizer (no skeleton, profile or sub-plan reused), its β walked off the
+    plan tree — ``root.total_cost()`` minus the ``ScanNode`` costs in walk
+    order, as ``TestCarriedCostIsWalkedCost`` does — then deduplicated and
     pruned exactly like ``InumCache._enumerate_templates``."""
     rules = InumCache(WhatIfOptimizer(schema), *caps)
     options = {table: (None, *rules._interesting_orders(shell, table))
                for table in shell.tables}
-    templates, seen = [], set()
+    planned, seen = [], set()
     for spec in rules._order_specs(shell.tables, options):
         optimizer = WhatIfOptimizer(schema)
         scans, widths = {}, {}
@@ -306,11 +308,14 @@ def _templates_one_spec_at_a_time(schema, shell, caps):
                                     index=None, access_path=base.access_path)
             widths[table] = optimizer.access_selector.output_width(shell, table)
         plan = optimizer.plan_builder.build(shell, scans, widths)
-        template = TemplatePlan(shell.name, spec, plan.internal_cost, plan)
-        if template.signature() not in seen:
-            seen.add(template.signature())
-            templates.append(template)
-    return InumCache._prune_dominated(templates)
+        beta = plan.root.total_cost() - sum(
+            node.cost for node in plan.root.walk() if isinstance(node, ScanNode))
+        signature = TemplatePlan(shell.name, spec, beta).signature()
+        if signature not in seen:
+            seen.add(signature)
+            planned.append((spec, beta, plan))
+    return [TemplatePlan(shell.name, spec, beta, plan)
+            for spec, beta, plan in InumCache._prune_dominated(planned)]
 
 
 def _generated_workload(schema, seed, size=8):
@@ -368,6 +373,48 @@ class TestSharedEnumeration:
                 assert reference_statement_cost(adopted, statement.query,
                                                 configuration) == cost
         assert adopted.template_build_calls == 0
+
+
+class TestGammaOracle:
+    """The selector derives an index's query-independent scan terms once and
+    reuses them for every statement; what depends on the statement (covering,
+    matched rows) must still be derived per statement.  A memo filled in the
+    opposite order must give every cell the same value."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_cells_equal_slot_gamma_filled_in_reverse(self, seed):
+        schema = tpch_schema(scale_factor=0.01)
+        workload = _generated_workload(schema, seed)
+        assert any(isinstance(s.query, UpdateQuery) for s in workload)
+        candidates = tuple(CandidateGenerator(schema).generate(workload))
+        inum = InumCache(WhatIfOptimizer(schema))
+        inum.prepare(workload, candidates)
+        shells = {}
+        for statement in workload:
+            query = statement.query
+            shell = (query.query_shell() if isinstance(query, UpdateQuery)
+                     else query)
+            shells.setdefault(shell.name, shell)
+        oracle = WhatIfOptimizer(schema)
+        pairs = [(shell, index) for shell in shells.values()
+                 for index in candidates if index.table in shell.tables]
+        for shell, index in reversed(pairs):
+            oracle.access_scan(shell, index.table, index)
+        cells = 0
+        for shell in shells.values():
+            matrix = inum.gamma_matrix(shell)
+            for position, template in enumerate(matrix.templates):
+                for slot, table in enumerate(matrix.tables):
+                    assert matrix.array[position, slot, 0] == slot_gamma(
+                        oracle, shell, template, table, None)
+                    for index in matrix.registered_indexes:
+                        expected = (slot_gamma(oracle, shell, template, table,
+                                               index)
+                                    if index.table == table else INFEASIBLE_COST)
+                        assert matrix.array[position, slot,
+                                            matrix.column_of(index)] == expected
+                        cells += 1
+        assert cells > 1000
 
 
 class TestEnumerationWorkCounts:

@@ -253,6 +253,27 @@ class TestSpanTreeShapes:
         names = _span_names(root)
         assert {"candidates", "prepare", "solve", "evaluate"} <= names
 
+    @pytest.mark.parametrize("advisor", ["cophy", "ilp"])
+    def test_prepare_span_reports_the_inum_work(self, tpch, advisor):
+        tuner = Tuner()
+        request = _request(tpch, advisor=AdvisorSpec(advisor))
+        prepares = []
+        for _ in range(2):
+            root = tuner.tune(request).extras["trace"]["root"]
+            prepares.append(_find_spans(
+                root, lambda node: node["name"] == "prepare"
+                and "specs" in node["attrs"]))
+        inum = tuner.contexts[0].inum
+        (cold,), warm = prepares
+        assert cold["attrs"]["specs"] == inum.template_build_calls > 0
+        assert cold["attrs"]["templates"] == inum.total_template_count() > 0
+        matrices = {inum.gamma_matrix(statement.query)
+                    for statement in request.workload}
+        assert cold["attrs"]["gamma_columns"] == sum(
+            matrix.column_count - 1 for matrix in matrices) > 0
+        # The second request finds everything built and counts nothing.
+        assert warm == []
+
     @pytest.mark.parametrize("advisor", [
         AdvisorSpec("cophy", solve_tier="heuristic"),
         AdvisorSpec("scaleout", {"shard_workers": 1}, solve_tier="heuristic")])
