@@ -91,7 +91,7 @@ class DtaAdvisor(Advisor):
         return self.optimizer.cost(shell, configuration)
 
     # -------------------------------------------------------------------- public
-    # reprolint: requires-lock (mutates the shared INUM cache; caller serializes)
+    # Mutates the shared INUM cache: caller holds the context lock.
     def tune(self, workload: Workload, constraints: Sequence[TuningConstraint] = (),
              candidates: CandidateSet | None = None,
              budget: SolveBudget | None = None) -> Recommendation:

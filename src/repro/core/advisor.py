@@ -102,8 +102,8 @@ class CoPhyAdvisor(Advisor):
         """Run CGen on a workload (plus DBA-supplied indexes ``S_DBA``)."""
         return self.candidate_generator.generate(workload, dba_indexes=dba_indexes)
 
-    # reprolint: requires-lock (mutates the shared INUM cache; Tuner/TuningService
-    # serialize per-context, embedded callers are documented single-threaded)
+    # Mutates the shared INUM cache: Tuner/TuningService hold the context
+    # lock; embedded callers are documented single-threaded.
     def build_bip(self, workload: Workload,
                   candidates: CandidateSet | None = None,
                   dba_indexes: Iterable[Index] = ()) -> CophyBip:
@@ -113,7 +113,7 @@ class CoPhyAdvisor(Advisor):
         self.inum.prepare(workload, candidates)
         return self.bip_builder.build(workload, candidates)
 
-    # reprolint: requires-lock (see build_bip: caller serializes per-context)
+    # Caller holds the context lock (see build_bip).
     def tune(self, workload: Workload,
              constraints: Sequence[TuningConstraint | SoftConstraint] = (),
              candidates: CandidateSet | None = None,

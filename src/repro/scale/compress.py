@@ -251,8 +251,8 @@ def structural_statement_key(query: Query, max_cost_error: float = 0.0
 _structural_key = structural_statement_key
 
 
-# reprolint: requires-lock (gamma_matrix builds lazily; reached only via
-# compress_workload under the scale-out advisor's serialization)
+# Caller holds the context lock: gamma_matrix builds lazily, and this is
+# reached only via compress_workload under the scale-out advisor.
 def _gamma_key(query: Query, inum: "InumCache", max_cost_error: float
                ) -> Hashable:
     shell = _shell_of(query)

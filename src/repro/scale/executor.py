@@ -374,8 +374,8 @@ def _failed_shard_result(shard: Shard, exc: BaseException,
         failed=True, failure=f"{type(exc).__name__}: {exc}")
 
 
-# reprolint: requires-lock (inline path runs under the caller's context lock;
-# the worker path operates on a process-local cache)
+# Caller holds the context lock on the inline path; the worker path
+# operates on a process-local cache.
 def _solve_shard_inline(shard: Shard, inum: InumCache,
                         gap_tolerance: float,
                         time_limit_seconds: float | None,

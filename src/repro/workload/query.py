@@ -80,6 +80,8 @@ class Query:
     """
 
     kind: StatementKind = StatementKind.SELECT
+    #: ``referenced_columns_on``'s per-table partition, built on first use.
+    _referenced_by_table: dict[str, tuple[ColumnRef, ...]] | None = None
 
     def __init__(self, tables: Iterable[str],
                  projections: Iterable[ColumnRef] = (),
@@ -178,7 +180,16 @@ class Query:
         return tuple(dict.fromkeys(columns))
 
     def referenced_columns_on(self, table: str) -> tuple[ColumnRef, ...]:
-        return tuple(c for c in self.referenced_columns() if c.table == table)
+        # Partitioned by table on first use: a query's column tuples are
+        # never reassigned after construction.
+        by_table = self._referenced_by_table
+        if by_table is None:
+            grouped: dict[str, list[ColumnRef]] = {}
+            for column in self.referenced_columns():
+                grouped.setdefault(column.table, []).append(column)
+            by_table = self._referenced_by_table = {
+                name: tuple(columns) for name, columns in grouped.items()}
+        return by_table.get(table, ())
 
     def interesting_order_columns(self, table: str) -> tuple[ColumnRef, ...]:
         """Columns of ``table`` whose sort order the plan could exploit.

@@ -164,27 +164,39 @@ class TestConfiguration:
         # The lazily built per-table partition is rebuilt, not shipped.
         assert set(clone.indexes_on("orders")) == {Index("orders", ("o_date",))}
 
-    def test_process_pool_roundtrip_preserves_dict_lookups(self):
-        """Configurations keyed in a dict must survive a worker round trip."""
+    def test_process_pool_roundtrip_preserves_dict_lookups(self, monkeypatch):
+        """A dict keyed by configurations answers lookups in a spawned worker
+        under another hash seed, probed with configurations it builds itself
+        (a forked worker inherits the hash secret and would not notice a
+        shipped hash)."""
+        import multiprocessing
+        import os
         from concurrent.futures import ProcessPoolExecutor
 
-        configurations = [
-            Configuration([Index("orders", ("o_date",))]),
-            Configuration([Index("items", ("i_order",)),
-                           Index("orders", ("o_total",), clustered=True)]),
-            Configuration(),
-        ]
-        mapping = {config: position
-                   for position, config in enumerate(configurations)}
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            looked_up = pool.submit(_lookup_all, mapping,
-                                    configurations).result()
+        specs = [[("orders", ("o_date",), False)],
+                 [("items", ("i_order",), False),
+                  ("orders", ("o_total",), True)],
+                 []]
+        mapping = {_configuration(spec): position
+                   for position, spec in enumerate(specs)}
+        seed = os.environ.get("PYTHONHASHSEED", "")
+        monkeypatch.setenv("PYTHONHASHSEED",
+                           str(int(seed) + 1) if seed.isdigit() else "1")
+        with ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            looked_up = pool.submit(_lookup_all, mapping, specs).result()
         assert looked_up == [0, 1, 2]
 
 
-def _lookup_all(mapping, probes):
-    """Worker-side dict lookups (both sides of the map cross the pickle)."""
-    return [mapping.get(probe, -1) for probe in probes]
+def _configuration(spec):
+    return Configuration([Index(table, columns, clustered=clustered)
+                          for table, columns, clustered in spec])
+
+
+def _lookup_all(mapping, specs):
+    """Worker-side dict lookups; only the map crosses the pickle."""
+    return [mapping.get(_configuration(spec), -1) for spec in specs]
 
 
 class TestAtomicConfiguration:

@@ -475,3 +475,31 @@ class TestEnumerationWorkCounts:
         assert counts[0] < 27 * one_build
         assert self._count_hash_join_costings(
             monkeypatch, lambda: inum.templates(shell)) == 0
+
+    def test_cold_prepare_makes_one_pass_over_the_shells(self, monkeypatch):
+        """A cold ``prepare`` enumerates each fresh shell once and registers
+        the candidates in each matrix once: no second template pass counted
+        as hits, no repeated column registration on building the tensor."""
+        from repro.inum.gamma_matrix import QueryGammaMatrix
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        schema = tpch_schema(scale_factor=0.01)
+        workload = generate_homogeneous_workload(10, seed=3,
+                                                 update_fraction=0.0)
+        shells = len({statement.query.name for statement in workload})
+        candidates = CandidateGenerator(schema).generate(workload)
+        calls = []
+        original = QueryGammaMatrix.ensure_columns
+
+        def counting(self, indexes):
+            calls.append(self)
+            return original(self, indexes)
+
+        monkeypatch.setattr(QueryGammaMatrix, "ensure_columns", counting)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            InumCache(WhatIfOptimizer(schema)).prepare(workload, candidates)
+        events = registry.snapshot()["repro_cache_events_total"]
+        assert events[("template", "miss")] == shells
+        assert ("template", "hit") not in events
+        assert len(calls) == len(set(map(id, calls))) == shells

@@ -1,17 +1,13 @@
-"""Tests for repo tooling: the reprolint CLI contract (PR 9):
-``python -m repro.analysis``, the clock allow-list, and fingerprint purity
+"""Tests on the source tree and on fingerprint purity: no ``assert`` and no
+unused import in ``src/repro``, the clock allow-list, and fingerprints
 under an erratic clock."""
 
 from __future__ import annotations
 
 import ast
 import importlib
-import json
-import os
 import random
-import subprocess
-import sys
-import textwrap
+import re
 import threading
 import time
 import types
@@ -21,141 +17,68 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-_LINT_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+# ------------------------------------------------------------- source hygiene
+def _hygiene(source: str, init: bool = False) -> list[str]:
+    """An ``assert`` (it vanishes under ``python -O``; library code raises a
+    typed exception) and an imported name never mentioned again — as a
+    whole word anywhere outside its import, docstrings and comments
+    included.  A package ``__init__`` re-exports, and a name in ``__all__``
+    is exported, so neither counts as unused."""
+    tree = ast.parse(source)
+    found = [f"{node.lineno}: assert" for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    if init:
+        return found
+    exported = {node.value for statement in tree.body
+                if isinstance(statement, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in statement.targets)
+                for node in ast.walk(statement.value)
+                if isinstance(node, ast.Constant)}
+    lines = source.splitlines()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0]
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names
+                     if alias.name != "*"]
+        else:
+            continue
+        rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+        found += [f"{node.lineno}: unused import {name}" for name in names
+                  if not name.startswith("_") and name not in exported
+                  and not re.search(rf"\b{re.escape(name)}\b", rest)]
+    return found
 
 
-def _lint(*argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *argv],
-        capture_output=True, text=True, env=_LINT_ENV, cwd=REPO_ROOT)
+def test_source_has_no_assert_and_no_unused_import():
+    package = REPO_ROOT / "src" / "repro"
+    found = {path.relative_to(package).as_posix(): problems
+             for path in sorted(package.rglob("*.py"))
+             if (problems := _hygiene(path.read_text(encoding="utf-8"),
+                                      init=path.name == "__init__.py"))}
+    assert found == {}
 
 
-def _tree(tmp_path: Path, files: dict) -> Path:
-    for rel, text in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text), encoding="utf-8")
-    return tmp_path
-
-
-_BAD_TREE = {
-    "pkg/mod.py": """\
-    import os
-
-    def check(x):
-        assert x > 0
-        return x
-    """,
-}
-
-_CLEAN_TREE = {
-    "pkg/mod.py": """\
-    def check(x):
-        if x <= 0:
-            raise ValueError(x)
-        return x
-    """,
-}
-
-
-class TestReprolintCli:
-    def test_clean_tree_exits_zero(self, tmp_path):
-        root = _tree(tmp_path, _CLEAN_TREE)
-        done = _lint("--root", str(root), "--no-baseline")
-        assert done.returncode == 0, done.stdout + done.stderr
-        assert "0 finding(s)" in done.stdout
-
-    def test_findings_exit_one_with_file_line_rule(self, tmp_path):
-        root = _tree(tmp_path, _BAD_TREE)
-        done = _lint("--root", str(root), "--no-baseline")
-        assert done.returncode == 1
-        assert "pkg/mod.py:4: [runtime-assert]" in done.stdout
-        assert "pkg/mod.py:1: [unused-import]" in done.stdout
-
-    def test_unknown_rule_exits_two(self, tmp_path):
-        root = _tree(tmp_path, _CLEAN_TREE)
-        done = _lint("--root", str(root), "--rule", "no-such-rule")
-        assert done.returncode == 2
-        assert "unknown rule" in done.stderr
-
-    def test_bad_flag_exits_two(self):
-        done = _lint("--frobnicate")
-        assert done.returncode == 2
-
-    def test_rule_filter_restricts_findings(self, tmp_path):
-        root = _tree(tmp_path, _BAD_TREE)
-        done = _lint("--root", str(root), "--no-baseline",
-                     "--rule", "runtime-assert")
-        assert done.returncode == 1
-        assert "[runtime-assert]" in done.stdout
-        assert "[unused-import]" not in done.stdout
-
-    def test_update_baseline_round_trip(self, tmp_path):
-        root = _tree(tmp_path, _BAD_TREE)
-        baseline = tmp_path / "baseline.json"
-        done = _lint("--root", str(root), "--baseline", str(baseline),
-                     "--update-baseline")
-        assert done.returncode == 0, done.stdout + done.stderr
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 1
-        assert {entry["rule"] for entry in payload["findings"]} == {
-            "runtime-assert", "unused-import"}
-        assert all("justification" in entry for entry in payload["findings"])
-        # One finding object per line keeps baseline diffs reviewable.
-        body = baseline.read_text()
-        assert body.count('"rule"') == len(payload["findings"])
-        for line in body.splitlines():
-            assert line.count('"rule"') <= 1
-        # The grandfathered findings no longer fail the run...
-        done = _lint("--root", str(root), "--baseline", str(baseline))
-        assert done.returncode == 0
-        assert "2 grandfathered" in done.stdout
-        # ...but a fresh violation still does.
-        (root / "pkg" / "extra.py").write_text(
-            "def f(y):\n    assert y\n", encoding="utf-8")
-        done = _lint("--root", str(root), "--baseline", str(baseline))
-        assert done.returncode == 1
-        assert "pkg/extra.py:2: [runtime-assert]" in done.stdout
-
-    def test_stale_baseline_entries_are_reported_not_fatal(self, tmp_path):
-        root = _tree(tmp_path, _BAD_TREE)
-        baseline = tmp_path / "baseline.json"
-        _lint("--root", str(root), "--baseline", str(baseline),
-              "--update-baseline")
-        _tree(tmp_path, _CLEAN_TREE)  # fix the violations in place
-        (root / "pkg" / "mod.py").write_text(
-            textwrap.dedent(_CLEAN_TREE["pkg/mod.py"]), encoding="utf-8")
-        done = _lint("--root", str(root), "--baseline", str(baseline))
-        assert done.returncode == 0
-        assert "stale baseline" in done.stdout
-
-    def test_inline_suppression_parsing(self, tmp_path):
-        root = _tree(tmp_path, {"pkg/mod.py": """\
-            def check(x):
-                assert x > 0  # reprolint: disable=runtime-assert
-                return x
-            """})
-        done = _lint("--root", str(root), "--no-baseline")
-        assert done.returncode == 0, done.stdout + done.stderr
-
-    def test_missing_baseline_path_exits_two(self, tmp_path):
-        root = _tree(tmp_path, _CLEAN_TREE)
-        done = _lint("--root", str(root), "--baseline",
-                     str(tmp_path / "nope.json"))
-        assert done.returncode == 2
-
-    def test_list_rules(self):
-        done = _lint("--list-rules")
-        assert done.returncode == 0
-        for name in ("fault-site-discipline", "lock-discipline",
-                     "worker-pickle-safety",
-                     "runtime-assert", "unused-import"):
-            assert name in done.stdout
-        assert "metric-label-cardinality" not in done.stdout
-
-    def test_repo_default_run_is_clean_and_fast(self):
-        done = _lint()
-        assert done.returncode == 0, done.stdout + done.stderr
+@pytest.mark.parametrize("source,init,found", [
+    pytest.param("def check(x):\n    assert x > 0\n    return x\n", False,
+                 ["2: assert"], id="assert"),
+    pytest.param("import os\nfrom typing import Mapping\n\nVALUE = 1\n",
+                 False, ["1: unused import os", "2: unused import Mapping"],
+                 id="unused-imports"),
+    pytest.param("import os\nfrom typing import Mapping\n\n"
+                 "def env() -> Mapping[str, str]:\n"
+                 "    return dict(os.environ)\n", False, [],
+                 id="used-imports"),
+    pytest.param("from os import path\n", True, [], id="init-re-export"),
+    pytest.param("from os import path\n\n__all__ = [\"path\"]\n", False, [],
+                 id="all-export"),
+    pytest.param("assert True\n", True, ["1: assert"], id="assert-in-init"),
+])
+def test_hygiene_flags_asserts_and_unused_imports(source, init, found):
+    assert _hygiene(source, init=init) == found
 
 
 # ------------------------------------------------------------------ one clock
@@ -177,7 +100,6 @@ _CLOCK_READERS = {
                       "session TTL, drain deadline, HTTP latency"),
     "scale/executor.py": ({"time"}, "cross-process dispatch timestamp"),
     "bench/harness.py": ({"perf_counter"}, "the evaluation harness"),
-    "analysis/cli.py": ({"perf_counter"}, "the linter's own run time"),
 }
 _CLOCKS = {"perf_counter", "monotonic", "time", "thread_time", "process_time"}
 _CLOCKS |= {f"{clock}_ns" for clock in _CLOCKS}
