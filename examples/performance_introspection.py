@@ -30,6 +30,7 @@ from pathlib import Path
 from urllib.request import urlopen
 
 from repro import StorageBudgetConstraint, TuningRequest
+from repro.api import Tuner, TuningService
 from repro.catalog import tpch_schema
 from repro.server import TuningClient, TuningServer
 from repro.workload import generate_homogeneous_workload
@@ -40,10 +41,13 @@ def main() -> None:
     budget = StorageBudgetConstraint.from_fraction_of_data(schema,
                                                            fraction=1.0)
 
-    # slow_threshold_ms=0.1 pins essentially every request in the slow ring;
-    # profile_every=2 samples a cProfile hotspot table on every other one.
-    server = TuningServer(namespace_statements=True, trace_store_size=16,
-                          slow_threshold_ms=0.1, profile_every=2)
+    # The Tuner owns the introspection knobs: slow_threshold_ms=0.1 pins
+    # essentially every request in the slow ring; profile_every=2 samples a
+    # cProfile hotspot table on every other one.
+    tuner = Tuner(trace_store_size=16, slow_threshold_ms=0.1,
+                  profile_every=2)
+    server = TuningServer(service=TuningService(
+        tuner, namespace_statements=True))
     with server:
         client = TuningClient(server.url)
         # A batch goes through the service's thread pool, so every request

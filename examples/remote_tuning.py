@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from repro import StorageBudgetConstraint, TuningRequest
-from repro.api import TuningService
+from repro.api import Tuner, TuningService
 from repro.catalog import tpch_schema
 from repro.core.constraints import IndexCountConstraint
 from repro.indexes.index import Index
@@ -59,7 +59,8 @@ def main() -> None:
     # 3. The same request over the wire: an ephemeral in-process server and
     #    the stdlib-urllib client SDK.  ``TuningClient.tune`` accepts the
     #    same TuningRequest and returns the same TuningResult type.
-    with TuningServer(namespace_statements=True, max_contexts=8) as server:
+    served = TuningService(Tuner(max_contexts=8), namespace_statements=True)
+    with TuningServer(service=served) as server:
         client = MeasuredClient(server.url)
         health = client.health()
         print(f"Server up at {server.url}: advisors = "

@@ -17,10 +17,9 @@ generator, which keeps the generated candidates per workload.  The factory
 decides how the shared state is wired: BIP-based advisors (CoPhy, ILP,
 scale-out) always adopt the shared cache and generator, while the
 paper-faithful black-box advisors (Tool-A, Tool-B) keep their own
-generators and only adopt the cache when the options opt in with
-``use_shared_inum=True`` — their cost is *defined* by their own optimizer
-calls, so silently switching them to INUM would change the reproduced
-behaviour.
+generators and never adopt the shared cache — their cost is *defined* by
+their own optimizer calls, so silently switching them to INUM would change
+the reproduced behaviour.
 
 Explicit ``optimizer=`` / ``inum=`` / ``candidate_generator=`` options
 always win over shared wiring, so imperative callers keep full control:
@@ -144,20 +143,18 @@ def make_advisor(name: str, schema: Schema, *,
 # --------------------------------------------------------------------- wiring
 def _wire(options: Mapping[str, Any],
           shared_optimizer: WhatIfOptimizer | None,
-          shared_inum: InumCache | None,
-          adopt_shared_inum: bool,
+          shared_inum: InumCache | None = None,
           shared_candidate_generator: CandidateGenerator | None = None
           ) -> dict[str, Any]:
     """Merge shared per-schema state into constructor options.
 
-    Explicit options always win; the shared INUM cache is only adopted when
-    the strategy's policy says so (``adopt_shared_inum``), and the shared
-    candidate generator only when one is passed.
+    Explicit options always win; the shared INUM cache and candidate
+    generator are adopted only when passed.
     """
     wired = dict(options)
     if shared_optimizer is not None:
         wired.setdefault("optimizer", shared_optimizer)
-    if adopt_shared_inum and shared_inum is not None:
+    if shared_inum is not None:
         wired.setdefault("inum", shared_inum)
     if shared_candidate_generator is not None:
         wired.setdefault("candidate_generator", shared_candidate_generator)
@@ -185,7 +182,7 @@ def _build_cophy(schema: Schema, options: Mapping[str, Any], *,
                 f"cache; set the enumeration caps on CostingSpec instead "
                 f"(they select the per-schema context)")
     return CoPhyAdvisor(schema, **_wire(
-        options, shared_optimizer, shared_inum, adopt_shared_inum=True,
+        options, shared_optimizer, shared_inum,
         shared_candidate_generator=shared_candidate_generator))
 
 
@@ -196,7 +193,7 @@ def _build_ilp(schema: Schema, options: Mapping[str, Any], *,
                shared_candidate_generator: CandidateGenerator | None = None
                ) -> Advisor:
     return IlpAdvisor(schema, **_wire(
-        options, shared_optimizer, shared_inum, adopt_shared_inum=True,
+        options, shared_optimizer, shared_inum,
         shared_candidate_generator=shared_candidate_generator))
 
 
@@ -207,28 +204,22 @@ def _build_scaleout(schema: Schema, options: Mapping[str, Any], *,
                     shared_candidate_generator: CandidateGenerator | None = None
                     ) -> Advisor:
     return ScaleOutAdvisor(schema, **_wire(
-        options, shared_optimizer, shared_inum, adopt_shared_inum=True,
+        options, shared_optimizer, shared_inum,
         shared_candidate_generator=shared_candidate_generator))
 
 
 # The black-box baselines keep their own candidate generators (their CGen
-# options differ from CoPhy's), so they take no shared one.
+# options differ from CoPhy's) and never adopt the shared INUM cache; an
+# explicit ``inum=`` option is how a caller gives them one.
 @register_advisor("dta", aliases=("tool-b",))
 def _build_dta(schema: Schema, options: Mapping[str, Any], *,
                shared_optimizer: WhatIfOptimizer | None = None,
                shared_inum: InumCache | None = None) -> Advisor:
-    options = dict(options)
-    adopt = bool(options.pop("use_shared_inum", False))
-    return DtaAdvisor(schema, **_wire(options, shared_optimizer,
-                                      shared_inum, adopt_shared_inum=adopt))
+    return DtaAdvisor(schema, **_wire(options, shared_optimizer))
 
 
 @register_advisor("relaxation", aliases=("tool-a",))
 def _build_relaxation(schema: Schema, options: Mapping[str, Any], *,
                       shared_optimizer: WhatIfOptimizer | None = None,
                       shared_inum: InumCache | None = None) -> Advisor:
-    options = dict(options)
-    adopt = bool(options.pop("use_shared_inum", False))
-    return RelaxationAdvisor(schema, **_wire(options, shared_optimizer,
-                                             shared_inum,
-                                             adopt_shared_inum=adopt))
+    return RelaxationAdvisor(schema, **_wire(options, shared_optimizer))

@@ -34,13 +34,7 @@ from typing import Any, Iterable
 from repro.api.registry import canonical_name, make_advisor
 from repro.api.result import TuningResult
 from repro.api.specs import TuningRequest
-from repro.api.tuner import (
-    SchemaContext,
-    Tuner,
-    _resolve_candidates,
-    build_session_result,
-    tune_in_context,
-)
+from repro.api.tuner import SchemaContext, Tuner, _resolve_candidates
 from repro.core.interactive import InteractiveTuningSession
 from repro.exceptions import ServerOverloaded
 from repro.obs.metrics import (
@@ -116,12 +110,16 @@ class TuningService:
     """A process-wide facade serving concurrent declarative tuning requests.
 
     Args:
-        tuner: The underlying :class:`Tuner` (owns the per-schema contexts);
-            a fresh one is created when omitted, and sharing one between a
-            service and direct ``tuner.tune`` callers is safe as long as the
-            direct callers do not run concurrently with the service.
+        tuner: The underlying :class:`Tuner`: it owns the per-schema
+            contexts and every setting of the pipeline (context eviction,
+            fault plan, tracing, trace store, profiling), so a caller that
+            wants any of them passes a configured one.  A default ``Tuner()``
+            is created when omitted, and sharing one between a service and
+            direct ``tuner.tune`` callers is safe as long as the direct
+            callers do not run concurrently with the service.
         max_workers: Thread count for :meth:`tune_many` / :meth:`submit`
-            (``None`` lets :class:`ThreadPoolExecutor` pick its default).
+            (``None`` lets :class:`ThreadPoolExecutor` pick its default);
+            checked here, not on the first submit.
         namespace_statements: When ``True``, a workload whose statement names
             collide with structurally different statements already admitted
             to its schema context is *cloned* under request-qualified names
@@ -129,10 +127,6 @@ class TuningService:
             :class:`WorkloadError` — the behaviour a network server wants so
             arbitrary client traffic can share one context.  The default
             keeps the embedded API's loud rejection.
-        max_contexts: LRU cap on live schema contexts (forwarded to the
-            service's own :class:`Tuner`; pass the knob to your Tuner
-            directly when supplying one).
-        context_ttl_s: Idle TTL for schema contexts (same forwarding rule).
         max_pending: Admission-control bound on requests admitted but not
             yet finished (in-flight solves plus the thread-pool queue).
             When the bound is hit, :meth:`tune` / :meth:`submit` raise
@@ -140,47 +134,20 @@ class TuningService:
             — the HTTP front-end maps it to ``429`` + ``Retry-After``.
             ``None`` (default) admits everything.
         retry_after_s: Backoff hint attached to overload rejections.
-        trace_store_size: Capacity of the service Tuner's trace store
-            (forwarded; 0 disables retention).
-        slow_threshold_ms: Slow-request pinning threshold for the trace
-            store (forwarded to the service's own Tuner).
-        profile_every: Sampled-``cProfile`` cadence (forwarded to the
-            service's own Tuner).
     """
 
     def __init__(self, tuner: Tuner | None = None,
                  max_workers: int | None = None, *,
                  namespace_statements: bool = False,
-                 max_contexts: int | None = None,
-                 context_ttl_s: float | None = None,
                  max_pending: int | None = None,
-                 retry_after_s: float = 1.0,
-                 trace_store_size: int | None = None,
-                 slow_threshold_ms: float | None = None,
-                 profile_every: int | None = None):
-        if tuner is not None and (max_contexts is not None
-                                  or context_ttl_s is not None
-                                  or trace_store_size is not None
-                                  or slow_threshold_ms is not None
-                                  or profile_every is not None):
-            raise ValueError(
-                "max_contexts/context_ttl_s/trace_store_size/"
-                "slow_threshold_ms/profile_every configure the service's "
-                "own Tuner; when supplying a Tuner, set them on it directly")
+                 retry_after_s: float = 1.0):
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be positive (or None)")
         if max_pending is not None and max_pending < 0:
             raise ValueError("max_pending must be non-negative (or None)")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be positive")
-        tuner_kwargs: dict[str, Any] = {}
-        if trace_store_size is not None:
-            tuner_kwargs["trace_store_size"] = trace_store_size
-        if slow_threshold_ms is not None:
-            tuner_kwargs["slow_threshold_ms"] = slow_threshold_ms
-        if profile_every is not None:
-            tuner_kwargs["profile_every"] = profile_every
-        self._tuner = tuner or Tuner(max_contexts=max_contexts,
-                                     context_ttl_s=context_ttl_s,
-                                     **tuner_kwargs)
+        self._tuner = tuner if tuner is not None else Tuner()
         self._max_workers = max_workers
         self._namespace_statements = bool(namespace_statements)
         self._max_pending = max_pending
@@ -332,15 +299,10 @@ class TuningService:
         context = self._tuner.context_for(request.schema, request.costing)
         with use_registry(self._tuner.metrics), context.lock:
             request, renames = self._admitted(request, context)
-            result = tune_in_context(
-                request, context, namespaced=bool(renames),
-                fault_plan=self._tuner.effective_fault_plan(),
-                tracing=self._tuner.tracing, metrics=self._tuner.metrics,
-                trace_store=self._tuner.trace_store,
-                profiler=self._tuner.profiler,
-                profile_memory=self._tuner.profile_memory)
+            result = self._tuner.tune_in_context(request, context,
+                                                 namespaced=bool(renames))
         # The per-request family (repro_requests_total) was recorded inside
-        # tune_in_context; only the service-level views remain.
+        # Tuner.tune_in_context; only the service-level views remain.
         metrics = self._tuner.metrics
         if renames:
             metrics.family(NAMESPACED_REQUESTS).inc()
@@ -553,6 +515,7 @@ class TuningSession:
                            "tables": len(self._request.schema)},
                 "workload": {"name": self._inner.workload.name},
             }
-            result = build_session_result(recommendation, provenance)
+            result = TuningResult.from_recommendation(
+                recommendation, provenance=provenance)
             self._history.append(result)
             return result

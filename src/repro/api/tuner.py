@@ -297,14 +297,7 @@ class Tuner:
             ``TuningResult.extras["trace"]`` (on by default; spans are
             timing-only, so fingerprints are identical either way —
             asserted in the tests).
-        metrics: The :class:`~repro.obs.metrics.MetricsRegistry` this
-            tuner's pipelines record into (activated ambiently around each
-            request); a fresh registry with the standard families declared
-            is created when omitted.
-        trace_store: An explicit :class:`~repro.obs.store.TraceStore` to
-            record completed traces into; when omitted, one is built from
-            ``trace_store_size`` / ``slow_threshold_ms``.
-        trace_store_size: Capacity of the built-in trace store; 0 disables
+        trace_store_size: Capacity of the tuner's trace store; 0 disables
             trace retention entirely (requests still export their trace in
             the result).
         slow_threshold_ms: Requests at least this slow are pinned in the
@@ -320,8 +313,6 @@ class Tuner:
     def __init__(self, max_contexts: int | None = None,
                  context_ttl_s: float | None = None,
                  fault_plan=None, tracing: bool = True,
-                 metrics: MetricsRegistry | None = None,
-                 trace_store: TraceStore | None = None,
                  trace_store_size: int = 128,
                  slow_threshold_ms: float | None = None,
                  profile_every: int | None = None,
@@ -336,15 +327,13 @@ class Tuner:
         self.context_ttl_s = context_ttl_s
         self.fault_plan = fault_plan
         self.tracing = bool(tracing)
-        self.metrics = (metrics if metrics is not None
-                        else declare_standard_metrics(MetricsRegistry()))
-        if trace_store is not None:
-            self.trace_store: TraceStore | None = trace_store
-        elif trace_store_size > 0:
-            self.trace_store = TraceStore(
-                capacity=trace_store_size, slow_threshold_ms=slow_threshold_ms)
-        else:
-            self.trace_store = None
+        #: The registry this tuner's pipelines record into (activated
+        #: ambiently around each request).
+        self.metrics = declare_standard_metrics(MetricsRegistry())
+        self.trace_store = (
+            TraceStore(capacity=trace_store_size,
+                       slow_threshold_ms=slow_threshold_ms)
+            if trace_store_size > 0 else None)
         self.profiler = (ProfileSampler(profile_every)
                          if profile_every is not None else None)
         self.profile_memory = bool(profile_memory)
@@ -455,107 +444,100 @@ class Tuner:
         """
         context = self.context_for(request.schema, request.costing)
         with use_registry(self.metrics), context.lock:
-            return tune_in_context(request, context,
-                                   fault_plan=self.effective_fault_plan(),
-                                   tracing=self.tracing, metrics=self.metrics,
-                                   trace_store=self.trace_store,
-                                   profiler=self.profiler,
-                                   profile_memory=self.profile_memory)
+            return self.tune_in_context(request, context)
+
+    def tune_in_context(self, request: TuningRequest, context: SchemaContext,
+                        *, namespaced: bool = False) -> TuningResult:
+        """The resolved pipeline: advisor from registry, shared wiring, result.
+
+        Split from :meth:`tune` so the service can run it under its own
+        per-context locking without re-resolving contexts.  ``namespaced``
+        is recorded in the provenance when the service auto-namespaced the
+        workload's statement names at admission.  The tuner's fault plan
+        arms the ``solver`` fault site: the check fires before the advisor
+        runs, so a caller-level retry repeats a request the pipeline never
+        started.
+
+        The body is the sequence of the facade's stages, each under its
+        span, all under the root ``tune`` span — opened through the ambient
+        :func:`~repro.obs.trace.stage` either way; :attr:`tracing` only
+        decides whether a fresh :class:`~repro.obs.trace.Tracer` (inheriting
+        a pending trace id, see :func:`~repro.obs.trace.trace_context`)
+        keeps and exports the tree.  The root's one reading is
+        ``facade.total``, the ``repro_request_seconds`` sample and the trace
+        store's ``duration_ms``; the ``finally`` records them, so a request
+        that raises mid-stage still reports its latency and logs a partial
+        trace.  Observation only: the fingerprint is bit-identical with
+        every knob on or off.
+        """
+        from repro.reliability.faults import maybe_check
+
+        fault_plan = self.effective_fault_plan()
+        spec = request.resolved_advisor()
+        advisor_name = canonical_name(spec.name)
+        tracer = (Tracer(track_memory=self.profile_memory) if self.tracing
+                  else None)
+        timings: dict[str, float] = {}
+        status, tier = "error", "none"
+        capture = (cProfile.Profile() if self.profiler is not None
+                   and self.profiler.should_capture() else None)
+        try:
+            with use_registry(self.metrics), \
+                    (activate(tracer) if tracer is not None
+                     else contextlib.nullcontext()), \
+                    stage(timings, "facade.total", advisor=advisor_name,
+                          request_id=request.request_id,
+                          schema=request.schema.name,
+                          statements=len(request.workload)) as root:
+                # The context-lock and pool-queue waits that preceded the
+                # pipeline belong to this request (``lock_wait_ms`` /
+                # ``queue_wait_ms``); draining also keeps a reused pool
+                # thread from leaking them into the next one.
+                for wait, seconds in drain_pending_waits().items():
+                    root.set(**{f"{wait[:-1]}ms": round(seconds * 1000.0, 3)})
+                if capture is not None:
+                    capture.enable()
+                # Anchor the anytime deadline here so facade work (candidate
+                # resolution, cache preparation) spends the same budget the
+                # advisor sees.
+                budget = spec.solve_budget()
+                if budget is not None:
+                    budget.start()
+                maybe_check(fault_plan, "solver", key=advisor_name)
+                with span("canonicalize", statements=len(request.workload)):
+                    workload = context.canonical_workload(request.workload)
+                advisor, candidates = _resolve(request, context, workload)
+                prepared = _prepare(context, advisor, workload, candidates,
+                                    timings)
+                recommendation = _advise(root, advisor, workload, request,
+                                         candidates, budget, fault_plan)
+                tier = recommendation.solve_tier
+                statement_costs = _evaluate(request, context, advisor,
+                                            advisor_name, workload,
+                                            recommendation, timings)
+                result = _export(request, advisor, workload, candidates,
+                                 recommendation, statement_costs,
+                                 prepared=prepared, namespaced=namespaced)
+                status = "degraded" if recommendation.degraded else "ok"
+        finally:
+            profile = None
+            if capture is not None:
+                capture.disable()
+                profile = self.profiler.hotspots(capture)
+            drain_pending_waits()  # discard in-pipeline residue
+            trace = _record_request(
+                request, advisor_name, tier, status, timings["facade.total"],
+                self.metrics, tracer, self.trace_store, profile)
+
+        result.diagnostics.timings.update(timings)
+        if trace is not None:
+            result.extras["trace"] = dict(trace)
+        if profile is not None:
+            result.extras["profile"] = dict(profile)
+        return result
 
 
 # ----------------------------------------------------------------- pipeline
-def tune_in_context(request: TuningRequest, context: SchemaContext, *,
-                    namespaced: bool = False,
-                    fault_plan=None, tracing: bool = True,
-                    metrics: MetricsRegistry | None = None,
-                    trace_store: TraceStore | None = None,
-                    profiler: ProfileSampler | None = None,
-                    profile_memory: bool = False) -> TuningResult:
-    """The resolved pipeline: advisor from registry, shared wiring, result.
-
-    Factored out of :class:`Tuner` so the service can run it under its own
-    per-context locking without re-resolving contexts.  ``namespaced`` is
-    recorded in the provenance when the service auto-namespaced the
-    workload's statement names at admission.  ``fault_plan`` arms the
-    ``solver`` fault site: the check fires before the advisor runs, so a
-    caller-level retry repeats a request the pipeline never started.
-
-    The body is the sequence of the facade's stages, each under its span,
-    all under the root ``tune`` span — opened through the ambient
-    :func:`~repro.obs.trace.stage` either way; ``tracing`` only decides
-    whether a fresh :class:`~repro.obs.trace.Tracer` (inheriting a pending
-    trace id, see :func:`~repro.obs.trace.trace_context`) keeps and exports
-    the tree.  The root's one reading is ``facade.total``, the
-    ``repro_request_seconds`` sample and the trace store's ``duration_ms``;
-    the ``finally`` records them, so a request that raises mid-stage still
-    reports its latency and logs a partial trace.  Observation only: the
-    fingerprint is bit-identical with every knob on or off.
-    """
-    from repro.reliability.faults import maybe_check
-
-    spec = request.resolved_advisor()
-    advisor_name = canonical_name(spec.name)
-    tracer = Tracer(track_memory=profile_memory) if tracing else None
-    registry = metrics if metrics is not None else active_registry()
-    timings: dict[str, float] = {}
-    status, tier = "error", "none"
-    capture = (cProfile.Profile() if profiler is not None
-               and profiler.should_capture() else None)
-    try:
-        with use_registry(registry), \
-                (activate(tracer) if tracer is not None
-                 else contextlib.nullcontext()), \
-                stage(timings, "facade.total", advisor=advisor_name,
-                      request_id=request.request_id,
-                      schema=request.schema.name,
-                      statements=len(request.workload)) as root:
-            # The context-lock and pool-queue waits that preceded the
-            # pipeline belong to this request (``lock_wait_ms`` /
-            # ``queue_wait_ms``); draining also keeps a reused pool thread
-            # from leaking them into the next one.
-            for wait, seconds in drain_pending_waits().items():
-                root.set(**{f"{wait[:-1]}ms": round(seconds * 1000.0, 3)})
-            if capture is not None:
-                capture.enable()
-            # Anchor the anytime deadline here so facade work (candidate
-            # resolution, cache preparation) spends the same budget the
-            # advisor sees.
-            budget = spec.solve_budget()
-            if budget is not None:
-                budget.start()
-            maybe_check(fault_plan, "solver", key=advisor_name)
-            with span("canonicalize", statements=len(request.workload)):
-                workload = context.canonical_workload(request.workload)
-            advisor, candidates = _resolve(request, context, workload)
-            prepared = _prepare(context, advisor, workload, candidates, timings)
-            recommendation = _advise(root, advisor, workload, request,
-                                     candidates, budget, fault_plan)
-            tier = recommendation.solve_tier
-            statement_costs = _evaluate(request, context, advisor,
-                                        advisor_name, workload,
-                                        recommendation, timings)
-            result = _export(request, advisor, workload, candidates,
-                             recommendation, statement_costs,
-                             prepared=prepared, namespaced=namespaced)
-            status = "degraded" if recommendation.degraded else "ok"
-    finally:
-        profile = None
-        if capture is not None:
-            capture.disable()
-            profile = profiler.hotspots(capture)
-        drain_pending_waits()  # discard in-pipeline residue
-        trace = _record_request(
-            request, advisor_name, tier, status, timings["facade.total"],
-            registry, tracer, trace_store, profile)
-
-    result.diagnostics.timings.update(timings)
-    if trace is not None:
-        result.extras["trace"] = dict(trace)
-    if profile is not None:
-        result.extras["profile"] = dict(profile)
-    return result
-
-
 def _resolve(request: TuningRequest, context: SchemaContext,
              workload: Workload) -> tuple[Advisor, CandidateSet | None]:
     """The request's candidate universe, and its advisor wired to the
@@ -624,8 +606,8 @@ def _evaluate(request: TuningRequest, context: SchemaContext,
     if evaluate is None:
         # Default: evaluate only advisors already wired to the context's
         # gamma-matrix cache — the tensors exist, one reduction is free.
-        # The black-box baselines (dta/relaxation without use_shared_inum)
-        # would pay a full INUM build they deliberately avoided, and
+        # The black-box baselines (dta/relaxation) would pay a full INUM
+        # build they deliberately avoided, and
         # scale-out exists to never cost the full workload monolithically.
         evaluate = (getattr(advisor, "inum", None) is context.inum
                     and advisor_name != "scaleout")
@@ -681,13 +663,6 @@ def _record_request(request: TuningRequest, advisor_name: str, tier: str,
                   seconds=round(seconds, 4),
                   trace_id=tracer.trace_id, trace=trace)
     return trace
-
-
-def build_session_result(recommendation: Recommendation,
-                         provenance: Mapping[str, Any]) -> TuningResult:
-    """Normalise an interactive-session recommendation (no re-evaluation)."""
-    return TuningResult.from_recommendation(recommendation,
-                                            provenance=provenance)
 
 
 def _resolve_candidates(request: TuningRequest, context: SchemaContext,

@@ -1,7 +1,7 @@
 """Request tracing: nested spans with monotonic durations and attributes.
 
 One :class:`Tracer` records one request.  The facade
-(:func:`repro.api.tuner.tune_in_context`) creates it, activates it on a
+(:meth:`repro.api.tuner.Tuner.tune_in_context`) creates it, activates it on a
 ``contextvars`` context variable and opens the root ``tune`` span; every
 deeper layer — advisors, interactive sessions, the shard executor — calls
 the module-level :func:`span` helper, which nests under whatever span is

@@ -14,8 +14,8 @@ Fault sites wired through the stack:
   worker processes and on the inline path;
 * ``matrix_build`` — one worker-side gamma-matrix build chunk;
 * ``http_request`` — one client-side HTTP call (key: URL path);
-* ``solver``       — the advisor invocation inside ``tune_in_context``
-  (key: canonical advisor name).
+* ``solver``       — the advisor invocation inside
+  ``Tuner.tune_in_context`` (key: canonical advisor name).
 
 Activation, strongest first:
 

@@ -49,7 +49,7 @@ so an unknown key, a wrong type or a non-object body is a
 Equal client schema payloads are canonicalized through a
 :class:`~repro.server.wire.SchemaCache` so repeated traffic shares one
 ``SchemaContext`` (optimizer, templates, tensors) — which is exactly why the
-service-level eviction (``max_contexts`` / ``context_ttl_s``) and statement
+tuner-level eviction (``Tuner(max_contexts=, context_ttl_s=)``) and statement
 auto-namespacing exist.  A request that names its schema by
 ``schema_digest`` (wire version 3) resolves through the same cache; a digest
 it does not hold answers 404 ``UnknownSchemaDigest``.
@@ -58,7 +58,6 @@ it does not hold answers 404 ``UnknownSchemaDigest``.
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import logging
@@ -71,6 +70,7 @@ from typing import Any
 from repro.api.registry import available_advisors
 from repro.api.service import TuningService, TuningSession
 from repro.api.specs import TuningRequest
+from repro.api.tuner import Tuner
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import log_event
 from repro.obs.metrics import (
@@ -100,20 +100,21 @@ class TuningServer:
     """A threaded HTTP server over one shared :class:`TuningService`.
 
     Args:
-        service: An existing service to front; a fresh one (with the given
-            ``namespace_statements`` / eviction knobs) is created when
-            omitted.
-        host, port: Bind address.  ``port=0`` picks a free port — read it
-            back from :attr:`port` (the pattern tests and in-process examples
-            use).
-        namespace_statements / max_contexts / context_ttl_s: Forwarded to the
-            created :class:`TuningService`; with ``service`` supplied, a
-            non-default value is a ``ValueError`` (configure that service
-            instead).  ``max_contexts`` *defaults to 64* here — unlike the
-            embedded service — because a server's schema contexts are born
+        service: The service to front.  It owns admission control
+            (``max_pending`` / ``retry_after_s``), and its :class:`Tuner`
+            owns context eviction and introspection; configure them there.
+            When omitted the server builds
+            ``TuningService(Tuner(max_contexts=64))`` — capped, unlike the
+            embedded default, because a server's schema contexts are born
             from decoded payloads: once the schema cache rotates an entry
             out, the orphaned context would be unreachable yet retained
             forever without a cap.
+        host, port: Bind address.  ``port=0`` picks a free port — read it
+            back from :attr:`port` (the pattern tests and in-process examples
+            use).
+        namespace_statements: Passed to the service the server builds; with
+            ``service`` supplied, ``True`` is a ``ValueError`` (configure
+            that service instead).
         max_schemas: LRU cap of the schema canonicalization cache.
         session_ttl_s: Idle TTL for interactive sessions.  A client that
             opens a session and vanishes would otherwise pin its workload,
@@ -126,35 +127,18 @@ class TuningServer:
         max_time_budget_ms: Upper clamp on client-requested budgets, so one
             request cannot reserve a worker thread for an arbitrary wall
             time.
-        max_pending / retry_after_s: Admission control, forwarded to the
-            created :class:`TuningService` (same rule): at most
-            ``max_pending`` tuning requests in flight, beyond which the
-            server answers 429 with a ``Retry-After`` header of
-            ``retry_after_s``.
         drain_timeout_s: Upper bound :meth:`stop` waits for in-flight
             requests to finish before closing (graceful shutdown).
-        trace_store_size / slow_threshold_ms / profile_every: Performance
-            introspection, forwarded to the created :class:`TuningService`
-            (same rule): the ``/v1/traces`` ring capacity (0 disables it),
-            the slow-request pinning threshold, and the sampled-``cProfile``
-            cadence.
     """
 
     def __init__(self, service: TuningService | None = None,
                  host: str = "127.0.0.1", port: int = 0, *,
                  namespace_statements: bool = False,
-                 max_contexts: int | None = 64,
-                 context_ttl_s: float | None = None,
                  max_schemas: int | None = 32,
                  session_ttl_s: float | None = None,
                  default_time_budget_ms: float | None = None,
                  max_time_budget_ms: float | None = None,
-                 max_pending: int | None = None,
-                 retry_after_s: float = 1.0,
-                 drain_timeout_s: float = 10.0,
-                 trace_store_size: int = 128,
-                 slow_threshold_ms: float | None = None,
-                 profile_every: int | None = None):
+                 drain_timeout_s: float = 10.0):
         if session_ttl_s is not None and session_ttl_s <= 0:
             raise ValueError("session_ttl_s must be positive (or None)")
         if default_time_budget_ms is not None and default_time_budget_ms <= 0:
@@ -163,25 +147,13 @@ class TuningServer:
             raise ValueError("max_time_budget_ms must be positive (or None)")
         if drain_timeout_s < 0:
             raise ValueError("drain_timeout_s must be non-negative")
-        forwarded = {"namespace_statements": namespace_statements,
-                     "max_contexts": max_contexts,
-                     "context_ttl_s": context_ttl_s,
-                     "max_pending": max_pending,
-                     "retry_after_s": retry_after_s,
-                     "trace_store_size": trace_store_size,
-                     "slow_threshold_ms": slow_threshold_ms,
-                     "profile_every": profile_every}
         if service is None:
-            service = TuningService(**forwarded)
-        else:
-            defaults = inspect.signature(TuningServer).parameters
-            overridden = [name for name, value in forwarded.items()
-                          if value != defaults[name].default]
-            if overridden:
-                raise ValueError(
-                    f"{'/'.join(overridden)} configure the service the "
-                    "server creates; when supplying a service, set them on "
-                    "it directly")
+            service = TuningService(Tuner(max_contexts=64),
+                                    namespace_statements=namespace_statements)
+        elif namespace_statements:
+            raise ValueError(
+                "namespace_statements configures the service the server "
+                "creates; when supplying a service, set it on that service")
         self.service = service
         self.schema_cache = SchemaCache(max_schemas=max_schemas)
         self.session_ttl_s = session_ttl_s
@@ -717,19 +689,20 @@ def main(argv: list[str] | None = None) -> None:
                              "stored trace; off by default)")
     args = parser.parse_args(argv)
     configure_logging(args.log_level)
-    server = TuningServer(host=args.host, port=args.port,
-                          namespace_statements=args.namespace_statements,
-                          max_contexts=args.max_contexts,
-                          context_ttl_s=args.context_ttl,
+    tuner = Tuner(max_contexts=args.max_contexts,
+                  context_ttl_s=args.context_ttl,
+                  trace_store_size=args.trace_store_size,
+                  slow_threshold_ms=args.slow_threshold_ms,
+                  profile_every=args.profile_every)
+    service = TuningService(tuner,
+                            namespace_statements=args.namespace_statements,
+                            max_pending=args.max_pending,
+                            retry_after_s=args.retry_after)
+    server = TuningServer(service=service, host=args.host, port=args.port,
                           session_ttl_s=args.session_ttl,
                           default_time_budget_ms=args.default_time_budget,
                           max_time_budget_ms=args.max_time_budget,
-                          max_pending=args.max_pending,
-                          retry_after_s=args.retry_after,
-                          drain_timeout_s=args.drain_timeout,
-                          trace_store_size=args.trace_store_size,
-                          slow_threshold_ms=args.slow_threshold_ms,
-                          profile_every=args.profile_every)
+                          drain_timeout_s=args.drain_timeout)
     install_signal_handlers(server)
     print(f"Serving index tuning on {server.url} "
           f"(advisors: {', '.join(available_advisors())})")

@@ -206,7 +206,7 @@ class TestContextEviction:
     def test_lru_cap_evicts_whole_contexts(self, simple_workload):
         from repro.catalog import tpch_schema
 
-        service = TuningService(max_contexts=2)
+        service = TuningService(Tuner(max_contexts=2))
         schemas = [tpch_schema(scale_factor=0.003 + 0.001 * i)
                    for i in range(3)]
         for schema in schemas:
@@ -228,7 +228,7 @@ class TestContextEviction:
 
         from repro.catalog import tpch_schema
 
-        service = TuningService(context_ttl_s=0.05)
+        service = TuningService(Tuner(context_ttl_s=0.05))
         service.tune(TuningRequest(workload=simple_workload,
                                    schema=simple_schema))
         assert len(service.tuner.contexts) == 1
@@ -244,13 +244,12 @@ class TestContextEviction:
         the context finishes on its own reference, cold state comes later."""
         from repro.catalog import tpch_schema
 
-        service = TuningService(max_contexts=1)
+        service = TuningService(Tuner(max_contexts=1))
         context = service.context_for(simple_schema)
         service.context_for(tpch_schema(scale_factor=0.003))  # evicts it
         assert context not in service.tuner.contexts
         # Tuning through the held reference still works and caches normally.
-        from repro.api.tuner import tune_in_context
-        result = tune_in_context(
+        result = service.tuner.tune_in_context(
             TuningRequest(workload=simple_workload, schema=simple_schema),
             context)
         assert result.index_count >= 0
@@ -289,14 +288,26 @@ class TestContextEviction:
             holder.join(timeout=10)
 
     def test_eviction_knobs_require_owned_tuner(self):
-        with pytest.raises(ValueError, match="Tuner"):
+        """The eviction knobs belong to the Tuner alone: the service takes
+        no copy of them, so one passed there fails loudly."""
+        with pytest.raises(TypeError, match="max_contexts"):
             TuningService(Tuner(), max_contexts=4)
+        with pytest.raises(TypeError, match="context_ttl_s"):
+            TuningService(context_ttl_s=5.0)
 
     def test_invalid_knobs_are_rejected(self):
         with pytest.raises(ValueError):
             Tuner(max_contexts=0)
         with pytest.raises(ValueError):
             Tuner(context_ttl_s=0.0)
+
+    def test_max_workers_is_checked_at_construction(self):
+        """A pool size the executor would refuse fails the constructor, not
+        the first submit."""
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_workers"):
+                TuningService(max_workers=bad)
+        TuningService(max_workers=1).close()
 
 
 class TestStatementNamespacing:

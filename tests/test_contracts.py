@@ -35,8 +35,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.api.service
-import repro.api.tuner
 import repro.obs
 import repro.scale.executor
 from repro.api import (AdvisorSpec, CostingSpec, Tuner, TuningRequest,
@@ -293,8 +291,7 @@ def test_hash_caching_keys_ship_no_hash_and_rebuild_it():
 #: The function holding each site's check: the work it guards is the rest
 #: of that function.
 _GUARDED = {
-    "solver": [(repro.api.tuner, "tune_in_context"),
-               (repro.api.service, "tune_in_context")],
+    "solver": [(Tuner, "tune_in_context")],
     "shard_solve": [(repro.scale.executor, "_solve_shard_inline")],
     "matrix_build": [(repro.scale.executor, "_build_matrices_job")],
     "http_request": [(TuningClient, "_call")],

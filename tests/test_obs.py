@@ -685,8 +685,8 @@ class TestFamilyTable:
             make_advisor("ilp", tpch).tune(request.workload,
                                            request.constraints)
 
-            service = TuningService(namespace_statements=True,
-                                    max_contexts=1)
+            service = TuningService(Tuner(max_contexts=1),
+                                    namespace_statements=True)
             service.tune(_request(tpch, seed=33, statements=6))
             service.tune(_request(tpch, seed=34, statements=6))
             service.max_pending = 0

@@ -378,16 +378,20 @@ class TestServiceIntrospection:
         assert row["exemplar_trace_id"]
 
     def test_introspection_knobs_conflict_with_explicit_tuner(self):
-        with pytest.raises(ValueError):
-            TuningService(tuner=Tuner(), trace_store_size=4)
+        """The introspection knobs belong to the Tuner alone; one passed to
+        the service is a TypeError, never silently dropped."""
+        for knob in ({"trace_store_size": 4}, {"slow_threshold_ms": 10.0},
+                     {"profile_every": 3}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                TuningService(tuner=Tuner(), **knob)
 
 
 # --------------------------------------------------------- server end-to-end
 @pytest.fixture(scope="class")
 def introspective_server():
-    server = TuningServer(port=0, namespace_statements=True,
-                          trace_store_size=8, slow_threshold_ms=0.0,
-                          profile_every=1).start()
+    server = TuningServer(service=TuningService(
+        Tuner(trace_store_size=8, slow_threshold_ms=0.0, profile_every=1),
+        namespace_statements=True), port=0).start()
     yield server
     server.stop()
 

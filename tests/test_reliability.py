@@ -520,7 +520,8 @@ class TestAdmissionControl:
         request = TuningRequest(workload=simple_workload,
                                 schema=simple_schema,
                                 constraints=[_budget(simple_schema)])
-        with TuningServer(max_pending=0, retry_after_s=1.0) as server:
+        with TuningServer(service=TuningService(
+                max_pending=0, retry_after_s=1.0)) as server:
             raw = urllib.request.Request(
                 f"{server.url}/v1/tune",
                 data=json.dumps(encode_request(request)).encode(),
@@ -538,7 +539,8 @@ class TestAdmissionControl:
         request = TuningRequest(workload=simple_workload,
                                 schema=simple_schema,
                                 constraints=[_budget(simple_schema)])
-        with TuningServer(max_pending=0, retry_after_s=0.5) as server:
+        with TuningServer(service=TuningService(
+                max_pending=0, retry_after_s=0.5)) as server:
             client = TuningClient(server.url, retry_policy=None,
                                   fault_plan=FaultPlan())
             with pytest.raises(ServerOverloaded) as info:
@@ -550,7 +552,8 @@ class TestAdmissionControl:
         request = TuningRequest(workload=simple_workload,
                                 schema=simple_schema,
                                 constraints=[_budget(simple_schema)])
-        with TuningServer(max_pending=0, retry_after_s=0.2) as server:
+        with TuningServer(service=TuningService(
+                max_pending=0, retry_after_s=0.2)) as server:
             # The overload clears while the client is backing off.
             timer = threading.Timer(
                 0.3, lambda: setattr(server.service, "max_pending", None))

@@ -12,9 +12,17 @@ interleaving-independent recommendations.
 from __future__ import annotations
 
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -683,11 +691,14 @@ class TestHealthAndStats:
         {"trace_store_size": 0}, {"slow_threshold_ms": 10.0},
         {"profile_every": 3}])
     def test_forwarded_knobs_require_an_owned_service(self, knob):
-        """The knobs configure the service the server creates; silently
-        dropping them next to a supplied service would hide a
-        misconfiguration, as TuningService(tuner=...) already refuses to."""
+        """A knob next to a supplied service is never silently dropped.
+        ``namespace_statements`` configures the service the server builds,
+        so it is refused beside one; every other knob is owned by the
+        service or its Tuner alone, and the server takes no copy."""
         service = TuningService()
-        with pytest.raises(ValueError, match=next(iter(knob))):
+        name = next(iter(knob))
+        error = ValueError if name == "namespace_statements" else TypeError
+        with pytest.raises(error, match=name):
             TuningServer(service=service, **knob)
         # The server's own defaults are not overrides.
         TuningServer(service=service).close()
@@ -703,7 +714,8 @@ class TestHealthAndStats:
                                                   simple_workload):
         import time
 
-        with TuningServer(context_ttl_s=0.05) as server:
+        with TuningServer(service=TuningService(
+                Tuner(context_ttl_s=0.05))) as server:
             client = TuningClient(server.url)
             client.tune(_request(simple_schema, simple_workload))
             assert client.stats()["service"]["context_count"] == 1
@@ -716,7 +728,8 @@ class TestHealthAndStats:
     def test_stats_report_context_eviction(self, simple_workload):
         from repro.catalog import tpch_schema
 
-        with TuningServer(max_contexts=1) as server:
+        with TuningServer(service=TuningService(
+                Tuner(max_contexts=1))) as server:
             client = TuningClient(server.url)
             client.tune(_request(
                 tpch_schema(scale_factor=0.004),
@@ -734,3 +747,45 @@ class TestHealthAndStats:
         assert service["context_count"] == 1
         assert service["evicted_contexts"] == 1
         assert service["max_contexts"] == 1
+
+
+def _served_url(process: subprocess.Popen, timeout_s: float = 30.0) -> str:
+    """The URL from the CLI's "Serving index tuning on …" line."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        ready, _, _ = select.select([process.stdout], [], [], 0.1)
+        if not ready:
+            continue
+        line = process.stdout.readline()
+        if not line:
+            break  # the process exited before it served
+        match = re.search(r"Serving index tuning on (\S+)", line)
+        if match:
+            return match.group(1)
+    raise AssertionError("the server never printed its URL")
+
+
+def test_cli_flags_configure_the_served_service():
+    """``main()`` builds the Tuner and the service from the flags: each one
+    must reach what ``/v1/stats`` and ``/v1/traces`` report."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.server", "--port", "0",
+         "--max-contexts", "8", "--max-pending", "3",
+         "--trace-store-size", "4", "--namespace-statements"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        client = TuningClient(_served_url(process))
+        service = client.stats()["service"]
+        assert service["max_contexts"] == 8
+        assert service["max_pending"] == 3
+        assert service["namespace_statements"] is True
+        assert client.traces()["capacity"] == 4
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
