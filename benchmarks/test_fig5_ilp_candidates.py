@@ -9,9 +9,14 @@ Paper values (seconds, W_hom_1000), broken into INUM / build / solve:
 
 Reproduced shape: ILP's total time is dominated by the build phase (pruning
 and costing candidate atomic configurations) and grows much faster with |S|
-than CoPhy's; CoPhy stays several times faster at every candidate-set size.
-The candidate-set sizes are scaled to the reduced workload: fractions of the
-full CGen output plus a padded set with random extra indexes.
+than CoPhy's; CoPhy is clearly faster from SALL on.  At S500 the
+reproduction's ILP ties CoPhy (both take about 0.1 s, against the paper's
+1,560 s and 301 s): the sets are small enough that ILP's pruning keeps
+little more than CoPhy's program.  No clock margin is asserted there;
+instead ILP's program is asserted larger than CoPhy's, the deterministic
+work behind the paper's gap.  The candidate-set sizes are scaled to the
+reduced workload: fractions of the full CGen output plus a padded set with
+random extra indexes.
 """
 
 from __future__ import annotations
@@ -63,10 +68,17 @@ def _run_fig5():
     rows = []
     totals: dict[str, dict[str, float]] = {"cophy": {}, "ilp": {}}
     builds: dict[str, dict[str, float]] = {"cophy": {}, "ilp": {}}
+    #: BIP size per advisor and set: ``(variables, constraints)``.
+    sizes: dict[str, dict[str, tuple[int, int]]] = {"cophy": {}, "ilp": {}}
     for label, candidates in candidate_sets.items():
         cophy = make_advisor("cophy", schema).tune(workload, [budget],
                                           candidates=candidates)
         ilp = make_advisor("ilp", schema).tune(workload, [budget], candidates=candidates)
+        sizes["cophy"][label] = tuple(
+            int(cophy.extras["bip_statistics"][key])
+            for key in ("variables", "constraints"))
+        sizes["ilp"][label] = (ilp.extras["variables"],
+                               ilp.extras["constraints"])
         for name, recommendation in (("cophy", cophy), ("ilp", ilp)):
             totals[name][label] = recommendation.total_seconds
             builds[name][label] = recommendation.timings.get("build", 0.0)
@@ -80,20 +92,29 @@ def _run_fig5():
                 "inum s": round(recommendation.timings.get("inum", 0.0), 2),
                 "build s": round(recommendation.timings.get("build", 0.0), 2),
                 "solve s": round(recommendation.timings.get("solve", 0.0), 2),
+                "variables": sizes[name][label][0],
+                "constraints": sizes[name][label][1],
             })
-    return rows, totals, builds
+    return rows, totals, builds, sizes
 
 
 def test_fig5_ilp_vs_candidate_set_size(benchmark):
-    rows, totals, builds = benchmark.pedantic(_run_fig5, rounds=1, iterations=1)
+    rows, totals, builds, sizes = benchmark.pedantic(_run_fig5, rounds=1,
+                                                     iterations=1)
     print_report("Figure 5: CoPhy vs ILP across candidate-set sizes",
                  format_table(rows))
 
-    for label in ("S500", "S1000", "SALL", "SL"):
-        # CoPhy is never slower than ILP (at the smallest set the two BIPs are
-        # nearly the same size and — with vectorized INUM costing — both build
-        # in milliseconds, so the total is dominated by the INUM phase the two
-        # advisors share; allow a generous tie margin for timing noise there).
+    # At S500 the two totals are a tie of about 0.1 s each, which load
+    # decides either way; the work is not a tie: ILP's program holds one
+    # variable per kept atomic configuration, and more rows than CoPhy's.
+    cophy_variables, cophy_rows = sizes["cophy"]["S500"]
+    ilp_variables, ilp_rows = sizes["ilp"]["S500"]
+    assert ilp_variables > cophy_variables
+    assert ilp_rows > 1.5 * cophy_rows
+    for label in ("S1000", "SALL", "SL"):
+        # CoPhy is never slower than ILP (a generous tie margin for timing
+        # noise: the INUM phase the two advisors share dominates the
+        # smaller sets).
         assert totals["cophy"][label] <= totals["ilp"][label] * 1.5
     for label in ("SALL", "SL"):
         # At realistic candidate-set sizes CoPhy is strictly, clearly faster.

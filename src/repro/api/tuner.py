@@ -323,6 +323,10 @@ class Tuner:
             raise ValueError("context_ttl_s must be positive (or None)")
         if trace_store_size < 0:
             raise ValueError("trace_store_size must be >= 0")
+        # Checked here as well as by the store: with no store (size 0) the
+        # value would otherwise be accepted unread.
+        if slow_threshold_ms is not None and slow_threshold_ms < 0:
+            raise ValueError("slow_threshold_ms must be non-negative (or None)")
         self.max_contexts = max_contexts
         self.context_ttl_s = context_ttl_s
         self.fault_plan = fault_plan

@@ -8,9 +8,13 @@ lazily as the configuration grows.  Probes are answered by a
 batched tensor reduction over every admissible candidate, and a re-probe
 recomputes only the statements on the candidate's table — each equal with
 ``==`` to :meth:`~repro.inum.cache.InumCache.workload_cost` of the probed
-configuration.  The deadline is checked before and after the scoring batch
-and before every re-probe, so the pass always returns a feasible (possibly
-empty) configuration.
+configuration.  The scoring, the probe's base state and the bound depend on
+the workload's tensor and the candidates only, not on the constraints, so
+the tensor keeps the last set (keyed by the candidates and the admissible
+ones) and a request on a primed context pays only for its own picks.  The
+deadline is checked before and after the scoring batch and before every
+re-probe, so the pass always returns a feasible (possibly empty)
+configuration.
 
 The result carries a **finite optimality gap** without any LP: the *ideal
 bound* costs the workload as if every candidate were materialised at once and
@@ -41,7 +45,7 @@ from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.probe import ConfigurationProbe
+from repro.inum.probe import ConfigurationProbe, ProbeBase
 from repro.lp.budget import SolveBudget
 from repro.workload.workload import Workload
 
@@ -65,7 +69,11 @@ class HeuristicResult:
             directly comparable to the BIP objective.
         lower_bound: The ideal all-candidates bound (see module docstring).
         gap: Relative gap of ``objective`` against ``lower_bound``.
-        probes: Number of workload costings spent.
+        probes: Number of logical workload costings: the base cost, one
+            per admissible candidate in the initial scoring, one per
+            re-probe and the final re-cost.  Answers the context already
+            kept (the scoring, memoized costs) are counted as well, so the
+            count does not depend on what earlier requests left behind.
         timed_out: True when the deadline interrupted the pass.
     """
 
@@ -136,7 +144,6 @@ def greedy_knapsack(inum: InumCache, workload: Workload,
 
     empty = Configuration((), name=name)
     base_cost = cost_of(empty)
-    lower_bound = ideal_lower_bound(inum, workload, candidates)
 
     admissible = [index for index in candidates
                   if not any(index.width > limit for limit in width_limits)]
@@ -168,17 +175,30 @@ def greedy_knapsack(inum: InumCache, workload: Workload,
             gap=_relative_gap(objective, lower_bound),
             probes=probes, timed_out=timed_out)
 
-    # Initial scoring: one single-index probe per candidate, as one batch
-    # with a deadline check on each side.  entries: benefit and the
-    # pick-round it was computed in; density orders the queue (stale entries
-    # are re-probed when they surface).
+    # Initial scoring: one single-index probe per admissible candidate, as
+    # one batch with a deadline check on each side.  It, the probe's base
+    # state and the bound depend on the tensor and the candidates only, so
+    # the tensor keeps them for the next request, keyed by the candidates
+    # (the bound's) and the admissible ones (the scoring's).  Queue entries:
+    # benefit and the pick-round it was computed in; density orders the
+    # queue (stale entries are re-probed when they surface).
     if budget is not None and budget.expired():
+        lower_bound = ideal_lower_bound(inum, workload, candidates)
         return result(empty, base_cost, True)
-    probe = ConfigurationProbe(inum, workload, admissible)
-    single_costs = probe.costs_with(admissible).tolist()
+
+    def score() -> tuple[ProbeBase, tuple[float, ...], float]:
+        base = ProbeBase(inum, workload, admissible)
+        costs = ConfigurationProbe(base).costs_with(admissible)
+        return (base, tuple(costs.tolist()),
+                ideal_lower_bound(inum, workload, candidates))
+
+    base, single_costs, lower_bound = \
+        inum.workload_tensor(workload).probe_base(
+            (tuple(candidates), tuple(admissible)), score)
     probes += len(admissible)
     if budget is not None and budget.expired():
         return result(empty, base_cost, True)
+    probe = ConfigurationProbe(base)
     scored: list[tuple[float, int, Index, float, int]] = []
     for position, (index, cost) in enumerate(zip(admissible, single_costs)):
         benefit = base_cost - cost

@@ -38,7 +38,7 @@ keyed ONCE for the whole workload instead of once per (query, slot).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -139,6 +139,7 @@ class WorkloadGammaTensor:
         # (hits for equal configurations built freshly by enumeration loops).
         self._cost_memo_by_id: dict[int, tuple[Configuration, np.ndarray]] = {}
         self._cost_memo_by_key: dict[Configuration, np.ndarray] = {}
+        self._probe_base: tuple[Hashable, Any] | None = None
 
     def _fill_query_rows(self, position: int, shell: Query,
                          matrix: QueryGammaMatrix) -> None:
@@ -320,12 +321,29 @@ class WorkloadGammaTensor:
 
     def gamma_columns(self, rows: np.ndarray, slots: np.ndarray,
                       indexes: Sequence[Index]) -> np.ndarray:
-        """``gamma`` of each ``(row, slot)`` pair for each index:
-        ``(pairs, indexes, templates)``.  The indexes' columns must be
-        registered."""
+        """``gamma`` of each index for each ``(row, slot)`` pair:
+        ``(indexes, pairs, templates)``, a copy.  The indexes' columns must
+        be registered."""
         columns = np.array([self._column_of[index] for index in indexes],
                            dtype=np.intp)
-        return self._tensor[rows[:, None], :, slots[:, None], columns[None, :]]
+        return self._tensor[rows[None, :], :, slots[None, :], columns[:, None]]
+
+    def probe_base(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value ``build()`` returned for ``key``, kept beside the tensor.
+
+        The greedy keeps its request-invariant probe state here (see
+        :mod:`repro.inum.probe`).  One entry: a call with a ``key`` equal to
+        the kept one returns the kept value; any other call runs ``build()``
+        and keeps its result in place of the previous one.  The entry goes
+        when the tensor is evicted.  Kept values stay valid as columns are
+        added, because old columns are never mutated.
+        """
+        entry = self._probe_base
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = build()
+        self._probe_base = (key, value)
+        return value
 
     # ----------------------------------------------------------------- per-query
     def view(self, query_name: str) -> "QueryTensorView":

@@ -37,7 +37,7 @@ from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
-from repro.inum.probe import ConfigurationProbe
+from repro.inum.probe import ConfigurationProbe, ProbeBase
 from repro.lp import SOLVE_TIERS, SolveBudget
 from repro.lp.highs_backend import MilpBackend
 from repro.lp.model import Model, Objective, RowBlock, RowKind
@@ -57,6 +57,13 @@ from repro.workload.generators import (
     generate_heterogeneous_workload,
     generate_homogeneous_workload,
 )
+from repro.workload.predicates import (
+    ColumnRef,
+    ComparisonOperator,
+    JoinPredicate,
+    SimplePredicate,
+)
+from repro.workload.query import SelectQuery, UpdateQuery
 from repro.workload.workload import Workload, WorkloadStatement
 
 from tests.conftest import reference_greedy_knapsack
@@ -242,6 +249,15 @@ def _constraint_sets(schema, candidates):
     ]
 
 
+def _assert_same_greedy(result, expected):
+    assert result.configuration.indexes == expected.configuration.indexes
+    assert result.objective == expected.objective
+    assert result.lower_bound == expected.lower_bound
+    assert result.gap == expected.gap
+    assert result.probes == expected.probes
+    assert not result.timed_out
+
+
 def _assert_greedy_matches_reference(schema, workload, candidates):
     for constraints in _constraint_sets(schema, candidates):
         result = greedy_knapsack(InumCache(WhatIfOptimizer(schema)),
@@ -249,13 +265,7 @@ def _assert_greedy_matches_reference(schema, workload, candidates):
         expected = reference_greedy_knapsack(
             InumCache(WhatIfOptimizer(schema)), workload, candidates,
             constraints)
-        assert result.configuration.indexes == \
-            expected.configuration.indexes
-        assert result.objective == expected.objective
-        assert result.lower_bound == expected.lower_bound
-        assert result.gap == expected.gap
-        assert result.probes == expected.probes
-        assert not result.timed_out
+        _assert_same_greedy(result, expected)
 
 
 class TestGreedyParity:
@@ -288,10 +298,169 @@ class TestGreedyParity:
         _assert_greedy_matches_reference(
             tpch, workload, CandidateGenerator(tpch).generate(workload))
 
+    def test_requests_on_one_primed_context(self, tpch, monkeypatch):
+        """Requests on one cache share the tensor's probe base when their
+        admissible candidates are equal, and each still equals the oracle:
+        three budgets (one base), a width limit (another admissible set),
+        the first budget again, then DBA indexes added to the tensor."""
+        workload = generate_homogeneous_workload(12, seed=3,
+                                                 update_fraction=0.4)
+        candidates = CandidateGenerator(tpch).generate(workload)
+        built = []
+        init = ProbeBase.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ProbeBase, "__init__", counting_init)
+        inum = InumCache(WhatIfOptimizer(tpch))
+        first, second, third = (_storage(tpch, fraction)
+                                for fraction in (0.05, 0.4, 2.0))
+        requests = [[first], [second], [third],
+                    [IndexWidthConstraint(max_columns=1), second], [first]]
+        for constraints in requests:
+            _assert_same_greedy(
+                greedy_knapsack(inum, workload, candidates, constraints),
+                reference_greedy_knapsack(InumCache(WhatIfOptimizer(tpch)),
+                                          workload, candidates, constraints))
+        # One base for the three budgets, one for the width limit, one for
+        # the first budget again (the width limit's base replaced it).
+        assert len(built) == 3
+        tensor = inum.workload_tensor(workload)
+        dba = [Index(table.name, (column.name,))
+               for table in tpch for column in table.columns[1:3]]
+        dba = [index for index in dba if index not in candidates]
+        assert not tensor.has_columns(dba)
+        tensor.ensure_columns(dba)
+        assert tensor.has_columns(dba)
+        for constraints in ([first], [second]):
+            _assert_same_greedy(
+                greedy_knapsack(inum, workload, candidates, constraints),
+                reference_greedy_knapsack(InumCache(WhatIfOptimizer(tpch)),
+                                          workload, candidates, constraints))
+        assert len(built) == 3  # added columns leave the base valid
+
+
+def _edge_workload() -> Workload:
+    """Statements that put the probed tables at slot 0, in the last slot,
+    alone (a 1-slot UPDATE) and joined to the picked table."""
+    orderdate = ColumnRef("orders", "o_orderdate")
+    orders_first = SelectQuery(
+        tables=("orders", "lineitem", "customer"),
+        projections=(ColumnRef("customer", "c_name"),),
+        predicates=(
+            SimplePredicate(orderdate, ComparisonOperator.BETWEEN,
+                            (100, 200), selectivity_hint=0.05),
+            SimplePredicate(ColumnRef("customer", "c_mktsegment"),
+                            ComparisonOperator.EQ, 1, selectivity_hint=0.2),
+            SimplePredicate(ColumnRef("lineitem", "l_quantity"),
+                            ComparisonOperator.LT, 10, selectivity_hint=0.2)),
+        joins=(JoinPredicate(ColumnRef("orders", "o_orderkey"),
+                             ColumnRef("lineitem", "l_orderkey")),
+               JoinPredicate(ColumnRef("orders", "o_custkey"),
+                             ColumnRef("customer", "c_custkey"))),
+        name="edge-orders-first")
+    customer_first = SelectQuery(
+        tables=("customer", "orders"),
+        projections=(ColumnRef("orders", "o_totalprice"),),
+        predicates=(
+            SimplePredicate(ColumnRef("customer", "c_acctbal"),
+                            ComparisonOperator.GT, 0, selectivity_hint=0.1),
+            SimplePredicate(ColumnRef("orders", "o_orderpriority"),
+                            ComparisonOperator.EQ, 2, selectivity_hint=0.2)),
+        joins=(JoinPredicate(ColumnRef("customer", "c_custkey"),
+                             ColumnRef("orders", "o_custkey")),),
+        name="edge-customer-first")
+    lineitem_alone = SelectQuery(
+        tables=("lineitem",),
+        projections=(ColumnRef("lineitem", "l_extendedprice"),),
+        predicates=(SimplePredicate(ColumnRef("lineitem", "l_discount"),
+                                    ComparisonOperator.EQ, 5,
+                                    selectivity_hint=0.1),),
+        name="edge-lineitem")
+    update = UpdateQuery(
+        table="orders",
+        set_columns=(ColumnRef("orders", "o_orderstatus"),),
+        predicates=(SimplePredicate(orderdate, ComparisonOperator.BETWEEN,
+                                    (300, 310), selectivity_hint=0.01),),
+        name="edge-update")
+    return Workload([WorkloadStatement(orders_first, 1.5),
+                     WorkloadStatement(customer_first, 1.0),
+                     WorkloadStatement(lineitem_alone, 2.0),
+                     WorkloadStatement(update, 3.0)], name="probe-edges")
+
 
 class TestConfigurationProbe:
     """Every probe equals ``workload_cost(chosen.union((c,)))`` with ``==``,
     for random grown prefixes of generated workloads with UPDATEs."""
+
+    @pytest.mark.parametrize("picks,probed,statement,slot", [
+        # The probed table at slot 0 of its statement.
+        (("lineitem",), "orders", "edge-orders-first", 0),
+        # The probed table in the last slot of its statement.
+        (("lineitem",), "customer", "edge-orders-first", 2),
+        # The 1-slot UPDATE on orders: its maintenance grows per pick.
+        (("orders", "orders"), "orders", "edge-update", 0),
+        # A pick on a joined table moves the rows the probed table shares
+        # with it (the neighbour map).
+        (("customer",), "orders", "edge-customer-first", 1),
+        (("orders", "customer"), "lineitem", "edge-orders-first", 1),
+    ])
+    def test_probes_after_picks_at_the_slot_edges(self, tpch, picks, probed,
+                                                   statement, slot):
+        workload = _edge_workload()
+        candidates = list(CandidateGenerator(tpch).generate(workload))
+        inum = InumCache(WhatIfOptimizer(tpch))
+        base = ProbeBase(inum, workload, candidates)
+        rows, slots = inum.workload_tensor(workload).table_slots(probed)
+        row = [entry.query.name for entry in workload].index(statement)
+        assert dict(zip(rows.tolist(), slots.tolist()))[row] == slot
+        on = {table: [index for index in candidates if index.table == table]
+              for table in {*picks, probed}}
+        assert all(len(indexes) >= 2 for indexes in on.values())
+        probe = ConfigurationProbe(base)
+        chosen = Configuration(())
+        for table in picks:
+            # The pick that lowers the cost most, so it moves slot minima.
+            cost, at = min(
+                (inum.workload_cost(workload, chosen.union((index,))), at)
+                for at, index in enumerate(on[table]) if index not in chosen)
+            index = on[table][at]
+            assert cost < inum.workload_cost(workload, chosen)
+            chosen = chosen.union((index,))
+            probe.add(index)
+            rest = [index for index in candidates if index not in chosen]
+            expected = [inum.workload_cost(workload,
+                                           chosen.union((index,)))
+                        for index in rest]
+            assert [probe.cost_with(index) for index in rest] == expected
+            assert probe.costs_with(rest).tolist() == expected
+        targets = [index for index in on[probed] if index not in chosen]
+        assert [probe.cost_with(index) for index in targets] == [
+            inum.workload_cost(workload, chosen.union((index,)))
+            for index in targets]
+
+    def test_each_statement_holds_a_table_in_one_slot(self, tpch):
+        """The re-probe's layout rests on this: a table's (row, slot) pairs
+        are one per row, because ``Query.tables`` has no repeats."""
+        repeated = SelectQuery(tables=("orders", "lineitem", "orders"),
+                               name="repeated")
+        assert repeated.tables == ("orders", "lineitem")
+        workloads = [_edge_workload(),
+                     generate_homogeneous_workload(30, seed=5,
+                                                   update_fraction=0.3),
+                     generate_heterogeneous_workload(30, seed=6,
+                                                     update_fraction=0.3,
+                                                     schema=tpch)]
+        inum = InumCache(WhatIfOptimizer(tpch))
+        for workload in workloads:
+            tensor = inum.workload_tensor(workload)
+            for table in tpch.table_names:
+                rows, slots = tensor.table_slots(table)
+                assert len(rows) == len(slots)
+                assert len(set(rows.tolist())) == len(rows), table
+                assert rows.tolist() == sorted(rows.tolist())
 
     @pytest.mark.parametrize("kind,seed", [
         ("homogeneous", 41), ("homogeneous", 42),
@@ -314,7 +483,7 @@ class TestConfigurationProbe:
         inum = InumCache(WhatIfOptimizer(tpch))
         rng = random.Random(seed)
         for _ in range(3):
-            probe = ConfigurationProbe(inum, workload, candidates)
+            probe = ConfigurationProbe(ProbeBase(inum, workload, candidates))
             chosen = Configuration(())
             for index in rng.sample(candidates, rng.randint(0, 6)):
                 chosen = chosen.union((index,))

@@ -341,6 +341,12 @@ class TestTunerIntrospection:
         with pytest.raises(ValueError):
             Tuner(profile_every=0)
 
+    @pytest.mark.parametrize("trace_store_size", [0, 8])
+    def test_negative_slow_threshold_is_rejected_with_or_without_a_store(
+            self, trace_store_size):
+        with pytest.raises(ValueError, match="slow_threshold_ms"):
+            Tuner(trace_store_size=trace_store_size, slow_threshold_ms=-5.0)
+
 
 # ------------------------------------------------------- service integration
 class TestServiceIntrospection:
