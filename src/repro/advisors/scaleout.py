@@ -11,11 +11,19 @@ workloads too large for one monolithic BIP solve:
    balanced shards with a water-filled storage-budget split
    (:mod:`repro.scale.partition`).
 3. **Solve** the per-shard BIPs inline or in a process pool
-   (:class:`repro.scale.executor.ShardExecutor`).
+   (:class:`repro.scale.executor.ShardExecutor`), each started from the
+   greedy's answer under the shard's storage row.
 4. **Merge**: a final BIP over the representative workload restricted to the
    union of per-shard winners, under the *global* constraints — restoring
    feasibility (the shard budget split is only a search heuristic) and
-   re-deciding overlaps between shards.
+   re-deciding overlaps between shards.  It is started from the greedy's
+   answer over the winners when the greedy supports every hard constraint
+   (:func:`~repro.core.heuristics.unsupported_constraint`), and unstarted
+   otherwise.
+
+Every started solve holds an incumbent before HiGHS's root node, so a
+time limit that fires first still answers; ``warm_started`` on the
+``shard[i]`` and merge ``solve`` spans says whether HiGHS got the start.
 
 The recommendation quality is bounded by the compression error and the
 sharding of connected components; with the exact compression fallback
@@ -355,11 +363,22 @@ class ScaleOutAdvisor(Advisor):
                                               model_name="scaleout-merge-bip")
             node.set(variables=bip.statistics.get("variables", 0.0),
                      constraints=bip.statistics.get("constraints", 0.0))
+        # The greedy over the winners starts the solve, when it can honour
+        # every hard constraint.  (Not the union of the shard answers: each
+        # shard may fill the whole global budget, so the union can break it.)
+        # It runs without the request's deadline: cut short, it would hand
+        # HiGHS the empty configuration.
+        start = None
+        if unsupported_constraint(hard) is None:
+            greedy = greedy_knapsack(self.inum, tuned, merge_candidates, hard)
+            start = bip.warm_start_from(greedy.configuration)
         solver = CoPhySolver(gap_tolerance=self.gap_tolerance,
                              time_limit_seconds=self.time_limit_seconds)
         with span("solve") as node:
-            report = solver.solve(bip, hard_constraints=hard, budget=budget)
-            node.set(gap=round(report.gap, 6), timed_out=report.timed_out)
+            report = solver.solve(bip, hard_constraints=hard, budget=budget,
+                                  start=start)
+            node.set(gap=round(report.gap, 6), timed_out=report.timed_out,
+                     warm_started=report.solution.warm_started)
         configuration = Configuration(report.configuration.indexes,
                                       name="scaleout-recommendation")
         stats = {"winners": len(winners),

@@ -217,6 +217,40 @@ class CophyBip:
                     if solution.vector[column] >= 0.5]
         return Configuration(selected, name="cophy-recommendation")
 
+    def warm_start_from(self, configuration: Configuration) -> np.ndarray:
+        """A feasible assignment (a column vector) selecting exactly
+        ``configuration``.
+
+        A solver start: the ``z`` columns follow the configuration and, for
+        every statement, the cheapest template/slot combination compatible
+        with it is switched on (ties go to the first template, and in a
+        slot to the first access), so the vector's objective is the
+        configuration's workload cost.
+        """
+        values = np.zeros(self.model.variable_count)
+        # One more entry, read by the heap's index -1: always allowed.
+        allowed = np.zeros(self.model.variable_count + 1, dtype=bool)
+        allowed[-1] = True
+        chosen = set(configuration.indexes)
+        for index, column in self.z_columns.items():
+            if index in chosen:
+                values[column] = 1.0
+                allowed[column] = True
+        accesses, templates = self.accesses, self.templates
+        gammas = np.where(allowed[accesses.indexes], accesses.gammas,
+                          INFEASIBLE_COST)
+        # Per slot its cheapest allowed access, in slot-row order; added to
+        # beta one slot at a time, so in each template's table order.
+        picks = _group_minima(accesses.slot_rows, gammas)
+        totals = templates.betas.copy()
+        np.add.at(totals, accesses.templates[picks], gammas[picks])
+        best = _group_minima(templates.statements, totals)
+        best = best[totals[best] < INFEASIBLE_COST]
+        values[templates.columns[best]] = 1.0
+        values[accesses.columns[picks[np.isin(accesses.templates[picks],
+                                              best)]]] = 1.0
+        return values
+
 
 class _Assembly:
     """Columns, rows and objective terms of a program under construction.
@@ -641,3 +675,10 @@ def _usable(gammas: list[np.ndarray]) -> np.ndarray:
     every slot."""
     return np.flatnonzero(np.logical_and.reduce(
         [(block != INFEASIBLE_COST).any(axis=1) for block in gammas]))
+
+
+def _group_minima(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per group in ascending order, the entry with the least value (the
+    first one on ties)."""
+    order = np.lexsort((np.arange(len(values)), values, groups))
+    return order[np.diff(groups[order], prepend=-1) != 0]

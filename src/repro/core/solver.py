@@ -7,8 +7,10 @@ Responsibilities:
    constraints (weakening them to inequalities) to avoid solver corner
    cases;
 3. hand the program to the off-the-shelf BIP solver, HiGHS
-   (:class:`~repro.lp.highs_backend.MilpBackend`), and report a constraint
-   set it proves infeasible back to the DBA (raising
+   (:class:`~repro.lp.highs_backend.MilpBackend`), with a start when the
+   caller has one (the scale-out shard and merge solves pass the greedy's
+   answer, :meth:`~repro.core.bip_builder.CophyBip.warm_start_from`), and
+   report a constraint set it proves infeasible back to the DBA (raising
    :class:`~repro.exceptions.InfeasibleProblemError`);
 4. extract the recommended configuration ``X*`` from the solution.
 """
@@ -19,6 +21,8 @@ import time
 from dataclasses import dataclass
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.bip_builder import CophyBip
 from repro.core.constraints import TuningConstraint
@@ -87,7 +91,8 @@ class CoPhySolver:
               objective: Objective | None = None,
               gap_tolerance: float | None = None,
               time_limit_seconds: float | None = None,
-              budget: SolveBudget | None = None) -> SolveReport:
+              budget: SolveBudget | None = None,
+              start: np.ndarray | None = None) -> SolveReport:
         """Merge constraints, solve, and extract ``X*``.
 
         Args:
@@ -101,6 +106,9 @@ class CoPhySolver:
             budget: Optional anytime budget; its remaining wall clock / node
                 / gap limits are merged into the backend's settings, and a
                 fired deadline surfaces as ``SolveReport.timed_out``.
+            start: Optional first incumbent, a value per column of the
+                BIP; it is handed to HiGHS only if it satisfies this
+                solve's export (``report.solution.warm_started``).
 
         The BIP is never modified: the constraints' rows, the objective and
         the relaxation only shape this solve's export of the model
@@ -131,7 +139,7 @@ class CoPhySolver:
         started = time.perf_counter()
         solution = MilpBackend(gap_tolerance=effective_gap,
                                time_limit_seconds=effective_limit).solve(
-            matrices, budget=budget)
+            matrices, budget=budget, start=start)
         if solution.status is SolutionStatus.INFEASIBLE:
             raise InfeasibleProblemError(
                 "The hard constraints cannot all be satisfied",

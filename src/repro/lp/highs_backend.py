@@ -22,7 +22,7 @@ from repro.exceptions import SolverError
 from repro.lp.budget import SolveBudget
 from repro.lp.solution import Solution, SolutionStatus
 from repro.obs.metrics import (
-    SOLVER_GAP, SOLVER_NODES, SOLVER_SOLVES, active_registry)
+    SOLVER_GAP, SOLVER_NODES, SOLVER_SOLVES, SOLVER_STARTS, active_registry)
 
 
 __all__ = ["MilpBackend"]
@@ -45,19 +45,26 @@ CUT_POOL_SOFT_LIMIT = 10
 
 _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
+#: How far a start may sit outside a row or bound and still be handed to
+#: HiGHS: its ``mip_feasibility_tolerance``, by which it judges the start.
+START_TOLERANCE = 1e-6
+
 #: Statuses at which HiGHS stops with an incumbent, when it has found one.
 _LIMITS = frozenset({highs.HighsModelStatus.kTimeLimit,
                      highs.HighsModelStatus.kIterationLimit,
                      highs.HighsModelStatus.kSolutionLimit})
 
 
-def run_highs(matrices: dict, options: dict[str, float]) -> highs._Highs:
+def run_highs(matrices: dict, options: dict[str, float],
+              start: np.ndarray | None = None) -> highs._Highs:
     """One HiGHS object loaded with the export ``matrices`` and run, silently.
 
     The backend's one entry point into HiGHS.  ``A_ub`` and ``A_eq`` go in
     as one column-wise matrix, inequality rows first, as
     :func:`scipy.optimize.milp` stacks them; ``options`` maps HiGHS option
     names (``mip_rel_gap``, ``time_limit``, ``mip_max_nodes``) to values.
+    ``start``, a value per column, is handed to HiGHS through
+    ``setSolution`` before the run, as its first incumbent.
     """
     cost = matrices["c"]
     blocks, row_lower, row_upper = [], [], []
@@ -97,6 +104,11 @@ def run_highs(matrices: dict, options: dict[str, float]) -> highs._Highs:
         # HiGHS would otherwise run on its defaults, console log included.
         raise SolverError(f"HiGHS rejected the solve options {options!r}")
     solver.passModel(lp)
+    if start is not None:
+        solution = highs.HighsSolution()
+        solution.col_value = start
+        solution.value_valid = True
+        solver.setSolution(solution)
     solver.run()
     return solver
 
@@ -108,7 +120,8 @@ class MilpBackend:
     gap (early termination at e.g. 5%), a wall-clock time limit and a
     budget's node limit.  Every solve is counted here, once, whoever asked
     for it: ``repro_solver_solves_total`` by status, and the node count
-    and the finite gap in their histograms.
+    and the finite gap in their histograms; every start offered, by
+    whether it was handed on, in ``repro_solver_starts_total``.
     """
 
     def __init__(self, gap_tolerance: float = 0.0,
@@ -118,9 +131,16 @@ class MilpBackend:
 
     def solve(self, matrices: dict, gap_tolerance: float | None = None,
               time_limit_seconds: float | None = None,
-              budget: "SolveBudget | None" = None) -> Solution:
+              budget: "SolveBudget | None" = None,
+              start: np.ndarray | None = None) -> Solution:
         """Solve a model's export (:meth:`~repro.lp.model.Model.to_matrices`,
-        with a solve's own rows, objective or relaxation)."""
+        with a solve's own rows, objective or relaxation).
+
+        ``start`` is a candidate first incumbent, a value per column.  It
+        reaches HiGHS only when it satisfies every row and bound of the
+        export (:func:`satisfies`); one that does not is dropped, and the
+        solve runs as if none had been offered.
+        """
         options: dict[str, float] = {}
         effective_gap = self.gap_tolerance if gap_tolerance is None else gap_tolerance
         if effective_gap > 0:
@@ -138,12 +158,19 @@ class MilpBackend:
         if effective_time is not None:
             options["time_limit"] = float(effective_time)
 
+        registry = active_registry()
+        if start is not None:
+            if not satisfies(matrices, start):
+                start = None
+            registry.family(SOLVER_STARTS).inc(
+                outcome="rejected" if start is None else "accepted")
+
         started = time.perf_counter()
-        solver = run_highs(matrices, options)
+        solver = run_highs(matrices, options, start)
         elapsed = time.perf_counter() - started
 
         solution = _read_solution(matrices, solver, elapsed)
-        registry = active_registry()
+        solution.warm_started = start is not None
         registry.family(SOLVER_SOLVES).inc(status=solution.status.name.lower())
         registry.family(SOLVER_NODES).observe(float(solution.nodes_explored))
         if math.isfinite(solution.gap):
@@ -151,6 +178,26 @@ class MilpBackend:
             # histogram's _sum.
             registry.family(SOLVER_GAP).observe(float(solution.gap))
         return solution
+
+
+def satisfies(matrices: dict, vector: np.ndarray) -> bool:
+    """Whether ``vector`` is a solution of the export ``matrices``: integral
+    where the export says so, inside every bound and on the right side of
+    every row, within :data:`START_TOLERANCE`."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != matrices["c"].shape or not np.isfinite(vector).all():
+        return False
+    bounds = matrices["bounds"]
+    integral = vector[matrices["integrality"].astype(bool)]
+    # How far each bound, integrality and row is violated (<= 0: not).
+    excess = [bounds[:, 0] - vector, vector - bounds[:, 1],
+              np.abs(integral - np.round(integral))]
+    if matrices["A_ub"] is not None:
+        excess.append(matrices["A_ub"] @ vector - matrices["b_ub"])
+    if matrices["A_eq"] is not None:
+        excess.append(np.abs(matrices["A_eq"] @ vector - matrices["b_eq"]))
+    return all(part.size == 0 or part.max() <= START_TOLERANCE
+               for part in excess)
 
 
 def _read_solution(matrices: dict, solver: highs._Highs,

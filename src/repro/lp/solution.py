@@ -56,6 +56,9 @@ class Solution:
     #: The value of every column, by column index (set whenever there is a
     #: solution; binary columns are snapped to exact 0.0 / 1.0).
     vector: np.ndarray | None = None
+    #: True when the solve was handed a start that satisfied every row and
+    #: bound of its program, so HiGHS held an incumbent before the root.
+    warm_started: bool = False
 
     @property
     def is_feasible(self) -> bool:

@@ -539,6 +539,10 @@ SOLVER_NODES = Family("repro_solver_nodes", "histogram",
 SOLVER_GAP = Family("repro_solver_gap", "histogram",
                     "Relative optimality gap per finished HiGHS solve",
                     buckets=GAP_BUCKETS)
+SOLVER_STARTS = Family("repro_solver_starts_total", "counter",
+                       "Starts offered to HiGHS, by whether they satisfied "
+                       "the program and were handed on", ("outcome",),
+                       domains=(("accepted", "rejected"),))
 LOCK_WAIT_SECONDS = Family("repro_lock_wait_seconds", "histogram",
                            "Seconds callers waited to acquire a named lock",
                            ("lock",), WAIT_BUCKETS,
@@ -571,7 +575,7 @@ HTTP_REQUEST_SECONDS = Family("repro_http_request_seconds", "histogram",
 FAMILIES: tuple[Family, ...] = (
     REQUESTS, REQUEST_SECONDS, RESULT_RETRIES, NAMESPACED_REQUESTS,
     SESSIONS_REAPED, OVERLOAD_REJECTED, DEGRADED, PENDING_REQUESTS,
-    CONTEXTS_DROPPED, SOLVER_SOLVES, SOLVER_NODES, SOLVER_GAP,
+    CONTEXTS_DROPPED, SOLVER_SOLVES, SOLVER_NODES, SOLVER_GAP, SOLVER_STARTS,
     LOCK_WAIT_SECONDS, QUEUE_WAIT_SECONDS, CACHE_EVENTS, RETRIES,
     FAULTS_INJECTED, HTTP_REQUESTS, HTTP_REQUEST_SECONDS)
 

@@ -11,7 +11,12 @@ cannot scale them on multi-core machines.  This module moves both across
   effective, or in a ``ProcessPoolExecutor`` where each worker rebuilds its
   own optimizer/INUM/BIP stack from the pickled schema and statements and
   returns the templates/matrices it built (``ShardResult.built``) for the
-  caller's cache to adopt, so no template is enumerated twice.
+  caller's cache to adopt, so no template is enumerated twice.  The pool
+  takes the largest shard first.  Either way a shard solve is
+  :func:`_solve_shard_inline`: the greedy knapsack under the shard's
+  storage row, then the BIP started from its answer
+  (:meth:`~repro.core.bip_builder.CophyBip.warm_start_from`), so HiGHS
+  holds an incumbent before its root node.
 * :func:`build_matrices_in_processes` shards ``QueryGammaMatrix``
   construction across worker processes; the built matrices are pickled back
   and adopted into the calling cache (``InumCache.adopt_built``) in workload
@@ -51,6 +56,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.catalog.schema import Schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
+from repro.core.heuristics import greedy_knapsack
 from repro.core.solver import CoPhySolver
 from repro.indexes.candidate_generation import CandidateSet
 from repro.indexes.index import Index
@@ -238,7 +244,10 @@ class ShardExecutor:
         attempt_no = {shard.position: 1 for shard in shards}
         retries = {shard.position: 0 for shard in shards}
         survived = {shard.position: 0 for shard in shards}
-        remaining = list(shards)
+        # The largest shard first, so it does not start last; results,
+        # attempts and fault-plan keys stay keyed by position.
+        remaining = sorted(shards, key=lambda shard: (-len(shard.workload),
+                                                      shard.position))
         fallback: list[Shard] = []
         round_no = 1
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -383,7 +392,8 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
                         attempt: int = 1,
                         in_worker: bool = False,
                         queue_wait_ms: float | None = None) -> ShardResult:
-    """Solve one shard reusing the caller's INUM cache (no process hop).
+    """Solve one shard reusing the caller's INUM cache (no process hop),
+    from the greedy's answer as HiGHS's start.
 
     The fault check fires *before* any optimizer work, so a retried attempt
     repeats exactly the work the failed one never did — optimizer-call
@@ -408,11 +418,18 @@ def _solve_shard_inline(shard: Shard, inum: InumCache,
             constraints = (StorageBudgetConstraint(
                 shard.budget_bytes,
                 name=f"storage_budget[shard{shard.position}]"),)
+        # The greedy's answer is HiGHS's first incumbent: the shard's only
+        # row is its storage budget, which the greedy always honours.
+        greedy = greedy_knapsack(inum, shard.workload, candidates,
+                                 constraints)
         solver = CoPhySolver(gap_tolerance=gap_tolerance,
                              time_limit_seconds=time_limit_seconds)
-        report = solver.solve(bip, hard_constraints=constraints)
+        report = solver.solve(
+            bip, hard_constraints=constraints,
+            start=bip.warm_start_from(greedy.configuration))
         shard_span.set(gap=round(report.gap, 6), timed_out=report.timed_out,
-                       indexes=len(report.configuration.indexes))
+                       indexes=len(report.configuration.indexes),
+                       warm_started=report.solution.warm_started)
     return ShardResult(
         position=shard.position,
         indexes=report.configuration.indexes,

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from repro.catalog.tpch import tpch_schema
 from repro.core.bip_builder import BipBuilder
 from repro.core.constraints import StorageBudgetConstraint
+from repro.core.heuristics import greedy_knapsack
 from repro.core.solver import CoPhySolver
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
-from repro.lp.highs_backend import MilpBackend
+from repro.lp.highs_backend import MilpBackend, satisfies
 from repro.lp.model import RowKind
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.generators import (
@@ -343,6 +344,74 @@ class TestIncrementalExtension:
         assert bip.model.variable_count == variables_before
 
 
+class TestWarmStart:
+    def test_warm_start_from_configuration_is_feasible(self, simple_schema,
+                                                       simple_workload, builder):
+        candidates = CandidateGenerator(simple_schema).generate(simple_workload)
+        bip = builder.build(simple_workload, candidates)
+        solution = MilpBackend().solve(bip.model.to_matrices())
+        configuration = bip.extract_configuration(solution)
+        warm = bip.warm_start_from(configuration)
+        assert satisfies(bip.model.to_matrices(), warm)
+        # The warm start selects exactly the indexes of the configuration.
+        for index, column in bip.z_columns.items():
+            expected = 1.0 if index in configuration else 0.0
+            assert warm[column] == expected
+
+    def test_warm_start_matches_the_scalar_oracle(self, tpch):
+        workload, candidates = _tpch_with_updates(tpch, size=10, seed=7)
+        inum = InumCache(WhatIfOptimizer(tpch))
+        builder = BipBuilder(inum)
+        indexes = list(candidates)
+        bip = builder.build(workload, CandidateSet(tpch, indexes[::2]))
+        for extended in (False, True):
+            if extended:
+                builder.extend(bip, indexes[1::2])
+            present = list(bip.candidates)
+            for configuration in (Configuration(()),
+                                  Configuration(present[::3]),
+                                  Configuration(present[1::2]),
+                                  Configuration(present)):
+                warm = bip.warm_start_from(configuration)
+                assert np.array_equal(warm,
+                                      reference_warm_start(bip, configuration))
+                assert satisfies(bip.model.to_matrices(), warm)
+
+
+def reference_warm_start(bip, configuration: Configuration) -> np.ndarray:
+    """Scalar oracle for ``CophyBip.warm_start_from``: per statement, each
+    template costs beta plus, slot by slot in table order, its cheapest
+    allowed access (the heap or a chosen index; the first on ties); the
+    first cheapest feasible template is switched on with its picks."""
+    values = np.zeros(bip.model.variable_count)
+    chosen = {bip.z_columns[index] for index in configuration.indexes
+              if index in bip.z_columns}
+    for column in chosen:
+        values[column] = 1.0
+    templates, accesses = bip.templates, bip.accesses
+    for statement in sorted(set(templates.statements.tolist())):
+        best = None
+        for template in np.flatnonzero(templates.statements == statement):
+            total, picks = float(templates.betas[template]), []
+            for slot_row in sorted(set(
+                    accesses.slot_rows[accesses.templates == template].tolist())):
+                options = [(float(accesses.gammas[k]), int(accesses.columns[k]))
+                           for k in np.flatnonzero(accesses.slot_rows == slot_row)
+                           if accesses.indexes[k] < 0
+                           or int(accesses.indexes[k]) in chosen]
+                if not options:
+                    break
+                gamma, column = min(options, key=lambda option: option[0])
+                total += gamma
+                picks.append(column)
+            else:
+                if best is None or total < best[0]:
+                    best = (total, int(templates.columns[template]), picks)
+        if best is not None:
+            values[[best[1], *best[2]]] = 1.0
+    return values
+
+
 def _tpch_with_updates(tpch, size=8, seed=3):
     workload = generate_homogeneous_workload(size, seed=seed,
                                              update_fraction=0.4)
@@ -383,14 +452,16 @@ class TestExportParity:
                                    statement_weights=weights))
 
 
-@pytest.mark.parametrize("kind,updates,seed", [
+_GENERATED = pytest.mark.parametrize("kind,updates,seed", [
     ("homogeneous", 0.0, 11), ("homogeneous", 0.5, 12),
     ("heterogeneous", 0.0, 15), ("heterogeneous", 0.5, 14)])
-def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
-                                                          seed):
-    """Theorem 1 against brute force on generated workloads: at gap 0,
-    HiGHS reaches the cheapest INUM workload cost over every
-    storage-feasible subset of (at most six) candidates."""
+
+
+@functools.cache
+def _generated_case(kind: str, updates: float, seed: int):
+    """A generated TPC-H workload over (at most six) of its candidates, its
+    INUM and BIP, and a storage budget of 40% of the candidates' size."""
+    tpch = tpch_schema(scale_factor=0.005)
     if kind == "homogeneous":
         workload = generate_homogeneous_workload(5, seed=seed,
                                                  update_fraction=updates)
@@ -401,14 +472,64 @@ def test_solvers_agree_with_brute_force_on_generated_bips(tpch, kind, updates,
     generated = list(CandidateGenerator(tpch).generate(workload))
     step = max(1, len(generated) // 6)
     candidates = CandidateSet(tpch, generated[::step][:6])
-    budget = 0.4 * candidates.total_size()
+    budget = StorageBudgetConstraint(0.4 * candidates.total_size())
     inum = InumCache(WhatIfOptimizer(tpch))
     bip = BipBuilder(inum).build(workload, candidates)
-    objective = CoPhySolver(gap_tolerance=0.0).solve(
-        bip, [StorageBudgetConstraint(budget)]).objective
+    return inum, bip, budget
+
+
+@_GENERATED
+def test_solvers_agree_with_brute_force_on_generated_bips(kind, updates, seed):
+    """Theorem 1 against brute force on generated workloads, at gaps 0 and
+    5%, unstarted and started: HiGHS's answer is within its gap of the
+    cheapest INUM workload cost over every storage-feasible subset (equal
+    at gap 0), its reported gap and dual bound bound that optimum, and a
+    started answer is never above its start."""
+    inum, bip, budget = _generated_case(kind, updates, seed)
+    workload, candidates = bip.workload, bip.candidates
     brute_cost, _ = brute_force_best(inum, workload, candidates,
-                                     storage_budget=budget)
-    assert objective == pytest.approx(brute_cost, rel=1e-9)
+                                     storage_budget=budget.budget_bytes)
+    greedy = greedy_knapsack(inum, workload, candidates, [budget])
+    starts = {"none": None,
+              "greedy": bip.warm_start_from(greedy.configuration),
+              "empty": bip.warm_start_from(Configuration(())),
+              # Every candidate breaks the budget: HiGHS never sees it.
+              "over budget": bip.warm_start_from(Configuration(candidates))}
+    tolerance = 1e-9 * brute_cost
+    for gap, (name, start) in itertools.product((0.0, 0.05), starts.items()):
+        case = (gap, name)
+        report = CoPhySolver(gap_tolerance=gap).solve(bip, [budget],
+                                                      start=start)
+        accepted = name in ("greedy", "empty")
+        assert report.solution.warm_started is accepted, case
+        if gap == 0.0:
+            assert report.objective == pytest.approx(brute_cost, rel=1e-9)
+        assert brute_cost <= inum.workload_cost(
+            workload, report.configuration) + tolerance, case
+        assert report.objective * (1 - gap) <= brute_cost + tolerance, case
+        assert report.objective * (1 - report.gap) <= brute_cost + tolerance
+        assert report.solution.best_bound <= brute_cost + tolerance, case
+        if accepted:
+            assert report.objective <= (bip.model.objective.value(start)
+                                        + tolerance), case
+
+
+@_GENERATED
+def test_a_start_costs_its_configuration(kind, updates, seed):
+    """The objective of ``warm_start_from(X)`` is INUM's workload cost of X,
+    for the empty configuration, every candidate, subsets and the greedy's
+    answer, UPDATE maintenance included."""
+    inum, bip, budget = _generated_case(kind, updates, seed)
+    workload, indexes = bip.workload, list(bip.candidates)
+    greedy = greedy_knapsack(inum, workload, bip.candidates, [budget])
+    for configuration in (Configuration(()), Configuration(indexes),
+                          Configuration(indexes[::2]),
+                          Configuration(indexes[1::3]),
+                          greedy.configuration):
+        start = bip.warm_start_from(configuration)
+        assert bip.model.objective.value(start) == pytest.approx(
+            inum.workload_cost(workload, configuration), rel=1e-12)
+        assert satisfies(bip.model.to_matrices(), start)
 
 
 @functools.cache

@@ -15,6 +15,7 @@ from repro.lp.budget import SolveBudget
 from repro.lp.highs_backend import MilpBackend
 from repro.lp.model import Model, Objective, RowBlock, RowKind
 from repro.lp.solution import Solution, SolutionStatus
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 
 def binary_model(cost, rows=(), constant=0.0) -> Model:
@@ -145,6 +146,43 @@ class TestMilpBackend:
         assert not solution.timed_out
         assert solution.nodes_explored == 1
         assert solution.best_bound <= optimum <= solution.objective
+
+    def test_a_start_reaches_highs_only_when_it_satisfies_the_program(self):
+        """A start is checked against the export before ``setSolution``:
+        one inside every row and bound is handed on (``warm_started``),
+        one over the capacity, fractional or of the wrong length is
+        dropped, and each offer is counted by its outcome."""
+        values, weights = [6, 5, 4, 3], [4, 3, 2, 1]
+        matrices = build_knapsack(values, weights, 6).to_matrices()
+        optimum = -brute_force_knapsack(values, weights, 6)
+        starts = {"feasible": np.array([0.0, 1.0, 1.0, 1.0]),
+                  "over capacity": np.array([1.0, 1.0, 0.0, 0.0]),
+                  "fractional": np.array([0.5, 0.0, 0.0, 0.0]),
+                  "short": np.array([1.0])}
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            solutions = {name: MilpBackend().solve(matrices, start=start)
+                         for name, start in starts.items()}
+        assert [name for name, solution in solutions.items()
+                if solution.warm_started] == ["feasible"]
+        for solution in solutions.values():
+            assert solution.objective == pytest.approx(optimum)
+        assert not MilpBackend().solve(matrices).warm_started
+        assert registry.snapshot()["repro_solver_starts_total"] == {
+            ("accepted",): 1.0, ("rejected",): 3.0}
+
+    def test_a_start_answers_a_solve_stopped_before_its_root(self, tpch):
+        """Stopped by its time limit before a first incumbent, a solve has
+        no answer; given a start, it answers with the start, timed out."""
+        matrices = _generated_bip(tpch, "homogeneous", 0.5, 12)
+        start = MilpBackend().solve(matrices).vector
+        limited = MilpBackend(time_limit_seconds=1e-9)
+        unstarted = limited.solve(matrices)
+        assert unstarted.timed_out and not unstarted.is_feasible
+        started = limited.solve(matrices, start=start)
+        assert started.warm_started and started.timed_out
+        assert started.status is SolutionStatus.FEASIBLE
+        assert np.array_equal(started.vector, start)
 
     def test_a_solve_is_silent(self, capfd):
         """HiGHS logs to the console by default; a served process's stdout

@@ -669,10 +669,10 @@ class TestFamilyTable:
 
     def test_every_recorded_family_is_a_table_row(self, tpch):
         """Drive every recording site the serving stack has — facade,
-        service admission and namespacing, HTTP, session reaping, the ILP
-        baseline's direct HiGHS solve, context eviction — and hold each
-        family any of
-        them created to its row and its label domains.  The ambient
+        scale-out's started solves, service admission and namespacing,
+        HTTP, session reaping, the ILP baseline's direct HiGHS solve,
+        context eviction — and hold each family any of them created to its
+        row and its label domains.  The ambient
         registry is undeclared, so a site restating a family with its own
         help or labels shows here."""
         from repro.exceptions import ServerOverloaded
@@ -681,6 +681,11 @@ class TestFamilyTable:
         with use_registry(ambient):
             tuner = Tuner()
             tuner.tune(_request(tpch))
+            # Scale-out's shard and merge solves are the started ones.
+            tuner.tune(_request(
+                tpch, seed=36, statements=8,
+                advisor=AdvisorSpec("scaleout", {"shard_count": 2,
+                                                 "shard_workers": 1})))
             request = _request(tpch, seed=32)
             make_advisor("ilp", tpch).tune(request.workload,
                                            request.constraints)
@@ -711,6 +716,8 @@ class TestFamilyTable:
         solves = ambient.snapshot()["repro_solver_solves_total"]
         assert sum(solves.values()) == 1
         assert ambient.snapshot()["repro_solver_nodes"][()]["count"] == 1
+        assert tuner.metrics.snapshot()["repro_solver_starts_total"][
+            ("accepted",)] >= 2
         text = service.tuner.metrics.render()
         assert (f'repro_contexts_dropped_total{{reason="lru"}} '
                 f'{stats["evicted_contexts"]}') in text

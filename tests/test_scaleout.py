@@ -9,6 +9,7 @@ equivalence check that runs in the fast CI lane and the process-pool paths
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -27,9 +28,22 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.reliability.faults import FaultPlan
 from repro.scale.compress import compress_workload
-from repro.scale.executor import ShardExecutor, build_matrices_in_processes
-from repro.scale.partition import partition_workload, split_budget
-from repro.workload.generators import generate_homogeneous_workload
+from repro.scale import executor as executor_module
+from repro.scale.executor import (
+    ShardExecutor,
+    ShardResult,
+    build_matrices_in_processes,
+)
+from repro.scale.partition import (
+    PartitionPlan,
+    Shard,
+    partition_workload,
+    split_budget,
+)
+from repro.workload.generators import (
+    generate_heterogeneous_workload,
+    generate_homogeneous_workload,
+)
 from repro.workload.workload import Workload, WorkloadStatement
 
 
@@ -293,6 +307,42 @@ class TestProcessPaths:
             "compression"]["representatives"]
         assert ("template", "miss") not in events
 
+    def test_pool_submits_the_largest_shard_first(self, tpch, monkeypatch):
+        """Shards go to the pool by statement count, largest first (ties by
+        position); results still come back in position order."""
+        submitted = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, function, job):
+                position, statements = job[1], job[2]
+                submitted.append((position, len(statements)))
+                future = Future()
+                future.set_result(ShardResult(
+                    position=position, indexes=(), objective=0.0, gap=0.0,
+                    solve_seconds=0.0))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            RecordingPool)
+        statements = generate_homogeneous_workload(22, seed=3).statements
+        shards, offset = [], 0
+        for position, size in enumerate((3, 7, 5, 7)):
+            shards.append(Shard(
+                position, Workload(statements[offset:offset + size]), (),
+                tuple(range(offset, offset + size))))
+            offset += size
+        plan = PartitionPlan(tuple(shards), (), 4)
+        results = ShardExecutor(workers=2, fault_plan=FaultPlan()).solve_shards(
+            plan, tpch)
+        assert submitted == [(1, 7), (3, 7), (2, 5), (0, 3)]
+        assert [result.position for result in results] == [0, 1, 2, 3]
+
     def test_unbound_matrix_raises_typed_error(self, tpch, tuning_workload):
         inum = InumCache(WhatIfOptimizer(tpch))
         shell = _shell(tuning_workload.statements[0].query)
@@ -383,6 +433,45 @@ class TestScaleOutAdvisor:
             assert key in recommendation.timings
 
 
+class TestStartedSolves:
+    """Every shard and merge solve starts from the greedy's answer."""
+
+    def test_a_solve_stopped_before_its_root_answers_with_its_start(self,
+                                                                    tpch):
+        """A time limit that fires before HiGHS's first incumbent leaves
+        each solve its start, so the tune answers instead of raising."""
+        workload = _mixed(tpch, 120, seed=5)
+        budget = StorageBudgetConstraint.from_fraction_of_data(tpch, 0.5)
+        recommendation = ScaleOutAdvisor(
+            tpch, shard_count=4, shard_workers=1, max_cost_error=1.0,
+            time_limit_seconds=1e-9).tune(workload, [budget])
+        assert recommendation.timed_out
+        assert not recommendation.degraded
+        assert len(recommendation.configuration) > 0
+        assert sum(_index_size(tpch, index)
+                   for index in recommendation.configuration) \
+            <= budget.budget_bytes + 1e-6
+
+    def test_shard_and_merge_spans_report_their_start(self, tpch,
+                                                      tuning_workload):
+        # A masked fault plan: a retried shard would leave a second span.
+        budget = StorageBudgetConstraint.from_fraction_of_data(tpch, 0.5)
+        tuner = Tuner(fault_plan=FaultPlan())
+        result = tuner.tune(TuningRequest(
+            workload=tuning_workload, schema=tpch, constraints=[budget],
+            scale=ScaleSpec(shard_count=3, shard_workers=1)))
+        nodes = _span_nodes(result.extras["trace"]["root"])
+        shards = [node for node in nodes if node["name"].startswith("shard[")]
+        merge = next(node for node in nodes if node["name"] == "merge")
+        solves = [node for node in _span_nodes(merge)
+                  if node["name"] == "solve"]
+        assert len(shards) == 3 and len(solves) == 1
+        for node in shards + solves:
+            assert node["attrs"]["warm_started"] is True
+        assert tuner.metrics.snapshot()["repro_solver_starts_total"] == {
+            ("accepted",): 4.0}
+
+
 class TestWeightedBipBuild:
     def test_statement_weights_override_matches_reweighted_workload(
             self, simple_schema, simple_workload):
@@ -457,6 +546,24 @@ def _without_seconds(stats: dict) -> dict:
 
 def _shell(query):
     return query.query_shell() if hasattr(query, "query_shell") else query
+
+
+def _mixed(schema, size: int, seed: int) -> Workload:
+    """85% TPC-H template instances, the rest ad-hoc SPJ, 10% UPDATEs."""
+    templated = round(0.85 * size)
+    statements = [
+        *generate_homogeneous_workload(templated, seed=seed,
+                                       update_fraction=0.1).statements,
+        *generate_heterogeneous_workload(size - templated, seed=seed + 1,
+                                         update_fraction=0.1,
+                                         schema=schema).statements]
+    return Workload(statements, name=f"W_mixed_{size}_{seed}")
+
+
+def _span_nodes(node: dict) -> list[dict]:
+    """``node`` and every span below it, depth first."""
+    return [node, *(found for child in node.get("children", ())
+                    for found in _span_nodes(child))]
 
 
 def _index_size(schema, index: Index) -> float:
