@@ -25,8 +25,9 @@ import random
 import pytest
 
 from benchmarks.conftest import SEED, WORKLOAD_SIZES, make_schema, print_report, storage_budget
-from repro.api import make_advisor
+from repro.api import TuningRequest, TuningService
 from repro.bench.reporting import format_table
+from repro.indexes.candidate_generation import CandidateGenerator
 from repro.workload.generators import generate_homogeneous_workload
 
 _PAPER_SECONDS = {"initial": 416, 10: 42, 25: 47, 50: 55, 100: 136}
@@ -39,45 +40,45 @@ def _run_fig6b():
     schema = make_schema(0.0)
     budget = storage_budget(schema, 1.0)
     workload = generate_homogeneous_workload(WORKLOAD_SIZES[1000], seed=SEED)
-    advisor = make_advisor("cophy", schema)
 
-    full = list(advisor.generate_candidates(workload))
+    full = list(CandidateGenerator(schema).generate(workload))
     rng = random.Random(SEED)
     rng.shuffle(full)
     held_out = max(_ADDITIONS)
-    initial_candidates = advisor.generate_candidates(workload).subset(
-        full[:-held_out])
     reserve = full[-held_out:]
 
-    session = advisor.create_session(workload, constraints=[budget],
-                                     candidates=initial_candidates)
-    initial = session.recommend()
+    service = TuningService()
+    session = service.open_session(TuningRequest(
+        workload=workload, schema=schema, constraints=[budget],
+        candidates=full[:-held_out]))
+    inum = service.context_for(schema).inum
+    initial = session.recommend().diagnostics.timings
     rows = [{
         "change": "initial",
         "paper seconds": _PAPER_SECONDS["initial"],
-        "measured s": round(initial.timings["total"], 3),
-        "solve s": round(initial.timings["solve"], 3),
-        "build s": round(initial.timings["build"], 3),
-        "inum s": round(initial.timings["inum"], 3),
+        "measured s": round(initial["total"], 3),
+        "solve s": round(initial["solve"], 3),
+        "build s": round(initial["build"], 3),
+        "inum s": round(initial["inum"], 3),
     }]
     retune_times = {}
-    template_builds = {"initial": advisor.inum.template_build_calls}
+    template_builds = {"initial": inum.template_build_calls}
     previous = 0
     for added, paper_key in zip(_ADDITIONS, (10, 25, 50, 100)):
         new_indexes = reserve[previous:added]
         previous = added
-        recommendation = session.add_candidates(new_indexes)
-        retune_times[added] = recommendation.timings["total"]
-        template_builds[added] = advisor.inum.template_build_calls
+        timings = session.add_candidates(new_indexes).diagnostics.timings
+        retune_times[added] = timings["total"]
+        template_builds[added] = inum.template_build_calls
         rows.append({
             "change": f"+{added} candidates",
             "paper seconds": _PAPER_SECONDS[paper_key],
-            "measured s": round(recommendation.timings["total"], 3),
-            "solve s": round(recommendation.timings["solve"], 3),
-            "build s": round(recommendation.timings["build"], 3),
-            "inum s": round(recommendation.timings["inum"], 3),
+            "measured s": round(timings["total"], 3),
+            "solve s": round(timings["solve"], 3),
+            "build s": round(timings["build"], 3),
+            "inum s": round(timings["inum"], 3),
         })
-    return rows, initial.timings["total"], retune_times, template_builds
+    return rows, initial["total"], retune_times, template_builds
 
 
 def test_fig6b_interactive_retuning(benchmark):

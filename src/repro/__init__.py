@@ -14,15 +14,15 @@ every substrate it depends on:
 * INUM-style fast what-if optimization (``repro.inum``),
 * a BIP modelling layer over the HiGHS solver (``repro.lp``),
 * the CoPhy advisor itself: BIP generation, constraint language, soft
-  constraints / Pareto exploration, early termination and interactive
-  re-tuning (``repro.core``),
+  constraints / Pareto exploration and early termination (``repro.core``),
 * the comparison baselines: ILP, a Tool-A-like relaxation advisor and a
   Tool-B-like advisor with workload compression (``repro.advisors``),
 * the evaluation harness reproducing the paper's metrics (``repro.bench``).
 
 * the unified tuning API: declarative ``TuningRequest -> TuningResult``
-  through ``Tuner``/``TuningService`` with a pluggable advisor registry
-  (``repro.api``).
+  through ``Tuner``/``TuningService`` with a pluggable advisor registry, and
+  interactive re-tuning sessions (``TuningService.open_session``) that
+  extend or re-solve one BIP per session (``repro.api``).
 
 Quick start::
 
@@ -63,7 +63,6 @@ from repro.core import (
     CoPhySolver,
     IndexCountConstraint,
     IndexWidthConstraint,
-    InteractiveTuningSession,
     ParetoExplorer,
     QueryCostConstraint,
     QuerySpeedupGenerator,
@@ -106,7 +105,6 @@ __all__ = [
     # CoPhy
     "CoPhyAdvisor",
     "CoPhySolver",
-    "InteractiveTuningSession",
     "ParetoExplorer",
     "StorageBudgetConstraint",
     "IndexCountConstraint",

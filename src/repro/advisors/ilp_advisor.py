@@ -27,7 +27,7 @@ from repro.advisors.base import Advisor, Recommendation
 from repro.catalog.schema import Schema
 from repro.core.constraints import TuningConstraint, tightest_storage_budget
 from repro.core.heuristics import ideal_lower_bound
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import AtomicConfiguration, Configuration
 from repro.indexes.index import Index
@@ -135,9 +135,12 @@ class IlpAdvisor(Advisor):
 
             if solution.status is SolutionStatus.INFEASIBLE:
                 raise InfeasibleProblemError("ILP tuning problem is infeasible")
-            if not solution.status.has_solution and budget is not None \
-                    and budget.expired():
-                # The deadline starved HiGHS of even one incumbent.  The
+            if not solution.status.has_solution:
+                if not (solution.timed_out
+                        or (budget is not None and budget.expired())):
+                    raise SolverError(
+                        f"ILP solver failed: {solution.message}")
+                # The clock starved HiGHS of even one incumbent.  The
                 # no-index configuration is always feasible; cost it for real
                 # and report its gap against the ideal (all-candidates,
                 # maintenance-free) bound so the caller still sees a finite

@@ -15,10 +15,9 @@ concurrent requests interleave (call-count diagnostics may — a warm cache
 legitimately reports fewer template builds).
 
 Interactive sessions go through :meth:`TuningService.open_session`: the
-returned :class:`TuningSession` wraps the delta-BIP
-:class:`~repro.core.interactive.InteractiveTuningSession` machinery, takes
-the context lock around every call, and normalises every outcome into a
-:class:`TuningResult`.
+returned :class:`TuningSession` is the delta-BIP engine of section 4.2.  It
+builds one BIP, extends it or re-solves it, holds the context lock around
+every step, and returns every outcome as a :class:`TuningResult`.
 """
 
 from __future__ import annotations
@@ -27,21 +26,27 @@ import contextvars
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
-
+from repro.advisors.base import Recommendation
 from repro.api.registry import canonical_name, make_advisor
 from repro.api.result import TuningResult
 from repro.api.specs import TuningRequest
 from repro.api.tuner import SchemaContext, Tuner, _resolve_candidates
-from repro.core.interactive import InteractiveTuningSession
-from repro.exceptions import ServerOverloaded
+from repro.core.bip_builder import CophyBip
+from repro.core.constraints import TuningConstraint, split_constraints
+from repro.exceptions import ConstraintError, ServerOverloaded, SolverError
+from repro.indexes.candidate_generation import CandidateSet
+from repro.indexes.index import Index
+from repro.lp.model import Objective, RowBlock, RowKind
 from repro.obs.metrics import (
     CONTEXTS_DROPPED, DEGRADED, NAMESPACED_REQUESTS, OVERLOAD_REJECTED,
     PENDING_REQUESTS, QUEUE_WAIT_SECONDS, REQUEST_SECONDS, REQUESTS,
     RESULT_RETRIES, SESSIONS_REAPED, histogram_quantiles, use_registry)
 from repro.obs.profile import note_queue_wait
+from repro.obs.trace import stage
+from repro.workload.workload import Workload
 
 __all__ = ["TuningService", "TuningSession"]
 
@@ -382,7 +387,9 @@ class TuningService:
         Only the CoPhy strategy supports delta-BIP re-tuning, so the request
         must name it (or leave the advisor unset); and a session step is an
         exact solve without a deadline, so the request may not ask for a
-        time budget or an anytime tier.
+        time budget or an anytime tier.  A step returns one configuration,
+        not a Pareto curve, so a soft constraint is a
+        :class:`~repro.exceptions.ConstraintError`.
         """
         spec = request.resolved_advisor()
         if canonical_name(spec.name) != "cophy":
@@ -395,6 +402,7 @@ class TuningService:
                 f"Interactive sessions solve exactly without a deadline; the "
                 f"request asks for time_budget_ms={spec.time_budget_ms!r}, "
                 f"solve_tier={spec.solve_tier!r}")
+        _hard_only(request.constraints)  # before admission touches the context
         context = self._tuner.context_for(request.schema, request.costing)
         with use_registry(self._tuner.metrics), context.lock:
             request, renames = self._admitted(request, context)
@@ -406,10 +414,10 @@ class TuningService:
                                    **request.resolved_options())
             workload = context.canonical_workload(request.workload)
             candidates = _resolve_candidates(request, context, workload)
-            inner = InteractiveTuningSession(
-                advisor, workload, constraints=request.constraints,
-                candidates=candidates, dba_indexes=())
-        return TuningSession(self, context, request, inner, renames=renames)
+            if candidates is None:
+                candidates = advisor.generate_candidates(workload)
+        return TuningSession(self, context, request, advisor, workload,
+                             candidates, list(request.constraints), renames)
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -432,36 +440,86 @@ class TuningService:
         return self._executor
 
 
-class TuningSession:
-    """A service-held interactive session returning :class:`TuningResult`.
+@dataclass
+class _Retracted(TuningConstraint):
+    """``z <= 0`` for each retracted candidate that has a column in the BIP.
 
-    Thin concurrency-and-normalisation shell over
-    :class:`InteractiveTuningSession`: every call holds the schema context's
-    lock (sessions share the context cache with regular ``tune()`` traffic)
-    and converts the recommendation uniformly.  The underlying session stays
-    reachable as :attr:`inner` for BIP-level inspection.
+    A retraction names an index, so it holds on any BIP: after a rebuild
+    the candidate has no column and no row, and after an ``extend`` that
+    gave it a new column it gets its row again.
+    """
+
+    indexes: tuple[Index, ...]
+    name: str = "retracted_candidates"
+
+    def to_linear(self, bip: CophyBip) -> RowBlock:
+        return RowBlock.of([(Objective.of([bip.z_columns[index]], [1.0]), 0.0,
+                             RowKind.LESS_EQUAL)
+                            for index in self.indexes
+                            if index in bip.z_columns])
+
+
+def _hard_only(constraints) -> list[TuningConstraint]:
+    """The hard constraints; a soft one is a :class:`ConstraintError`."""
+    hard, soft = split_constraints(constraints)
+    if soft:
+        raise ConstraintError(
+            "Interactive sessions do not support soft constraints; tune "
+            "with CoPhy for Pareto exploration or make the constraints hard")
+    return hard
+
+
+class TuningSession:
+    """A service-held interactive session: delta-BIP re-tuning (section 4.2).
+
+    The first step runs INUM, builds the Theorem-1 BIP and solves it; later
+    steps reuse the cache and that BIP: added candidates ``extend`` it in
+    place, and a constraint update or a retraction is one more solve of the
+    program already built.  The session edits no rows: each solve passes
+    ``z <= 0`` for the retracted candidates, ahead of the DBA's constraints,
+    and a retracted candidate comes back by leaving that set.
+
+    Every step holds the session's step lock and the schema context's lock
+    (sessions share the context cache with ``tune()`` traffic) and returns a
+    :class:`TuningResult`.  Open one with :meth:`TuningService.open_session`.
     """
 
     def __init__(self, service: TuningService, context: SchemaContext,
-                 request: TuningRequest, inner: InteractiveTuningSession,
-                 renames: dict[str, str] | None = None):
+                 request: TuningRequest, advisor, workload: Workload,
+                 candidates: CandidateSet,
+                 constraints: list[TuningConstraint],
+                 renames: dict[str, str]):
         self._service = service
         self._context = context
         self._request = request
-        self._inner = inner
+        self._advisor = advisor
+        self._workload = workload
+        self._candidates = candidates
+        self._constraints = constraints
+        self._bip: CophyBip | None = None
+        #: Retracted candidates in retraction order (a dict as ordered set).
+        self._retracted: dict[Index, None] = {}
         #: Statement renames applied at admission (auto-namespacing); later
         #: constraint updates referencing original names must follow them.
-        self._renames = dict(renames or {})
+        self._renames = renames
         self._history: list[TuningResult] = []
-        #: Serializes whole session steps: the context lock only covers the
-        #: solve, but step numbering and history order must match execution
+        #: Serializes whole steps (the edit, then the work under the context
+        #: lock): step numbering and history order must match execution
         #: order even when concurrent server threads drive one session.
         self._step_lock = threading.Lock()
 
     # ---------------------------------------------------------------- accessors
     @property
-    def inner(self) -> InteractiveTuningSession:
-        return self._inner
+    def bip(self) -> CophyBip:
+        """The session's BIP (read-only: steps edit it, callers inspect)."""
+        if self._bip is None:
+            raise SolverError("Call recommend() before inspecting the BIP")
+        return self._bip
+
+    @property
+    def candidates(self) -> CandidateSet:
+        """The current candidates (retracted ones excluded)."""
+        return self._candidates
 
     @property
     def history(self) -> tuple[TuningResult, ...]:
@@ -474,48 +532,104 @@ class TuningSession:
     # ------------------------------------------------------------------ tuning
     def recommend(self) -> TuningResult:
         """Initial recommendation (full INUM + build + solve)."""
-        return self._run("recommend")
+        with self._step_lock:
+            return self._step("recommend")
 
     def add_candidates(self, new_indexes) -> TuningResult:
-        """Re-tune after adding candidates (delta BIP)."""
-        return self._run("add_candidates", new_indexes)
+        """Re-tune after adding candidates (the BIP is extended in place)."""
+        new_indexes = list(new_indexes)
+        with self._step_lock:
+            for index in new_indexes:
+                self._retracted.pop(index, None)
+            # Without a BIP the step builds one from the candidates.  With
+            # one, a retracted candidate that kept its column rejoins them
+            # and ``extend`` adds columns for the others.
+            self._candidates.add_all(
+                index for index in new_indexes
+                if self._bip is None or index in self._bip.z_columns)
+            return self._step("add_candidates", added=new_indexes)
 
     def remove_candidates(self, removed_indexes) -> TuningResult:
-        """Re-tune after retracting candidates (pinned delta BIP)."""
-        return self._run("remove_candidates", removed_indexes)
+        """Re-tune after retracting candidates (a re-solve, no rebuild)."""
+        with self._step_lock:
+            removed = [index for index in dict.fromkeys(removed_indexes)
+                       if index in self._candidates]
+            self._candidates.remove_all(removed)
+            self._retracted.update(dict.fromkeys(removed))
+            return self._step("remove_candidates")
 
     def update_constraints(self, constraints) -> TuningResult:
         """Re-tune under a different constraint set (re-solve, no rebuild).
 
         Constraints referencing statements by their *original* names are
         rewritten through the admission-time rename map, so clients of a
-        namespacing service keep using the names they sent.
+        namespacing service keep using the names they sent.  A soft
+        constraint is a :class:`~repro.exceptions.ConstraintError`.
         """
-        if self._renames:
-            constraints = [
-                _renamed_constraint(constraint, self._renames,
-                                    self._inner.workload)
-                for constraint in constraints]
-        return self._run("update_constraints", constraints)
+        hard = _hard_only([
+            _renamed_constraint(constraint, self._renames, self._workload)
+            for constraint in constraints])
+        with self._step_lock:
+            self._constraints = hard
+            return self._step("update_constraints")
 
     # ---------------------------------------------------------------- internals
-    def _run(self, method: str, *args: Any) -> TuningResult:
-        with self._step_lock:
-            with use_registry(self._service.tuner.metrics), \
-                    self._context.lock:
-                recommendation = getattr(self._inner, method)(*args)
-            provenance = {
-                "api_version": 1,
-                "request_id": self._request.request_id,
-                "advisor": {"name": "cophy",
-                            "class": "InteractiveTuningSession"},
-                "session": {"step": len(self._history) + 1,
-                            "operation": method},
-                "schema": {"name": self._request.schema.name,
-                           "tables": len(self._request.schema)},
-                "workload": {"name": self._inner.workload.name},
-            }
-            result = TuningResult.from_recommendation(
-                recommendation, provenance=provenance)
-            self._history.append(result)
-            return result
+    def _step(self, operation: str, added=None) -> TuningResult:
+        """Build the BIP (the first step and ``recommend``), ``extend`` it
+        with ``added``, or only re-solve it; the caller holds the step lock
+        and has edited the session."""
+        with use_registry(self._service.tuner.metrics), self._context.lock:
+            advisor = self._advisor
+            rebuild = operation == "recommend" or self._bip is None
+            # A step reports its own what-if calls, as a tune does, so what
+            # other requests did on the context never shows in it.  Template
+            # builds stay out: counting them would make a first step differ
+            # between a warm and a fresh context.
+            whatif_before = advisor.optimizer.whatif_calls
+            timings: dict[str, float] = {} if rebuild else {"inum": 0.0}
+            with stage(timings, "total"):
+                if rebuild:
+                    with stage(timings, "inum",
+                               statements=len(self._workload)):
+                        advisor.inum.build_workload(self._workload)
+                    with stage(timings, "build"):
+                        self._bip = advisor.bip_builder.build(
+                            self._workload, self._candidates)
+                elif added is None:
+                    timings["build"] = 0.0
+                else:
+                    with stage(timings, "build"):
+                        advisor.bip_builder.extend(self._bip, added)
+                # Retracted candidates are this solve's first rows.
+                retracted = ([_Retracted(tuple(self._retracted))]
+                             if self._retracted else [])
+                with stage(timings, "solve") as node:
+                    report = advisor.solver.solve(
+                        self._bip,
+                        hard_constraints=[*retracted, *self._constraints])
+                    node.set(**report.span_attributes())
+            recommendation = Recommendation(
+                configuration=report.configuration,
+                advisor_name=advisor.name,
+                objective_estimate=report.objective,
+                timings=timings,
+                candidate_count=len(self._candidates),
+                whatif_calls=advisor.optimizer.whatif_calls - whatif_before,
+                gap=report.gap,
+                extras={"solve_report": report})
+        provenance = {
+            "api_version": 1,
+            "request_id": self._request.request_id,
+            # The engine's former class name: a payload value inside every
+            # session result's fingerprint, so it stays as it was.
+            "advisor": {"name": "cophy", "class": "InteractiveTuningSession"},
+            "session": {"step": len(self._history) + 1,
+                        "operation": operation},
+            "schema": {"name": self._request.schema.name,
+                       "tables": len(self._request.schema)},
+            "workload": {"name": self._workload.name},
+        }
+        result = TuningResult.from_recommendation(
+            recommendation, provenance=provenance)
+        self._history.append(result)
+        return result

@@ -10,8 +10,9 @@ as linear rows; :class:`~repro.core.solver.CoPhySolver` hands the program to
 an off-the-shelf BIP solver with gap-based early termination; soft constraints
 are explored along a Pareto-optimal curve
 (:mod:`repro.core.soft_constraints`); and
-:class:`~repro.core.advisor.CoPhyAdvisor` ties everything together, including
-interactive re-tuning (:mod:`repro.core.interactive`).
+:class:`~repro.core.advisor.CoPhyAdvisor` ties everything together.  Interactive
+re-tuning (section 4.2) extends or re-solves one BIP across steps; it is the
+service's session, :class:`repro.api.TuningSession`.
 """
 
 from repro.core.bip_builder import BipBuilder, CophyBip
@@ -29,7 +30,6 @@ from repro.core.constraints import (
 from repro.core.solver import CoPhySolver
 from repro.core.soft_constraints import ParetoExplorer, ParetoPoint
 from repro.core.advisor import CoPhyAdvisor, Recommendation
-from repro.core.interactive import InteractiveTuningSession
 
 __all__ = [
     "BipBuilder",
@@ -48,5 +48,4 @@ __all__ = [
     "ParetoPoint",
     "CoPhyAdvisor",
     "Recommendation",
-    "InteractiveTuningSession",
 ]

@@ -25,7 +25,11 @@ from repro.core.heuristics import (
 )
 from repro.core.soft_constraints import ParetoExplorer, ParetoPoint
 from repro.core.solver import CoPhySolver
-from repro.exceptions import BuildInterrupted, ConstraintError, SolverError
+from repro.exceptions import (
+    BuildInterrupted,
+    ConstraintError,
+    SolveInterrupted,
+)
 from repro.indexes.candidate_generation import CandidateGenerator, CandidateSet
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
@@ -250,17 +254,14 @@ class CoPhyAdvisor(Advisor):
                                                budget=budget)
                     node.set(nodes=report.solution.nodes_explored,
                              **report.span_attributes())
-            except SolverError:
-                if heuristic is None:
+            except SolveInterrupted:
+                if not can_fallback:
                     raise
-                # The deadline killed the exact solve before HiGHS found an
-                # incumbent; the greedy result is still a valid feasible
-                # answer.
-                recommendation = answer(
-                    heuristic.configuration, heuristic.objective,
-                    heuristic.gap, extras=extras, timed_out=True,
-                    solve_tier="cascade")
-                recommendation.extras["bip"] = bip
+                # The clock stopped the exact solve before HiGHS found an
+                # incumbent: answer as when it fires before the solve.
+                recommendation = self._deadline_fallback(
+                    workload, candidates, heuristic, tier, answer)
+                recommendation.extras.update(extras, bip=bip)
                 return recommendation
             extras["solve_report"] = report
             timed_out = report.timed_out or (budget is not None
@@ -318,14 +319,3 @@ class CoPhyAdvisor(Advisor):
         explorer = ParetoExplorer(self.solver)
         return explorer.explore(bip, soft_constraints,
                                 hard_constraints=hard_constraints, lambdas=lambdas)
-
-    def create_session(self, workload: Workload,
-                       constraints: Sequence[TuningConstraint | SoftConstraint] = (),
-                       candidates: CandidateSet | None = None,
-                       dba_indexes: Iterable[Index] = ()):
-        """Start an interactive tuning session (incremental re-tuning)."""
-        from repro.core.interactive import InteractiveTuningSession
-
-        return InteractiveTuningSession(self, workload, constraints=constraints,
-                                        candidates=candidates,
-                                        dba_indexes=dba_indexes)

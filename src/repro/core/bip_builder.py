@@ -454,7 +454,7 @@ class BipBuilder:
             bip.candidates.add(index)
             bip.z_columns[index] = first + offset
         z_columns = bip.z_columns
-        # Every index with a ``z`` column, pinned-out ones included, may
+        # Every index with a ``z`` column, retracted ones included, may
         # serve a template the added candidates make usable.
         by_table: dict[str, list[Index]] = {}
         for index in z_columns:

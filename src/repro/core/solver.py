@@ -26,7 +26,11 @@ import numpy as np
 
 from repro.core.bip_builder import CophyBip
 from repro.core.constraints import TuningConstraint
-from repro.exceptions import InfeasibleProblemError, SolverError
+from repro.exceptions import (
+    InfeasibleProblemError,
+    SolveInterrupted,
+    SolverError,
+)
 from repro.indexes.configuration import Configuration
 from repro.lp.budget import SolveBudget
 from repro.lp.highs_backend import MilpBackend
@@ -103,8 +107,8 @@ class CoPhySolver:
                 objective is used.
             gap_tolerance: Per-call override of the early-termination gap.
             time_limit_seconds: Per-call override of the time limit.
-            budget: Optional anytime budget; its remaining wall clock / node
-                / gap limits are merged into the backend's settings, and a
+            budget: Optional anytime budget; its remaining wall clock and
+                node limit are merged into the backend's settings, and a
                 fired deadline surfaces as ``SolveReport.timed_out``.
             start: Optional first incumbent, a value per column of the
                 BIP; it is handed to HiGHS only if it satisfies this
@@ -117,6 +121,8 @@ class CoPhySolver:
 
         Raises:
             InfeasibleProblemError: When the hard constraints cannot be met.
+            SolveInterrupted: When the time limit fired before HiGHS found
+                an incumbent.
         """
         model = bip.model
         rows = RowBlock.concatenate([constraint.to_linear(bip)
@@ -147,7 +153,8 @@ class CoPhySolver:
         elapsed = time.perf_counter() - started
 
         if not solution.is_feasible:
-            raise SolverError(f"BIP solver failed: {solution.message}")
+            error = SolveInterrupted if solution.timed_out else SolverError
+            raise error(f"BIP solver failed: {solution.message}")
 
         blocks = [matrices[key] for key in ("A_ub", "A_eq")
                   if matrices[key] is not None]

@@ -45,6 +45,14 @@ class BuildInterrupted(SolverError):
     """
 
 
+class SolveInterrupted(SolverError):
+    """Raised when a solve's time limit fires before its first incumbent.
+
+    The clock, not the program, stopped the solve; a caller with a feasible
+    fallback answer (the greedy's, or the empty configuration) gives that.
+    """
+
+
 class InfeasibleProblemError(SolverError):
     """Raised when the hard constraints of a tuning problem cannot all be satisfied.
 

@@ -1,6 +1,6 @@
 """``SolveBudget`` — the anytime-tuning contract threaded through the stack.
 
-A budget bundles a wall-clock deadline with optional node / gap limits and a
+A budget bundles a wall-clock deadline with an optional node limit and a
 solve *tier*.  The same object travels from :class:`~repro.api.specs.AdvisorSpec`
 down to :class:`~repro.lp.highs_backend.MilpBackend`, so every
 layer shares one clock: the deadline is anchored **once** (:meth:`start`) when
@@ -34,20 +34,17 @@ SOLVE_TIERS = ("heuristic", "cascade", "exact")
 
 @dataclass
 class SolveBudget:
-    """A wall-clock / node / gap budget for one tuning request.
+    """A wall-clock / node budget for one tuning request.
 
     Args:
         time_budget_ms: Wall-clock budget in milliseconds; ``None`` means
             unlimited.  The clock starts at the first :meth:`start` call.
         node_limit: Optional cap on HiGHS's branch-and-bound nodes.
-        gap_limit: Optional relative-gap tolerance at which the solve may
-            stop early (merged with the solver's own tolerance via ``max``).
         tier: One of :data:`SOLVE_TIERS`; how the pipeline spends the budget.
     """
 
     time_budget_ms: float | None = None
     node_limit: int | None = None
-    gap_limit: float | None = None
     tier: str = "exact"
     #: Monotonic deadline, anchored by :meth:`start`; ``None`` until then.
     _deadline: float | None = field(default=None, repr=False, compare=False)
@@ -69,11 +66,6 @@ class SolveBudget:
             if self.node_limit <= 0:
                 raise ValueError("node_limit must be positive, got "
                                  f"{self.node_limit!r}")
-        if self.gap_limit is not None:
-            self.gap_limit = float(self.gap_limit)
-            if not math.isfinite(self.gap_limit) or self.gap_limit < 0:
-                raise ValueError("gap_limit must be a finite non-negative "
-                                 f"fraction, got {self.gap_limit!r}")
 
     # ------------------------------------------------------------------ factory
     @classmethod

@@ -150,9 +150,6 @@ class MilpBackend:
         if budget is not None:
             budget.start()
             effective_time = budget.clamp_time_limit(effective_time)
-            if budget.gap_limit is not None:
-                effective_gap = max(effective_gap, budget.gap_limit)
-                options["mip_rel_gap"] = effective_gap
             if budget.node_limit is not None:
                 options["mip_max_nodes"] = budget.node_limit
         if effective_time is not None:

@@ -205,18 +205,6 @@ class Model:
         self._invalidate()
         return grown
 
-    def remove_rows(self, blocks: Iterable[RowBlock]) -> int:
-        """Remove stored blocks (compared by identity); returns how many
-        were removed."""
-        to_remove = {id(block) for block in blocks}
-        before = len(self._rows)
-        self._rows = [block for block in self._rows
-                      if id(block) not in to_remove]
-        removed = before - len(self._rows)
-        if removed:
-            self._invalidate()
-        return removed
-
     @property
     def constraint_count(self) -> int:
         """The number of rows."""

@@ -32,7 +32,7 @@ from repro.core.constraints import (
     StorageBudgetConstraint,
 )
 from repro.core.heuristics import greedy_knapsack, unsupported_constraint
-from repro.exceptions import ConstraintError
+from repro.exceptions import ConstraintError, SolveInterrupted
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.configuration import Configuration
 from repro.indexes.index import Index
@@ -565,6 +565,52 @@ class TestAdvisorsUnderBudget:
         used = sum(simple_candidates.size_of(index)
                    for index in result.configuration)
         assert used <= limit.budget_bytes + 1e-6
+
+    @staticmethod
+    def _assert_empty_answer(result, tier):
+        """The answer when the clock stops HiGHS before its first incumbent:
+        the empty configuration with its gap to the ideal bound."""
+        assert result.diagnostics.timed_out
+        assert len(result.configuration) == 0
+        assert 0 < result.diagnostics.gap < math.inf
+        assert math.isfinite(result.objective_estimate)
+        assert result.diagnostics.solve_tier == tier
+
+    @pytest.mark.parametrize("name", ["cophy", "ilp"])
+    def test_a_time_limit_before_the_first_incumbent_answers(
+            self, name, simple_schema, simple_workload):
+        """A solver time limit that fires before the first incumbent."""
+        result = Tuner().tune(_request(
+            simple_schema, simple_workload,
+            constraints=[_storage(simple_schema, 0.5)],
+            advisor=AdvisorSpec(name, {"time_limit_seconds": 1e-9})))
+        self._assert_empty_answer(result, "exact")
+
+    @pytest.mark.parametrize("name", ["cophy", "ilp"])
+    def test_an_exact_tier_deadline_inside_the_solve_answers(
+            self, name, simple_schema, simple_workload, monkeypatch):
+        """The deadline fires inside the solve: the clock reads unexpired
+        through the build and leaves the solve one nanosecond."""
+        monkeypatch.setattr(SolveBudget, "expired", lambda budget: False)
+        monkeypatch.setattr(SolveBudget, "remaining_seconds",
+                            lambda budget: 1e-9)
+        result = Tuner().tune(_request(
+            simple_schema, simple_workload,
+            constraints=[_storage(simple_schema, 0.5)],
+            advisor=AdvisorSpec(name, time_budget_ms=60_000.0,
+                                solve_tier="exact")))
+        self._assert_empty_answer(result, "exact")
+
+    def test_a_time_limit_without_a_fallback_still_raises(
+            self, simple_schema, simple_workload):
+        """At least one index: the empty configuration is no answer, and
+        the solve stopped before it found one."""
+        at_least_one = IndexCountConstraint(limit=1,
+                                            sense=ComparisonSense.AT_LEAST)
+        with pytest.raises(SolveInterrupted, match="Time limit"):
+            make_advisor("cophy", simple_schema,
+                         time_limit_seconds=1e-9).tune(simple_workload,
+                                                       [at_least_one])
 
     def test_heuristic_tier_never_builds_the_bip(self, simple_schema,
                                                  simple_workload):

@@ -12,7 +12,6 @@ from repro.api import (
     TuningRequest,
     TuningService,
     TuningSession,
-    make_advisor,
 )
 from repro.core.constraints import IndexCountConstraint, StorageBudgetConstraint
 from repro.workload.workload import Workload
@@ -413,34 +412,6 @@ class TestStatementNamespacing:
 
 
 class TestServiceSessions:
-    def test_open_session_matches_legacy_interactive_session(
-            self, simple_schema, simple_workload):
-        """The service session is the legacy delta-BIP session, normalised."""
-        budget = _budget(simple_schema)
-        legacy_advisor = make_advisor("cophy", simple_schema)
-        legacy = legacy_advisor.create_session(simple_workload,
-                                               constraints=[budget])
-        legacy_first = legacy.recommend()
-        legacy_capped = legacy.update_constraints(
-            [budget, IndexCountConstraint(limit=2)])
-
-        service = TuningService()
-        session = service.open_session(TuningRequest(
-            workload=simple_workload, schema=simple_schema,
-            constraints=[budget]))
-        assert isinstance(session, TuningSession)
-        first = session.recommend()
-        capped = session.update_constraints(
-            [budget, IndexCountConstraint(limit=2)])
-
-        assert first.configuration == legacy_first.configuration
-        assert first.objective_estimate == legacy_first.objective_estimate
-        assert capped.configuration == legacy_capped.configuration
-        assert len(session.history) == 2
-        assert session.last_result is capped
-        assert capped.provenance["session"] == {
-            "step": 2, "operation": "update_constraints"}
-
     def test_session_add_and_remove_candidates(self, simple_schema,
                                                simple_workload):
         from repro.indexes.index import Index
@@ -452,11 +423,11 @@ class TestServiceSessions:
         session.recommend()
         extra = Index("items", ("i_shipdate",), include_columns=("i_price",))
         session.add_candidates([extra])
-        assert extra in session.inner.candidates
+        assert extra in session.candidates
         shrunk = session.remove_candidates([extra])
         assert extra not in shrunk.configuration
-        assert session.inner.last_recommendation.configuration \
-            == shrunk.configuration
+        assert extra not in session.candidates
+        assert session.last_result is shrunk
 
     def test_candidate_memo_never_leaks_session_edits(self, simple_schema,
                                                       simple_workload):
@@ -480,8 +451,8 @@ class TestServiceSessions:
         assert extra not in generated
         session.add_candidates([extra])
         session.remove_candidates(generated[:2])
-        assert extra in session.inner.candidates
-        assert len(session.inner.candidates) == len(generated) - 1
+        assert extra in session.candidates
+        assert len(session.candidates) == len(generated) - 1
 
         plain = service.tune(request)
         fresh = Tuner().tune(request)
@@ -514,8 +485,12 @@ class TestServiceSessions:
 
         def steps(service):
             session = service.open_session(request)
-            return [session.recommend(),
-                    session.update_constraints(extra_cap)]
+            assert isinstance(session, TuningSession)
+            results = [session.recommend(),
+                       session.update_constraints(extra_cap)]
+            assert session.history == tuple(results)
+            assert session.last_result is results[-1]
+            return results
 
         fresh = steps(TuningService())
         busy = TuningService()
@@ -526,6 +501,34 @@ class TestServiceSessions:
         assert [step.fingerprint() for step in steps(busy)] == \
             [step.fingerprint() for step in fresh]
         assert fresh[1].diagnostics.whatif_calls == 0
+        assert [step.provenance["session"] for step in fresh] == [
+            {"step": 1, "operation": "recommend"},
+            {"step": 2, "operation": "update_constraints"}]
+        assert fresh[1].provenance["advisor"] == {
+            "name": "cophy", "class": "InteractiveTuningSession"}
+
+    def test_sessions_reject_soft_constraints(self, simple_schema,
+                                              simple_workload):
+        """A step returns one configuration, never a Pareto curve, so a soft
+        constraint is refused, and the refused update leaves no step."""
+        from repro.exceptions import ConstraintError
+
+        soft = _budget(simple_schema, 0.5).soft()
+        service = TuningService()
+        with pytest.raises(ConstraintError, match="soft"):
+            service.open_session(TuningRequest(
+                workload=simple_workload, schema=simple_schema,
+                constraints=[_budget(simple_schema), soft]))
+        session = service.open_session(TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            constraints=[_budget(simple_schema)]))
+        first = session.recommend()
+        with pytest.raises(ConstraintError, match="soft"):
+            session.update_constraints([soft])
+        assert session.history == (first,)
+        again = session.update_constraints([_budget(simple_schema)])
+        assert again.provenance["session"]["step"] == 2
+        assert again.configuration == first.configuration
 
     def test_open_session_requires_cophy(self, simple_schema,
                                          simple_workload):

@@ -235,7 +235,7 @@ class TestSessionsStayPrivate:
         with context.lock:
             built = advisor.build_bip(context.canonical_workload(workload),
                                       advisor.generate_candidates(workload))
-        assert session.inner.bip is not memo and built is not memo
+        assert session.bip is not memo and built is not memo
         assert _bip_events(tuner) == (1.0, 1.0)
 
         assert first.fingerprint() == last.fingerprint() == _fresh(request)

@@ -1,23 +1,36 @@
 """Tests for the CoPhy Solver component, soft-constraint Pareto exploration,
-the advisor facade and interactive tuning sessions."""
+the advisor facade and the service's interactive tuning sessions."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import make_advisor
+from repro.api import AdvisorSpec, Tuner, TuningRequest, TuningService, make_advisor
+from repro.catalog.tpch import tpch_schema
 from repro.core.advisor import CoPhyAdvisor
 from repro.core.bip_builder import BipBuilder
-from repro.core.constraints import IndexCountConstraint, StorageBudgetConstraint
+from repro.core.constraints import (
+    IndexCountConstraint,
+    IndexWidthConstraint,
+    StorageBudgetConstraint,
+)
 from repro.core.soft_constraints import ParetoExplorer
 from repro.core.solver import CoPhySolver
-from repro.exceptions import InfeasibleProblemError
+from repro.exceptions import InfeasibleProblemError, SolverError
 from repro.indexes.candidate_generation import CandidateGenerator
 from repro.indexes.index import Index
 from repro.inum.cache import InumCache
 from repro.lp.model import Objective
 from repro.optimizer.whatif import WhatIfOptimizer
-from tests.conftest import assert_left_as_found, model_state
+from repro.workload.generators import generate_homogeneous_workload
+from tests.conftest import (
+    assert_left_as_found,
+    build_simple_schema,
+    build_simple_workload,
+    model_state,
+)
 
 
 @pytest.fixture
@@ -214,20 +227,30 @@ class TestCoPhyAdvisor:
         assert points[0].workload_cost >= points[1].workload_cost - 1e-6
 
 
+def _session(schema, workload, candidates=None, constraints=()):
+    """A gap-0 service session and its schema context."""
+    service = TuningService()
+    session = service.open_session(TuningRequest(
+        workload=workload, schema=schema, constraints=constraints,
+        candidates=candidates,
+        advisor=AdvisorSpec("cophy", {"gap_tolerance": 0.0})))
+    return session, service.context_for(schema)
+
+
 class TestInteractiveTuning:
     def test_add_candidates_retunes_without_rebuilding_inum(self, simple_schema,
                                                             simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        all_candidates = list(advisor.generate_candidates(simple_workload))
-        initial = advisor.candidate_generator.generate(simple_workload)
-        initial = initial.subset(all_candidates[: len(all_candidates) // 2])
-        session = advisor.create_session(simple_workload, candidates=initial)
+        all_candidates = list(CandidateGenerator(simple_schema).generate(
+            simple_workload))
+        half = len(all_candidates) // 2
+        session, context = _session(simple_schema, simple_workload,
+                                    candidates=all_candidates[:half])
         first = session.recommend()
-        inum_calls_after_first = advisor.inum.template_build_calls
+        inum_calls_after_first = context.inum.template_build_calls
         model = session.bip.model
         variables, constraints = model.variable_count, model.constraint_count
-        second = session.add_candidates(all_candidates[len(all_candidates) // 2:])
-        assert advisor.inum.template_build_calls == inum_calls_after_first
+        second = session.add_candidates(all_candidates[half:])
+        assert context.inum.template_build_calls == inum_calls_after_first
         assert session.bip.model is model  # extended in place, not rebuilt
         # The delta build is cheaper than the initial one in work, not in
         # wall clock: it adds fewer variables and rows than were created.
@@ -238,14 +261,13 @@ class TestInteractiveTuning:
 
     def test_retune_matches_from_scratch_quality(self, simple_schema,
                                                  simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        all_candidates = list(advisor.generate_candidates(simple_workload))
-        half = advisor.generate_candidates(simple_workload).subset(
-            all_candidates[: len(all_candidates) // 2])
-        session = advisor.create_session(simple_workload, candidates=half)
+        all_candidates = list(CandidateGenerator(simple_schema).generate(
+            simple_workload))
+        half = len(all_candidates) // 2
+        session, _ = _session(simple_schema, simple_workload,
+                              candidates=all_candidates[:half])
         session.recommend()
-        retuned = session.add_candidates(
-            all_candidates[len(all_candidates) // 2:])
+        retuned = session.add_candidates(all_candidates[half:])
 
         fresh_advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
         fresh = fresh_advisor.tune(simple_workload)
@@ -253,48 +275,52 @@ class TestInteractiveTuning:
             fresh.objective_estimate, rel=0.02)
 
     def test_update_constraints_reuses_bip(self, simple_schema, simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        session, _ = _session(simple_schema, simple_workload)
         unconstrained = session.recommend()
+        bip = session.bip
         constrained = session.update_constraints([IndexCountConstraint(limit=2)])
+        assert session.bip is bip
         assert len(constrained.configuration) <= 2
         assert constrained.objective_estimate >= unconstrained.objective_estimate - 1e-6
         assert len(session.history) == 2
-        assert session.last_recommendation is constrained
+        assert session.last_result is constrained
 
     def test_bip_property_requires_initial_recommendation(self, simple_schema,
                                                           simple_workload):
-        advisor = make_advisor("cophy", simple_schema)
-        session = advisor.create_session(simple_workload)
-        with pytest.raises(Exception):
+        session, _ = _session(simple_schema, simple_workload)
+        with pytest.raises(SolverError):
             _ = session.bip
         session.recommend()
         assert session.bip.model.variable_count > 0
 
     def test_add_candidates_before_recommend_falls_back_to_full_build(
             self, simple_schema, simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        session, _ = _session(simple_schema, simple_workload)
         extra = Index("orders", ("o_total",))
         recommendation = session.add_candidates([extra])
-        assert recommendation is session.last_recommendation
+        assert recommendation is session.last_result
         assert extra in session.candidates
+        assert extra in session.bip.z_columns
 
     def test_remove_candidates_retunes_without_rebuilding(self, simple_schema,
                                                           simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        session, context = _session(simple_schema, simple_workload)
         first = session.recommend()
         assert len(first.configuration) > 0
-        inum_calls = advisor.inum.template_build_calls
+        inum_calls = context.inum.template_build_calls
         bip = session.bip
+        rows = bip.model.constraint_count
         removed = list(first.configuration)[:2]
 
         shrunk = session.remove_candidates(removed)
-        # Delta re-tune: no INUM rebuild, the BIP kept, retracted indexes
-        # gone from both the candidate set and the recommendation.
-        assert advisor.inum.template_build_calls == inum_calls
+        # Delta re-tune: no INUM rebuild, the BIP kept and not edited,
+        # retracted indexes gone from both the candidate set and the
+        # recommendation.  Each retraction is one row of the solve's export.
+        assert context.inum.template_build_calls == inum_calls
         assert session.bip is bip
+        assert bip.model.constraint_count == rows
+        assert shrunk.extras["solve_report"].rows \
+            == first.extras["solve_report"].rows + len(removed)
         for index in removed:
             assert index not in session.candidates
             assert index not in shrunk.configuration
@@ -303,15 +329,14 @@ class TestInteractiveTuning:
 
     def test_remove_candidates_matches_from_scratch_quality(
             self, simple_schema, simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        session, _ = _session(simple_schema, simple_workload)
+        generated = list(session.candidates)
         first = session.recommend()
         removed = list(first.configuration)[:2]
         shrunk = session.remove_candidates(removed)
 
         fresh_advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        survivors = [index for index in advisor.generate_candidates(simple_workload)
-                     if index not in set(removed)]
+        survivors = [index for index in generated if index not in set(removed)]
         reduced = fresh_advisor.generate_candidates(simple_workload).subset(survivors)
         fresh = fresh_advisor.tune(simple_workload, candidates=reduced)
         assert shrunk.objective_estimate == pytest.approx(
@@ -319,26 +344,27 @@ class TestInteractiveTuning:
 
     def test_removed_candidates_can_be_restored(self, simple_schema,
                                                 simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        session, _ = _session(simple_schema, simple_workload)
         first = session.recommend()
         variables_after_build = session.bip.model.variable_count
         removed = list(first.configuration)[:1]
         session.remove_candidates(removed)
         restored = session.add_candidates(removed)
-        # Restoring drops the pin rows instead of growing the model.
+        # The retracted candidate kept its column: restoring it leaves the
+        # retracted set and the model does not grow, and its row is gone
+        # from the solve's export.
         assert session.bip.model.variable_count == variables_after_build
         assert removed[0] in session.candidates
+        assert restored.extras["solve_report"].rows \
+            == first.extras["solve_report"].rows
         assert restored.objective_estimate == pytest.approx(
             first.objective_estimate, rel=1e-6)
 
     def test_restore_after_full_rebuild_recreates_variables(self, simple_schema,
                                                             simple_workload):
-        """A rebuild clears the pin registry: re-adding a candidate that was
-        removed before the rebuild must create fresh variables, not no-op on
-        the discarded model."""
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        """A retraction names an index, not a row: after a rebuild without
+        the retracted candidate, restoring it creates fresh columns."""
+        session, _ = _session(simple_schema, simple_workload)
         first = session.recommend()
         removed = list(first.configuration)[:1]
         session.remove_candidates(removed)
@@ -351,10 +377,86 @@ class TestInteractiveTuning:
 
     def test_remove_candidates_before_recommend_falls_back(self, simple_schema,
                                                            simple_workload):
-        advisor = make_advisor("cophy", simple_schema, gap_tolerance=0.0)
-        session = advisor.create_session(simple_workload)
+        session, _ = _session(simple_schema, simple_workload)
         victim = next(iter(session.candidates))
         recommendation = session.remove_candidates([victim])
         assert victim not in session.candidates
+        assert victim not in session.bip.z_columns
         assert victim not in recommendation.configuration
-        assert recommendation is session.last_recommendation
+        assert recommendation is session.last_result
+
+
+# ----------------------------------------------------- generated step sequences
+def _session_case(name: str):
+    """A schema, a workload and its generated candidates."""
+    if name == "conftest":
+        schema, workload = build_simple_schema(), build_simple_workload()
+    else:
+        schema = tpch_schema(scale_factor=0.005)
+        workload = generate_homogeneous_workload(6, seed=3,
+                                                 update_fraction=0.3)
+    return schema, workload, list(CandidateGenerator(schema).generate(workload))
+
+
+def _constraint_sets(schema):
+    storage = StorageBudgetConstraint.from_fraction_of_data
+    return [[storage(schema, 1.0)], [storage(schema, 0.25)],
+            [storage(schema, 0.5), IndexCountConstraint(limit=2)],
+            [], [IndexWidthConstraint(max_columns=1)]]
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("retract"), st.integers(1, 3), st.integers(0, 99)),
+    st.tuples(st.just("extend"), st.integers(1, 3)),
+    st.tuples(st.just("restore"), st.integers(1, 3)),
+    st.tuples(st.just("update"), st.integers(0, 4)),
+    st.tuples(st.just("rebuild")))
+
+
+@pytest.mark.parametrize("case", ["conftest", "tpch"])
+@given(start=st.integers(0, 4), steps=st.lists(_STEPS, min_size=1,
+                                                max_size=6))
+@settings(max_examples=15, deadline=None)
+def test_generated_session_steps_match_fresh_tunes(case, start, steps):
+    """Every step of a gap-0 session, whatever interleaving of retractions,
+    extensions, restores, constraint updates and rebuilds led to it, has the
+    objective of a fresh gap-0 tune over the session's current candidates
+    and constraints, and never recommends a retracted candidate."""
+    schema, workload, generated = _session_case(case)
+    constraint_sets = _constraint_sets(schema)
+    gap_zero = AdvisorSpec("cophy", {"gap_tolerance": 0.0})
+    reserve = generated[-4:]
+    constraints = constraint_sets[start]
+    session = TuningService().open_session(TuningRequest(
+        workload=workload, schema=schema, constraints=constraints,
+        candidates=generated[:-4], advisor=gap_zero))
+    fresh = Tuner()
+    retracted: list[Index] = []
+    result = session.recommend()
+    for step in steps:
+        if step[0] == "retract":
+            _, count, offset = step
+            pool = list(dict.fromkeys([*result.configuration,
+                                       *session.candidates]))
+            chosen = [pool[(offset + i) % len(pool)]
+                      for i in range(min(count, len(pool)))]
+            result = session.remove_candidates(chosen)
+            retracted += [index for index in chosen if index not in retracted]
+        elif step[0] == "extend":
+            added, reserve = reserve[:step[1]], reserve[step[1]:]
+            result = session.add_candidates(added)
+        elif step[0] == "restore":
+            restored, retracted = retracted[:step[1]], retracted[step[1]:]
+            result = session.add_candidates(restored)
+        elif step[0] == "update":
+            constraints = constraint_sets[step[1]]
+            result = session.update_constraints(constraints)
+        else:
+            result = session.recommend()
+        assert not set(retracted) & set(result.configuration)
+        assert not set(retracted) & set(session.candidates)
+        expected = fresh.tune(TuningRequest(
+            workload=workload, schema=schema, constraints=constraints,
+            candidates=tuple(session.candidates), advisor=gap_zero))
+        assert result.objective_estimate == pytest.approx(
+            expected.objective_estimate, rel=1e-9)

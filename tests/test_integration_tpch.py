@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import make_advisor
+from repro.api import TuningRequest, TuningService, make_advisor
 from repro.bench.harness import compare_advisors
 from repro.bench.metrics import baseline_configuration, perf_improvement
 from repro.core.constraints import ClusteredIndexConstraint, StorageBudgetConstraint
@@ -127,25 +127,25 @@ class TestPipelineOnTpch:
 
     def test_interactive_retune_faster_than_initial_on_tpch(self, tpch_module):
         workload = generate_homogeneous_workload(15, seed=9)
-        advisor = make_advisor("cophy", tpch_module)
-        all_candidates = list(advisor.generate_candidates(workload))
+        all_candidates = list(CandidateGenerator(tpch_module).generate(
+            workload))
         split = int(len(all_candidates) * 0.7)
-        initial_set = advisor.generate_candidates(workload).subset(
-            all_candidates[:split])
-        session = advisor.create_session(
-            workload,
+        service = TuningService()
+        session = service.open_session(TuningRequest(
+            workload=workload, schema=tpch_module,
             constraints=[StorageBudgetConstraint.from_fraction_of_data(
                 tpch_module, 1.0)],
-            candidates=initial_set)
+            candidates=all_candidates[:split]))
         session.recommend()
-        builds = advisor.inum.template_build_calls
+        inum = service.context_for(tpch_module).inum
+        builds = inum.template_build_calls
         model = session.bip.model
         variables, constraints = model.variable_count, model.constraint_count
         session.add_candidates(all_candidates[split:])
         # Fig. 6b's saving as deterministic work: no template is
         # re-enumerated, the BIP is extended in place, and the delta build
         # adds fewer variables and rows than the initial build created.
-        assert advisor.inum.template_build_calls == builds
+        assert inum.template_build_calls == builds
         assert session.bip.model is model
         assert 0 < model.variable_count - variables < variables
         assert 0 < model.constraint_count - constraints < constraints

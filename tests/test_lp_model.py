@@ -109,17 +109,15 @@ class TestModel:
         assert model.objective.value(feasible) == pytest.approx(1.0)
         assert matrices["c"] @ feasible == pytest.approx(1.0)
 
-    def test_remove_constraints(self):
+    def test_add_rows_appends_blocks_in_order(self):
         model = Model("m")
         model.add_columns(1)
         x = Objective.of([0], [1.0])
-        kept = model.add_rows(RowBlock.of([(x, 1.0, RowKind.LESS_EQUAL)]))
-        removed = model.add_rows(RowBlock.of([(x, 0.0, RowKind.LESS_EQUAL)]))
+        first = model.add_rows(RowBlock.of([(x, 1.0, RowKind.LESS_EQUAL)]))
+        second = model.add_rows(RowBlock.of([(x, 0.0, RowKind.LESS_EQUAL)]))
         assert model.constraint_count == 2
-        assert model.remove_rows([removed]) == 1
-        assert model.constraint_count == 1
-        assert model.to_matrices()["b_ub"].tolist() == kept.rhs.tolist()
-        assert model.remove_rows([removed]) == 0
+        assert model.to_matrices()["b_ub"].tolist() \
+            == [*first.rhs.tolist(), *second.rhs.tolist()]
 
     def test_matrix_export_shapes(self):
         model = Model("m")

@@ -46,7 +46,7 @@ from repro.obs.trace import (
 from repro.api.registry import make_advisor
 from repro.core.constraints import StorageBudgetConstraint
 from repro.indexes.candidate_generation import CandidateGenerator
-from repro.lp.model import RowBlock
+from repro.lp.model import Objective, RowBlock, RowKind
 from repro.server.app import TuningServer, _endpoint_pattern
 from repro.server.client import TuningClient
 from repro.server.protocol import TRACE_HEADER
@@ -370,14 +370,26 @@ class TestSpanTreeShapes:
             self, simple_schema, simple_workload):
         budget = StorageBudgetConstraint.from_fraction_of_data(simple_schema,
                                                                0.5)
-        session = make_advisor("cophy", simple_schema).create_session(
-            simple_workload, constraints=[budget])
+        session = TuningService().open_session(TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            constraints=[budget]))
         tracer = Tracer()
         with activate(tracer), tracer.span("recommend") as step:
             recommendation = session.recommend()
         _assert_solve_attrs_match(
             step.children[-1].attrs, session.bip,
             recommendation.extras["solve_report"], budget.to_linear(session.bip))
+        # A retraction is a row of the solve's export, ahead of the DBA's.
+        retracted = next(iter(recommendation.configuration))
+        with activate(tracer), tracer.span("remove") as step:
+            recommendation = session.remove_candidates([retracted])
+        pin = RowBlock.of([(Objective.of(
+            [session.bip.z_columns[retracted]], [1.0]), 0.0,
+            RowKind.LESS_EQUAL)])
+        _assert_solve_attrs_match(
+            step.children[-1].attrs, session.bip,
+            recommendation.extras["solve_report"],
+            RowBlock.concatenate([pin, budget.to_linear(session.bip)]))
 
     def test_tracing_off_yields_no_trace(self, tpch):
         result = Tuner(tracing=False).tune(_request(tpch))
@@ -439,19 +451,19 @@ class TestOneClock:
 
     def test_session_operations_report_the_same_four_keys(
             self, simple_schema, simple_workload):
-        advisor = make_advisor("cophy", simple_schema)
-        candidates = list(advisor.generate_candidates(simple_workload))
-        session = advisor.create_session(
-            simple_workload,
-            candidates=advisor.generate_candidates(simple_workload).subset(
-                candidates[:-2]))
+        candidates = list(CandidateGenerator(simple_schema).generate(
+            simple_workload))
+        session = TuningService().open_session(TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            candidates=candidates[:-2]))
         budget = StorageBudgetConstraint.from_fraction_of_data(
             simple_schema, 0.5)
         for step in (session.recommend(),
                      session.add_candidates(candidates[-2:]),
                      session.remove_candidates(candidates[-1:]),
                      session.update_constraints([budget])):
-            assert set(step.timings) == {"inum", "build", "solve", "total"}
+            assert set(step.diagnostics.timings) \
+                == {"inum", "build", "solve", "total"}
 
     @pytest.mark.parametrize("advisor,tier", list(_ADVISOR_TIMINGS))
     def test_advisor_timings_are_the_readings_of_their_spans(
@@ -540,12 +552,11 @@ class TestOneClock:
 
     def test_session_steps_nest_their_stages_under_the_ambient_tracer(
             self, simple_schema, simple_workload):
-        advisor = make_advisor("cophy", simple_schema)
-        candidates = list(advisor.generate_candidates(simple_workload))
-        session = advisor.create_session(
-            simple_workload,
-            candidates=advisor.generate_candidates(simple_workload).subset(
-                candidates[:-2]))
+        candidates = list(CandidateGenerator(simple_schema).generate(
+            simple_workload))
+        session = TuningService().open_session(TuningRequest(
+            workload=simple_workload, schema=simple_schema,
+            candidates=candidates[:-2]))
         tracer = Tracer()
         with activate(tracer), tracer.span("session"):
             with tracer.span("recommend") as first:

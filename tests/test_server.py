@@ -564,6 +564,37 @@ class TestErrorEnvelopes:
                 TuningClient(server.url).open_session(request)
             assert server.session_count == 0
 
+    def test_a_soft_constraint_in_a_session_is_a_422(self, simple_schema,
+                                                     simple_workload):
+        from repro.server.wire import encode_session_step
+
+        soft = _budget(simple_schema, 0.5).soft()
+
+        def post(url, payload):
+            request = urllib.request.Request(
+                url, data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"}, method="POST")
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=10)
+            return info.value.code, json.loads(info.value.read())["error"]
+
+        with TuningServer() as server:
+            status, error = post(f"{server.url}/v1/sessions", encode_request(
+                _request(simple_schema, simple_workload,
+                         constraints=[_budget(simple_schema), soft])))
+            assert (status, error["type"]) == (422, "ConstraintError")
+            assert server.session_count == 0
+            with TuningClient(server.url).open_session(
+                    _request(simple_schema, simple_workload)) as session:
+                first = session.recommend()
+                status, error = post(
+                    f"{server.url}/v1/sessions/{session.session_id}/tune",
+                    encode_session_step("update_constraints", [soft]))
+                assert (status, error["type"]) == (422, "ConstraintError")
+                assert session.update_constraints(
+                    [_budget(simple_schema)]).configuration \
+                    == first.configuration
+
     def test_negative_content_length_is_rejected_not_hung(self):
         import http.client
 
