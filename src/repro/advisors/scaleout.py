@@ -73,9 +73,8 @@ class ScaleOutAdvisor(Advisor):
         candidate_generator: Optional custom CGen instance (run on the
             *compressed* workload, so the candidate universe also scales with
             distinct shapes).
-        signature: Compression signature mode (``"structural"`` needs no
-            optimizer work; ``"gamma"`` clusters on measured INUM cost
-            vectors).
+        signature: Compression signature mode; ``"structural"`` is the one
+            mode (it needs no optimizer work).
         max_cost_error: Relative cost-error bound of the compression;
             ``0.0`` is the exact fallback.
         compress: Disable compression entirely with ``False`` (partitioning
@@ -89,8 +88,6 @@ class ScaleOutAdvisor(Advisor):
             budget split (``None`` lets every shard fill up to the global
             budget; ``1.0`` partitions the budget strictly — see
             :func:`repro.scale.partition.split_budget`).
-        build_processes: Process count for sharded gamma-matrix builds during
-            gamma-signature compression.
         gap_tolerance / time_limit_seconds: Solver settings for the
             shard and merge solves.
         retry_policy / fault_plan: Reliability knobs forwarded to the
@@ -109,7 +106,6 @@ class ScaleOutAdvisor(Advisor):
                  shard_count: int | None = None,
                  shard_workers: int | None = None,
                  budget_oversubscription: float | None = None,
-                 build_processes: int | None = None,
                  gap_tolerance: float = 0.05,
                  time_limit_seconds: float | None = None,
                  retry_policy=None, fault_plan=None):
@@ -123,7 +119,6 @@ class ScaleOutAdvisor(Advisor):
         self.shard_count = shard_count
         self.shard_workers = shard_workers
         self.budget_oversubscription = budget_oversubscription
-        self.build_processes = build_processes
         self.gap_tolerance = gap_tolerance
         self.time_limit_seconds = time_limit_seconds
         self.retry_policy = retry_policy
@@ -157,17 +152,9 @@ class ScaleOutAdvisor(Advisor):
         with stage(timings, "compress", enabled=self.compress,
                    statements=len(workload)) as compress_span:
             if self.compress:
-                if self.signature == "gamma":
-                    # Gamma signatures read every statement's templates and
-                    # heap gamma columns: batch-build them up front (across
-                    # processes when configured) instead of one statement at
-                    # a time inside the signature loop.
-                    self.inum.build_workload(
-                        workload, build_processes=self.build_processes)
                 compressed = compress_workload(
                     workload, signature=self.signature,
-                    max_cost_error=self.max_cost_error,
-                    inum=self.inum if self.signature == "gamma" else None)
+                    max_cost_error=self.max_cost_error)
                 tuned = compressed.workload
                 extras["compression"] = compressed.summary()
                 compress_span.set(representatives=len(tuned))

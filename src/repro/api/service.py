@@ -416,6 +416,10 @@ class TuningService:
             candidates = _resolve_candidates(request, context, workload)
             if candidates is None:
                 candidates = advisor.generate_candidates(workload)
+            else:
+                # Steps edit the session's set in place; the request's
+                # own set must outlive the session unchanged.
+                candidates = CandidateSet(request.schema, candidates)
         return TuningSession(self, context, request, advisor, workload,
                              candidates, list(request.constraints), renames)
 

@@ -87,7 +87,6 @@ class CostingSpec:
 
     max_orders_per_table: int = DEFAULT_MAX_ORDERS_PER_TABLE
     max_templates_per_query: int = DEFAULT_MAX_TEMPLATES_PER_QUERY
-    build_processes: int | None = None
 
     def to_provenance(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

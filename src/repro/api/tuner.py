@@ -124,7 +124,6 @@ class SchemaContext:
             self.optimizer,
             max_orders_per_table=costing.max_orders_per_table,
             max_templates_per_query=costing.max_templates_per_query,
-            build_processes=costing.build_processes,
         )
         self.candidate_generator = CandidateGenerator(schema)
         #: Serializes cache-mutating pipelines; taken by the TuningService
@@ -580,8 +579,8 @@ def _advise(root, advisor: Advisor, workload: Workload,
     """Run the advisor and note its outcome on the root span.
 
     ``fault_plan`` is armed process-wide for the duration, which is how it
-    reaches the downstream fault sites (shard executors, matrix builds)
-    without every advisor growing a ``fault_plan`` parameter.
+    reaches the downstream fault site (shard solves) without every
+    advisor growing a ``fault_plan`` parameter.
     """
     from repro.reliability.faults import armed
 

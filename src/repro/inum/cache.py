@@ -73,29 +73,19 @@ class InumCache:
             the cap, a representative subset is enumerated instead (the
             all-unordered template, all single-order templates and the
             all-ordered template).
-        build_processes: Process count for sharded gamma-matrix construction.
-            Template enumeration and column costing are GIL-bound Python, so
-            with ``build_processes > 1`` pending matrices are built in worker
-            processes (``repro.scale.executor``) and adopted back into this
-            cache in workload order.  ``None`` / ``1`` builds serially
-            in-process.
     """
 
     def __init__(self, optimizer: WhatIfOptimizer,
                  max_orders_per_table: int = DEFAULT_MAX_ORDERS_PER_TABLE,
-                 max_templates_per_query: int = DEFAULT_MAX_TEMPLATES_PER_QUERY,
-                 build_processes: int | None = None):
+                 max_templates_per_query: int = DEFAULT_MAX_TEMPLATES_PER_QUERY):
         if max_orders_per_table < 0:
             raise ValueError("max_orders_per_table must be non-negative")
         if max_templates_per_query < 1:
             raise ValueError("max_templates_per_query must be at least 1")
-        if build_processes is not None and build_processes < 1:
-            raise ValueError("build_processes must be at least 1")
         self._optimizer = optimizer
         self._schema: Schema = optimizer.schema
         self._max_orders = max_orders_per_table
         self._max_templates = max_templates_per_query
-        self._build_processes = build_processes
         self._templates: dict[str, tuple[TemplatePlan, ...]] = {}
         self._queries: dict[str, Query] = {}
         self._matrices: dict[str, QueryGammaMatrix] = {}
@@ -146,10 +136,9 @@ class InumCache:
 
     # ----------------------------------------------------------------- building
     # Caller holds the context lock (see build).
-    def build_workload(self, workload: Workload,
-                       build_processes: int | None = None) -> None:
-        """Pre-process every statement of a workload (in parallel when asked)."""
-        self._build_statements(workload, (), build_processes)
+    def build_workload(self, workload: Workload) -> None:
+        """Pre-process every statement of a workload."""
+        self._build_statements(workload, ())
 
     # The cache does not serialize itself: callers hold SchemaContext.lock,
     # or the cache is process-local (a worker's).
@@ -184,14 +173,14 @@ class InumCache:
 
     # Caller holds the context lock (see build).
     def prepare(self, workload: Workload,
-                candidates: Iterable[Index] = (),
-                build_processes: int | None = None) -> dict[str, int]:
+                candidates: Iterable[Index] = ()) -> dict[str, int]:
         """Pre-process a workload and register candidate columns up front.
 
         After this, ``cost`` / ``workload_cost`` / BIP coefficient assembly
         for the given candidate universe run entirely on precomputed arrays
-        without touching the optimizer.  Gamma matrices are built serially,
-        or in ``build_processes`` worker processes for GIL-free sharded builds.
+        without touching the optimizer.  Gamma matrices are built in this
+        process, in workload order (a scale-out shard worker builds its own
+        shard's and ships them back through :meth:`adopt_built`).
 
         ``prepare`` is idempotent and incremental: calling it again with an
         enlarged candidate set extends the existing matrices and the workload
@@ -214,7 +203,7 @@ class InumCache:
             self.workload_tensor(workload)
             return {}
         before = self._work_done()
-        self._build_statements(workload, indexes, build_processes)
+        self._build_statements(workload, indexes)
         self._workload_tensor(workload, built=True).ensure_columns(indexes)
         after = self._work_done()
         return {key: after[key] - before[key] for key in after}
@@ -226,8 +215,8 @@ class InumCache:
                 "gamma_columns": sum(matrix.column_count - 1
                                      for matrix in self._matrices.values())}
 
-    def _build_statements(self, workload: Workload, indexes: tuple[Index, ...],
-                          build_processes: int | None = None) -> None:
+    def _build_statements(self, workload: Workload,
+                          indexes: tuple[Index, ...]) -> None:
         """Build templates/matrices for a workload, once per distinct shell,
         in workload order."""
         shells = self._distinct_shells(workload)
@@ -237,16 +226,6 @@ class InumCache:
             _cache_event("template", "hit", known)
         if len(shells) > known:
             _cache_event("template", "miss", len(shells) - known)
-        # Process-sharded builds (the GIL-free path): pending shells are built
-        # in worker processes and adopted back in workload order, after which
-        # the serial pass below only performs idempotent column scans.
-        processes = (build_processes if build_processes is not None
-                     else self._build_processes)
-        if processes is not None and processes > 1:
-            from repro.scale.executor import build_matrices_in_processes
-
-            build_matrices_in_processes(self, shells, indexes,
-                                        workers=processes)
         for shell in shells:
             _, templates, matrix = self._build_one(shell, indexes)
             self._templates[shell.name] = templates
@@ -264,25 +243,15 @@ class InumCache:
     def pending_shells(self, queries: Iterable[Query]) -> tuple[Query, ...]:
         """The shells whose templates/matrix this cache has not built yet.
 
-        The single definition of "needs building" — the process executor in
-        ``repro.scale`` uses it to decide what to dispatch, and the shard
-        executor to decide which worker-built entries are worth shipping
-        back.  UPDATE statements are judged by their query shell.
+        The single definition of "needs building": the shard executor in
+        ``repro.scale`` uses it to decide which worker-built entries are
+        worth shipping back.  UPDATE statements are judged by their query
+        shell.
         """
         return tuple(
             shell for shell in map(self._shell, queries)
             if shell.name not in self._templates
             or shell.name not in self._matrices)
-
-    def build_entry(self, shell: Query, indexes: tuple[Index, ...] = ()
-                    ) -> tuple[Query, tuple[TemplatePlan, ...],
-                               QueryGammaMatrix]:
-        """Build one shell's templates/matrix *without* committing them.
-
-        Worker processes call this to compute entries that the originating
-        cache later installs via :meth:`adopt_built`.
-        """
-        return self._build_one(shell, tuple(indexes))
 
     def _build_one(self, shell: Query, indexes: tuple[Index, ...]
                    ) -> tuple[Query, tuple[TemplatePlan, ...],
@@ -300,15 +269,13 @@ class InumCache:
 
     # Caller holds the context lock (see build).
     def adopt_built(self, entries: Iterable[tuple[Query, tuple[TemplatePlan, ...],
-                                                  QueryGammaMatrix]],
-                    build_calls: int = 0) -> None:
-        """Install externally built templates/matrices (process-sharded builds).
+                                                  QueryGammaMatrix]]) -> None:
+        """Install templates/matrices a shard worker process built.
 
         Entries for shells this cache already knows are ignored (the local
         build wins); adopted matrices are rebound to this cache's optimizer.
-        ``build_calls`` adds the worker-side template-build count to the
-        :attr:`template_build_calls` metric so optimizer-call accounting stays
-        comparable across build modes.
+        :attr:`template_build_calls` is left alone: the worker's build count
+        reaches the advisor as ``ShardResult.worker_optimizer_calls``.
         """
         for shell, templates, matrix in entries:
             if shell.name not in self._templates:
@@ -317,9 +284,6 @@ class InumCache:
             if shell.name not in self._matrices:
                 matrix.rebind_optimizer(self._optimizer)
                 self._matrices[shell.name] = matrix
-        if build_calls:
-            with self._metrics_lock:
-                self._build_calls += build_calls
 
     def export_built(self, workload: Workload
                      ) -> tuple[tuple[Query, tuple[TemplatePlan, ...],

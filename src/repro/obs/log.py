@@ -3,8 +3,8 @@
 One logger tree rooted at ``repro`` emits JSON lines to stderr::
 
     {"ts": "2026-08-08T12:00:00.123+00:00", "level": "WARNING",
-     "logger": "repro.scale", "event": "matrix_build_degraded",
-     "trace_id": "4f…", "shells": 12}
+     "logger": "repro.scale", "event": "shard_degraded",
+     "trace_id": "4f…", "shard": 2}
 
 * :func:`log_event` is the one emission API: an event name plus arbitrary
   JSON-serializable fields; the ambient trace id

@@ -12,7 +12,6 @@ Fault sites wired through the stack:
 
 * ``shard_solve``  — one per-shard BIP solve (key: shard position), both in
   worker processes and on the inline path;
-* ``matrix_build`` — one worker-side gamma-matrix build chunk;
 * ``http_request`` — one client-side HTTP call (key: URL path);
 * ``solver``       — the advisor invocation inside
   ``Tuner.tune_in_context`` (key: canonical advisor name).
@@ -47,7 +46,7 @@ __all__ = ["ENV_VAR", "FAULT_SITES", "FaultRule", "FaultPlan",
 ENV_VAR = "REPRO_FAULT_PLAN"
 
 #: The named fault sites wired through the stack.
-FAULT_SITES = ("shard_solve", "matrix_build", "http_request", "solver")
+FAULT_SITES = ("shard_solve", "http_request", "solver")
 
 _ACTIONS = ("raise", "latency", "kill")
 

@@ -1,7 +1,7 @@
 """``RetryPolicy`` — one reusable exponential-backoff retry loop (PR 7).
 
-Every retrying layer (shard executor, HTTP client, matrix builds) shares
-this policy object, so retry semantics are uniform:
+Every retrying layer (shard executor, HTTP client) shares this policy
+object, so retry semantics are uniform:
 
 * exponential backoff with a cap and symmetric jitter (seeded for
   deterministic tests);

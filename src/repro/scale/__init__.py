@@ -5,13 +5,14 @@ monolithic solve, following the divide-and-conquer recipe the paper implies
 for thousand-statement workloads:
 
 1. :mod:`repro.scale.compress` — cluster statements into weighted
-   representatives (template/gamma signatures, bounded cost error, exact
+   representatives (structural signatures, bounded cost error, exact
    fallback);
 2. :mod:`repro.scale.partition` — split the BIP along the query–candidate
    interaction graph into balanced shards with a water-filled storage-budget
    split;
-3. :mod:`repro.scale.executor` — solve shards (and build gamma matrices) in
-   a process pool, merging results deterministically in workload order.
+3. :mod:`repro.scale.executor` — solve shards in a process pool, each
+   worker building its own shard's gamma matrices, merging results
+   deterministically in workload order.
 
 :class:`repro.advisors.scaleout.ScaleOutAdvisor` wires the three stages into
 an end-to-end advisor with a final merge BIP over the per-shard winners.
@@ -19,7 +20,7 @@ an end-to-end advisor with a final merge BIP over the per-shard winners.
 
 from repro.scale.compress import CompressedWorkload, compress_workload
 from repro.scale.partition import PartitionPlan, Shard, partition_workload, split_budget
-from repro.scale.executor import ShardExecutor, ShardResult, build_matrices_in_processes
+from repro.scale.executor import ShardExecutor, ShardResult
 
 __all__ = [
     "CompressedWorkload",
@@ -30,5 +31,4 @@ __all__ = [
     "split_budget",
     "ShardExecutor",
     "ShardResult",
-    "build_matrices_in_processes",
 ]

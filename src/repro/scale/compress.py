@@ -11,53 +11,42 @@ weight is the sum of the member weights, so every downstream consumer
 automatically accounts for the cluster through the standard weighted-workload
 machinery.
 
-Two signature modes are supported:
-
-* ``"structural"`` — statements are keyed on their template structure alone:
-  tables, join edges, predicate (column, operator) pairs with selectivity
-  hints quantised into relative buckets of width ``max_cost_error``, group-by
-  / order-by / aggregate / projection shapes, and (for updates) the written
-  columns.  No optimizer work is needed, so compression runs before any INUM
-  preprocessing — only representatives ever reach the optimizer.
-* ``"gamma"`` — statements are keyed on their exact structural identity
-  (selectivity hints excluded) *plus* their quantised INUM cost vectors: the
-  ``beta`` template costs and the heap column ``gamma_k,i,I0`` of their
-  :class:`~repro.inum.gamma_matrix.QueryGammaMatrix`.  This requires template
-  enumeration for every statement (an :class:`~repro.inum.cache.InumCache`
-  must be supplied) but merges on measured costs instead of AST heuristics.
+Statements are keyed on their template structure alone (the one signature
+mode, ``"structural"``): tables, join edges, predicate (column, operator)
+pairs with selectivity hints quantised into relative buckets of width
+``max_cost_error``, group-by / order-by / aggregate / projection shapes, and
+(for updates) the written columns.  No optimizer work is needed, so
+compression runs before any INUM preprocessing — only representatives ever
+reach the optimizer.
 
 The cost-error bound: values are quantised to logarithmic buckets of relative
 width ``max_cost_error`` — two merged statements agree on every signature
-value within a factor of ``1 + max_cost_error``.  In gamma mode this bounds
-the heap/beta components of the INUM cost formula exactly; candidate-column
-gammas are derived from the same selectivities and track the heap costs, so
-the end-to-end bound is a tight heuristic rather than a theorem.  The exact
-fallback is ``max_cost_error = 0.0``: no quantisation, statements merge only
-when their signature values are bit-identical.
+value within a factor of ``1 + max_cost_error``.  Scan and maintenance costs
+are derived from the same selectivities and update fractions and track them,
+so the end-to-end bound is a tight heuristic rather than a theorem.  The
+exact fallback is ``max_cost_error = 0.0``: no quantisation, statements merge
+only when their signature values are bit-identical.
 
 Updates compress like selects, with the written table/columns and the
-quantised base-update cost (a monotone proxy for the updated row count, which
-also drives the per-index maintenance costs) folded into the signature.
+quantised update fraction (the updated row share, which drives the
+base-update and per-index maintenance costs) folded into the signature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import Hashable
 
 from repro.exceptions import WorkloadError
 from repro.workload.query import Query, UpdateQuery
 from repro.workload.workload import Workload, WorkloadStatement
 
-if TYPE_CHECKING:  # pragma: no cover - type-checking import only
-    from repro.inum.cache import InumCache
-
 __all__ = ["CompressedWorkload", "compress_workload", "SIGNATURE_MODES",
            "structural_statement_key"]
 
 #: Supported signature modes (see module docstring).
-SIGNATURE_MODES = ("structural", "gamma")
+SIGNATURE_MODES = ("structural",)
 
 
 @dataclass(frozen=True)
@@ -109,18 +98,14 @@ class CompressedWorkload:
 
 
 def compress_workload(workload: Workload, *, signature: str = "structural",
-                      max_cost_error: float = 0.0,
-                      inum: "InumCache | None" = None) -> CompressedWorkload:
+                      max_cost_error: float = 0.0) -> CompressedWorkload:
     """Cluster a workload into weighted representative statements.
 
     Args:
         workload: The workload to compress.
-        signature: ``"structural"`` or ``"gamma"`` (see module docstring).
+        signature: ``"structural"``, the one mode (see module docstring).
         max_cost_error: Relative quantisation width; ``0.0`` is the exact
             fallback (only signature-identical statements merge).
-        inum: Required for gamma signatures — supplies template plans and
-            heap gamma columns (built on demand for statements that do not
-            have them yet).
 
     Returns:
         A :class:`CompressedWorkload`; the representative workload preserves
@@ -129,17 +114,14 @@ def compress_workload(workload: Workload, *, signature: str = "structural",
     if signature not in SIGNATURE_MODES:
         raise WorkloadError(f"Unknown compression signature {signature!r}; "
                             f"expected one of {SIGNATURE_MODES}")
-    if max_cost_error < 0.0:
+    # ``not >=`` so NaN fails too: it passes ``< 0.0`` and would reach
+    # _quantise, which cannot bucket it.
+    if not max_cost_error >= 0.0:
         raise WorkloadError("max_cost_error must be non-negative")
-    if signature == "gamma" and inum is None:
-        raise WorkloadError("Gamma-signature compression needs an InumCache")
 
     clusters: dict[Hashable, list[int]] = {}
     for position, statement in enumerate(workload):
-        if signature == "gamma":
-            key = _gamma_key(statement.query, inum, max_cost_error)
-        else:
-            key = _structural_key(statement.query, max_cost_error)
+        key = structural_statement_key(statement.query, max_cost_error)
         clusters.setdefault(key, []).append(position)
 
     ordered = sorted(clusters.values(), key=lambda members: members[0])
@@ -190,7 +172,7 @@ def _shell_of(query: Query) -> Query:
 def _shape_key(shell: Query) -> tuple:
     """The selectivity-free structural identity of a query shell.
 
-    Statements must agree on this part of the signature in *both* modes:
+    Merged statements must agree on this part of the signature exactly:
     it determines which candidate indexes are relevant to which slots, so
     merging across different shapes would change the BIP's variable space,
     not just its coefficients.
@@ -214,21 +196,13 @@ def _shape_key(shell: Query) -> tuple:
     )
 
 
-def _update_key(query: Query, max_cost_error: float,
-                inum: "InumCache | None") -> tuple | None:
+def _update_key(query: Query, max_cost_error: float) -> tuple | None:
     """The update-specific signature part (``None`` for selects)."""
     if not isinstance(query, UpdateQuery):
         return None
     written = tuple(c.column for c in query.set_columns)
-    if inum is not None:
-        # The base-update cost is a monotone function of the updated row
-        # count, which also drives every ``ucost(a, q)`` term — quantising it
-        # bounds the maintenance-cost error alongside the scan costs.
-        base_cost = _quantise(inum.optimizer.base_update_cost(query),
-                              max_cost_error)
-    else:
-        base_cost = _quantise(query.update_fraction, max_cost_error)
-    return (query.table, written, base_cost)
+    return (query.table, written,
+            _quantise(query.update_fraction, max_cost_error))
 
 
 def structural_statement_key(query: Query, max_cost_error: float = 0.0
@@ -245,21 +219,4 @@ def structural_statement_key(query: Query, max_cost_error: float = 0.0
          for p in shell.predicates),
         key=lambda key: (key[:3], key[3] is not None, key[3] or 0)))
     return (_shape_key(shell), selectivities,
-            _update_key(query, max_cost_error, None))
-
-
-_structural_key = structural_statement_key
-
-
-# Caller holds the context lock: gamma_matrix builds lazily, and this is
-# reached only via compress_workload under the scale-out advisor.
-def _gamma_key(query: Query, inum: "InumCache", max_cost_error: float
-               ) -> Hashable:
-    shell = _shell_of(query)
-    matrix = inum.gamma_matrix(shell)
-    betas = tuple(_quantise(float(b), max_cost_error)
-                  for b in matrix.beta)
-    heap = tuple(_quantise(float(g), max_cost_error)
-                 for g in matrix.array[:, :, 0].ravel())
-    return (_shape_key(shell), betas, heap,
-            _update_key(query, max_cost_error, inum))
+            _update_key(query, max_cost_error))

@@ -1,26 +1,21 @@
-"""Process-parallel execution of shard solves and gamma-matrix builds.
+"""Process-parallel execution of shard solves.
 
 The third stage of the scale-out pipeline (PR 3).  Template enumeration,
 gamma-matrix column costing and BIP solving are GIL-bound Python, so threads
-cannot scale them on multi-core machines.  This module moves both across
-*process* boundaries:
-
-* :class:`ShardExecutor` solves the per-shard BIPs of a
-  :class:`~repro.scale.partition.PartitionPlan` — inline (sharing the
-  caller's :class:`~repro.inum.cache.InumCache`) when one worker is
-  effective, or in a ``ProcessPoolExecutor`` where each worker rebuilds its
-  own optimizer/INUM/BIP stack from the pickled schema and statements and
-  returns the templates/matrices it built (``ShardResult.built``) for the
-  caller's cache to adopt, so no template is enumerated twice.  The pool
-  takes the largest shard first.  Either way a shard solve is
-  :func:`_solve_shard_inline`: the greedy knapsack under the shard's
-  storage row, then the BIP started from its answer
-  (:meth:`~repro.core.bip_builder.CophyBip.warm_start_from`), so HiGHS
-  holds an incumbent before its root node.
-* :func:`build_matrices_in_processes` shards ``QueryGammaMatrix``
-  construction across worker processes; the built matrices are pickled back
-  and adopted into the calling cache (``InumCache.adopt_built``) in workload
-  order, so cache state is deterministic regardless of scheduling.
+cannot scale them on multi-core machines.  :class:`ShardExecutor` moves the
+per-shard BIP solves of a :class:`~repro.scale.partition.PartitionPlan`
+across *process* boundaries: it solves inline (sharing the caller's
+:class:`~repro.inum.cache.InumCache`) when one worker is effective, or in a
+``ProcessPoolExecutor`` where each worker rebuilds its own
+optimizer/INUM/BIP stack from the pickled schema and statements and returns
+the templates/matrices it built (``ShardResult.built``) for the caller's
+cache to adopt, so no template is enumerated twice.  Every gamma matrix is
+built in the process that uses it: the caller's, or a worker's for its own
+shard.  The pool takes the largest shard first.  Either way a shard solve
+is :func:`_solve_shard_inline`: the greedy knapsack under the shard's
+storage row, then the BIP started from its answer
+(:meth:`~repro.core.bip_builder.CophyBip.warm_start_from`), so HiGHS holds
+an incumbent before its root node.
 
 Fault tolerance (PR 7): a failed or crashed shard solve is retried under
 the executor's :class:`~repro.reliability.retry.RetryPolicy`; a
@@ -65,8 +60,6 @@ from repro.inum.cache import (
     DEFAULT_MAX_TEMPLATES_PER_QUERY,
     InumCache,
 )
-from repro.inum.gamma_matrix import QueryGammaMatrix
-from repro.inum.template_plan import TemplatePlan
 from repro.lp.budget import SolveBudget
 from repro.obs.log import log_event
 from repro.obs.metrics import RETRIES, active_registry
@@ -75,14 +68,13 @@ from repro.optimizer.whatif import WhatIfOptimizer
 from repro.reliability.faults import FaultPlan, armed_plan, maybe_check
 from repro.reliability.retry import RetryPolicy, default_retryable
 from repro.scale.partition import Shard
-from repro.workload.query import Query
 from repro.workload.workload import Workload
 
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking import only
     from repro.scale.partition import PartitionPlan
 
-__all__ = ["ShardResult", "ShardExecutor", "build_matrices_in_processes"]
+__all__ = ["ShardResult", "ShardExecutor"]
 
 
 @dataclass(frozen=True)
@@ -351,8 +343,7 @@ class ShardExecutor:
                    time_limit: float | None, faults: FaultPlan | None,
                    attempt: int) -> tuple:
         # Worker-built entries come back only for shells the caller's cache
-        # lacks right now: after gamma-signature compression pre-built the
-        # whole workload, nothing is shipped.
+        # lacks right now.
         ship = frozenset() if inum is None else frozenset(
             shell.name for shell in inum.pending_shells(
                 statement.query for statement in shard.workload))
@@ -484,78 +475,3 @@ def _solve_shard_job(job: tuple) -> ShardResult:
     if tracer is not None:
         result = replace(result, trace=tracer.export())
     return result
-
-
-# --------------------------------------------------------- matrix build shards
-def build_matrices_in_processes(cache: InumCache, shells: Sequence[Query],
-                                indexes: tuple[Index, ...],
-                                workers: int | None = None,
-                                retry_policy: RetryPolicy | None = None,
-                                fault_plan: FaultPlan | None = None) -> int:
-    """Build pending gamma matrices in worker processes and adopt them.
-
-    Only shells the cache has not built yet are dispatched; each worker
-    constructs its own optimizer/cache from the pickled schema, builds its
-    chunk of matrices (candidate columns included) and pickles them back.
-    Adoption happens on the calling side in workload order.  Returns the
-    number of shells built remotely.
-
-    Worker failures are retried under ``retry_policy`` (a fresh pool per
-    attempt); when retries are exhausted on a transient error the function
-    returns 0 and the caller builds the matrices locally — the process pool
-    is an accelerator, never a correctness dependency.
-    """
-    pending = list(cache.pending_shells(shells))
-    workers = workers if workers is not None else (os.cpu_count() or 1)
-    workers = min(workers, len(pending))
-    if workers <= 1 or len(pending) < 2:
-        return 0
-    caps = cache.enumeration_caps
-    chunks = [pending[offset::workers] for offset in range(workers)]
-    plan = fault_plan if fault_plan is not None else armed_plan()
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
-
-    def build_all(attempt: int) -> list:
-        jobs = [(cache.schema, chunk, indexes, caps, plan, attempt)
-                for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_build_matrices_job, jobs))
-
-    def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
-        _retry_metric("matrix_build")
-        log_event(logging.WARNING, "matrix_build_retry", attempt=attempt,
-                  shells=len(pending), error=repr(exc),
-                  delay=round(delay, 3))
-
-    try:
-        results = policy.call(build_all, on_retry=on_retry)
-    except Exception as exc:
-        if not default_retryable(exc):
-            raise
-        # Degraded, not silent: the caller rebuilds the matrices locally,
-        # and the log records that the process pool was lost doing it.
-        log_event(logging.WARNING, "matrix_build_degraded",
-                  shells=len(pending), workers=workers, error=repr(exc))
-        return 0
-    by_name: dict[str, tuple[Query, tuple[TemplatePlan, ...],
-                             QueryGammaMatrix]] = {}
-    build_calls = 0
-    for entries, calls in results:
-        build_calls += calls
-        for entry in entries:
-            by_name[entry[0].name] = entry
-    cache.adopt_built((by_name[shell.name] for shell in pending
-                       if shell.name in by_name), build_calls=build_calls)
-    return len(pending)
-
-
-def _build_matrices_job(job: tuple) -> tuple[list, int]:
-    """Worker-side matrix build for one chunk of query shells."""
-    schema, shells, indexes, caps, fault_plan, attempt = job
-    plan = fault_plan if fault_plan is not None else armed_plan()
-    maybe_check(plan, "matrix_build", attempt=attempt, in_worker=True)
-    optimizer = WhatIfOptimizer(schema)
-    cache = InumCache(optimizer, max_orders_per_table=caps[0],
-                      max_templates_per_query=caps[1])
-    entries = [cache.build_entry(shell, indexes) for shell in shells]
-    return entries, cache.template_build_calls

@@ -472,8 +472,7 @@ _ADVISOR = Record(
 _COSTING = Record(
     "costing spec", CostingSpec,
     Field("max_orders_per_table", INT, required=False),
-    Field("max_templates_per_query", INT, required=False),
-    Field("build_processes", INT, required=False))
+    Field("max_templates_per_query", INT, required=False))
 
 _SCALE = Record(
     "scale spec", ScaleSpec,

@@ -473,6 +473,34 @@ class TestServiceSessions:
             simple_workload, dba_indexes=(dba,)).indexes \
             == (*generated, dba)
 
+    def test_a_session_leaves_the_callers_candidates_alone(
+            self, simple_schema, simple_workload):
+        """A request's own CandidateSet is the session's starting point, not
+        its storage: retracting and adding candidates edits a copy."""
+        from repro.indexes.candidate_generation import (
+            CandidateGenerator,
+            CandidateSet,
+        )
+        from repro.indexes.index import Index
+
+        theirs = CandidateSet(simple_schema, CandidateGenerator(
+            simple_schema).generate(simple_workload))
+        before = theirs.indexes
+        request = TuningRequest(workload=simple_workload,
+                                schema=simple_schema, candidates=theirs,
+                                constraints=[_budget(simple_schema, 0.5)])
+        service = TuningService()
+        fingerprint = service.tune(request).fingerprint()
+        session = service.open_session(request)
+        session.recommend()
+        session.remove_candidates(before[:2])
+        extra = Index("items", ("i_quantity", "i_product"))
+        assert extra not in before
+        session.add_candidates([extra])
+        assert len(session.candidates) == len(before) - 1
+        assert theirs.indexes == before
+        assert service.tune(request).fingerprint() == fingerprint
+
     def test_a_step_counts_only_its_own_whatif_calls(self, simple_schema,
                                                      simple_workload):
         """A step on a context that served a DTA request fingerprints like the

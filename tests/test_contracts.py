@@ -293,7 +293,6 @@ def test_hash_caching_keys_ship_no_hash_and_rebuild_it():
 _GUARDED = {
     "solver": [(Tuner, "tune_in_context")],
     "shard_solve": [(repro.scale.executor, "_solve_shard_inline")],
-    "matrix_build": [(repro.scale.executor, "_build_matrices_job")],
     "http_request": [(TuningClient, "_call")],
 }
 
@@ -375,7 +374,7 @@ class _FaultAudit:
 
 @pytest.fixture(scope="module")
 def fault_sweep():
-    """Arms a ``raise`` rule per fault site over five driven paths; yields
+    """Arms a ``raise`` rule per fault site over four driven paths; yields
     the audit's fired sites and every site any check named."""
     schema, workload = build_simple_schema(), build_simple_workload()
     request = functools.partial(_request, schema, workload)
@@ -387,13 +386,12 @@ def fault_sweep():
                                                  {"shard_workers": 1}))),
         lambda: Tuner().tune(request(AdvisorSpec("scaleout",
                                                  {"shard_workers": 2}))),
-        lambda: Tuner().tune(request(costing=CostingSpec(build_processes=2))),
     ]
     checked: set[str] = set()
     with pytest.MonkeyPatch.context() as monkeypatch:
         audit = _FaultAudit(monkeypatch)
-        # Shard solves and matrix builds run their worker functions in one
-        # thread of this process, where the audit can see them.
+        # Pooled shard solves run their worker function in one thread of
+        # this process, where the audit can see it.
         monkeypatch.setattr(repro.scale.executor, "ProcessPoolExecutor",
                             lambda max_workers=None: ThreadPoolExecutor(1))
         with TuningServer() as server:

@@ -29,7 +29,6 @@ from repro.api import AdvisorSpec, Tuner, TuningRequest, TuningService
 from repro.core.constraints import StorageBudgetConstraint
 from repro.exceptions import ServerOverloaded
 from repro.indexes.candidate_generation import CandidateGenerator
-from repro.indexes.configuration import Configuration
 from repro.inum.cache import InumCache
 from repro.lp.budget import SolveBudget
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -42,7 +41,7 @@ from repro.reliability import (
     armed_plan,
 )
 from repro.reliability.faults import maybe_check
-from repro.scale.executor import ShardExecutor, build_matrices_in_processes
+from repro.scale.executor import ShardExecutor
 from repro.scale.partition import partition_workload
 from repro.server import TuningClient, TuningServer
 from repro.server.protocol import TuningServerUnavailable
@@ -359,24 +358,6 @@ class TestExecutorFaultTolerance:
         # Worker-side optimizer work is still fully accounted after recovery.
         assert (sum(r.worker_optimizer_calls for r in recovered)
                 == sum(r.worker_optimizer_calls for r in clean))
-
-    def test_matrix_build_faults_fall_back_to_local_build(self,
-                                                          simple_schema,
-                                                          simple_workload):
-        faults = FaultPlan([FaultRule(site="matrix_build", attempts=None)])
-        cache = InumCache(WhatIfOptimizer(simple_schema))
-        shells = [statement.query.query_shell()
-                  if hasattr(statement.query, "query_shell")
-                  else statement.query for statement in simple_workload]
-        built = build_matrices_in_processes(cache, shells, (), workers=2,
-                                            retry_policy=FAST_RETRIES,
-                                            fault_plan=faults)
-        assert built == 0  # degraded: nothing adopted, nothing raised
-        # The caller-side local build still works on the untouched cache.
-        candidates = CandidateGenerator(simple_schema).generate(
-            simple_workload)
-        cache.prepare(simple_workload, candidates)
-        assert cache.workload_cost(simple_workload, Configuration(())) > 0
 
 
 # ================================================ end-to-end through the API

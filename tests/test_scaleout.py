@@ -29,11 +29,7 @@ from repro.optimizer.whatif import WhatIfOptimizer
 from repro.reliability.faults import FaultPlan
 from repro.scale.compress import compress_workload
 from repro.scale import executor as executor_module
-from repro.scale.executor import (
-    ShardExecutor,
-    ShardResult,
-    build_matrices_in_processes,
-)
+from repro.scale.executor import ShardExecutor, ShardResult
 from repro.scale.partition import (
     PartitionPlan,
     Shard,
@@ -78,28 +74,14 @@ class TestCompression:
         assert compressed.workload.total_weight() == pytest.approx(
             tuning_workload.total_weight())
 
-    def test_gamma_signature_requires_inum_and_tightens_with_error(
-            self, tpch, tuning_workload):
-        with pytest.raises(WorkloadError):
-            compress_workload(tuning_workload, signature="gamma")
-        inum = InumCache(WhatIfOptimizer(tpch))
-        loose = compress_workload(tuning_workload, signature="gamma",
-                                  max_cost_error=1.0, inum=inum)
-        exact = compress_workload(tuning_workload, signature="gamma",
-                                  max_cost_error=0.0, inum=inum)
-        assert loose.compressed_size <= exact.compressed_size
-        # Exact gamma merging still recognises repeated statements.
-        doubled = Workload([*tuning_workload.statements,
-                            *tuning_workload.statements], name="doubled")
-        compressed = compress_workload(doubled, signature="gamma",
-                                       max_cost_error=0.0, inum=inum)
-        assert compressed.compressed_size <= len(tuning_workload)
-
     def test_rejects_bad_parameters(self, simple_workload):
-        with pytest.raises(WorkloadError):
-            compress_workload(simple_workload, signature="nonsense")
-        with pytest.raises(WorkloadError):
-            compress_workload(simple_workload, max_cost_error=-0.5)
+        for signature in ("nonsense", "gamma"):
+            with pytest.raises(WorkloadError):
+                compress_workload(simple_workload, signature=signature)
+        for max_cost_error in (-0.5, float("nan")):
+            with pytest.raises(WorkloadError):
+                compress_workload(simple_workload,
+                                  max_cost_error=max_cost_error)
 
 
 class TestPartitioning:
@@ -174,29 +156,6 @@ class TestProcessPaths:
         restored = pickle.loads(pickle.dumps(templates))
         assert restored == templates
         assert {t: p for p, t in enumerate(restored)}[templates[0]] == 0
-
-    def test_process_built_matrices_match_serial(self, tpch, tuning_workload):
-        candidates = list(CandidateGenerator(tpch).generate(tuning_workload))[:40]
-        serial = InumCache(WhatIfOptimizer(tpch))
-        serial.prepare(tuning_workload, candidates)
-        sharded = InumCache(WhatIfOptimizer(tpch), build_processes=2)
-        sharded.prepare(tuning_workload, candidates)
-        assert serial.template_build_calls == sharded.template_build_calls
-        for statement in tuning_workload:
-            shell = _shell(statement.query)
-            assert np.array_equal(serial.gamma_matrix(shell).array,
-                                  sharded.gamma_matrix(shell).array)
-        probe = Configuration(candidates[:15])
-        assert (serial.workload_cost(tuning_workload, probe)
-                == sharded.workload_cost(tuning_workload, probe))
-
-    def test_build_matrices_in_processes_is_idempotent(self, tpch,
-                                                       tuning_workload):
-        cache = InumCache(WhatIfOptimizer(tpch))
-        shells = [_shell(s.query) for s in tuning_workload]
-        built = build_matrices_in_processes(cache, shells, (), workers=2)
-        assert built > 0
-        assert build_matrices_in_processes(cache, shells, (), workers=2) == 0
 
     def test_pooled_shard_solves_match_inline(self, tpch, tuning_workload):
         budget = StorageBudgetConstraint.from_fraction_of_data(tpch, 0.5)

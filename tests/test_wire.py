@@ -368,9 +368,9 @@ class TestRequestCodec:
         """Retired costing knobs fail like any other unknown field."""
         base = encode_request(self._request(simple_schema, simple_workload))
         assert set(base["costing"]) == {
-            "max_orders_per_table", "max_templates_per_query",
-            "build_processes"}
-        for key in ("warp_drive", "use_gamma_matrix", "build_workers"):
+            "max_orders_per_table", "max_templates_per_query"}
+        for key in ("warp_drive", "use_gamma_matrix", "build_workers",
+                    "build_processes"):
             payload = json.loads(json.dumps(base))
             payload["costing"][key] = True
             with pytest.raises(WireFormatError, match=key):
@@ -495,9 +495,10 @@ class TestSessionAndBatchBodies:
 
 
 class TestClientFirstSend:
-    """The first send of a schema object is the body a version-2 client sent:
-    the sha256 of ``json.dumps(body)`` was taken from the client before
-    version 3."""
+    """The first send of a schema object is the body a version-2 client sent
+    without the retired ``costing.build_processes`` key: the sha256 of
+    ``json.dumps(body)`` was taken from the client before version 3, with
+    that one key dropped from each body's ``costing`` objects."""
 
     class _Recorder(TuningClient):
         def __init__(self):
@@ -524,8 +525,8 @@ class TestClientFirstSend:
                 call()
         assert [(hashlib.sha256(body.encode()).hexdigest()[:16], len(body))
                 for body in client.bodies] == [
-            ("4ce1b9bca2ee0f83", 14381), ("fd0aad61807d206d", 28846),
-            ("4bdd7880ee3f95bd", 14385)]
+            ("9c19aa72778cbfcc", 14356), ("e39bce9a7a0eefa8", 28796),
+            ("43655a33d91b5662", 14360)]
         # Sent once, the schema travels by digest from then on.
         with pytest.raises(ConnectionAbortedError):
             client.tune_many([budgeted])
@@ -782,8 +783,7 @@ def _requests(draw):
         dba_indexes=draw(indexes), advisor=advisor,
         costing=draw(st.builds(
             CostingSpec, max_orders_per_table=st.integers(1, 4),
-            max_templates_per_query=st.integers(1, 64),
-            build_processes=st.none() | st.integers(1, 2))),
+            max_templates_per_query=st.integers(1, 64))),
         scale=scale, per_statement_costs=draw(st.none() | st.booleans()),
         request_id=draw(_names))
 
@@ -853,7 +853,7 @@ def _base_payloads():
         dba_indexes=[Index("orders", ("o_date",), clustered=True)],
         advisor=AdvisorSpec("cophy", {"gap_limit": 0.05},
                             time_budget_ms=250.0, solve_tier="cascade"),
-        costing=CostingSpec(max_orders_per_table=2, build_processes=1),
+        costing=CostingSpec(max_orders_per_table=2),
         per_statement_costs=True, request_id="fuzz")
     scaled = TuningRequest(
         workload=workload, schema=schema,
